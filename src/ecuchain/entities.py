@@ -17,7 +17,7 @@ from .protocol import (
     build_response,
     maintenance_metadata,
 )
-from .transactions import Challenge, ChallengeResponse, UpdateTx, Verdict
+from .transactions import Challenge, ChallengeResponse, UpdateTx, Verdict, signed
 
 
 @dataclass
@@ -110,24 +110,15 @@ def perform_maintenance(
     digest = crypto.sha256(firmware)
     vehicle.ecu_state = update_ecu(vehicle.ecu_state, ecu_id, digest, ts)
     vehicle.firmware_images[ecu_id] = firmware
-    new_root = compute_state_root(vehicle.ecu_state).root
-    metadata = maintenance_metadata(ecu_id, action, digest, ts)
     unsigned = UpdateTx(
-        new_root=new_root,
+        new_root=compute_state_root(vehicle.ecu_state).root,
         ts=ts,
         vehicle_pk=vehicle.pk,
         maintainer_pk=maintainer.keys.public,
-        metadata=metadata,
+        metadata=maintenance_metadata(ecu_id, action, digest, ts),
         sig=b"",
     )
-    return UpdateTx(
-        new_root=new_root,
-        ts=ts,
-        vehicle_pk=vehicle.pk,
-        maintainer_pk=maintainer.keys.public,
-        metadata=metadata,
-        sig=maintainer.keys.sign(unsigned.signing_bytes()),
-    )
+    return signed(unsigned, maintainer.keys)
 
 
 def tamper(vehicle: VehicleNode, ecu_id: int, firmware: bytes, ts: int) -> None:

@@ -1,9 +1,15 @@
 """Appendable-block ledger: one block per identity, hash-linked entries.
 
-Appending needs no consensus round; it is gated only by signature and
-ownership checks, and block headers are decoupled from the entry list so
-old entries can move to external archive storage without breaking block
-integrity.
+Appending needs no consensus round, and block headers are decoupled from
+the entry list so old entries can move to external archive storage without
+breaking block integrity.
+
+Each signature is verified once, where the transaction enters:
+``Ledger.create_block`` and ``Ledger.append`` verify the transactions
+handed to them, while ``append_entry`` only links an entry whose signature
+its caller has already verified or just made (the protocol verifies
+responses and updates itself). ``validate_block`` re-verifies every
+retained entry, so an audit never trusts the append path.
 
 Link discipline: an entry's ``prev_link`` is the SHA-256 of the preceding
 entry's *content* (payload bytes and entry timestamp, not its own
@@ -28,15 +34,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .crypto import (
-    DIGEST_LEN,
-    PUBLIC_KEY_LEN,
-    ZERO_DIGEST,
-    Digest,
-    PublicKey,
-    sha256,
-    verify,
-)
+from . import crypto
+from .crypto import DIGEST_LEN, PUBLIC_KEY_LEN, ZERO_DIGEST, Digest, PublicKey, sha256
 from .transactions import (
     Transaction,
     decode_transaction,
@@ -95,9 +94,13 @@ class LedgerEntry:
         )
 
 
+def _link(payload_bytes: bytes, entry_ts: int) -> Digest:
+    return sha256(encode_bytes(payload_bytes) + encode_u64(entry_ts))
+
+
 def entry_link(entry: LedgerEntry) -> Digest:
     """Link target for the entry's successor: hash of payload and timestamp."""
-    return sha256(encode_bytes(entry.payload.to_bytes()) + encode_u64(entry.entry_ts))
+    return _link(entry.payload.to_bytes(), entry.entry_ts)
 
 
 @dataclass(frozen=True)
@@ -160,9 +163,11 @@ def validate_block(block: AppendableBlock) -> bool:
             if owner is not None and owner != block.header.owner_pk:
                 return False
             signer, sig = tx_signer(entry.payload)
-            if not verify(signer, entry.payload.signing_bytes(), sig):
+            message = entry.payload.signing_bytes()
+            if not crypto.verify(signer, message, sig):
                 return False
-            expected = entry_link(entry)
+            # A payload's wire bytes are its signing bytes plus its signature.
+            expected = _link(message + encode_bytes(sig), entry.entry_ts)
     except Exception:
         return False
     return True
@@ -176,13 +181,18 @@ def validate_block_bytes(data: bytes) -> bool:
     return validate_block(block)
 
 
-def append_entry(block: AppendableBlock, tx: Transaction) -> AppendableBlock:
-    """Block with ``tx`` appended; rejects bad signatures and entries
-    addressed to a different owner.
-    """
+def _require_signature(tx: Transaction) -> None:
+    """Raise LedgerError unless ``tx`` carries a valid signature."""
     signer, sig = tx_signer(tx)
-    if not verify(signer, tx.signing_bytes(), sig):
+    if not crypto.verify(signer, tx.signing_bytes(), sig):
         raise LedgerError("signature")
+
+
+def append_entry(block: AppendableBlock, tx: Transaction) -> AppendableBlock:
+    """Block with ``tx`` linked in as its newest entry; rejects entries
+    addressed to a different owner. Does not verify the signature: callers
+    pass transactions they have verified (see the module docstring).
+    """
     owner = tx_vehicle(tx)
     if owner is not None and owner != block.header.owner_pk:
         raise LedgerError("ownership")
@@ -351,14 +361,16 @@ class Ledger:
         ts: int,
         external_address: str,
     ) -> AppendableBlock:
-        """Open a block for ``owner_pk`` holding ``genesis`` as first entry.
-        Header chains to the most recently created block's header.
+        """Open a block for ``owner_pk`` holding ``genesis`` as first entry,
+        after verifying its signature. Header chains to the most recently
+        created block's header.
         """
         if owner_pk in self.blocks:
             raise LedgerError("block exists")
         owner = tx_vehicle(genesis)
         if owner is not None and owner != owner_pk:
             raise LedgerError("genesis not addressed to owner")
+        _require_signature(genesis)
         header = BlockHeader(
             owner_pk=owner_pk,
             prev_header_hash=self._last_header_hash,
@@ -372,9 +384,11 @@ class Ledger:
         return block
 
     def append(self, owner_pk: PublicKey, tx: Transaction) -> AppendableBlock:
+        """Verify ``tx``'s signature and append it to ``owner_pk``'s block."""
         block = self.blocks.get(owner_pk)
         if block is None:
             raise LedgerError("unknown block")
+        _require_signature(tx)
         updated = append_entry(block, tx)
         self.blocks[owner_pk] = updated
         return updated

@@ -9,6 +9,13 @@ vehicle (expected state root, per-ECU registry, last recorded response
 timestamp); the profile is what a roadside unit actually checks a
 response against, and it survives pruning because pruned entries leave
 the block.
+
+Each signature is verified once, where it enters a tier: a genesis by
+``Ledger.create_block`` (reached through ``initialize_vehicle``), an
+update by ``apply_upper_update``, a response by ``verify_response``, an
+insurer request by ``Ledger.append`` and a report by its receiving
+authority. The countersignature ``record_response`` makes is appended
+without a second check.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ from typing import Optional, Sequence
 from . import crypto
 from .crypto import Digest, KeyPair, PublicKey, Signature
 from .ecu import EcuRecord, EcuState, compute_state_root, subset_report
-from .ledger import Archive, Ledger, MemoryArchive, append_entry, prune_to_two
+from .ledger import (
+    Archive,
+    Ledger,
+    LedgerError,
+    MemoryArchive,
+    append_entry,
+    prune_to_two,
+)
 from .transactions import (
     Challenge,
     ChallengeRecordTx,
@@ -30,6 +44,7 @@ from .transactions import (
     RequestTx,
     UpdateTx,
     Verdict,
+    signed,
 )
 from .wire import encode_bytes, encode_str, encode_u64
 
@@ -158,33 +173,25 @@ def make_genesis(
     """Registration transaction: state root plus the full ECU inventory,
     signed by the maker.
     """
-    root = compute_state_root(ecu_state).root
     unsigned = GenesisTx(
-        state_root=root,
+        state_root=compute_state_root(ecu_state).root,
         ts=ts,
         ecu_list=ecu_state.records,
         vehicle_pk=vehicle_pk,
         maker_pk=maker_keys.public,
         sig=b"",
     )
-    return GenesisTx(
-        state_root=root,
-        ts=ts,
-        ecu_list=ecu_state.records,
-        vehicle_pk=vehicle_pk,
-        maker_pk=maker_keys.public,
-        sig=maker_keys.sign(unsigned.signing_bytes()),
-    )
+    return signed(unsigned, maker_keys)
 
 
 def initialize_vehicle(
     authority: AuthorityTier, roadside: RoadsideTier, genesis: GenesisTx, ts: int
 ) -> None:
     """Validate a registration and open the vehicle's block in the roadside
-    tier; all validators countersign the creation event.
+    tier; all validators countersign the creation event. The maker's
+    signature is verified by ``Ledger.create_block``, last, so a rejected
+    genesis leaves both tiers unchanged.
     """
-    if not crypto.verify(genesis.maker_pk, genesis.signing_bytes(), genesis.sig):
-        raise ProtocolError("genesis signature invalid")
     if genesis.maker_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maker")
     state = EcuState(records=genesis.ecu_list)
@@ -192,9 +199,12 @@ def initialize_vehicle(
         raise ProtocolError("genesis state root does not match ECU list")
     if roadside.ledger.lookup(genesis.vehicle_pk) is not None:
         raise ProtocolError("vehicle already registered")
-    roadside.ledger.create_block(
-        genesis.vehicle_pk, genesis, ts, external_address(genesis.vehicle_pk)
-    )
+    try:
+        roadside.ledger.create_block(
+            genesis.vehicle_pk, genesis, ts, external_address(genesis.vehicle_pk)
+        )
+    except LedgerError as exc:
+        raise ProtocolError(f"genesis rejected: {exc}") from exc
     roadside.profiles[genesis.vehicle_pk] = VehicleProfile(
         expected_root=genesis.state_root,
         registry={
@@ -285,18 +295,14 @@ def build_response(
     """
     if challenge.vehicle_pk != vehicle_keys.public:
         raise ProtocolError("challenge addressed to a different vehicle")
-    subset = tuple(subset_report(state, challenge.subset_indices))
-    root = compute_state_root(state).root
     unsigned = ChallengeResponse(
-        state_root=root, subset=subset, ts=ts, vehicle_pk=vehicle_keys.public, sig=b""
-    )
-    return ChallengeResponse(
-        state_root=root,
-        subset=subset,
+        state_root=compute_state_root(state).root,
+        subset=tuple(subset_report(state, challenge.subset_indices)),
         ts=ts,
         vehicle_pk=vehicle_keys.public,
-        sig=vehicle_keys.sign(unsigned.signing_bytes()),
+        sig=b"",
     )
+    return signed(unsigned, vehicle_keys)
 
 
 def verify_response(
@@ -331,17 +337,16 @@ def record_response(
     rsu_keys: KeyPair, roadside: RoadsideTier, response: ChallengeResponse
 ) -> ChallengeRecordTx:
     """Append the countersigned response to the vehicle's block and prune it
-    back to two entries. Callers must have obtained a Valid verdict first.
-    The ledger is only mutated after the archive write succeeds.
+    back to two entries. Callers must have obtained a Valid verdict first;
+    the countersignature made here is not verified again. The ledger is
+    only mutated after the archive write succeeds.
     """
     block = roadside.ledger.lookup(response.vehicle_pk)
     if block is None:
         raise ProtocolError("unknown vehicle")
-    unsigned = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b"")
-    record = ChallengeRecordTx(
-        response=response,
-        rsu_pk=rsu_keys.public,
-        rsu_sig=rsu_keys.sign(unsigned.signing_bytes()),
+    record = signed(
+        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b""),
+        rsu_keys,
     )
     appended = append_entry(block, record)
     pruned, _ = prune_to_two(appended, roadside.archive)
@@ -386,13 +391,7 @@ def report_malicious(
     unsigned = ReportEvent(
         rsu_pk=rsu_keys.public, vehicle_pk=vehicle_pk, verdict=verdict, ts=ts, sig=b""
     )
-    return ReportEvent(
-        rsu_pk=rsu_keys.public,
-        vehicle_pk=vehicle_pk,
-        verdict=verdict,
-        ts=ts,
-        sig=rsu_keys.sign(unsigned.signing_bytes()),
-    )
+    return signed(unsigned, rsu_keys)
 
 
 def submit_request(
@@ -402,11 +401,6 @@ def submit_request(
     if insurer_keys.public not in authority.authorized_insurers:
         raise ProtocolError("unauthorized insurer")
     unsigned = RequestTx(insurer_pk=insurer_keys.public, query=query, ts=ts, sig=b"")
-    request = RequestTx(
-        insurer_pk=insurer_keys.public,
-        query=query,
-        ts=ts,
-        sig=insurer_keys.sign(unsigned.signing_bytes()),
-    )
+    request = signed(unsigned, insurer_keys)
     authority.ledger.append(authority.audit_pk, request)
     return request

@@ -3,16 +3,17 @@
 Every signed structure exposes ``signing_bytes()`` (canonical wire bytes
 with the signature field omitted) and ``to_bytes()`` (signing bytes plus
 the signature appended). Each encoding starts with the variant tag so a
-signature can never be replayed across types.
+signature can never be replayed across types. ``signed`` is the one way to
+sign any of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
+from typing import TypeVar, Union
 
-from .crypto import DIGEST_LEN, PUBLIC_KEY_LEN, Digest, PublicKey, Signature
+from .crypto import DIGEST_LEN, PUBLIC_KEY_LEN, Digest, KeyPair, PublicKey, Signature
 from .ecu import EcuRecord
 from .wire import Reader, WireError, encode_bytes, encode_str, encode_u64
 
@@ -233,6 +234,17 @@ def tx_signer(tx: Transaction) -> tuple[PublicKey, Signature]:
     if isinstance(tx, RequestTx):
         return tx.insurer_pk, tx.sig
     return tx.rsu_pk, tx.rsu_sig
+
+
+S = TypeVar("S")
+
+
+def signed(unsigned: S, keys: KeyPair) -> S:
+    """``unsigned`` with its signature field set to ``keys``' signature over
+    its signing bytes, which are encoded once, here.
+    """
+    field = "rsu_sig" if isinstance(unsigned, ChallengeRecordTx) else "sig"
+    return replace(unsigned, **{field: keys.sign(unsigned.signing_bytes())})
 
 
 def tx_vehicle(tx: Transaction) -> PublicKey | None:

@@ -1,0 +1,302 @@
+"""Signatures are verified once, at the point where data enters a tier.
+
+The boundaries: ``verify_response`` (vehicle signature), ``Ledger.append``
+and ``Ledger.create_block`` (external transactions, the genesis of
+``initialize_vehicle`` among them), ``apply_upper_update`` (the update) and
+``AuthorityNode.receive_report`` (the report). Everything signed inside a
+tier, such as the RSU countersignature, is appended without a verify, and
+``validate_block`` re-verifies every retained entry.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import keys_for, state_of
+from ecuchain import crypto
+from ecuchain.ecu import EcuRecord
+from ecuchain.entities import AuthorityNode
+from ecuchain.ledger import LedgerError, append_entry, validate_block
+from ecuchain.protocol import (
+    ProtocolError,
+    RoadsideTier,
+    apply_upper_update,
+    build_response,
+    initialize_vehicle,
+    issue_challenge,
+    make_genesis,
+    new_authority_tier,
+    record_response,
+    report_malicious,
+    submit_request,
+    verify_response,
+)
+from ecuchain.transactions import (
+    ChallengeRecordTx,
+    RequestTx,
+    Verdict,
+    decode_transaction,
+    signed,
+    tx_signer,
+)
+from ecuchain.wire import U64_MAX, encode_bytes
+from test_protocol import honest_round, make_update
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Every crypto.verify call made while the test runs, as argument tuples.
+
+    Patches each binding of the function in the ``ecuchain`` modules, so a
+    call through a name imported with ``from .crypto import verify`` counts.
+    """
+    calls = []
+    original = crypto.verify
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "ecuchain" or name.startswith("ecuchain.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def forged_record(rsu_keys, response):
+    record = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b"")
+    return dataclasses.replace(record, rsu_sig=bytes(64))
+
+
+# -- Ledger.append and Ledger.create_block ------------------------------------------
+
+
+def test_append_rejects_forged_request(tiers, insurer_keys):
+    authority, _ = tiers
+    before = authority.ledger.lookup(authority.audit_pk)
+    request = signed(
+        RequestTx(insurer_pk=insurer_keys.public, query="q", ts=3, sig=b""), insurer_keys
+    )
+    forged = dataclasses.replace(request, query="another query")
+    with pytest.raises(LedgerError, match="signature"):
+        authority.ledger.append(authority.audit_pk, forged)
+    assert authority.ledger.lookup(authority.audit_pk) == before
+
+
+def test_append_rejects_forged_challenge_record(registered, rsu_keys):
+    _, roadside, vehicle_keys, state = registered
+    before = roadside.ledger.lookup(vehicle_keys.public)
+    _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
+    with pytest.raises(LedgerError, match="signature"):
+        roadside.ledger.append(vehicle_keys.public, forged_record(rsu_keys, response))
+    assert roadside.ledger.lookup(vehicle_keys.public) == before
+
+
+def test_append_accepts_signed_challenge_record(registered, rsu_keys):
+    _, roadside, vehicle_keys, state = registered
+    _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
+    record = signed(
+        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b""),
+        rsu_keys,
+    )
+    block = roadside.ledger.append(vehicle_keys.public, record)
+    assert block.entries[-1].payload == record
+    assert validate_block(block)
+
+
+def test_validate_block_rechecks_entries_append_entry_trusted(registered, rsu_keys):
+    _, roadside, vehicle_keys, state = registered
+    _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
+    block = roadside.ledger.lookup(vehicle_keys.public)
+    appended = append_entry(block, forged_record(rsu_keys, response))
+    assert validate_block(block)
+    assert not validate_block(appended)
+
+
+# -- protocol entry points ------------------------------------------------------
+
+
+def test_initialize_bad_signature_leaves_tiers_unchanged(
+    tiers, maker_keys, vehicle_keys, ecu_state8
+):
+    authority, roadside = tiers
+    genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
+    forged = dataclasses.replace(genesis, ts=1)
+    audit_before = list(authority.audit_log)
+    with pytest.raises(ProtocolError, match="signature"):
+        initialize_vehicle(authority, roadside, forged, ts=0)
+    assert len(roadside.ledger) == 0
+    assert not roadside.profiles
+    assert authority.audit_log == audit_before
+
+
+def test_update_bad_signature_leaves_block_unchanged(registered, maker_keys):
+    authority, roadside, vehicle_keys, state = registered
+    _, update = make_update(maker_keys, vehicle_keys.public, state, 1, b"fw", ts=1)
+    forged = dataclasses.replace(update, sig=bytes(64))
+    before = roadside.ledger.lookup(vehicle_keys.public)
+    with pytest.raises(ProtocolError, match="signature"):
+        apply_upper_update(authority, roadside, forged)
+    assert roadside.ledger.lookup(vehicle_keys.public) == before
+
+
+# -- verify counts -----------------------------------------------------------------
+
+
+def test_honest_round_verifies_once(registered, rsu_keys, verify_calls):
+    _, roadside, vehicle_keys, state = registered
+    # Four rounds: the later ones prune, which must not verify either.
+    for i in range(4):
+        challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7 + i)
+        del verify_calls[:]
+        assert verify_response(roadside, challenge, response) is Verdict.VALID
+        record_response(rsu_keys, roadside, response)
+        assert verify_calls == [(vehicle_keys.public, response.signing_bytes(), response.sig)]
+
+
+def test_initialize_verifies_once(tiers, maker_keys, vehicle_keys, ecu_state8, verify_calls):
+    authority, roadside = tiers
+    genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
+    del verify_calls[:]
+    initialize_vehicle(authority, roadside, genesis, ts=0)
+    assert verify_calls == [(maker_keys.public, genesis.signing_bytes(), genesis.sig)]
+
+
+def test_update_verifies_once(registered, maker_keys, verify_calls):
+    authority, roadside, vehicle_keys, state = registered
+    for i in range(3):
+        state, update = make_update(maker_keys, vehicle_keys.public, state, i, b"fw", ts=i + 1)
+        del verify_calls[:]
+        apply_upper_update(authority, roadside, update)
+        assert verify_calls == [(maker_keys.public, update.signing_bytes(), update.sig)]
+
+
+def test_request_verifies_once(tiers, insurer_keys, verify_calls):
+    authority, _ = tiers
+    del verify_calls[:]
+    request = submit_request(insurer_keys, authority, "incident 12", ts=3)
+    assert verify_calls == [(insurer_keys.public, request.signing_bytes(), request.sig)]
+
+
+def test_report_verified_by_each_receiving_authority(rsu_keys, vehicle_keys, verify_calls):
+    authorities = [AuthorityNode(keys=keys_for(r), role=r) for r in ("transport", "legal")]
+    event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
+    assert not verify_calls
+    for authority in authorities:
+        authority.receive_report(event)
+    assert len(verify_calls) == len(authorities)
+
+
+# -- stale bytes ---------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _world():
+    """One registered vehicle, a Valid response to a challenge and the
+    record an RSU made of it. Shared by the property examples, which only
+    ever hand the tier rejected objects.
+    """
+    maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
+    authority = new_authority_tier(
+        validators=(keys_for("transport"),),
+        authorized_makers=(maker.public,),
+        authorized_insurers=(),
+    )
+    roadside = RoadsideTier()
+    state = state_of(8)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(3), ts=5)
+    response = build_response(vehicle, state, challenge, ts=5)
+    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    record = signed(
+        ChallengeRecordTx(response=response, rsu_pk=rsu.public, rsu_sig=b""), rsu
+    )
+    return roadside, challenge, response, record
+
+
+digests = st.binary(min_size=32, max_size=32)
+RESPONSE_FIELDS = {
+    "state_root": digests,
+    "subset": st.lists(
+        st.builds(
+            EcuRecord,
+            ecu_id=st.integers(0, 9),
+            firmware_digest=digests,
+            last_write_ts=st.integers(0, U64_MAX),
+        ),
+        max_size=4,
+    ).map(tuple),
+    "ts": st.integers(0, U64_MAX),
+    "vehicle_pk": digests,
+    "sig": st.binary(min_size=64, max_size=64),
+}
+
+
+@st.composite
+def changed_response(draw, response):
+    name = draw(st.sampled_from(sorted(RESPONSE_FIELDS)))
+    value = draw(RESPONSE_FIELDS[name].filter(lambda v: v != getattr(response, name)))
+    return name, dataclasses.replace(response, **{name: value})
+
+
+@st.composite
+def changed_record(draw, record):
+    name = draw(st.sampled_from(["response", "rsu_pk", "rsu_sig"]))
+    if name == "response":
+        _, value = draw(changed_response(record.response))
+    elif name == "rsu_pk":
+        value = draw(digests.filter(lambda v: v != record.rsu_pk))
+    else:
+        value = draw(st.binary(min_size=64, max_size=64).filter(lambda v: v != record.rsu_sig))
+    return dataclasses.replace(record, **{name: value})
+
+
+def assert_fresh_encoding(tx):
+    """The identities the verify-once path relies on: wire bytes are the
+    signing bytes of the current fields plus the signature, and decode back
+    to the same object.
+    """
+    _, sig = tx_signer(tx)
+    assert tx.to_bytes() == tx.signing_bytes() + encode_bytes(sig)
+    assert decode_transaction(tx.to_bytes()) == tx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_changed_response_is_rejected(data):
+    roadside, challenge, response, _ = _world()
+    name, changed = data.draw(changed_response(response))
+    verdict = verify_response(roadside, challenge, changed)
+    if name == "vehicle_pk":
+        assert verdict in (Verdict.UNKNOWN_VEHICLE, Verdict.BAD_SIGNATURE)
+    else:
+        assert verdict is Verdict.BAD_SIGNATURE
+    if name != "sig":
+        assert changed.signing_bytes() != response.signing_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_changed_record_is_rejected_by_append(data):
+    roadside, _, response, record = _world()
+    changed = data.draw(changed_record(record))
+    before = roadside.ledger.lookup(response.vehicle_pk)
+    with pytest.raises(LedgerError, match="signature"):
+        roadside.ledger.append(response.vehicle_pk, changed)
+    assert roadside.ledger.lookup(response.vehicle_pk) == before
+    assert_fresh_encoding(changed)
+
+
+def test_signed_record_encodes_its_current_fields():
+    _, _, _, record = _world()
+    assert_fresh_encoding(record)
+    assert crypto.verify(record.rsu_pk, record.signing_bytes(), record.rsu_sig)
