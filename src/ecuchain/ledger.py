@@ -20,11 +20,15 @@ while tamper evidence is preserved because every entry's timestamp must
 equal its payload's signed timestamp and every payload carries a
 signature.
 
-Pruning keeps the last two entries (previous and current state). Removed
-entries move to the archive under the block's external address; the first
-retained entry's pre-relink bytes are archived too, so the earliest
-archive record per sequence number is always the entry's original bytes
-and an auditor can replay the full original chain.
+Pruning keeps the last two entries (previous and current state). Each
+entry's original bytes are archived exactly once, under the block's
+external address and the entry's sequence number: a removed entry when it
+leaves the block, or the first retained entry just before it is
+re-anchored to the header. A re-anchored copy is never archived, so an
+auditor replays the full original chain from the archive. Archives written
+before this rule may also hold re-anchored copies after the originals;
+``reconstruct_history`` keeps the earliest record per sequence number, so
+those still replay.
 """
 
 from __future__ import annotations
@@ -205,9 +209,10 @@ class Archive:
     """Append-only record store keyed by external address.
 
     Record layout on disk: 8-byte big-endian sequence number followed by
-    the entry's wire bytes. Multiple records may share a sequence number
-    (pruning logs an entry's pre-relink bytes under its own sequence); the
-    earliest record per sequence number is the entry's original bytes.
+    the entry's wire bytes. Pruning writes one record per sequence number,
+    holding the entry's original bytes. Older archives may repeat a
+    sequence number with a re-anchored copy after the original; readers
+    keep the earliest record per sequence number.
     """
 
     def append_many(self, address: str, records: Iterable[tuple[int, bytes]]) -> None:
@@ -266,14 +271,14 @@ class FileArchive(Archive):
                 raise ArchiveError("truncated archive record header")
             (seq,) = U64.unpack_from(data, pos)
             pos += 8
-            inner = Reader(data[pos:])
+            inner = Reader(data, pos)
             try:
                 read_entry(inner)
             except WireError as exc:
                 raise ArchiveError(f"corrupt archive record: {exc}") from exc
-            consumed = len(data) - pos - inner.remaining
-            records.append((seq, data[pos : pos + consumed]))
-            pos += consumed
+            end = len(data) - inner.remaining
+            records.append((seq, data[pos:end]))
+            pos = end
         return records
 
 
@@ -282,23 +287,28 @@ def prune_to_two(
 ) -> tuple[AppendableBlock, int]:
     """Move all but the last two entries to the archive.
 
-    The removed entries are archived with their current bytes; the first
-    retained entry is then re-anchored to the header hash, with its
-    pre-relink bytes logged to the archive first. Returns the pruned block
-    and the number of entries archived. On archive failure the block is
-    returned unchanged by the caller (the exception propagates before any
-    block mutation).
+    Each entry's original bytes are archived once. The first retained entry
+    is re-anchored to the header hash, with its original (pre-relink) bytes
+    archived first; so once a block has been pruned, its first entry's
+    original is already in the archive, and that entry is not archived
+    again when a later prune removes it. The other removed entries still
+    carry their original links and are archived as they are, in one
+    ``append_many`` call. Returns the pruned block and the number of
+    entries removed. On archive failure the exception propagates before any
+    block mutation, so the caller keeps the block unchanged.
     """
     if len(block.entries) <= 2:
         return block, 0
     removed = block.entries[:-2]
     retained = block.entries[-2:]
     base = block.archived_count
-    records = [(base + i, entry.to_bytes()) for i, entry in enumerate(removed)]
+    # After the first prune, entry ``base`` is the head that prune
+    # re-anchored, and its original is already in the archive.
+    skip = 1 if base else 0
+    records = [(seq, e.to_bytes()) for seq, e in enumerate(removed[skip:], base + skip)]
     keep_first = retained[0]
     relinked = replace(keep_first, prev_link=header_hash(block.header))
-    if relinked.prev_link != keep_first.prev_link:
-        records.append((base + len(removed), keep_first.to_bytes()))
+    records.append((base + len(removed), keep_first.to_bytes()))
     archive.append_many(block.header.external_address, records)
     pruned = replace(
         block,
@@ -314,11 +324,13 @@ def reconstruct_history(
     """Rebuild and verify the block's full original entry sequence from the
     archive plus the retained entries.
 
-    The earliest archive record per sequence number holds the entry's
-    original bytes; retained entries past the archived range are original
-    by construction except the first retained entry, whose original bytes
-    (if it was ever re-anchored) are in the archive. Raises LedgerError if
-    the sequence has gaps or the original link chain does not verify.
+    Pruning archives each entry's original bytes once; retained entries
+    past the archived range are original by construction except the first
+    retained entry, whose original bytes (if it was ever re-anchored) are
+    in the archive. Archives written before that rule may also hold a
+    re-anchored copy after an entry's original, so the earliest record per
+    sequence number wins. Raises LedgerError if the sequence has gaps or
+    the original link chain does not verify.
     """
     originals: dict[int, LedgerEntry] = {}
     for seq, data in archive.read(block.header.external_address):

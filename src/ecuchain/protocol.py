@@ -46,7 +46,7 @@ from .transactions import (
     Verdict,
     signed,
 )
-from .wire import encode_bytes, encode_str, encode_u64
+from .wire import WireError, encode_bytes, encode_str, encode_u64
 
 SUBSET_SIZE = 3
 
@@ -310,7 +310,9 @@ def verify_response(
 ) -> Verdict:
     """Classify a response. Checks run in a fixed order and the first
     failure wins: block existence, signature, timestamp freshness, state
-    root, then the per-ECU subset comparison.
+    root, then the per-ECU subset comparison. Never raises on a response
+    whose fields fall outside the wire format (an integer past u64, say):
+    such a response is BadSignature.
     """
     pk = response.vehicle_pk
     profile = roadside.profiles.get(pk)
@@ -318,7 +320,12 @@ def verify_response(
         return Verdict.UNKNOWN_VEHICLE
     if pk != challenge.vehicle_pk:
         return Verdict.BAD_SIGNATURE
-    if not crypto.verify(pk, response.signing_bytes(), response.sig):
+    try:
+        message = response.signing_bytes()
+    except WireError:
+        # Fields the wire format cannot encode cannot carry a valid signature.
+        return Verdict.BAD_SIGNATURE
+    if not crypto.verify(pk, message, response.sig):
         return Verdict.BAD_SIGNATURE
     if profile.last_response_ts is not None and response.ts <= profile.last_response_ts:
         return Verdict.STALE_TIMESTAMP

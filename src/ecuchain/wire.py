@@ -36,13 +36,15 @@ def encode_str(value: str) -> bytes:
 
 
 class Reader:
-    """Sequential field reader enforcing exact consumption."""
+    """Sequential field reader from offset ``pos`` of ``data``, enforcing
+    exact consumption to the end of ``data``.
+    """
 
     __slots__ = ("_data", "_pos")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self._data = data
-        self._pos = 0
+        self._pos = pos
 
     def read_bytes(self) -> bytes:
         end = self._pos + 4

@@ -339,6 +339,20 @@ def test_five_encounters_prune_to_two(registered, rsu_keys):
     assert len(reconstruct_history(block, roadside.archive)) == 6
 
 
+def test_five_encounters_archive_one_record_per_entry(registered, rsu_keys):
+    _, roadside, vehicle_keys, state = registered
+    for i in range(5):
+        challenge, response = honest_round(
+            roadside, rsu_keys, vehicle_keys, state, ts=10 + i
+        )
+        assert verify_response(roadside, challenge, response) is Verdict.VALID
+        record_response(rsu_keys, roadside, response)
+    block = roadside.ledger.lookup(vehicle_keys.public)
+    archived = roadside.archive.read(block.header.external_address)
+    # genesis and the first three records, plus the retained head's original
+    assert [seq for seq, _ in archived] == [0, 1, 2, 3, 4]
+
+
 def test_recorded_entry_rsu_signature_verifies(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)

@@ -300,3 +300,43 @@ def test_signed_record_encodes_its_current_fields():
     _, _, _, record = _world()
     assert_fresh_encoding(record)
     assert crypto.verify(record.rsu_pk, record.signing_bytes(), record.rsu_sig)
+
+
+# -- out-of-range fields -------------------------------------------------------------
+
+past_u64 = st.integers(min_value=U64_MAX + 1)
+
+
+@st.composite
+def unencodable_response(draw, response):
+    """``response`` with ``ts`` or one subset-record integer outside u64
+    (``EcuRecord`` itself rejects negative integers).
+    """
+    where = draw(st.sampled_from(["ts", "ecu_id", "last_write_ts"]))
+    if where == "ts":
+        ts = draw(st.one_of(past_u64, st.integers(max_value=-1)))
+        return dataclasses.replace(response, ts=ts)
+    value = draw(past_u64)
+    i = draw(st.integers(0, len(response.subset) - 1))
+    subset = list(response.subset)
+    subset[i] = dataclasses.replace(subset[i], **{where: value})
+    return dataclasses.replace(response, subset=tuple(subset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unencodable_response_is_bad_signature(data):
+    roadside, challenge, response, _ = _world()
+    profile = dataclasses.replace(roadside.profiles[response.vehicle_pk])
+    changed = data.draw(unencodable_response(response))
+    assert verify_response(roadside, challenge, changed) is Verdict.BAD_SIGNATURE
+    assert roadside.profiles[response.vehicle_pk] == profile
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_unencodable_response_from_unknown_vehicle_is_unknown(data):
+    roadside, challenge, response, _ = _world()
+    stranger = dataclasses.replace(response, vehicle_pk=keys_for("stranger").public)
+    changed = data.draw(unencodable_response(stranger))
+    assert verify_response(roadside, challenge, changed) is Verdict.UNKNOWN_VEHICLE
