@@ -3,7 +3,6 @@ for vehicle ECU firmware integrity, with a deterministic traffic simulator
 and benchmark harness.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .crypto import KeyPair, generate_keypair, sha256, sign, verify
 from .ecu import (
     EcuRecord,
@@ -40,7 +39,6 @@ from .transactions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "KeyPair",
     "generate_keypair",
     "sha256",

@@ -1,7 +1,7 @@
-"""Pure-Python hash kernels.
+"""Merkle root over an ECU inventory's firmware digests, in pure Python.
 
-Reference implementation of the hot loops; the compiled module in
-``_native.pyx`` must produce byte-identical output.
+``ecu.compute_state_root`` calls it as ``_kernels.merkle_root(...)``; the
+per-layer tracer (``e2ebench/tracer.py``) wraps it under that name.
 """
 
 from __future__ import annotations

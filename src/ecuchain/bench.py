@@ -4,7 +4,8 @@ over ten runs.
 
 Timing series measure the total wall-clock for one batch at each x value
 (e.g. registering n vehicles); absolute numbers are hardware-bound, the
-trends (linearity, monotone growth) are what the suite asserts.
+trends (linearity, monotone growth) are what the suite asserts. Every
+sample runs on the calling thread, one after another.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -118,17 +118,10 @@ def _stats(samples: Sequence[float]) -> tuple[float, float]:
     return statistics.fmean(samples), statistics.stdev(samples)
 
 
-def _run_samples(
-    one_run: Callable[[int], float], runs: int, threads: int
-) -> list[float]:
-    """Execute ``one_run(run_index) -> ms`` ``runs`` times, optionally
-    sharding independent repetitions across threads (per-thread timing).
-    """
+def _run_samples(one_run: Callable[[int], float], runs: int) -> list[float]:
+    """Execute ``one_run(run_index) -> ms`` ``runs`` times, in order."""
     one_run(-1)  # warmup, not recorded
-    if threads <= 1:
-        return [one_run(i) for i in range(runs)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_run, range(runs)))
+    return [one_run(i) for i in range(runs)]
 
 
 def _vehicle_material(seed: int, count: int, tag: bytes):
@@ -159,7 +152,6 @@ def bench_create(
     counts: Sequence[int] = DEFAULT_VEHICLE_COUNTS,
     seed: int = 0,
     runs: int = RUNS,
-    threads: int = 1,
 ) -> MetricsReport:
     """Validator-side block creation: verify each genesis transaction,
     open the block, countersign. One batch of n registrations per sample.
@@ -185,7 +177,7 @@ def bench_create(
                 initialize_vehicle(authority, roadside, genesis, ts=0)
             return (time.perf_counter_ns() - start) / 1e6
 
-        samples = _run_samples(one_run, runs, threads)
+        samples = _run_samples(one_run, runs)
         mean, stddev = _stats(samples)
         report.series.append(SeriesPoint(x=n, mean_ms=mean, stddev_ms=stddev))
     return report
@@ -195,15 +187,13 @@ def bench_challenge(
     counts: Sequence[int] = DEFAULT_VEHICLE_COUNTS,
     seed: int = 0,
     runs: int = RUNS,
-    threads: int = 1,
 ) -> MetricsReport:
     """RSU-side challenge evaluation: verify each response and record it.
-    One batch of n verifications per sample. Thread sharding is disabled
-    here: the runs of a batch share ledger state and must stay ordered.
+    One batch of n verifications per sample; the runs of a batch share
+    ledger state, so their timestamps increase with the run index.
     """
     if not counts:
         raise ValueError("counts must be nonempty")
-    del threads
     report = MetricsReport(
         benchmark="challenge-validation", x_label="vehicles", runs=runs
     )
@@ -237,7 +227,7 @@ def bench_challenge(
             return (time.perf_counter_ns() - start) / 1e6
 
         # warmup uses run_idx=-1 => ts before all measured runs
-        samples = _run_samples(one_run, runs, 1)
+        samples = _run_samples(one_run, runs)
         mean, stddev = _stats(samples)
         report.series.append(SeriesPoint(x=n, mean_ms=mean, stddev_ms=stddev))
     return report
@@ -247,7 +237,6 @@ def bench_merkle(
     counts: Sequence[int] = DEFAULT_ECU_COUNTS,
     seed: int = 0,
     runs: int = RUNS,
-    threads: int = 1,
 ) -> MetricsReport:
     """State-root computation time per ECU count (per-call milliseconds;
     each sample averages an inner repetition loop for timer resolution).
@@ -275,7 +264,7 @@ def bench_merkle(
                 compute_state_root(_state)
             return (time.perf_counter_ns() - start) / 1e6 / _reps
 
-        samples = _run_samples(one_run, runs, threads)
+        samples = _run_samples(one_run, runs)
         mean, stddev = _stats(samples)
         report.series.append(SeriesPoint(x=n, mean_ms=mean, stddev_ms=stddev))
     return report

@@ -5,6 +5,10 @@ Subcommands: ``init`` (build and check a world from a scenario config),
 benchmarks ``bench-create``, ``bench-challenge``, ``bench-merkle``,
 ``bench-storage`` (CSV by default, JSON with ``--format json``).
 
+Each subcommand takes only the options it reads: ``init`` and ``run``
+take ``--config``, ``--out`` and ``--seed``; the benchmarks take
+``--out``, ``--format`` and ``--seed``.
+
 Exit codes: 0 success, 1 configuration/usage error, 2 internal failure.
 """
 
@@ -18,7 +22,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from ._kernels import BACKEND
 from .bench import (
     MetricsReport,
     bench_challenge,
@@ -47,13 +50,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"ecuchain {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p: _Parser, config: bool) -> None:
-        if config:
+    def common(p: _Parser, scenario: bool) -> None:
+        if scenario:
             p.add_argument("--config", required=True, help="scenario config path")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if not scenario:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--threads", type=int, default=1, help="shard benchmark runs")
 
     common(sub.add_parser("init", help="build a world and report its state"), True)
     common(sub.add_parser("run", help="run a scenario, write the event log"), True)
@@ -92,7 +95,6 @@ def _cmd_init(args) -> int:
         "roadside_bytes": world.roadside.ledger.serialized_size(),
         "ledgers_valid": world.roadside.ledger.validate()
         and world.authority_tier.ledger.validate(),
-        "kernel_backend": BACKEND,
     }
     _emit(json.dumps(summary, indent=2) + "\n", args.out)
     return 0
@@ -130,13 +132,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "bench-create":
-            _emit_report(bench_create(seed=seed, threads=args.threads), args)
+            _emit_report(bench_create(seed=seed), args)
             return 0
         if args.command == "bench-challenge":
-            _emit_report(bench_challenge(seed=seed, threads=args.threads), args)
+            _emit_report(bench_challenge(seed=seed), args)
             return 0
         if args.command == "bench-merkle":
-            _emit_report(bench_merkle(seed=seed, threads=args.threads), args)
+            _emit_report(bench_merkle(seed=seed), args)
             return 0
         if args.command == "bench-storage":
             _emit_report(bench_storage(seed=seed), args)

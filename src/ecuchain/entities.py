@@ -22,15 +22,14 @@ from .transactions import Challenge, ChallengeResponse, UpdateTx, Verdict, signe
 
 @dataclass
 class VehicleNode:
-    """A vehicle: keys, live ECU state, the firmware images currently
-    flashed, and its roadside-unit route. ``honest`` drops as soon as any
-    state change bypasses the maintenance procedure.
+    """A vehicle: keys, live ECU state and the firmware images currently
+    flashed. ``honest`` drops as soon as any state change bypasses the
+    maintenance procedure.
     """
 
     keys: KeyPair
     ecu_state: EcuState
     firmware_images: list[bytes]
-    route: tuple[int, ...]
     honest: bool = True
     replay_armed: bool = False
     last_response: Optional[ChallengeResponse] = None
@@ -53,10 +52,9 @@ class VehicleNode:
 
 @dataclass
 class RsuNode:
-    """Roadside unit at an integer slot on the 1-D road."""
+    """Roadside unit; its index in ``World.rsus`` is its place on the 1-D road."""
 
     keys: KeyPair
-    slot: int
 
     @property
     def pk(self) -> PublicKey:

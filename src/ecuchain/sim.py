@@ -296,7 +296,7 @@ class World:
             ts=0,
         )
         self.roadside = RoadsideTier(archive=archive or MemoryArchive())
-        self.rsus = [RsuNode(keys=keypair(b"rsu", i), slot=i) for i in range(config.n_rsus)]
+        self.rsus = [RsuNode(keys=keypair(b"rsu", i)) for i in range(config.n_rsus)]
         self.vehicles: list[VehicleNode] = []
         self.phantoms: list[VehicleNode] = []
         self.actors: dict[str, VehicleNode] = {}
@@ -335,7 +335,6 @@ class World:
             keys=keys,
             ecu_state=state,
             firmware_images=images,
-            route=tuple(range(self.config.n_rsus)),
             honest=honest,
         )
 

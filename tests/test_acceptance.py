@@ -382,7 +382,6 @@ def test_criterion_8_honest_end_to_end_flow():
             keys=keys_for("acc8-vehicle"),
             ecu_state=state_from_digests([sha256(img) for img in images]),
             firmware_images=images,
-            route=(0, 1),
         )
         # initialization
         genesis = make_genesis(maker.keys, vehicle.pk, vehicle.ecu_state, ts=0)

@@ -46,11 +46,6 @@ def test_bench_create_rejects_empty_counts():
         bench_create(counts=[])
 
 
-def test_bench_create_threads():
-    report = bench_create(counts=[5], runs=4, threads=2)
-    assert report.series[0].mean_ms > 0
-
-
 def test_bench_challenge_positive_and_more_work_per_vehicle():
     report = bench_challenge(counts=[4, 40], runs=3)
     assert all(p.mean_ms > 0 for p in report.series)

@@ -72,6 +72,25 @@ def test_unknown_subcommand_exits_one_with_usage(capsys):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("init", ["--threads", "2"]),
+        ("run", ["--threads", "2"]),
+        ("run", ["--format", "json"]),
+    ],
+)
+def test_unread_option_exits_one_with_usage(config_path, tmp_path, capsys, command, option):
+    # options that init and run do not read are usage errors; bench-create
+    # still takes --format json (test_bench_create_json_format)
+    out = tmp_path / "out"
+    assert main([command, "--config", config_path, "--out", str(out), *option]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert not out.exists()
+
+
 def test_no_subcommand_exits_one(capsys):
     assert main([]) == 1
     assert "usage:" in capsys.readouterr().err

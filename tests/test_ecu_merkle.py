@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import state_of
-from ecuchain._kernels import _pure
+from ecuchain import _kernels
 from ecuchain.crypto import sha256
 from ecuchain.ecu import (
     EcuRecord,
@@ -69,43 +69,18 @@ def test_odd_count_duplicates_last_node():
 
 def test_oracle_equivalence_all_small_sizes():
     rng = random.Random(64)
-    for n in range(1, 65):
+    for n in [*range(1, 65), 200]:
         digests = random_digests(rng, n)
         assert compute_state_root(state_from_digests(digests)).root == oracle_root(
             digests
         ), f"mismatch at N={n}"
 
 
-def test_backends_agree():
-    rng = random.Random(12)
-    for n in (1, 2, 5, 8, 31, 64, 200):
-        digests = random_digests(rng, n)
-        assert _pure.merkle_root(digests) == compute_state_root(
-            state_from_digests(digests)
-        ).root
-
-
-def test_env_var_forces_pure_backend():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, ECUCHAIN_PURE_KERNELS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import ecuchain; print(ecuchain.KERNEL_BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
-
-
 def test_empty_state_rejected():
     with pytest.raises(ValueError, match="empty ECU state"):
         EcuState(records=())
     with pytest.raises(ValueError, match="empty ECU state"):
-        _pure.merkle_root([])
+        _kernels.merkle_root([])
 
 
 def test_state_requires_contiguous_ids():

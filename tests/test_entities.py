@@ -37,7 +37,6 @@ def fresh_vehicle(n_ecus=8) -> VehicleNode:
         keys=keys_for("entity-vehicle"),
         ecu_state=state,
         firmware_images=images,
-        route=(0, 1),
     )
 
 
