@@ -7,7 +7,6 @@ from .crypto import KeyPair, generate_keypair, sha256, sign, verify
 from .ecu import (
     EcuRecord,
     EcuState,
-    StateRoot,
     compute_state_root,
     subset_report,
     update_ecu,
@@ -46,7 +45,6 @@ __all__ = [
     "verify",
     "EcuRecord",
     "EcuState",
-    "StateRoot",
     "compute_state_root",
     "subset_report",
     "update_ecu",

@@ -47,13 +47,6 @@ class EcuState:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class StateRoot:
-    """Merkle root over the state's firmware digests."""
-
-    root: Digest
-
-
 def state_from_digests(digests: Iterable[Digest], ts: int = 0) -> EcuState:
     records = tuple(
         EcuRecord(ecu_id=i, firmware_digest=d, last_write_ts=ts)
@@ -62,12 +55,12 @@ def state_from_digests(digests: Iterable[Digest], ts: int = 0) -> EcuState:
     return EcuState(records=records)
 
 
-def compute_state_root(state: EcuState) -> StateRoot:
+def compute_state_root(state: EcuState) -> Digest:
     """Merkle root of the state: leaves hash the (index, digest) pairs with a
     0x00 domain prefix, interior nodes pair-hash with 0x01, odd levels
     duplicate their last node.
     """
-    return StateRoot(root=_kernels.merkle_root([r.firmware_digest for r in state.records]))
+    return _kernels.merkle_root([r.firmware_digest for r in state.records])
 
 
 def update_ecu(state: EcuState, ecu_id: int, new_digest: Digest, ts: int) -> EcuState:

@@ -1,6 +1,8 @@
-"""Network actors: vehicles, roadside units, authorities, maintainers and
-insurers. Each node binds a key pair to its role state; behaviour lives in
-the protocol module and the simulator wires the nodes together.
+"""Network actors with state of their own: vehicles (keys, live ECU state,
+flashed images) and authorities (the revocation list). Roadside units,
+maintainers and insurers are bare ``KeyPair``s: what they may do is decided
+by the tiers' allow-lists, not by the node. Behaviour lives in the protocol
+module and the simulator wires the nodes together.
 """
 
 from __future__ import annotations
@@ -11,12 +13,7 @@ from typing import Optional
 from . import crypto
 from .crypto import KeyPair, PublicKey
 from .ecu import EcuState, compute_state_root, update_ecu
-from .protocol import (
-    ProtocolError,
-    ReportEvent,
-    build_response,
-    maintenance_metadata,
-)
+from .protocol import ProtocolError, ReportEvent, build_response
 from .transactions import Challenge, ChallengeResponse, UpdateTx, Verdict, signed
 
 
@@ -51,22 +48,10 @@ class VehicleNode:
 
 
 @dataclass
-class RsuNode:
-    """Roadside unit; its index in ``World.rsus`` is its place on the 1-D road."""
-
-    keys: KeyPair
-
-    @property
-    def pk(self) -> PublicKey:
-        return self.keys.public
-
-
-@dataclass
 class AuthorityNode:
     """Transport or legal authority; maintains the revocation list."""
 
     keys: KeyPair
-    role: str  # "transport" | "legal"
     revocation_list: set[PublicKey] = field(default_factory=set)
     reports: list[ReportEvent] = field(default_factory=list)
 
@@ -79,44 +64,31 @@ class AuthorityNode:
         self.revocation_list.add(event.vehicle_pk)
 
 
-@dataclass
-class MaintainerNode:
-    keys: KeyPair
-    role: str  # "manufacturer" | "technician"
-    authorized: bool = True
-
-
-@dataclass
-class InsurerNode:
-    keys: KeyPair
-    authorized: bool = True
-
-
 def perform_maintenance(
-    maintainer: MaintainerNode,
+    maintainer: KeyPair,
     vehicle: VehicleNode,
     ecu_id: int,
     firmware: bytes,
     ts: int,
-    action: str = "firmware-update",
 ) -> UpdateTx:
-    """Flash one ECU through the authorized channel and build the signed
-    update transaction carrying the new state root and per-ECU record.
+    """Flash one ECU and build the update the maintainer signs: the ECU's
+    new record (``ecu_id``, firmware digest, last-write time ``ts``) and the
+    vehicle's new state root. Whether the maintainer is authorized is the
+    authority tier's check, made by ``apply_upper_update``.
     """
-    if not maintainer.authorized:
-        raise ProtocolError("unauthorized maintainer")
     digest = crypto.sha256(firmware)
     vehicle.ecu_state = update_ecu(vehicle.ecu_state, ecu_id, digest, ts)
     vehicle.firmware_images[ecu_id] = firmware
     unsigned = UpdateTx(
-        new_root=compute_state_root(vehicle.ecu_state).root,
+        new_root=compute_state_root(vehicle.ecu_state),
         ts=ts,
         vehicle_pk=vehicle.pk,
-        maintainer_pk=maintainer.keys.public,
-        metadata=maintenance_metadata(ecu_id, action, digest, ts),
+        maintainer_pk=maintainer.public,
+        ecu_id=ecu_id,
+        firmware_digest=digest,
         sig=b"",
     )
-    return signed(unsigned, maintainer.keys)
+    return signed(unsigned, maintainer)
 
 
 def tamper(vehicle: VehicleNode, ecu_id: int, firmware: bytes, ts: int) -> None:

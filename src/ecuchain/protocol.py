@@ -5,10 +5,13 @@ Tier state lives in two containers. The authority tier holds the
 validator keys, the allow-lists, a countersigned audit log and an
 audit-only ledger for insurer requests. The roadside tier holds the
 per-vehicle blocks plus the materialized verification profile for each
-vehicle (expected state root, per-ECU registry, last recorded response
-timestamp); the profile is what a roadside unit actually checks a
-response against, and it survives pruning because pruned entries leave
-the block.
+vehicle (the ``EcuState`` the ledger vouches for, its state root and the
+last recorded response timestamp); the profile is what a roadside unit
+actually checks a response against, and it survives pruning because
+pruned entries leave the block. Registration sets the profile's state
+from the genesis inventory, and an authorized update is the only way it
+changes: ``apply_upper_update`` applies the update's typed ECU record with
+``update_ecu`` and requires the signed ``new_root`` to be that state's root.
 
 Each signature is verified once, where it enters a tier: a genesis by
 ``Ledger.create_block`` (reached through ``initialize_vehicle``), an
@@ -21,13 +24,12 @@ without a second check.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import crypto
 from .crypto import Digest, KeyPair, PublicKey, Signature
-from .ecu import EcuRecord, EcuState, compute_state_root, subset_report
+from .ecu import EcuRecord, EcuState, compute_state_root, subset_report, update_ecu
 from .ledger import (
     Archive,
     Ledger,
@@ -67,11 +69,12 @@ def external_address(vehicle_pk: PublicKey) -> str:
 
 @dataclass
 class VehicleProfile:
-    """What the roadside tier currently vouches for about one vehicle."""
+    """What the roadside tier currently vouches for about one vehicle: its
+    ECU state, that state's root and the last recorded response timestamp.
+    """
 
+    state: EcuState
     expected_root: Digest
-    registry: dict[int, tuple[Digest, int]]  # ecu_id -> (digest, last_write_ts)
-    ecu_count: int
     last_response_ts: Optional[int] = None
 
 
@@ -174,7 +177,7 @@ def make_genesis(
     signed by the maker.
     """
     unsigned = GenesisTx(
-        state_root=compute_state_root(ecu_state).root,
+        state_root=compute_state_root(ecu_state),
         ts=ts,
         ecu_list=ecu_state.records,
         vehicle_pk=vehicle_pk,
@@ -195,7 +198,7 @@ def initialize_vehicle(
     if genesis.maker_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maker")
     state = EcuState(records=genesis.ecu_list)
-    if compute_state_root(state).root != genesis.state_root:
+    if compute_state_root(state) != genesis.state_root:
         raise ProtocolError("genesis state root does not match ECU list")
     if roadside.ledger.lookup(genesis.vehicle_pk) is not None:
         raise ProtocolError("vehicle already registered")
@@ -206,60 +209,48 @@ def initialize_vehicle(
     except LedgerError as exc:
         raise ProtocolError(f"genesis rejected: {exc}") from exc
     roadside.profiles[genesis.vehicle_pk] = VehicleProfile(
-        expected_root=genesis.state_root,
-        registry={
-            rec.ecu_id: (rec.firmware_digest, rec.last_write_ts)
-            for rec in genesis.ecu_list
-        },
-        ecu_count=len(genesis.ecu_list),
+        state=state, expected_root=genesis.state_root
     )
     authority.countersign("register", genesis.vehicle_pk, ts)
-
-
-MAINT_METADATA = re.compile(
-    r"^ecu=(\d+);action=([^;]*);digest=([0-9a-f]{64});ts=(\d+)$"
-)
-
-
-def maintenance_metadata(ecu_id: int, action: str, digest: Digest, ts: int) -> str:
-    """Structured update metadata naming the ECU, the action, and the new
-    per-ECU record so the roadside registry can be refreshed.
-    """
-    if ";" in action:
-        raise ProtocolError("action must not contain ';'")
-    return f"ecu={ecu_id};action={action};digest={digest.hex()};ts={ts}"
-
-
-def parse_maintenance_metadata(metadata: str) -> Optional[tuple[int, Digest, int]]:
-    m = MAINT_METADATA.match(metadata)
-    if m is None:
-        return None
-    return int(m.group(1)), bytes.fromhex(m.group(3)), int(m.group(4))
 
 
 def apply_upper_update(
     authority: AuthorityTier, roadside: RoadsideTier, update: UpdateTx
 ) -> None:
     """Validate an authorized maintenance update, append it to the vehicle's
-    block and refresh the verification profile.
+    block and move the verification profile to the updated state. Every
+    check runs before anything is mutated, and every rejection is a
+    ``ProtocolError``: a bad signature (fields the wire format cannot encode
+    included), an unauthorized maintainer, an unknown vehicle, an ECU record
+    ``update_ecu`` refuses (unknown ECU id, timestamp regression) and a
+    ``new_root`` that is not the updated state's root.
     """
-    if not crypto.verify(update.maintainer_pk, update.signing_bytes(), update.sig):
+    try:
+        message = update.signing_bytes()
+    except WireError:
+        # Fields the wire format cannot encode cannot carry a valid signature.
+        raise ProtocolError("update signature invalid") from None
+    if not crypto.verify(update.maintainer_pk, message, update.sig):
         raise ProtocolError("update signature invalid")
     if update.maintainer_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maintainer")
     block = roadside.ledger.lookup(update.vehicle_pk)
-    if block is None:
+    profile = roadside.profiles.get(update.vehicle_pk)
+    if block is None or profile is None:
         raise ProtocolError("unknown vehicle")
+    try:
+        state = update_ecu(
+            profile.state, update.ecu_id, update.firmware_digest, update.ts
+        )
+    except ValueError as exc:
+        raise ProtocolError(f"update rejected: {exc}") from None
+    if compute_state_root(state) != update.new_root:
+        raise ProtocolError("update new_root does not match the updated state")
     appended = append_entry(block, update)
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(update.vehicle_pk, pruned)
-    profile = roadside.profiles[update.vehicle_pk]
+    profile.state = state
     profile.expected_root = update.new_root
-    parsed = parse_maintenance_metadata(update.metadata)
-    if parsed is not None:
-        ecu_id, digest, ts = parsed
-        if ecu_id in profile.registry:
-            profile.registry[ecu_id] = (digest, ts)
     authority.countersign("update", update.vehicle_pk, update.ts)
 
 
@@ -296,7 +287,7 @@ def build_response(
     if challenge.vehicle_pk != vehicle_keys.public:
         raise ProtocolError("challenge addressed to a different vehicle")
     unsigned = ChallengeResponse(
-        state_root=compute_state_root(state).root,
+        state_root=compute_state_root(state),
         subset=tuple(subset_report(state, challenge.subset_indices)),
         ts=ts,
         vehicle_pk=vehicle_keys.public,
@@ -333,9 +324,9 @@ def verify_response(
         return Verdict.STATE_MISMATCH
     if tuple(rec.ecu_id for rec in response.subset) != challenge.subset_indices:
         return Verdict.SUBSET_MISMATCH
+    known = profile.state.records
     for rec in response.subset:
-        known = profile.registry.get(rec.ecu_id)
-        if known != (rec.firmware_digest, rec.last_write_ts):
+        if rec.ecu_id >= len(known) or rec != known[rec.ecu_id]:
             return Verdict.SUBSET_MISMATCH
     return Verdict.VALID
 

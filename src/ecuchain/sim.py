@@ -25,17 +25,11 @@ from . import adversary
 from .adversary import AttackKind
 from .crypto import PublicKey, derive_seed, generate_keypair, sha256
 from .ecu import EcuRecord, EcuState
-from .entities import (
-    AuthorityNode,
-    InsurerNode,
-    MaintainerNode,
-    RsuNode,
-    VehicleNode,
-    perform_maintenance,
-)
+from .entities import AuthorityNode, VehicleNode, perform_maintenance
 from .ledger import MemoryArchive
 from .protocol import (
     AuthorityTier,
+    ProtocolError,
     RoadsideTier,
     apply_upper_update,
     initialize_vehicle,
@@ -281,22 +275,21 @@ class World:
                 derive_seed(b"node-key", seed64, label, i.to_bytes(8, "big"))
             )
 
-        self.transport = AuthorityNode(keys=keypair(b"transport", 0), role="transport")
-        self.legal = AuthorityNode(keys=keypair(b"legal", 0), role="legal")
+        self.transport = AuthorityNode(keys=keypair(b"transport", 0))
+        self.legal = AuthorityNode(keys=keypair(b"legal", 0))
         self.authorities = [self.transport, self.legal]
-        self.maker = MaintainerNode(keys=keypair(b"maker", 0), role="manufacturer")
-        self.technician = MaintainerNode(
-            keys=keypair(b"technician", 0), role="technician"
-        )
-        self.insurer = InsurerNode(keys=keypair(b"insurer", 0))
+        self.maker = keypair(b"maker", 0)
+        self.technician = keypair(b"technician", 0)
+        self.insurer = keypair(b"insurer", 0)
         self.authority_tier: AuthorityTier = new_authority_tier(
             validators=(self.transport.keys, self.legal.keys),
-            authorized_makers=(self.maker.keys.public, self.technician.keys.public),
-            authorized_insurers=(self.insurer.keys.public,),
+            authorized_makers=(self.maker.public, self.technician.public),
+            authorized_insurers=(self.insurer.public,),
             ts=0,
         )
         self.roadside = RoadsideTier(archive=archive or MemoryArchive())
-        self.rsus = [RsuNode(keys=keypair(b"rsu", i)) for i in range(config.n_rsus)]
+        # An RSU's index in this list is its place on the 1-D road.
+        self.rsus = [keypair(b"rsu", i) for i in range(config.n_rsus)]
         self.vehicles: list[VehicleNode] = []
         self.phantoms: list[VehicleNode] = []
         self.actors: dict[str, VehicleNode] = {}
@@ -378,15 +371,15 @@ class World:
         rsu = self.rsus[encounter % self.config.n_rsus]
         latency = self.config.link_latency_ms
         challenge = issue_challenge(
-            rsu.pk, vehicle.pk, len(vehicle.ecu_state), self.challenge_rng, ts=now
+            rsu.public, vehicle.pk, len(vehicle.ecu_state), self.challenge_rng, ts=now
         )
         response = vehicle.respond(challenge, ts=now + latency)
         verdict = verify_response(self.roadside, challenge, response)
         self.log(now, "encounter", event.subject, verdict.value)
         if verdict is Verdict.VALID:
-            record_response(rsu.keys, self.roadside, response)
+            record_response(rsu, self.roadside, response)
         else:
-            report = report_malicious(rsu.keys, vehicle.pk, verdict, now + 2 * latency)
+            report = report_malicious(rsu, vehicle.pk, verdict, now + 2 * latency)
             self.queue.schedule(
                 SimEvent(now + 2 * latency, EventKind.REPORT, event.subject, (report,))
             )
@@ -409,7 +402,13 @@ class World:
         update = perform_maintenance(
             self.technician, vehicle, ecu_id, firmware, ts=self.clock.now
         )
-        apply_upper_update(self.authority_tier, self.roadside, update)
+        try:
+            apply_upper_update(self.authority_tier, self.roadside, update)
+        except ProtocolError:
+            # A vehicle tampered with earlier: its new root keeps the
+            # tampered ECU, so it is not the root of the vouched-for state.
+            self.log(self.clock.now, "maintenance-rejected", event.subject)
+            return
         self.log(self.clock.now, "maintenance", event.subject)
 
     def _handle_attack(self, event: SimEvent) -> None:
@@ -434,7 +433,7 @@ def build_world(config: SimConfig, archive=None) -> World:
         world.vehicles.append(vehicle)
         world.actors[subject] = vehicle
         world.subject_by_pk[vehicle.pk] = subject
-        genesis = make_genesis(world.maker.keys, vehicle.pk, vehicle.ecu_state, ts=0)
+        genesis = make_genesis(world.maker, vehicle.pk, vehicle.ecu_state, ts=0)
         initialize_vehicle(world.authority_tier, world.roadside, genesis, ts=0)
         world.log(0, "init", subject)
     for i in range(config.n_vehicles):

@@ -88,15 +88,18 @@ class GenesisTx:
 
 @dataclass(frozen=True)
 class UpdateTx:
-    """Authorized maintenance: the new state root after a firmware change,
-    signed by the manufacturer or technician that performed it.
+    """Authorized maintenance of one ECU, signed by the manufacturer or
+    technician that performed it. ``ecu_id``, ``firmware_digest`` and ``ts``
+    are the ECU's new record (``ts`` is its last-write time); ``new_root`` is
+    the vehicle's state root with that record in place.
     """
 
     new_root: Digest
     ts: int
     vehicle_pk: PublicKey
     maintainer_pk: PublicKey
-    metadata: str
+    ecu_id: int
+    firmware_digest: Digest
     sig: Signature
 
     def signing_bytes(self) -> bytes:
@@ -107,7 +110,8 @@ class UpdateTx:
                 encode_u64(self.ts),
                 encode_bytes(self.vehicle_pk),
                 encode_bytes(self.maintainer_pk),
-                encode_str(self.metadata),
+                encode_u64(self.ecu_id),
+                encode_bytes(self.firmware_digest),
             )
         )
 
@@ -275,7 +279,8 @@ def decode_transaction(data: bytes) -> Transaction:
             ts=r.read_u64(),
             vehicle_pk=r.read_fixed(PUBLIC_KEY_LEN),
             maintainer_pk=r.read_fixed(PUBLIC_KEY_LEN),
-            metadata=r.read_str(),
+            ecu_id=r.read_u64(),
+            firmware_digest=r.read_fixed(DIGEST_LEN),
             sig=r.read_bytes(),
         )
     elif tag == TAG_REQUEST:

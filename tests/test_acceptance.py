@@ -45,7 +45,7 @@ from ecuchain.protocol import (
 )
 from ecuchain.sim import AttackPlanEntry, MaintenancePlanEntry, SimConfig, build_world, run
 from ecuchain.transactions import Verdict
-from ecuchain.entities import MaintainerNode, perform_maintenance, VehicleNode
+from ecuchain.entities import perform_maintenance, VehicleNode
 from test_ecu_merkle import oracle_root
 
 
@@ -72,7 +72,7 @@ def test_criterion_1_merkle_oracle_equivalence():
         sizes = list(range(1, 65)) + [rng.randint(1, 64) for _ in range(436)]
         for n in sizes:
             digests = [rng.randbytes(32) for _ in range(n)]
-            got = compute_state_root(state_from_digests(digests)).root
+            got = compute_state_root(state_from_digests(digests))
             if got != oracle_root(digests):
                 mismatches += 1
             cases += 1
@@ -368,12 +368,12 @@ def test_criterion_7_evaluation_trends():
 
 def test_criterion_8_honest_end_to_end_flow():
     with criterion(8, "Honest end-to-end flow"):
-        maker = MaintainerNode(keys=keys_for("acc8-maker"), role="manufacturer")
-        technician = MaintainerNode(keys=keys_for("acc8-tech"), role="technician")
+        maker = keys_for("acc8-maker")
+        technician = keys_for("acc8-tech")
         rsu1, rsu2 = keys_for("acc8-rsu1"), keys_for("acc8-rsu2")
         authority = new_authority_tier(
             validators=(keys_for("acc8-t"), keys_for("acc8-l")),
-            authorized_makers=(maker.keys.public, technician.keys.public),
+            authorized_makers=(maker.public, technician.public),
             authorized_insurers=(),
         )
         roadside = RoadsideTier(archive=MemoryArchive())
@@ -384,7 +384,7 @@ def test_criterion_8_honest_end_to_end_flow():
             firmware_images=images,
         )
         # initialization
-        genesis = make_genesis(maker.keys, vehicle.pk, vehicle.ecu_state, ts=0)
+        genesis = make_genesis(maker, vehicle.pk, vehicle.ecu_state, ts=0)
         initialize_vehicle(authority, roadside, genesis, ts=0)
         # authorized maintenance update
         update = perform_maintenance(technician, vehicle, 2, b"patched-image", ts=100)

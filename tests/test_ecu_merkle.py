@@ -50,28 +50,28 @@ def test_single_leaf_tree():
     d = sha256(b"only-ecu")
     state = state_from_digests([d])
     expected = hashlib.sha256(b"\x00" + (0).to_bytes(8, "big") + d).digest()
-    assert compute_state_root(state).root == expected
+    assert compute_state_root(state) == expected
 
 
 def test_eight_ecu_tree_matches_oracle():
     rng = random.Random(8)
     digests = random_digests(rng, 8)
     state = state_from_digests(digests)
-    assert compute_state_root(state).root == oracle_root(digests)
+    assert compute_state_root(state) == oracle_root(digests)
 
 
 def test_odd_count_duplicates_last_node():
     rng = random.Random(3)
     digests = random_digests(rng, 3)
     state = state_from_digests(digests)
-    assert compute_state_root(state).root == oracle_root(digests)
+    assert compute_state_root(state) == oracle_root(digests)
 
 
 def test_oracle_equivalence_all_small_sizes():
     rng = random.Random(64)
     for n in [*range(1, 65), 200]:
         digests = random_digests(rng, n)
-        assert compute_state_root(state_from_digests(digests)).root == oracle_root(
+        assert compute_state_root(state_from_digests(digests)) == oracle_root(
             digests
         ), f"mismatch at N={n}"
 
@@ -100,7 +100,7 @@ def test_sensitivity_single_bit_flip():
         digests = random_digests(rng, n)
         base = oracle_root(digests)
         state = state_from_digests(digests)
-        assert compute_state_root(state).root == base
+        assert compute_state_root(state) == base
         for pos in range(n):
             flipped = list(digests)
             byte = rng.randrange(32)
@@ -108,7 +108,7 @@ def test_sensitivity_single_bit_flip():
             mutated = bytearray(flipped[pos])
             mutated[byte] ^= bit
             flipped[pos] = bytes(mutated)
-            assert compute_state_root(state_from_digests(flipped)).root != base
+            assert compute_state_root(state_from_digests(flipped)) != base
 
 
 def test_update_with_identical_digest_keeps_root():
@@ -127,8 +127,8 @@ def test_update_with_new_digest_changes_root():
     updated = update_ecu(state, 5, new_digest, ts=10)
     expected = list(digests)
     expected[5] = new_digest
-    assert compute_state_root(updated).root == oracle_root(expected)
-    assert compute_state_root(updated).root != oracle_root(digests)
+    assert compute_state_root(updated) == oracle_root(expected)
+    assert compute_state_root(updated) != oracle_root(digests)
 
 
 def test_update_only_touches_target_record():
@@ -185,4 +185,4 @@ def test_subset_report_rejects_bad_indices():
 @settings(deadline=None)
 @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=33))
 def test_root_matches_oracle_property(digests):
-    assert compute_state_root(state_from_digests(digests)).root == oracle_root(digests)
+    assert compute_state_root(state_from_digests(digests)) == oracle_root(digests)

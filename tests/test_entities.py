@@ -7,18 +7,8 @@ import pytest
 from conftest import keys_for, state_of
 from ecuchain.crypto import sha256, verify
 from ecuchain.ecu import compute_state_root
-from ecuchain.entities import (
-    AuthorityNode,
-    MaintainerNode,
-    VehicleNode,
-    perform_maintenance,
-    tamper,
-)
-from ecuchain.protocol import (
-    ProtocolError,
-    parse_maintenance_metadata,
-    report_malicious,
-)
+from ecuchain.entities import AuthorityNode, VehicleNode, perform_maintenance, tamper
+from ecuchain.protocol import ProtocolError, report_malicious
 from ecuchain.transactions import Verdict
 from test_ecu_merkle import oracle_root
 
@@ -42,24 +32,18 @@ def fresh_vehicle(n_ecus=8) -> VehicleNode:
 
 def test_maintenance_updates_state_and_signs():
     vehicle = fresh_vehicle()
-    technician = MaintainerNode(keys=keys_for("tech"), role="technician")
+    technician = keys_for("tech")
     update = perform_maintenance(technician, vehicle, 0, b"firmware v2", ts=42)
     digests = [r.firmware_digest for r in vehicle.ecu_state.records]
     assert update.new_root == oracle_root(digests)
-    assert update.new_root == compute_state_root(vehicle.ecu_state).root
-    assert "ecu=0" in update.metadata
-    assert parse_maintenance_metadata(update.metadata) is not None
+    assert update.new_root == compute_state_root(vehicle.ecu_state)
+    assert update.ecu_id == 0
+    assert update.firmware_digest == sha256(b"firmware v2")
+    assert update.ts == 42
     assert vehicle.ecu_state.records[0].last_write_ts == 42
     assert vehicle.firmware_images[0] == b"firmware v2"
-    assert verify(technician.keys.public, update.signing_bytes(), update.sig)
+    assert verify(technician.public, update.signing_bytes(), update.sig)
     assert vehicle.honest
-
-
-def test_maintenance_requires_authorization():
-    vehicle = fresh_vehicle()
-    revoked_tech = MaintainerNode(keys=keys_for("ex-tech"), role="technician", authorized=False)
-    with pytest.raises(ProtocolError, match="unauthorized"):
-        perform_maintenance(revoked_tech, vehicle, 0, b"fw", ts=1)
 
 
 def test_tamper_marks_vehicle_dishonest():
@@ -80,7 +64,7 @@ def test_tamper_with_identical_bytes_only_moves_timestamp():
 
 
 def test_authority_accepts_valid_report():
-    authority = AuthorityNode(keys=keys_for("auth"), role="transport")
+    authority = AuthorityNode(keys=keys_for("auth"))
     rsu = keys_for("reporting-rsu")
     target = keys_for("bad-vehicle").public
     event = report_malicious(rsu, target, Verdict.STATE_MISMATCH, ts=3)
@@ -90,7 +74,7 @@ def test_authority_accepts_valid_report():
 
 
 def test_authority_rejects_forged_report():
-    authority = AuthorityNode(keys=keys_for("auth"), role="legal")
+    authority = AuthorityNode(keys=keys_for("auth"))
     rsu = keys_for("reporting-rsu")
     event = report_malicious(rsu, keys_for("v").public, Verdict.STALE_TIMESTAMP, ts=3)
     forged = dataclasses.replace(event, ts=4)

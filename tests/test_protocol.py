@@ -7,7 +7,7 @@ import pytest
 
 from conftest import keys_for, state_of
 from ecuchain.crypto import sha256, verify
-from ecuchain.ecu import update_ecu
+from ecuchain.ecu import compute_state_root, update_ecu
 from ecuchain.ledger import Archive, ArchiveError
 from ecuchain.protocol import (
     ProtocolError,
@@ -15,9 +15,7 @@ from ecuchain.protocol import (
     build_response,
     initialize_vehicle,
     issue_challenge,
-    maintenance_metadata,
     make_genesis,
-    parse_maintenance_metadata,
     record_response,
     report_malicious,
     submit_request,
@@ -31,14 +29,13 @@ def make_update(maintainer_keys, vehicle_pk, state, ecu_id, firmware, ts):
     """Signed update transaction over a fresh state (mirrors maintenance)."""
     digest = sha256(firmware)
     new_state = update_ecu(state, ecu_id, digest, ts)
-    from ecuchain.ecu import compute_state_root
-
     unsigned = UpdateTx(
-        new_root=compute_state_root(new_state).root,
+        new_root=compute_state_root(new_state),
         ts=ts,
         vehicle_pk=vehicle_pk,
         maintainer_pk=maintainer_keys.public,
-        metadata=maintenance_metadata(ecu_id, "firmware-update", digest, ts),
+        ecu_id=ecu_id,
+        firmware_digest=digest,
         sig=b"",
     )
     return new_state, dataclasses.replace(
@@ -173,17 +170,9 @@ def test_update_unauthorized_maintainer_rejected(registered):
 def test_update_tampered_metadata_rejected(registered, maker_keys):
     authority, roadside, vehicle_keys, state = registered
     _, update = make_update(maker_keys, vehicle_keys.public, state, 1, b"fw", ts=1)
-    tampered = dataclasses.replace(update, metadata=update.metadata + "X")
+    tampered = dataclasses.replace(update, firmware_digest=sha256(b"other fw"))
     with pytest.raises(ProtocolError, match="signature"):
         apply_upper_update(authority, roadside, tampered)
-
-
-def test_maintenance_metadata_roundtrip():
-    digest = sha256(b"image")
-    meta = maintenance_metadata(7, "firmware-update", digest, 1234)
-    assert "ecu=7" in meta
-    assert parse_maintenance_metadata(meta) == (7, digest, 1234)
-    assert parse_maintenance_metadata("free-form note") is None
 
 
 # -- challenge issue/build ------------------------------------------------------

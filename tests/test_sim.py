@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from ecuchain.adversary import AttackKind
@@ -19,7 +22,12 @@ from ecuchain.sim import (
     parse_config,
     run,
 )
+from ecuchain.ledger import reconstruct_history
 from ecuchain.transactions import ChallengeRecordTx
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
+# SHA-256 of the event log `ecuchain run --config scenarios/demo.cfg` writes.
+DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671305"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
 
@@ -234,7 +242,8 @@ def test_honest_vehicle_state_matches_ledger_profile():
     run(world)
     for vehicle in world.vehicles:
         profile = world.roadside.profiles[vehicle.pk]
-        assert compute_state_root(vehicle.ecu_state).root == profile.expected_root
+        assert compute_state_root(vehicle.ecu_state) == profile.expected_root
+        assert profile.state == vehicle.ecu_state
 
 
 def test_revocations_match_reports():
@@ -270,6 +279,37 @@ def test_maintenance_keeps_vehicle_valid():
     )
     result = run(build_world(cfg))
     assert result.report.verdict_counts == {"Valid": 12}
+
+
+def test_maintenance_after_tamper_is_rejected_and_logged():
+    # Seed 1 injects the code into an ECU other than 3, so the maintained
+    # vehicle's new root still holds the tampered ECU.
+    cfg = SimConfig(
+        n_vehicles=2,
+        n_rsus=2,
+        n_rounds=4,
+        seed=1,
+        attacks=(AttackPlanEntry(AttackKind.CODE_INJECTION, 0, 1),),
+        maintenance=(MaintenancePlanEntry(0, 3, 5),),
+    )
+    world = build_world(cfg)
+    vehicle = world.vehicles[0]
+    registered = world.roadside.profiles[vehicle.pk].state
+    result = run(world)
+    assert "50500\tmaintenance-rejected\tv0\t-" in result.event_log
+    assert not any(line.split("\t")[1] == "maintenance" for line in result.event_log)
+    assert world.roadside.profiles[vehicle.pk].state == registered
+    assert vehicle.ecu_state.records[3] != registered.records[3]
+    block = world.roadside.ledger.lookup(vehicle.pk)
+    # genesis and the one Valid encounter before the tamper
+    assert len(reconstruct_history(block, world.roadside.archive)) == 2
+    assert result.report.ledgers_valid
+
+
+def test_demo_event_log_is_pinned():
+    result = run(build_world(load_config(DEMO_CONFIG)))
+    text = event_log_text(result.event_log)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEMO_LOG_SHA256
 
 
 def test_link_latency_shifts_response_timestamps():

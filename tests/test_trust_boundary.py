@@ -5,7 +5,9 @@ and ``Ledger.create_block`` (external transactions, the genesis of
 ``initialize_vehicle`` among them), ``apply_upper_update`` (the update) and
 ``AuthorityNode.receive_report`` (the report). Everything signed inside a
 tier, such as the RSU countersignature, is appended without a verify, and
-``validate_block`` re-verifies every retained entry.
+``validate_block`` re-verifies every retained entry. An update that is
+signed but inconsistent with the state the roadside tier vouches for is
+rejected as well, and no rejection changes either tier.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from ecuchain.protocol import (
     verify_response,
 )
 from ecuchain.transactions import (
+    TAG_UPDATE,
     ChallengeRecordTx,
     RequestTx,
     Verdict,
@@ -46,7 +49,7 @@ from ecuchain.transactions import (
     signed,
     tx_signer,
 )
-from ecuchain.wire import U64_MAX, encode_bytes
+from ecuchain.wire import U64_MAX, WireError, encode_bytes, encode_str, encode_u64
 from test_protocol import honest_round, make_update
 
 
@@ -188,7 +191,7 @@ def test_request_verifies_once(tiers, insurer_keys, verify_calls):
 
 
 def test_report_verified_by_each_receiving_authority(rsu_keys, vehicle_keys, verify_calls):
-    authorities = [AuthorityNode(keys=keys_for(r), role=r) for r in ("transport", "legal")]
+    authorities = [AuthorityNode(keys=keys_for(r)) for r in ("transport", "legal")]
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
     assert not verify_calls
     for authority in authorities:
@@ -340,3 +343,142 @@ def test_unencodable_response_from_unknown_vehicle_is_unknown(data):
     stranger = dataclasses.replace(response, vehicle_pk=keys_for("stranger").public)
     changed = data.draw(unencodable_response(stranger))
     assert verify_response(roadside, challenge, changed) is Verdict.UNKNOWN_VEHICLE
+
+
+# -- maintenance updates -------------------------------------------------------------
+
+UPDATED_ECU = 3
+
+
+def _fresh_update_world():
+    """One 8-ECU vehicle whose ECUs were all last written at 100, and an
+    authorized update of ECU ``UPDATED_ECU`` at 200, signed but not applied.
+    """
+    maker, vehicle = keys_for("maker"), keys_for("vehicle")
+    authority = new_authority_tier(
+        validators=(keys_for("transport"),),
+        authorized_makers=(maker.public,),
+        authorized_insurers=(),
+    )
+    roadside = RoadsideTier()
+    state = state_of(8, ts=100)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    updated, update = make_update(
+        maker, vehicle.public, state, UPDATED_ECU, b"fw-new", ts=200
+    )
+    return authority, roadside, maker, update, updated
+
+
+# Shared by the property examples, which only ever hand the tiers rejected updates.
+_update_world = functools.lru_cache(maxsize=None)(_fresh_update_world)
+
+
+def tier_snapshot(authority, roadside, vehicle_pk):
+    block = roadside.ledger.lookup(vehicle_pk)
+    return (
+        block,
+        roadside.archive.read(block.header.external_address),
+        dataclasses.replace(roadside.profiles[vehicle_pk]),
+        list(authority.audit_log),
+    )
+
+
+def assert_update_rejected(update, match):
+    authority, roadside, _, honest, _ = _update_world()
+    before = tier_snapshot(authority, roadside, honest.vehicle_pk)
+    with pytest.raises(ProtocolError, match=match):
+        apply_upper_update(authority, roadside, update)
+    assert tier_snapshot(authority, roadside, honest.vehicle_pk) == before
+
+
+def test_update_world_accepts_its_honest_update():
+    authority, roadside, _, update, updated = _fresh_update_world()
+    apply_upper_update(authority, roadside, update)
+    assert roadside.profiles[update.vehicle_pk].state == updated
+    assert roadside.profiles[update.vehicle_pk].expected_root == update.new_root
+
+
+u64_or_not = st.one_of(st.integers(0, U64_MAX), past_u64, st.integers(max_value=-1))
+UPDATE_FIELDS = {
+    "new_root": digests,
+    "ts": u64_or_not,
+    "vehicle_pk": digests,
+    "maintainer_pk": digests,
+    "ecu_id": u64_or_not,
+    "firmware_digest": digests,
+    "sig": st.binary(min_size=64, max_size=64),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_changed_update_is_rejected(data):
+    *_, update, _ = _update_world()
+    name = data.draw(st.sampled_from(sorted(UPDATE_FIELDS)))
+    value = data.draw(UPDATE_FIELDS[name].filter(lambda v: v != getattr(update, name)))
+    changed = dataclasses.replace(update, **{name: value})
+    assert_update_rejected(changed, "signature")
+    if name not in ("ts", "ecu_id") or 0 <= value <= U64_MAX:
+        assert_fresh_encoding(changed)
+
+
+@st.composite
+def inconsistent_update(draw, update):
+    """(expected error, ``update`` with one field changed so that it no
+    longer describes an update of the registered state), unsigned.
+    """
+    kind = draw(
+        st.sampled_from(["new_root", "firmware_digest", "other_ecu", "unknown_ecu", "regression"])
+    )
+    if kind in ("new_root", "firmware_digest"):
+        value = draw(digests.filter(lambda v: v != getattr(update, kind)))
+        return "new_root", dataclasses.replace(update, **{kind: value})
+    if kind == "other_ecu":
+        ecu = draw(st.integers(0, 7).filter(lambda e: e != UPDATED_ECU))
+        return "new_root", dataclasses.replace(update, ecu_id=ecu)
+    if kind == "unknown_ecu":
+        ecu = draw(st.integers(8, U64_MAX))
+        return "unknown ecu_id", dataclasses.replace(update, ecu_id=ecu)
+    return "regression", dataclasses.replace(update, ts=draw(st.integers(0, 99)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_resigned_inconsistent_update_is_rejected(data):
+    _, _, maker, update, _ = _update_world()
+    match, changed = data.draw(inconsistent_update(update))
+    assert_update_rejected(signed(changed, maker), match)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["ecu_id", "ts"]), value=past_u64)
+def test_update_past_u64_cannot_be_signed_and_is_rejected(name, value):
+    _, _, maker, update, _ = _update_world()
+    changed = dataclasses.replace(update, **{name: value})
+    with pytest.raises(WireError):
+        signed(changed, maker)
+    assert_update_rejected(changed, "signature")
+
+
+def test_signed_update_encodes_its_current_fields():
+    *_, update, _ = _update_world()
+    assert_fresh_encoding(update)
+    assert crypto.verify(update.maintainer_pk, update.signing_bytes(), update.sig)
+
+
+def test_update_with_metadata_string_layout_does_not_decode():
+    *_, update, _ = _update_world()
+    metadata = f"ecu=3;action=firmware-update;digest={update.firmware_digest.hex()};ts=200"
+    old = b"".join(
+        (
+            encode_u64(TAG_UPDATE),
+            encode_bytes(update.new_root),
+            encode_u64(update.ts),
+            encode_bytes(update.vehicle_pk),
+            encode_bytes(update.maintainer_pk),
+            encode_str(metadata),
+            encode_bytes(update.sig),
+        )
+    )
+    with pytest.raises(WireError):
+        decode_transaction(old)
