@@ -250,18 +250,18 @@ def bench_merkle(
             sha256(derive_seed(b"bench-merkle", seed64, i.to_bytes(8, "big")))
             for i in range(n)
         ]
-        state = EcuState(
-            records=tuple(
-                EcuRecord(ecu_id=i, firmware_digest=d, last_write_ts=0)
-                for i, d in enumerate(digests)
-            )
+        records = tuple(
+            EcuRecord(ecu_id=i, firmware_digest=d, last_write_ts=0)
+            for i, d in enumerate(digests)
         )
         reps = max(3, 3_000 // n)
 
-        def one_run(run_idx: int, _state=state, _reps=reps) -> float:
+        def one_run(run_idx: int, _records=records, _reps=reps) -> float:
+            # A state caches its root, so each repetition gets a fresh one.
+            states = [EcuState(records=_records) for _ in range(_reps)]
             start = time.perf_counter_ns()
-            for _ in range(_reps):
-                compute_state_root(_state)
+            for state in states:
+                compute_state_root(state)
             return (time.perf_counter_ns() - start) / 1e6 / _reps
 
         samples = _run_samples(one_run, runs)

@@ -8,8 +8,8 @@ independently of the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from . import _kernels
 from .crypto import DIGEST_LEN, Digest
@@ -32,9 +32,16 @@ class EcuRecord:
 
 @dataclass(frozen=True)
 class EcuState:
-    """Immutable ECU list; ids are exactly 0..N-1 in list order."""
+    """Immutable ECU list; ids are exactly 0..N-1 in list order.
+
+    ``compute_state_root`` caches the state's Merkle root on the object the
+    first time it is asked for; the cache takes no part in equality, and a
+    new state (``update_ecu``, or one built from a transaction's records)
+    starts without one.
+    """
 
     records: tuple[EcuRecord, ...]
+    _root: Optional[Digest] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.records:
@@ -58,9 +65,13 @@ def state_from_digests(digests: Iterable[Digest], ts: int = 0) -> EcuState:
 def compute_state_root(state: EcuState) -> Digest:
     """Merkle root of the state: leaves hash the (index, digest) pairs with a
     0x00 domain prefix, interior nodes pair-hash with 0x01, odd levels
-    duplicate their last node.
+    duplicate their last node. Computed once per state object.
     """
-    return _kernels.merkle_root([r.firmware_digest for r in state.records])
+    root = state._root
+    if root is None:
+        root = _kernels.merkle_root([r.firmware_digest for r in state.records])
+        object.__setattr__(state, "_root", root)
+    return root
 
 
 def update_ecu(state: EcuState, ecu_id: int, new_digest: Digest, ts: int) -> EcuState:

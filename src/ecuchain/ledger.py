@@ -20,6 +20,16 @@ while tamper evidence is preserved because every entry's timestamp must
 equal its payload's signed timestamp and every payload carries a
 signature.
 
+Bytes are wire format v2 (see ``wire``). A header is the owner key and the
+previous header hash (32 raw bytes each), the creation timestamp (8 bytes)
+and the external address (a length-prefixed string); an entry is its
+payload's wire bytes behind a u32 length, the 32-byte ``prev_link`` and the
+8-byte entry timestamp, 44 bytes of framing; a block is its header, an
+entry count and the entries. ``Ledger.serialize`` writes the magic
+``ECUL2``, a block count and each block behind a u32 length. There is no
+reader for the v1 layout (magic ``ECUL1``): such bytes raise ``WireError``,
+and an archive file holding them raises ``ArchiveError``.
+
 Pruning keeps the last two entries (previous and current state). Each
 entry's original bytes are archived exactly once, under the block's
 external address and the entry's sequence number: a removed entry when it
@@ -39,7 +49,15 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import crypto
-from .crypto import DIGEST_LEN, PUBLIC_KEY_LEN, ZERO_DIGEST, Digest, PublicKey, sha256
+from .crypto import (
+    DIGEST_LEN,
+    PUBLIC_KEY_LEN,
+    SIGNATURE_LEN,
+    ZERO_DIGEST,
+    Digest,
+    PublicKey,
+    sha256,
+)
 from .transactions import (
     Transaction,
     decode_transaction,
@@ -47,9 +65,17 @@ from .transactions import (
     tx_timestamp,
     tx_vehicle,
 )
-from .wire import U64, Reader, WireError, encode_bytes, encode_str, encode_u64
+from .wire import (
+    U64,
+    Reader,
+    WireError,
+    encode_bytes,
+    encode_fixed,
+    encode_str,
+    encode_u64,
+)
 
-LEDGER_MAGIC = b"ECUL1"
+LEDGER_MAGIC = b"ECUL2"
 
 
 class LedgerError(ValueError):
@@ -70,8 +96,8 @@ class BlockHeader:
     def to_bytes(self) -> bytes:
         return b"".join(
             (
-                encode_bytes(self.owner_pk),
-                encode_bytes(self.prev_header_hash),
+                encode_fixed(self.owner_pk, PUBLIC_KEY_LEN),
+                encode_fixed(self.prev_header_hash, DIGEST_LEN),
                 encode_u64(self.created_ts),
                 encode_str(self.external_address),
             )
@@ -92,7 +118,7 @@ class LedgerEntry:
         return b"".join(
             (
                 encode_bytes(self.payload.to_bytes()),
-                encode_bytes(self.prev_link),
+                encode_fixed(self.prev_link, DIGEST_LEN),
                 encode_u64(self.entry_ts),
             )
         )
@@ -171,7 +197,7 @@ def validate_block(block: AppendableBlock) -> bool:
             if not crypto.verify(signer, message, sig):
                 return False
             # A payload's wire bytes are its signing bytes plus its signature.
-            expected = _link(message + encode_bytes(sig), entry.entry_ts)
+            expected = _link(message + encode_fixed(sig, SIGNATURE_LEN), entry.entry_ts)
     except Exception:
         return False
     return True
@@ -188,7 +214,12 @@ def validate_block_bytes(data: bytes) -> bool:
 def _require_signature(tx: Transaction) -> None:
     """Raise LedgerError unless ``tx`` carries a valid signature."""
     signer, sig = tx_signer(tx)
-    if not crypto.verify(signer, tx.signing_bytes(), sig):
+    try:
+        message = tx.signing_bytes()
+    except WireError:
+        # Fields the wire format cannot encode cannot carry a valid signature.
+        raise LedgerError("signature") from None
+    if not crypto.verify(signer, message, sig):
         raise LedgerError("signature")
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import crypto
-from .crypto import Digest, KeyPair, PublicKey, Signature
+from .crypto import PUBLIC_KEY_LEN, Digest, KeyPair, PublicKey, Signature
 from .ecu import EcuRecord, EcuState, compute_state_root, subset_report, update_ecu
 from .ledger import (
     Archive,
@@ -48,7 +48,7 @@ from .transactions import (
     Verdict,
     signed,
 )
-from .wire import WireError, encode_bytes, encode_str, encode_u64
+from .wire import WireError, encode_fixed, encode_str, encode_u64
 
 SUBSET_SIZE = 3
 
@@ -98,13 +98,20 @@ class AuditEvent:
 
     @staticmethod
     def signing_bytes(action: str, subject_pk: PublicKey, ts: int) -> bytes:
-        return encode_str(action) + encode_bytes(subject_pk) + encode_u64(ts)
+        return (
+            encode_str(action)
+            + encode_fixed(subject_pk, PUBLIC_KEY_LEN)
+            + encode_u64(ts)
+        )
 
     def verify(self, validators: Sequence[PublicKey]) -> bool:
         signed = {pk for pk, _ in self.signatures}
         if signed != set(validators):
             return False
-        message = self.signing_bytes(self.action, self.subject_pk, self.ts)
+        try:
+            message = self.signing_bytes(self.action, self.subject_pk, self.ts)
+        except WireError:
+            return False
         return all(crypto.verify(pk, message, sig) for pk, sig in self.signatures)
 
 
@@ -370,14 +377,18 @@ class ReportEvent:
 
     def signing_bytes(self) -> bytes:
         return (
-            encode_bytes(self.rsu_pk)
-            + encode_bytes(self.vehicle_pk)
+            encode_fixed(self.rsu_pk, PUBLIC_KEY_LEN)
+            + encode_fixed(self.vehicle_pk, PUBLIC_KEY_LEN)
             + encode_str(self.verdict.value)
             + encode_u64(self.ts)
         )
 
     def verify(self) -> bool:
-        return crypto.verify(self.rsu_pk, self.signing_bytes(), self.sig)
+        try:
+            message = self.signing_bytes()
+        except WireError:
+            return False
+        return crypto.verify(self.rsu_pk, message, self.sig)
 
 
 def report_malicious(

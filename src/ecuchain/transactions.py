@@ -1,21 +1,34 @@
 """Transaction variants, challenge/response records and verdicts.
 
-Every signed structure exposes ``signing_bytes()`` (canonical wire bytes
-with the signature field omitted) and ``to_bytes()`` (signing bytes plus
-the signature appended). Each encoding starts with the variant tag so a
-signature can never be replayed across types. ``signed`` is the one way to
-sign any of them.
+Every signed structure exposes ``signing_bytes()`` (canonical wire-format
+v2 bytes with the signature field omitted) and ``to_bytes()`` (signing
+bytes plus the raw 64-byte signature appended). Each transaction encoding
+starts with the variant tag so a signature can never be replayed across
+types. Digests and public keys are written raw, and each ECU record is
+one packed ``>Q32sQ`` struct (id, firmware digest, last-write time). The
+only length prefixes inside a transaction are on a request's query string
+and around a challenge record's nested response bytes. ``signed`` is the
+one way to sign any of them.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TypeVar, Union
 
-from .crypto import DIGEST_LEN, PUBLIC_KEY_LEN, Digest, KeyPair, PublicKey, Signature
+from .crypto import (
+    DIGEST_LEN,
+    PUBLIC_KEY_LEN,
+    SIGNATURE_LEN,
+    Digest,
+    KeyPair,
+    PublicKey,
+    Signature,
+)
 from .ecu import EcuRecord
-from .wire import Reader, WireError, encode_bytes, encode_str, encode_u64
+from .wire import Reader, WireError, encode_bytes, encode_fixed, encode_str, encode_u64
 
 TAG_GENESIS = 0
 TAG_UPDATE = 1
@@ -34,27 +47,26 @@ class Verdict(Enum):
     STALE_TIMESTAMP = "StaleTimestamp"
 
 
+# One ECU record: ecu_id (u64), firmware digest (32 bytes), last-write ts (u64).
+# ``32s`` would pad a short digest, but ``EcuRecord`` only holds 32-byte ones.
+ECU_RECORD = struct.Struct(">Q32sQ")
+
+
 def _encode_ecu_list(records: tuple[EcuRecord, ...]) -> bytes:
-    parts = [encode_u64(len(records))]
-    for rec in records:
-        parts.append(encode_u64(rec.ecu_id))
-        parts.append(encode_bytes(rec.firmware_digest))
-        parts.append(encode_u64(rec.last_write_ts))
-    return b"".join(parts)
+    pack = ECU_RECORD.pack
+    try:
+        packed = [pack(r.ecu_id, r.firmware_digest, r.last_write_ts) for r in records]
+    except struct.error as exc:
+        raise WireError(f"ECU record not encodable: {exc}") from None
+    return encode_u64(len(records)) + b"".join(packed)
 
 
 def _read_ecu_list(r: Reader) -> tuple[EcuRecord, ...]:
     count = r.read_u64()
-    if count > 1_000_000:
-        raise WireError(f"implausible ECU list length {count}")
-    return tuple(
-        EcuRecord(
-            ecu_id=r.read_u64(),
-            firmware_digest=r.read_fixed(DIGEST_LEN),
-            last_write_ts=r.read_u64(),
-        )
-        for _ in range(count)
-    )
+    if count > r.remaining // ECU_RECORD.size:
+        raise WireError(f"ECU list of {count} records overruns buffer")
+    raw = r.read_fixed(count * ECU_RECORD.size)
+    return tuple(EcuRecord(*fields) for fields in ECU_RECORD.iter_unpack(raw))
 
 
 @dataclass(frozen=True)
@@ -74,16 +86,16 @@ class GenesisTx:
         return b"".join(
             (
                 encode_u64(TAG_GENESIS),
-                encode_bytes(self.state_root),
+                encode_fixed(self.state_root, DIGEST_LEN),
                 encode_u64(self.ts),
                 _encode_ecu_list(self.ecu_list),
-                encode_bytes(self.vehicle_pk),
-                encode_bytes(self.maker_pk),
+                encode_fixed(self.vehicle_pk, PUBLIC_KEY_LEN),
+                encode_fixed(self.maker_pk, PUBLIC_KEY_LEN),
             )
         )
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode_bytes(self.sig)
+        return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
 @dataclass(frozen=True)
@@ -106,17 +118,17 @@ class UpdateTx:
         return b"".join(
             (
                 encode_u64(TAG_UPDATE),
-                encode_bytes(self.new_root),
+                encode_fixed(self.new_root, DIGEST_LEN),
                 encode_u64(self.ts),
-                encode_bytes(self.vehicle_pk),
-                encode_bytes(self.maintainer_pk),
+                encode_fixed(self.vehicle_pk, PUBLIC_KEY_LEN),
+                encode_fixed(self.maintainer_pk, PUBLIC_KEY_LEN),
                 encode_u64(self.ecu_id),
-                encode_bytes(self.firmware_digest),
+                encode_fixed(self.firmware_digest, DIGEST_LEN),
             )
         )
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode_bytes(self.sig)
+        return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
 @dataclass(frozen=True)
@@ -132,14 +144,14 @@ class RequestTx:
         return b"".join(
             (
                 encode_u64(TAG_REQUEST),
-                encode_bytes(self.insurer_pk),
+                encode_fixed(self.insurer_pk, PUBLIC_KEY_LEN),
                 encode_str(self.query),
                 encode_u64(self.ts),
             )
         )
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode_bytes(self.sig)
+        return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
 @dataclass(frozen=True)
@@ -157,15 +169,15 @@ class ChallengeResponse:
     def signing_bytes(self) -> bytes:
         return b"".join(
             (
-                encode_bytes(self.state_root),
+                encode_fixed(self.state_root, DIGEST_LEN),
                 _encode_ecu_list(self.subset),
                 encode_u64(self.ts),
-                encode_bytes(self.vehicle_pk),
+                encode_fixed(self.vehicle_pk, PUBLIC_KEY_LEN),
             )
         )
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode_bytes(self.sig)
+        return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
 def read_challenge_response(r: Reader) -> ChallengeResponse:
@@ -174,7 +186,7 @@ def read_challenge_response(r: Reader) -> ChallengeResponse:
         subset=_read_ecu_list(r),
         ts=r.read_u64(),
         vehicle_pk=r.read_fixed(PUBLIC_KEY_LEN),
-        sig=r.read_bytes(),
+        sig=r.read_fixed(SIGNATURE_LEN),
     )
 
 
@@ -198,12 +210,12 @@ class ChallengeRecordTx:
             (
                 encode_u64(TAG_CHALLENGE_RECORD),
                 encode_bytes(self.response.to_bytes()),
-                encode_bytes(self.rsu_pk),
+                encode_fixed(self.rsu_pk, PUBLIC_KEY_LEN),
             )
         )
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode_bytes(self.rsu_sig)
+        return self.signing_bytes() + encode_fixed(self.rsu_sig, SIGNATURE_LEN)
 
 
 Transaction = Union[GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx]
@@ -271,7 +283,7 @@ def decode_transaction(data: bytes) -> Transaction:
             ecu_list=_read_ecu_list(r),
             vehicle_pk=r.read_fixed(PUBLIC_KEY_LEN),
             maker_pk=r.read_fixed(PUBLIC_KEY_LEN),
-            sig=r.read_bytes(),
+            sig=r.read_fixed(SIGNATURE_LEN),
         )
     elif tag == TAG_UPDATE:
         tx = UpdateTx(
@@ -281,20 +293,20 @@ def decode_transaction(data: bytes) -> Transaction:
             maintainer_pk=r.read_fixed(PUBLIC_KEY_LEN),
             ecu_id=r.read_u64(),
             firmware_digest=r.read_fixed(DIGEST_LEN),
-            sig=r.read_bytes(),
+            sig=r.read_fixed(SIGNATURE_LEN),
         )
     elif tag == TAG_REQUEST:
         tx = RequestTx(
             insurer_pk=r.read_fixed(PUBLIC_KEY_LEN),
             query=r.read_str(),
             ts=r.read_u64(),
-            sig=r.read_bytes(),
+            sig=r.read_fixed(SIGNATURE_LEN),
         )
     elif tag == TAG_CHALLENGE_RECORD:
         tx = ChallengeRecordTx(
             response=decode_challenge_response(r.read_bytes()),
             rsu_pk=r.read_fixed(PUBLIC_KEY_LEN),
-            rsu_sig=r.read_bytes(),
+            rsu_sig=r.read_fixed(SIGNATURE_LEN),
         )
     else:
         raise WireError(f"unknown transaction tag {tag}")

@@ -1,10 +1,11 @@
-"""Wire format v1: the canonical byte encoding used for signing and hashing.
+"""Wire format v2: the canonical byte encoding used for signing and hashing.
 
-Rules: fields are encoded in declaration order; every field is a 4-byte
-big-endian length prefix followed by the raw bytes; integer fields encode
-as 8 big-endian bytes (so they appear as ``00000008`` + value); strings
-are UTF-8; a list is an integer element count followed by the elements'
-fields. Decoding must consume the input exactly.
+Rules: fields are encoded in declaration order. An integer is 8 raw
+big-endian bytes. A fixed-width field (a 32-byte digest or public key, a
+64-byte signature) is written raw, its width fixed by its type. Only a
+variable-length field carries a 4-byte big-endian length prefix: a UTF-8
+string, or nested wire bytes. A list is an integer element count followed
+by the elements' fields. Decoding must consume the input exactly.
 """
 
 from __future__ import annotations
@@ -18,17 +19,28 @@ U64_MAX = 2**64 - 1
 
 
 class WireError(ValueError):
-    """Raised when bytes do not parse as well-formed wire format v1."""
+    """Raised when bytes do not parse as well-formed wire format v2, or a
+    value cannot be encoded in it.
+    """
 
 
 def encode_bytes(value: bytes) -> bytes:
+    """A variable-length field: u32 length prefix, then the bytes."""
     return U32.pack(len(value)) + value
 
 
+def encode_fixed(value: bytes, n: int) -> bytes:
+    """A fixed-width field: the ``n`` bytes of ``value``, unprefixed."""
+    if len(value) != n:
+        raise WireError(f"expected {n}-byte field, got {len(value)}")
+    return value
+
+
 def encode_u64(value: int) -> bytes:
-    if not 0 <= value <= U64_MAX:
-        raise WireError(f"integer out of u64 range: {value}")
-    return U32.pack(8) + U64.pack(value)
+    try:
+        return U64.pack(value)
+    except struct.error:
+        raise WireError(f"integer out of u64 range: {value!r}") from None
 
 
 def encode_str(value: str) -> bytes:
@@ -57,10 +69,7 @@ class Reader:
         return self._data[end : self._pos]
 
     def read_u64(self) -> int:
-        raw = self.read_bytes()
-        if len(raw) != 8:
-            raise WireError(f"integer field must be 8 bytes, got {len(raw)}")
-        return U64.unpack(raw)[0]
+        return U64.unpack(self.read_fixed(8))[0]
 
     def read_str(self) -> str:
         try:
@@ -68,20 +77,19 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise WireError("invalid UTF-8 in string field") from exc
 
-    def read_fixed(self, expected_len: int) -> bytes:
-        raw = self.read_bytes()
-        if len(raw) != expected_len:
-            raise WireError(f"expected {expected_len}-byte field, got {len(raw)}")
-        return raw
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
+    def read_fixed(self, n: int) -> bytes:
+        """The next ``n`` raw bytes."""
+        start = self._pos
+        end = start + n
+        if end > len(self._data):
+            raise WireError(f"expected {n}-byte field, got {len(self._data) - start}")
+        self._pos = end
+        return self._data[start:end]
 
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
     def finish(self) -> None:
-        if not self.exhausted:
-            raise WireError(f"{len(self._data) - self._pos} trailing bytes")
+        if self.remaining:
+            raise WireError(f"{self.remaining} trailing bytes")

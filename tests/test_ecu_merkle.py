@@ -94,6 +94,33 @@ def test_determinism():
     assert compute_state_root(state) == compute_state_root(state)
 
 
+def test_root_is_computed_once_per_state(monkeypatch):
+    calls = []
+    original = _kernels.merkle_root
+
+    def counting(digests):
+        calls.append(len(digests))
+        return original(digests)
+
+    monkeypatch.setattr(_kernels, "merkle_root", counting)
+    state = state_of(8)
+    roots = {compute_state_root(state) for _ in range(5)}
+    assert roots == {oracle_root([r.firmware_digest for r in state.records])}
+    assert calls == [8]
+    # An equal state built afresh computes its own root.
+    assert compute_state_root(EcuState(records=state.records)) in roots
+    assert calls == [8, 8]
+
+
+def test_cached_root_takes_no_part_in_equality():
+    cached, fresh = state_of(8), state_of(8)
+    compute_state_root(cached)
+    assert cached == fresh
+    assert hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    assert cached != state_of(8, tag=b"other")
+
+
 def test_sensitivity_single_bit_flip():
     rng = random.Random(17)
     for n in (1, 2, 7, 16, 64):

@@ -124,7 +124,6 @@ def test_ten_entry_chain_matches_independent_rebuild(vehicle, rsu_keys):
                 (
                     len(entry.payload.to_bytes()).to_bytes(4, "big"),
                     entry.payload.to_bytes(),
-                    (8).to_bytes(4, "big"),
                     entry.entry_ts.to_bytes(8, "big"),
                 )
             )

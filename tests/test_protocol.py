@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import keys_for, state_of
+from ecuchain import _kernels
 from ecuchain.crypto import sha256, verify
 from ecuchain.ecu import compute_state_root, update_ecu
 from ecuchain.ledger import Archive, ArchiveError
@@ -113,6 +114,48 @@ def test_initialize_rejects_inconsistent_root(tiers, maker_keys, vehicle_keys, e
         initialize_vehicle(authority, roadside, forged, ts=0)
 
 
+def poison_root(state, root):
+    """``state`` with a wrong root in its cache, as a vehicle could hold."""
+    object.__setattr__(state, "_root", root)
+    return state
+
+
+def test_initialize_ignores_a_root_cached_on_the_vehicle_side(
+    tiers, maker_keys, vehicle_keys
+):
+    authority, roadside = tiers
+    state = poison_root(state_of(8), sha256(b"lie"))
+    genesis = make_genesis(maker_keys, vehicle_keys.public, state, ts=0)
+    assert genesis.state_root == sha256(b"lie")
+    with pytest.raises(ProtocolError, match="state root"):
+        initialize_vehicle(authority, roadside, genesis, ts=0)
+    assert len(roadside.ledger) == 0
+
+
+def test_update_ignores_a_root_cached_on_the_vehicle_side(registered, maker_keys):
+    authority, roadside, vehicle_keys, state = registered
+    new_state = poison_root(
+        update_ecu(state, 2, sha256(b"fw-v2"), ts=5), compute_state_root(state)
+    )
+    unsigned = UpdateTx(
+        new_root=compute_state_root(new_state),
+        ts=5,
+        vehicle_pk=vehicle_keys.public,
+        maintainer_pk=maker_keys.public,
+        ecu_id=2,
+        firmware_digest=sha256(b"fw-v2"),
+        sig=b"",
+    )
+    update = dataclasses.replace(
+        unsigned, sig=maker_keys.sign(unsigned.signing_bytes())
+    )
+    before = roadside.ledger.lookup(vehicle_keys.public)
+    with pytest.raises(ProtocolError, match="new_root"):
+        apply_upper_update(authority, roadside, update)
+    assert roadside.ledger.lookup(vehicle_keys.public) == before
+    assert roadside.profiles[vehicle_keys.public].state == state
+
+
 def test_two_hundred_sequential_initializations(tiers, maker_keys):
     authority, roadside = tiers
     for i in range(200):
@@ -202,6 +245,27 @@ def test_issue_challenge_subsets_vary_across_seeds():
         for s in range(100)
     }
     assert len(subsets) >= 2
+
+
+def test_responses_from_one_state_compute_its_root_once(
+    monkeypatch, vehicle_keys, rsu_keys
+):
+    calls = []
+    original = _kernels.merkle_root
+
+    def counting(digests):
+        calls.append(len(digests))
+        return original(digests)
+
+    monkeypatch.setattr(_kernels, "merkle_root", counting)
+    state = state_of(8)
+    rng = random.Random(5)
+    roots = set()
+    for ts in range(1, 7):
+        challenge = issue_challenge(rsu_keys.public, vehicle_keys.public, 8, rng, ts)
+        roots.add(build_response(vehicle_keys, state, challenge, ts).state_root)
+    assert calls == [8]
+    assert roots == {oracle_root([r.firmware_digest for r in state.records])}
 
 
 def test_build_response_rejects_foreign_challenge(vehicle_keys, rsu_keys):

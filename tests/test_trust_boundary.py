@@ -49,7 +49,7 @@ from ecuchain.transactions import (
     signed,
     tx_signer,
 )
-from ecuchain.wire import U64_MAX, WireError, encode_bytes, encode_str, encode_u64
+from ecuchain.wire import U64_MAX, WireError
 from test_protocol import honest_round, make_update
 
 
@@ -269,7 +269,8 @@ def assert_fresh_encoding(tx):
     to the same object.
     """
     _, sig = tx_signer(tx)
-    assert tx.to_bytes() == tx.signing_bytes() + encode_bytes(sig)
+    assert len(sig) == 64
+    assert tx.to_bytes() == tx.signing_bytes() + sig
     assert decode_transaction(tx.to_bytes()) == tx
 
 
@@ -466,18 +467,77 @@ def test_signed_update_encodes_its_current_fields():
     assert crypto.verify(update.maintainer_pk, update.signing_bytes(), update.sig)
 
 
+# -- fixed-width fields of the wrong width ------------------------------------------
+# Wire format v2 writes digests, keys and signatures raw, so a field of the
+# wrong width cannot be encoded: each boundary rejects it with its own error.
+
+
+def wrong_widths(value: bytes) -> list[bytes]:
+    return [value[:-1], value + b"\x00"]
+
+
+@pytest.mark.parametrize("name", ["state_root", "sig"])
+def test_response_with_wrong_width_field_is_bad_signature(name):
+    roadside, challenge, response, _ = _world()
+    for value in wrong_widths(getattr(response, name)):
+        changed = dataclasses.replace(response, **{name: value})
+        assert verify_response(roadside, challenge, changed) is Verdict.BAD_SIGNATURE
+
+
+@pytest.mark.parametrize("name", ["new_root", "vehicle_pk", "maintainer_pk", "firmware_digest"])
+def test_update_with_wrong_width_field_is_rejected(name):
+    *_, update, _ = _update_world()
+    for value in wrong_widths(getattr(update, name)):
+        assert_update_rejected(dataclasses.replace(update, **{name: value}), "signature")
+
+
+def test_request_with_unencodable_field_is_rejected_by_append(tiers, insurer_keys):
+    authority, _ = tiers
+    before = authority.ledger.lookup(authority.audit_pk)
+    request = signed(
+        RequestTx(insurer_pk=insurer_keys.public, query="q", ts=3, sig=b""), insurer_keys
+    )
+    changed = [dataclasses.replace(request, ts=U64_MAX + 1)] + [
+        dataclasses.replace(request, insurer_pk=pk) for pk in wrong_widths(request.insurer_pk)
+    ]
+    for forged in changed:
+        with pytest.raises(LedgerError, match="signature"):
+            authority.ledger.append(authority.audit_pk, forged)
+    assert authority.ledger.lookup(authority.audit_pk) == before
+
+
+def test_report_and_audit_event_with_wrong_width_key_do_not_verify(
+    tiers, rsu_keys, vehicle_keys
+):
+    event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
+    receiver = AuthorityNode(keys=keys_for("transport"))
+    for pk in wrong_widths(event.vehicle_pk):
+        changed = dataclasses.replace(event, vehicle_pk=pk)
+        assert not changed.verify()
+        with pytest.raises(ProtocolError, match="signature"):
+            receiver.receive_report(changed)
+    assert receiver.reports == []
+    authority, _ = tiers
+    audit = authority.countersign("register", vehicle_keys.public, ts=3)
+    validators = [v.public for v in authority.validators]
+    assert audit.verify(validators)
+    for pk in wrong_widths(audit.subject_pk):
+        assert not dataclasses.replace(audit, subject_pk=pk).verify(validators)
+
+
 def test_update_with_metadata_string_layout_does_not_decode():
     *_, update, _ = _update_world()
     metadata = f"ecu=3;action=firmware-update;digest={update.firmware_digest.hex()};ts=200"
     old = b"".join(
         (
-            encode_u64(TAG_UPDATE),
-            encode_bytes(update.new_root),
-            encode_u64(update.ts),
-            encode_bytes(update.vehicle_pk),
-            encode_bytes(update.maintainer_pk),
-            encode_str(metadata),
-            encode_bytes(update.sig),
+            TAG_UPDATE.to_bytes(8, "big"),
+            update.new_root,
+            update.ts.to_bytes(8, "big"),
+            update.vehicle_pk,
+            update.maintainer_pk,
+            len(metadata).to_bytes(4, "big"),
+            metadata.encode(),
+            update.sig,
         )
     )
     with pytest.raises(WireError):

@@ -4,13 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecuchain.wire import Reader, WireError, encode_bytes, encode_str, encode_u64
+from ecuchain.wire import (
+    Reader,
+    WireError,
+    encode_bytes,
+    encode_fixed,
+    encode_str,
+    encode_u64,
+)
 
 
 def test_u64_layout():
-    assert encode_u64(0) == bytes.fromhex("00000008" + "00" * 8)
-    assert encode_u64(1) == bytes.fromhex("00000008" + "00" * 7 + "01")
-    assert encode_u64(2**64 - 1) == bytes.fromhex("00000008" + "ff" * 8)
+    assert encode_u64(0) == bytes.fromhex("00" * 8)
+    assert encode_u64(1) == bytes.fromhex("00" * 7 + "01")
+    assert encode_u64(2**64 - 1) == bytes.fromhex("ff" * 8)
 
 
 def test_u64_range_checked():
@@ -18,6 +25,15 @@ def test_u64_range_checked():
         encode_u64(-1)
     with pytest.raises(WireError):
         encode_u64(2**64)
+
+
+def test_fixed_layout_and_length_checked():
+    assert encode_fixed(b"ab", 2) == b"ab"
+    assert encode_fixed(b"", 0) == b""
+    with pytest.raises(WireError):
+        encode_fixed(b"x" * 31, 32)
+    with pytest.raises(WireError):
+        encode_fixed(b"x" * 33, 32)
 
 
 def test_bytes_layout():
@@ -50,14 +66,23 @@ def test_reader_rejects_truncation():
 
 
 def test_reader_rejects_wrong_integer_width():
+    # v2 integers carry no width prefix: fewer than 8 bytes is a truncated u64.
     with pytest.raises(WireError):
-        Reader(encode_bytes(b"1234")).read_u64()
+        Reader(bytes.fromhex("00" * 7)).read_u64()
+    r = Reader(bytes.fromhex("00" * 8) + b"\x01")
+    assert r.read_u64() == 0
+    with pytest.raises(WireError):
+        r.read_u64()
 
 
 def test_read_fixed_enforces_length():
-    r = Reader(encode_bytes(b"x" * 31))
+    r = Reader(b"x" * 31)
     with pytest.raises(WireError):
         r.read_fixed(32)
+    r = Reader(b"x" * 32 + b"y" * 64)
+    assert r.read_fixed(32) == b"x" * 32
+    assert r.read_fixed(64) == b"y" * 64
+    r.finish()
 
 
 def test_reader_rejects_invalid_utf8():
