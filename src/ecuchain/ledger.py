@@ -11,34 +11,38 @@ its caller has already verified or just made (the protocol verifies
 responses and updates itself). ``validate_block`` re-verifies every
 retained entry, so an audit never trusts the append path.
 
+Each entry carries its sequence number ``seq``: its 0-based index in the
+block's full history, including entries pruned to the archive.
+
 Link discipline: an entry's ``prev_link`` is the SHA-256 of the preceding
-entry's *content* (payload bytes and entry timestamp, not its own
+entry's *content* (payload bytes and sequence number, not its own
 prev_link), or the block header hash for the first entry. Keeping the
 predecessor's prev_link out of the link input means pruning can re-anchor
-the first retained entry to the header without disturbing any other link,
-while tamper evidence is preserved because every entry's timestamp must
-equal its payload's signed timestamp and every payload carries a
-signature.
+the first retained entry to the header without disturbing any other link.
+Tamper evidence rests on signed payloads plus bound sequence numbers: every
+payload carries a signature, every sequence number but the newest is bound
+by its successor's link, and the sequence numbers of a block are
+consecutive, starting at 0 for a lone entry.
 
 Bytes are wire format v2 (see ``wire``). A header is the owner key and the
 previous header hash (32 raw bytes each), the creation timestamp (8 bytes)
 and the external address (a length-prefixed string); an entry is its
 payload's wire bytes behind a u32 length, the 32-byte ``prev_link`` and the
-8-byte entry timestamp, 44 bytes of framing; a block is its header, an
+8-byte sequence number, 44 bytes of framing; a block is its header, an
 entry count and the entries. ``Ledger.serialize`` writes the magic
-``ECUL2``, a block count and each block behind a u32 length. There is no
-reader for the v1 layout (magic ``ECUL1``): such bytes raise ``WireError``,
-and an archive file holding them raises ``ArchiveError``.
+``ECUL3``, a block count and each block behind a u32 length. There is no
+reader for older layouts (magics ``ECUL1`` and ``ECUL2``): such bytes raise
+``WireError``, and an archive file holding v1 entries raises
+``ArchiveError``.
 
 Pruning keeps the last two entries (previous and current state). Each
 entry's original bytes are archived exactly once, under the block's
 external address and the entry's sequence number: a removed entry when it
 leaves the block, or the first retained entry just before it is
 re-anchored to the header. A re-anchored copy is never archived, so an
-auditor replays the full original chain from the archive. Archives written
-before this rule may also hold re-anchored copies after the originals;
-``reconstruct_history`` keeps the earliest record per sequence number, so
-those still replay.
+auditor replays the full original chain from the archive. Sequence numbers
+are serialized with the entries, so a ledger restored by
+``deserialize_ledger`` continues the sequence.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .transactions import (
     Transaction,
     decode_transaction,
     tx_signer,
-    tx_timestamp,
     tx_vehicle,
 )
 from .wire import (
@@ -75,7 +78,7 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL2"
+LEDGER_MAGIC = b"ECUL3"
 
 
 class LedgerError(ValueError):
@@ -112,37 +115,38 @@ def header_hash(header: BlockHeader) -> Digest:
 class LedgerEntry:
     payload: Transaction
     prev_link: Digest
-    entry_ts: int
+    seq: int
 
     def to_bytes(self) -> bytes:
         return b"".join(
             (
                 encode_bytes(self.payload.to_bytes()),
                 encode_fixed(self.prev_link, DIGEST_LEN),
-                encode_u64(self.entry_ts),
+                encode_u64(self.seq),
             )
         )
 
 
-def _link(payload_bytes: bytes, entry_ts: int) -> Digest:
-    return sha256(encode_bytes(payload_bytes) + encode_u64(entry_ts))
+def _link(payload_bytes: bytes, seq: int) -> Digest:
+    return sha256(encode_bytes(payload_bytes) + encode_u64(seq))
 
 
 def entry_link(entry: LedgerEntry) -> Digest:
-    """Link target for the entry's successor: hash of payload and timestamp."""
-    return _link(entry.payload.to_bytes(), entry.entry_ts)
+    """Link target for the entry's successor: hash of payload and sequence
+    number.
+    """
+    return _link(entry.payload.to_bytes(), entry.seq)
 
 
 @dataclass(frozen=True)
 class AppendableBlock:
-    """Header plus hash-linked entries. ``archived_count`` tracks how many
-    entries have been pruned to the archive (bookkeeping only, never
-    serialized: archive files carry their own sequence numbers).
+    """Header plus hash-linked entries. Once a block has been pruned, its
+    first entry is past sequence number 0 and the entries before it are in
+    the archive.
     """
 
     header: BlockHeader
     entries: tuple[LedgerEntry, ...]
-    archived_count: int = 0
 
     def to_bytes(self) -> bytes:
         parts = [self.header.to_bytes(), encode_u64(len(self.entries))]
@@ -153,7 +157,7 @@ class AppendableBlock:
 def read_entry(r: Reader) -> LedgerEntry:
     payload = decode_transaction(r.read_bytes())
     return LedgerEntry(
-        payload=payload, prev_link=r.read_fixed(DIGEST_LEN), entry_ts=r.read_u64()
+        payload=payload, prev_link=r.read_fixed(DIGEST_LEN), seq=r.read_u64()
     )
 
 
@@ -179,15 +183,15 @@ def decode_block(data: bytes) -> AppendableBlock:
 
 
 def validate_block(block: AppendableBlock) -> bool:
-    """True iff the header anchor, every entry link, every entry timestamp
-    and every payload signature verify. Never raises.
+    """True iff the header anchor, every entry link and every payload
+    signature verify, and the sequence numbers are consecutive (a lone
+    entry's is 0). Never raises.
     """
     try:
         expected = header_hash(block.header)
+        seq = block.entries[0].seq if len(block.entries) > 1 else 0
         for entry in block.entries:
-            if entry.prev_link != expected:
-                return False
-            if entry.entry_ts != tx_timestamp(entry.payload):
+            if entry.prev_link != expected or entry.seq != seq:
                 return False
             owner = tx_vehicle(entry.payload)
             if owner is not None and owner != block.header.owner_pk:
@@ -197,7 +201,8 @@ def validate_block(block: AppendableBlock) -> bool:
             if not crypto.verify(signer, message, sig):
                 return False
             # A payload's wire bytes are its signing bytes plus its signature.
-            expected = _link(message + encode_fixed(sig, SIGNATURE_LEN), entry.entry_ts)
+            expected = _link(message + encode_fixed(sig, SIGNATURE_LEN), seq)
+            seq += 1
     except Exception:
         return False
     return True
@@ -231,8 +236,11 @@ def append_entry(block: AppendableBlock, tx: Transaction) -> AppendableBlock:
     owner = tx_vehicle(tx)
     if owner is not None and owner != block.header.owner_pk:
         raise LedgerError("ownership")
-    prev = entry_link(block.entries[-1]) if block.entries else header_hash(block.header)
-    entry = LedgerEntry(payload=tx, prev_link=prev, entry_ts=tx_timestamp(tx))
+    if block.entries:
+        prev, seq = entry_link(block.entries[-1]), block.entries[-1].seq + 1
+    else:
+        prev, seq = header_hash(block.header), 0
+    entry = LedgerEntry(payload=tx, prev_link=prev, seq=seq)
     return replace(block, entries=block.entries + (entry,))
 
 
@@ -241,9 +249,7 @@ class Archive:
 
     Record layout on disk: 8-byte big-endian sequence number followed by
     the entry's wire bytes. Pruning writes one record per sequence number,
-    holding the entry's original bytes. Older archives may repeat a
-    sequence number with a re-anchored copy after the original; readers
-    keep the earliest record per sequence number.
+    holding the entry's original bytes.
     """
 
     def append_many(self, address: str, records: Iterable[tuple[int, bytes]]) -> None:
@@ -318,35 +324,26 @@ def prune_to_two(
 ) -> tuple[AppendableBlock, int]:
     """Move all but the last two entries to the archive.
 
-    Each entry's original bytes are archived once. The first retained entry
-    is re-anchored to the header hash, with its original (pre-relink) bytes
-    archived first; so once a block has been pruned, its first entry's
-    original is already in the archive, and that entry is not archived
-    again when a later prune removes it. The other removed entries still
-    carry their original links and are archived as they are, in one
-    ``append_many`` call. Returns the pruned block and the number of
-    entries removed. On archive failure the exception propagates before any
-    block mutation, so the caller keeps the block unchanged.
+    Each entry's original bytes are archived once, under its ``seq``. The
+    first retained entry is re-anchored to the header hash, with its
+    original (pre-relink) bytes archived first. A head past sequence number
+    0 was re-anchored that way, so its original is already in the archive
+    and it is not archived again when a later prune removes it. The other
+    removed entries still carry their original links and are archived as
+    they are, in one ``append_many`` call. Returns the pruned block and the
+    number of entries removed. On archive failure the exception propagates
+    before any block mutation, so the caller keeps the block unchanged.
     """
     if len(block.entries) <= 2:
         return block, 0
     removed = block.entries[:-2]
-    retained = block.entries[-2:]
-    base = block.archived_count
-    # After the first prune, entry ``base`` is the head that prune
-    # re-anchored, and its original is already in the archive.
-    skip = 1 if base else 0
-    records = [(seq, e.to_bytes()) for seq, e in enumerate(removed[skip:], base + skip)]
-    keep_first = retained[0]
-    relinked = replace(keep_first, prev_link=header_hash(block.header))
-    records.append((base + len(removed), keep_first.to_bytes()))
+    keep_first, keep_last = block.entries[-2:]
+    skip = 1 if removed[0].seq else 0
+    records = [(e.seq, e.to_bytes()) for e in removed[skip:]]
+    records.append((keep_first.seq, keep_first.to_bytes()))
     archive.append_many(block.header.external_address, records)
-    pruned = replace(
-        block,
-        entries=(relinked, retained[1]),
-        archived_count=base + len(removed),
-    )
-    return pruned, len(removed)
+    relinked = replace(keep_first, prev_link=header_hash(block.header))
+    return replace(block, entries=(relinked, keep_last)), len(removed)
 
 
 def reconstruct_history(
@@ -355,27 +352,28 @@ def reconstruct_history(
     """Rebuild and verify the block's full original entry sequence from the
     archive plus the retained entries.
 
-    Pruning archives each entry's original bytes once; retained entries
-    past the archived range are original by construction except the first
-    retained entry, whose original bytes (if it was ever re-anchored) are
-    in the archive. Archives written before that rule may also hold a
-    re-anchored copy after an entry's original, so the earliest record per
-    sequence number wins. Raises LedgerError if the sequence has gaps or
-    the original link chain does not verify.
+    Pruning archives each entry's original bytes once, under its ``seq``.
+    Retained entries are original by construction except a head past
+    sequence number 0, which was re-anchored and whose original is in the
+    archive. Archive records are in sequence order, since every prune
+    appends past the last. Raises LedgerError if the block has no entries,
+    if a record's sequence number differs from its entry's, if the
+    sequence numbers are not 0, 1, 2, ... in order (a gap, a repeat or a
+    stray), or if the original link chain does not verify.
     """
-    originals: dict[int, LedgerEntry] = {}
+    if not block.entries:
+        raise LedgerError("block has no entries")
+    sequence = []
     for seq, data in archive.read(block.header.external_address):
-        if seq not in originals:
-            r = Reader(data)
-            entry = read_entry(r)
-            r.finish()
-            originals[seq] = entry
-    for offset, entry in enumerate(block.entries):
-        originals.setdefault(block.archived_count + offset, entry)
-    total = block.archived_count + len(block.entries)
-    if sorted(originals) != list(range(total)):
+        r = Reader(data)
+        entry = read_entry(r)
+        r.finish()
+        if entry.seq != seq:
+            raise LedgerError(f"archive record {seq} holds entry {entry.seq}")
+        sequence.append(entry)
+    sequence.extend(block.entries[1:] if block.entries[0].seq else block.entries)
+    if [e.seq for e in sequence] != list(range(len(sequence))):
         raise LedgerError("archive sequence has gaps or strays")
-    sequence = [originals[i] for i in range(total)]
     expected = header_hash(block.header)
     for i, entry in enumerate(sequence):
         if entry.prev_link != expected:

@@ -244,7 +244,6 @@ class RunReport:
     refused: int
     ledgers_valid: bool
     roadside_bytes: int
-    authority_bytes: int
 
 
 @dataclass
@@ -370,8 +369,12 @@ class World:
             return
         rsu = self.rsus[encounter % self.config.n_rsus]
         latency = self.config.link_latency_ms
+        # Challenge the ECUs the roadside registered, not the vehicle's own
+        # count; a phantom has no profile.
+        profile = self.roadside.profiles.get(vehicle.pk)
+        ecu_count = len(profile.state) if profile else self.config.ecus_per_vehicle
         challenge = issue_challenge(
-            rsu.public, vehicle.pk, len(vehicle.ecu_state), self.challenge_rng, ts=now
+            rsu.public, vehicle.pk, ecu_count, self.challenge_rng, ts=now
         )
         response = vehicle.respond(challenge, ts=now + latency)
         verdict = verify_response(self.roadside, challenge, response)
@@ -498,7 +501,6 @@ def run(world: World) -> RunResult:
         ledgers_valid=world.roadside.ledger.validate()
         and world.authority_tier.ledger.validate(),
         roadside_bytes=world.roadside.ledger.serialized_size(),
-        authority_bytes=world.authority_tier.ledger.serialized_size(),
     )
     return RunResult(report=report, event_log=list(world.event_log))
 

@@ -234,13 +234,6 @@ class Challenge:
     issued_ts: int
 
 
-def tx_timestamp(tx: Transaction) -> int:
-    """The variant's canonical timestamp (ledger entries must carry it)."""
-    if isinstance(tx, ChallengeRecordTx):
-        return tx.response.ts
-    return tx.ts
-
-
 def tx_signer(tx: Transaction) -> tuple[PublicKey, Signature]:
     """(public key, signature) pair that must verify over signing_bytes()."""
     if isinstance(tx, GenesisTx):

@@ -1,14 +1,15 @@
-"""Each entry's original bytes are archived exactly once.
+"""Each entry's original bytes are archived exactly once, under its own
+sequence number, also across a restart.
 
 Pruning archives a removed entry when it leaves the block, or the first
 retained entry just before it is re-anchored to the header, and never a
-re-anchored copy. ``reconstruct_history`` keeps the earliest record per
-sequence number, so archives written with the older layout (which also
-held each re-anchored copy) still replay.
+re-anchored copy. ``reconstruct_history`` accepts only the sequence
+0, 1, 2, ... in order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -22,8 +23,10 @@ from ecuchain.ledger import (
     ArchiveError,
     FileArchive,
     Ledger,
+    LedgerError,
     MemoryArchive,
     append_entry,
+    deserialize_ledger,
     prune_to_two,
     reconstruct_history,
 )
@@ -59,7 +62,8 @@ def assert_archived_once(block, archive, originals):
     """
     archived = archive.read(block.header.external_address)
     # A pruned block's first entry is re-anchored; its original is archived.
-    expected_seqs = list(range(block.archived_count + 1)) if block.archived_count else []
+    head_seq = block.entries[0].seq
+    expected_seqs = list(range(head_seq + 1)) if head_seq else []
     assert [seq for seq, _ in archived] == expected_seqs
     assert [data for _, data in archived] == [
         originals[seq].to_bytes() for seq in expected_seqs
@@ -68,17 +72,27 @@ def assert_archived_once(block, archive, originals):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+@given(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=12))
 def test_interleaved_appends_and_prunes_archive_each_entry_once(runs):
+    """Each run appends 1-4 entries, then, if its flag is set, restarts the
+    ledger from its serialized bytes, then prunes.
+    """
     genesis, records = _payloads()
     archive = MemoryArchive()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://once")
+    pk = genesis.vehicle_pk
+    ledger = Ledger()
+    block = ledger.create_block(pk, genesis, 0, "ar://once")
     originals = [block.entries[0]]
     pending = iter(records)
-    for appends in runs:
+    for appends, restart in runs:
         for tx in itertools.islice(pending, appends):
             block = append_entry(block, tx)
             originals.append(block.entries[-1])
+        if restart:
+            ledger.replace_block(pk, block)
+            ledger = deserialize_ledger(ledger.serialize())
+            assert ledger.lookup(pk) == block
+            block = ledger.lookup(pk)
         block, _ = prune_to_two(block, archive)
         assert_archived_once(block, archive, originals)
 
@@ -110,29 +124,91 @@ def test_records_and_updates_archive_each_entry_once(ops):
         assert_archived_once(block, roadside.archive, originals)
 
 
+def _encounter(rsu, roadside, vehicle, state, ts):
+    challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(ts), ts)
+    record_response(rsu, roadside, build_response(vehicle, state, challenge, ts))
+
+
 @pytest.mark.parametrize("file_backed", [False, True])
-def test_old_layout_with_reanchored_copies_still_reconstructs(tmp_path, file_backed):
-    """Before each entry was archived once, a prune also archived the
-    re-anchored copy of the entry it removed from the head, after that
-    entry's original.
+def test_restarted_roadside_continues_the_archive_sequence(tmp_path, file_backed):
+    """Five encounters, a restart from the serialized ledger, one more
+    encounter: the audit trail equals an uninterrupted run's.
     """
+    maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
+    state = state_of(8)
+    genesis = make_genesis(maker, vehicle.public, state, 0)
+
+    def registered(archive):
+        authority = new_authority_tier(
+            validators=(keys_for("transport"),),
+            authorized_makers=(maker.public,),
+            authorized_insurers=(),
+        )
+        roadside = RoadsideTier(archive=archive)
+        initialize_vehicle(authority, roadside, genesis, 0)
+        return roadside
+
+    uninterrupted = registered(MemoryArchive())
+    roadside = registered(FileArchive(tmp_path) if file_backed else MemoryArchive())
+    for ts in range(10, 15):
+        _encounter(rsu, uninterrupted, vehicle, state, ts)
+        _encounter(rsu, roadside, vehicle, state, ts)
+    restarted = RoadsideTier(
+        ledger=deserialize_ledger(roadside.ledger.serialize()),
+        archive=FileArchive(tmp_path) if file_backed else roadside.archive,
+        profiles=roadside.profiles,
+    )
+    _encounter(rsu, uninterrupted, vehicle, state, 15)
+    _encounter(rsu, restarted, vehicle, state, 15)
+
+    block = restarted.ledger.lookup(vehicle.public)
+    assert restarted.ledger.validate()
+    assert block == uninterrupted.ledger.lookup(vehicle.public)
+    archived = restarted.archive.read(block.header.external_address)
+    assert [seq for seq, _ in archived] == [0, 1, 2, 3, 4, 5]
+    assert archived == uninterrupted.archive.read(block.header.external_address)
+    history = reconstruct_history(block, restarted.archive)
+    assert len(history) == 7
+    assert history == reconstruct_history(block, uninterrupted.archive)
+
+
+def _pruned_block():
+    """A block holding entries 4 and 5 of 6, with 0-4 in its archive."""
     genesis, records = _payloads()
-    current = MemoryArchive()
-    old = FileArchive(tmp_path) if file_backed else MemoryArchive()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://old")
-    addr = block.header.external_address
-    for tx in records[:12]:
+    archive = MemoryArchive()
+    block = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://stray")
+    for tx in records[:5]:
         block = append_entry(block, tx)
-        if len(block.entries) > 2 and block.archived_count:
-            old.append_many(addr, [(block.archived_count, block.entries[0].to_bytes())])
-        before = len(current.read(addr))
-        block, _ = prune_to_two(block, current)
-        old.append_many(addr, current.read(addr)[before:])
-    old_records = old.read(addr)
-    seqs = [seq for seq, _ in old_records]
-    assert len(seqs) > len(set(seqs))  # the layout does repeat sequence numbers
-    assert reconstruct_history(block, old) == reconstruct_history(block, current)
-    assert [e.payload for e in reconstruct_history(block, old)] == [genesis, *records[:12]]
+    block, _ = prune_to_two(block, archive)
+    return block, archive.read("ar://stray")
+
+
+def _repeated_seq(block, records):
+    """The older layout: a re-anchored copy archived after its original."""
+    return block, records + [(block.entries[0].seq, block.entries[0].to_bytes())]
+
+
+def _prefix_mismatch(block, records):
+    """Entries in order, but one record filed under another number."""
+    (_, data), *rest = records
+    return block, [(len(records), data), *rest]
+
+
+def _no_entries(block, records):
+    return dataclasses.replace(block, entries=()), records
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_repeated_seq, _prefix_mismatch, _no_entries],
+    ids=["repeated-seq", "prefix-mismatch", "no-entries"],
+)
+def test_reconstruct_rejects_strays_with_ledger_error(corrupt):
+    block, records = corrupt(*_pruned_block())
+    archive = MemoryArchive()
+    archive.append_many(block.header.external_address, records)
+    with pytest.raises(LedgerError):
+        reconstruct_history(block, archive)
 
 
 def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):

@@ -117,17 +117,30 @@ def test_ten_entry_chain_matches_independent_rebuild(vehicle, rsu_keys):
     assert validate_block(block)
     # rebuild the expected link chain from scratch
     expected = header_hash(block.header)
-    for entry in block.entries:
+    for i, entry in enumerate(block.entries):
         assert entry.prev_link == expected
+        assert entry.seq == i
         expected = sha256(
             b"".join(
                 (
                     len(entry.payload.to_bytes()).to_bytes(4, "big"),
                     entry.payload.to_bytes(),
-                    entry.entry_ts.to_bytes(8, "big"),
+                    i.to_bytes(8, "big"),
                 )
             )
         )
+
+
+def test_validate_rejects_skipped_seq_and_lone_entry_past_zero(vehicle, rsu_keys):
+    """Each mutation leaves every link intact; only the sequence check sees it."""
+    _, block = grown_block(vehicle, rsu_keys, 2)
+    head, last = block.entries
+    skipped = dataclasses.replace(block, entries=(head, dataclasses.replace(last, seq=2)))
+    lone = dataclasses.replace(block, entries=(dataclasses.replace(head, seq=1),))
+    assert validate_block(block)
+    assert validate_block(dataclasses.replace(block, entries=(head,)))
+    assert not validate_block(skipped)
+    assert not validate_block(lone)
 
 
 def test_validate_detects_payload_tamper(vehicle, rsu_keys):

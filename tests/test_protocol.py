@@ -383,7 +383,7 @@ def test_five_encounters_prune_to_two(registered, rsu_keys):
         record_response(rsu_keys, roadside, response)
     block = roadside.ledger.lookup(vehicle_keys.public)
     assert len(block.entries) == 2
-    assert block.archived_count == 4  # genesis + first three records moved out
+    assert block.entries[0].seq == 4  # genesis + first three records moved out
     archived = roadside.archive.read(block.header.external_address)
     # 4 archived entries plus the relink log for the retained head
     assert len({seq for seq, _ in archived}) == 5

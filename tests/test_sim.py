@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ecuchain.adversary import AttackKind
-from ecuchain.ecu import compute_state_root
+from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
 from ecuchain.sim import (
     AttackPlanEntry,
     ConfigError,
@@ -244,6 +244,33 @@ def test_honest_vehicle_state_matches_ledger_profile():
         profile = world.roadside.profiles[vehicle.pk]
         assert compute_state_root(vehicle.ecu_state) == profile.expected_root
         assert profile.state == vehicle.ecu_state
+
+
+def test_challenge_covers_registered_ecus_not_the_vehicles_own():
+    """A vehicle that grows its local state past the registered one is still
+    challenged only over registered ECU indices.
+    """
+    world = build_world(SMALL)
+    vehicle = world.vehicles[0]
+    registered = len(world.roadside.profiles[vehicle.pk].state)
+    vehicle.ecu_state = EcuState(
+        records=vehicle.ecu_state.records
+        + tuple(
+            EcuRecord(ecu_id=e, firmware_digest=bytes(32), last_write_ts=0)
+            for e in range(registered, 1000)
+        )
+    )
+    challenges = []
+    respond = vehicle.respond
+
+    def recording_respond(challenge, ts):
+        challenges.append(challenge)
+        return respond(challenge, ts)
+
+    vehicle.respond = recording_respond
+    run(world)
+    assert challenges
+    assert all(i < registered for c in challenges for i in c.subset_indices)
 
 
 def test_revocations_match_reports():

@@ -102,7 +102,7 @@ GOLDEN = {
     "genesis": (568, "acdc34c9bb53278aed6588f696323ce8a8ec68633fadda2f68fbba1a6392ef6c"),
     "entry": (568 + 44, "0b3d7b6c433ea74ed317c15b5264b5f0af83433738051eb6714c2771ab2f6884"),
     "header": (97, "9fa721f32f319a71bc8ca3789261f37b36ff3a59537d7458ea82399f79e5cf61"),
-    "ledger": (738, "c347b2ccc619a111beee75337af6633469930d1f126735492c745b1b664f08e0"),
+    "ledger": (738, "ff08ccb0452e076d7adb32d826433b0e5db47060a2873d35aaada34062071aac"),
 }
 
 
@@ -150,7 +150,7 @@ def test_header_entry_and_envelope_layout_by_hand():
     assert header.to_bytes() == header.owner_pk + ZERO_DIGEST + u64(0) + prefixed(address)
     assert entry.to_bytes() == prefixed(g["genesis"].to_bytes()) + entry.prev_link + u64(0)
     block = header.to_bytes() + u64(1) + entry.to_bytes()
-    assert ledger.serialize() == prefixed(b"ECUL2") + u64(1) + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECUL3") + u64(1) + prefixed(block)
 
 
 # -- the v1 layout is not read -------------------------------------------------------------
@@ -181,7 +181,8 @@ def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
             prefixed(tx.sig),
         )
     )
-    return prefixed(payload) + prefixed(entry.prev_link) + v1_u64(entry.entry_ts)
+    # v1 framed an entry with its payload's timestamp.
+    return prefixed(payload) + prefixed(entry.prev_link) + v1_u64(tx.ts)
 
 
 def test_v1_ledger_blob_raises_wire_error():
@@ -196,10 +197,14 @@ def test_v1_ledger_blob_raises_wire_error():
         )
     )
     v1_block = v1_header + prefixed(u64(1)) + _v1_genesis_entry(g["entry"])
-    blob = prefixed(b"ECUL1") + prefixed(u64(1)) + prefixed(v1_block)
-    assert LEDGER_MAGIC == b"ECUL2"
-    with pytest.raises(WireError):
-        deserialize_ledger(blob)
+    v1_blob = prefixed(b"ECUL1") + prefixed(u64(1)) + prefixed(v1_block)
+    # A v2 ledger of this genesis-only block differs from v3 only in its magic.
+    v2_blob = prefixed(b"ECUL2") + g["ledger"].serialize()[len(prefixed(LEDGER_MAGIC)):]
+    assert sha(v2_blob) == "c347b2ccc619a111beee75337af6633469930d1f126735492c745b1b664f08e0"
+    assert LEDGER_MAGIC == b"ECUL3"
+    for blob in (v1_blob, v2_blob):
+        with pytest.raises(WireError):
+            deserialize_ledger(blob)
     with pytest.raises(WireError):
         decode_block(v1_block)
 
@@ -248,7 +253,7 @@ transactions = st.one_of(
     st.builds(RequestTx, insurer_pk=digests, query=st.text(max_size=40), ts=u64s, sig=sigs),
     st.builds(ChallengeRecordTx, response=responses, rsu_pk=digests, rsu_sig=sigs),
 )
-entries = st.builds(LedgerEntry, payload=transactions, prev_link=digests, entry_ts=u64s)
+entries = st.builds(LedgerEntry, payload=transactions, prev_link=digests, seq=u64s)
 headers = st.builds(
     BlockHeader,
     owner_pk=digests,
