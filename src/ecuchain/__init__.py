@@ -3,7 +3,7 @@ for vehicle ECU firmware integrity, with a deterministic traffic simulator
 and benchmark harness.
 """
 
-from .crypto import KeyPair, generate_keypair, sha256, sign, verify
+from .crypto import KeyPair, generate_keypair, sha256, verify
 from .ecu import (
     EcuRecord,
     EcuState,
@@ -41,7 +41,6 @@ __all__ = [
     "KeyPair",
     "generate_keypair",
     "sha256",
-    "sign",
     "verify",
     "EcuRecord",
     "EcuState",

@@ -62,10 +62,6 @@ def generate_keypair(seed: bytes) -> KeyPair:
     return KeyPair(public=signer.public_key().public_bytes_raw(), _signer=signer)
 
 
-def sign(keys: KeyPair, message: bytes) -> Signature:
-    return keys.sign(message)
-
-
 def verify(public: PublicKey, message: bytes, sig: Signature) -> bool:
     """True iff ``sig`` was produced over ``message`` by the key matching
     ``public``. Malformed key or signature bytes verify as False, never raise.

@@ -14,7 +14,9 @@ from . import crypto
 from .crypto import KeyPair, PublicKey
 from .ecu import EcuState, compute_state_root, update_ecu
 from .protocol import ProtocolError, ReportEvent, build_response
-from .transactions import Challenge, ChallengeResponse, UpdateTx, Verdict, signed
+from .transactions import (
+    Challenge, ChallengeResponse, UpdateTx, Verdict, signed, signed_by
+)
 
 
 @dataclass
@@ -58,7 +60,7 @@ class AuthorityNode:
     def receive_report(self, event: ReportEvent) -> None:
         if event.verdict is Verdict.VALID:
             raise ProtocolError("nothing to report")
-        if not event.verify():
+        if not signed_by(event, event.rsu_pk):
             raise ProtocolError("report signature invalid")
         self.reports.append(event)
         self.revocation_list.add(event.vehicle_pk)

@@ -5,10 +5,10 @@ the entry list so old entries can move to external archive storage without
 breaking block integrity.
 
 Each signature is verified once, where the transaction enters:
-``Ledger.create_block`` and ``Ledger.append`` verify the transactions
-handed to them, while ``append_entry`` only links an entry whose signature
-its caller has already verified or just made (the protocol verifies
-responses and updates itself). ``validate_block`` re-verifies every
+``Ledger.create_block`` and ``Ledger.append`` check the transactions
+handed to them with ``signed_by``, while ``append_entry`` only links an
+entry whose signature its caller has already verified or just made (the
+protocol verifies responses and updates itself). ``validate_block`` re-verifies every
 retained entry, so an audit never trusts the append path.
 
 Each entry carries its sequence number ``seq``: its 0-based index in the
@@ -65,6 +65,7 @@ from .crypto import (
 from .transactions import (
     Transaction,
     decode_transaction,
+    signed_by,
     tx_signer,
     tx_vehicle,
 )
@@ -196,9 +197,9 @@ def validate_block(block: AppendableBlock) -> bool:
             owner = tx_vehicle(entry.payload)
             if owner is not None and owner != block.header.owner_pk:
                 return False
-            signer, sig = tx_signer(entry.payload)
+            sig = entry.payload.sig
             message = entry.payload.signing_bytes()
-            if not crypto.verify(signer, message, sig):
+            if not crypto.verify(tx_signer(entry.payload), message, sig):
                 return False
             # A payload's wire bytes are its signing bytes plus its signature.
             expected = _link(message + encode_fixed(sig, SIGNATURE_LEN), seq)
@@ -214,18 +215,6 @@ def validate_block_bytes(data: bytes) -> bool:
     except WireError:
         return False
     return validate_block(block)
-
-
-def _require_signature(tx: Transaction) -> None:
-    """Raise LedgerError unless ``tx`` carries a valid signature."""
-    signer, sig = tx_signer(tx)
-    try:
-        message = tx.signing_bytes()
-    except WireError:
-        # Fields the wire format cannot encode cannot carry a valid signature.
-        raise LedgerError("signature") from None
-    if not crypto.verify(signer, message, sig):
-        raise LedgerError("signature")
 
 
 def append_entry(block: AppendableBlock, tx: Transaction) -> AppendableBlock:
@@ -411,7 +400,8 @@ class Ledger:
         owner = tx_vehicle(genesis)
         if owner is not None and owner != owner_pk:
             raise LedgerError("genesis not addressed to owner")
-        _require_signature(genesis)
+        if not signed_by(genesis, tx_signer(genesis)):
+            raise LedgerError("signature")
         header = BlockHeader(
             owner_pk=owner_pk,
             prev_header_hash=self._last_header_hash,
@@ -429,7 +419,8 @@ class Ledger:
         block = self.blocks.get(owner_pk)
         if block is None:
             raise LedgerError("unknown block")
-        _require_signature(tx)
+        if not signed_by(tx, tx_signer(tx)):
+            raise LedgerError("signature")
         updated = append_entry(block, tx)
         self.blocks[owner_pk] = updated
         return updated

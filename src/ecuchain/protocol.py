@@ -5,20 +5,24 @@ Tier state lives in two containers. The authority tier holds the
 validator keys, the allow-lists, a countersigned audit log and an
 audit-only ledger for insurer requests. The roadside tier holds the
 per-vehicle blocks plus the materialized verification profile for each
-vehicle (the ``EcuState`` the ledger vouches for, its state root and the
-last recorded response timestamp); the profile is what a roadside unit
-actually checks a response against, and it survives pruning because
+vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
+and the last recorded response timestamp); the profile is what a roadside
+unit actually checks a response against, and it survives pruning because
 pruned entries leave the block. Registration sets the profile's state
 from the genesis inventory, and an authorized update is the only way it
 changes: ``apply_upper_update`` applies the update's typed ECU record with
 ``update_ecu`` and requires the signed ``new_root`` to be that state's root.
 
-Each signature is verified once, where it enters a tier: a genesis by
-``Ledger.create_block`` (reached through ``initialize_vehicle``), an
-update by ``apply_upper_update``, a response by ``verify_response``, an
-insurer request by ``Ledger.append`` and a report by its receiving
-authority. The countersignature ``record_response`` makes is appended
-without a second check.
+Each signature is verified once, with ``signed_by``, where it enters a
+tier: a genesis by ``Ledger.create_block`` (reached through
+``initialize_vehicle``), an update by ``apply_upper_update``, a response by
+``verify_response``, an insurer request by ``Ledger.append`` and a report
+by its receiving authority. The countersignature ``record_response`` makes
+is appended without a second check.
+
+A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
+its challenge and after the last recorded one; the window stops a
+far-future timestamp from pinning ``last_response_ts``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import crypto
-from .crypto import PUBLIC_KEY_LEN, Digest, KeyPair, PublicKey, Signature
+from .crypto import PUBLIC_KEY_LEN, KeyPair, PublicKey, Signature
 from .ecu import EcuRecord, EcuState, compute_state_root, subset_report, update_ecu
 from .ledger import (
     Archive,
@@ -47,10 +51,13 @@ from .transactions import (
     UpdateTx,
     Verdict,
     signed,
+    signed_by,
 )
 from .wire import WireError, encode_fixed, encode_str, encode_u64
 
 SUBSET_SIZE = 3
+# Longest a vehicle may take to answer a challenge, in simulated ms.
+MAX_RESPONSE_DELAY_MS = 1_000
 
 
 class ProtocolError(ValueError):
@@ -70,11 +77,10 @@ def external_address(vehicle_pk: PublicKey) -> str:
 @dataclass
 class VehicleProfile:
     """What the roadside tier currently vouches for about one vehicle: its
-    ECU state, that state's root and the last recorded response timestamp.
+    ECU state and the last recorded response timestamp.
     """
 
     state: EcuState
-    expected_root: Digest
     last_response_ts: Optional[int] = None
 
 
@@ -215,9 +221,7 @@ def initialize_vehicle(
         )
     except LedgerError as exc:
         raise ProtocolError(f"genesis rejected: {exc}") from exc
-    roadside.profiles[genesis.vehicle_pk] = VehicleProfile(
-        state=state, expected_root=genesis.state_root
-    )
+    roadside.profiles[genesis.vehicle_pk] = VehicleProfile(state=state)
     authority.countersign("register", genesis.vehicle_pk, ts)
 
 
@@ -232,12 +236,7 @@ def apply_upper_update(
     ``update_ecu`` refuses (unknown ECU id, timestamp regression) and a
     ``new_root`` that is not the updated state's root.
     """
-    try:
-        message = update.signing_bytes()
-    except WireError:
-        # Fields the wire format cannot encode cannot carry a valid signature.
-        raise ProtocolError("update signature invalid") from None
-    if not crypto.verify(update.maintainer_pk, message, update.sig):
+    if not signed_by(update, update.maintainer_pk):
         raise ProtocolError("update signature invalid")
     if update.maintainer_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maintainer")
@@ -257,7 +256,6 @@ def apply_upper_update(
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(update.vehicle_pk, pruned)
     profile.state = state
-    profile.expected_root = update.new_root
     authority.countersign("update", update.vehicle_pk, update.ts)
 
 
@@ -307,7 +305,8 @@ def verify_response(
     roadside: RoadsideTier, challenge: Challenge, response: ChallengeResponse
 ) -> Verdict:
     """Classify a response. Checks run in a fixed order and the first
-    failure wins: block existence, signature, timestamp freshness, state
+    failure wins: block existence, signature, timestamp freshness (inside
+    the challenge's window and after the last recorded response), state
     root, then the per-ECU subset comparison. Never raises on a response
     whose fields fall outside the wire format (an integer past u64, say):
     such a response is BadSignature.
@@ -318,16 +317,14 @@ def verify_response(
         return Verdict.UNKNOWN_VEHICLE
     if pk != challenge.vehicle_pk:
         return Verdict.BAD_SIGNATURE
-    try:
-        message = response.signing_bytes()
-    except WireError:
-        # Fields the wire format cannot encode cannot carry a valid signature.
+    if not signed_by(response, pk):
         return Verdict.BAD_SIGNATURE
-    if not crypto.verify(pk, message, response.sig):
-        return Verdict.BAD_SIGNATURE
+    issued = challenge.issued_ts
+    if not issued <= response.ts <= issued + MAX_RESPONSE_DELAY_MS:
+        return Verdict.STALE_TIMESTAMP
     if profile.last_response_ts is not None and response.ts <= profile.last_response_ts:
         return Verdict.STALE_TIMESTAMP
-    if response.state_root != profile.expected_root:
+    if response.state_root != compute_state_root(profile.state):
         return Verdict.STATE_MISMATCH
     if tuple(rec.ecu_id for rec in response.subset) != challenge.subset_indices:
         return Verdict.SUBSET_MISMATCH
@@ -350,7 +347,7 @@ def record_response(
     if block is None:
         raise ProtocolError("unknown vehicle")
     record = signed(
-        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b""),
+        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b""),
         rsu_keys,
     )
     appended = append_entry(block, record)
@@ -382,13 +379,6 @@ class ReportEvent:
             + encode_str(self.verdict.value)
             + encode_u64(self.ts)
         )
-
-    def verify(self) -> bool:
-        try:
-            message = self.signing_bytes()
-        except WireError:
-            return False
-        return crypto.verify(self.rsu_pk, message, self.sig)
 
 
 def report_malicious(

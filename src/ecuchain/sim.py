@@ -28,6 +28,7 @@ from .ecu import EcuRecord, EcuState
 from .entities import AuthorityNode, VehicleNode, perform_maintenance
 from .ledger import MemoryArchive
 from .protocol import (
+    MAX_RESPONSE_DELAY_MS,
     AuthorityTier,
     ProtocolError,
     RoadsideTier,
@@ -89,6 +90,9 @@ class SimConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0 or self.link_latency_ms < 0:
             raise ConfigError("seed and link_latency_ms must be nonnegative")
+        if self.link_latency_ms > MAX_RESPONSE_DELAY_MS:
+            # Every response would fall outside its challenge's window.
+            raise ConfigError(f"link_latency_ms must be <= {MAX_RESPONSE_DELAY_MS}")
         total = self.encounters_per_vehicle
         for atk in self.attacks:
             if not 0 <= atk.vehicle < self.n_vehicles:

@@ -1,14 +1,15 @@
 """Transaction variants, challenge/response records and verdicts.
 
 Every signed structure exposes ``signing_bytes()`` (canonical wire-format
-v2 bytes with the signature field omitted) and ``to_bytes()`` (signing
-bytes plus the raw 64-byte signature appended). Each transaction encoding
-starts with the variant tag so a signature can never be replayed across
-types. Digests and public keys are written raw, and each ECU record is
-one packed ``>Q32sQ`` struct (id, firmware digest, last-write time). The
+v2 bytes with the signature field ``sig`` omitted) and ``to_bytes()``
+(signing bytes plus the raw 64-byte signature appended). Each transaction
+encoding starts with the variant tag so a signature can never be replayed
+across types. Digests and public keys are written raw, and each ECU record
+is one packed ``>Q32sQ`` struct (id, firmware digest, last-write time). The
 only length prefixes inside a transaction are on a request's query string
 and around a challenge record's nested response bytes. ``signed`` is the
-one way to sign any of them.
+one way to sign any of them, and ``signed_by`` the one way to check a
+signature where it enters a tier.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TypeVar, Union
 
+from . import crypto
 from .crypto import (
     DIGEST_LEN,
     PUBLIC_KEY_LEN,
@@ -203,7 +205,7 @@ class ChallengeRecordTx:
 
     response: ChallengeResponse
     rsu_pk: PublicKey
-    rsu_sig: Signature
+    sig: Signature
 
     def signing_bytes(self) -> bytes:
         return b"".join(
@@ -215,7 +217,7 @@ class ChallengeRecordTx:
         )
 
     def to_bytes(self) -> bytes:
-        return self.signing_bytes() + encode_fixed(self.rsu_sig, SIGNATURE_LEN)
+        return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
 Transaction = Union[GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx]
@@ -234,26 +236,37 @@ class Challenge:
     issued_ts: int
 
 
-def tx_signer(tx: Transaction) -> tuple[PublicKey, Signature]:
-    """(public key, signature) pair that must verify over signing_bytes()."""
+def tx_signer(tx: Transaction) -> PublicKey:
+    """The public key whose signature ``tx.sig`` must be."""
     if isinstance(tx, GenesisTx):
-        return tx.maker_pk, tx.sig
+        return tx.maker_pk
     if isinstance(tx, UpdateTx):
-        return tx.maintainer_pk, tx.sig
+        return tx.maintainer_pk
     if isinstance(tx, RequestTx):
-        return tx.insurer_pk, tx.sig
-    return tx.rsu_pk, tx.rsu_sig
+        return tx.insurer_pk
+    return tx.rsu_pk
 
 
 S = TypeVar("S")
 
 
 def signed(unsigned: S, keys: KeyPair) -> S:
-    """``unsigned`` with its signature field set to ``keys``' signature over
-    its signing bytes, which are encoded once, here.
+    """``unsigned`` with ``sig`` set to ``keys``' signature over its signing
+    bytes, which are encoded once, here.
     """
-    field = "rsu_sig" if isinstance(unsigned, ChallengeRecordTx) else "sig"
-    return replace(unsigned, **{field: keys.sign(unsigned.signing_bytes())})
+    return replace(unsigned, sig=keys.sign(unsigned.signing_bytes()))
+
+
+def signed_by(obj, signer: PublicKey) -> bool:
+    """True iff ``obj.sig`` is ``signer``'s signature over ``obj``'s signing
+    bytes. Never raises: fields the wire format cannot encode cannot carry a
+    valid signature, and malformed key or signature bytes do not verify.
+    """
+    try:
+        message = obj.signing_bytes()
+    except WireError:
+        return False
+    return crypto.verify(signer, message, obj.sig)
 
 
 def tx_vehicle(tx: Transaction) -> PublicKey | None:
@@ -299,7 +312,7 @@ def decode_transaction(data: bytes) -> Transaction:
         tx = ChallengeRecordTx(
             response=decode_challenge_response(r.read_bytes()),
             rsu_pk=r.read_fixed(PUBLIC_KEY_LEN),
-            rsu_sig=r.read_fixed(SIGNATURE_LEN),
+            sig=r.read_fixed(SIGNATURE_LEN),
         )
     else:
         raise WireError(f"unknown transaction tag {tag}")

@@ -12,7 +12,6 @@ from ecuchain.crypto import (
     derive_seed,
     generate_keypair,
     sha256,
-    sign,
     verify,
 )
 
@@ -62,7 +61,7 @@ def test_distinct_seeds_distinct_publics():
 
 def test_sign_verify_roundtrip(vehicle_keys):
     msg = b"attestation payload"
-    sig = sign(vehicle_keys, msg)
+    sig = vehicle_keys.sign(msg)
     assert len(sig) == SIGNATURE_LEN
     assert verify(vehicle_keys.public, msg, sig)
 

@@ -41,8 +41,8 @@ def record_tx(vehicle_keys, state, rsu_keys, ts):
     response = dataclasses.replace(
         unsigned, sig=vehicle_keys.sign(unsigned.signing_bytes())
     )
-    rec = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b"")
-    return dataclasses.replace(rec, rsu_sig=rsu_keys.sign(rec.signing_bytes()))
+    rec = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b"")
+    return dataclasses.replace(rec, sig=rsu_keys.sign(rec.signing_bytes()))
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from ecuchain.crypto import sha256, verify
 from ecuchain.ecu import compute_state_root, update_ecu
 from ecuchain.ledger import Archive, ArchiveError
 from ecuchain.protocol import (
+    MAX_RESPONSE_DELAY_MS,
     ProtocolError,
     apply_upper_update,
     build_response,
@@ -22,7 +23,7 @@ from ecuchain.protocol import (
     submit_request,
     verify_response,
 )
-from ecuchain.transactions import ChallengeRecordTx, UpdateTx, Verdict
+from ecuchain.transactions import ChallengeRecordTx, UpdateTx, Verdict, signed_by
 from test_ecu_merkle import oracle_root
 
 
@@ -178,7 +179,7 @@ def test_update_then_challenge_valid(registered, rsu_keys, maker_keys):
         maker_keys, vehicle_keys.public, state, 3, b"fw-v2", ts=10
     )
     apply_upper_update(authority, roadside, update)
-    assert roadside.profiles[vehicle_keys.public].expected_root == update.new_root
+    assert compute_state_root(roadside.profiles[vehicle_keys.public].state) == update.new_root
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, new_state, ts=20)
     assert verify_response(roadside, challenge, response) is Verdict.VALID
 
@@ -328,6 +329,25 @@ def test_verdict_stale_timestamp_on_replay(registered, rsu_keys):
     assert verify_response(roadside, challenge2, response) is Verdict.STALE_TIMESTAMP
 
 
+def test_response_outside_the_challenge_window_is_stale(registered, rsu_keys):
+    """Recording a far-future response would pin ``last_response_ts`` and
+    make the honest vehicle's next response stale, which revokes it.
+    """
+    _, roadside, vehicle_keys, state = registered
+    profile = dataclasses.replace(roadside.profiles[vehicle_keys.public])
+    challenge, _ = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
+    latest = challenge.issued_ts + MAX_RESPONSE_DELAY_MS
+    for ts in (10**12, latest + 1, challenge.issued_ts - 1):
+        response = build_response(vehicle_keys, state, challenge, ts)
+        assert verify_response(roadside, challenge, response) is Verdict.STALE_TIMESTAMP
+    assert roadside.profiles[vehicle_keys.public] == profile
+    response = build_response(vehicle_keys, state, challenge, latest)
+    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    record_response(rsu_keys, roadside, response)
+    challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=latest + 1)
+    assert verify_response(roadside, challenge, response) is Verdict.VALID
+
+
 def test_verdict_state_mismatch_on_silent_tamper(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     tampered = update_ecu(state, 4, sha256(b"malware"), ts=6)
@@ -406,7 +426,7 @@ def test_five_encounters_archive_one_record_per_entry(registered, rsu_keys):
     assert [seq for seq, _ in archived] == [0, 1, 2, 3, 4]
 
 
-def test_recorded_entry_rsu_signature_verifies(registered, rsu_keys):
+def test_recorded_entry_countersignature_verifies(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
     record_response(rsu_keys, roadside, response)
@@ -414,7 +434,7 @@ def test_recorded_entry_rsu_signature_verifies(registered, rsu_keys):
     record = block.entries[-1].payload
     assert isinstance(record, ChallengeRecordTx)
     assert record.rsu_pk == rsu_keys.public
-    assert verify(rsu_keys.public, record.signing_bytes(), record.rsu_sig)
+    assert verify(rsu_keys.public, record.signing_bytes(), record.sig)
 
 
 def test_recorded_timestamps_strictly_increase(registered, rsu_keys):
@@ -463,9 +483,9 @@ def test_report_requires_non_valid_verdict(rsu_keys, vehicle_keys):
 
 def test_report_event_signature(rsu_keys, vehicle_keys):
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=9)
-    assert event.verify()
+    assert signed_by(event, rsu_keys.public)
     forged = dataclasses.replace(event, vehicle_pk=keys_for("scapegoat").public)
-    assert not forged.verify()
+    assert not signed_by(forged, rsu_keys.public)
 
 
 def test_submit_request_stores_on_audit_block(tiers, insurer_keys):

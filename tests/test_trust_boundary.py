@@ -3,19 +3,24 @@
 The boundaries: ``verify_response`` (vehicle signature), ``Ledger.append``
 and ``Ledger.create_block`` (external transactions, the genesis of
 ``initialize_vehicle`` among them), ``apply_upper_update`` (the update) and
-``AuthorityNode.receive_report`` (the report). Everything signed inside a
-tier, such as the RSU countersignature, is appended without a verify, and
-``validate_block`` re-verifies every retained entry. An update that is
-signed but inconsistent with the state the roadside tier vouches for is
-rejected as well, and no rejection changes either tier.
+``AuthorityNode.receive_report`` (the report). Each checks with
+``signed_by``; ``validate_block`` and ``AuditEvent.verify`` are the only
+other places that verify, and ``signed`` and ``AuthorityTier.countersign``
+the only places that sign. Everything signed inside a tier, such as the
+RSU countersignature, is appended without a verify, and ``validate_block``
+re-verifies every retained entry. An update that is signed but
+inconsistent with the state the roadside tier vouches for is rejected as
+well, and no rejection changes either tier.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +28,12 @@ from hypothesis import strategies as st
 
 from conftest import keys_for, state_of
 from ecuchain import crypto
-from ecuchain.ecu import EcuRecord
+from ecuchain.ecu import EcuRecord, compute_state_root
 from ecuchain.entities import AuthorityNode
 from ecuchain.ledger import LedgerError, append_entry, validate_block
 from ecuchain.protocol import (
     ProtocolError,
+    ReportEvent,
     RoadsideTier,
     apply_upper_update,
     build_response,
@@ -43,11 +49,14 @@ from ecuchain.protocol import (
 from ecuchain.transactions import (
     TAG_UPDATE,
     ChallengeRecordTx,
+    ChallengeResponse,
+    GenesisTx,
     RequestTx,
+    UpdateTx,
     Verdict,
     decode_transaction,
     signed,
-    tx_signer,
+    signed_by,
 )
 from ecuchain.wire import U64_MAX, WireError
 from test_protocol import honest_round, make_update
@@ -76,8 +85,92 @@ def verify_calls(monkeypatch):
 
 
 def forged_record(rsu_keys, response):
-    record = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b"")
-    return dataclasses.replace(record, rsu_sig=bytes(64))
+    record = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b"")
+    return dataclasses.replace(record, sig=bytes(64))
+
+
+# -- signed_by ----------------------------------------------------------------------
+
+SIGNER = keys_for("signer")
+_STATE = state_of(4)
+_RESPONSE = ChallengeResponse(
+    state_root=compute_state_root(_STATE),
+    subset=_STATE.records[:3],
+    ts=5,
+    vehicle_pk=SIGNER.public,
+    sig=b"",
+)
+# One unsigned object of each signed type for SIGNER to sign, and the name
+# of the field that holds SIGNER's key.
+UNSIGNED = [
+    (
+        GenesisTx(
+            state_root=_RESPONSE.state_root,
+            ts=0,
+            ecu_list=_STATE.records,
+            vehicle_pk=keys_for("vehicle").public,
+            maker_pk=SIGNER.public,
+            sig=b"",
+        ),
+        "maker_pk",
+    ),
+    (
+        UpdateTx(
+            new_root=_RESPONSE.state_root,
+            ts=9,
+            vehicle_pk=keys_for("vehicle").public,
+            maintainer_pk=SIGNER.public,
+            ecu_id=1,
+            firmware_digest=_STATE.records[1].firmware_digest,
+            sig=b"",
+        ),
+        "maintainer_pk",
+    ),
+    (RequestTx(insurer_pk=SIGNER.public, query="q", ts=3, sig=b""), "insurer_pk"),
+    (_RESPONSE, "vehicle_pk"),
+    (
+        ChallengeRecordTx(
+            response=signed(_RESPONSE, SIGNER), rsu_pk=SIGNER.public, sig=b""
+        ),
+        "rsu_pk",
+    ),
+    (
+        ReportEvent(
+            rsu_pk=SIGNER.public,
+            vehicle_pk=keys_for("vehicle").public,
+            verdict=Verdict.STATE_MISMATCH,
+            ts=3,
+            sig=b"",
+        ),
+        "rsu_pk",
+    ),
+]
+
+
+def ts_past_u64(obj):
+    if isinstance(obj, ChallengeRecordTx):
+        return dataclasses.replace(obj, response=ts_past_u64(obj.response))
+    return dataclasses.replace(obj, ts=U64_MAX + 1)
+
+
+@pytest.mark.parametrize(
+    "unsigned, key_field", UNSIGNED, ids=[type(obj).__name__ for obj, _ in UNSIGNED]
+)
+def test_signed_by_accepts_only_the_signers_intact_signature(unsigned, key_field):
+    obj = signed(unsigned, SIGNER)
+    assert signed_by(obj, SIGNER.public)
+    flipped = bytearray(obj.sig)
+    flipped[17] ^= 0x01
+    changed = [
+        dataclasses.replace(obj, sig=bytes(flipped)),
+        ts_past_u64(obj),
+        *[dataclasses.replace(obj, **{key_field: pk}) for pk in wrong_widths(SIGNER.public)],
+        *[dataclasses.replace(obj, sig=sig) for sig in wrong_widths(obj.sig)],
+    ]
+    for forged in changed:
+        assert signed_by(forged, SIGNER.public) is False
+    for signer in [keys_for("other").public, *wrong_widths(SIGNER.public)]:
+        assert signed_by(obj, signer) is False
 
 
 # -- Ledger.append and Ledger.create_block ------------------------------------------
@@ -108,7 +201,7 @@ def test_append_accepts_signed_challenge_record(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
     record = signed(
-        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, rsu_sig=b""),
+        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b""),
         rsu_keys,
     )
     block = roadside.ledger.append(vehicle_keys.public, record)
@@ -221,7 +314,7 @@ def _world():
     response = build_response(vehicle, state, challenge, ts=5)
     assert verify_response(roadside, challenge, response) is Verdict.VALID
     record = signed(
-        ChallengeRecordTx(response=response, rsu_pk=rsu.public, rsu_sig=b""), rsu
+        ChallengeRecordTx(response=response, rsu_pk=rsu.public, sig=b""), rsu
     )
     return roadside, challenge, response, record
 
@@ -253,13 +346,13 @@ def changed_response(draw, response):
 
 @st.composite
 def changed_record(draw, record):
-    name = draw(st.sampled_from(["response", "rsu_pk", "rsu_sig"]))
+    name = draw(st.sampled_from(["response", "rsu_pk", "sig"]))
     if name == "response":
         _, value = draw(changed_response(record.response))
     elif name == "rsu_pk":
         value = draw(digests.filter(lambda v: v != record.rsu_pk))
     else:
-        value = draw(st.binary(min_size=64, max_size=64).filter(lambda v: v != record.rsu_sig))
+        value = draw(st.binary(min_size=64, max_size=64).filter(lambda v: v != record.sig))
     return dataclasses.replace(record, **{name: value})
 
 
@@ -268,9 +361,8 @@ def assert_fresh_encoding(tx):
     signing bytes of the current fields plus the signature, and decode back
     to the same object.
     """
-    _, sig = tx_signer(tx)
-    assert len(sig) == 64
-    assert tx.to_bytes() == tx.signing_bytes() + sig
+    assert len(tx.sig) == 64
+    assert tx.to_bytes() == tx.signing_bytes() + tx.sig
     assert decode_transaction(tx.to_bytes()) == tx
 
 
@@ -303,7 +395,7 @@ def test_changed_record_is_rejected_by_append(data):
 def test_signed_record_encodes_its_current_fields():
     _, _, _, record = _world()
     assert_fresh_encoding(record)
-    assert crypto.verify(record.rsu_pk, record.signing_bytes(), record.rsu_sig)
+    assert crypto.verify(record.rsu_pk, record.signing_bytes(), record.sig)
 
 
 # -- out-of-range fields -------------------------------------------------------------
@@ -396,7 +488,7 @@ def test_update_world_accepts_its_honest_update():
     authority, roadside, _, update, updated = _fresh_update_world()
     apply_upper_update(authority, roadside, update)
     assert roadside.profiles[update.vehicle_pk].state == updated
-    assert roadside.profiles[update.vehicle_pk].expected_root == update.new_root
+    assert compute_state_root(roadside.profiles[update.vehicle_pk].state) == update.new_root
 
 
 u64_or_not = st.one_of(st.integers(0, U64_MAX), past_u64, st.integers(max_value=-1))
@@ -513,7 +605,7 @@ def test_report_and_audit_event_with_wrong_width_key_do_not_verify(
     receiver = AuthorityNode(keys=keys_for("transport"))
     for pk in wrong_widths(event.vehicle_pk):
         changed = dataclasses.replace(event, vehicle_pk=pk)
-        assert not changed.verify()
+        assert not signed_by(changed, changed.rsu_pk)
         with pytest.raises(ProtocolError, match="signature"):
             receiver.receive_report(changed)
     assert receiver.reports == []
@@ -542,3 +634,58 @@ def test_update_with_metadata_string_layout_does_not_decode():
     )
     with pytest.raises(WireError):
         decode_transaction(old)
+
+
+# -- where signing and verifying happen ----------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ecuchain"
+# The functions allowed to call crypto.verify and KeyPair.sign; crypto.py,
+# which defines both, is not searched.
+ALLOWED_SITES = {
+    ("verify", "signed_by"),
+    ("verify", "validate_block"),
+    ("verify", "AuditEvent.verify"),
+    ("sign", "signed"),
+    ("sign", "AuthorityTier.countersign"),
+}
+
+
+def crypto_call_sites(tree):
+    """(kind, enclosing function, line) of each ``crypto.verify(...)``,
+    bare ``verify(...)`` and ``<anything>.sign(...)`` call in ``tree``.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "sign":
+                found.append(("sign", scope, node.lineno))
+            elif (isinstance(func, ast.Name) and func.id == "verify") or (
+                isinstance(func, ast.Attribute)
+                and func.attr == "verify"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "crypto"
+            ):
+                found.append(("verify", scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_signatures_are_made_and_checked_only_at_the_known_sites():
+    sites = set()
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "crypto.py":
+            continue
+        for kind, scope, line in crypto_call_sites(ast.parse(path.read_text())):
+            sites.add((kind, scope))
+            if (kind, scope) not in ALLOWED_SITES:
+                outside.append(f"{path.name}:{line} {kind} in {scope or 'module'}")
+    assert outside == []
+    assert sites == ALLOWED_SITES

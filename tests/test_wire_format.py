@@ -80,7 +80,7 @@ def _golden():
         rsu_pk=rsu.public, vehicle_pk=vehicle.public, subset_indices=(1, 4, 6), issued_ts=5
     )
     response = build_response(vehicle, state, challenge, ts=5)
-    record = signed(ChallengeRecordTx(response=response, rsu_pk=rsu.public, rsu_sig=b""), rsu)
+    record = signed(ChallengeRecordTx(response=response, rsu_pk=rsu.public, sig=b""), rsu)
     _, update = make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)
     ledger = Ledger()
     block = ledger.create_block(vehicle.public, genesis, 0, external_address(vehicle.public))
@@ -125,7 +125,7 @@ def test_response_and_record_layout_by_hand():
     assert response.signing_bytes() == expected
     assert response.to_bytes() == expected + response.sig
     assert record.to_bytes() == (
-        u64(3) + prefixed(response.to_bytes()) + record.rsu_pk + record.rsu_sig
+        u64(3) + prefixed(response.to_bytes()) + record.rsu_pk + record.sig
     )
 
 
@@ -251,7 +251,7 @@ transactions = st.one_of(
         sig=sigs,
     ),
     st.builds(RequestTx, insurer_pk=digests, query=st.text(max_size=40), ts=u64s, sig=sigs),
-    st.builds(ChallengeRecordTx, response=responses, rsu_pk=digests, rsu_sig=sigs),
+    st.builds(ChallengeRecordTx, response=responses, rsu_pk=digests, sig=sigs),
 )
 entries = st.builds(LedgerEntry, payload=transactions, prev_link=digests, seq=u64s)
 headers = st.builds(
