@@ -29,7 +29,6 @@ from .protocol import (
     new_authority_tier,
     record_response,
     build_response,
-    verify_response,
 )
 from .transactions import Verdict
 
@@ -188,9 +187,9 @@ def bench_challenge(
     seed: int = 0,
     runs: int = RUNS,
 ) -> MetricsReport:
-    """RSU-side challenge evaluation: verify each response and record it.
-    One batch of n verifications per sample; the runs of a batch share
-    ledger state, so their timestamps increase with the run index.
+    """RSU-side challenge evaluation: ``record_response`` verifies and
+    records each response, a batch of n per sample. The runs of a batch
+    share ledger state, so their timestamps increase with the run index.
     """
     if not counts:
         raise ValueError("counts must be nonempty")
@@ -220,10 +219,9 @@ def bench_challenge(
                 rounds.append((challenge, build_response(keys, state, challenge, ts)))
             start = time.perf_counter_ns()
             for challenge, response in rounds:
-                verdict = verify_response(roadside, challenge, response)
+                verdict = record_response(_rsu, roadside, challenge, response)
                 if verdict is not Verdict.VALID:
                     raise RuntimeError(f"benchmark round not valid: {verdict}")
-                record_response(_rsu, roadside, response)
             return (time.perf_counter_ns() - start) / 1e6
 
         # warmup uses run_idx=-1 => ts before all measured runs

@@ -8,8 +8,9 @@ Each signature is verified once, where the transaction enters:
 ``Ledger.create_block`` and ``Ledger.append`` check the transactions
 handed to them with ``signed_by``, while ``append_entry`` only links an
 entry whose signature its caller has already verified or just made (the
-protocol verifies responses and updates itself). ``validate_block`` re-verifies every
-retained entry, so an audit never trusts the append path.
+protocol verifies responses and updates itself). ``validate_block``
+re-verifies every retained entry, and ``reconstruct_history`` every
+archived one, so an audit trusts neither the append path nor the archive.
 
 Each entry carries its sequence number ``seq``: its 0-based index in the
 block's full history, including entries pruned to the archive.
@@ -184,10 +185,12 @@ def decode_block(data: bytes) -> AppendableBlock:
 
 
 def validate_block(block: AppendableBlock) -> bool:
-    """True iff the header anchor, every entry link and every payload
-    signature verify, and the sequence numbers are consecutive (a lone
-    entry's is 0). Never raises.
+    """True iff the block has entries, the header anchor, every entry
+    link, owner and payload signature verify, and the sequence numbers
+    are consecutive (a lone entry's is 0). Never raises.
     """
+    if not block.entries:
+        return False
     try:
         expected = header_hash(block.header)
         seq = block.entries[0].seq if len(block.entries) > 1 else 0
@@ -348,7 +351,7 @@ def reconstruct_history(
     appends past the last. Raises LedgerError if the block has no entries,
     if a record's sequence number differs from its entry's, if the
     sequence numbers are not 0, 1, 2, ... in order (a gap, a repeat or a
-    stray), or if the original link chain does not verify.
+    stray), or if the rebuilt history fails ``validate_block``.
     """
     if not block.entries:
         raise LedgerError("block has no entries")
@@ -363,11 +366,8 @@ def reconstruct_history(
     sequence.extend(block.entries[1:] if block.entries[0].seq else block.entries)
     if [e.seq for e in sequence] != list(range(len(sequence))):
         raise LedgerError("archive sequence has gaps or strays")
-    expected = header_hash(block.header)
-    for i, entry in enumerate(sequence):
-        if entry.prev_link != expected:
-            raise LedgerError(f"original link chain broken at entry {i}")
-        expected = entry_link(entry)
+    if not validate_block(replace(block, entries=tuple(sequence))):
+        raise LedgerError("archived history does not validate")
     return sequence
 
 

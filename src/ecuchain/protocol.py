@@ -16,9 +16,9 @@ changes: ``apply_upper_update`` applies the update's typed ECU record with
 Each signature is verified once, with ``signed_by``, where it enters a
 tier: a genesis by ``Ledger.create_block`` (reached through
 ``initialize_vehicle``), an update by ``apply_upper_update``, a response by
-``verify_response``, an insurer request by ``Ledger.append`` and a report
-by its receiving authority. The countersignature ``record_response`` makes
-is appended without a second check.
+``verify_response`` (which ``record_response`` runs, recording only a
+Valid response), an insurer request by ``Ledger.append`` and a report by
+its receiving authority. The RSU countersignature is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -336,25 +336,28 @@ def verify_response(
 
 
 def record_response(
-    rsu_keys: KeyPair, roadside: RoadsideTier, response: ChallengeResponse
-) -> ChallengeRecordTx:
-    """Append the countersigned response to the vehicle's block and prune it
-    back to two entries. Callers must have obtained a Valid verdict first;
-    the countersignature made here is not verified again. The ledger is
-    only mutated after the archive write succeeds.
+    rsu_keys: KeyPair,
+    roadside: RoadsideTier,
+    challenge: Challenge,
+    response: ChallengeResponse,
+) -> Verdict:
+    """Classify the response with ``verify_response``; if it is Valid,
+    append the countersigned response to the vehicle's block and prune it
+    back to two entries. Returns the verdict, and changes nothing on any
+    other. The ledger is only mutated after the archive write succeeds.
     """
-    block = roadside.ledger.lookup(response.vehicle_pk)
-    if block is None:
-        raise ProtocolError("unknown vehicle")
+    verdict = verify_response(roadside, challenge, response)
+    if verdict is not Verdict.VALID:
+        return verdict
     record = signed(
         ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b""),
         rsu_keys,
     )
-    appended = append_entry(block, record)
-    pruned, _ = prune_to_two(appended, roadside.archive)
+    block = roadside.ledger.lookup(response.vehicle_pk)
+    pruned, _ = prune_to_two(append_entry(block, record), roadside.archive)
     roadside.ledger.replace_block(response.vehicle_pk, pruned)
     roadside.profiles[response.vehicle_pk].last_response_ts = response.ts
-    return record
+    return verdict
 
 
 # ---------------------------------------------------------------------------

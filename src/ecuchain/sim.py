@@ -39,7 +39,6 @@ from .protocol import (
     new_authority_tier,
     record_response,
     report_malicious,
-    verify_response,
 )
 from .transactions import Verdict
 
@@ -381,11 +380,9 @@ class World:
             rsu.public, vehicle.pk, ecu_count, self.challenge_rng, ts=now
         )
         response = vehicle.respond(challenge, ts=now + latency)
-        verdict = verify_response(self.roadside, challenge, response)
+        verdict = record_response(rsu, self.roadside, challenge, response)
         self.log(now, "encounter", event.subject, verdict.value)
-        if verdict is Verdict.VALID:
-            record_response(rsu, self.roadside, response)
-        else:
+        if verdict is not Verdict.VALID:
             report = report_malicious(rsu, vehicle.pk, verdict, now + 2 * latency)
             self.queue.schedule(
                 SimEvent(now + 2 * latency, EventKind.REPORT, event.subject, (report,))

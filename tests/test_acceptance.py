@@ -166,9 +166,9 @@ def test_criterion_3_pruning_contract():
         for k in range(1, 21):
             challenge = issue_challenge(rsu.public, vehicle.public, 8, rng, ts=k * 100)
             response = build_response(vehicle, state, challenge, ts=k * 100)
-            assert verify_response(roadside, challenge, response) is Verdict.VALID
-            payloads.append(record_response(rsu, roadside, response))
+            assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
             block = roadside.ledger.lookup(vehicle.public)
+            payloads.append(block.entries[-1].payload)
             assert len(block.entries) == min(k + 1, 2), f"k={k}"
             history = reconstruct_history(block, roadside.archive)
             assert [e.payload for e in history] == payloads, f"k={k}"
@@ -393,14 +393,12 @@ def test_criterion_8_honest_end_to_end_flow():
         # first roadside encounter
         ch1 = issue_challenge(rsu1.public, vehicle.pk, 8, rng, ts=200)
         resp1 = vehicle.respond(ch1, ts=200)
-        assert verify_response(roadside, ch1, resp1) is Verdict.VALID
-        record_response(rsu1, roadside, resp1)
+        assert record_response(rsu1, roadside, ch1, resp1) is Verdict.VALID
         # second encounter: the freshness check is now armed and passes
         assert roadside.profiles[vehicle.pk].last_response_ts == 200
         ch2 = issue_challenge(rsu2.public, vehicle.pk, 8, rng, ts=300)
         resp2 = vehicle.respond(ch2, ts=300)
-        assert verify_response(roadside, ch2, resp2) is Verdict.VALID
-        record_response(rsu2, roadside, resp2)
+        assert record_response(rsu2, roadside, ch2, resp2) is Verdict.VALID
         # replaying encounter one at the second roadside unit is stale
         ch3 = issue_challenge(rsu2.public, vehicle.pk, 8, rng, ts=400)
         assert verify_response(roadside, ch3, resp1) is Verdict.STALE_TIMESTAMP

@@ -4,7 +4,7 @@ sequence number, also across a restart.
 Pruning archives a removed entry when it leaves the block, or the first
 retained entry just before it is re-anchored to the header, and never a
 re-anchored copy. ``reconstruct_history`` accepts only the sequence
-0, 1, 2, ... in order.
+0, 1, 2, ... in order, and only a history that passes ``validate_block``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from ecuchain.ledger import (
     MemoryArchive,
     append_entry,
     deserialize_ledger,
+    entry_link,
     prune_to_two,
     reconstruct_history,
 )
@@ -40,6 +42,14 @@ from ecuchain.protocol import (
     new_authority_tier,
     record_response,
 )
+from ecuchain.transactions import (
+    ChallengeRecordTx,
+    ChallengeResponse,
+    GenesisTx,
+    UpdateTx,
+    Verdict,
+)
+from ecuchain.wire import U64_MAX
 from test_ledger import record_tx
 from test_protocol import make_update
 
@@ -97,36 +107,133 @@ def test_interleaved_appends_and_prunes_archive_each_entry_once(runs):
         assert_archived_once(block, archive, originals)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=10))
-def test_records_and_updates_archive_each_entry_once(ops):
-    """``True`` is a recorded response, ``False`` an authorized update."""
+def _roadside_ops(ops, archive):
+    """One registered 8-ECU vehicle on a roadside tier over ``archive``,
+    then ``ops``: ``True`` is a recorded response, ``False`` an authorized
+    update. Yields the tier after the registration and after each op.
+    """
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
     authority = new_authority_tier(
         validators=(keys_for("transport"), keys_for("legal")),
         authorized_makers=(maker.public,),
         authorized_insurers=(),
     )
-    roadside = RoadsideTier(archive=MemoryArchive())
+    roadside = RoadsideTier(archive=archive)
     state = state_of(8)
     initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
-    originals = list(roadside.ledger.lookup(vehicle.public).entries)
+    yield roadside
     for i, is_record in enumerate(ops):
         ts = 10 + i
         if is_record:
-            challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(ts), ts)
-            record_response(rsu, roadside, build_response(vehicle, state, challenge, ts))
+            _encounter(rsu, roadside, vehicle, state, ts)
         else:
             state, update = make_update(maker, vehicle.public, state, i % 8, b"fw%d" % i, ts)
             apply_upper_update(authority, roadside, update)
-        block = roadside.ledger.lookup(vehicle.public)
+        yield roadside
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=10))
+def test_records_and_updates_archive_each_entry_once(ops):
+    steps = _roadside_ops(ops, MemoryArchive())
+    pk = keys_for("vehicle").public
+    originals = list(next(steps).ledger.lookup(pk).entries)
+    for roadside in steps:
+        block = roadside.ledger.lookup(pk)
         originals.append(block.entries[-1])
         assert_archived_once(block, roadside.archive, originals)
 
 
 def _encounter(rsu, roadside, vehicle, state, ts):
     challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(ts), ts)
-    record_response(rsu, roadside, build_response(vehicle, state, challenge, ts))
+    response = build_response(vehicle, state, challenge, ts)
+    assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
+
+
+# -- tampered archive ------------------------------------------------------------------
+
+digests = st.binary(min_size=32, max_size=32)
+u64s = st.integers(0, U64_MAX)
+VALUES = {
+    "sig": st.binary(min_size=64, max_size=64),
+    "ts": u64s,
+    "ecu_id": u64s,
+    "last_write_ts": u64s,
+}
+SIGNER_FIELD = {GenesisTx: "maker_pk", UpdateTx: "maintainer_pk", ChallengeRecordTx: "rsu_pk"}
+ROOT_FIELD = {GenesisTx: "state_root", UpdateTx: "new_root", ChallengeResponse: "state_root"}
+ECU_LIST_FIELD = {GenesisTx: "ecu_list", ChallengeResponse: "subset"}
+
+
+def _changed(draw, obj, name):
+    current = getattr(obj, name)
+    value = draw(VALUES.get(name, digests).filter(lambda v: v != current))
+    return dataclasses.replace(obj, **{name: value})
+
+
+def _changed_content(draw, tx, kind):
+    """``tx`` (a genesis, an update or a response) with its state root,
+    timestamp, owner key or one ECU record changed.
+    """
+    if kind == "state root":
+        return _changed(draw, tx, ROOT_FIELD[type(tx)])
+    if kind == "ts":
+        return _changed(draw, tx, "ts")
+    if kind == "owner key":
+        return _changed(draw, tx, "vehicle_pk")
+    if isinstance(tx, UpdateTx):
+        return _changed(draw, tx, draw(st.sampled_from(["ecu_id", "firmware_digest"])))
+    name = ECU_LIST_FIELD[type(tx)]
+    records = list(getattr(tx, name))
+    i = draw(st.integers(0, len(records) - 1))
+    attr = draw(st.sampled_from(["ecu_id", "firmware_digest", "last_write_ts"]))
+    records[i] = _changed(draw, records[i], attr)
+    return dataclasses.replace(tx, **{name: tuple(records)})
+
+
+@st.composite
+def changed_payload(draw, tx):
+    """``tx`` with one field changed: its signature, state root, timestamp,
+    owner key, signer key (the RSU's, for a challenge record) or one ECU
+    record.
+    """
+    kind = draw(
+        st.sampled_from(["sig", "state root", "ts", "owner key", "signer key", "ecu record"])
+    )
+    if kind == "sig":
+        return _changed(draw, tx, "sig")
+    if kind == "signer key":
+        return _changed(draw, tx, SIGNER_FIELD[type(tx)])
+    if isinstance(tx, ChallengeRecordTx):
+        return dataclasses.replace(tx, response=_changed_content(draw, tx.response, kind))
+    return _changed_content(draw, tx, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=8), st.data())
+def test_tampered_archive_history_fails_replay(ops, data):
+    """One archived entry's payload changed and its successor's
+    ``prev_link`` recomputed, so every link still holds: the replay checks
+    signatures and owners as well, and raises.
+    """
+    *_, roadside = _roadside_ops(ops, MemoryArchive())
+    block = roadside.ledger.lookup(keys_for("vehicle").public)
+    history = reconstruct_history(block, roadside.archive)
+    head_seq = block.entries[0].seq
+    i = data.draw(st.integers(0, head_seq), label="archived entry")
+    history[i] = dataclasses.replace(
+        history[i], payload=data.draw(changed_payload(history[i].payload))
+    )
+    history[i + 1] = dataclasses.replace(history[i + 1], prev_link=entry_link(history[i]))
+    if i == head_seq:
+        # The successor is the retained entry after the re-anchored head.
+        block = dataclasses.replace(block, entries=(block.entries[0], history[i + 1]))
+    records = [(e.seq, e.to_bytes()) for e in history[: head_seq + 1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        for archive in (MemoryArchive(), FileArchive(tmp)):
+            archive.append_many(block.header.external_address, records)
+            with pytest.raises(LedgerError, match="does not validate"):
+                reconstruct_history(block, archive)
 
 
 @pytest.mark.parametrize("file_backed", [False, True])

@@ -284,6 +284,19 @@ def test_ledger_serialization_roundtrip(vehicle, rsu_keys):
     assert restored.creation_order == ledger.creation_order
 
 
+def test_deserialized_block_without_entries_does_not_validate(vehicle):
+    """A block with no entries has no genesis; ``validate_block`` rejects
+    it, as ``reconstruct_history`` does.
+    """
+    _, _, genesis = vehicle
+    ledger = Ledger()
+    block = ledger.create_block(genesis.vehicle_pk, genesis, 0, "ar://empty")
+    ledger.replace_block(genesis.vehicle_pk, dataclasses.replace(block, entries=()))
+    restored = deserialize_ledger(ledger.serialize())
+    assert restored.lookup(genesis.vehicle_pk).entries == ()
+    assert not restored.validate()
+
+
 def test_block_bytes_roundtrip(vehicle, rsu_keys):
     _, block = grown_block(vehicle, rsu_keys, 4)
     decoded = decode_block(block.to_bytes())

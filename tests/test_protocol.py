@@ -321,8 +321,7 @@ def test_verdict_bad_signature(registered, rsu_keys):
 def test_verdict_stale_timestamp_on_replay(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
-    record_response(rsu_keys, roadside, response)
+    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     # replay at the next roadside unit
     rsu2 = keys_for("rsu-2")
     challenge2, _ = honest_round(roadside, rsu2, vehicle_keys, state, ts=20)
@@ -342,8 +341,7 @@ def test_response_outside_the_challenge_window_is_stale(registered, rsu_keys):
         assert verify_response(roadside, challenge, response) is Verdict.STALE_TIMESTAMP
     assert roadside.profiles[vehicle_keys.public] == profile
     response = build_response(vehicle_keys, state, challenge, latest)
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
-    record_response(rsu_keys, roadside, response)
+    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=latest + 1)
     assert verify_response(roadside, challenge, response) is Verdict.VALID
 
@@ -388,7 +386,7 @@ def test_verdict_deterministic(registered, rsu_keys):
 def test_record_keeps_two_entries(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    record_response(rsu_keys, roadside, response)
+    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     assert len(block.entries) == 2  # genesis + record
 
@@ -399,8 +397,7 @@ def test_five_encounters_prune_to_two(registered, rsu_keys):
         challenge, response = honest_round(
             roadside, rsu_keys, vehicle_keys, state, ts=10 + i
         )
-        assert verify_response(roadside, challenge, response) is Verdict.VALID
-        record_response(rsu_keys, roadside, response)
+        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     assert len(block.entries) == 2
     assert block.entries[0].seq == 4  # genesis + first three records moved out
@@ -418,8 +415,7 @@ def test_five_encounters_archive_one_record_per_entry(registered, rsu_keys):
         challenge, response = honest_round(
             roadside, rsu_keys, vehicle_keys, state, ts=10 + i
         )
-        assert verify_response(roadside, challenge, response) is Verdict.VALID
-        record_response(rsu_keys, roadside, response)
+        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     archived = roadside.archive.read(block.header.external_address)
     # genesis and the first three records, plus the retained head's original
@@ -429,7 +425,7 @@ def test_five_encounters_archive_one_record_per_entry(registered, rsu_keys):
 def test_recorded_entry_countersignature_verifies(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    record_response(rsu_keys, roadside, response)
+    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     record = block.entries[-1].payload
     assert isinstance(record, ChallengeRecordTx)
@@ -444,7 +440,7 @@ def test_recorded_timestamps_strictly_increase(registered, rsu_keys):
         challenge, response = honest_round(
             roadside, rsu_keys, vehicle_keys, state, ts=100 + i * 3
         )
-        record_response(rsu_keys, roadside, response)
+        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
         seen.append(response.ts)
     assert seen == sorted(set(seen))
 
@@ -461,14 +457,14 @@ def test_record_archive_failure_leaves_ledger_unchanged(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     # two successful rounds so the next record triggers a prune
     for i in range(2):
-        _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=5 + i)
-        record_response(rsu_keys, roadside, response)
+        challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=5 + i)
+        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     before = roadside.ledger.lookup(vehicle_keys.public)
     before_ts = roadside.profiles[vehicle_keys.public].last_response_ts
     roadside.archive = FailingArchive()
-    _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=50)
+    challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=50)
     with pytest.raises(ArchiveError):
-        record_response(rsu_keys, roadside, response)
+        record_response(rsu_keys, roadside, challenge, response)
     assert roadside.ledger.lookup(vehicle_keys.public) == before
     assert roadside.profiles[vehicle_keys.public].last_response_ts == before_ts
 

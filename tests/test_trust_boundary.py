@@ -1,16 +1,18 @@
 """Signatures are verified once, at the point where data enters a tier.
 
-The boundaries: ``verify_response`` (vehicle signature), ``Ledger.append``
-and ``Ledger.create_block`` (external transactions, the genesis of
-``initialize_vehicle`` among them), ``apply_upper_update`` (the update) and
-``AuthorityNode.receive_report`` (the report). Each checks with
-``signed_by``; ``validate_block`` and ``AuditEvent.verify`` are the only
-other places that verify, and ``signed`` and ``AuthorityTier.countersign``
-the only places that sign. Everything signed inside a tier, such as the
-RSU countersignature, is appended without a verify, and ``validate_block``
-re-verifies every retained entry. An update that is signed but
-inconsistent with the state the roadside tier vouches for is rejected as
-well, and no rejection changes either tier.
+The boundaries: ``verify_response`` (vehicle signature; only
+``record_response`` runs it, and records only a Valid response),
+``Ledger.append`` and ``Ledger.create_block`` (external transactions, the
+genesis of ``initialize_vehicle`` among them), ``apply_upper_update`` (the
+update) and ``AuthorityNode.receive_report`` (the report). Each checks
+with ``signed_by``; ``validate_block`` and ``AuditEvent.verify`` are the
+only other places that verify, and ``signed`` and
+``AuthorityTier.countersign`` the only places that sign. Everything signed
+inside a tier, such as the RSU countersignature, is appended without a
+verify, and ``validate_block`` re-verifies every retained entry, and on
+replay every archived one. An update that is signed but inconsistent with
+the state the roadside tier vouches for is rejected as well, and no
+rejection changes either tier.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ecuchain.ecu import EcuRecord, compute_state_root
 from ecuchain.entities import AuthorityNode
 from ecuchain.ledger import LedgerError, append_entry, validate_block
 from ecuchain.protocol import (
+    MAX_RESPONSE_DELAY_MS,
     ProtocolError,
     ReportEvent,
     RoadsideTier,
@@ -254,8 +257,7 @@ def test_honest_round_verifies_once(registered, rsu_keys, verify_calls):
     for i in range(4):
         challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7 + i)
         del verify_calls[:]
-        assert verify_response(roadside, challenge, response) is Verdict.VALID
-        record_response(rsu_keys, roadside, response)
+        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
         assert verify_calls == [(vehicle_keys.public, response.signing_bytes(), response.sig)]
 
 
@@ -290,6 +292,59 @@ def test_report_verified_by_each_receiving_authority(rsu_keys, vehicle_keys, ver
     for authority in authorities:
         authority.receive_report(event)
     assert len(verify_calls) == len(authorities)
+
+
+# -- nothing unverified is recorded --------------------------------------------------
+
+
+def hostile(kind, keys, challenge, response, last):
+    """A hostile (challenge, response) made from an honest round and the
+    last response the vehicle had recorded.
+    """
+    if kind == "zeroed-sig":
+        return challenge, dataclasses.replace(response, sig=bytes(64))
+    if kind == "made-up-root":
+        return challenge, signed(
+            dataclasses.replace(response, state_root=crypto.sha256(b"made up")), keys
+        )
+    if kind == "past-window":
+        late = challenge.issued_ts + MAX_RESPONSE_DELAY_MS + 1
+        return challenge, signed(dataclasses.replace(response, ts=late), keys)
+    if kind == "replay":
+        return challenge, last
+    if kind == "unknown-vehicle":
+        stranger = keys_for("stranger")
+        return (
+            dataclasses.replace(challenge, vehicle_pk=stranger.public),
+            signed(dataclasses.replace(response, vehicle_pk=stranger.public), stranger),
+        )
+    assert kind == "other-vehicles-challenge"
+    return dataclasses.replace(challenge, vehicle_pk=keys_for("other").public), response
+
+
+HOSTILE = [
+    ("zeroed-sig", Verdict.BAD_SIGNATURE),
+    ("made-up-root", Verdict.STATE_MISMATCH),
+    ("past-window", Verdict.STALE_TIMESTAMP),
+    ("replay", Verdict.STALE_TIMESTAMP),
+    ("unknown-vehicle", Verdict.UNKNOWN_VEHICLE),
+    ("other-vehicles-challenge", Verdict.BAD_SIGNATURE),
+]
+
+
+@pytest.mark.parametrize("kind, expected", HOSTILE, ids=[kind for kind, _ in HOSTILE])
+def test_record_response_records_nothing_unverified(registered, rsu_keys, kind, expected):
+    authority, roadside, vehicle_keys, state = registered
+    # Two recorded rounds: the next record would prune to the archive.
+    for ts in (7, 8):
+        challenge, last = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
+        assert record_response(rsu_keys, roadside, challenge, last) is Verdict.VALID
+    honest = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
+    challenge, response = hostile(kind, vehicle_keys, *honest, last)
+    before = tier_snapshot(authority, roadside, vehicle_keys.public)
+    assert verify_response(roadside, challenge, response) is expected
+    assert record_response(rsu_keys, roadside, challenge, response) is expected
+    assert tier_snapshot(authority, roadside, vehicle_keys.public) == before
 
 
 # -- stale bytes ---------------------------------------------------------------------
@@ -650,30 +705,38 @@ ALLOWED_SITES = {
 }
 
 
-def crypto_call_sites(tree):
-    """(kind, enclosing function, line) of each ``crypto.verify(...)``,
-    bare ``verify(...)`` and ``<anything>.sign(...)`` call in ``tree``.
+def scoped_calls(tree):
+    """(call node, enclosing function) of each call in ``tree``; a method
+    is named ``Class.method``.
     """
-    found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "sign":
-                found.append(("sign", scope, node.lineno))
-            elif (isinstance(func, ast.Name) and func.id == "verify") or (
-                isinstance(func, ast.Attribute)
-                and func.attr == "verify"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "crypto"
-            ):
-                found.append(("verify", scope, node.lineno))
+            yield node, scope
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            yield from visit(child, scope)
 
-    visit(tree, "")
+    return visit(tree, "")
+
+
+def crypto_call_sites(tree):
+    """(kind, enclosing function, line) of each ``crypto.verify(...)``,
+    bare ``verify(...)`` and ``<anything>.sign(...)`` call in ``tree``.
+    """
+    found = []
+    for node, scope in scoped_calls(tree):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "sign":
+            found.append(("sign", scope, node.lineno))
+        elif (isinstance(func, ast.Name) and func.id == "verify") or (
+            isinstance(func, ast.Attribute)
+            and func.attr == "verify"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "crypto"
+        ):
+            found.append(("verify", scope, node.lineno))
     return found
 
 
@@ -689,3 +752,31 @@ def test_signatures_are_made_and_checked_only_at_the_known_sites():
                 outside.append(f"{path.name}:{line} {kind} in {scope or 'module'}")
     assert outside == []
     assert sites == ALLOWED_SITES
+
+
+# The functions allowed to call append_entry and verify_response: an entry
+# joins a block only through these, and a response is classified only by
+# record_response, which records it only if it is Valid.
+RECORDING_SITES = {
+    ("append_entry", "Ledger.create_block"),
+    ("append_entry", "Ledger.append"),
+    ("append_entry", "apply_upper_update"),
+    ("append_entry", "record_response"),
+    ("verify_response", "record_response"),
+}
+
+
+def test_entries_are_appended_and_responses_verified_only_at_the_known_sites():
+    sites = set()
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in scoped_calls(ast.parse(path.read_text())):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in ("append_entry", "verify_response"):
+                continue
+            sites.add((name, scope))
+            if (name, scope) not in RECORDING_SITES:
+                outside.append(f"{path.name}:{node.lineno} {name} in {scope or 'module'}")
+    assert outside == []
+    assert sites == RECORDING_SITES
