@@ -30,6 +30,7 @@ from .bench import (
     bench_storage,
 )
 from .sim import ConfigError, build_world, event_log_text, load_config, run
+from .wire import U64_MAX
 
 
 class CliError(Exception):
@@ -127,6 +128,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("ecuchain: a subcommand is required", file=sys.stderr)
             return 1
         seed = args.seed if args.seed is not None else 0
+        if not 0 <= seed <= U64_MAX:
+            raise CliError(f"--seed must be in [0, {U64_MAX}]")
         if args.command == "init":
             return _cmd_init(args)
         if args.command == "run":

@@ -4,13 +4,12 @@ Appending needs no consensus round, and block headers are decoupled from
 the entry list so old entries can move to external archive storage without
 breaking block integrity.
 
-Each signature is verified once, where the transaction enters:
-``Ledger.create_block`` and ``Ledger.append`` check the transactions
-handed to them with ``signed_by``, while ``append_entry`` only links an
-entry whose signature its caller has already verified or just made (the
-protocol verifies responses and updates itself). ``validate_block``
-re-verifies every retained entry, and ``reconstruct_history`` every
-archived one, so an audit trusts neither the append path nor the archive.
+The ledger verifies no signature on the way in: ``Ledger.create_block``
+and ``append_entry`` link a transaction whose signature the protocol has
+already verified where it entered the tier, or that the tier has just
+made. Only the audit verifies: ``validate_block`` re-verifies every
+retained entry, and ``reconstruct_history`` every archived one, so an
+audit trusts neither the append path nor the archive.
 
 Each entry carries its sequence number ``seq``: its 0-based index in the
 block's full history, including entries pruned to the archive.
@@ -63,13 +62,7 @@ from .crypto import (
     PublicKey,
     sha256,
 )
-from .transactions import (
-    Transaction,
-    decode_transaction,
-    signed_by,
-    tx_signer,
-    tx_vehicle,
-)
+from .transactions import Transaction, decode_transaction, tx_signer, tx_vehicle
 from .wire import (
     U64,
     Reader,
@@ -84,7 +77,7 @@ LEDGER_MAGIC = b"ECUL3"
 
 
 class LedgerError(ValueError):
-    """Violation of a ledger precondition (duplicate block, bad signature...)."""
+    """Violation of a ledger precondition (duplicate block, foreign owner...)."""
 
 
 class ArchiveError(RuntimeError):
@@ -391,17 +384,13 @@ class Ledger:
         ts: int,
         external_address: str,
     ) -> AppendableBlock:
-        """Open a block for ``owner_pk`` holding ``genesis`` as first entry,
-        after verifying its signature. Header chains to the most recently
-        created block's header.
+        """Open a block for ``owner_pk`` holding ``genesis`` as first entry;
+        ``append_entry`` rejects a genesis addressed to another owner. The
+        caller has verified the genesis signature. Header chains to the most
+        recently created block's header.
         """
         if owner_pk in self.blocks:
             raise LedgerError("block exists")
-        owner = tx_vehicle(genesis)
-        if owner is not None and owner != owner_pk:
-            raise LedgerError("genesis not addressed to owner")
-        if not signed_by(genesis, tx_signer(genesis)):
-            raise LedgerError("signature")
         header = BlockHeader(
             owner_pk=owner_pk,
             prev_header_hash=self._last_header_hash,
@@ -413,17 +402,6 @@ class Ledger:
         self.creation_order.append(owner_pk)
         self._last_header_hash = header_hash(header)
         return block
-
-    def append(self, owner_pk: PublicKey, tx: Transaction) -> AppendableBlock:
-        """Verify ``tx``'s signature and append it to ``owner_pk``'s block."""
-        block = self.blocks.get(owner_pk)
-        if block is None:
-            raise LedgerError("unknown block")
-        if not signed_by(tx, tx_signer(tx)):
-            raise LedgerError("signature")
-        updated = append_entry(block, tx)
-        self.blocks[owner_pk] = updated
-        return updated
 
     def replace_block(self, owner_pk: PublicKey, block: AppendableBlock) -> None:
         if owner_pk not in self.blocks:

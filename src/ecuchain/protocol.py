@@ -13,12 +13,14 @@ from the genesis inventory, and an authorized update is the only way it
 changes: ``apply_upper_update`` applies the update's typed ECU record with
 ``update_ecu`` and requires the signed ``new_root`` to be that state's root.
 
-Each signature is verified once, with ``signed_by``, where it enters a
-tier: a genesis by ``Ledger.create_block`` (reached through
-``initialize_vehicle``), an update by ``apply_upper_update``, a response by
+Every check on an incoming transaction is made here, and each signature
+is verified once, with ``signed_by``, where it enters a tier: a genesis by
+``initialize_vehicle``, an update by ``apply_upper_update``, a response by
 ``verify_response`` (which ``record_response`` runs, recording only a
-Valid response), an insurer request by ``Ledger.append`` and a report by
-its receiving authority. The RSU countersignature is not checked again.
+Valid response), an insurer request by ``submit_request`` and a report by
+its receiving authority. The ledger only links what passed, with
+``append_entry``, and verifies again only when audited. The RSU
+countersignature is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -34,14 +36,7 @@ from typing import Optional, Sequence
 from . import crypto
 from .crypto import PUBLIC_KEY_LEN, KeyPair, PublicKey, Signature
 from .ecu import EcuRecord, EcuState, compute_state_root, subset_report, update_ecu
-from .ledger import (
-    Archive,
-    Ledger,
-    LedgerError,
-    MemoryArchive,
-    append_entry,
-    prune_to_two,
-)
+from .ledger import Archive, Ledger, MemoryArchive, append_entry, prune_to_two
 from .transactions import (
     Challenge,
     ChallengeRecordTx,
@@ -205,8 +200,9 @@ def initialize_vehicle(
 ) -> None:
     """Validate a registration and open the vehicle's block in the roadside
     tier; all validators countersign the creation event. The maker's
-    signature is verified by ``Ledger.create_block``, last, so a rejected
-    genesis leaves both tiers unchanged.
+    signature is verified last, after the allow-list, state root and
+    duplicate checks, and every check runs before anything is mutated, so a
+    rejected genesis leaves both tiers unchanged.
     """
     if genesis.maker_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maker")
@@ -215,12 +211,11 @@ def initialize_vehicle(
         raise ProtocolError("genesis state root does not match ECU list")
     if roadside.ledger.lookup(genesis.vehicle_pk) is not None:
         raise ProtocolError("vehicle already registered")
-    try:
-        roadside.ledger.create_block(
-            genesis.vehicle_pk, genesis, ts, external_address(genesis.vehicle_pk)
-        )
-    except LedgerError as exc:
-        raise ProtocolError(f"genesis rejected: {exc}") from exc
+    if not signed_by(genesis, genesis.maker_pk):
+        raise ProtocolError("genesis signature invalid")
+    roadside.ledger.create_block(
+        genesis.vehicle_pk, genesis, ts, external_address(genesis.vehicle_pk)
+    )
     roadside.profiles[genesis.vehicle_pk] = VehicleProfile(state=state)
     authority.countersign("register", genesis.vehicle_pk, ts)
 
@@ -396,13 +391,15 @@ def report_malicious(
     return signed(unsigned, rsu_keys)
 
 
-def submit_request(
-    insurer_keys: KeyPair, authority: AuthorityTier, query: str, ts: int
-) -> RequestTx:
-    """Store an insurer's evidence request on the authority audit block."""
-    if insurer_keys.public not in authority.authorized_insurers:
+def submit_request(authority: AuthorityTier, request: RequestTx) -> None:
+    """Store an insurer's signed evidence request on the authority audit
+    block. The insurer's signature is checked first (fields the wire format
+    cannot encode included), then the insurer allow-list; either rejection
+    is a ``ProtocolError`` and leaves the audit block unchanged.
+    """
+    if not signed_by(request, request.insurer_pk):
+        raise ProtocolError("request signature invalid")
+    if request.insurer_pk not in authority.authorized_insurers:
         raise ProtocolError("unauthorized insurer")
-    unsigned = RequestTx(insurer_pk=insurer_keys.public, query=query, ts=ts, sig=b"")
-    request = signed(unsigned, insurer_keys)
-    authority.ledger.append(authority.audit_pk, request)
-    return request
+    block = authority.ledger.lookup(authority.audit_pk)
+    authority.ledger.replace_block(authority.audit_pk, append_entry(block, request))

@@ -41,6 +41,7 @@ from .protocol import (
     report_malicious,
 )
 from .transactions import Verdict
+from .wire import U64_MAX
 
 EPOCH_MS = 1_000
 ROUND_SPACING_MS = 10_000
@@ -87,8 +88,10 @@ class SimConfig:
         for name in ("n_vehicles", "n_rsus", "ecus_per_vehicle", "n_rounds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0 or self.link_latency_ms < 0:
-            raise ConfigError("seed and link_latency_ms must be nonnegative")
+        if not 0 <= self.seed <= U64_MAX:
+            raise ConfigError(f"seed must be in [0, {U64_MAX}]")
+        if self.link_latency_ms < 0:
+            raise ConfigError("link_latency_ms must be nonnegative")
         if self.link_latency_ms > MAX_RESPONSE_DELAY_MS:
             # Every response would fall outside its challenge's window.
             raise ConfigError(f"link_latency_ms must be <= {MAX_RESPONSE_DELAY_MS}")

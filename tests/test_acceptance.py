@@ -47,6 +47,7 @@ from ecuchain.sim import AttackPlanEntry, MaintenancePlanEntry, SimConfig, build
 from ecuchain.transactions import Verdict
 from ecuchain.entities import perform_maintenance, VehicleNode
 from test_ecu_merkle import oracle_root
+from test_protocol import signed_request
 
 
 @contextmanager
@@ -117,8 +118,8 @@ def _tamper_corpus():
         authorized_makers=(maker.public,),
         authorized_insurers=(insurer.public,),
     )
-    submit_request(insurer, authority, "claims evidence", ts=1)
-    submit_request(insurer, authority, "second request", ts=2)
+    submit_request(authority, signed_request(insurer, "claims evidence", ts=1))
+    submit_request(authority, signed_request(insurer, "second request", ts=2))
     blocks.append(authority.ledger.lookup(authority.audit_pk))  # 3 entries
     return blocks
 

@@ -54,6 +54,33 @@ def test_seed_override_accepted(config_path, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench-merkle", "--seed", "-1"],
+        ["bench-create", "--seed", str(2**64)],
+        ["run", "--seed", str(2**64)],
+        ["init", "--seed", "-1"],
+    ],
+)
+def test_seed_outside_u64_exits_one(argv, config_path, tmp_path, capsys):
+    if argv[0] in ("init", "run"):
+        argv = [*argv, "--config", config_path]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be in [0, 18446744073709551615]" in err
+    assert "internal error" not in err
+    assert not out.exists()
+
+
+def test_config_seed_outside_u64_exits_one(tmp_path, capsys):
+    path = tmp_path / "big-seed.cfg"
+    path.write_text(CONFIG.replace("seed = 12", f"seed = {2**64}"), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "s.log")]) == 1
+    assert "seed must be in [0, 18446744073709551615]" in capsys.readouterr().err
+
+
 def test_missing_config_path_exits_one(capsys):
     assert main(["run", "--config", "/nonexistent/path.cfg"]) == 1
     assert "ecuchain:" in capsys.readouterr().err

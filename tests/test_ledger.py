@@ -90,13 +90,6 @@ def test_duplicate_owner_rejected(vehicle):
         ledger.create_block(genesis.vehicle_pk, genesis, 1, "ar://dup")
 
 
-def test_create_block_rejects_bad_signature(vehicle):
-    _, _, genesis = vehicle
-    broken = dataclasses.replace(genesis, sig=bytes(64))
-    with pytest.raises(LedgerError, match="signature"):
-        Ledger().create_block(genesis.vehicle_pk, broken, 0, "ar://bad")
-
-
 def test_append_links_and_validates(vehicle, rsu_keys):
     _, block = grown_block(vehicle, rsu_keys, 2)
     assert len(block.entries) == 2

@@ -23,7 +23,14 @@ from ecuchain.protocol import (
     submit_request,
     verify_response,
 )
-from ecuchain.transactions import ChallengeRecordTx, UpdateTx, Verdict, signed_by
+from ecuchain.transactions import (
+    ChallengeRecordTx,
+    RequestTx,
+    UpdateTx,
+    Verdict,
+    signed,
+    signed_by,
+)
 from test_ecu_merkle import oracle_root
 
 
@@ -43,6 +50,12 @@ def make_update(maintainer_keys, vehicle_pk, state, ecu_id, firmware, ts):
     return new_state, dataclasses.replace(
         unsigned, sig=maintainer_keys.sign(unsigned.signing_bytes())
     )
+
+
+def signed_request(insurer_keys, query, ts):
+    """Evidence request signed by the insurer."""
+    unsigned = RequestTx(insurer_pk=insurer_keys.public, query=query, ts=ts, sig=b"")
+    return signed(unsigned, insurer_keys)
 
 
 def honest_round(roadside, rsu_keys, vehicle_keys, state, ts, rng=None, indices=None):
@@ -486,7 +499,8 @@ def test_report_event_signature(rsu_keys, vehicle_keys):
 
 def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
     authority, _ = tiers
-    request = submit_request(insurer_keys, authority, "incident 4711 evidence", ts=3)
+    request = signed_request(insurer_keys, "incident 4711 evidence", ts=3)
+    submit_request(authority, request)
     block = authority.ledger.lookup(authority.audit_pk)
     assert block.entries[-1].payload == request
     assert verify(insurer_keys.public, request.signing_bytes(), request.sig)
@@ -496,5 +510,8 @@ def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
 def test_submit_request_rejects_unauthorized(tiers):
     authority, _ = tiers
     rogue = keys_for("rogue-insurer")
+    request = signed_request(rogue, "fishing", ts=3)
+    before = authority.ledger.lookup(authority.audit_pk)
     with pytest.raises(ProtocolError, match="unauthorized"):
-        submit_request(rogue, authority, "fishing", ts=3)
+        submit_request(authority, request)
+    assert authority.ledger.lookup(authority.audit_pk) == before

@@ -79,6 +79,9 @@ def test_parse_config_rejects_bad_values():
         parse_config("attack = replay,0,0")
     with pytest.raises(ConfigError, match="link_latency_ms"):
         parse_config("link_latency_ms = 1001")
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(f"seed = {seed}")
 
 
 def test_load_config_missing_file(tmp_path):

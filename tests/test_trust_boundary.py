@@ -1,18 +1,20 @@
-"""Signatures are verified once, at the point where data enters a tier.
+"""Signatures are verified once, by the protocol, at the point where data
+enters a tier.
 
-The boundaries: ``verify_response`` (vehicle signature; only
-``record_response`` runs it, and records only a Valid response),
-``Ledger.append`` and ``Ledger.create_block`` (external transactions, the
-genesis of ``initialize_vehicle`` among them), ``apply_upper_update`` (the
-update) and ``AuthorityNode.receive_report`` (the report). Each checks
-with ``signed_by``; ``validate_block`` and ``AuditEvent.verify`` are the
-only other places that verify, and ``signed`` and
-``AuthorityTier.countersign`` the only places that sign. Everything signed
-inside a tier, such as the RSU countersignature, is appended without a
-verify, and ``validate_block`` re-verifies every retained entry, and on
-replay every archived one. An update that is signed but inconsistent with
-the state the roadside tier vouches for is rejected as well, and no
-rejection changes either tier.
+The boundaries: ``initialize_vehicle`` (the genesis),
+``apply_upper_update`` (the update), ``verify_response`` (vehicle
+signature; only ``record_response`` runs it, and records only a Valid
+response), ``submit_request`` (the insurer request) and
+``AuthorityNode.receive_report`` (the report). Each checks with
+``signed_by``, and they are its only callers; ``validate_block`` and
+``AuditEvent.verify`` are the only other places that verify, and
+``signed`` and ``AuthorityTier.countersign`` the only places that sign.
+The ledger verifies nothing on the way in: ``Ledger.create_block`` and
+``append_entry`` link what the protocol passed, and what a tier signed
+itself, such as the RSU countersignature. ``validate_block`` re-verifies
+every retained entry, and on replay every archived one. An update that is
+signed but inconsistent with the state the roadside tier vouches for is
+rejected as well, and no rejection changes either tier.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from ecuchain.transactions import (
     signed_by,
 )
 from ecuchain.wire import U64_MAX, WireError
-from test_protocol import honest_round, make_update
+from test_protocol import honest_round, make_update, signed_request
 
 
 @pytest.fixture
@@ -176,40 +178,17 @@ def test_signed_by_accepts_only_the_signers_intact_signature(unsigned, key_field
         assert signed_by(obj, signer) is False
 
 
-# -- Ledger.append and Ledger.create_block ------------------------------------------
+# -- submit_request and append_entry -----------------------------------------------
 
 
 def test_append_rejects_forged_request(tiers, insurer_keys):
     authority, _ = tiers
     before = authority.ledger.lookup(authority.audit_pk)
-    request = signed(
-        RequestTx(insurer_pk=insurer_keys.public, query="q", ts=3, sig=b""), insurer_keys
-    )
+    request = signed_request(insurer_keys, "q", ts=3)
     forged = dataclasses.replace(request, query="another query")
-    with pytest.raises(LedgerError, match="signature"):
-        authority.ledger.append(authority.audit_pk, forged)
+    with pytest.raises(ProtocolError, match="signature"):
+        submit_request(authority, forged)
     assert authority.ledger.lookup(authority.audit_pk) == before
-
-
-def test_append_rejects_forged_challenge_record(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
-    before = roadside.ledger.lookup(vehicle_keys.public)
-    _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    with pytest.raises(LedgerError, match="signature"):
-        roadside.ledger.append(vehicle_keys.public, forged_record(rsu_keys, response))
-    assert roadside.ledger.lookup(vehicle_keys.public) == before
-
-
-def test_append_accepts_signed_challenge_record(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
-    _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    record = signed(
-        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b""),
-        rsu_keys,
-    )
-    block = roadside.ledger.append(vehicle_keys.public, record)
-    assert block.entries[-1].payload == record
-    assert validate_block(block)
 
 
 def test_validate_block_rechecks_entries_append_entry_trusted(registered, rsu_keys):
@@ -280,8 +259,9 @@ def test_update_verifies_once(registered, maker_keys, verify_calls):
 
 def test_request_verifies_once(tiers, insurer_keys, verify_calls):
     authority, _ = tiers
+    request = signed_request(insurer_keys, "incident 12", ts=3)
     del verify_calls[:]
-    request = submit_request(insurer_keys, authority, "incident 12", ts=3)
+    submit_request(authority, request)
     assert verify_calls == [(insurer_keys.public, request.signing_bytes(), request.sig)]
 
 
@@ -438,12 +418,17 @@ def test_changed_response_is_rejected(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_changed_record_is_rejected_by_append(data):
+    """``append_entry`` links a changed record (unless it names another
+    vehicle), and the audit rejects the block it makes.
+    """
     roadside, _, response, record = _world()
     changed = data.draw(changed_record(record))
-    before = roadside.ledger.lookup(response.vehicle_pk)
-    with pytest.raises(LedgerError, match="signature"):
-        roadside.ledger.append(response.vehicle_pk, changed)
-    assert roadside.ledger.lookup(response.vehicle_pk) == before
+    block = roadside.ledger.lookup(response.vehicle_pk)
+    if changed.response.vehicle_pk == response.vehicle_pk:
+        assert not validate_block(append_entry(block, changed))
+    else:
+        with pytest.raises(LedgerError, match="ownership"):
+            append_entry(block, changed)
     assert_fresh_encoding(changed)
 
 
@@ -641,15 +626,13 @@ def test_update_with_wrong_width_field_is_rejected(name):
 def test_request_with_unencodable_field_is_rejected_by_append(tiers, insurer_keys):
     authority, _ = tiers
     before = authority.ledger.lookup(authority.audit_pk)
-    request = signed(
-        RequestTx(insurer_pk=insurer_keys.public, query="q", ts=3, sig=b""), insurer_keys
-    )
+    request = signed_request(insurer_keys, "q", ts=3)
     changed = [dataclasses.replace(request, ts=U64_MAX + 1)] + [
         dataclasses.replace(request, insurer_pk=pk) for pk in wrong_widths(request.insurer_pk)
     ]
     for forged in changed:
-        with pytest.raises(LedgerError, match="signature"):
-            authority.ledger.append(authority.audit_pk, forged)
+        with pytest.raises(ProtocolError, match="signature"):
+            submit_request(authority, forged)
     assert authority.ledger.lookup(authority.audit_pk) == before
 
 
@@ -754,15 +737,22 @@ def test_signatures_are_made_and_checked_only_at_the_known_sites():
     assert sites == ALLOWED_SITES
 
 
-# The functions allowed to call append_entry and verify_response: an entry
-# joins a block only through these, and a response is classified only by
-# record_response, which records it only if it is Valid.
-RECORDING_SITES = {
+# The functions allowed to call append_entry, verify_response and
+# signed_by: an entry joins a block only through the first, a response is
+# classified only by record_response, which records it only if it is Valid,
+# and a signature is checked on the way in only where a transaction enters
+# a tier.
+BOUNDARY_SITES = {
     ("append_entry", "Ledger.create_block"),
-    ("append_entry", "Ledger.append"),
+    ("append_entry", "submit_request"),
     ("append_entry", "apply_upper_update"),
     ("append_entry", "record_response"),
     ("verify_response", "record_response"),
+    ("signed_by", "initialize_vehicle"),
+    ("signed_by", "apply_upper_update"),
+    ("signed_by", "verify_response"),
+    ("signed_by", "submit_request"),
+    ("signed_by", "AuthorityNode.receive_report"),
 }
 
 
@@ -773,10 +763,10 @@ def test_entries_are_appended_and_responses_verified_only_at_the_known_sites():
         for node, scope in scoped_calls(ast.parse(path.read_text())):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name not in ("append_entry", "verify_response"):
+            if name not in ("append_entry", "verify_response", "signed_by"):
                 continue
             sites.add((name, scope))
-            if (name, scope) not in RECORDING_SITES:
+            if (name, scope) not in BOUNDARY_SITES:
                 outside.append(f"{path.name}:{node.lineno} {name} in {scope or 'module'}")
     assert outside == []
-    assert sites == RECORDING_SITES
+    assert sites == BOUNDARY_SITES

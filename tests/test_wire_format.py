@@ -7,13 +7,15 @@ big-endian bytes, digests, keys and signatures raw, a u32 length prefix
 only on strings and nested wire bytes). Bytes in the v1 layout (a length
 prefix on every field) are only ever written here, and nothing decodes
 them. Every decoder and the file archive raise only ``WireError`` or
-``ArchiveError`` on hostile bytes.
+``ArchiveError`` on hostile bytes, and decoding is canonical: hostile bytes
+that decode re-encode to themselves.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import tempfile
 
 import pytest
@@ -304,16 +306,19 @@ def test_block_and_ledger_round_trip(block_list):
 
 
 def _valid_inputs():
+    """Target name -> (decoder, encoder, valid inputs)."""
     g = _golden()
     block = g["ledger"].blocks[g["header"].owner_pk]
+    to_bytes = operator.methodcaller("to_bytes")
     return {
         "transaction": (
             decode_transaction,
+            to_bytes,
             [g[name].to_bytes() for name in ("genesis", "record", "update")],
         ),
-        "response": (decode_challenge_response, [g["response"].to_bytes()]),
-        "block": (decode_block, [block.to_bytes()]),
-        "ledger": (deserialize_ledger, [g["ledger"].serialize()]),
+        "response": (decode_challenge_response, to_bytes, [g["response"].to_bytes()]),
+        "block": (decode_block, to_bytes, [block.to_bytes()]),
+        "ledger": (deserialize_ledger, Ledger.serialize, [g["ledger"].serialize()]),
     }
 
 
@@ -336,12 +341,13 @@ def hostile(draw, valid: list[bytes]):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_decoders_raise_only_wire_error(target, data):
-    decode, valid = _valid_inputs()[target]
+    decode, encode, valid = _valid_inputs()[target]
     blob = data.draw(hostile(valid))
     try:
-        decode(blob)
+        decoded = decode(blob)
     except WireError:
-        pass
+        return
+    assert encode(decoded) == blob
 
 
 @settings(max_examples=150, deadline=None)
