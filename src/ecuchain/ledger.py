@@ -24,15 +24,15 @@ payload carries a signature, every sequence number but the newest is bound
 by its successor's link, and the sequence numbers of a block are
 consecutive, starting at 0 for a lone entry.
 
-Bytes are wire format v2 (see ``wire``). A header is the owner key and the
+Bytes are wire format v3 (see ``wire``). A header is the owner key and the
 previous header hash (32 raw bytes each), the creation timestamp (8 bytes)
 and the external address (a length-prefixed string); an entry is its
 payload's wire bytes behind a u32 length, the 32-byte ``prev_link`` and the
 8-byte sequence number, 44 bytes of framing; a block is its header, an
-entry count and the entries. ``Ledger.serialize`` writes the magic
-``ECUL3``, a block count and each block behind a u32 length. There is no
-reader for older layouts (magics ``ECUL1`` and ``ECUL2``): such bytes raise
-``WireError``, and an archive file holding v1 entries raises
+8-byte entry count and the entries. ``Ledger.serialize`` writes the magic
+``ECUL4``, an 8-byte block count and each block behind a u32 length. There
+is no reader for older layouts (magics ``ECUL1`` to ``ECUL3``): such bytes
+raise ``WireError``, and an archive file holding v1 entries raises
 ``ArchiveError``.
 
 Pruning keeps the last two entries (previous and current state). Each
@@ -73,7 +73,7 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL3"
+LEDGER_MAGIC = b"ECUL4"
 
 
 class LedgerError(ValueError):

@@ -340,7 +340,11 @@ def record_response(
     append the countersigned response to the vehicle's block and prune it
     back to two entries. Returns the verdict, and changes nothing on any
     other. The ledger is only mutated after the archive write succeeds.
+    Raises ``ProtocolError``, before verifying anything, if another RSU
+    issued the challenge: an RSU countersigns only answers to its own.
     """
+    if challenge.rsu_pk != rsu_keys.public:
+        raise ProtocolError("challenge issued by another RSU")
     verdict = verify_response(roadside, challenge, response)
     if verdict is not Verdict.VALID:
         return verdict

@@ -40,7 +40,7 @@ from .protocol import (
     record_response,
     report_malicious,
 )
-from .transactions import Verdict
+from .transactions import MAX_ECUS, Verdict
 from .wire import U64_MAX
 
 EPOCH_MS = 1_000
@@ -88,6 +88,8 @@ class SimConfig:
         for name in ("n_vehicles", "n_rsus", "ecus_per_vehicle", "n_rounds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.ecus_per_vehicle > MAX_ECUS:
+            raise ConfigError(f"ecus_per_vehicle must be <= {MAX_ECUS}")
         if not 0 <= self.seed <= U64_MAX:
             raise ConfigError(f"seed must be in [0, {U64_MAX}]")
         if self.link_latency_ms < 0:

@@ -1,15 +1,19 @@
 """Transaction variants, challenge/response records and verdicts.
 
 Every signed structure exposes ``signing_bytes()`` (canonical wire-format
-v2 bytes with the signature field ``sig`` omitted) and ``to_bytes()``
+v3 bytes with the signature field ``sig`` omitted) and ``to_bytes()``
 (signing bytes plus the raw 64-byte signature appended). Each transaction
-encoding starts with the variant tag so a signature can never be replayed
-across types. Digests and public keys are written raw, and each ECU record
-is one packed ``>Q32sQ`` struct (id, firmware digest, last-write time). The
-only length prefixes inside a transaction are on a request's query string
-and around a challenge record's nested response bytes. ``signed`` is the
-one way to sign any of them, and ``signed_by`` the one way to check a
-signature where it enters a tier.
+encoding starts with its 1-byte variant tag so a signature can never be
+replayed across types. Digests and public keys are written raw. An ECU id
+and an ECU-list count are u16, so a vehicle has at most ``MAX_ECUS`` ECUs,
+and each ECU record is one packed ``>H32sQ`` struct (id, firmware digest,
+last-write time), 42 bytes. A challenge record embeds its response's wire
+bytes unprefixed: the response's own ECU count fixes their length. The only
+length prefix inside a transaction is on a request's query string.
+``signed`` is the one way to sign any of them, and ``signed_by`` the one
+way to check a signature where it enters a tier; a field past its wire
+width (an ECU id or list past ``MAX_ECUS``, an integer past u64) cannot be
+encoded, so it fails ``signed_by``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,15 @@ from .crypto import (
     Signature,
 )
 from .ecu import EcuRecord
-from .wire import Reader, WireError, encode_bytes, encode_fixed, encode_str, encode_u64
+from .wire import (
+    Reader,
+    WireError,
+    encode_fixed,
+    encode_str,
+    encode_u8,
+    encode_u16,
+    encode_u64,
+)
 
 TAG_GENESIS = 0
 TAG_UPDATE = 1
@@ -49,9 +61,12 @@ class Verdict(Enum):
     STALE_TIMESTAMP = "StaleTimestamp"
 
 
-# One ECU record: ecu_id (u64), firmware digest (32 bytes), last-write ts (u64).
+# The largest ECU id and the longest ECU list: both are a u16 on the wire.
+MAX_ECUS = 0xFFFF
+
+# One ECU record: ecu_id (u16), firmware digest (32 bytes), last-write ts (u64).
 # ``32s`` would pad a short digest, but ``EcuRecord`` only holds 32-byte ones.
-ECU_RECORD = struct.Struct(">Q32sQ")
+ECU_RECORD = struct.Struct(">H32sQ")
 
 
 def _encode_ecu_list(records: tuple[EcuRecord, ...]) -> bytes:
@@ -60,11 +75,11 @@ def _encode_ecu_list(records: tuple[EcuRecord, ...]) -> bytes:
         packed = [pack(r.ecu_id, r.firmware_digest, r.last_write_ts) for r in records]
     except struct.error as exc:
         raise WireError(f"ECU record not encodable: {exc}") from None
-    return encode_u64(len(records)) + b"".join(packed)
+    return encode_u16(len(records)) + b"".join(packed)
 
 
 def _read_ecu_list(r: Reader) -> tuple[EcuRecord, ...]:
-    count = r.read_u64()
+    count = r.read_u16()
     if count > r.remaining // ECU_RECORD.size:
         raise WireError(f"ECU list of {count} records overruns buffer")
     raw = r.read_fixed(count * ECU_RECORD.size)
@@ -87,7 +102,7 @@ class GenesisTx:
     def signing_bytes(self) -> bytes:
         return b"".join(
             (
-                encode_u64(TAG_GENESIS),
+                encode_u8(TAG_GENESIS),
                 encode_fixed(self.state_root, DIGEST_LEN),
                 encode_u64(self.ts),
                 _encode_ecu_list(self.ecu_list),
@@ -119,12 +134,12 @@ class UpdateTx:
     def signing_bytes(self) -> bytes:
         return b"".join(
             (
-                encode_u64(TAG_UPDATE),
+                encode_u8(TAG_UPDATE),
                 encode_fixed(self.new_root, DIGEST_LEN),
                 encode_u64(self.ts),
                 encode_fixed(self.vehicle_pk, PUBLIC_KEY_LEN),
                 encode_fixed(self.maintainer_pk, PUBLIC_KEY_LEN),
-                encode_u64(self.ecu_id),
+                encode_u16(self.ecu_id),
                 encode_fixed(self.firmware_digest, DIGEST_LEN),
             )
         )
@@ -145,7 +160,7 @@ class RequestTx:
     def signing_bytes(self) -> bytes:
         return b"".join(
             (
-                encode_u64(TAG_REQUEST),
+                encode_u8(TAG_REQUEST),
                 encode_fixed(self.insurer_pk, PUBLIC_KEY_LEN),
                 encode_str(self.query),
                 encode_u64(self.ts),
@@ -201,7 +216,9 @@ def decode_challenge_response(data: bytes) -> ChallengeResponse:
 
 @dataclass(frozen=True)
 class ChallengeRecordTx:
-    """A verified challenge response countersigned by the recording RSU."""
+    """A verified challenge response countersigned by the recording RSU.
+    The response's wire bytes are embedded whole, with no length prefix.
+    """
 
     response: ChallengeResponse
     rsu_pk: PublicKey
@@ -210,8 +227,8 @@ class ChallengeRecordTx:
     def signing_bytes(self) -> bytes:
         return b"".join(
             (
-                encode_u64(TAG_CHALLENGE_RECORD),
-                encode_bytes(self.response.to_bytes()),
+                encode_u8(TAG_CHALLENGE_RECORD),
+                self.response.to_bytes(),
                 encode_fixed(self.rsu_pk, PUBLIC_KEY_LEN),
             )
         )
@@ -280,7 +297,7 @@ def tx_vehicle(tx: Transaction) -> PublicKey | None:
 
 def decode_transaction(data: bytes) -> Transaction:
     r = Reader(data)
-    tag = r.read_u64()
+    tag = r.read_u8()
     tx: Transaction
     if tag == TAG_GENESIS:
         tx = GenesisTx(
@@ -297,7 +314,7 @@ def decode_transaction(data: bytes) -> Transaction:
             ts=r.read_u64(),
             vehicle_pk=r.read_fixed(PUBLIC_KEY_LEN),
             maintainer_pk=r.read_fixed(PUBLIC_KEY_LEN),
-            ecu_id=r.read_u64(),
+            ecu_id=r.read_u16(),
             firmware_digest=r.read_fixed(DIGEST_LEN),
             sig=r.read_fixed(SIGNATURE_LEN),
         )
@@ -310,7 +327,7 @@ def decode_transaction(data: bytes) -> Transaction:
         )
     elif tag == TAG_CHALLENGE_RECORD:
         tx = ChallengeRecordTx(
-            response=decode_challenge_response(r.read_bytes()),
+            response=read_challenge_response(r),
             rsu_pk=r.read_fixed(PUBLIC_KEY_LEN),
             sig=r.read_fixed(SIGNATURE_LEN),
         )

@@ -1,17 +1,24 @@
-"""Wire format v2: the canonical byte encoding used for signing and hashing.
+"""Wire format v3: the canonical byte encoding used for signing and hashing.
 
-Rules: fields are encoded in declaration order. An integer is 8 raw
-big-endian bytes. A fixed-width field (a 32-byte digest or public key, a
-64-byte signature) is written raw, its width fixed by its type. Only a
-variable-length field carries a 4-byte big-endian length prefix: a UTF-8
-string, or nested wire bytes. A list is an integer element count followed
-by the elements' fields. Decoding must consume the input exactly.
+Rules: fields are encoded in declaration order. An integer is raw
+big-endian bytes, as wide as its domain: a transaction's variant tag is 1
+byte, an ECU id or ECU-list count 2 bytes, and every other integer
+(timestamps, sequence numbers, entry and block counts) 8 bytes. A
+fixed-width field (a 32-byte digest or public key, a 64-byte signature) is
+written raw, its width fixed by its type. Only a variable-length field
+carries a 4-byte big-endian length prefix: a UTF-8 string, or nested wire
+bytes whose length nothing else fixes. A list is an element count followed
+by the elements' fields. Every field has one width, so decoding is
+canonical: it must consume the input exactly, and what decodes re-encodes
+to the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
 
+U8 = struct.Struct(">B")
+U16 = struct.Struct(">H")
 U32 = struct.Struct(">I")
 U64 = struct.Struct(">Q")
 
@@ -19,7 +26,7 @@ U64_MAX = 2**64 - 1
 
 
 class WireError(ValueError):
-    """Raised when bytes do not parse as well-formed wire format v2, or a
+    """Raised when bytes do not parse as well-formed wire format v3, or a
     value cannot be encoded in it.
     """
 
@@ -36,11 +43,23 @@ def encode_fixed(value: bytes, n: int) -> bytes:
     return value
 
 
-def encode_u64(value: int) -> bytes:
+def _encode_int(fmt: struct.Struct, value: int) -> bytes:
     try:
-        return U64.pack(value)
+        return fmt.pack(value)
     except struct.error:
-        raise WireError(f"integer out of u64 range: {value!r}") from None
+        raise WireError(f"integer out of u{8 * fmt.size} range: {value!r}") from None
+
+
+def encode_u8(value: int) -> bytes:
+    return _encode_int(U8, value)
+
+
+def encode_u16(value: int) -> bytes:
+    return _encode_int(U16, value)
+
+
+def encode_u64(value: int) -> bytes:
+    return _encode_int(U64, value)
 
 
 def encode_str(value: str) -> bytes:
@@ -67,6 +86,12 @@ class Reader:
         if self._pos > len(self._data):
             raise WireError("field overruns buffer")
         return self._data[end : self._pos]
+
+    def read_u8(self) -> int:
+        return self.read_fixed(1)[0]
+
+    def read_u16(self) -> int:
+        return U16.unpack(self.read_fixed(2))[0]
 
     def read_u64(self) -> int:
         return U64.unpack(self.read_fixed(8))[0]

@@ -43,6 +43,7 @@ from ecuchain.protocol import (
     record_response,
 )
 from ecuchain.transactions import (
+    MAX_ECUS,
     ChallengeRecordTx,
     ChallengeResponse,
     GenesisTx,
@@ -157,7 +158,7 @@ u64s = st.integers(0, U64_MAX)
 VALUES = {
     "sig": st.binary(min_size=64, max_size=64),
     "ts": u64s,
-    "ecu_id": u64s,
+    "ecu_id": st.integers(0, MAX_ECUS),
     "last_write_ts": u64s,
 }
 SIGNER_FIELD = {GenesisTx: "maker_pk", UpdateTx: "maintainer_pk", ChallengeRecordTx: "rsu_pk"}

@@ -81,6 +81,17 @@ def test_config_seed_outside_u64_exits_one(tmp_path, capsys):
     assert "seed must be in [0, 18446744073709551615]" in capsys.readouterr().err
 
 
+def test_config_ecus_past_the_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "many-ecus.cfg"
+    path.write_text(
+        CONFIG.replace("ecus_per_vehicle = 4", "ecus_per_vehicle = 65536"), encoding="utf-8"
+    )
+    out = tmp_path / "s.log"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "ecus_per_vehicle must be <= 65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_path_exits_one(capsys):
     assert main(["run", "--config", "/nonexistent/path.cfg"]) == 1
     assert "ecuchain:" in capsys.readouterr().err

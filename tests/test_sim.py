@@ -23,7 +23,7 @@ from ecuchain.sim import (
     run,
 )
 from ecuchain.ledger import reconstruct_history
-from ecuchain.transactions import ChallengeRecordTx
+from ecuchain.transactions import MAX_ECUS, ChallengeRecordTx
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
 # SHA-256 of the event log `ecuchain run --config scenarios/demo.cfg` writes.
@@ -82,6 +82,9 @@ def test_parse_config_rejects_bad_values():
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(f"seed = {seed}")
+    assert parse_config(f"ecus_per_vehicle = {MAX_ECUS}").ecus_per_vehicle == MAX_ECUS
+    with pytest.raises(ConfigError, match="ecus_per_vehicle"):
+        parse_config(f"ecus_per_vehicle = {MAX_ECUS + 1}")
 
 
 def test_load_config_missing_file(tmp_path):

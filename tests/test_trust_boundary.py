@@ -52,6 +52,7 @@ from ecuchain.protocol import (
     verify_response,
 )
 from ecuchain.transactions import (
+    MAX_ECUS,
     TAG_UPDATE,
     ChallengeRecordTx,
     ChallengeResponse,
@@ -327,6 +328,24 @@ def test_record_response_records_nothing_unverified(registered, rsu_keys, kind, 
     assert tier_snapshot(authority, roadside, vehicle_keys.public) == before
 
 
+def test_record_response_refuses_another_rsus_challenge(registered, rsu_keys, verify_calls):
+    """An RSU records only answers to its own challenges: a Valid response
+    to another RSU's challenge is refused before anything is verified.
+    """
+    authority, roadside, vehicle_keys, state = registered
+    for ts in (7, 8):
+        challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
+        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+    challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
+    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    before = tier_snapshot(authority, roadside, vehicle_keys.public)
+    del verify_calls[:]
+    with pytest.raises(ProtocolError, match="another RSU"):
+        record_response(keys_for("rsu2"), roadside, challenge, response)
+    assert verify_calls == []
+    assert tier_snapshot(authority, roadside, vehicle_keys.public) == before
+
+
 # -- stale bytes ---------------------------------------------------------------------
 
 
@@ -537,7 +556,7 @@ UPDATE_FIELDS = {
     "ts": u64_or_not,
     "vehicle_pk": digests,
     "maintainer_pk": digests,
-    "ecu_id": u64_or_not,
+    "ecu_id": st.one_of(st.integers(0, MAX_ECUS), u64_or_not),
     "firmware_digest": digests,
     "sig": st.binary(min_size=64, max_size=64),
 }
@@ -551,7 +570,8 @@ def test_changed_update_is_rejected(data):
     value = data.draw(UPDATE_FIELDS[name].filter(lambda v: v != getattr(update, name)))
     changed = dataclasses.replace(update, **{name: value})
     assert_update_rejected(changed, "signature")
-    if name not in ("ts", "ecu_id") or 0 <= value <= U64_MAX:
+    limit = MAX_ECUS if name == "ecu_id" else U64_MAX
+    if name not in ("ts", "ecu_id") or 0 <= value <= limit:
         assert_fresh_encoding(changed)
 
 
@@ -570,7 +590,7 @@ def inconsistent_update(draw, update):
         ecu = draw(st.integers(0, 7).filter(lambda e: e != UPDATED_ECU))
         return "new_root", dataclasses.replace(update, ecu_id=ecu)
     if kind == "unknown_ecu":
-        ecu = draw(st.integers(8, U64_MAX))
+        ecu = draw(st.integers(8, MAX_ECUS))
         return "unknown ecu_id", dataclasses.replace(update, ecu_id=ecu)
     return "regression", dataclasses.replace(update, ts=draw(st.integers(0, 99)))
 
@@ -593,6 +613,18 @@ def test_update_past_u64_cannot_be_signed_and_is_rejected(name, value):
     assert_update_rejected(changed, "signature")
 
 
+@pytest.mark.parametrize("ecu_id", [MAX_ECUS + 1, U64_MAX])
+def test_update_past_the_ecu_limit_cannot_be_signed_and_is_rejected(ecu_id):
+    """An ECU id past the u16 limit does not encode, so the update fails its
+    signature check with ``ProtocolError``, not ``WireError``.
+    """
+    _, _, maker, update, _ = _update_world()
+    changed = dataclasses.replace(update, ecu_id=ecu_id)
+    with pytest.raises(WireError):
+        signed(changed, maker)
+    assert_update_rejected(changed, "update signature invalid")
+
+
 def test_signed_update_encodes_its_current_fields():
     *_, update, _ = _update_world()
     assert_fresh_encoding(update)
@@ -600,7 +632,7 @@ def test_signed_update_encodes_its_current_fields():
 
 
 # -- fixed-width fields of the wrong width ------------------------------------------
-# Wire format v2 writes digests, keys and signatures raw, so a field of the
+# Wire format v3 writes digests, keys and signatures raw, so a field of the
 # wrong width cannot be encoded: each boundary rejects it with its own error.
 
 
@@ -660,7 +692,7 @@ def test_update_with_metadata_string_layout_does_not_decode():
     metadata = f"ecu=3;action=firmware-update;digest={update.firmware_digest.hex()};ts=200"
     old = b"".join(
         (
-            TAG_UPDATE.to_bytes(8, "big"),
+            TAG_UPDATE.to_bytes(1, "big"),
             update.new_root,
             update.ts.to_bytes(8, "big"),
             update.vehicle_pk,

@@ -10,6 +10,8 @@ from ecuchain.wire import (
     encode_bytes,
     encode_fixed,
     encode_str,
+    encode_u8,
+    encode_u16,
     encode_u64,
 )
 
@@ -25,6 +27,20 @@ def test_u64_range_checked():
         encode_u64(-1)
     with pytest.raises(WireError):
         encode_u64(2**64)
+
+
+def test_u8_and_u16_layout_and_range_checked():
+    assert encode_u8(3) == b"\x03"
+    assert encode_u16(0xFFFF) == b"\xff\xff"
+    r = Reader(encode_u8(255) + encode_u16(258))
+    assert (r.read_u8(), r.read_u16()) == (255, 258)
+    r.finish()
+    for encode, past in ((encode_u8, 256), (encode_u16, 0x10000)):
+        for value in (-1, past):
+            with pytest.raises(WireError, match=f"u{8 * len(encode(0))} range"):
+                encode(value)
+    with pytest.raises(WireError):
+        Reader(b"\x01").read_u16()
 
 
 def test_fixed_layout_and_length_checked():
@@ -66,7 +82,7 @@ def test_reader_rejects_truncation():
 
 
 def test_reader_rejects_wrong_integer_width():
-    # v2 integers carry no width prefix: fewer than 8 bytes is a truncated u64.
+    # Integers carry no width prefix: fewer than 8 bytes is a truncated u64.
     with pytest.raises(WireError):
         Reader(bytes.fromhex("00" * 7)).read_u64()
     r = Reader(bytes.fromhex("00" * 8) + b"\x01")

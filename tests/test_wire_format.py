@@ -1,14 +1,16 @@
-"""Wire format v2 end to end: golden vectors, the old format refused, and
-hostile bytes.
+"""Wire format v3 end to end: golden vectors, the old formats refused,
+and hostile bytes.
 
 The golden vectors pin one object of each type by length and SHA-256; the
-main ones are also rebuilt by hand from the v2 rules (integers as 8 raw
-big-endian bytes, digests, keys and signatures raw, a u32 length prefix
-only on strings and nested wire bytes). Bytes in the v1 layout (a length
-prefix on every field) are only ever written here, and nothing decodes
-them. Every decoder and the file archive raise only ``WireError`` or
-``ArchiveError`` on hostile bytes, and decoding is canonical: hostile bytes
-that decode re-encode to themselves.
+main ones are also rebuilt by hand from the v3 rules (a 1-byte variant
+tag, ECU ids and ECU-list counts as u16, every other integer as 8 raw
+big-endian bytes, digests, keys and signatures raw, a challenge record's
+response embedded unprefixed, a u32 length prefix only on strings and
+nested entry and block bytes). Bytes in the v1 layout (a length prefix on
+every field) and the v2 layout (every integer 8 bytes) are only ever
+written here, and nothing decodes them. Every decoder and the file archive
+raise only ``WireError`` or ``ArchiveError`` on hostile bytes, and decoding
+is canonical: hostile bytes that decode re-encode to themselves.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
+import random
 import tempfile
 
 import pytest
@@ -33,12 +36,23 @@ from ecuchain.ledger import (
     FileArchive,
     Ledger,
     LedgerEntry,
+    append_entry,
     decode_block,
     deserialize_ledger,
     read_entry,
 )
-from ecuchain.protocol import build_response, external_address, make_genesis
+from ecuchain.protocol import (
+    RoadsideTier,
+    build_response,
+    external_address,
+    initialize_vehicle,
+    issue_challenge,
+    make_genesis,
+    new_authority_tier,
+    record_response,
+)
 from ecuchain.transactions import (
+    MAX_ECUS,
     TAG_GENESIS,
     Challenge,
     ChallengeRecordTx,
@@ -46,12 +60,21 @@ from ecuchain.transactions import (
     GenesisTx,
     RequestTx,
     UpdateTx,
+    Verdict,
     decode_challenge_response,
     decode_transaction,
     signed,
 )
 from ecuchain.wire import U64_MAX, Reader, WireError
 from test_protocol import make_update
+
+
+def u8(n: int) -> bytes:
+    return n.to_bytes(1, "big")
+
+
+def u16(n: int) -> bytes:
+    return n.to_bytes(2, "big")
 
 
 def u64(n: int) -> bytes:
@@ -67,7 +90,7 @@ def sha(data: bytes) -> str:
 
 
 def packed_records(records) -> bytes:
-    return b"".join(u64(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in records)
+    return b"".join(u16(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in records)
 
 
 # -- golden vectors --------------------------------------------------------------------
@@ -98,13 +121,13 @@ def _golden():
 
 
 GOLDEN = {
-    "response": (288, "ff017ced67eee0c03a73c02a99081d35d9920271eca168c76bff29012b25fc82"),
-    "record": (396, "925956ce2cd774c9ca8320c5d5166ede0478807241352b6968f31f06d3394ee0"),
-    "update": (216, "907d339851e067f6c0d386bc8d16df7e682115c5287c268487800519e22102d6"),
-    "genesis": (568, "acdc34c9bb53278aed6588f696323ce8a8ec68633fadda2f68fbba1a6392ef6c"),
-    "entry": (568 + 44, "0b3d7b6c433ea74ed317c15b5264b5f0af83433738051eb6714c2771ab2f6884"),
+    "response": (264, "7911bcbed6939943ca04c30335b8c60848b847062c7baa19ecb4314ac1f113b3"),
+    "record": (361, "d386516807df43e28a0b3c6a5492ebfda16ef2dca40d0023149d38c71f608d6b"),
+    "update": (203, "51f367aa6b6ec06fe48fe7d507a0e28a607d7ee31f53ae478d0fcd3d57e14a89"),
+    "genesis": (507, "b9d08e5bd710054c290c9350e8c37907e24db403189ce974a336a6689107c833"),
+    "entry": (507 + 44, "9925de59795ff450110075df446ba4b091a30315879b5768e184a73f6936dd71"),
     "header": (97, "9fa721f32f319a71bc8ca3789261f37b36ff3a59537d7458ea82399f79e5cf61"),
-    "ledger": (738, "ff08ccb0452e076d7adb32d826433b0e5db47060a2873d35aaada34062071aac"),
+    "ledger": (677, "55ab1fb23e48b09da4bd993b50745bbdd7ad65d122e02fcf266db00a15a9fcb3"),
 }
 
 
@@ -122,26 +145,24 @@ def test_golden_vector(name):
 def test_response_and_record_layout_by_hand():
     g = _golden()
     response, record = g["response"], g["record"]
-    expected = response.state_root + u64(3) + packed_records(response.subset)
+    expected = response.state_root + u16(3) + packed_records(response.subset)
     expected += u64(5) + response.vehicle_pk
     assert response.signing_bytes() == expected
     assert response.to_bytes() == expected + response.sig
-    assert record.to_bytes() == (
-        u64(3) + prefixed(response.to_bytes()) + record.rsu_pk + record.sig
-    )
+    assert record.to_bytes() == u8(3) + response.to_bytes() + record.rsu_pk + record.sig
 
 
 def test_genesis_and_update_layout_by_hand():
     g = _golden()
     genesis, update = g["genesis"], g["update"]
     assert genesis.to_bytes() == (
-        u64(TAG_GENESIS) + genesis.state_root + u64(0) + u64(8)
+        u8(TAG_GENESIS) + genesis.state_root + u64(0) + u16(8)
         + packed_records(genesis.ecu_list)
         + genesis.vehicle_pk + genesis.maker_pk + genesis.sig
     )
     assert update.to_bytes() == (
-        u64(1) + update.new_root + u64(9) + update.vehicle_pk + update.maintainer_pk
-        + u64(3) + update.firmware_digest + update.sig
+        u8(1) + update.new_root + u64(9) + update.vehicle_pk + update.maintainer_pk
+        + u16(3) + update.firmware_digest + update.sig
     )
 
 
@@ -152,10 +173,10 @@ def test_header_entry_and_envelope_layout_by_hand():
     assert header.to_bytes() == header.owner_pk + ZERO_DIGEST + u64(0) + prefixed(address)
     assert entry.to_bytes() == prefixed(g["genesis"].to_bytes()) + entry.prev_link + u64(0)
     block = header.to_bytes() + u64(1) + entry.to_bytes()
-    assert ledger.serialize() == prefixed(b"ECUL3") + u64(1) + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECUL4") + u64(1) + prefixed(block)
 
 
-# -- the v1 layout is not read -------------------------------------------------------------
+# -- older layouts are not read -----------------------------------------------------------
 
 
 def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
@@ -187,6 +208,28 @@ def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
     return prefixed(payload) + prefixed(entry.prev_link) + v1_u64(tx.ts)
 
 
+def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
+    """``entry`` (a genesis payload) in wire format v2: every integer 8
+    bytes, each ECU record a packed ``>Q32sQ``, signed again by the maker
+    over its v2 signing bytes.
+    """
+    tx = entry.payload
+    ecus = b"".join(u64(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in tx.ecu_list)
+    signing = b"".join(
+        (
+            u64(TAG_GENESIS),
+            tx.state_root,
+            u64(tx.ts),
+            u64(len(tx.ecu_list)),
+            ecus,
+            tx.vehicle_pk,
+            tx.maker_pk,
+        )
+    )
+    payload = signing + keys_for("maker").sign(signing)
+    return prefixed(payload) + entry.prev_link + u64(entry.seq)
+
+
 def test_v1_ledger_blob_raises_wire_error():
     g = _golden()
     header = g["header"]
@@ -200,25 +243,36 @@ def test_v1_ledger_blob_raises_wire_error():
     )
     v1_block = v1_header + prefixed(u64(1)) + _v1_genesis_entry(g["entry"])
     v1_blob = prefixed(b"ECUL1") + prefixed(u64(1)) + prefixed(v1_block)
-    # A v2 ledger of this genesis-only block differs from v3 only in its magic.
-    v2_blob = prefixed(b"ECUL2") + g["ledger"].serialize()[len(prefixed(LEDGER_MAGIC)):]
-    assert sha(v2_blob) == "c347b2ccc619a111beee75337af6633469930d1f126735492c745b1b664f08e0"
-    assert LEDGER_MAGIC == b"ECUL3"
-    for blob in (v1_blob, v2_blob):
+    # Wire format v2 wrote this genesis-only ledger under the magic ECUL3 (the
+    # bytes its golden vector pinned) and, with the same body, under ECUL2.
+    v2_block = header.to_bytes() + u64(1) + _v2_genesis_entry(g["entry"])
+    ecul2_blob, ecul3_blob = (
+        prefixed(magic) + u64(1) + prefixed(v2_block) for magic in (b"ECUL2", b"ECUL3")
+    )
+    assert sha(ecul2_blob) == "c347b2ccc619a111beee75337af6633469930d1f126735492c745b1b664f08e0"
+    assert (len(ecul3_blob), sha(ecul3_blob)) == (
+        738,
+        "ff08ccb0452e076d7adb32d826433b0e5db47060a2873d35aaada34062071aac",
+    )
+    assert LEDGER_MAGIC == b"ECUL4"
+    for blob in (v1_blob, ecul2_blob, ecul3_blob):
         with pytest.raises(WireError):
             deserialize_ledger(blob)
-    with pytest.raises(WireError):
-        decode_block(v1_block)
+    for block in (v1_block, v2_block):
+        with pytest.raises(WireError):
+            decode_block(block)
 
 
 def test_v1_archive_file_raises_archive_error(tmp_path):
     entry = _golden()["entry"]
     archive = FileArchive(tmp_path)
     archive.append_many("ar://v1", [(0, _v1_genesis_entry(entry))])
-    with pytest.raises(ArchiveError):
-        archive.read("ar://v1")
-    archive.append_many("ar://v2", [(0, entry.to_bytes())])
-    assert archive.read("ar://v2") == [(0, entry.to_bytes())]
+    archive.append_many("ar://v2", [(0, _v2_genesis_entry(entry))])
+    for address in ("ar://v1", "ar://v2"):
+        with pytest.raises(ArchiveError):
+            archive.read(address)
+    archive.append_many("ar://v3", [(0, entry.to_bytes())])
+    assert archive.read("ar://v3") == [(0, entry.to_bytes())]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -226,7 +280,8 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
 digests = st.binary(min_size=32, max_size=32)
 sigs = st.binary(min_size=64, max_size=64)
 u64s = st.integers(0, U64_MAX)
-ecu_records = st.builds(EcuRecord, ecu_id=u64s, firmware_digest=digests, last_write_ts=u64s)
+ecu_ids = st.integers(0, MAX_ECUS)
+ecu_records = st.builds(EcuRecord, ecu_id=ecu_ids, firmware_digest=digests, last_write_ts=u64s)
 ecu_lists = st.lists(ecu_records, max_size=6).map(tuple)
 
 responses = st.builds(
@@ -248,7 +303,7 @@ transactions = st.one_of(
         ts=u64s,
         vehicle_pk=digests,
         maintainer_pk=digests,
-        ecu_id=u64s,
+        ecu_id=ecu_ids,
         firmware_digest=digests,
         sig=sigs,
     ),
@@ -305,42 +360,57 @@ def test_block_and_ledger_round_trip(block_list):
 # -- hostile bytes -----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _valid_inputs():
-    """Target name -> (decoder, encoder, valid inputs)."""
+    """Target name -> (decoder, encoder, valid inputs): every transaction
+    type, and a block and a ledger holding a genesis, an update and a
+    challenge record.
+    """
     g = _golden()
-    block = g["ledger"].blocks[g["header"].owner_pk]
+    pk = g["header"].owner_pk
+    block = append_entry(append_entry(g["ledger"].blocks[pk], g["update"]), g["record"])
+    ledger = Ledger()
+    ledger.blocks[pk] = block
+    ledger.creation_order.append(pk)
+    request = signed(
+        RequestTx(insurer_pk=pk, query="vehicle ü, 0–9", ts=7, sig=b""), keys_for("insurer")
+    )
     to_bytes = operator.methodcaller("to_bytes")
     return {
         "transaction": (
             decode_transaction,
             to_bytes,
-            [g[name].to_bytes() for name in ("genesis", "record", "update")],
+            [tx.to_bytes() for tx in (g["genesis"], g["record"], g["update"], request)],
         ),
         "response": (decode_challenge_response, to_bytes, [g["response"].to_bytes()]),
         "block": (decode_block, to_bytes, [block.to_bytes()]),
-        "ledger": (deserialize_ledger, Ledger.serialize, [g["ledger"].serialize()]),
+        "ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
     }
 
 
 @st.composite
 def hostile(draw, valid: list[bytes]):
-    """A truncation or single-bit flip of a valid input, or random bytes."""
+    """A truncation or single-byte flip (one byte XORed with a nonzero mask)
+    of a valid input, or random bytes.
+    """
     how = draw(st.sampled_from(["truncate", "flip", "random"]))
     if how == "random":
         return draw(st.binary(max_size=700))
     data = draw(st.sampled_from(valid))
     if how == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
-    bit = draw(st.integers(0, 8 * len(data) - 1))
     flipped = bytearray(data)
-    flipped[bit // 8] ^= 1 << (bit % 8)
+    flipped[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
     return bytes(flipped)
 
 
 @pytest.mark.parametrize("target", ["transaction", "response", "block", "ledger"])
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_decoders_raise_only_wire_error(target, data):
+    """Decoding is canonical: hostile bytes raise ``WireError`` and nothing
+    else, or decode to an object that re-encodes to exactly those bytes.
+    """
     decode, encode, valid = _valid_inputs()[target]
     blob = data.draw(hostile(valid))
     try:
@@ -383,3 +453,122 @@ def test_every_single_bit_flip_of_a_record_fails_or_changes_it():
         except WireError:
             continue
         assert tx != record
+
+
+# -- the ECU limit -----------------------------------------------------------------------------
+
+
+def _records(ids) -> tuple[EcuRecord, ...]:
+    return tuple(EcuRecord(ecu_id=i, firmware_digest=bytes(32), last_write_ts=7) for i in ids)
+
+
+def _update(ecu_id: int) -> UpdateTx:
+    return UpdateTx(
+        new_root=bytes(32),
+        ts=1,
+        vehicle_pk=bytes(32),
+        maintainer_pk=bytes(32),
+        ecu_id=ecu_id,
+        firmware_digest=bytes(32),
+        sig=bytes(64),
+    )
+
+
+def _response(subset) -> ChallengeResponse:
+    return ChallengeResponse(
+        state_root=bytes(32), subset=subset, ts=1, vehicle_pk=bytes(32), sig=bytes(64)
+    )
+
+
+def test_ecu_id_at_the_limit_round_trips():
+    update, response = _update(MAX_ECUS), _response(_records([MAX_ECUS]))
+    assert MAX_ECUS == 0xFFFF
+    assert decode_transaction(update.to_bytes()) == update
+    assert decode_challenge_response(response.to_bytes()) == response
+    assert response.to_bytes()[32:36] == u16(1) + u16(MAX_ECUS)
+
+
+def test_ecu_id_or_list_past_the_limit_raises_wire_error():
+    too_many = _records([0] * (MAX_ECUS + 1))
+    assert len(_response(too_many[:-1]).to_bytes()) == response_size(MAX_ECUS)
+    for obj in (
+        _update(MAX_ECUS + 1),
+        _response(_records([MAX_ECUS + 1])),
+        _response(too_many),
+        ChallengeRecordTx(response=_response(too_many), rsu_pk=bytes(32), sig=bytes(64)),
+    ):
+        with pytest.raises(WireError):
+            obj.signing_bytes()
+
+
+# -- sizes in closed form ----------------------------------------------------------------------
+
+# Wire format v3 field widths, in bytes.
+TAG, ECU_ID, ECU_COUNT, U64_WIDTH, DIGEST, KEY, SIG, PREFIX = 1, 2, 2, 8, 32, 32, 64, 4
+ECU = ECU_ID + DIGEST + U64_WIDTH  # id, firmware digest, last-write time
+UPDATE_SIZE = TAG + DIGEST + U64_WIDTH + KEY + KEY + ECU_ID + DIGEST + SIG
+# Owner key, previous header hash, creation time, and "ar://" plus 16 hex digits.
+HEADER_SIZE = KEY + DIGEST + U64_WIDTH + PREFIX + 21
+ENTRY_FRAMING = PREFIX + DIGEST + U64_WIDTH  # payload length, prev_link, seq
+
+
+def response_size(k: int) -> int:
+    return DIGEST + ECU_COUNT + k * ECU + U64_WIDTH + KEY + SIG
+
+
+def record_size(k: int) -> int:
+    return TAG + response_size(k) + KEY + SIG
+
+
+def genesis_size(n: int) -> int:
+    return TAG + DIGEST + U64_WIDTH + ECU_COUNT + n * ECU + KEY + KEY + SIG
+
+
+@pytest.mark.parametrize("n", [1, 8, 30, MAX_ECUS])
+def test_sizes_follow_the_closed_form(n):
+    records = _records(range(n))
+    genesis = GenesisTx(
+        state_root=bytes(32),
+        ts=0,
+        ecu_list=records,
+        vehicle_pk=bytes(32),
+        maker_pk=bytes(32),
+        sig=bytes(64),
+    )
+    assert len(genesis.to_bytes()) == genesis_size(n)
+    for k in range(1, min(3, n) + 1):
+        response = _response(records[n - k :])
+        record = ChallengeRecordTx(response=response, rsu_pk=bytes(32), sig=bytes(64))
+        assert len(response.to_bytes()) == response_size(k)
+        assert len(record.to_bytes()) == record_size(k)
+    assert len(_update(n).to_bytes()) == UPDATE_SIZE
+    assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (507, 264, 361, 203)
+    assert ENTRY_FRAMING == 44
+
+
+@pytest.mark.parametrize("n", [1, 8, 30])
+def test_retained_block_follows_the_closed_form(n):
+    """After two or more encounters a vehicle's block holds its header and
+    two challenge records: 919 B in the ledger for an 8-ECU vehicle.
+    """
+    maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
+    authority = new_authority_tier(
+        validators=(keys_for("transport"),),
+        authorized_makers=(maker.public,),
+        authorized_insurers=(),
+    )
+    roadside = RoadsideTier()
+    state = state_of(n)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    envelope = Ledger().serialized_size()
+    assert roadside.ledger.serialized_size() - envelope == (
+        PREFIX + HEADER_SIZE + U64_WIDTH + ENTRY_FRAMING + genesis_size(n)
+    )
+    retained = PREFIX + HEADER_SIZE + U64_WIDTH + 2 * (ENTRY_FRAMING + record_size(min(3, n)))
+    for ts in range(1, 6):
+        challenge = issue_challenge(rsu.public, vehicle.public, n, random.Random(ts), ts)
+        response = build_response(vehicle, state, challenge, ts)
+        assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
+        if ts >= 2:
+            assert roadside.ledger.serialized_size() - envelope == retained
+    assert n != 8 or retained == 919
