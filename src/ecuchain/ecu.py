@@ -15,7 +15,7 @@ from . import _kernels
 from .crypto import DIGEST_LEN, Digest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EcuRecord:
     """One ECU: stable 0-based id, firmware digest, last firmware-write time."""
 
@@ -30,7 +30,7 @@ class EcuRecord:
             raise ValueError("ecu_id and last_write_ts must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EcuState:
     """Immutable ECU list; ids are exactly 0..N-1 in list order.
 

@@ -4,12 +4,23 @@ Appending needs no consensus round, and block headers are decoupled from
 the entry list so old entries can move to external archive storage without
 breaking block integrity.
 
+An entry keeps its payload as wire bytes, not as a decoded transaction:
+``append_entry`` encodes the transaction it is given once (or takes the
+bytes ``signed_wire`` just produced), and linking, pruning, archiving and
+``Ledger.serialize`` reuse those bytes and never encode a transaction
+again. ``LedgerEntry.transaction`` decodes on demand.
+
 The ledger verifies no signature on the way in: ``Ledger.create_block``
 and ``append_entry`` link a transaction whose signature the protocol has
 already verified where it entered the tier, or that the tier has just
-made. Only the audit verifies: ``validate_block`` re-verifies every
-retained entry, and ``reconstruct_history`` every archived one, so an
-audit trusts neither the append path nor the archive.
+made. Only the audit decodes and verifies: ``validate_block`` decodes each
+retained entry once and checks its signature over the kept bytes minus
+the trailing signature (decoding is canonical, so those are the signing
+bytes), and ``reconstruct_history`` runs it over every archived entry too,
+so an audit trusts neither the append path nor the archive. Bytes from
+disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
+decoded once on the way in, to reject what does not parse, and only their
+bytes are kept.
 
 Each entry carries its sequence number ``seq``: its 0-based index in the
 block's full history, including entries pruned to the archive.
@@ -84,7 +95,7 @@ class ArchiveError(RuntimeError):
     """Archive storage could not be written or read."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     owner_pk: PublicKey
     prev_header_hash: Digest
@@ -106,20 +117,26 @@ def header_hash(header: BlockHeader) -> Digest:
     return sha256(header.to_bytes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
-    payload: Transaction
+    """One linked entry; ``payload`` is its transaction's wire bytes."""
+
+    payload: bytes
     prev_link: Digest
     seq: int
 
     def to_bytes(self) -> bytes:
         return b"".join(
             (
-                encode_bytes(self.payload.to_bytes()),
+                encode_bytes(self.payload),
                 encode_fixed(self.prev_link, DIGEST_LEN),
                 encode_u64(self.seq),
             )
         )
+
+    def transaction(self) -> Transaction:
+        """The payload decoded; raises ``WireError`` if it does not decode."""
+        return decode_transaction(self.payload)
 
 
 def _link(payload_bytes: bytes, seq: int) -> Digest:
@@ -130,10 +147,10 @@ def entry_link(entry: LedgerEntry) -> Digest:
     """Link target for the entry's successor: hash of payload and sequence
     number.
     """
-    return _link(entry.payload.to_bytes(), entry.seq)
+    return _link(entry.payload, entry.seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppendableBlock:
     """Header plus hash-linked entries. Once a block has been pruned, its
     first entry is past sequence number 0 and the entries before it are in
@@ -149,11 +166,20 @@ class AppendableBlock:
         return b"".join(parts)
 
 
-def read_entry(r: Reader) -> LedgerEntry:
-    payload = decode_transaction(r.read_bytes())
+def _read_framing(r: Reader) -> LedgerEntry:
+    """The next entry, its payload bytes taken as they are."""
     return LedgerEntry(
-        payload=payload, prev_link=r.read_fixed(DIGEST_LEN), seq=r.read_u64()
+        payload=r.read_bytes(), prev_link=r.read_fixed(DIGEST_LEN), seq=r.read_u64()
     )
+
+
+def read_entry(r: Reader) -> LedgerEntry:
+    """The next entry from bytes off disk or the wire: raises ``WireError``
+    unless its payload decodes, and keeps only the payload's bytes.
+    """
+    entry = _read_framing(r)
+    decode_transaction(entry.payload)
+    return entry
 
 
 def read_block(r: Reader) -> AppendableBlock:
@@ -178,9 +204,10 @@ def decode_block(data: bytes) -> AppendableBlock:
 
 
 def validate_block(block: AppendableBlock) -> bool:
-    """True iff the block has entries, the header anchor, every entry
-    link, owner and payload signature verify, and the sequence numbers
-    are consecutive (a lone entry's is 0). Never raises.
+    """True iff the block has entries, the header anchor and every entry
+    link hold, every payload decodes and its owner and signature verify,
+    and the sequence numbers are consecutive (a lone entry's is 0).
+    Decodes each payload once. Never raises.
     """
     if not block.entries:
         return False
@@ -190,15 +217,16 @@ def validate_block(block: AppendableBlock) -> bool:
         for entry in block.entries:
             if entry.prev_link != expected or entry.seq != seq:
                 return False
-            owner = tx_vehicle(entry.payload)
+            data = entry.payload
+            tx = entry.transaction()
+            owner = tx_vehicle(tx)
             if owner is not None and owner != block.header.owner_pk:
                 return False
-            sig = entry.payload.sig
-            message = entry.payload.signing_bytes()
-            if not crypto.verify(tx_signer(entry.payload), message, sig):
+            # Decoding is canonical, so the wire bytes are the signing bytes
+            # followed by the signature.
+            if not crypto.verify(tx_signer(tx), data[:-SIGNATURE_LEN], tx.sig):
                 return False
-            # A payload's wire bytes are its signing bytes plus its signature.
-            expected = _link(message + encode_fixed(sig, SIGNATURE_LEN), seq)
+            expected = _link(data, seq)
             seq += 1
     except Exception:
         return False
@@ -213,10 +241,14 @@ def validate_block_bytes(data: bytes) -> bool:
     return validate_block(block)
 
 
-def append_entry(block: AppendableBlock, tx: Transaction) -> AppendableBlock:
+def append_entry(
+    block: AppendableBlock, tx: Transaction, wire: Optional[bytes] = None
+) -> AppendableBlock:
     """Block with ``tx`` linked in as its newest entry; rejects entries
-    addressed to a different owner. Does not verify the signature: callers
-    pass transactions they have verified (see the module docstring).
+    addressed to a different owner. The entry keeps ``wire``, which must be
+    ``tx``'s wire bytes (``signed_wire`` returns them), or else encodes
+    ``tx`` once. Does not verify the signature: callers pass transactions
+    they have verified (see the module docstring).
     """
     owner = tx_vehicle(tx)
     if owner is not None and owner != block.header.owner_pk:
@@ -225,7 +257,8 @@ def append_entry(block: AppendableBlock, tx: Transaction) -> AppendableBlock:
         prev, seq = entry_link(block.entries[-1]), block.entries[-1].seq + 1
     else:
         prev, seq = header_hash(block.header), 0
-    entry = LedgerEntry(payload=tx, prev_link=prev, seq=seq)
+    payload = tx.to_bytes() if wire is None else wire
+    entry = LedgerEntry(payload=payload, prev_link=prev, seq=seq)
     return replace(block, entries=block.entries + (entry,))
 
 
@@ -338,6 +371,8 @@ def reconstruct_history(
     archive plus the retained entries.
 
     Pruning archives each entry's original bytes once, under its ``seq``.
+    Only the records' entry framing is parsed here; ``validate_block``
+    decodes each payload, once.
     Retained entries are original by construction except a head past
     sequence number 0, which was re-anchored and whose original is in the
     archive. Archive records are in sequence order, since every prune
@@ -351,7 +386,7 @@ def reconstruct_history(
     sequence = []
     for seq, data in archive.read(block.header.external_address):
         r = Reader(data)
-        entry = read_entry(r)
+        entry = _read_framing(r)
         r.finish()
         if entry.seq != seq:
             raise LedgerError(f"archive record {seq} holds entry {entry.seq}")

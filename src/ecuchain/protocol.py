@@ -47,6 +47,7 @@ from .transactions import (
     Verdict,
     signed,
     signed_by,
+    signed_wire,
 )
 from .wire import WireError, encode_fixed, encode_str, encode_u64
 
@@ -88,7 +89,7 @@ class RoadsideTier:
     profiles: dict[PublicKey, VehicleProfile] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     """Countersigned record of a validator-approved tier event."""
 
@@ -348,12 +349,12 @@ def record_response(
     verdict = verify_response(roadside, challenge, response)
     if verdict is not Verdict.VALID:
         return verdict
-    record = signed(
+    record, wire = signed_wire(
         ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b""),
         rsu_keys,
     )
     block = roadside.ledger.lookup(response.vehicle_pk)
-    pruned, _ = prune_to_two(append_entry(block, record), roadside.archive)
+    pruned, _ = prune_to_two(append_entry(block, record, wire), roadside.archive)
     roadside.ledger.replace_block(response.vehicle_pk, pruned)
     roadside.profiles[response.vehicle_pk].last_response_ts = response.ts
     return verdict
@@ -364,7 +365,7 @@ def record_response(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportEvent:
     """Signed escalation of a non-valid verdict to the authorities."""
 

@@ -191,7 +191,7 @@ class EventKind(IntEnum):
     REPORT = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     fire_ts: int
     kind: EventKind

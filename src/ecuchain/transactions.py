@@ -10,10 +10,11 @@ and each ECU record is one packed ``>H32sQ`` struct (id, firmware digest,
 last-write time), 42 bytes. A challenge record embeds its response's wire
 bytes unprefixed: the response's own ECU count fixes their length. The only
 length prefix inside a transaction is on a request's query string.
-``signed`` is the one way to sign any of them, and ``signed_by`` the one
-way to check a signature where it enters a tier; a field past its wire
-width (an ECU id or list past ``MAX_ECUS``, an integer past u64) cannot be
-encoded, so it fails ``signed_by``.
+``signed`` is the one way to sign any of them (``signed_wire`` also hands
+back the wire bytes it encoded, for the ledger to keep), and ``signed_by``
+the one way to check a signature where it enters a tier; a field past its
+wire width (an ECU id or list past ``MAX_ECUS``, an integer past u64)
+cannot be encoded, so it fails ``signed_by``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _read_ecu_list(r: Reader) -> tuple[EcuRecord, ...]:
     return tuple(EcuRecord(*fields) for fields in ECU_RECORD.iter_unpack(raw))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenesisTx:
     """Vehicle registration: full ECU inventory plus its Merkle state root,
     signed by the manufacturer that assembled the vehicle.
@@ -115,7 +116,7 @@ class GenesisTx:
         return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateTx:
     """Authorized maintenance of one ECU, signed by the manufacturer or
     technician that performed it. ``ecu_id``, ``firmware_digest`` and ``ts``
@@ -148,7 +149,7 @@ class UpdateTx:
         return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestTx:
     """Insurer evidence request, stored on the authority audit block."""
 
@@ -171,7 +172,7 @@ class RequestTx:
         return self.signing_bytes() + encode_fixed(self.sig, SIGNATURE_LEN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeResponse:
     """Vehicle's answer to a challenge: current state root plus the raw
     records of the requested ECU subset, signed by the vehicle.
@@ -214,7 +215,7 @@ def decode_challenge_response(data: bytes) -> ChallengeResponse:
     return resp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeRecordTx:
     """A verified challenge response countersigned by the recording RSU.
     The response's wire bytes are embedded whole, with no length prefix.
@@ -240,7 +241,7 @@ class ChallengeRecordTx:
 Transaction = Union[GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Challenge:
     """RSU's twofold challenge: prove the state root and reveal the raw
     records of a randomly selected ECU subset. Challenges are unsigned;
@@ -267,11 +268,19 @@ def tx_signer(tx: Transaction) -> PublicKey:
 S = TypeVar("S")
 
 
-def signed(unsigned: S, keys: KeyPair) -> S:
+def signed_wire(unsigned: S, keys: KeyPair) -> tuple[S, bytes]:
     """``unsigned`` with ``sig`` set to ``keys``' signature over its signing
-    bytes, which are encoded once, here.
+    bytes, which are encoded once, here, and the signed object's wire bytes
+    (the signing bytes followed by the signature).
     """
-    return replace(unsigned, sig=keys.sign(unsigned.signing_bytes()))
+    message = unsigned.signing_bytes()
+    sig = keys.sign(message)
+    return replace(unsigned, sig=sig), message + encode_fixed(sig, SIGNATURE_LEN)
+
+
+def signed(unsigned: S, keys: KeyPair) -> S:
+    """``unsigned`` signed by ``keys``, as ``signed_wire`` signs it."""
+    return signed_wire(unsigned, keys)[0]
 
 
 def signed_by(obj, signer: PublicKey) -> bool:

@@ -163,7 +163,7 @@ def test_criterion_3_pruning_contract():
         genesis = make_genesis(maker, vehicle.public, state, ts=0)
         initialize_vehicle(authority, roadside, genesis, ts=0)
         rng = random.Random(0xACC3)
-        payloads = [genesis]
+        payloads = [genesis.to_bytes()]
         for k in range(1, 21):
             challenge = issue_challenge(rsu.public, vehicle.public, 8, rng, ts=k * 100)
             response = build_response(vehicle, state, challenge, ts=k * 100)

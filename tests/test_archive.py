@@ -223,7 +223,7 @@ def test_tampered_archive_history_fails_replay(ops, data):
     head_seq = block.entries[0].seq
     i = data.draw(st.integers(0, head_seq), label="archived entry")
     history[i] = dataclasses.replace(
-        history[i], payload=data.draw(changed_payload(history[i].payload))
+        history[i], payload=data.draw(changed_payload(history[i].transaction())).to_bytes()
     )
     history[i + 1] = dataclasses.replace(history[i + 1], prev_link=entry_link(history[i]))
     if i == head_seq:

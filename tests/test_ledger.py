@@ -26,7 +26,13 @@ from ecuchain.ledger import (
     validate_block_bytes,
 )
 from ecuchain.protocol import make_genesis
-from ecuchain.transactions import ChallengeRecordTx, ChallengeResponse
+from ecuchain.transactions import (
+    ChallengeRecordTx,
+    ChallengeResponse,
+    GenesisTx,
+    RequestTx,
+    UpdateTx,
+)
 
 
 def record_tx(vehicle_keys, state, rsu_keys, ts):
@@ -116,8 +122,8 @@ def test_ten_entry_chain_matches_independent_rebuild(vehicle, rsu_keys):
         expected = sha256(
             b"".join(
                 (
-                    len(entry.payload.to_bytes()).to_bytes(4, "big"),
-                    entry.payload.to_bytes(),
+                    len(entry.payload).to_bytes(4, "big"),
+                    entry.payload,
                     i.to_bytes(8, "big"),
                 )
             )
@@ -141,8 +147,8 @@ def test_validate_detects_payload_tamper(vehicle, rsu_keys):
     tampered_entry = dataclasses.replace(
         block.entries[3],
         payload=dataclasses.replace(
-            block.entries[3].payload, rsu_pk=keys_for("evil").public
-        ),
+            block.entries[3].transaction(), rsu_pk=keys_for("evil").public
+        ).to_bytes(),
     )
     tampered = dataclasses.replace(
         block, entries=block.entries[:3] + (tampered_entry,) + block.entries[4:]
@@ -197,6 +203,35 @@ def test_prune_five_entry_block(vehicle, rsu_keys):
     assert [e.prev_link for e in history] == [e.prev_link for e in original]
 
 
+def test_prune_serialize_and_replay_encode_no_transaction(vehicle, rsu_keys, monkeypatch):
+    """Entries keep their payload's wire bytes: pruning (a re-anchored head
+    included), serializing and replaying reuse them and encode no
+    transaction.
+    """
+    vehicle_keys, state, _ = vehicle
+    archive = MemoryArchive()
+    ledger, block = grown_block(vehicle, rsu_keys, 5)
+    block, _ = prune_to_two(block, archive)
+    for ts in (5, 6):
+        block = append_entry(block, record_tx(vehicle_keys, state, rsu_keys, ts=ts))
+    encodes = []
+    for cls in (GenesisTx, UpdateTx, RequestTx, ChallengeResponse, ChallengeRecordTx):
+        for name in ("signing_bytes", "to_bytes"):
+
+            def counting(self, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                encodes.append(_name)
+                return _original(self)
+
+            monkeypatch.setattr(cls, name, counting)
+    pruned, archived = prune_to_two(block, archive)
+    ledger.replace_block(vehicle_keys.public, pruned)
+    blob = ledger.serialize()
+    history = reconstruct_history(pruned, archive)
+    assert (archived, len(history)) == (2, 7)
+    assert deserialize_ledger(blob).serialize() == blob
+    assert encodes == []
+
+
 def test_repeated_prune_preserves_auditability(vehicle, rsu_keys):
     vehicle_keys, state, genesis = vehicle
     archive = MemoryArchive()
@@ -210,7 +245,7 @@ def test_repeated_prune_preserves_auditability(vehicle, rsu_keys):
         block, _ = prune_to_two(block, archive)
         assert validate_block(block)
     history = reconstruct_history(block, archive)
-    assert [e.payload for e in history] == all_payloads
+    assert [e.transaction() for e in history] == all_payloads
 
 
 def test_reconstruct_detects_gaps(vehicle, rsu_keys):

@@ -440,7 +440,7 @@ def test_recorded_entry_countersignature_verifies(registered, rsu_keys):
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
     assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
-    record = block.entries[-1].payload
+    record = block.entries[-1].transaction()
     assert isinstance(record, ChallengeRecordTx)
     assert record.rsu_pk == rsu_keys.public
     assert verify(rsu_keys.public, record.signing_bytes(), record.sig)
@@ -502,7 +502,7 @@ def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
     request = signed_request(insurer_keys, "incident 4711 evidence", ts=3)
     submit_request(authority, request)
     block = authority.ledger.lookup(authority.audit_pk)
-    assert block.entries[-1].payload == request
+    assert block.entries[-1].transaction() == request
     assert verify(insurer_keys.public, request.signing_bytes(), request.sig)
     assert authority.ledger.validate()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,11 @@ from ecuchain.transactions import MAX_ECUS, ChallengeRecordTx
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
 # SHA-256 of the event log `ecuchain run --config scenarios/demo.cfg` writes.
 DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671305"
+# SHA-256 of the demo run's serialized roadside and authority ledgers, and
+# of its archive records (see ``archive_digest``).
+DEMO_ROADSIDE_LEDGER_SHA256 = "152281a8aaf0d885c7b5b698b5c24cc51271dbfccde918ed0e0458ff8b1b1380"
+DEMO_AUTHORITY_LEDGER_SHA256 = "30a0025eb889fbe751c8b41381903f0ccd892b95e3bc28e954d77d996c81281c"
+DEMO_ARCHIVE_SHA256 = "c04c08fd5d05a3a8e6b55379d8bd1ecdcb9231b5b020a607b86621fbeb6e3fa1"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
 
@@ -241,7 +247,7 @@ def test_conservation_records_match_valid_verdicts():
         )
         block = world.roadside.ledger.lookup(vehicle.pk)
         history = reconstruct_history(block, world.roadside.archive)
-        records = sum(1 for e in history if isinstance(e.payload, ChallengeRecordTx))
+        records = sum(1 for e in history if isinstance(e.transaction(), ChallengeRecordTx))
         assert records == valid
 
 
@@ -345,6 +351,33 @@ def test_demo_event_log_is_pinned():
     result = run(build_world(load_config(DEMO_CONFIG)))
     text = event_log_text(result.event_log)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEMO_LOG_SHA256
+
+
+def archive_digest(world) -> str:
+    """SHA-256 over each roadside block's archive, in block creation order:
+    the address behind a u32 length, then each record as its u64 sequence
+    number, a u32 length and its bytes.
+    """
+    h = hashlib.sha256()
+    for pk in world.roadside.ledger.creation_order:
+        address = world.roadside.ledger.blocks[pk].header.external_address
+        encoded = address.encode("utf-8")
+        h.update(struct.pack(">I", len(encoded)) + encoded)
+        for seq, data in world.roadside.archive.read(address):
+            h.update(struct.pack(">QI", seq, len(data)) + data)
+    return h.hexdigest()
+
+
+def test_demo_ledgers_and_archive_are_pinned():
+    world = build_world(load_config(DEMO_CONFIG))
+    run(world)
+    assert hashlib.sha256(world.roadside.ledger.serialize()).hexdigest() == (
+        DEMO_ROADSIDE_LEDGER_SHA256
+    )
+    assert hashlib.sha256(world.authority_tier.ledger.serialize()).hexdigest() == (
+        DEMO_AUTHORITY_LEDGER_SHA256
+    )
+    assert archive_digest(world) == DEMO_ARCHIVE_SHA256
 
 
 def test_link_latency_shifts_response_timestamps():

@@ -10,11 +10,13 @@ nested entry and block bytes). Bytes in the v1 layout (a length prefix on
 every field) and the v2 layout (every integer 8 bytes) are only ever
 written here, and nothing decodes them. Every decoder and the file archive
 raise only ``WireError`` or ``ArchiveError`` on hostile bytes, and decoding
-is canonical: hostile bytes that decode re-encode to themselves.
+is canonical: hostile bytes that decode re-encode to themselves. An entry
+that keeps hostile payload bytes fails ``validate_block``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import operator
@@ -39,7 +41,9 @@ from ecuchain.ledger import (
     append_entry,
     decode_block,
     deserialize_ledger,
+    entry_link,
     read_entry,
+    validate_block,
 )
 from ecuchain.protocol import (
     RoadsideTier,
@@ -187,7 +191,7 @@ def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
     def v1_u64(n: int) -> bytes:
         return prefixed(u64(n))
 
-    tx = entry.payload
+    tx = entry.transaction()
     ecus = b"".join(
         v1_u64(r.ecu_id) + prefixed(r.firmware_digest) + v1_u64(r.last_write_ts)
         for r in tx.ecu_list
@@ -213,7 +217,7 @@ def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
     bytes, each ECU record a packed ``>Q32sQ``, signed again by the maker
     over its v2 signing bytes.
     """
-    tx = entry.payload
+    tx = entry.transaction()
     ecus = b"".join(u64(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in tx.ecu_list)
     signing = b"".join(
         (
@@ -310,7 +314,9 @@ transactions = st.one_of(
     st.builds(RequestTx, insurer_pk=digests, query=st.text(max_size=40), ts=u64s, sig=sigs),
     st.builds(ChallengeRecordTx, response=responses, rsu_pk=digests, sig=sigs),
 )
-entries = st.builds(LedgerEntry, payload=transactions, prev_link=digests, seq=u64s)
+entries = st.builds(
+    LedgerEntry, payload=transactions.map(lambda tx: tx.to_bytes()), prev_link=digests, seq=u64s
+)
 headers = st.builds(
     BlockHeader,
     owner_pk=digests,
@@ -361,6 +367,16 @@ def test_block_and_ledger_round_trip(block_list):
 
 
 @functools.lru_cache(maxsize=None)
+def _three_entry_block() -> AppendableBlock:
+    """The golden genesis block with the golden update and challenge record
+    appended.
+    """
+    g = _golden()
+    block = g["ledger"].blocks[g["header"].owner_pk]
+    return append_entry(append_entry(block, g["update"]), g["record"])
+
+
+@functools.lru_cache(maxsize=None)
 def _valid_inputs():
     """Target name -> (decoder, encoder, valid inputs): every transaction
     type, and a block and a ledger holding a genesis, an update and a
@@ -368,7 +384,7 @@ def _valid_inputs():
     """
     g = _golden()
     pk = g["header"].owner_pk
-    block = append_entry(append_entry(g["ledger"].blocks[pk], g["update"]), g["record"])
+    block = _three_entry_block()
     ledger = Ledger()
     ledger.blocks[pk] = block
     ledger.creation_order.append(pk)
@@ -418,6 +434,25 @@ def test_decoders_raise_only_wire_error(target, data):
     except WireError:
         return
     assert encode(decoded) == blob
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_block_rejects_hostile_kept_bytes(data):
+    """An entry that keeps hostile payload bytes (a truncation or
+    single-byte flip of a valid payload of any transaction type, or random
+    bytes), with every later link recomputed over them, fails
+    ``validate_block``, which returns False and never raises.
+    """
+    block = _three_entry_block()
+    _, _, valid = _valid_inputs()["transaction"]
+    i = data.draw(st.integers(0, len(block.entries) - 1), label="entry")
+    entries = list(block.entries)
+    entries[i] = dataclasses.replace(entries[i], payload=data.draw(hostile(valid)))
+    for j in range(i + 1, len(entries)):
+        entries[j] = dataclasses.replace(entries[j], prev_link=entry_link(entries[j - 1]))
+    assert validate_block(block)
+    assert validate_block(dataclasses.replace(block, entries=tuple(entries))) is False
 
 
 @settings(max_examples=150, deadline=None)
