@@ -5,7 +5,8 @@ over ten runs.
 Timing series measure the total wall-clock for one batch at each x value
 (e.g. registering n vehicles); absolute numbers are hardware-bound, the
 trends (linearity, monotone growth) are what the suite asserts. Every
-sample runs on the calling thread, one after another.
+sample runs on the calling thread, one after another, and a series
+interleaves its x values (run i of each before run i + 1 of any).
 """
 
 from __future__ import annotations
@@ -113,14 +114,28 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, 
     return slope, intercept, r2
 
 
-def _stats(samples: Sequence[float]) -> tuple[float, float]:
-    return statistics.fmean(samples), statistics.stdev(samples)
-
-
-def _run_samples(one_run: Callable[[int], float], runs: int) -> list[float]:
-    """Execute ``one_run(run_index) -> ms`` ``runs`` times, in order."""
-    one_run(-1)  # warmup, not recorded
-    return [one_run(i) for i in range(runs)]
+def _series(
+    counts: Sequence[int], make_run: Callable[[int], Callable[[int], float]], runs: int
+) -> list[SeriesPoint]:
+    """Mean and standard deviation of ``runs`` timings at each x in
+    ``counts``. ``make_run(x)`` returns ``one_run(run_index) -> ms``; each x
+    gets one warm-up (run index -1, not recorded), then run i of every x is
+    taken before run i + 1 of any, so a burst of load on the host spreads
+    over all x instead of skewing one.
+    """
+    if not counts:
+        raise ValueError("counts must be nonempty")
+    one_runs = [make_run(x) for x in counts]
+    for one_run in one_runs:
+        one_run(-1)
+    samples: list[list[float]] = [[] for _ in counts]
+    for i in range(runs):
+        for one_run, out in zip(one_runs, samples):
+            out.append(one_run(i))
+    return [
+        SeriesPoint(x=x, mean_ms=statistics.fmean(out), stddev_ms=statistics.stdev(out))
+        for x, out in zip(counts, samples)
+    ]
 
 
 def _vehicle_material(seed: int, count: int, tag: bytes):
@@ -155,31 +170,28 @@ def bench_create(
     """Validator-side block creation: verify each genesis transaction,
     open the block, countersign. One batch of n registrations per sample.
     """
-    if not counts:
-        raise ValueError("counts must be nonempty")
-    report = MetricsReport(benchmark="block-creation", x_label="vehicles", runs=runs)
-    for n in counts:
+
+    def make_run(n: int) -> Callable[[int], float]:
         maker, material = _vehicle_material(seed, n, b"create%d" % n)
 
-        def one_run(run_idx: int, _maker=maker, _material=material) -> float:
+        def one_run(run_idx: int) -> float:
             authority = new_authority_tier(
                 validators=(
                     generate_keypair(derive_seed(b"bench-val", bytes([1]))),
                     generate_keypair(derive_seed(b"bench-val", bytes([2]))),
                 ),
-                authorized_makers=(_maker.public,),
+                authorized_makers=(maker.public,),
                 authorized_insurers=(),
             )
             roadside = RoadsideTier(archive=MemoryArchive())
             start = time.perf_counter_ns()
-            for _, _, genesis in _material:
+            for _, _, genesis in material:
                 initialize_vehicle(authority, roadside, genesis, ts=0)
             return (time.perf_counter_ns() - start) / 1e6
 
-        samples = _run_samples(one_run, runs)
-        mean, stddev = _stats(samples)
-        report.series.append(SeriesPoint(x=n, mean_ms=mean, stddev_ms=stddev))
-    return report
+        return one_run
+
+    return MetricsReport("block-creation", "vehicles", runs, _series(counts, make_run, runs))
 
 
 def bench_challenge(
@@ -189,14 +201,11 @@ def bench_challenge(
 ) -> MetricsReport:
     """RSU-side challenge evaluation: ``record_response`` verifies and
     records each response, a batch of n per sample. The runs of a batch
-    share ledger state, so their timestamps increase with the run index.
+    share ledger state, so their timestamps increase with the run index
+    (the warm-up's, run index -1, come first).
     """
-    if not counts:
-        raise ValueError("counts must be nonempty")
-    report = MetricsReport(
-        benchmark="challenge-validation", x_label="vehicles", runs=runs
-    )
-    for n in counts:
+
+    def make_run(n: int) -> Callable[[int], float]:
         maker, material = _vehicle_material(seed, n, b"challenge%d" % n)
         rsu = generate_keypair(derive_seed(b"bench-rsu", seed.to_bytes(8, "big")))
         authority = new_authority_tier(
@@ -209,26 +218,23 @@ def bench_challenge(
             initialize_vehicle(authority, roadside, genesis, ts=0)
         rng = random.Random(seed ^ 0xC4A11E)
 
-        def one_run(run_idx: int, _material=material, _rng=rng, _rsu=rsu) -> float:
+        def one_run(run_idx: int) -> float:
             ts = (run_idx + 2) * 1_000  # strictly increasing across runs
             rounds = []
-            for keys, state, _ in _material:
-                challenge = issue_challenge(
-                    _rsu.public, keys.public, len(state), _rng, ts=ts
-                )
+            for keys, state, _ in material:
+                challenge = issue_challenge(rsu.public, keys.public, len(state), rng, ts=ts)
                 rounds.append((challenge, build_response(keys, state, challenge, ts)))
             start = time.perf_counter_ns()
             for challenge, response in rounds:
-                verdict = record_response(_rsu, roadside, challenge, response)
+                verdict = record_response(rsu, roadside, challenge, response)
                 if verdict is not Verdict.VALID:
                     raise RuntimeError(f"benchmark round not valid: {verdict}")
             return (time.perf_counter_ns() - start) / 1e6
 
-        # warmup uses run_idx=-1 => ts before all measured runs
-        samples = _run_samples(one_run, runs)
-        mean, stddev = _stats(samples)
-        report.series.append(SeriesPoint(x=n, mean_ms=mean, stddev_ms=stddev))
-    return report
+        return one_run
+
+    series = _series(counts, make_run, runs)
+    return MetricsReport("challenge-validation", "vehicles", runs, series)
 
 
 def bench_merkle(
@@ -239,33 +245,27 @@ def bench_merkle(
     """State-root computation time per ECU count (per-call milliseconds;
     each sample averages an inner repetition loop for timer resolution).
     """
-    if not counts:
-        raise ValueError("counts must be nonempty")
-    report = MetricsReport(benchmark="merkle-root", x_label="ecus", runs=runs)
     seed64 = seed.to_bytes(8, "big")
-    for n in counts:
+
+    def make_run(n: int) -> Callable[[int], float]:
         digests = [
             sha256(derive_seed(b"bench-merkle", seed64, i.to_bytes(8, "big")))
             for i in range(n)
         ]
-        records = tuple(
-            EcuRecord(ecu_id=i, firmware_digest=d, last_write_ts=0)
-            for i, d in enumerate(digests)
-        )
+        records = tuple(EcuRecord(i, d, last_write_ts=0) for i, d in enumerate(digests))
         reps = max(3, 3_000 // n)
 
-        def one_run(run_idx: int, _records=records, _reps=reps) -> float:
+        def one_run(run_idx: int) -> float:
             # A state caches its root, so each repetition gets a fresh one.
-            states = [EcuState(records=_records) for _ in range(_reps)]
+            states = [EcuState(records=records) for _ in range(reps)]
             start = time.perf_counter_ns()
             for state in states:
                 compute_state_root(state)
-            return (time.perf_counter_ns() - start) / 1e6 / _reps
+            return (time.perf_counter_ns() - start) / 1e6 / reps
 
-        samples = _run_samples(one_run, runs)
-        mean, stddev = _stats(samples)
-        report.series.append(SeriesPoint(x=n, mean_ms=mean, stddev_ms=stddev))
-    return report
+        return one_run
+
+    return MetricsReport("merkle-root", "ecus", runs, _series(counts, make_run, runs))
 
 
 def bench_storage(

@@ -406,11 +406,15 @@ class Ledger:
 
     def __init__(self):
         self.blocks: dict[PublicKey, AppendableBlock] = {}
-        self.creation_order: list[PublicKey] = []
         self._last_header_hash: Digest = ZERO_DIGEST
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    @property
+    def creation_order(self) -> tuple[PublicKey, ...]:
+        """Block owners, oldest block first: ``blocks`` keeps insertion order."""
+        return tuple(self.blocks)
 
     def create_block(
         self,
@@ -434,7 +438,6 @@ class Ledger:
         )
         block = append_entry(AppendableBlock(header=header, entries=()), genesis)
         self.blocks[owner_pk] = block
-        self.creation_order.append(owner_pk)
         self._last_header_hash = header_hash(header)
         return block
 
@@ -447,9 +450,9 @@ class Ledger:
         return self.blocks.get(pk)
 
     def serialize(self) -> bytes:
-        parts = [encode_bytes(LEDGER_MAGIC), encode_u64(len(self.creation_order))]
-        for pk in self.creation_order:
-            parts.append(encode_bytes(self.blocks[pk].to_bytes()))
+        parts = [encode_bytes(LEDGER_MAGIC), encode_u64(len(self.blocks))]
+        for block in self.blocks.values():
+            parts.append(encode_bytes(block.to_bytes()))
         return b"".join(parts)
 
     def serialized_size(self) -> int:
@@ -458,16 +461,13 @@ class Ledger:
     def validate(self) -> bool:
         """Every block validates and the header chain follows creation order."""
         prev = ZERO_DIGEST
-        for pk in self.creation_order:
-            block = self.blocks.get(pk)
-            if block is None or block.header.owner_pk != pk:
-                return False
-            if block.header.prev_header_hash != prev:
+        for pk, block in self.blocks.items():
+            if block.header.owner_pk != pk or block.header.prev_header_hash != prev:
                 return False
             if not validate_block(block):
                 return False
             prev = header_hash(block.header)
-        return len(self.creation_order) == len(self.blocks)
+        return True
 
 
 def deserialize_ledger(data: bytes) -> Ledger:
@@ -482,7 +482,6 @@ def deserialize_ledger(data: bytes) -> Ledger:
         if pk in ledger.blocks:
             raise WireError("duplicate block owner")
         ledger.blocks[pk] = block
-        ledger.creation_order.append(pk)
         ledger._last_header_hash = header_hash(block.header)
     r.finish()
     return ledger

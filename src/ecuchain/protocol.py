@@ -38,11 +38,15 @@ from .crypto import PUBLIC_KEY_LEN, KeyPair, PublicKey, Signature
 from .ecu import EcuRecord, EcuState, compute_state_root, subset_report, update_ecu
 from .ledger import Archive, Ledger, MemoryArchive, append_entry, prune_to_two
 from .transactions import (
+    RAW32,
+    UINT64,
+    VERDICT,
     Challenge,
     ChallengeRecordTx,
     ChallengeResponse,
     GenesisTx,
     RequestTx,
+    Signable,
     UpdateTx,
     Verdict,
     signed,
@@ -366,7 +370,7 @@ def record_response(
 
 
 @dataclass(frozen=True, slots=True)
-class ReportEvent:
+class ReportEvent(Signable):
     """Signed escalation of a non-valid verdict to the authorities."""
 
     rsu_pk: PublicKey
@@ -375,13 +379,7 @@ class ReportEvent:
     ts: int
     sig: Signature
 
-    def signing_bytes(self) -> bytes:
-        return (
-            encode_fixed(self.rsu_pk, PUBLIC_KEY_LEN)
-            + encode_fixed(self.vehicle_pk, PUBLIC_KEY_LEN)
-            + encode_str(self.verdict.value)
-            + encode_u64(self.ts)
-        )
+    WIRE = dict(rsu_pk=RAW32, vehicle_pk=RAW32, verdict=VERDICT, ts=UINT64)
 
 
 def report_malicious(

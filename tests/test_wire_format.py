@@ -46,6 +46,7 @@ from ecuchain.ledger import (
     validate_block,
 )
 from ecuchain.protocol import (
+    ReportEvent,
     RoadsideTier,
     build_response,
     external_address,
@@ -54,6 +55,7 @@ from ecuchain.protocol import (
     make_genesis,
     new_authority_tier,
     record_response,
+    report_malicious,
 )
 from ecuchain.transactions import (
     MAX_ECUS,
@@ -63,6 +65,7 @@ from ecuchain.transactions import (
     ChallengeResponse,
     GenesisTx,
     RequestTx,
+    Signable,
     UpdateTx,
     Verdict,
     decode_challenge_response,
@@ -103,6 +106,7 @@ def packed_records(records) -> bytes:
 @functools.lru_cache(maxsize=None)
 def _golden():
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
+    insurer = keys_for("insurer")
     state = state_of(8)
     genesis = make_genesis(maker, vehicle.public, state, ts=0)
     challenge = Challenge(
@@ -111,6 +115,10 @@ def _golden():
     response = build_response(vehicle, state, challenge, ts=5)
     record = signed(ChallengeRecordTx(response=response, rsu_pk=rsu.public, sig=b""), rsu)
     _, update = make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)
+    request = signed(
+        RequestTx(insurer_pk=insurer.public, query="vehicle ü, 0–9", ts=7, sig=b""), insurer
+    )
+    report = report_malicious(rsu, vehicle.public, Verdict.STATE_MISMATCH, ts=5)
     ledger = Ledger()
     block = ledger.create_block(vehicle.public, genesis, 0, external_address(vehicle.public))
     return {
@@ -118,6 +126,8 @@ def _golden():
         "response": response,
         "record": record,
         "update": update,
+        "request": request,
+        "report": report,
         "header": block.header,
         "entry": block.entries[0],
         "ledger": ledger,
@@ -129,6 +139,8 @@ GOLDEN = {
     "record": (361, "d386516807df43e28a0b3c6a5492ebfda16ef2dca40d0023149d38c71f608d6b"),
     "update": (203, "51f367aa6b6ec06fe48fe7d507a0e28a607d7ee31f53ae478d0fcd3d57e14a89"),
     "genesis": (507, "b9d08e5bd710054c290c9350e8c37907e24db403189ce974a336a6689107c833"),
+    "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
+    "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
     "entry": (507 + 44, "9925de59795ff450110075df446ba4b091a30315879b5768e184a73f6936dd71"),
     "header": (97, "9fa721f32f319a71bc8ca3789261f37b36ff3a59537d7458ea82399f79e5cf61"),
     "ledger": (677, "55ab1fb23e48b09da4bd993b50745bbdd7ad65d122e02fcf266db00a15a9fcb3"),
@@ -136,7 +148,12 @@ GOLDEN = {
 
 
 def _wire(obj) -> bytes:
-    return obj.serialize() if isinstance(obj, Ledger) else obj.to_bytes()
+    if isinstance(obj, Ledger):
+        return obj.serialize()
+    if isinstance(obj, ReportEvent):
+        # Spelled out rather than ``to_bytes()``: this pins what is signed and sent.
+        return obj.signing_bytes() + obj.sig
+    return obj.to_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -327,12 +344,28 @@ headers = st.builds(
 blocks = st.builds(
     AppendableBlock, header=headers, entries=st.lists(entries, max_size=3).map(tuple)
 )
+reports = st.builds(
+    ReportEvent,
+    rsu_pk=digests,
+    vehicle_pk=digests,
+    verdict=st.sampled_from(Verdict),
+    ts=u64s,
+    sig=sigs,
+)
+
+
+def decode_report(data: bytes) -> ReportEvent:
+    r = Reader(data)
+    report = ReportEvent.read(r)
+    r.finish()
+    return report
 
 
 @settings(max_examples=150, deadline=None)
-@given(transactions)
+@given(st.one_of(transactions, reports))
 def test_transaction_round_trip(tx):
-    assert decode_transaction(tx.to_bytes()) == tx
+    decode = decode_report if isinstance(tx, ReportEvent) else decode_transaction
+    assert decode(tx.to_bytes()) == tx
 
 
 @settings(max_examples=100, deadline=None)
@@ -356,7 +389,6 @@ def test_block_and_ledger_round_trip(block_list):
     for block in block_list:
         assert decode_block(block.to_bytes()) == block
         ledger.blocks[block.header.owner_pk] = block
-        ledger.creation_order.append(block.header.owner_pk)
     restored = deserialize_ledger(ledger.serialize())
     assert restored.blocks == ledger.blocks
     assert restored.creation_order == ledger.creation_order
@@ -387,7 +419,6 @@ def _valid_inputs():
     block = _three_entry_block()
     ledger = Ledger()
     ledger.blocks[pk] = block
-    ledger.creation_order.append(pk)
     request = signed(
         RequestTx(insurer_pk=pk, query="vehicle ü, 0–9", ts=7, sig=b""), keys_for("insurer")
     )
@@ -401,6 +432,7 @@ def _valid_inputs():
         "response": (decode_challenge_response, to_bytes, [g["response"].to_bytes()]),
         "block": (decode_block, to_bytes, [block.to_bytes()]),
         "ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
+        "report": (decode_report, to_bytes, [g["report"].to_bytes()]),
     }
 
 
@@ -420,7 +452,7 @@ def hostile(draw, valid: list[bytes]):
     return bytes(flipped)
 
 
-@pytest.mark.parametrize("target", ["transaction", "response", "block", "ledger"])
+@pytest.mark.parametrize("target", ["transaction", "response", "block", "ledger", "report"])
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_decoders_raise_only_wire_error(target, data):
@@ -488,6 +520,32 @@ def test_every_single_bit_flip_of_a_record_fails_or_changes_it():
         except WireError:
             continue
         assert tx != record
+
+
+# -- one layout table per signed type ------------------------------------------------------
+
+SIGNED_TYPES = (GenesisTx, UpdateTx, RequestTx, ChallengeResponse, ChallengeRecordTx, ReportEvent)
+
+
+@pytest.mark.parametrize("cls", SIGNED_TYPES, ids=lambda cls: cls.__name__)
+def test_wire_table_lists_the_fields_in_declaration_order(cls):
+    """The wire format encodes fields in declaration order: a signed type's
+    ``WIRE`` table names its dataclass fields, ``sig`` (last) left out.
+    """
+    assert issubclass(cls, Signable)
+    assert [*cls.WIRE, "sig"] == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_transaction_tags_are_distinct():
+    tags = [cls.TAG for cls in (GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx)]
+    assert None not in tags and len(set(tags)) == len(tags)
+
+
+def test_unknown_verdict_name_raises_wire_error():
+    report = _golden()["report"]
+    data = report.to_bytes().replace(b"StateMismatch", b"StateMismatcX")
+    with pytest.raises(WireError, match="unknown verdict"):
+        decode_report(data)
 
 
 # -- the ECU limit -----------------------------------------------------------------------------
