@@ -13,7 +13,7 @@ from typing import Optional
 from . import crypto
 from .crypto import KeyPair, PublicKey
 from .ecu import EcuState, compute_state_root, update_ecu
-from .protocol import ProtocolError, ReportEvent, build_response
+from .protocol import AuthorityTier, ProtocolError, ReportEvent, build_response
 from .transactions import (
     Challenge, ChallengeResponse, UpdateTx, Verdict, signed, signed_by
 )
@@ -57,9 +57,15 @@ class AuthorityNode:
     revocation_list: set[PublicKey] = field(default_factory=set)
     reports: list[ReportEvent] = field(default_factory=list)
 
-    def receive_report(self, event: ReportEvent) -> None:
+    def receive_report(self, tier: AuthorityTier, event: ReportEvent) -> None:
+        """Revoke the reported vehicle. Raises ``ProtocolError``, and
+        revokes nothing, for a Valid verdict, an RSU that ``tier`` has not
+        registered, or a bad signature.
+        """
         if event.verdict is Verdict.VALID:
             raise ProtocolError("nothing to report")
+        if event.rsu_pk not in tier.registered_rsus:
+            raise ProtocolError("report from an unregistered RSU")
         if not signed_by(event, event.rsu_pk):
             raise ProtocolError("report signature invalid")
         self.reports.append(event)

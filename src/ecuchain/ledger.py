@@ -19,8 +19,8 @@ the trailing signature (decoding is canonical, so those are the signing
 bytes), and ``reconstruct_history`` runs it over every archived entry too,
 so an audit trusts neither the append path nor the archive. Bytes from
 disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
-decoded once on the way in, to reject what does not parse, and only their
-bytes are kept.
+decoded once on the way in, to find where a record ends and to reject
+what does not parse, and only their bytes are kept.
 
 Each entry carries its sequence number ``seq``: its 0-based index in the
 block's full history, including entries pruned to the archive.
@@ -43,16 +43,19 @@ payload's wire bytes behind a u32 length, the 32-byte ``prev_link`` and the
 8-byte entry count and the entries. ``Ledger.serialize`` writes the magic
 ``ECUL4``, an 8-byte block count and each block behind a u32 length. There
 is no reader for older layouts (magics ``ECUL1`` to ``ECUL3``): such bytes
-raise ``WireError``, and an archive file holding v1 entries raises
-``ArchiveError``.
+raise ``WireError``.
 
-Pruning keeps the last two entries (previous and current state). Each
-entry's original bytes are archived exactly once, under the block's
-external address and the entry's sequence number: a removed entry when it
-leaves the block, or the first retained entry just before it is
-re-anchored to the header. A re-anchored copy is never archived, so an
-auditor replays the full original chain from the archive. Sequence numbers
-are serialized with the entries, so a ledger restored by
+Pruning keeps the last two entries (previous and current state) and
+re-anchors the first of them to the header. Each removed entry is
+archived exactly once, when it leaves the block, under the block's
+external address as ``(seq, payload)``: its sequence number and its
+transaction's wire bytes, with no entry framing. An archived ``prev_link``
+would add nothing: a link hashes only its predecessor's payload and
+sequence number, both in the record beside it, so replay rebuilds every
+link, the re-anchored head's original one included. A ``FileArchive``
+file starts with the marker ``ECUA4``; the three earlier archive layouts
+had none, and a file in any of them raises ``ArchiveError``. Sequence
+numbers are serialized with the entries, so a ledger restored by
 ``deserialize_ledger`` continues the sequence.
 """
 
@@ -73,7 +76,13 @@ from .crypto import (
     PublicKey,
     sha256,
 )
-from .transactions import Transaction, decode_transaction, tx_signer, tx_vehicle
+from .transactions import (
+    Transaction,
+    decode_transaction,
+    read_transaction,
+    tx_signer,
+    tx_vehicle,
+)
 from .wire import (
     U64,
     Reader,
@@ -85,6 +94,8 @@ from .wire import (
 )
 
 LEDGER_MAGIC = b"ECUL4"
+# First bytes of every ``FileArchive`` file.
+ARCHIVE_MAGIC = b"ECUA4"
 
 
 class LedgerError(ValueError):
@@ -166,18 +177,13 @@ class AppendableBlock:
         return b"".join(parts)
 
 
-def _read_framing(r: Reader) -> LedgerEntry:
-    """The next entry, its payload bytes taken as they are."""
-    return LedgerEntry(
-        payload=r.read_bytes(), prev_link=r.read_fixed(DIGEST_LEN), seq=r.read_u64()
-    )
-
-
 def read_entry(r: Reader) -> LedgerEntry:
     """The next entry from bytes off disk or the wire: raises ``WireError``
     unless its payload decodes, and keeps only the payload's bytes.
     """
-    entry = _read_framing(r)
+    entry = LedgerEntry(
+        payload=r.read_bytes(), prev_link=r.read_fixed(DIGEST_LEN), seq=r.read_u64()
+    )
     decode_transaction(entry.payload)
     return entry
 
@@ -265,9 +271,9 @@ def append_entry(
 class Archive:
     """Append-only record store keyed by external address.
 
-    Record layout on disk: 8-byte big-endian sequence number followed by
-    the entry's wire bytes. Pruning writes one record per sequence number,
-    holding the entry's original bytes.
+    A record is ``(seq, payload)``: a pruned entry's sequence number and its
+    transaction's wire bytes, with no entry framing. Pruning writes one
+    record per sequence number, when the entry leaves the block.
     """
 
     def append_many(self, address: str, records: Iterable[tuple[int, bytes]]) -> None:
@@ -292,7 +298,12 @@ class MemoryArchive(Archive):
 
 
 class FileArchive(Archive):
-    """One append-only file per address under ``root``."""
+    """One append-only file per address under ``root``: the marker
+    ``ARCHIVE_MAGIC``, then each record as its 8-byte big-endian sequence
+    number followed by the payload. A payload fixes its own length, so a
+    record has no length prefix; ``read`` decodes each payload to find
+    where it ends.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -305,6 +316,8 @@ class FileArchive(Archive):
         blob = b"".join(U64.pack(seq) + data for seq, data in records)
         try:
             with open(self._path(address), "ab") as fh:
+                if fh.tell() == 0:
+                    blob = ARCHIVE_MAGIC + blob
                 fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -319,47 +332,43 @@ class FileArchive(Archive):
             data = path.read_bytes()
         except OSError as exc:
             raise ArchiveError(f"archive read failed: {exc}") from exc
+        if not data.startswith(ARCHIVE_MAGIC):
+            raise ArchiveError(f"not an archive file: no {ARCHIVE_MAGIC.decode()} marker")
         records = []
-        pos = 0
-        while pos < len(data):
-            if pos + 8 > len(data):
+        r = Reader(data, len(ARCHIVE_MAGIC))
+        while r.remaining:
+            if r.remaining < 8:
                 raise ArchiveError("truncated archive record header")
-            (seq,) = U64.unpack_from(data, pos)
-            pos += 8
-            inner = Reader(data, pos)
+            seq = r.read_u64()
+            start = len(data) - r.remaining
             try:
-                read_entry(inner)
+                read_transaction(r)
             except WireError as exc:
                 raise ArchiveError(f"corrupt archive record: {exc}") from exc
-            end = len(data) - inner.remaining
-            records.append((seq, data[pos:end]))
-            pos = end
+            records.append((seq, data[start : len(data) - r.remaining]))
         return records
 
 
 def prune_to_two(
     block: AppendableBlock, archive: Archive
 ) -> tuple[AppendableBlock, int]:
-    """Move all but the last two entries to the archive.
+    """Move all but the last two entries to the archive, and re-anchor the
+    first retained entry to the header hash.
 
-    Each entry's original bytes are archived once, under its ``seq``. The
-    first retained entry is re-anchored to the header hash, with its
-    original (pre-relink) bytes archived first. A head past sequence number
-    0 was re-anchored that way, so its original is already in the archive
-    and it is not archived again when a later prune removes it. The other
-    removed entries still carry their original links and are archived as
-    they are, in one ``append_many`` call. Returns the pruned block and the
-    number of entries removed. On archive failure the exception propagates
-    before any block mutation, so the caller keeps the block unchanged.
+    Each removed entry is archived once, as ``(seq, payload)``, in one
+    ``append_many`` call; a removed head that was re-anchored by an earlier
+    prune still holds its original payload. Returns the pruned block and
+    the number of entries removed. On archive failure the exception
+    propagates before any block mutation, so the caller keeps the block
+    unchanged.
     """
     if len(block.entries) <= 2:
         return block, 0
     removed = block.entries[:-2]
     keep_first, keep_last = block.entries[-2:]
-    skip = 1 if removed[0].seq else 0
-    records = [(e.seq, e.to_bytes()) for e in removed[skip:]]
-    records.append((keep_first.seq, keep_first.to_bytes()))
-    archive.append_many(block.header.external_address, records)
+    archive.append_many(
+        block.header.external_address, [(e.seq, e.payload) for e in removed]
+    )
     relinked = replace(keep_first, prev_link=header_hash(block.header))
     return replace(block, entries=(relinked, keep_last)), len(removed)
 
@@ -370,30 +379,30 @@ def reconstruct_history(
     """Rebuild and verify the block's full original entry sequence from the
     archive plus the retained entries.
 
-    Pruning archives each entry's original bytes once, under its ``seq``.
-    Only the records' entry framing is parsed here; ``validate_block``
-    decodes each payload, once.
-    Retained entries are original by construction except a head past
-    sequence number 0, which was re-anchored and whose original is in the
-    archive. Archive records are in sequence order, since every prune
-    appends past the last. Raises LedgerError if the block has no entries,
-    if a record's sequence number differs from its entry's, if the
-    sequence numbers are not 0, 1, 2, ... in order (a gap, a repeat or a
-    stray), or if the rebuilt history fails ``validate_block``.
+    Pruning archives each removed entry once, as ``(seq, payload)``, in
+    sequence order, since every prune appends past the last. Each archived
+    entry's ``prev_link`` is rebuilt from its predecessor (the header hash
+    for sequence number 0), and so is the original link of a retained head
+    that pruning re-anchored. ``validate_block`` then decodes each payload,
+    once, and checks the rebuilt history. Raises LedgerError if the block
+    has no entries, if the sequence numbers of the records and the retained
+    entries are not 0, 1, 2, ... in order (a gap, a repeat or a stray), or
+    if the rebuilt history fails ``validate_block``.
     """
     if not block.entries:
         raise LedgerError("block has no entries")
-    sequence = []
-    for seq, data in archive.read(block.header.external_address):
-        r = Reader(data)
-        entry = _read_framing(r)
-        r.finish()
-        if entry.seq != seq:
-            raise LedgerError(f"archive record {seq} holds entry {entry.seq}")
-        sequence.append(entry)
-    sequence.extend(block.entries[1:] if block.entries[0].seq else block.entries)
-    if [e.seq for e in sequence] != list(range(len(sequence))):
+    records = archive.read(block.header.external_address)
+    seqs = [seq for seq, _ in records] + [e.seq for e in block.entries]
+    if seqs != list(range(len(seqs))):
         raise LedgerError("archive sequence has gaps or strays")
+    sequence = []
+    prev = header_hash(block.header)
+    for seq, payload in records:
+        sequence.append(LedgerEntry(payload=payload, prev_link=prev, seq=seq))
+        prev = _link(payload, seq)
+    head, *rest = block.entries
+    sequence.append(replace(head, prev_link=prev))
+    sequence.extend(rest)
     if not validate_block(replace(block, entries=tuple(sequence))):
         raise LedgerError("archived history does not validate")
     return sequence

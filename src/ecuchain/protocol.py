@@ -18,7 +18,8 @@ is verified once, with ``signed_by``, where it enters a tier: a genesis by
 ``initialize_vehicle``, an update by ``apply_upper_update``, a response by
 ``verify_response`` (which ``record_response`` runs, recording only a
 Valid response), an insurer request by ``submit_request`` and a report by
-its receiving authority. The ledger only links what passed, with
+its receiving authority, which accepts reports only from an RSU that
+``register_rsu`` admitted. The ledger only links what passed, with
 ``append_entry``, and verifies again only when audited. The RSU
 countersignature is not checked again.
 
@@ -128,6 +129,7 @@ class AuthorityTier:
     validators: tuple[KeyPair, ...]
     authorized_makers: set[PublicKey]
     authorized_insurers: set[PublicKey]
+    registered_rsus: set[PublicKey] = field(default_factory=set)
     ledger: Ledger = field(default_factory=Ledger)
     audit_pk: PublicKey = b""
     audit_log: list[AuditEvent] = field(default_factory=list)
@@ -198,6 +200,14 @@ def make_genesis(
         sig=b"",
     )
     return signed(unsigned, maker_keys)
+
+
+def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey, ts: int) -> None:
+    """Admit a roadside unit: the authorities accept its reports from now
+    on, and all validators countersign the registration.
+    """
+    authority.registered_rsus.add(rsu_pk)
+    authority.countersign("register-rsu", rsu_pk, ts)
 
 
 def initialize_vehicle(

@@ -38,6 +38,7 @@ from .protocol import (
     make_genesis,
     new_authority_tier,
     record_response,
+    register_rsu,
     report_malicious,
 )
 from .transactions import MAX_ECUS, Verdict
@@ -297,6 +298,8 @@ class World:
         self.roadside = RoadsideTier(archive=archive or MemoryArchive())
         # An RSU's index in this list is its place on the 1-D road.
         self.rsus = [keypair(b"rsu", i) for i in range(config.n_rsus)]
+        for rsu in self.rsus:
+            register_rsu(self.authority_tier, rsu.public, ts=0)
         self.vehicles: list[VehicleNode] = []
         self.phantoms: list[VehicleNode] = []
         self.actors: dict[str, VehicleNode] = {}
@@ -428,7 +431,7 @@ class World:
     def _handle_report(self, event: SimEvent) -> None:
         (report,) = event.data
         for authority in self.authorities:
-            authority.receive_report(report)
+            authority.receive_report(self.authority_tier, report)
         self.log(self.clock.now, "report", event.subject, report.verdict.value)
         self.log(self.clock.now, "revoke", event.subject)
 

@@ -297,12 +297,20 @@ def tx_vehicle(tx: Transaction) -> PublicKey | None:
 _BY_TAG = {cls.TAG: cls for cls in get_args(Transaction)}
 
 
-def decode_transaction(data: bytes) -> Transaction:
-    r = Reader(data)
+def read_transaction(r: Reader) -> Transaction:
+    """The next transaction in ``r``: its tag, then its type's fields. A
+    transaction's bytes fix their own length, so a reader can find where it
+    ends by reading it.
+    """
     tag = r.read_u8()
     cls = _BY_TAG.get(tag)
     if cls is None:
         raise WireError(f"unknown transaction tag {tag}")
-    tx = cls.read(r)
+    return cls.read(r)
+
+
+def decode_transaction(data: bytes) -> Transaction:
+    r = Reader(data)
+    tx = read_transaction(r)
     r.finish()
     return tx

@@ -1,10 +1,11 @@
-"""Each entry's original bytes are archived exactly once, under its own
-sequence number, also across a restart.
+"""Each pruned entry is archived exactly once, as its sequence number and
+original payload, also across a restart.
 
-Pruning archives a removed entry when it leaves the block, or the first
-retained entry just before it is re-anchored to the header, and never a
-re-anchored copy. ``reconstruct_history`` accepts only the sequence
-0, 1, 2, ... in order, and only a history that passes ``validate_block``.
+Pruning archives a removed entry when it leaves the block, and never the
+entries the block keeps, so the archive and the block split the history
+between them with no overlap. ``reconstruct_history`` rebuilds every
+link, accepts only the sequence 0, 1, 2, ... in order, and only a history
+that passes ``validate_block``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import keys_for, state_of
 from ecuchain.ledger import (
+    ARCHIVE_MAGIC,
     ArchiveError,
     FileArchive,
     Ledger,
@@ -68,17 +70,18 @@ def _payloads():
 
 
 def assert_archived_once(block, archive, originals):
-    """One record per sequence number, in order, each holding the entry's
-    original bytes, and the replayed history is every original in order.
+    """The archive and the block never overlap: the archive's keys are
+    exactly the sequence numbers before the block's head, in order, each
+    record holding that entry's original payload, and the block holds the
+    rest of the history. The replayed history is every original in order,
+    links included.
     """
     archived = archive.read(block.header.external_address)
-    # A pruned block's first entry is re-anchored; its original is archived.
     head_seq = block.entries[0].seq
-    expected_seqs = list(range(head_seq + 1)) if head_seq else []
-    assert [seq for seq, _ in archived] == expected_seqs
-    assert [data for _, data in archived] == [
-        originals[seq].to_bytes() for seq in expected_seqs
-    ]
+    assert [seq for seq, _ in archived] == list(range(head_seq))
+    assert [data for _, data in archived] == [e.payload for e in originals[:head_seq]]
+    assert [e.seq for e in block.entries] == list(range(head_seq, len(originals)))
+    assert [e.payload for e in block.entries] == [e.payload for e in originals[head_seq:]]
     assert reconstruct_history(block, archive) == originals
 
 
@@ -213,23 +216,23 @@ def changed_payload(draw, tx):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.booleans(), min_size=2, max_size=8), st.data())
 def test_tampered_archive_history_fails_replay(ops, data):
-    """One archived entry's payload changed and its successor's
-    ``prev_link`` recomputed, so every link still holds: the replay checks
-    signatures and owners as well, and raises.
+    """The payload of one archived entry or of the block's re-anchored head
+    changed, and its successor's ``prev_link`` recomputed, so every link
+    still holds: the replay checks signatures and owners as well, and
+    raises.
     """
     *_, roadside = _roadside_ops(ops, MemoryArchive())
     block = roadside.ledger.lookup(keys_for("vehicle").public)
     history = reconstruct_history(block, roadside.archive)
     head_seq = block.entries[0].seq
-    i = data.draw(st.integers(0, head_seq), label="archived entry")
+    i = data.draw(st.integers(0, head_seq), label="archived entry or head")
     history[i] = dataclasses.replace(
         history[i], payload=data.draw(changed_payload(history[i].transaction())).to_bytes()
     )
     history[i + 1] = dataclasses.replace(history[i + 1], prev_link=entry_link(history[i]))
-    if i == head_seq:
-        # The successor is the retained entry after the re-anchored head.
-        block = dataclasses.replace(block, entries=(block.entries[0], history[i + 1]))
-    records = [(e.seq, e.to_bytes()) for e in history[: head_seq + 1]]
+    head = dataclasses.replace(history[head_seq], prev_link=block.entries[0].prev_link)
+    block = dataclasses.replace(block, entries=(head, history[head_seq + 1]))
+    records = [(e.seq, e.payload) for e in history[:head_seq]]
     with tempfile.TemporaryDirectory() as tmp:
         for archive in (MemoryArchive(), FileArchive(tmp)):
             archive.append_many(block.header.external_address, records)
@@ -273,7 +276,8 @@ def test_restarted_roadside_continues_the_archive_sequence(tmp_path, file_backed
     assert restarted.ledger.validate()
     assert block == uninterrupted.ledger.lookup(vehicle.public)
     archived = restarted.archive.read(block.header.external_address)
-    assert [seq for seq, _ in archived] == [0, 1, 2, 3, 4, 5]
+    assert [seq for seq, _ in archived] == [0, 1, 2, 3, 4]
+    assert [e.seq for e in block.entries] == [5, 6]
     assert archived == uninterrupted.archive.read(block.header.external_address)
     history = reconstruct_history(block, restarted.archive)
     assert len(history) == 7
@@ -281,7 +285,7 @@ def test_restarted_roadside_continues_the_archive_sequence(tmp_path, file_backed
 
 
 def _pruned_block():
-    """A block holding entries 4 and 5 of 6, with 0-4 in its archive."""
+    """A block holding entries 4 and 5 of 6, with 0-3 in its archive."""
     genesis, records = _payloads()
     archive = MemoryArchive()
     block = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://stray")
@@ -292,8 +296,8 @@ def _pruned_block():
 
 
 def _repeated_seq(block, records):
-    """The older layout: a re-anchored copy archived after its original."""
-    return block, records + [(block.entries[0].seq, block.entries[0].to_bytes())]
+    """The parent layout: the block's head archived as well as kept."""
+    return block, records + [(block.entries[0].seq, block.entries[0].payload)]
 
 
 def _prefix_mismatch(block, records):
@@ -324,7 +328,7 @@ def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
     block = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://many")
     for tx in records[:5]:
         block = append_entry(block, tx)
-    blobs = [entry.to_bytes() for entry in block.entries]
+    blobs = [entry.payload for entry in block.entries]
     batch = [(seq, blobs[seq % len(blobs)]) for seq in range(3000)]
     file_archive, memory = FileArchive(tmp_path), MemoryArchive()
     for archive in (file_archive, memory):
@@ -337,12 +341,14 @@ def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
     genesis, _ = _payloads()
     entry = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://bad").entries[0]
     archive = FileArchive(tmp_path)
-    archive.append_many("ar://bad", [(0, entry.to_bytes())])
+    archive.append_many("ar://bad", [(0, entry.payload)])
     path = archive._path("ar://bad")
     whole = path.read_bytes()
+    record = whole[len(ARCHIVE_MAGIC) :]
+    assert record == bytes(8) + entry.payload  # sequence number 0, then the payload
     path.write_bytes(whole + b"\x00" * 5)
     with pytest.raises(ArchiveError, match="truncated archive record header"):
         archive.read("ar://bad")
-    path.write_bytes(whole + whole[:-3])
+    path.write_bytes(whole + record[:-3])
     with pytest.raises(ArchiveError, match="corrupt archive record"):
         archive.read("ar://bad")

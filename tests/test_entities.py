@@ -8,8 +8,13 @@ from conftest import keys_for, state_of
 from ecuchain.crypto import sha256, verify
 from ecuchain.ecu import compute_state_root
 from ecuchain.entities import AuthorityNode, VehicleNode, perform_maintenance, tamper
-from ecuchain.protocol import ProtocolError, report_malicious
-from ecuchain.transactions import Verdict
+from ecuchain.protocol import (
+    ProtocolError,
+    new_authority_tier,
+    register_rsu,
+    report_malicious,
+)
+from ecuchain.transactions import Verdict, signed_by
 from test_ecu_merkle import oracle_root
 
 
@@ -63,12 +68,21 @@ def test_tamper_with_identical_bytes_only_moves_timestamp():
     assert not vehicle.honest
 
 
+def tier_with_rsu(rsu):
+    """An authority tier that has registered ``rsu``."""
+    tier = new_authority_tier(
+        validators=(keys_for("auth"),), authorized_makers=(), authorized_insurers=()
+    )
+    register_rsu(tier, rsu.public, ts=0)
+    return tier
+
+
 def test_authority_accepts_valid_report():
     authority = AuthorityNode(keys=keys_for("auth"))
     rsu = keys_for("reporting-rsu")
     target = keys_for("bad-vehicle").public
     event = report_malicious(rsu, target, Verdict.STATE_MISMATCH, ts=3)
-    authority.receive_report(event)
+    authority.receive_report(tier_with_rsu(rsu), event)
     assert target in authority.revocation_list
     assert authority.reports == [event]
 
@@ -79,5 +93,22 @@ def test_authority_rejects_forged_report():
     event = report_malicious(rsu, keys_for("v").public, Verdict.STALE_TIMESTAMP, ts=3)
     forged = dataclasses.replace(event, ts=4)
     with pytest.raises(ProtocolError, match="signature"):
-        authority.receive_report(forged)
+        authority.receive_report(tier_with_rsu(rsu), forged)
     assert not authority.revocation_list
+
+
+def test_authority_rejects_report_from_unregistered_rsu():
+    """A report signed by a key no tier registered revokes nothing, though
+    its signature verifies.
+    """
+    authority = AuthorityNode(keys=keys_for("auth"))
+    tier = tier_with_rsu(keys_for("reporting-rsu"))
+    stranger = keys_for("stranger")
+    victim = keys_for("victim").public
+    event = report_malicious(stranger, victim, Verdict.STATE_MISMATCH, ts=1)
+    assert signed_by(event, stranger.public)
+    with pytest.raises(ProtocolError, match="unregistered RSU"):
+        authority.receive_report(tier, event)
+    assert victim not in authority.revocation_list
+    assert authority.reports == []
+

@@ -197,7 +197,7 @@ def test_prune_five_entry_block(vehicle, rsu_keys):
     assert len(pruned.entries) == 2
     assert validate_block(pruned)
     assert pruned.entries[0].prev_link == header_hash(pruned.header)
-    # archived entries keep their original links; reconstruction replays them
+    # replay rebuilds the archived entries' original links
     history = reconstruct_history(pruned, archive)
     assert [e.payload for e in history] == [e.payload for e in original]
     assert [e.prev_link for e in history] == [e.prev_link for e in original]

@@ -415,8 +415,8 @@ def test_five_encounters_prune_to_two(registered, rsu_keys):
     assert len(block.entries) == 2
     assert block.entries[0].seq == 4  # genesis + first three records moved out
     archived = roadside.archive.read(block.header.external_address)
-    # 4 archived entries plus the relink log for the retained head
-    assert len({seq for seq, _ in archived}) == 5
+    # genesis and the first three records; the block keeps the other two
+    assert len({seq for seq, _ in archived}) == 4
     from ecuchain.ledger import reconstruct_history
 
     assert len(reconstruct_history(block, roadside.archive)) == 6
@@ -431,8 +431,9 @@ def test_five_encounters_archive_one_record_per_entry(registered, rsu_keys):
         assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     archived = roadside.archive.read(block.header.external_address)
-    # genesis and the first three records, plus the retained head's original
-    assert [seq for seq, _ in archived] == [0, 1, 2, 3, 4]
+    # genesis and the first three records, each once; the head stays in the block
+    assert [seq for seq, _ in archived] == [0, 1, 2, 3]
+    assert [seq for seq, _ in archived] + [e.seq for e in block.entries] == list(range(6))
 
 
 def test_recorded_entry_countersignature_verifies(registered, rsu_keys):

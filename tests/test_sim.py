@@ -33,7 +33,7 @@ DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671
 # of its archive records (see ``archive_digest``).
 DEMO_ROADSIDE_LEDGER_SHA256 = "152281a8aaf0d885c7b5b698b5c24cc51271dbfccde918ed0e0458ff8b1b1380"
 DEMO_AUTHORITY_LEDGER_SHA256 = "30a0025eb889fbe751c8b41381903f0ccd892b95e3bc28e954d77d996c81281c"
-DEMO_ARCHIVE_SHA256 = "c04c08fd5d05a3a8e6b55379d8bd1ecdcb9231b5b020a607b86621fbeb6e3fa1"
+DEMO_ARCHIVE_SHA256 = "46467e9781e8adbaa8f73cee96bfaaa321b3be1192fd045da419fa581688b98c"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
 
@@ -138,6 +138,15 @@ def test_build_world_registers_all_vehicles():
     world = build_world(SimConfig(n_vehicles=10, seed=1))
     assert len(world.roadside.ledger) == 10
     assert world.roadside.ledger.validate()
+
+
+def test_build_world_registers_each_rsu():
+    world = build_world(SMALL)
+    tier = world.authority_tier
+    assert tier.registered_rsus == {rsu.public for rsu in world.rsus}
+    registrations = [e for e in tier.audit_log if e.action == "register-rsu"]
+    assert [e.subject_pk for e in registrations] == [rsu.public for rsu in world.rsus]
+    assert all(e.verify([v.public for v in tier.validators]) for e in registrations)
 
 
 def test_build_world_deterministic():

@@ -47,6 +47,7 @@ from ecuchain.protocol import (
     make_genesis,
     new_authority_tier,
     record_response,
+    register_rsu,
     report_malicious,
     submit_request,
     verify_response,
@@ -266,12 +267,16 @@ def test_request_verifies_once(tiers, insurer_keys, verify_calls):
     assert verify_calls == [(insurer_keys.public, request.signing_bytes(), request.sig)]
 
 
-def test_report_verified_by_each_receiving_authority(rsu_keys, vehicle_keys, verify_calls):
+def test_report_verified_by_each_receiving_authority(
+    tiers, rsu_keys, vehicle_keys, verify_calls
+):
+    tier, _ = tiers
+    register_rsu(tier, rsu_keys.public, ts=0)
     authorities = [AuthorityNode(keys=keys_for(r)) for r in ("transport", "legal")]
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
     assert not verify_calls
     for authority in authorities:
-        authority.receive_report(event)
+        authority.receive_report(tier, event)
     assert len(verify_calls) == len(authorities)
 
 
@@ -671,15 +676,16 @@ def test_request_with_unencodable_field_is_rejected_by_append(tiers, insurer_key
 def test_report_and_audit_event_with_wrong_width_key_do_not_verify(
     tiers, rsu_keys, vehicle_keys
 ):
+    authority, _ = tiers
+    register_rsu(authority, rsu_keys.public, ts=0)
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
     receiver = AuthorityNode(keys=keys_for("transport"))
     for pk in wrong_widths(event.vehicle_pk):
         changed = dataclasses.replace(event, vehicle_pk=pk)
         assert not signed_by(changed, changed.rsu_pk)
         with pytest.raises(ProtocolError, match="signature"):
-            receiver.receive_report(changed)
+            receiver.receive_report(authority, changed)
     assert receiver.reports == []
-    authority, _ = tiers
     audit = authority.countersign("register", vehicle_keys.public, ts=3)
     validators = [v.public for v in authority.validators]
     assert audit.verify(validators)

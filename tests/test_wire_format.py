@@ -31,6 +31,7 @@ from conftest import keys_for, state_of
 from ecuchain.crypto import ZERO_DIGEST
 from ecuchain.ecu import EcuRecord
 from ecuchain.ledger import (
+    ARCHIVE_MAGIC,
     LEDGER_MAGIC,
     AppendableBlock,
     ArchiveError,
@@ -285,15 +286,25 @@ def test_v1_ledger_blob_raises_wire_error():
 
 
 def test_v1_archive_file_raises_archive_error(tmp_path):
+    """Files in the three unmarked archive layouts (a u64 sequence number,
+    then the whole entry in wire format v1, v2 or v3) raise; a file starts
+    with ``ARCHIVE_MAGIC`` and keeps each record as its sequence number and
+    payload.
+    """
     entry = _golden()["entry"]
     archive = FileArchive(tmp_path)
-    archive.append_many("ar://v1", [(0, _v1_genesis_entry(entry))])
-    archive.append_many("ar://v2", [(0, _v2_genesis_entry(entry))])
-    for address in ("ar://v1", "ar://v2"):
-        with pytest.raises(ArchiveError):
+    old_layouts = {
+        "ar://v1": _v1_genesis_entry(entry),
+        "ar://v2": _v2_genesis_entry(entry),
+        "ar://v3": entry.to_bytes(),
+    }
+    for address, entry_bytes in old_layouts.items():
+        archive._path(address).write_bytes(u64(0) + entry_bytes)
+        with pytest.raises(ArchiveError, match="no ECUA4 marker"):
             archive.read(address)
-    archive.append_many("ar://v3", [(0, entry.to_bytes())])
-    assert archive.read("ar://v3") == [(0, entry.to_bytes())]
+    archive.append_many("ar://v4", [(0, entry.payload)])
+    assert archive._path("ar://v4").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
+    assert archive.read("ar://v4") == [(0, entry.payload)]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -491,7 +502,7 @@ def test_validate_block_rejects_hostile_kept_bytes(data):
 @given(data=st.data())
 def test_file_archive_read_raises_only_archive_error(data):
     entry = _golden()["entry"]
-    valid = (u64(0) + entry.to_bytes()) * 2
+    valid = ARCHIVE_MAGIC + (u64(0) + entry.payload) * 2
     blob = data.draw(hostile([valid]))
     with tempfile.TemporaryDirectory() as root:
         archive = FileArchive(root)
@@ -500,10 +511,8 @@ def test_file_archive_read_raises_only_archive_error(data):
             records = archive.read("ar://fuzz")
         except ArchiveError:
             return
-    for seq, record in records:
-        r = Reader(record)
-        read_entry(r)
-        r.finish()
+    for seq, payload in records:
+        decode_transaction(payload)
 
 
 def test_every_single_bit_flip_of_a_record_fails_or_changes_it():
@@ -639,10 +648,18 @@ def test_sizes_follow_the_closed_form(n):
     assert ENTRY_FRAMING == 44
 
 
-@pytest.mark.parametrize("n", [1, 8, 30])
-def test_retained_block_follows_the_closed_form(n):
-    """After two or more encounters a vehicle's block holds its header and
-    two challenge records: 919 B in the ledger for an 8-ECU vehicle.
+def archive_size(n: int, encounters: int) -> int:
+    """A vehicle's archive after ``encounters`` >= 2 encounters and no
+    maintenance: the genesis and all but the last two records, each behind
+    its u64 sequence number.
+    """
+    k = min(3, n)
+    return (U64_WIDTH + genesis_size(n)) + (encounters - 2) * (U64_WIDTH + record_size(k))
+
+
+def _encounters(n: int, count: int):
+    """A registered n-ECU vehicle, then ``count`` Valid encounters: yields
+    the roadside tier after the registration and after each encounter.
     """
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
     authority = new_authority_tier(
@@ -653,15 +670,43 @@ def test_retained_block_follows_the_closed_form(n):
     roadside = RoadsideTier()
     state = state_of(n)
     initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
-    envelope = Ledger().serialized_size()
-    assert roadside.ledger.serialized_size() - envelope == (
-        PREFIX + HEADER_SIZE + U64_WIDTH + ENTRY_FRAMING + genesis_size(n)
-    )
-    retained = PREFIX + HEADER_SIZE + U64_WIDTH + 2 * (ENTRY_FRAMING + record_size(min(3, n)))
-    for ts in range(1, 6):
+    yield roadside
+    for ts in range(1, count + 1):
         challenge = issue_challenge(rsu.public, vehicle.public, n, random.Random(ts), ts)
         response = build_response(vehicle, state, challenge, ts)
         assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
-        if ts >= 2:
+        yield roadside
+
+
+@pytest.mark.parametrize("n", [1, 8, 30])
+def test_retained_block_follows_the_closed_form(n):
+    """After two or more encounters a vehicle's block holds its header and
+    two challenge records: 919 B in the ledger for an 8-ECU vehicle.
+    """
+    steps = _encounters(n, 5)
+    envelope = Ledger().serialized_size()
+    assert next(steps).ledger.serialized_size() - envelope == (
+        PREFIX + HEADER_SIZE + U64_WIDTH + ENTRY_FRAMING + genesis_size(n)
+    )
+    retained = PREFIX + HEADER_SIZE + U64_WIDTH + 2 * (ENTRY_FRAMING + record_size(min(3, n)))
+    for encounters, roadside in enumerate(steps, start=1):
+        if encounters >= 2:
             assert roadside.ledger.serialized_size() - envelope == retained
     assert n != 8 or retained == 919
+
+
+@pytest.mark.parametrize("n", [1, 8, 30])
+def test_archive_follows_the_closed_form(n):
+    """After E >= 2 encounters a vehicle's archive takes
+    (8 + 171 + 42n) + (E - 2)(8 + 235 + 42k) bytes, k = min(3, n): 1622 B
+    after 5 encounters for an 8-ECU vehicle, 324.4 B per encounter.
+    """
+    address = external_address(keys_for("vehicle").public)
+    for encounters, roadside in enumerate(_encounters(n, 5)):
+        archived = roadside.archive.read(address)
+        assert len(archived) == max(0, encounters - 1)
+        if encounters >= 2:
+            size = sum(U64_WIDTH + len(payload) for _, payload in archived)
+            assert size == archive_size(n, encounters)
+    assert archive_size(n, 5) == (8 + 171 + 42 * n) + 3 * (8 + 235 + 42 * min(3, n))
+    assert n != 8 or (archive_size(8, 5), archive_size(8, 5) / 5) == (1622, 324.4)
