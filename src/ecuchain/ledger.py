@@ -27,41 +27,43 @@ block's full history, including entries pruned to the archive.
 
 Link discipline: an entry's ``prev_link`` is the SHA-256 of the preceding
 entry's *content* (payload bytes and sequence number, not its own
-prev_link), or the block header hash for the first entry. Keeping the
-predecessor's prev_link out of the link input means pruning can re-anchor
-the first retained entry to the header without disturbing any other link.
-Tamper evidence rests on signed payloads plus bound sequence numbers: every
-payload carries a signature, every sequence number but the newest is bound
-by its successor's link, and the sequence numbers of a block are
-consecutive, starting at 0 for a lone entry.
+prev_link), or the block header hash for the first entry, so pruning can
+re-anchor the first retained entry to the header without disturbing any
+other link. A link needs no key to compute, so links live only in memory:
+bytes keep an entry as its record ``(seq, payload)``, and ``_relink``
+rebuilds the links for ``decode_block`` and ``reconstruct_history``.
+
+In bytes, a checksum detects corruption and signatures detect tampering.
+Each block ends with a CRC32 of its bytes, which catches every single-bit
+flip. An edit that re-seals the CRC still fails the audit: a changed
+payload fails its signature, a changed ``seq`` the consecutive sequence
+(starting at 0 for a lone entry), a changed ``owner_pk`` the ownership
+check, and a changed ``created_ts`` on any block but the newest the
+header chain in ``Ledger.validate``.
 
 Bytes are wire format v3 (see ``wire``). A header is the owner key and the
 previous header hash (32 raw bytes each), the creation timestamp (8 bytes)
-and the external address (a length-prefixed string); an entry is its
-payload's wire bytes behind a u32 length, the 32-byte ``prev_link`` and the
-8-byte sequence number, 44 bytes of framing; a block is its header, an
-8-byte entry count and the entries. ``Ledger.serialize`` writes the magic
-``ECUL4``, an 8-byte block count and each block behind a u32 length. There
-is no reader for older layouts (magics ``ECUL1`` to ``ECUL3``): such bytes
-raise ``WireError``.
+and the external address (a length-prefixed string). A block is its
+header, an 8-byte entry count, each entry's record (the 8-byte sequence
+number, then the payload, which fixes its own length) and a big-endian
+CRC32 of all that: 8 bytes of framing per entry and 4 per block.
+``Ledger.serialize`` writes the magic ``ECUL5``, an 8-byte block count and
+each block behind a u32 length. There is no reader for older layouts
+(magics ``ECUL1`` to ``ECUL4``): such bytes raise ``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
 re-anchors the first of them to the header. Each removed entry is
-archived exactly once, when it leaves the block, under the block's
-external address as ``(seq, payload)``: its sequence number and its
-transaction's wire bytes, with no entry framing. An archived ``prev_link``
-would add nothing: a link hashes only its predecessor's payload and
-sequence number, both in the record beside it, so replay rebuilds every
-link, the re-anchored head's original one included. A ``FileArchive``
-file starts with the marker ``ECUA4``; the three earlier archive layouts
-had none, and a file in any of them raises ``ArchiveError``. Sequence
-numbers are serialized with the entries, so a ledger restored by
-``deserialize_ledger`` continues the sequence.
+archived exactly once, as its record, when it leaves the block. A
+``FileArchive`` file starts with the marker ``ECUA4``; the three earlier
+archive layouts had none, and a file in any of them raises
+``ArchiveError``. A ledger restored by ``deserialize_ledger`` continues
+each block's sequence.
 """
 
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
@@ -84,6 +86,7 @@ from .transactions import (
     tx_vehicle,
 )
 from .wire import (
+    U32,
     U64,
     Reader,
     WireError,
@@ -93,7 +96,7 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL4"
+LEDGER_MAGIC = b"ECUL5"
 # First bytes of every ``FileArchive`` file.
 ARCHIVE_MAGIC = b"ECUA4"
 
@@ -136,15 +139,6 @@ class LedgerEntry:
     prev_link: Digest
     seq: int
 
-    def to_bytes(self) -> bytes:
-        return b"".join(
-            (
-                encode_bytes(self.payload),
-                encode_fixed(self.prev_link, DIGEST_LEN),
-                encode_u64(self.seq),
-            )
-        )
-
     def transaction(self) -> Transaction:
         """The payload decoded; raises ``WireError`` if it does not decode."""
         return decode_transaction(self.payload)
@@ -172,23 +166,40 @@ class AppendableBlock:
     entries: tuple[LedgerEntry, ...]
 
     def to_bytes(self) -> bytes:
-        parts = [self.header.to_bytes(), encode_u64(len(self.entries))]
-        parts.extend(e.to_bytes() for e in self.entries)
-        return b"".join(parts)
+        records = (encode_u64(e.seq) + e.payload for e in self.entries)
+        body = b"".join((self.header.to_bytes(), encode_u64(len(self.entries)), *records))
+        return body + U32.pack(zlib.crc32(body))
 
 
-def read_entry(r: Reader) -> LedgerEntry:
-    """The next entry from bytes off disk or the wire: raises ``WireError``
-    unless its payload decodes, and keeps only the payload's bytes.
+def read_record(r: Reader, data: bytes) -> tuple[int, bytes]:
+    """The next ``(seq, payload)`` record of ``data``, which ``r`` reads;
+    raises ``WireError`` unless the payload decodes.
     """
-    entry = LedgerEntry(
-        payload=r.read_bytes(), prev_link=r.read_fixed(DIGEST_LEN), seq=r.read_u64()
-    )
-    decode_transaction(entry.payload)
-    return entry
+    seq = r.read_u64()
+    start = len(data) - r.remaining
+    read_transaction(r)
+    return seq, data[start : len(data) - r.remaining]
 
 
-def read_block(r: Reader) -> AppendableBlock:
+def _relink(header: BlockHeader, records: Iterable[tuple[int, bytes]]) -> list[LedgerEntry]:
+    """``records`` as entries, linked as ``append_entry`` links them: the
+    first to the header hash, each later one to its predecessor.
+    """
+    entries, prev = [], header_hash(header)
+    for seq, payload in records:
+        entries.append(LedgerEntry(payload=payload, prev_link=prev, seq=seq))
+        prev = _link(payload, seq)
+    return entries
+
+
+def decode_block(data: bytes) -> AppendableBlock:
+    """Raises ``WireError`` unless the trailing CRC32 matches, checked
+    first, and the bytes before it parse exactly.
+    """
+    body = data[: -U32.size]
+    if len(data) < U32.size or U32.pack(zlib.crc32(body)) != data[-U32.size :]:
+        raise WireError("block checksum mismatch")
+    r = Reader(body)
     header = BlockHeader(
         owner_pk=r.read_fixed(PUBLIC_KEY_LEN),
         prev_header_hash=r.read_fixed(DIGEST_LEN),
@@ -198,15 +209,9 @@ def read_block(r: Reader) -> AppendableBlock:
     count = r.read_u64()
     if count > 10_000_000:
         raise WireError(f"implausible entry count {count}")
-    entries = tuple(read_entry(r) for _ in range(count))
-    return AppendableBlock(header=header, entries=entries)
-
-
-def decode_block(data: bytes) -> AppendableBlock:
-    r = Reader(data)
-    block = read_block(r)
+    records = [read_record(r, body) for _ in range(count)]
     r.finish()
-    return block
+    return AppendableBlock(header=header, entries=tuple(_relink(header, records)))
 
 
 def validate_block(block: AppendableBlock) -> bool:
@@ -299,10 +304,7 @@ class MemoryArchive(Archive):
 
 class FileArchive(Archive):
     """One append-only file per address under ``root``: the marker
-    ``ARCHIVE_MAGIC``, then each record as its 8-byte big-endian sequence
-    number followed by the payload. A payload fixes its own length, so a
-    record has no length prefix; ``read`` decodes each payload to find
-    where it ends.
+    ``ARCHIVE_MAGIC``, then each record as ``read_record`` reads it.
     """
 
     def __init__(self, root: str | Path):
@@ -316,11 +318,18 @@ class FileArchive(Archive):
         blob = b"".join(U64.pack(seq) + data for seq, data in records)
         try:
             with open(self._path(address), "ab") as fh:
-                if fh.tell() == 0:
+                created = fh.tell() == 0
+                if created:
                     blob = ARCHIVE_MAGIC + blob
                 fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
+            if created:  # the new name survives a crash once the directory is synced
+                fd = os.open(self.root, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
         except OSError as exc:
             raise ArchiveError(f"archive write failed: {exc}") from exc
 
@@ -339,13 +348,10 @@ class FileArchive(Archive):
         while r.remaining:
             if r.remaining < 8:
                 raise ArchiveError("truncated archive record header")
-            seq = r.read_u64()
-            start = len(data) - r.remaining
             try:
-                read_transaction(r)
+                records.append(read_record(r, data))
             except WireError as exc:
                 raise ArchiveError(f"corrupt archive record: {exc}") from exc
-            records.append((seq, data[start : len(data) - r.remaining]))
         return records
 
 
@@ -380,10 +386,9 @@ def reconstruct_history(
     archive plus the retained entries.
 
     Pruning archives each removed entry once, as ``(seq, payload)``, in
-    sequence order, since every prune appends past the last. Each archived
-    entry's ``prev_link`` is rebuilt from its predecessor (the header hash
-    for sequence number 0), and so is the original link of a retained head
-    that pruning re-anchored. ``validate_block`` then decodes each payload,
+    sequence order, since every prune appends past the last. ``_relink``
+    rebuilds the links of the records and of the retained head, which
+    pruning re-anchored. ``validate_block`` then decodes each payload,
     once, and checks the rebuilt history. Raises LedgerError if the block
     has no entries, if the sequence numbers of the records and the retained
     entries are not 0, 1, 2, ... in order (a gap, a repeat or a stray), or
@@ -395,14 +400,8 @@ def reconstruct_history(
     seqs = [seq for seq, _ in records] + [e.seq for e in block.entries]
     if seqs != list(range(len(seqs))):
         raise LedgerError("archive sequence has gaps or strays")
-    sequence = []
-    prev = header_hash(block.header)
-    for seq, payload in records:
-        sequence.append(LedgerEntry(payload=payload, prev_link=prev, seq=seq))
-        prev = _link(payload, seq)
     head, *rest = block.entries
-    sequence.append(replace(head, prev_link=prev))
-    sequence.extend(rest)
+    sequence = _relink(block.header, [*records, (head.seq, head.payload)]) + rest
     if not validate_block(replace(block, entries=tuple(sequence))):
         raise LedgerError("archived history does not validate")
     return sequence

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import os
 import random
+import stat
 import tempfile
 
 import pytest
@@ -352,3 +354,24 @@ def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
     path.write_bytes(whole + record[:-3])
     with pytest.raises(ArchiveError, match="corrupt archive record"):
         archive.read("ar://bad")
+
+
+def test_first_append_to_an_address_also_syncs_the_directory(tmp_path, monkeypatch):
+    """A new archive file's name is durable only once its directory is
+    synced: the first append to an address syncs the file and the
+    directory, and each later append syncs only the file.
+    """
+    genesis, _ = _payloads()
+    fsync, synced = os.fsync, []
+
+    def recording_fsync(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    archive = FileArchive(tmp_path)
+    archive.append_many("ar://sync", [(0, genesis.to_bytes())])
+    assert synced == ["file", "dir"]
+    archive.append_many("ar://sync", [(1, genesis.to_bytes())])
+    assert synced == ["file", "dir", "file"]
+    assert [seq for seq, _ in archive.read("ar://sync")] == [0, 1]

@@ -31,8 +31,8 @@ DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
 DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671305"
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
 # of its archive records (see ``archive_digest``).
-DEMO_ROADSIDE_LEDGER_SHA256 = "152281a8aaf0d885c7b5b698b5c24cc51271dbfccde918ed0e0458ff8b1b1380"
-DEMO_AUTHORITY_LEDGER_SHA256 = "30a0025eb889fbe751c8b41381903f0ccd892b95e3bc28e954d77d996c81281c"
+DEMO_ROADSIDE_LEDGER_SHA256 = "6bc3d2b1403930dd617b0bd90b1fa26d197e54d8ede6751b1fd0610c99eeffe0"
+DEMO_AUTHORITY_LEDGER_SHA256 = "d541aa76beedc3d89070bde7a24bb66986fbcf4cc05bf7fb1f3b170391c88a57"
 DEMO_ARCHIVE_SHA256 = "46467e9781e8adbaa8f73cee96bfaaa321b3be1192fd045da419fa581688b98c"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)

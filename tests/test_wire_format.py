@@ -5,13 +5,17 @@ The golden vectors pin one object of each type by length and SHA-256; the
 main ones are also rebuilt by hand from the v3 rules (a 1-byte variant
 tag, ECU ids and ECU-list counts as u16, every other integer as 8 raw
 big-endian bytes, digests, keys and signatures raw, a challenge record's
-response embedded unprefixed, a u32 length prefix only on strings and
-nested entry and block bytes). Bytes in the v1 layout (a length prefix on
-every field) and the v2 layout (every integer 8 bytes) are only ever
-written here, and nothing decodes them. Every decoder and the file archive
-raise only ``WireError`` or ``ArchiveError`` on hostile bytes, and decoding
-is canonical: hostile bytes that decode re-encode to themselves. An entry
-that keeps hostile payload bytes fails ``validate_block``.
+response embedded unprefixed, a u32 length prefix only on strings and on
+blocks in the ledger envelope) and the block layout (each entry as its
+``(seq, payload)`` record, and a CRC32 at the end). Bytes in the v1 layout
+(a length prefix on every field), the v2 layout (every integer 8 bytes)
+and the ``ECUL4`` block layout (a linked, length-prefixed entry) are only
+ever written here, and nothing decodes them. Every decoder and the file
+archive raise only ``WireError`` or ``ArchiveError`` on hostile bytes, also
+behind a re-sealed checksum, and decoding is canonical: hostile bytes that
+decode re-encode to themselves. An entry that keeps hostile payload bytes
+fails ``validate_block``, and so does a block whose bytes were edited and
+re-sealed.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import operator
 import random
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +48,8 @@ from ecuchain.ledger import (
     decode_block,
     deserialize_ledger,
     entry_link,
-    read_entry,
+    header_hash,
+    read_record,
     validate_block,
 )
 from ecuchain.protocol import (
@@ -97,6 +103,11 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def sealed(body: bytes) -> bytes:
+    """``body`` followed by its CRC32, as a block ends."""
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
 def packed_records(records) -> bytes:
     return b"".join(u16(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in records)
 
@@ -142,15 +153,18 @@ GOLDEN = {
     "genesis": (507, "b9d08e5bd710054c290c9350e8c37907e24db403189ce974a336a6689107c833"),
     "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
     "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
-    "entry": (507 + 44, "9925de59795ff450110075df446ba4b091a30315879b5768e184a73f6936dd71"),
+    "entry": (8 + 507, "edbf343756a91dbdea63532a23a19c711344d08945d59f451e1159cbe9e9f60e"),
     "header": (97, "9fa721f32f319a71bc8ca3789261f37b36ff3a59537d7458ea82399f79e5cf61"),
-    "ledger": (677, "55ab1fb23e48b09da4bd993b50745bbdd7ad65d122e02fcf266db00a15a9fcb3"),
+    "ledger": (645, "88584570e02e6bddc2d65ee3960289bde3604539bfd8058449cf74dbe9b1441f"),
 }
 
 
 def _wire(obj) -> bytes:
     if isinstance(obj, Ledger):
         return obj.serialize()
+    if isinstance(obj, LedgerEntry):
+        # An entry's bytes are its record, as a block and the archive keep it.
+        return u64(obj.seq) + obj.payload
     if isinstance(obj, ReportEvent):
         # Spelled out rather than ``to_bytes()``: this pins what is signed and sent.
         return obj.signing_bytes() + obj.sig
@@ -190,12 +204,12 @@ def test_genesis_and_update_layout_by_hand():
 
 def test_header_entry_and_envelope_layout_by_hand():
     g = _golden()
-    header, entry, ledger = g["header"], g["entry"], g["ledger"]
+    header, ledger = g["header"], g["ledger"]
     address = external_address(header.owner_pk).encode()
     assert header.to_bytes() == header.owner_pk + ZERO_DIGEST + u64(0) + prefixed(address)
-    assert entry.to_bytes() == prefixed(g["genesis"].to_bytes()) + entry.prev_link + u64(0)
-    block = header.to_bytes() + u64(1) + entry.to_bytes()
-    assert ledger.serialize() == prefixed(b"ECUL4") + u64(1) + prefixed(block)
+    block = sealed(header.to_bytes() + u64(1) + u64(0) + g["genesis"].to_bytes())
+    assert ledger.blocks[header.owner_pk].to_bytes() == block
+    assert ledger.serialize() == prefixed(b"ECUL5") + u64(1) + prefixed(block)
 
 
 # -- older layouts are not read -----------------------------------------------------------
@@ -252,6 +266,13 @@ def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
     return prefixed(payload) + entry.prev_link + u64(entry.seq)
 
 
+def _v4_entry(entry: LedgerEntry) -> bytes:
+    """``entry`` as the ``ECUL4`` layout framed it: its payload behind a u32
+    length, its ``prev_link`` and its sequence number.
+    """
+    return prefixed(entry.payload) + entry.prev_link + u64(entry.seq)
+
+
 def test_v1_ledger_blob_raises_wire_error():
     g = _golden()
     header = g["header"]
@@ -276,11 +297,19 @@ def test_v1_ledger_blob_raises_wire_error():
         738,
         "ff08ccb0452e076d7adb32d826433b0e5db47060a2873d35aaada34062071aac",
     )
-    assert LEDGER_MAGIC == b"ECUL4"
-    for blob in (v1_blob, ecul2_blob, ecul3_blob):
+    # The same ledger in the ECUL4 layout: wire format v3, linked entries and
+    # no checksum.
+    v4_block = header.to_bytes() + u64(1) + _v4_entry(g["entry"])
+    ecul4_blob = prefixed(b"ECUL4") + u64(1) + prefixed(v4_block)
+    assert (len(ecul4_blob), sha(ecul4_blob)) == (
+        677,
+        "55ab1fb23e48b09da4bd993b50745bbdd7ad65d122e02fcf266db00a15a9fcb3",
+    )
+    assert LEDGER_MAGIC == b"ECUL5"
+    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob):
         with pytest.raises(WireError):
             deserialize_ledger(blob)
-    for block in (v1_block, v2_block):
+    for block in (v1_block, v2_block, v4_block):
         with pytest.raises(WireError):
             decode_block(block)
 
@@ -296,7 +325,7 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
     old_layouts = {
         "ar://v1": _v1_genesis_entry(entry),
         "ar://v2": _v2_genesis_entry(entry),
-        "ar://v3": entry.to_bytes(),
+        "ar://v3": _v4_entry(entry),
     }
     for address, entry_bytes in old_layouts.items():
         archive._path(address).write_bytes(u64(0) + entry_bytes)
@@ -342,9 +371,7 @@ transactions = st.one_of(
     st.builds(RequestTx, insurer_pk=digests, query=st.text(max_size=40), ts=u64s, sig=sigs),
     st.builds(ChallengeRecordTx, response=responses, rsu_pk=digests, sig=sigs),
 )
-entries = st.builds(
-    LedgerEntry, payload=transactions.map(lambda tx: tx.to_bytes()), prev_link=digests, seq=u64s
-)
+records = st.tuples(u64s, transactions.map(lambda tx: tx.to_bytes()))
 headers = st.builds(
     BlockHeader,
     owner_pk=digests,
@@ -352,9 +379,20 @@ headers = st.builds(
     created_ts=u64s,
     external_address=st.text(max_size=30),
 )
-blocks = st.builds(
-    AppendableBlock, header=headers, entries=st.lists(entries, max_size=3).map(tuple)
-)
+
+
+@st.composite
+def blocks(draw):
+    """A block of up to three records with any sequence numbers, linked by
+    the rule (the head to the header hash, each later entry to its
+    predecessor): bytes keep no link, so decoding rebuilds them by it.
+    """
+    header = draw(headers)
+    entries = []
+    for seq, payload in draw(st.lists(records, max_size=3)):
+        prev = entry_link(entries[-1]) if entries else header_hash(header)
+        entries.append(LedgerEntry(payload=payload, prev_link=prev, seq=seq))
+    return AppendableBlock(header=header, entries=tuple(entries))
 reports = st.builds(
     ReportEvent,
     rsu_pk=digests,
@@ -386,15 +424,20 @@ def test_response_round_trip(response):
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries)
-def test_entry_round_trip(entry):
-    r = Reader(entry.to_bytes())
-    assert read_entry(r) == entry
+@given(records)
+def test_entry_round_trip(record):
+    """An entry is stored as its record: the sequence number, then the
+    payload, which fixes its own length.
+    """
+    seq, payload = record
+    data = u64(seq) + payload
+    r = Reader(data)
+    assert read_record(r, data) == record
     r.finish()
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(blocks, max_size=3, unique_by=lambda b: b.header.owner_pk))
+@given(st.lists(blocks(), max_size=3, unique_by=lambda b: b.header.owner_pk))
 def test_block_and_ledger_round_trip(block_list):
     ledger = Ledger()
     for block in block_list:
@@ -444,7 +487,32 @@ def _valid_inputs():
         "block": (decode_block, to_bytes, [block.to_bytes()]),
         "ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
         "report": (decode_report, to_bytes, [g["report"].to_bytes()]),
+        "sealed block": (decode_block, to_bytes, [block.to_bytes()[:-4]]),
+        "sealed ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
     }
+
+
+def reseal_ledger(data: bytes) -> bytes:
+    """``data`` with the CRC32 of every block its envelope frames recomputed,
+    as far as the envelope parses.
+    """
+    out = bytearray(data)
+    r = Reader(data)
+    try:
+        r.read_bytes()
+        for _ in range(r.read_u64()):
+            block = r.read_bytes()
+            end = len(data) - r.remaining
+            if len(block) >= 4:
+                out[end - len(block) : end] = sealed(block[:-4])
+    except WireError:
+        pass
+    return bytes(out)
+
+
+# Applied to a mutated input before it is decoded: a block's bytes are
+# mutated without their checksum and then sealed, a ledger's all at once.
+SEAL = {"sealed block": sealed, "sealed ledger": reseal_ledger}
 
 
 @st.composite
@@ -463,15 +531,20 @@ def hostile(draw, valid: list[bytes]):
     return bytes(flipped)
 
 
-@pytest.mark.parametrize("target", ["transaction", "response", "block", "ledger", "report"])
+@pytest.mark.parametrize(
+    "target",
+    ["transaction", "response", "block", "ledger", "report", "sealed block", "sealed ledger"],
+)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_decoders_raise_only_wire_error(target, data):
     """Decoding is canonical: hostile bytes raise ``WireError`` and nothing
     else, or decode to an object that re-encodes to exactly those bytes.
+    The checksum stops every mutation of a block or ledger, so the sealed
+    targets re-seal the mutated bytes to reach the parser behind it.
     """
     decode, encode, valid = _valid_inputs()[target]
-    blob = data.draw(hostile(valid))
+    blob = SEAL.get(target, bytes)(data.draw(hostile(valid)))
     try:
         decoded = decode(blob)
     except WireError:
@@ -513,6 +586,65 @@ def test_file_archive_read_raises_only_archive_error(data):
             return
     for seq, payload in records:
         decode_transaction(payload)
+
+
+def _edited_and_resealed(block: AppendableBlock, offset: int, value: bytes) -> bytes:
+    """``block``'s bytes with ``value`` written at ``offset`` and the
+    checksum re-sealed.
+    """
+    body = bytearray(block.to_bytes()[:-4])
+    body[offset : offset + len(value)] = value
+    return sealed(bytes(body))
+
+
+def _record_offsets(block: AppendableBlock) -> list[int]:
+    """Where each entry's record starts in ``block``'s bytes."""
+    offset, offsets = len(block.header.to_bytes()) + 8, []
+    for entry in block.entries:
+        offsets.append(offset)
+        offset += 8 + len(entry.payload)
+    return offsets
+
+
+def test_resealed_edits_fail_the_signature_sequence_and_owner_checks():
+    """The checksum detects corruption and signatures detect tampering: an
+    edit that re-seals the CRC32 still decodes, and fails the audit. A
+    flipped payload byte (the state root, just past the tag) fails its
+    signature, one edited sequence number the consecutive-sequence rule and
+    an edited owner key the ownership check.
+    """
+    block = _three_entry_block()
+    assert validate_block(decode_block(block.to_bytes()))
+    edits = []
+    for entry, offset in zip(block.entries, _record_offsets(block)):
+        flipped = bytes([entry.payload[1] ^ 0x01])
+        edits.append((offset + 8 + 1, flipped))
+        edits.append((offset, u64(entry.seq + 1)))
+    edits.append((0, keys_for("stranger").public))
+    for offset, value in edits:
+        tampered = decode_block(_edited_and_resealed(block, offset, value))
+        assert validate_block(tampered) is False, offset
+
+
+def test_resealed_creation_time_edit_fails_the_header_chain():
+    """An edited ``created_ts`` changes its block's header hash, which the
+    next block's header names, so ``Ledger.validate`` fails for every block
+    but the newest: no later header binds the newest one's.
+    """
+    maker = keys_for("maker")
+    ledger = Ledger()
+    for i in range(3):
+        vehicle = keys_for(f"chain-{i}")
+        genesis = make_genesis(maker, vehicle.public, state_of(2), ts=i)
+        ledger.create_block(vehicle.public, genesis, i, external_address(vehicle.public))
+    assert ledger.validate()
+    newest = len(ledger) - 1
+    for i, pk in enumerate(ledger.creation_order):
+        block = ledger.blocks[pk]
+        data = _edited_and_resealed(block, 2 * 32, u64(block.header.created_ts + 1))
+        restored = deserialize_ledger(ledger.serialize())
+        restored.blocks[pk] = decode_block(data)
+        assert restored.validate() is (i == newest)
 
 
 def test_every_single_bit_flip_of_a_record_fails_or_changes_it():
@@ -611,7 +743,8 @@ ECU = ECU_ID + DIGEST + U64_WIDTH  # id, firmware digest, last-write time
 UPDATE_SIZE = TAG + DIGEST + U64_WIDTH + KEY + KEY + ECU_ID + DIGEST + SIG
 # Owner key, previous header hash, creation time, and "ar://" plus 16 hex digits.
 HEADER_SIZE = KEY + DIGEST + U64_WIDTH + PREFIX + 21
-ENTRY_FRAMING = PREFIX + DIGEST + U64_WIDTH  # payload length, prev_link, seq
+ENTRY_FRAMING = U64_WIDTH  # seq; the payload fixes its own length
+CHECKSUM = 4  # a block's CRC32
 
 
 def response_size(k: int) -> int:
@@ -645,7 +778,7 @@ def test_sizes_follow_the_closed_form(n):
         assert len(record.to_bytes()) == record_size(k)
     assert len(_update(n).to_bytes()) == UPDATE_SIZE
     assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (507, 264, 361, 203)
-    assert ENTRY_FRAMING == 44
+    assert (ENTRY_FRAMING, CHECKSUM) == (8, 4)
 
 
 def archive_size(n: int, encounters: int) -> int:
@@ -681,18 +814,19 @@ def _encounters(n: int, count: int):
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_retained_block_follows_the_closed_form(n):
     """After two or more encounters a vehicle's block holds its header and
-    two challenge records: 919 B in the ledger for an 8-ECU vehicle.
+    two challenge records: 851 B in the ledger for an 8-ECU vehicle, and
+    628 B before its first encounter.
     """
     steps = _encounters(n, 5)
     envelope = Ledger().serialized_size()
-    assert next(steps).ledger.serialized_size() - envelope == (
-        PREFIX + HEADER_SIZE + U64_WIDTH + ENTRY_FRAMING + genesis_size(n)
-    )
+    genesis_only = PREFIX + HEADER_SIZE + U64_WIDTH + ENTRY_FRAMING + genesis_size(n) + CHECKSUM
+    assert next(steps).ledger.serialized_size() - envelope == genesis_only
     retained = PREFIX + HEADER_SIZE + U64_WIDTH + 2 * (ENTRY_FRAMING + record_size(min(3, n)))
+    retained += CHECKSUM
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
             assert roadside.ledger.serialized_size() - envelope == retained
-    assert n != 8 or retained == 919
+    assert n != 8 or (retained, genesis_only) == (851, 628)
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])
