@@ -1,5 +1,5 @@
-"""Network actors with state of their own: vehicles (keys, live ECU state,
-flashed images) and authorities (the revocation list). Roadside units,
+"""Network actors: vehicles (keys, live ECU state, flashed images) and
+authorities (keys; revocation is authority-tier state). Roadside units,
 maintainers and insurers are bare ``KeyPair``s: what they may do is decided
 by the tiers' allow-lists, not by the node. Behaviour lives in the protocol
 module and the simulator wires the nodes together.
@@ -7,7 +7,7 @@ module and the simulator wires the nodes together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import crypto
@@ -51,16 +51,14 @@ class VehicleNode:
 
 @dataclass
 class AuthorityNode:
-    """Transport or legal authority; maintains the revocation list."""
+    """Transport or legal authority; revokes into the authority tier."""
 
     keys: KeyPair
-    revocation_list: set[PublicKey] = field(default_factory=set)
-    reports: list[ReportEvent] = field(default_factory=list)
 
     def receive_report(self, tier: AuthorityTier, event: ReportEvent) -> None:
-        """Revoke the reported vehicle. Raises ``ProtocolError``, and
-        revokes nothing, for a Valid verdict, an RSU that ``tier`` has not
-        registered, or a bad signature.
+        """Revoke the reported vehicle in ``tier``. Raises
+        ``ProtocolError``, and revokes nothing, for a Valid verdict, an RSU
+        that ``tier`` has not registered, or a bad signature.
         """
         if event.verdict is Verdict.VALID:
             raise ProtocolError("nothing to report")
@@ -68,8 +66,7 @@ class AuthorityNode:
             raise ProtocolError("report from an unregistered RSU")
         if not signed_by(event, event.rsu_pk):
             raise ProtocolError("report signature invalid")
-        self.reports.append(event)
-        self.revocation_list.add(event.vehicle_pk)
+        tier.revoked.add(event.vehicle_pk)
 
 
 def perform_maintenance(

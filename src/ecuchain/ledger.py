@@ -218,7 +218,9 @@ def validate_block(block: AppendableBlock) -> bool:
     """True iff the block has entries, the header anchor and every entry
     link hold, every payload decodes and its owner and signature verify,
     and the sequence numbers are consecutive (a lone entry's is 0).
-    Decodes each payload once. Never raises.
+    Nothing here binds a retained block's first seq: only the archive
+    replay in ``reconstruct_history`` rejects a pruned block whose seqs
+    were all shifted. Decodes each payload once. Never raises.
     """
     if not block.entries:
         return False

@@ -2,26 +2,29 @@
 updates, and the roadside challenge-response round.
 
 Tier state lives in two containers. The authority tier holds the
-validator keys, the allow-lists, a countersigned audit log and an
-audit-only ledger for insurer requests. The roadside tier holds the
-per-vehicle blocks plus the materialized verification profile for each
-vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
-and the last recorded response timestamp); the profile is what a roadside
-unit actually checks a response against, and it survives pruning because
+validator keys, the allow-lists, the registered RSUs, the revoked
+vehicles, a countersigned audit log and an audit-only ledger that the
+first insurer request opens. The roadside tier holds the per-vehicle
+blocks plus the materialized verification profile for each vehicle (the
+``EcuState`` the ledger vouches for, whose root it caches, and the last
+recorded response timestamp); the profile is what a roadside unit
+actually checks a response against, and it survives pruning because
 pruned entries leave the block. Registration sets the profile's state
 from the genesis inventory, and an authorized update is the only way it
-changes: ``apply_upper_update`` applies the update's typed ECU record with
-``update_ecu`` and requires the signed ``new_root`` to be that state's root.
+changes: ``apply_upper_update`` applies the update's typed ECU record
+with ``update_ecu`` and requires the signed ``new_root`` to be that
+state's root.
 
 Every check on an incoming transaction is made here, and each signature
-is verified once, with ``signed_by``, where it enters a tier: a genesis by
-``initialize_vehicle``, an update by ``apply_upper_update``, a response by
-``verify_response`` (which ``record_response`` runs, recording only a
-Valid response), an insurer request by ``submit_request`` and a report by
-its receiving authority, which accepts reports only from an RSU that
-``register_rsu`` admitted. The ledger only links what passed, with
-``append_entry``, and verifies again only when audited. The RSU
-countersignature is not checked again.
+is verified once, with ``signed_by``, where it enters a tier: a genesis
+by ``initialize_vehicle``, an update by ``apply_upper_update``, a
+response by ``verify_response`` (which ``record_response`` runs,
+recording only a Valid response), an insurer request by
+``submit_request`` and a report by ``AuthorityNode.receive_report``,
+which accepts reports only from an RSU that ``register_rsu`` admitted
+and adds the reported vehicle to the tier's ``revoked`` set. The ledger
+only links what passed, with ``append_entry``, and verifies again only
+when audited. The RSU countersignature is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -36,7 +39,7 @@ from typing import Optional, Sequence
 
 from . import crypto
 from .crypto import PUBLIC_KEY_LEN, KeyPair, PublicKey, Signature
-from .ecu import EcuRecord, EcuState, compute_state_root, subset_report, update_ecu
+from .ecu import EcuState, compute_state_root, subset_report, update_ecu
 from .ledger import Archive, Ledger, MemoryArchive, append_entry, prune_to_two
 from .transactions import (
     RAW32,
@@ -130,9 +133,14 @@ class AuthorityTier:
     authorized_makers: set[PublicKey]
     authorized_insurers: set[PublicKey]
     registered_rsus: set[PublicKey] = field(default_factory=set)
+    revoked: set[PublicKey] = field(default_factory=set)
     ledger: Ledger = field(default_factory=Ledger)
-    audit_pk: PublicKey = b""
     audit_log: list[AuditEvent] = field(default_factory=list)
+
+    @property
+    def audit_pk(self) -> PublicKey:
+        """Owner of the audit block: the first validator."""
+        return self.validators[0].public
 
     def countersign(self, action: str, subject_pk: PublicKey, ts: int) -> AuditEvent:
         message = AuditEvent.signing_bytes(action, subject_pk, ts)
@@ -150,34 +158,17 @@ def new_authority_tier(
     validators: Sequence[KeyPair],
     authorized_makers: Sequence[PublicKey],
     authorized_insurers: Sequence[PublicKey],
-    ts: int = 0,
 ) -> AuthorityTier:
-    """Authority tier with an audit block (owned by the first validator) that
-    stores insurer request transactions.
+    """Authority tier with an empty ledger; the first insurer request opens
+    the audit block (see ``submit_request``).
     """
     if not validators:
         raise ProtocolError("at least one validator required")
-    tier = AuthorityTier(
+    return AuthorityTier(
         validators=tuple(validators),
         authorized_makers=set(authorized_makers),
         authorized_insurers=set(authorized_insurers),
     )
-    anchor = validators[0]
-    # The audit block is bootstrapped with a single-record genesis naming the
-    # authority itself; request transactions append after it.
-    state = EcuState(
-        records=(
-            EcuRecord(
-                ecu_id=0,
-                firmware_digest=crypto.sha256(b"authority-audit" + anchor.public),
-                last_write_ts=ts,
-            ),
-        )
-    )
-    genesis = make_genesis(anchor, anchor.public, state, ts)
-    tier.ledger.create_block(anchor.public, genesis, ts, "ar://authority-audit")
-    tier.audit_pk = anchor.public
-    return tier
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +397,18 @@ def report_malicious(
 
 def submit_request(authority: AuthorityTier, request: RequestTx) -> None:
     """Store an insurer's signed evidence request on the authority audit
-    block. The insurer's signature is checked first (fields the wire format
-    cannot encode included), then the insurer allow-list; either rejection
-    is a ``ProtocolError`` and leaves the audit block unchanged.
+    block, which the first accepted request opens. The insurer's signature
+    is checked first (fields the wire format cannot encode included), then
+    the insurer allow-list; either rejection is a ``ProtocolError`` and
+    leaves the authority ledger unchanged.
     """
     if not signed_by(request, request.insurer_pk):
         raise ProtocolError("request signature invalid")
     if request.insurer_pk not in authority.authorized_insurers:
         raise ProtocolError("unauthorized insurer")
-    block = authority.ledger.lookup(authority.audit_pk)
-    authority.ledger.replace_block(authority.audit_pk, append_entry(block, request))
+    owner = authority.audit_pk
+    block = authority.ledger.lookup(owner)
+    if block is None:
+        authority.ledger.create_block(owner, request, request.ts, "ar://authority-audit")
+    else:
+        authority.ledger.replace_block(owner, append_entry(block, request))

@@ -1,15 +1,17 @@
 """Deterministic discrete-event traffic simulator.
 
 Vehicles travel a 1-D line of roadside units; every coverage entry runs a
-challenge-response round, authorities receive reports, revoked vehicles
-are refused. Simulated time drives all protocol timestamps, so identical
+challenge-response round. Both authorities check each report and revoke
+into the authority tier, whose ``revoked`` set refuses the vehicle at
+its next arrival. No insurer request is made, so the authority ledger
+stays empty. Simulated time drives all protocol timestamps, so identical
 configurations (including the seed) replay to byte-identical event logs
 and ledgers.
 
-Scenario config files are flat ``key = value`` text; attack and
-maintenance plans are repeated ``attack = kind,vehicle,round`` and
-``maintenance = vehicle,ecu,round`` lines. The event log is one line per
-event: tab-separated ``ts kind subject verdict``.
+Scenario config files are flat ``key = value`` text, each key given once
+except the repeated ``attack = kind,vehicle,round`` and
+``maintenance = vehicle,ecu,round`` plan lines. The event log is one line
+per event: tab-separated ``ts kind subject verdict``.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ def parse_config(text: str) -> SimConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in _INT_KEYS:
+            if key in values:
+                raise ConfigError(f"line {lineno}: {key} given twice")
             try:
                 values[key] = int(value)
             except ValueError:
@@ -283,17 +287,16 @@ class World:
                 derive_seed(b"node-key", seed64, label, i.to_bytes(8, "big"))
             )
 
-        self.transport = AuthorityNode(keys=keypair(b"transport", 0))
-        self.legal = AuthorityNode(keys=keypair(b"legal", 0))
-        self.authorities = [self.transport, self.legal]
+        self.authorities = [
+            AuthorityNode(keys=keypair(label, 0)) for label in (b"transport", b"legal")
+        ]
         self.maker = keypair(b"maker", 0)
         self.technician = keypair(b"technician", 0)
         self.insurer = keypair(b"insurer", 0)
         self.authority_tier: AuthorityTier = new_authority_tier(
-            validators=(self.transport.keys, self.legal.keys),
+            validators=tuple(a.keys for a in self.authorities),
             authorized_makers=(self.maker.public, self.technician.public),
             authorized_insurers=(self.insurer.public,),
-            ts=0,
         )
         self.roadside = RoadsideTier(archive=archive or MemoryArchive())
         # An RSU's index in this list is its place on the 1-D road.
@@ -359,9 +362,6 @@ class World:
     def log(self, ts: int, kind: str, subject: str, verdict: str = "-") -> None:
         self.event_log.append(f"{ts}\t{kind}\t{subject}\t{verdict}")
 
-    def revoked(self, pk: PublicKey) -> bool:
-        return any(pk in a.revocation_list for a in self.authorities)
-
     # -- event handlers -------------------------------------------------------
 
     def _arrival_ts(self, vehicle_index: int, encounter: int) -> int:
@@ -375,7 +375,7 @@ class World:
         (encounter,) = event.data
         vehicle = self.actors[event.subject]
         now = self.clock.now
-        if self.revoked(vehicle.pk):
+        if vehicle.pk in self.authority_tier.revoked:
             self.log(now, "refused", event.subject)
             return
         rsu = self.rsus[encounter % self.config.n_rsus]
@@ -499,7 +499,7 @@ def run(world: World) -> RunResult:
     revoked = tuple(
         sorted(
             world.subject_by_pk.get(pk, pk.hex()[:12])
-            for pk in world.transport.revocation_list
+            for pk in world.authority_tier.revoked
         )
     )
     report = RunReport(

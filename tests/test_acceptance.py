@@ -120,7 +120,7 @@ def _tamper_corpus():
     )
     submit_request(authority, signed_request(insurer, "claims evidence", ts=1))
     submit_request(authority, signed_request(insurer, "second request", ts=2))
-    blocks.append(authority.ledger.lookup(authority.audit_pk))  # 3 entries
+    blocks.append(authority.ledger.lookup(authority.audit_pk))  # 2 entries
     return blocks
 
 

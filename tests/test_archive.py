@@ -17,6 +17,7 @@ import os
 import random
 import stat
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from ecuchain.ledger import (
     LedgerError,
     MemoryArchive,
     append_entry,
+    decode_block,
     deserialize_ledger,
     entry_link,
     prune_to_two,
@@ -312,10 +314,26 @@ def _no_entries(block, records):
     return dataclasses.replace(block, entries=()), records
 
 
+def _shifted_seqs(block, records):
+    """The retained entries renumbered from 4, 5 to 104, 105 in the block's
+    bytes, under a re-sealed CRC. ``validate_block`` accepts the decoded
+    block, as its links are rebuilt from the bytes; the archive replay must
+    not.
+    """
+    body = bytearray(block.to_bytes()[:-4])
+    at = len(block.header.to_bytes()) + 8  # past the header and entry count
+    for entry in block.entries:
+        body[at : at + 8] = (entry.seq + 100).to_bytes(8, "big")
+        at += 8 + len(entry.payload)
+    shifted = decode_block(bytes(body) + zlib.crc32(body).to_bytes(4, "big"))
+    assert [e.seq for e in shifted.entries] == [104, 105]
+    return shifted, records
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_repeated_seq, _prefix_mismatch, _no_entries],
-    ids=["repeated-seq", "prefix-mismatch", "no-entries"],
+    [_repeated_seq, _prefix_mismatch, _no_entries, _shifted_seqs],
+    ids=["repeated-seq", "prefix-mismatch", "no-entries", "shifted-seqs"],
 )
 def test_reconstruct_rejects_strays_with_ledger_error(corrupt):
     block, records = corrupt(*_pruned_block())

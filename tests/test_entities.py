@@ -82,9 +82,9 @@ def test_authority_accepts_valid_report():
     rsu = keys_for("reporting-rsu")
     target = keys_for("bad-vehicle").public
     event = report_malicious(rsu, target, Verdict.STATE_MISMATCH, ts=3)
-    authority.receive_report(tier_with_rsu(rsu), event)
-    assert target in authority.revocation_list
-    assert authority.reports == [event]
+    tier = tier_with_rsu(rsu)
+    authority.receive_report(tier, event)
+    assert tier.revoked == {target}
 
 
 def test_authority_rejects_forged_report():
@@ -92,9 +92,10 @@ def test_authority_rejects_forged_report():
     rsu = keys_for("reporting-rsu")
     event = report_malicious(rsu, keys_for("v").public, Verdict.STALE_TIMESTAMP, ts=3)
     forged = dataclasses.replace(event, ts=4)
+    tier = tier_with_rsu(rsu)
     with pytest.raises(ProtocolError, match="signature"):
-        authority.receive_report(tier_with_rsu(rsu), forged)
-    assert not authority.revocation_list
+        authority.receive_report(tier, forged)
+    assert not tier.revoked
 
 
 def test_authority_rejects_report_from_unregistered_rsu():
@@ -109,6 +110,5 @@ def test_authority_rejects_report_from_unregistered_rsu():
     assert signed_by(event, stranger.public)
     with pytest.raises(ProtocolError, match="unregistered RSU"):
         authority.receive_report(tier, event)
-    assert victim not in authority.revocation_list
-    assert authority.reports == []
+    assert not tier.revoked
 

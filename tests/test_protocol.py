@@ -7,7 +7,7 @@ import pytest
 
 from conftest import keys_for, state_of
 from ecuchain import _kernels
-from ecuchain.crypto import sha256, verify
+from ecuchain.crypto import KeyPair, sha256, verify
 from ecuchain.ecu import compute_state_root, update_ecu
 from ecuchain.ledger import Archive, ArchiveError
 from ecuchain.protocol import (
@@ -18,6 +18,7 @@ from ecuchain.protocol import (
     initialize_vehicle,
     issue_challenge,
     make_genesis,
+    new_authority_tier,
     record_response,
     report_malicious,
     submit_request,
@@ -505,6 +506,39 @@ def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
     block = authority.ledger.lookup(authority.audit_pk)
     assert block.entries[-1].transaction() == request
     assert verify(insurer_keys.public, request.signing_bytes(), request.sig)
+    assert authority.ledger.validate()
+
+
+def test_authority_tier_starts_empty_and_first_request_opens_audit_block(
+    insurer_keys, monkeypatch
+):
+    """The tier signs nothing and opens no block until an insurer request
+    arrives: the first accepted request opens the audit block at seq 0,
+    and the next one appends at seq 1.
+    """
+    validators = (keys_for("transport"), keys_for("legal"))
+    signs = []
+    real_sign = KeyPair.sign
+    with monkeypatch.context() as m:
+        m.setattr(KeyPair, "sign", lambda self, msg: signs.append(msg) or real_sign(self, msg))
+        authority = new_authority_tier(
+            validators=validators,
+            authorized_makers=(),
+            authorized_insurers=(insurer_keys.public,),
+        )
+    assert signs == []
+    assert len(authority.ledger) == 0
+    assert authority.audit_pk == validators[0].public
+    first = signed_request(insurer_keys, "first", ts=3)
+    second = signed_request(insurer_keys, "second", ts=5)
+    submit_request(authority, first)
+    block = authority.ledger.lookup(authority.audit_pk)
+    assert block.header.created_ts == 3
+    assert [(e.seq, e.transaction()) for e in block.entries] == [(0, first)]
+    submit_request(authority, second)
+    block = authority.ledger.lookup(authority.audit_pk)
+    assert [(e.seq, e.transaction()) for e in block.entries] == [(0, first), (1, second)]
+    assert list(authority.ledger.blocks) == [authority.audit_pk]
     assert authority.ledger.validate()
 
 

@@ -30,9 +30,10 @@ DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
 # SHA-256 of the event log `ecuchain run --config scenarios/demo.cfg` writes.
 DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671305"
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
-# of its archive records (see ``archive_digest``).
+# of its archive records (see ``archive_digest``). The demo makes no insurer
+# request, so its authority ledger is empty.
 DEMO_ROADSIDE_LEDGER_SHA256 = "6bc3d2b1403930dd617b0bd90b1fa26d197e54d8ede6751b1fd0610c99eeffe0"
-DEMO_AUTHORITY_LEDGER_SHA256 = "d541aa76beedc3d89070bde7a24bb66986fbcf4cc05bf7fb1f3b170391c88a57"
+DEMO_AUTHORITY_LEDGER_SHA256 = "b11c907a07fd39aeae722b9218e0e4a1d43b9785dc19bcacc3b57f82a21484fe"
 DEMO_ARCHIVE_SHA256 = "46467e9781e8adbaa8f73cee96bfaaa321b3be1192fd045da419fa581688b98c"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
@@ -91,6 +92,18 @@ def test_parse_config_rejects_bad_values():
     assert parse_config(f"ecus_per_vehicle = {MAX_ECUS}").ecus_per_vehicle == MAX_ECUS
     with pytest.raises(ConfigError, match="ecus_per_vehicle"):
         parse_config(f"ecus_per_vehicle = {MAX_ECUS + 1}")
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["n_vehicles", "n_rsus", "ecus_per_vehicle", "n_rounds", "seed", "link_latency_ms"],
+)
+def test_parse_config_rejects_repeated_scalar_key(key):
+    """A repeated scalar key is an error, not a silent override (plan lines
+    repeat: see ``test_parse_config_full``).
+    """
+    with pytest.raises(ConfigError, match=f"line 3: {key} given twice"):
+        parse_config(f"{key} = 1\n\n{key} = 2")
 
 
 def test_load_config_missing_file(tmp_path):
@@ -310,10 +323,12 @@ def test_revocations_match_reports():
     world = build_world(cfg)
     result = run(world)
     reported = {
-        world.subject_by_pk[e.vehicle_pk] for e in world.transport.reports
+        subject
+        for _, kind, subject, _ in (line.split("\t") for line in result.event_log)
+        if kind == "report"
     }
     assert set(result.report.revoked) == reported == {"v0", "v3"}
-    assert world.transport.revocation_list == world.legal.revocation_list
+    assert world.authority_tier.revoked == {world.actors[s].pk for s in reported}
 
 
 def test_maintenance_keeps_vehicle_valid():
