@@ -64,7 +64,7 @@ class AuthorityNode:
             raise ProtocolError("nothing to report")
         if event.rsu_pk not in tier.registered_rsus:
             raise ProtocolError("report from an unregistered RSU")
-        if not signed_by(event, event.rsu_pk):
+        if not signed_by(event):
             raise ProtocolError("report signature invalid")
         tier.revoked.add(event.vehicle_pk)
 

@@ -82,7 +82,6 @@ from .transactions import (
     Transaction,
     decode_transaction,
     read_transaction,
-    tx_signer,
     tx_vehicle,
 )
 from .wire import (
@@ -237,21 +236,13 @@ def validate_block(block: AppendableBlock) -> bool:
                 return False
             # Decoding is canonical, so the wire bytes are the signing bytes
             # followed by the signature.
-            if not crypto.verify(tx_signer(tx), data[:-SIGNATURE_LEN], tx.sig):
+            if not crypto.verify(getattr(tx, tx.SIGNER), data[:-SIGNATURE_LEN], tx.sig):
                 return False
             expected = _link(data, seq)
             seq += 1
     except Exception:
         return False
     return True
-
-
-def validate_block_bytes(data: bytes) -> bool:
-    try:
-        block = decode_block(data)
-    except WireError:
-        return False
-    return validate_block(block)
 
 
 def append_entry(

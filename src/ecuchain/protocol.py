@@ -3,7 +3,8 @@ updates, and the roadside challenge-response round.
 
 Tier state lives in two containers. The authority tier holds the
 validator keys, the allow-lists, the registered RSUs, the revoked
-vehicles, a countersigned audit log and an audit-only ledger that the
+vehicles, an audit log (each approved event as one signed
+``Countersignature`` per validator) and an audit-only ledger that the
 first insurer request opens. The roadside tier holds the per-vehicle
 blocks plus the materialized verification profile for each vehicle (the
 ``EcuState`` the ledger vouches for, whose root it caches, and the last
@@ -16,7 +17,8 @@ with ``update_ecu`` and requires the signed ``new_root`` to be that
 state's root.
 
 Every check on an incoming transaction is made here, and each signature
-is verified once, with ``signed_by``, where it enters a tier: a genesis
+is verified once, with ``signed_by`` (which reads the signer from the
+field the type's ``SIGNER`` names), where it enters a tier: a genesis
 by ``initialize_vehicle``, an update by ``apply_upper_update``, a
 response by ``verify_response`` (which ``record_response`` runs,
 recording only a Valid response), an insurer request by
@@ -24,7 +26,8 @@ recording only a Valid response), an insurer request by
 which accepts reports only from an RSU that ``register_rsu`` admitted
 and adds the reported vehicle to the tier's ``revoked`` set. The ledger
 only links what passed, with ``append_entry``, and verifies again only
-when audited. The RSU countersignature is not checked again.
+when audited. What a tier signs itself, the RSU's challenge record and
+the validators' countersignatures, is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -37,17 +40,18 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import crypto
-from .crypto import PUBLIC_KEY_LEN, KeyPair, PublicKey, Signature
+from .crypto import KeyPair, PublicKey, Signature
 from .ecu import EcuState, compute_state_root, subset_report, update_ecu
 from .ledger import Archive, Ledger, MemoryArchive, append_entry, prune_to_two
 from .transactions import (
     RAW32,
     UINT64,
     VERDICT,
+    AuditAction,
     Challenge,
     ChallengeRecordTx,
     ChallengeResponse,
+    Countersignature,
     GenesisTx,
     RequestTx,
     Signable,
@@ -57,7 +61,6 @@ from .transactions import (
     signed_by,
     signed_wire,
 )
-from .wire import WireError, encode_fixed, encode_str, encode_u64
 
 SUBSET_SIZE = 3
 # Longest a vehicle may take to answer a challenge, in simulated ms.
@@ -97,34 +100,6 @@ class RoadsideTier:
     profiles: dict[PublicKey, VehicleProfile] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
-class AuditEvent:
-    """Countersigned record of a validator-approved tier event."""
-
-    action: str
-    subject_pk: PublicKey
-    ts: int
-    signatures: tuple[tuple[PublicKey, Signature], ...]
-
-    @staticmethod
-    def signing_bytes(action: str, subject_pk: PublicKey, ts: int) -> bytes:
-        return (
-            encode_str(action)
-            + encode_fixed(subject_pk, PUBLIC_KEY_LEN)
-            + encode_u64(ts)
-        )
-
-    def verify(self, validators: Sequence[PublicKey]) -> bool:
-        signed = {pk for pk, _ in self.signatures}
-        if signed != set(validators):
-            return False
-        try:
-            message = self.signing_bytes(self.action, self.subject_pk, self.ts)
-        except WireError:
-            return False
-        return all(crypto.verify(pk, message, sig) for pk, sig in self.signatures)
-
-
 @dataclass
 class AuthorityTier:
     """Upper-tier state run by the transport and legal authorities."""
@@ -135,20 +110,20 @@ class AuthorityTier:
     registered_rsus: set[PublicKey] = field(default_factory=set)
     revoked: set[PublicKey] = field(default_factory=set)
     ledger: Ledger = field(default_factory=Ledger)
-    audit_log: list[AuditEvent] = field(default_factory=list)
+    audit_log: list[tuple[Countersignature, ...]] = field(default_factory=list)
 
     @property
     def audit_pk(self) -> PublicKey:
         """Owner of the audit block: the first validator."""
         return self.validators[0].public
 
-    def countersign(self, action: str, subject_pk: PublicKey, ts: int) -> AuditEvent:
-        message = AuditEvent.signing_bytes(action, subject_pk, ts)
-        event = AuditEvent(
-            action=action,
-            subject_pk=subject_pk,
-            ts=ts,
-            signatures=tuple((v.public, v.sign(message)) for v in self.validators),
+    def countersign(
+        self, action: AuditAction, subject_pk: PublicKey, ts: int
+    ) -> tuple[Countersignature, ...]:
+        """Log the event as one signed record per validator, in validator order."""
+        event = tuple(
+            signed(Countersignature(action, subject_pk, ts, v.public, sig=b""), v)
+            for v in self.validators
         )
         self.audit_log.append(event)
         return event
@@ -198,7 +173,7 @@ def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey, ts: int) -> None:
     on, and all validators countersign the registration.
     """
     authority.registered_rsus.add(rsu_pk)
-    authority.countersign("register-rsu", rsu_pk, ts)
+    authority.countersign(AuditAction.REGISTER_RSU, rsu_pk, ts)
 
 
 def initialize_vehicle(
@@ -217,13 +192,13 @@ def initialize_vehicle(
         raise ProtocolError("genesis state root does not match ECU list")
     if roadside.ledger.lookup(genesis.vehicle_pk) is not None:
         raise ProtocolError("vehicle already registered")
-    if not signed_by(genesis, genesis.maker_pk):
+    if not signed_by(genesis):
         raise ProtocolError("genesis signature invalid")
     roadside.ledger.create_block(
         genesis.vehicle_pk, genesis, ts, external_address(genesis.vehicle_pk)
     )
     roadside.profiles[genesis.vehicle_pk] = VehicleProfile(state=state)
-    authority.countersign("register", genesis.vehicle_pk, ts)
+    authority.countersign(AuditAction.REGISTER, genesis.vehicle_pk, ts)
 
 
 def apply_upper_update(
@@ -237,7 +212,7 @@ def apply_upper_update(
     ``update_ecu`` refuses (unknown ECU id, timestamp regression) and a
     ``new_root`` that is not the updated state's root.
     """
-    if not signed_by(update, update.maintainer_pk):
+    if not signed_by(update):
         raise ProtocolError("update signature invalid")
     if update.maintainer_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maintainer")
@@ -257,7 +232,7 @@ def apply_upper_update(
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(update.vehicle_pk, pruned)
     profile.state = state
-    authority.countersign("update", update.vehicle_pk, update.ts)
+    authority.countersign(AuditAction.UPDATE, update.vehicle_pk, update.ts)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +293,7 @@ def verify_response(
         return Verdict.UNKNOWN_VEHICLE
     if pk != challenge.vehicle_pk:
         return Verdict.BAD_SIGNATURE
-    if not signed_by(response, pk):
+    if not signed_by(response):
         return Verdict.BAD_SIGNATURE
     issued = challenge.issued_ts
     if not issued <= response.ts <= issued + MAX_RESPONSE_DELAY_MS:
@@ -381,6 +356,7 @@ class ReportEvent(Signable):
     sig: Signature
 
     WIRE = dict(rsu_pk=RAW32, vehicle_pk=RAW32, verdict=VERDICT, ts=UINT64)
+    SIGNER = "rsu_pk"
 
 
 def report_malicious(
@@ -402,7 +378,7 @@ def submit_request(authority: AuthorityTier, request: RequestTx) -> None:
     the insurer allow-list; either rejection is a ``ProtocolError`` and
     leaves the authority ledger unchanged.
     """
-    if not signed_by(request, request.insurer_pk):
+    if not signed_by(request):
         raise ProtocolError("request signature invalid")
     if request.insurer_pk not in authority.authorized_insurers:
         raise ProtocolError("unauthorized insurer")

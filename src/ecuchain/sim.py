@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import adversary
 from .adversary import AttackKind
-from .crypto import PublicKey, derive_seed, generate_keypair, sha256
+from .crypto import KeyPair, PublicKey, derive_seed, generate_keypair, sha256
 from .ecu import EcuRecord, EcuState
 from .entities import AuthorityNode, VehicleNode, perform_maintenance
 from .ledger import MemoryArchive
@@ -274,25 +274,19 @@ class World:
         self.clock = SimClock()
         self.queue = EventQueue(self.clock)
         self.event_log: list[str] = []
-        seed64 = config.seed.to_bytes(8, "big")
+        self.seed64 = config.seed.to_bytes(8, "big")
         self.challenge_rng = random.Random(
-            int.from_bytes(derive_seed(b"rng-challenge", seed64), "big")
+            int.from_bytes(derive_seed(b"rng-challenge", self.seed64), "big")
         )
         self.attack_rng = random.Random(
-            int.from_bytes(derive_seed(b"rng-attack", seed64), "big")
+            int.from_bytes(derive_seed(b"rng-attack", self.seed64), "big")
         )
-
-        def keypair(label: bytes, i: int):
-            return generate_keypair(
-                derive_seed(b"node-key", seed64, label, i.to_bytes(8, "big"))
-            )
-
         self.authorities = [
-            AuthorityNode(keys=keypair(label, 0)) for label in (b"transport", b"legal")
+            AuthorityNode(keys=self._keypair(label, 0)) for label in (b"transport", b"legal")
         ]
-        self.maker = keypair(b"maker", 0)
-        self.technician = keypair(b"technician", 0)
-        self.insurer = keypair(b"insurer", 0)
+        self.maker = self._keypair(b"maker", 0)
+        self.technician = self._keypair(b"technician", 0)
+        self.insurer = self._keypair(b"insurer", 0)
         self.authority_tier: AuthorityTier = new_authority_tier(
             validators=tuple(a.keys for a in self.authorities),
             authorized_makers=(self.maker.public, self.technician.public),
@@ -300,7 +294,7 @@ class World:
         )
         self.roadside = RoadsideTier(archive=archive or MemoryArchive())
         # An RSU's index in this list is its place on the 1-D road.
-        self.rsus = [keypair(b"rsu", i) for i in range(config.n_rsus)]
+        self.rsus = [self._keypair(b"rsu", i) for i in range(config.n_rsus)]
         for rsu in self.rsus:
             register_rsu(self.authority_tier, rsu.public, ts=0)
         self.vehicles: list[VehicleNode] = []
@@ -310,23 +304,17 @@ class World:
 
     # -- construction helpers ------------------------------------------------
 
+    def _keypair(self, label: bytes, index: int) -> KeyPair:
+        """The node keys for ``label`` and ``index`` under the config's seed."""
+        index64 = index.to_bytes(8, "big")
+        return generate_keypair(derive_seed(b"node-key", self.seed64, label, index64))
+
     def _firmware(self, label: bytes, vehicle: int, ecu: int) -> bytes:
         return derive_seed(
-            label,
-            self.config.seed.to_bytes(8, "big"),
-            vehicle.to_bytes(8, "big"),
-            ecu.to_bytes(8, "big"),
+            label, self.seed64, vehicle.to_bytes(8, "big"), ecu.to_bytes(8, "big")
         )
 
     def _new_vehicle(self, label: bytes, index: int, honest: bool) -> VehicleNode:
-        keys = generate_keypair(
-            derive_seed(
-                b"node-key",
-                self.config.seed.to_bytes(8, "big"),
-                label,
-                index.to_bytes(8, "big"),
-            )
-        )
         images = [
             self._firmware(label + b"-fw", index, e)
             for e in range(self.config.ecus_per_vehicle)
@@ -338,7 +326,7 @@ class World:
             )
         )
         return VehicleNode(
-            keys=keys,
+            keys=self._keypair(label, index),
             ecu_state=state,
             firmware_images=images,
             honest=honest,

@@ -9,11 +9,12 @@ an ECU-list count are u16, so a vehicle has at most ``MAX_ECUS`` ECUs; an
 ECU record is one packed ``>H32sQ`` struct. A challenge record embeds its
 response's wire bytes unprefixed (the response's ECU count fixes their
 length); the only length prefix in a transaction is on a request's query.
-``signed`` is the one way to sign any of them (``signed_wire`` also returns
-the wire bytes it encoded, for the ledger to keep), and ``signed_by`` the
-one way to check a signature where it enters a tier; a field past its wire
-width (an ECU id or list past ``MAX_ECUS``, an integer past u64) cannot be
-encoded, so it fails ``signed_by``.
+Each signed type also names, in ``SIGNER``, the field that holds its
+signer's public key. ``signed`` is the one way to sign any of them
+(``signed_wire`` also returns the wire bytes it encoded, for the ledger to
+keep), and ``signed_by`` the one way to check a signature where it enters a
+tier; a field past its wire width (an ECU id or list past ``MAX_ECUS``, an
+integer past u64) cannot be encoded, so it fails ``signed_by``.
 """
 
 from __future__ import annotations
@@ -89,21 +90,38 @@ class Codec(NamedTuple):
 # as stored function objects, so that the e2ebench tracer sees every call.
 # ``RAW32`` is a digest or a public key: both are 32 bytes.
 RAW32 = Codec(lambda v: encode_fixed(v, 32), lambda r: r.read_fixed(32))
+UINT8 = Codec(encode_u8, Reader.read_u8)
 UINT16 = Codec(encode_u16, Reader.read_u16)
 UINT64 = Codec(lambda v: encode_u64(v), Reader.read_u64)
 TEXT = Codec(lambda v: encode_str(v), Reader.read_str)
 ECU_LIST = Codec(_encode_ecu_list, _read_ecu_list)
 
 
-def _read_verdict(r: Reader) -> Verdict:
-    name = r.read_str()
-    try:
-        return Verdict(name)
-    except ValueError:
-        raise WireError(f"unknown verdict {name!r}") from None
+class AuditAction(Enum):
+    """A tier event the validators countersign."""
+
+    REGISTER = 0
+    UPDATE = 1
+    REGISTER_RSU = 2
 
 
-VERDICT = Codec(lambda v: encode_str(v.value), _read_verdict)
+def _enum_codec(cls: type[Enum], codec: Codec, what: str) -> Codec:
+    """A ``cls`` member written as its value with ``codec``; a value that
+    names no member raises ``WireError``.
+    """
+
+    def read(r: Reader) -> Enum:
+        value = codec.read(r)
+        try:
+            return cls(value)
+        except ValueError:
+            raise WireError(f"unknown {what} {value!r}") from None
+
+    return Codec(lambda v: codec.encode(v.value), read)
+
+
+VERDICT = _enum_codec(Verdict, TEXT, "verdict")
+ACTION = _enum_codec(AuditAction, UINT8, "audit action")
 
 S = TypeVar("S")
 
@@ -112,12 +130,14 @@ class Signable:
     """Base of the signed types, slotted dataclasses whose last field is
     ``sig``. On the wire, one is its ``TAG`` byte if set, then the fields
     ``WIRE`` names (field name -> codec, in declaration order, ``sig`` left
-    out), then ``sig``.
+    out), then ``sig``. ``SIGNER`` names the field holding the key that
+    signs it.
     """
 
     __slots__ = ()
     TAG: ClassVar[Optional[int]] = None
     WIRE: ClassVar[dict[str, Codec]]
+    SIGNER: ClassVar[str]
 
     # Loops, not comprehensions: a Python 3.11 comprehension costs a frame.
     def signing_bytes(self) -> bytes:
@@ -154,6 +174,7 @@ class GenesisTx(Signable):
     WIRE = dict(
         state_root=RAW32, ts=UINT64, ecu_list=ECU_LIST, vehicle_pk=RAW32, maker_pk=RAW32
     )
+    SIGNER = "maker_pk"
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,6 +198,7 @@ class UpdateTx(Signable):
         new_root=RAW32, ts=UINT64, vehicle_pk=RAW32, maintainer_pk=RAW32,
         ecu_id=UINT16, firmware_digest=RAW32,
     )
+    SIGNER = "maintainer_pk"
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,6 +212,7 @@ class RequestTx(Signable):
 
     TAG = TAG_REQUEST
     WIRE = dict(insurer_pk=RAW32, query=TEXT, ts=UINT64)
+    SIGNER = "insurer_pk"
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,6 +228,7 @@ class ChallengeResponse(Signable):
     sig: Signature
 
     WIRE = dict(state_root=RAW32, subset=ECU_LIST, ts=UINT64, vehicle_pk=RAW32)
+    SIGNER = "vehicle_pk"
 
 
 def decode_challenge_response(data: bytes) -> ChallengeResponse:
@@ -229,9 +253,26 @@ class ChallengeRecordTx(Signable):
 
     TAG = TAG_CHALLENGE_RECORD
     WIRE = dict(response=RESPONSE, rsu_pk=RAW32)
+    SIGNER = "rsu_pk"
 
 
 Transaction = Union[GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx]
+
+
+@dataclass(frozen=True, slots=True)
+class Countersignature(Signable):
+    """One validator's approval of an authority-tier event: the action, the
+    vehicle or RSU it concerns and when, signed by that validator.
+    """
+
+    action: AuditAction
+    subject_pk: PublicKey
+    ts: int
+    validator_pk: PublicKey
+    sig: Signature
+
+    WIRE = dict(action=ACTION, subject_pk=RAW32, ts=UINT64, validator_pk=RAW32)
+    SIGNER = "validator_pk"
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,17 +286,6 @@ class Challenge:
     vehicle_pk: PublicKey
     subset_indices: tuple[int, ...]
     issued_ts: int
-
-
-def tx_signer(tx: Transaction) -> PublicKey:
-    """The public key whose signature ``tx.sig`` must be."""
-    if isinstance(tx, GenesisTx):
-        return tx.maker_pk
-    if isinstance(tx, UpdateTx):
-        return tx.maintainer_pk
-    if isinstance(tx, RequestTx):
-        return tx.insurer_pk
-    return tx.rsu_pk
 
 
 def signed_wire(unsigned: S, keys: KeyPair) -> tuple[S, bytes]:
@@ -273,16 +303,17 @@ def signed(unsigned: S, keys: KeyPair) -> S:
     return signed_wire(unsigned, keys)[0]
 
 
-def signed_by(obj, signer: PublicKey) -> bool:
-    """True iff ``obj.sig`` is ``signer``'s signature over ``obj``'s signing
-    bytes. Never raises: fields the wire format cannot encode cannot carry a
-    valid signature, and malformed key or signature bytes do not verify.
+def signed_by(obj: Signable) -> bool:
+    """True iff ``obj.sig`` is the signature of the key in ``obj``'s
+    ``SIGNER`` field over ``obj``'s signing bytes. Never raises: fields the
+    wire format cannot encode cannot carry a valid signature, and malformed
+    key or signature bytes do not verify.
     """
     try:
         message = obj.signing_bytes()
     except WireError:
         return False
-    return crypto.verify(signer, message, obj.sig)
+    return crypto.verify(getattr(obj, obj.SIGNER), message, obj.sig)
 
 
 def tx_vehicle(tx: Transaction) -> PublicKey | None:

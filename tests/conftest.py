@@ -4,17 +4,27 @@ import pytest
 
 from ecuchain.crypto import derive_seed, generate_keypair, sha256
 from ecuchain.ecu import EcuRecord, EcuState
-from ecuchain.ledger import MemoryArchive
+from ecuchain.ledger import MemoryArchive, decode_block, validate_block
 from ecuchain.protocol import (
     RoadsideTier,
     initialize_vehicle,
     make_genesis,
     new_authority_tier,
 )
+from ecuchain.wire import WireError
 
 
 def keys_for(label: str):
     return generate_keypair(derive_seed(b"test-key", label.encode()))
+
+
+def validate_block_bytes(data: bytes) -> bool:
+    """True iff ``data`` decodes to a block that ``validate_block`` accepts."""
+    try:
+        block = decode_block(data)
+    except WireError:
+        return False
+    return validate_block(block)
 
 
 def state_of(n_ecus: int, tag: bytes = b"fw", ts: int = 0) -> EcuState:

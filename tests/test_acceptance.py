@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import keys_for, state_of
+from conftest import keys_for, state_of, validate_block_bytes
 from ecuchain.adversary import (
     AttackKind,
     assert_detected,
@@ -26,11 +26,7 @@ from ecuchain.bench import (
 )
 from ecuchain.crypto import sha256
 from ecuchain.ecu import compute_state_root, state_from_digests, update_ecu
-from ecuchain.ledger import (
-    MemoryArchive,
-    reconstruct_history,
-    validate_block_bytes,
-)
+from ecuchain.ledger import MemoryArchive, reconstruct_history
 from ecuchain.protocol import (
     RoadsideTier,
     apply_upper_update,

@@ -107,7 +107,7 @@ def test_authority_rejects_report_from_unregistered_rsu():
     stranger = keys_for("stranger")
     victim = keys_for("victim").public
     event = report_malicious(stranger, victim, Verdict.STATE_MISMATCH, ts=1)
-    assert signed_by(event, stranger.public)
+    assert event.rsu_pk == stranger.public and signed_by(event)
     with pytest.raises(ProtocolError, match="unregistered RSU"):
         authority.receive_report(tier, event)
     assert not tier.revoked

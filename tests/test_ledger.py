@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import keys_for, state_of
+from conftest import keys_for, state_of, validate_block_bytes
 from ecuchain.bench import linear_fit
 from ecuchain.crypto import ZERO_DIGEST, sha256
 from ecuchain.ledger import (
@@ -23,7 +23,6 @@ from ecuchain.ledger import (
     prune_to_two,
     reconstruct_history,
     validate_block,
-    validate_block_bytes,
 )
 from ecuchain.protocol import make_genesis
 from ecuchain.transactions import (

@@ -180,8 +180,10 @@ def test_two_hundred_sequential_initializations(tiers, maker_keys):
     assert len(roadside.ledger) == 200
     assert roadside.ledger.validate()
     assert len(authority.audit_log) == 200
-    validator_pks = [v.public for v in authority.validators]
-    assert all(ev.verify(validator_pks) for ev in authority.audit_log[:5])
+    validator_pks = {v.public for v in authority.validators}
+    for event in authority.audit_log:
+        assert all(signed_by(cs) for cs in event)
+        assert {cs.validator_pk for cs in event} == validator_pks
 
 
 # -- upper-tier update ----------------------------------------------------------
@@ -494,9 +496,9 @@ def test_report_requires_non_valid_verdict(rsu_keys, vehicle_keys):
 
 def test_report_event_signature(rsu_keys, vehicle_keys):
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=9)
-    assert signed_by(event, rsu_keys.public)
+    assert event.rsu_pk == rsu_keys.public and signed_by(event)
     forged = dataclasses.replace(event, vehicle_pk=keys_for("scapegoat").public)
-    assert not signed_by(forged, rsu_keys.public)
+    assert not signed_by(forged)
 
 
 def test_submit_request_stores_on_audit_block(tiers, insurer_keys):

@@ -24,7 +24,7 @@ from ecuchain.sim import (
     run,
 )
 from ecuchain.ledger import reconstruct_history
-from ecuchain.transactions import MAX_ECUS, ChallengeRecordTx
+from ecuchain.transactions import MAX_ECUS, AuditAction, ChallengeRecordTx, signed_by
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
 # SHA-256 of the event log `ecuchain run --config scenarios/demo.cfg` writes.
@@ -157,9 +157,12 @@ def test_build_world_registers_each_rsu():
     world = build_world(SMALL)
     tier = world.authority_tier
     assert tier.registered_rsus == {rsu.public for rsu in world.rsus}
-    registrations = [e for e in tier.audit_log if e.action == "register-rsu"]
-    assert [e.subject_pk for e in registrations] == [rsu.public for rsu in world.rsus]
-    assert all(e.verify([v.public for v in tier.validators]) for e in registrations)
+    registrations = [e for e in tier.audit_log if e[0].action is AuditAction.REGISTER_RSU]
+    assert [e[0].subject_pk for e in registrations] == [rsu.public for rsu in world.rsus]
+    validator_pks = {v.public for v in tier.validators}
+    for event in registrations:
+        assert all(signed_by(cs) for cs in event)
+        assert {cs.validator_pk for cs in event} == validator_pks
 
 
 def test_build_world_deterministic():

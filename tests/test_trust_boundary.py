@@ -6,11 +6,12 @@ The boundaries: ``initialize_vehicle`` (the genesis),
 signature; only ``record_response`` runs it, and records only a Valid
 response), ``submit_request`` (the insurer request) and
 ``AuthorityNode.receive_report`` (the report). Each checks with
-``signed_by``, and they are its only callers; ``validate_block`` and
-``AuditEvent.verify`` are the only other places that verify, and
-``signed`` and ``AuthorityTier.countersign`` the only places that sign.
-The ledger verifies nothing on the way in: ``Ledger.create_block`` and
-``append_entry`` link what the protocol passed, and what a tier signed
+``signed_by``, which reads the signer from the field the type's
+``SIGNER`` names, and they are its only callers; ``validate_block`` is
+the only other place that verifies, and ``signed_wire`` (which
+``signed`` and so ``AuthorityTier.countersign`` call) the only place that
+signs. The ledger verifies nothing on the way in: ``Ledger.create_block``
+and ``append_entry`` link what the protocol passed, and what a tier signed
 itself, such as the RSU countersignature. ``validate_block`` re-verifies
 every retained entry, and on replay every archived one. An update that is
 signed but inconsistent with the state the roadside tier vouches for is
@@ -55,8 +56,10 @@ from ecuchain.protocol import (
 from ecuchain.transactions import (
     MAX_ECUS,
     TAG_UPDATE,
+    AuditAction,
     ChallengeRecordTx,
     ChallengeResponse,
+    Countersignature,
     GenesisTx,
     RequestTx,
     UpdateTx,
@@ -107,49 +110,42 @@ _RESPONSE = ChallengeResponse(
     vehicle_pk=SIGNER.public,
     sig=b"",
 )
-# One unsigned object of each signed type for SIGNER to sign, and the name
-# of the field that holds SIGNER's key.
+# One unsigned object of each signed type for SIGNER to sign; the field its
+# type declares as ``SIGNER`` holds SIGNER's key.
 UNSIGNED = [
-    (
-        GenesisTx(
-            state_root=_RESPONSE.state_root,
-            ts=0,
-            ecu_list=_STATE.records,
-            vehicle_pk=keys_for("vehicle").public,
-            maker_pk=SIGNER.public,
-            sig=b"",
-        ),
-        "maker_pk",
+    GenesisTx(
+        state_root=_RESPONSE.state_root,
+        ts=0,
+        ecu_list=_STATE.records,
+        vehicle_pk=keys_for("vehicle").public,
+        maker_pk=SIGNER.public,
+        sig=b"",
     ),
-    (
-        UpdateTx(
-            new_root=_RESPONSE.state_root,
-            ts=9,
-            vehicle_pk=keys_for("vehicle").public,
-            maintainer_pk=SIGNER.public,
-            ecu_id=1,
-            firmware_digest=_STATE.records[1].firmware_digest,
-            sig=b"",
-        ),
-        "maintainer_pk",
+    UpdateTx(
+        new_root=_RESPONSE.state_root,
+        ts=9,
+        vehicle_pk=keys_for("vehicle").public,
+        maintainer_pk=SIGNER.public,
+        ecu_id=1,
+        firmware_digest=_STATE.records[1].firmware_digest,
+        sig=b"",
     ),
-    (RequestTx(insurer_pk=SIGNER.public, query="q", ts=3, sig=b""), "insurer_pk"),
-    (_RESPONSE, "vehicle_pk"),
-    (
-        ChallengeRecordTx(
-            response=signed(_RESPONSE, SIGNER), rsu_pk=SIGNER.public, sig=b""
-        ),
-        "rsu_pk",
+    RequestTx(insurer_pk=SIGNER.public, query="q", ts=3, sig=b""),
+    _RESPONSE,
+    ChallengeRecordTx(response=signed(_RESPONSE, SIGNER), rsu_pk=SIGNER.public, sig=b""),
+    ReportEvent(
+        rsu_pk=SIGNER.public,
+        vehicle_pk=keys_for("vehicle").public,
+        verdict=Verdict.STATE_MISMATCH,
+        ts=3,
+        sig=b"",
     ),
-    (
-        ReportEvent(
-            rsu_pk=SIGNER.public,
-            vehicle_pk=keys_for("vehicle").public,
-            verdict=Verdict.STATE_MISMATCH,
-            ts=3,
-            sig=b"",
-        ),
-        "rsu_pk",
+    Countersignature(
+        action=AuditAction.REGISTER,
+        subject_pk=keys_for("vehicle").public,
+        ts=3,
+        validator_pk=SIGNER.public,
+        sig=b"",
     ),
 ]
 
@@ -160,12 +156,12 @@ def ts_past_u64(obj):
     return dataclasses.replace(obj, ts=U64_MAX + 1)
 
 
-@pytest.mark.parametrize(
-    "unsigned, key_field", UNSIGNED, ids=[type(obj).__name__ for obj, _ in UNSIGNED]
-)
-def test_signed_by_accepts_only_the_signers_intact_signature(unsigned, key_field):
+@pytest.mark.parametrize("unsigned", UNSIGNED, ids=[type(obj).__name__ for obj in UNSIGNED])
+def test_signed_by_accepts_only_the_signers_intact_signature(unsigned):
+    key_field = type(unsigned).SIGNER
     obj = signed(unsigned, SIGNER)
-    assert signed_by(obj, SIGNER.public)
+    assert getattr(obj, key_field) == SIGNER.public
+    assert signed_by(obj)
     flipped = bytearray(obj.sig)
     flipped[17] ^= 0x01
     changed = [
@@ -173,11 +169,32 @@ def test_signed_by_accepts_only_the_signers_intact_signature(unsigned, key_field
         ts_past_u64(obj),
         *[dataclasses.replace(obj, **{key_field: pk}) for pk in wrong_widths(SIGNER.public)],
         *[dataclasses.replace(obj, sig=sig) for sig in wrong_widths(obj.sig)],
+        dataclasses.replace(obj, **{key_field: keys_for("other").public}),
     ]
     for forged in changed:
-        assert signed_by(forged, SIGNER.public) is False
-    for signer in [keys_for("other").public, *wrong_widths(SIGNER.public)]:
-        assert signed_by(obj, signer) is False
+        assert signed_by(forged) is False
+
+
+def test_countersign_makes_one_signed_record_per_validator(tiers, vehicle_keys):
+    """Each validator signs its own record of the event, in validator
+    order; a record with any field changed no longer verifies.
+    """
+    authority, _ = tiers
+    event = authority.countersign(AuditAction.UPDATE, vehicle_keys.public, ts=4)
+    assert authority.audit_log == [event]
+    assert [cs.validator_pk for cs in event] == [v.public for v in authority.validators]
+    other = keys_for("other").public
+    for cs in event:
+        assert (cs.action, cs.subject_pk, cs.ts) == (AuditAction.UPDATE, vehicle_keys.public, 4)
+        assert signed_by(cs)
+        changed = [
+            dataclasses.replace(cs, action=AuditAction.REGISTER),
+            dataclasses.replace(cs, subject_pk=other),
+            dataclasses.replace(cs, ts=5),
+            dataclasses.replace(cs, validator_pk=other),
+        ]
+        for forged in changed:
+            assert signed_by(forged) is False
 
 
 # -- submit_request and append_entry -----------------------------------------------
@@ -682,15 +699,14 @@ def test_report_and_audit_event_with_wrong_width_key_do_not_verify(
     receiver = AuthorityNode(keys=keys_for("transport"))
     for pk in wrong_widths(event.vehicle_pk):
         changed = dataclasses.replace(event, vehicle_pk=pk)
-        assert not signed_by(changed, changed.rsu_pk)
+        assert not signed_by(changed)
         with pytest.raises(ProtocolError, match="signature"):
             receiver.receive_report(authority, changed)
     assert not authority.revoked
-    audit = authority.countersign("register", vehicle_keys.public, ts=3)
-    validators = [v.public for v in authority.validators]
-    assert audit.verify(validators)
-    for pk in wrong_widths(audit.subject_pk):
-        assert not dataclasses.replace(audit, subject_pk=pk).verify(validators)
+    for cs in authority.countersign(AuditAction.REGISTER, vehicle_keys.public, ts=3):
+        assert signed_by(cs)
+        for pk in wrong_widths(cs.subject_pk):
+            assert not signed_by(dataclasses.replace(cs, subject_pk=pk))
 
 
 def test_update_with_metadata_string_layout_does_not_decode():
@@ -721,9 +737,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ecuchain"
 ALLOWED_SITES = {
     ("verify", "signed_by"),
     ("verify", "validate_block"),
-    ("verify", "AuditEvent.verify"),
     ("sign", "signed_wire"),
-    ("sign", "AuthorityTier.countersign"),
 }
 
 

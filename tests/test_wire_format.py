@@ -3,10 +3,10 @@ and hostile bytes.
 
 The golden vectors pin one object of each type by length and SHA-256; the
 main ones are also rebuilt by hand from the v3 rules (a 1-byte variant
-tag, ECU ids and ECU-list counts as u16, every other integer as 8 raw
-big-endian bytes, digests, keys and signatures raw, a challenge record's
-response embedded unprefixed, a u32 length prefix only on strings and on
-blocks in the ledger envelope) and the block layout (each entry as its
+tag or audit action, ECU ids and ECU-list counts as u16, every other
+integer as 8 raw big-endian bytes, digests, keys and signatures raw, a
+challenge record's response embedded unprefixed, a u32 length prefix
+only on strings and on blocks in the ledger envelope) and the block layout (each entry as its
 ``(seq, payload)`` record, and a CRC32 at the end). Bytes in the v1 layout
 (a length prefix on every field), the v2 layout (every integer 8 bytes)
 and the ``ECUL4`` block layout (a linked, length-prefixed entry) are only
@@ -66,10 +66,13 @@ from ecuchain.protocol import (
 )
 from ecuchain.transactions import (
     MAX_ECUS,
+    RAW32,
     TAG_GENESIS,
+    AuditAction,
     Challenge,
     ChallengeRecordTx,
     ChallengeResponse,
+    Countersignature,
     GenesisTx,
     RequestTx,
     Signable,
@@ -131,6 +134,17 @@ def _golden():
         RequestTx(insurer_pk=insurer.public, query="vehicle ü, 0–9", ts=7, sig=b""), insurer
     )
     report = report_malicious(rsu, vehicle.public, Verdict.STATE_MISMATCH, ts=5)
+    transport = keys_for("transport")
+    countersignature = signed(
+        Countersignature(
+            action=AuditAction.UPDATE,
+            subject_pk=vehicle.public,
+            ts=9,
+            validator_pk=transport.public,
+            sig=b"",
+        ),
+        transport,
+    )
     ledger = Ledger()
     block = ledger.create_block(vehicle.public, genesis, 0, external_address(vehicle.public))
     return {
@@ -140,6 +154,7 @@ def _golden():
         "update": update,
         "request": request,
         "report": report,
+        "countersignature": countersignature,
         "header": block.header,
         "entry": block.entries[0],
         "ledger": ledger,
@@ -153,6 +168,10 @@ GOLDEN = {
     "genesis": (507, "b9d08e5bd710054c290c9350e8c37907e24db403189ce974a336a6689107c833"),
     "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
     "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
+    "countersignature": (
+        137,
+        "f97f26c1be5532da574c87c6b1d48749a277473be2a00fe421c7a8718db089ec",
+    ),
     "entry": (8 + 507, "edbf343756a91dbdea63532a23a19c711344d08945d59f451e1159cbe9e9f60e"),
     "header": (97, "9fa721f32f319a71bc8ca3789261f37b36ff3a59537d7458ea82399f79e5cf61"),
     "ledger": (645, "88584570e02e6bddc2d65ee3960289bde3604539bfd8058449cf74dbe9b1441f"),
@@ -165,7 +184,7 @@ def _wire(obj) -> bytes:
     if isinstance(obj, LedgerEntry):
         # An entry's bytes are its record, as a block and the archive keep it.
         return u64(obj.seq) + obj.payload
-    if isinstance(obj, ReportEvent):
+    if isinstance(obj, (ReportEvent, Countersignature)):
         # Spelled out rather than ``to_bytes()``: this pins what is signed and sent.
         return obj.signing_bytes() + obj.sig
     return obj.to_bytes()
@@ -199,6 +218,14 @@ def test_genesis_and_update_layout_by_hand():
     assert update.to_bytes() == (
         u8(1) + update.new_root + u64(9) + update.vehicle_pk + update.maintainer_pk
         + u16(3) + update.firmware_digest + update.sig
+    )
+
+
+def test_countersignature_layout_by_hand():
+    cs = _golden()["countersignature"]
+    assert [a.value for a in AuditAction] == [0, 1, 2]
+    assert cs.to_bytes() == (
+        u8(AuditAction.UPDATE.value) + cs.subject_pk + u64(9) + cs.validator_pk + cs.sig
     )
 
 
@@ -401,19 +428,40 @@ reports = st.builds(
     ts=u64s,
     sig=sigs,
 )
+countersignatures = st.builds(
+    Countersignature,
+    action=st.sampled_from(AuditAction),
+    subject_pk=digests,
+    ts=u64s,
+    validator_pk=digests,
+    sig=sigs,
+)
 
 
-def decode_report(data: bytes) -> ReportEvent:
-    r = Reader(data)
-    report = ReportEvent.read(r)
-    r.finish()
-    return report
+def strict_decoder(cls):
+    """Decoder of a signed type that is not a transaction: all of ``data``
+    must be one ``cls``.
+    """
+
+    def decode(data: bytes):
+        r = Reader(data)
+        obj = cls.read(r)
+        r.finish()
+        return obj
+
+    return decode
+
+
+decode_report = strict_decoder(ReportEvent)
+decode_countersignature = strict_decoder(Countersignature)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(transactions, reports))
+@given(st.one_of(transactions, reports, countersignatures))
 def test_transaction_round_trip(tx):
-    decode = decode_report if isinstance(tx, ReportEvent) else decode_transaction
+    decode = {ReportEvent: decode_report, Countersignature: decode_countersignature}.get(
+        type(tx), decode_transaction
+    )
     assert decode(tx.to_bytes()) == tx
 
 
@@ -487,6 +535,14 @@ def _valid_inputs():
         "block": (decode_block, to_bytes, [block.to_bytes()]),
         "ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
         "report": (decode_report, to_bytes, [g["report"].to_bytes()]),
+        "countersignature": (
+            decode_countersignature,
+            to_bytes,
+            [
+                dataclasses.replace(g["countersignature"], action=action).to_bytes()
+                for action in AuditAction
+            ],
+        ),
         "sealed block": (decode_block, to_bytes, [block.to_bytes()[:-4]]),
         "sealed ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
     }
@@ -533,7 +589,16 @@ def hostile(draw, valid: list[bytes]):
 
 @pytest.mark.parametrize(
     "target",
-    ["transaction", "response", "block", "ledger", "report", "sealed block", "sealed ledger"],
+    [
+        "transaction",
+        "response",
+        "block",
+        "ledger",
+        "report",
+        "countersignature",
+        "sealed block",
+        "sealed ledger",
+    ],
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -665,7 +730,15 @@ def test_every_single_bit_flip_of_a_record_fails_or_changes_it():
 
 # -- one layout table per signed type ------------------------------------------------------
 
-SIGNED_TYPES = (GenesisTx, UpdateTx, RequestTx, ChallengeResponse, ChallengeRecordTx, ReportEvent)
+SIGNED_TYPES = (
+    GenesisTx,
+    UpdateTx,
+    RequestTx,
+    ChallengeResponse,
+    ChallengeRecordTx,
+    ReportEvent,
+    Countersignature,
+)
 
 
 @pytest.mark.parametrize("cls", SIGNED_TYPES, ids=lambda cls: cls.__name__)
@@ -675,6 +748,11 @@ def test_wire_table_lists_the_fields_in_declaration_order(cls):
     """
     assert issubclass(cls, Signable)
     assert [*cls.WIRE, "sig"] == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls", SIGNED_TYPES, ids=lambda cls: cls.__name__)
+def test_signer_is_a_public_key_field_of_the_wire_table(cls):
+    assert cls.WIRE[cls.SIGNER] is RAW32
 
 
 def test_transaction_tags_are_distinct():
@@ -687,6 +765,14 @@ def test_unknown_verdict_name_raises_wire_error():
     data = report.to_bytes().replace(b"StateMismatch", b"StateMismatcX")
     with pytest.raises(WireError, match="unknown verdict"):
         decode_report(data)
+
+
+def test_unknown_audit_action_byte_raises_wire_error():
+    data = bytearray(_golden()["countersignature"].to_bytes())
+    for byte in (len(AuditAction), 0xFF):
+        data[0] = byte
+        with pytest.raises(WireError, match="unknown audit action"):
+            decode_countersignature(bytes(data))
 
 
 # -- the ECU limit -----------------------------------------------------------------------------
