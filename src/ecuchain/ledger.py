@@ -1,17 +1,21 @@
-"""Appendable-block ledger: one block per identity, hash-linked entries.
+"""Appendable-block ledger: one block per identity, one record per entry.
 
 Appending needs no consensus round, and block headers are decoupled from
 the entry list so old entries can move to external archive storage without
 breaking block integrity.
 
-An entry keeps its payload as wire bytes, not as a decoded transaction:
-``append_entry`` encodes the transaction it is given once (or takes the
-bytes ``signed_wire`` just produced), and linking, pruning, archiving and
-``Ledger.serialize`` reuse those bytes and never encode a transaction
-again. ``LedgerEntry.transaction`` decodes on demand.
+An entry is the archive's record ``(seq, payload)``: its sequence number
+``seq``, its 0-based index in the block's full history (entries pruned to
+the archive included), and its transaction's wire bytes. The block, the
+archive and the bytes hold that one record type, so pruning archives the
+removed entries as they are and replay puts the archive's records back in
+front of the retained ones. ``append_entry`` encodes the transaction it is
+given once (or takes the bytes ``signed_wire`` just produced), and
+pruning, archiving and ``Ledger.serialize`` reuse those bytes and never
+encode a transaction again. ``LedgerEntry.transaction`` decodes on demand.
 
 The ledger verifies no signature on the way in: ``Ledger.create_block``
-and ``append_entry`` link a transaction whose signature the protocol has
+and ``append_entry`` add a transaction whose signature the protocol has
 already verified where it entered the tier, or that the tier has just
 made. Only the audit decodes and verifies: ``validate_block`` decodes each
 retained entry once and checks its signature over the kept bytes minus
@@ -22,16 +26,10 @@ disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
 decoded once on the way in, to find where a record ends and to reject
 what does not parse, and only their bytes are kept.
 
-Each entry carries its sequence number ``seq``: its 0-based index in the
-block's full history, including entries pruned to the archive.
-
-Link discipline: an entry's ``prev_link`` is the SHA-256 of the preceding
-entry's *content* (payload bytes and sequence number, not its own
-prev_link), or the block header hash for the first entry, so pruning can
-re-anchor the first retained entry to the header without disturbing any
-other link. A link needs no key to compute, so links live only in memory:
-bytes keep an entry as its record ``(seq, payload)``, and ``_relink``
-rebuilds the links for ``decode_block`` and ``reconstruct_history``.
+Entries carry no hash link: a link would hash only the record beside it,
+needs no key to compute, and so would bind nothing a signature and the
+consecutive-seq rule do not. The only stored hash is the header chain
+(``prev_header_hash``), which ``Ledger.validate`` checks.
 
 In bytes, a checksum detects corruption and signatures detect tampering.
 Each block ends with a CRC32 of its bytes, which catches every single-bit
@@ -52,10 +50,9 @@ each block behind a u32 length. There is no reader for older layouts
 (magics ``ECUL1`` to ``ECUL4``): such bytes raise ``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
-re-anchors the first of them to the header. Each removed entry is
-archived exactly once, as its record, when it leaves the block. A
-``FileArchive`` file starts with the marker ``ECUA4``; the three earlier
-archive layouts had none, and a file in any of them raises
+archives each removed entry exactly once, as it is, when it leaves the
+block. A ``FileArchive`` file starts with the marker ``ECUA4``; the three
+earlier archive layouts had none, and a file in any of them raises
 ``ArchiveError``. A ledger restored by ``deserialize_ledger`` continues
 each block's sequence.
 """
@@ -66,7 +63,7 @@ import os
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import crypto
 from .crypto import (
@@ -86,7 +83,6 @@ from .transactions import (
 )
 from .wire import (
     U32,
-    U64,
     Reader,
     WireError,
     encode_bytes,
@@ -130,65 +126,50 @@ def header_hash(header: BlockHeader) -> Digest:
     return sha256(header.to_bytes())
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
-    """One linked entry; ``payload`` is its transaction's wire bytes."""
+class LedgerEntry(NamedTuple):
+    """One entry, which is also the archive's record: its sequence number
+    and its transaction's wire bytes.
+    """
 
-    payload: bytes
-    prev_link: Digest
     seq: int
+    payload: bytes
 
     def transaction(self) -> Transaction:
         """The payload decoded; raises ``WireError`` if it does not decode."""
         return decode_transaction(self.payload)
 
 
-def _link(payload_bytes: bytes, seq: int) -> Digest:
-    return sha256(encode_bytes(payload_bytes) + encode_u64(seq))
-
-
-def entry_link(entry: LedgerEntry) -> Digest:
-    """Link target for the entry's successor: hash of payload and sequence
-    number.
-    """
-    return _link(entry.payload, entry.seq)
-
-
 @dataclass(frozen=True, slots=True)
 class AppendableBlock:
-    """Header plus hash-linked entries. Once a block has been pruned, its
-    first entry is past sequence number 0 and the entries before it are in
-    the archive.
+    """Header plus entries. Once a block has been pruned, its first entry
+    is past sequence number 0 and the entries before it are in the archive.
     """
 
     header: BlockHeader
     entries: tuple[LedgerEntry, ...]
 
     def to_bytes(self) -> bytes:
-        records = (encode_u64(e.seq) + e.payload for e in self.entries)
-        body = b"".join((self.header.to_bytes(), encode_u64(len(self.entries)), *records))
+        body = b"".join(
+            (self.header.to_bytes(), encode_u64(len(self.entries)), write_records(self.entries))
+        )
         return body + U32.pack(zlib.crc32(body))
 
 
-def read_record(r: Reader, data: bytes) -> tuple[int, bytes]:
-    """The next ``(seq, payload)`` record of ``data``, which ``r`` reads;
-    raises ``WireError`` unless the payload decodes.
+def write_records(entries: Iterable[LedgerEntry]) -> bytes:
+    """``entries`` back to back, each as ``read_record`` reads it: the
+    8-byte sequence number, then the payload.
+    """
+    return b"".join(encode_u64(seq) + payload for seq, payload in entries)
+
+
+def read_record(r: Reader, data: bytes) -> LedgerEntry:
+    """The next record of ``data``, which ``r`` reads; raises ``WireError``
+    unless the payload decodes.
     """
     seq = r.read_u64()
     start = len(data) - r.remaining
     read_transaction(r)
-    return seq, data[start : len(data) - r.remaining]
-
-
-def _relink(header: BlockHeader, records: Iterable[tuple[int, bytes]]) -> list[LedgerEntry]:
-    """``records`` as entries, linked as ``append_entry`` links them: the
-    first to the header hash, each later one to its predecessor.
-    """
-    entries, prev = [], header_hash(header)
-    for seq, payload in records:
-        entries.append(LedgerEntry(payload=payload, prev_link=prev, seq=seq))
-        prev = _link(payload, seq)
-    return entries
+    return LedgerEntry(seq, data[start : len(data) - r.remaining])
 
 
 def decode_block(data: bytes) -> AppendableBlock:
@@ -208,38 +189,39 @@ def decode_block(data: bytes) -> AppendableBlock:
     count = r.read_u64()
     if count > 10_000_000:
         raise WireError(f"implausible entry count {count}")
-    records = [read_record(r, body) for _ in range(count)]
+    entries = tuple(read_record(r, body) for _ in range(count))
     r.finish()
-    return AppendableBlock(header=header, entries=tuple(_relink(header, records)))
+    return AppendableBlock(header=header, entries=entries)
 
 
 def validate_block(block: AppendableBlock) -> bool:
-    """True iff the block has entries, the header anchor and every entry
-    link hold, every payload decodes and its owner and signature verify,
-    and the sequence numbers are consecutive (a lone entry's is 0).
-    Nothing here binds a retained block's first seq: only the archive
-    replay in ``reconstruct_history`` rejects a pruned block whose seqs
-    were all shifted. Decodes each payload once. Never raises.
+    """True iff the block has entries, their sequence numbers are
+    consecutive (a lone entry's is 0), and every payload decodes and its
+    owner and signature verify. Reads each entry as a ``(seq, payload)``
+    pair, so archive records given as plain tuples replay too. Decodes
+    each payload once. Never raises.
+
+    Nothing here binds a retained block's first seq: a pruned block starts
+    past 0, so a block whose seqs were all shifted by the same amount
+    passes, and only the archive replay in ``reconstruct_history`` rejects
+    it.
     """
     if not block.entries:
         return False
     try:
-        expected = header_hash(block.header)
-        seq = block.entries[0].seq if len(block.entries) > 1 else 0
-        for entry in block.entries:
-            if entry.prev_link != expected or entry.seq != seq:
+        expected = block.entries[0][0] if len(block.entries) > 1 else 0
+        for seq, payload in block.entries:
+            if seq != expected:
                 return False
-            data = entry.payload
-            tx = entry.transaction()
+            tx = decode_transaction(payload)
             owner = tx_vehicle(tx)
             if owner is not None and owner != block.header.owner_pk:
                 return False
             # Decoding is canonical, so the wire bytes are the signing bytes
             # followed by the signature.
-            if not crypto.verify(getattr(tx, tx.SIGNER), data[:-SIGNATURE_LEN], tx.sig):
+            if not crypto.verify(getattr(tx, tx.SIGNER), payload[:-SIGNATURE_LEN], tx.sig):
                 return False
-            expected = _link(data, seq)
-            seq += 1
+            expected += 1
     except Exception:
         return False
     return True
@@ -248,51 +230,45 @@ def validate_block(block: AppendableBlock) -> bool:
 def append_entry(
     block: AppendableBlock, tx: Transaction, wire: Optional[bytes] = None
 ) -> AppendableBlock:
-    """Block with ``tx`` linked in as its newest entry; rejects entries
-    addressed to a different owner. The entry keeps ``wire``, which must be
-    ``tx``'s wire bytes (``signed_wire`` returns them), or else encodes
-    ``tx`` once. Does not verify the signature: callers pass transactions
-    they have verified (see the module docstring).
+    """Block with ``tx`` as its newest entry, at the next sequence number;
+    rejects entries addressed to a different owner. The entry keeps
+    ``wire``, which must be ``tx``'s wire bytes (``signed_wire`` returns
+    them), or else encodes ``tx`` once. Does not verify the signature:
+    callers pass transactions they have verified (see the module
+    docstring).
     """
     owner = tx_vehicle(tx)
     if owner is not None and owner != block.header.owner_pk:
         raise LedgerError("ownership")
-    if block.entries:
-        prev, seq = entry_link(block.entries[-1]), block.entries[-1].seq + 1
-    else:
-        prev, seq = header_hash(block.header), 0
-    payload = tx.to_bytes() if wire is None else wire
-    entry = LedgerEntry(payload=payload, prev_link=prev, seq=seq)
+    seq = block.entries[-1].seq + 1 if block.entries else 0
+    entry = LedgerEntry(seq, tx.to_bytes() if wire is None else wire)
     return replace(block, entries=block.entries + (entry,))
 
 
 class Archive:
     """Append-only record store keyed by external address.
 
-    A record is ``(seq, payload)``: a pruned entry's sequence number and its
-    transaction's wire bytes, with no entry framing. Pruning writes one
-    record per sequence number, when the entry leaves the block.
+    A record is a pruned ``LedgerEntry``, ``(seq, payload)``, as it left
+    the block. Pruning writes one record per sequence number, when the
+    entry leaves the block.
     """
 
-    def append_many(self, address: str, records: Iterable[tuple[int, bytes]]) -> None:
+    def append_many(self, address: str, records: Iterable[LedgerEntry]) -> None:
         raise NotImplementedError
 
-    def read(self, address: str) -> list[tuple[int, bytes]]:
+    def read(self, address: str) -> list[LedgerEntry]:
         raise NotImplementedError
 
 
 class MemoryArchive(Archive):
     def __init__(self):
-        self._store: dict[str, list[tuple[int, bytes]]] = {}
+        self._store: dict[str, list[LedgerEntry]] = {}
 
     def append_many(self, address, records):
         self._store.setdefault(address, []).extend(records)
 
     def read(self, address):
         return list(self._store.get(address, []))
-
-    def addresses(self) -> list[str]:
-        return sorted(self._store)
 
 
 class FileArchive(Archive):
@@ -308,7 +284,7 @@ class FileArchive(Archive):
         return self.root / (sha256(address.encode("utf-8")).hex()[:24] + ".arc")
 
     def append_many(self, address, records):
-        blob = b"".join(U64.pack(seq) + data for seq, data in records)
+        blob = write_records(records)
         try:
             with open(self._path(address), "ab") as fh:
                 created = fh.tell() == 0
@@ -351,53 +327,42 @@ class FileArchive(Archive):
 def prune_to_two(
     block: AppendableBlock, archive: Archive
 ) -> tuple[AppendableBlock, int]:
-    """Move all but the last two entries to the archive, and re-anchor the
-    first retained entry to the header hash.
+    """Move all but the last two entries to the archive and keep the last
+    two.
 
-    Each removed entry is archived once, as ``(seq, payload)``, in one
-    ``append_many`` call; a removed head that was re-anchored by an earlier
-    prune still holds its original payload. Returns the pruned block and
-    the number of entries removed. On archive failure the exception
-    propagates before any block mutation, so the caller keeps the block
-    unchanged.
+    The removed entries are archived once, as they are, in one
+    ``append_many`` call. Returns the pruned block and the number of
+    entries removed. On archive failure the exception propagates before any
+    block mutation, so the caller keeps the block unchanged.
     """
     if len(block.entries) <= 2:
         return block, 0
     removed = block.entries[:-2]
-    keep_first, keep_last = block.entries[-2:]
-    archive.append_many(
-        block.header.external_address, [(e.seq, e.payload) for e in removed]
-    )
-    relinked = replace(keep_first, prev_link=header_hash(block.header))
-    return replace(block, entries=(relinked, keep_last)), len(removed)
+    archive.append_many(block.header.external_address, removed)
+    return replace(block, entries=block.entries[-2:]), len(removed)
 
 
 def reconstruct_history(
     block: AppendableBlock, archive: Archive
 ) -> list[LedgerEntry]:
-    """Rebuild and verify the block's full original entry sequence from the
-    archive plus the retained entries.
+    """The block's full entry sequence, verified: the archive's records
+    followed by the retained entries.
 
-    Pruning archives each removed entry once, as ``(seq, payload)``, in
-    sequence order, since every prune appends past the last. ``_relink``
-    rebuilds the links of the records and of the retained head, which
-    pruning re-anchored. ``validate_block`` then decodes each payload,
-    once, and checks the rebuilt history. Raises LedgerError if the block
-    has no entries, if the sequence numbers of the records and the retained
+    Pruning archives each removed entry once, in sequence order, since
+    every prune appends past the last. Raises LedgerError if the block has
+    no entries, if the sequence numbers of the records and the retained
     entries are not 0, 1, 2, ... in order (a gap, a repeat or a stray), or
-    if the rebuilt history fails ``validate_block``.
+    if the history fails ``validate_block``, which decodes each payload
+    once.
     """
     if not block.entries:
         raise LedgerError("block has no entries")
-    records = archive.read(block.header.external_address)
-    seqs = [seq for seq, _ in records] + [e.seq for e in block.entries]
-    if seqs != list(range(len(seqs))):
+    history = archive.read(block.header.external_address) + list(block.entries)
+    if [seq for seq, _ in history] != list(range(len(history))):
         raise LedgerError("archive sequence has gaps or strays")
-    head, *rest = block.entries
-    sequence = _relink(block.header, [*records, (head.seq, head.payload)]) + rest
-    if not validate_block(replace(block, entries=tuple(sequence))):
+    if not validate_block(replace(block, entries=tuple(history))):
         raise LedgerError("archived history does not validate")
-    return sequence
+    return history
 
 
 class Ledger:

@@ -25,7 +25,7 @@ recording only a Valid response), an insurer request by
 ``submit_request`` and a report by ``AuthorityNode.receive_report``,
 which accepts reports only from an RSU that ``register_rsu`` admitted
 and adds the reported vehicle to the tier's ``revoked`` set. The ledger
-only links what passed, with ``append_entry``, and verifies again only
+only records what passed, with ``append_entry``, and verifies again only
 when audited. What a tier signs itself, the RSU's challenge record and
 the validators' countersignatures, is not checked again.
 

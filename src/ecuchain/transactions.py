@@ -306,12 +306,13 @@ def signed(unsigned: S, keys: KeyPair) -> S:
 def signed_by(obj: Signable) -> bool:
     """True iff ``obj.sig`` is the signature of the key in ``obj``'s
     ``SIGNER`` field over ``obj``'s signing bytes. Never raises: fields the
-    wire format cannot encode cannot carry a valid signature, and malformed
-    key or signature bytes do not verify.
+    wire format cannot encode (a value past its width, or of the wrong
+    Python type, such as a ``str`` key or a ``None`` verdict) cannot carry
+    a valid signature, and malformed key or signature bytes do not verify.
     """
     try:
         message = obj.signing_bytes()
-    except WireError:
+    except (WireError, TypeError, AttributeError):
         return False
     return crypto.verify(getattr(obj, obj.SIGNER), message, obj.sig)
 

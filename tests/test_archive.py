@@ -3,9 +3,9 @@ original payload, also across a restart.
 
 Pruning archives a removed entry when it leaves the block, and never the
 entries the block keeps, so the archive and the block split the history
-between them with no overlap. ``reconstruct_history`` rebuilds every
-link, accepts only the sequence 0, 1, 2, ... in order, and only a history
-that passes ``validate_block``.
+between them with no overlap. ``reconstruct_history`` puts the archive's
+records in front of the block's entries, accepts only the sequence 0, 1,
+2, ... in order, and only a history that passes ``validate_block``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from ecuchain.ledger import (
     append_entry,
     decode_block,
     deserialize_ledger,
-    entry_link,
     prune_to_two,
     reconstruct_history,
 )
@@ -77,8 +76,7 @@ def assert_archived_once(block, archive, originals):
     """The archive and the block never overlap: the archive's keys are
     exactly the sequence numbers before the block's head, in order, each
     record holding that entry's original payload, and the block holds the
-    rest of the history. The replayed history is every original in order,
-    links included.
+    rest of the history. The replayed history is every original in order.
     """
     archived = archive.read(block.header.external_address)
     head_seq = block.entries[0].seq
@@ -220,26 +218,22 @@ def changed_payload(draw, tx):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.booleans(), min_size=2, max_size=8), st.data())
 def test_tampered_archive_history_fails_replay(ops, data):
-    """The payload of one archived entry or of the block's re-anchored head
-    changed, and its successor's ``prev_link`` recomputed, so every link
-    still holds: the replay checks signatures and owners as well, and
-    raises.
+    """The payload of one archived entry or of the block's head changed,
+    every sequence number left in order: the replay checks signatures and
+    owners, and raises.
     """
     *_, roadside = _roadside_ops(ops, MemoryArchive())
     block = roadside.ledger.lookup(keys_for("vehicle").public)
     history = reconstruct_history(block, roadside.archive)
     head_seq = block.entries[0].seq
     i = data.draw(st.integers(0, head_seq), label="archived entry or head")
-    history[i] = dataclasses.replace(
-        history[i], payload=data.draw(changed_payload(history[i].transaction())).to_bytes()
+    history[i] = history[i]._replace(
+        payload=data.draw(changed_payload(history[i].transaction())).to_bytes()
     )
-    history[i + 1] = dataclasses.replace(history[i + 1], prev_link=entry_link(history[i]))
-    head = dataclasses.replace(history[head_seq], prev_link=block.entries[0].prev_link)
-    block = dataclasses.replace(block, entries=(head, history[head_seq + 1]))
-    records = [(e.seq, e.payload) for e in history[:head_seq]]
+    block = dataclasses.replace(block, entries=tuple(history[head_seq:]))
     with tempfile.TemporaryDirectory() as tmp:
         for archive in (MemoryArchive(), FileArchive(tmp)):
-            archive.append_many(block.header.external_address, records)
+            archive.append_many(block.header.external_address, history[:head_seq])
             with pytest.raises(LedgerError, match="does not validate"):
                 reconstruct_history(block, archive)
 
@@ -317,8 +311,8 @@ def _no_entries(block, records):
 def _shifted_seqs(block, records):
     """The retained entries renumbered from 4, 5 to 104, 105 in the block's
     bytes, under a re-sealed CRC. ``validate_block`` accepts the decoded
-    block, as its links are rebuilt from the bytes; the archive replay must
-    not.
+    block, as nothing binds a retained block's first seq; the archive
+    replay must not.
     """
     body = bytearray(block.to_bytes()[:-4])
     at = len(block.header.to_bytes()) + 8  # past the header and entry count

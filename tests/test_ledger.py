@@ -6,6 +6,8 @@ import random
 import pytest
 
 from conftest import keys_for, state_of, validate_block_bytes
+from ecuchain import crypto
+from ecuchain import ledger as ledger_module
 from ecuchain.bench import linear_fit
 from ecuchain.crypto import ZERO_DIGEST, sha256
 from ecuchain.ledger import (
@@ -18,7 +20,6 @@ from ecuchain.ledger import (
     append_entry,
     decode_block,
     deserialize_ledger,
-    entry_link,
     header_hash,
     prune_to_two,
     reconstruct_history,
@@ -73,7 +74,7 @@ def test_first_block_anchors_to_zero(vehicle):
     ledger = Ledger()
     block = ledger.create_block(genesis.vehicle_pk, genesis, 5, "ar://one")
     assert block.header.prev_header_hash == ZERO_DIGEST
-    assert block.entries[0].prev_link == header_hash(block.header)
+    assert block.entries[0].seq == 0
 
 
 def test_second_block_chains_to_first(maker_keys):
@@ -95,10 +96,9 @@ def test_duplicate_owner_rejected(vehicle):
         ledger.create_block(genesis.vehicle_pk, genesis, 1, "ar://dup")
 
 
-def test_append_links_and_validates(vehicle, rsu_keys):
+def test_append_numbers_and_validates(vehicle, rsu_keys):
     _, block = grown_block(vehicle, rsu_keys, 2)
-    assert len(block.entries) == 2
-    assert block.entries[1].prev_link == entry_link(block.entries[0])
+    assert [e.seq for e in block.entries] == [0, 1]
     assert validate_block(block)
 
 
@@ -110,31 +110,23 @@ def test_append_rejects_foreign_vehicle(vehicle, rsu_keys, maker_keys):
         append_entry(block, foreign)
 
 
-def test_ten_entry_chain_matches_independent_rebuild(vehicle, rsu_keys):
+def test_ten_entry_block_numbers_entries_from_zero(vehicle, rsu_keys):
+    vehicle_keys, state, genesis = vehicle
     _, block = grown_block(vehicle, rsu_keys, 10)
     assert validate_block(block)
-    # rebuild the expected link chain from scratch
-    expected = header_hash(block.header)
-    for i, entry in enumerate(block.entries):
-        assert entry.prev_link == expected
-        assert entry.seq == i
-        expected = sha256(
-            b"".join(
-                (
-                    len(entry.payload).to_bytes(4, "big"),
-                    entry.payload,
-                    i.to_bytes(8, "big"),
-                )
-            )
-        )
+    expected = [genesis] + [record_tx(vehicle_keys, state, rsu_keys, ts=i) for i in range(1, 10)]
+    assert [e.seq for e in block.entries] == list(range(10))
+    assert [e.transaction() for e in block.entries] == expected
 
 
 def test_validate_rejects_skipped_seq_and_lone_entry_past_zero(vehicle, rsu_keys):
-    """Each mutation leaves every link intact; only the sequence check sees it."""
+    """Each mutation leaves every payload and signature intact; only the
+    sequence check sees it.
+    """
     _, block = grown_block(vehicle, rsu_keys, 2)
     head, last = block.entries
-    skipped = dataclasses.replace(block, entries=(head, dataclasses.replace(last, seq=2)))
-    lone = dataclasses.replace(block, entries=(dataclasses.replace(head, seq=1),))
+    skipped = dataclasses.replace(block, entries=(head, last._replace(seq=2)))
+    lone = dataclasses.replace(block, entries=(head._replace(seq=1),))
     assert validate_block(block)
     assert validate_block(dataclasses.replace(block, entries=(head,)))
     assert not validate_block(skipped)
@@ -143,8 +135,7 @@ def test_validate_rejects_skipped_seq_and_lone_entry_past_zero(vehicle, rsu_keys
 
 def test_validate_detects_payload_tamper(vehicle, rsu_keys):
     _, block = grown_block(vehicle, rsu_keys, 5)
-    tampered_entry = dataclasses.replace(
-        block.entries[3],
+    tampered_entry = block.entries[3]._replace(
         payload=dataclasses.replace(
             block.entries[3].transaction(), rsu_pk=keys_for("evil").public
         ).to_bytes(),
@@ -184,7 +175,7 @@ def test_prune_noop_at_two_or_fewer(vehicle, rsu_keys):
         pruned, archived = prune_to_two(block, archive)
         assert archived == 0
         assert pruned == block
-    assert archive.addresses() == []
+        assert archive.read(block.header.external_address) == []
 
 
 def test_prune_five_entry_block(vehicle, rsu_keys):
@@ -195,17 +186,38 @@ def test_prune_five_entry_block(vehicle, rsu_keys):
     assert archived == 3
     assert len(pruned.entries) == 2
     assert validate_block(pruned)
-    assert pruned.entries[0].prev_link == header_hash(pruned.header)
-    # replay rebuilds the archived entries' original links
-    history = reconstruct_history(pruned, archive)
-    assert [e.payload for e in history] == [e.payload for e in original]
-    assert [e.prev_link for e in history] == [e.prev_link for e in original]
+    assert pruned.entries == tuple(original[3:])
+    assert archive.read(pruned.header.external_address) == original[:3]
+    assert reconstruct_history(pruned, archive) == original
+    pairs = MemoryArchive()
+    pairs.append_many(pruned.header.external_address, [tuple(e) for e in original[:3]])
+    assert reconstruct_history(pruned, pairs) == original
+
+
+def test_append_and_prune_hash_nothing(vehicle, rsu_keys, monkeypatch):
+    """An entry carries no hash link, so appending and pruning call no
+    SHA-256; only creating a block hashes, for the header chain.
+    """
+    vehicle_keys, state, _ = vehicle
+    _, block = grown_block(vehicle, rsu_keys, 2)
+    records = [record_tx(vehicle_keys, state, rsu_keys, ts=ts) for ts in (2, 3, 4)]
+    hashed = []
+
+    def counting(data, _original=crypto.sha256):
+        hashed.append(data)
+        return _original(data)
+
+    for module in (crypto, ledger_module):
+        monkeypatch.setattr(module, "sha256", counting)
+    for tx in records:
+        block = append_entry(block, tx)
+    block, archived = prune_to_two(block, MemoryArchive())
+    assert (archived, len(block.entries), hashed) == (3, 2, [])
 
 
 def test_prune_serialize_and_replay_encode_no_transaction(vehicle, rsu_keys, monkeypatch):
-    """Entries keep their payload's wire bytes: pruning (a re-anchored head
-    included), serializing and replaying reuse them and encode no
-    transaction.
+    """Entries keep their payload's wire bytes: pruning, serializing and
+    replaying reuse them and encode no transaction.
     """
     vehicle_keys, state, _ = vehicle
     archive = MemoryArchive()

@@ -11,7 +11,7 @@ response), ``submit_request`` (the insurer request) and
 the only other place that verifies, and ``signed_wire`` (which
 ``signed`` and so ``AuthorityTier.countersign`` call) the only place that
 signs. The ledger verifies nothing on the way in: ``Ledger.create_block``
-and ``append_entry`` link what the protocol passed, and what a tier signed
+and ``append_entry`` add what the protocol passed, and what a tier signed
 itself, such as the RSU countersignature. ``validate_block`` re-verifies
 every retained entry, and on replay every archived one. An update that is
 signed but inconsistent with the state the roadside tier vouches for is
@@ -173,6 +173,28 @@ def test_signed_by_accepts_only_the_signers_intact_signature(unsigned):
     ]
     for forged in changed:
         assert signed_by(forged) is False
+
+
+_REPORT = signed(next(o for o in UNSIGNED if isinstance(o, ReportEvent)), SIGNER)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("verdict", "StateMismatch"),
+        ("verdict", None),
+        ("rsu_pk", SIGNER.public.decode("latin-1")),
+        ("vehicle_pk", None),
+    ],
+    ids=["str-verdict", "none-verdict", "str-signer-key", "none-vehicle-key"],
+)
+def test_signed_by_is_false_for_a_field_of_the_wrong_type(field, value):
+    """An object built in-process may hold a value no decoder would
+    produce; it cannot carry a valid signature, and ``signed_by`` says so
+    instead of raising.
+    """
+    assert signed_by(_REPORT)
+    assert signed_by(dataclasses.replace(_REPORT, **{field: value})) is False
 
 
 def test_countersign_makes_one_signed_record_per_validator(tiers, vehicle_keys):
@@ -459,7 +481,7 @@ def test_changed_response_is_rejected(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_changed_record_is_rejected_by_append(data):
-    """``append_entry`` links a changed record (unless it names another
+    """``append_entry`` adds a changed record (unless it names another
     vehicle), and the audit rejects the block it makes.
     """
     roadside, _, response, record = _world()

@@ -47,7 +47,6 @@ from ecuchain.ledger import (
     append_entry,
     decode_block,
     deserialize_ledger,
-    entry_link,
     header_hash,
     read_record,
     validate_block,
@@ -242,6 +241,14 @@ def test_header_entry_and_envelope_layout_by_hand():
 # -- older layouts are not read -----------------------------------------------------------
 
 
+def _old_link() -> bytes:
+    """The ``prev_link`` that layouts before ``ECUL5`` stored for the golden
+    genesis entry: the hash of its block's header, as a block's first
+    entry was linked.
+    """
+    return header_hash(_golden()["header"])
+
+
 def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
     """``entry`` (a genesis payload) in wire format v1: every field carries
     a 4-byte length prefix, integers as ``00000008`` plus 8 bytes.
@@ -268,7 +275,7 @@ def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
         )
     )
     # v1 framed an entry with its payload's timestamp.
-    return prefixed(payload) + prefixed(entry.prev_link) + v1_u64(tx.ts)
+    return prefixed(payload) + prefixed(_old_link()) + v1_u64(tx.ts)
 
 
 def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
@@ -290,14 +297,14 @@ def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
         )
     )
     payload = signing + keys_for("maker").sign(signing)
-    return prefixed(payload) + entry.prev_link + u64(entry.seq)
+    return prefixed(payload) + _old_link() + u64(entry.seq)
 
 
 def _v4_entry(entry: LedgerEntry) -> bytes:
     """``entry`` as the ``ECUL4`` layout framed it: its payload behind a u32
     length, its ``prev_link`` and its sequence number.
     """
-    return prefixed(entry.payload) + entry.prev_link + u64(entry.seq)
+    return prefixed(entry.payload) + _old_link() + u64(entry.seq)
 
 
 def test_v1_ledger_blob_raises_wire_error():
@@ -398,7 +405,7 @@ transactions = st.one_of(
     st.builds(RequestTx, insurer_pk=digests, query=st.text(max_size=40), ts=u64s, sig=sigs),
     st.builds(ChallengeRecordTx, response=responses, rsu_pk=digests, sig=sigs),
 )
-records = st.tuples(u64s, transactions.map(lambda tx: tx.to_bytes()))
+records = st.builds(LedgerEntry, u64s, transactions.map(lambda tx: tx.to_bytes()))
 headers = st.builds(
     BlockHeader,
     owner_pk=digests,
@@ -408,18 +415,10 @@ headers = st.builds(
 )
 
 
-@st.composite
-def blocks(draw):
-    """A block of up to three records with any sequence numbers, linked by
-    the rule (the head to the header hash, each later entry to its
-    predecessor): bytes keep no link, so decoding rebuilds them by it.
-    """
-    header = draw(headers)
-    entries = []
-    for seq, payload in draw(st.lists(records, max_size=3)):
-        prev = entry_link(entries[-1]) if entries else header_hash(header)
-        entries.append(LedgerEntry(payload=payload, prev_link=prev, seq=seq))
-    return AppendableBlock(header=header, entries=tuple(entries))
+# A block of up to three records with any sequence numbers.
+blocks = st.builds(
+    AppendableBlock, header=headers, entries=st.lists(records, max_size=3).map(tuple)
+)
 reports = st.builds(
     ReportEvent,
     rsu_pk=digests,
@@ -485,7 +484,7 @@ def test_entry_round_trip(record):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(blocks(), max_size=3, unique_by=lambda b: b.header.owner_pk))
+@given(st.lists(blocks, max_size=3, unique_by=lambda b: b.header.owner_pk))
 def test_block_and_ledger_round_trip(block_list):
     ledger = Ledger()
     for block in block_list:
@@ -622,16 +621,14 @@ def test_decoders_raise_only_wire_error(target, data):
 def test_validate_block_rejects_hostile_kept_bytes(data):
     """An entry that keeps hostile payload bytes (a truncation or
     single-byte flip of a valid payload of any transaction type, or random
-    bytes), with every later link recomputed over them, fails
-    ``validate_block``, which returns False and never raises.
+    bytes), fails ``validate_block``, which returns False and never
+    raises.
     """
     block = _three_entry_block()
     _, _, valid = _valid_inputs()["transaction"]
     i = data.draw(st.integers(0, len(block.entries) - 1), label="entry")
     entries = list(block.entries)
-    entries[i] = dataclasses.replace(entries[i], payload=data.draw(hostile(valid)))
-    for j in range(i + 1, len(entries)):
-        entries[j] = dataclasses.replace(entries[j], prev_link=entry_link(entries[j - 1]))
+    entries[i] = entries[i]._replace(payload=data.draw(hostile(valid)))
     assert validate_block(block)
     assert validate_block(dataclasses.replace(block, entries=tuple(entries))) is False
 
