@@ -2,7 +2,8 @@
 authorities (keys; revocation is authority-tier state). Roadside units,
 maintainers and insurers are bare ``KeyPair``s: what they may do is decided
 by the tiers' allow-lists, not by the node. Behaviour lives in the protocol
-module and the simulator wires the nodes together.
+module and the simulator wires the nodes together. Nodes send each other
+wire bytes, as ``signed_wire`` made them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from typing import Optional
 from . import crypto
 from .crypto import KeyPair, PublicKey
 from .ecu import EcuState, compute_state_root, update_ecu
-from .protocol import AuthorityTier, ProtocolError, ReportEvent, build_response
-from .transactions import (
-    Challenge, ChallengeResponse, UpdateTx, Verdict, signed, signed_by
-)
+from .protocol import AuthorityTier, ProtocolError, ReportEvent, build_response, received
+from .transactions import Challenge, UpdateTx, Verdict, signed_by, signed_wire
 
 
 @dataclass
@@ -31,15 +30,15 @@ class VehicleNode:
     firmware_images: list[bytes]
     honest: bool = True
     replay_armed: bool = False
-    last_response: Optional[ChallengeResponse] = None
+    last_response: Optional[bytes] = None
 
     @property
     def pk(self) -> PublicKey:
         return self.keys.public
 
-    def respond(self, challenge: Challenge, ts: int) -> ChallengeResponse:
-        """Answer a challenge; a replay-armed vehicle re-sends its previous
-        response instead of computing a fresh one.
+    def respond(self, challenge: Challenge, ts: int) -> bytes:
+        """Answer a challenge with a response's wire bytes; a replay-armed
+        vehicle re-sends its previous response instead of a fresh one.
         """
         if self.replay_armed and self.last_response is not None:
             self.replay_armed = False
@@ -55,16 +54,17 @@ class AuthorityNode:
 
     keys: KeyPair
 
-    def receive_report(self, tier: AuthorityTier, event: ReportEvent) -> None:
-        """Revoke the reported vehicle in ``tier``. Raises
-        ``ProtocolError``, and revokes nothing, for a Valid verdict, an RSU
-        that ``tier`` has not registered, or a bad signature.
+    def receive_report(self, tier: AuthorityTier, wire: bytes) -> None:
+        """Revoke in ``tier`` the vehicle the report ``wire`` names. Raises
+        ``ProtocolError``, and revokes nothing, for undecodable bytes, a Valid
+        verdict, an RSU ``tier`` has not registered, or a bad signature.
         """
+        event = received(ReportEvent, wire)
         if event.verdict is Verdict.VALID:
             raise ProtocolError("nothing to report")
         if event.rsu_pk not in tier.registered_rsus:
             raise ProtocolError("report from an unregistered RSU")
-        if not signed_by(event):
+        if not signed_by(event, wire):
             raise ProtocolError("report signature invalid")
         tier.revoked.add(event.vehicle_pk)
 
@@ -75,11 +75,11 @@ def perform_maintenance(
     ecu_id: int,
     firmware: bytes,
     ts: int,
-) -> UpdateTx:
-    """Flash one ECU and build the update the maintainer signs: the ECU's
-    new record (``ecu_id``, firmware digest, last-write time ``ts``) and the
-    vehicle's new state root. Whether the maintainer is authorized is the
-    authority tier's check, made by ``apply_upper_update``.
+) -> bytes:
+    """Flash one ECU and return the wire bytes of the update the maintainer
+    signs: the ECU's new record (``ecu_id``, firmware digest, last-write
+    time ``ts``) and the vehicle's new state root. Whether the maintainer
+    is authorized is checked by ``apply_upper_update``.
     """
     digest = crypto.sha256(firmware)
     vehicle.ecu_state = update_ecu(vehicle.ecu_state, ecu_id, digest, ts)
@@ -93,7 +93,7 @@ def perform_maintenance(
         firmware_digest=digest,
         sig=b"",
     )
-    return signed(unsigned, maintainer)
+    return signed_wire(unsigned, maintainer)
 
 
 def tamper(vehicle: VehicleNode, ecu_id: int, firmware: bytes, ts: int) -> None:

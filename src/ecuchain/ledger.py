@@ -9,19 +9,19 @@ An entry is the archive's record ``(seq, payload)``: its sequence number
 the archive included), and its transaction's wire bytes. The block, the
 archive and the bytes hold that one record type, so pruning archives the
 removed entries as they are and replay puts the archive's records back in
-front of the retained ones. ``append_entry`` encodes the transaction it is
-given once (or takes the bytes ``signed_wire`` just produced), and
-pruning, archiving and ``Ledger.serialize`` reuse those bytes and never
-encode a transaction again. ``LedgerEntry.transaction`` decodes on demand.
+front of the retained ones. ``append_entry`` keeps the wire bytes a
+transaction arrived as (or that ``signed_wire`` just made), and pruning,
+archiving and ``Ledger.serialize`` reuse those bytes: the ledger never
+encodes a transaction. ``LedgerEntry.transaction`` decodes on demand.
 
 The ledger verifies no signature on the way in: ``Ledger.create_block``
 and ``append_entry`` add a transaction whose signature the protocol has
 already verified where it entered the tier, or that the tier has just
 made. Only the audit decodes and verifies: ``validate_block`` decodes each
-retained entry once and checks its signature over the kept bytes minus
-the trailing signature (decoding is canonical, so those are the signing
-bytes), and ``reconstruct_history`` runs it over every archived entry too,
-so an audit trusts neither the append path nor the archive. Bytes from
+retained entry once and checks it with ``signed_by`` over the kept bytes,
+as the protocol checks what enters a tier, and ``reconstruct_history``
+runs it over every archived entry too, so an audit trusts neither the
+append path nor the archive. Bytes from
 disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
 decoded once on the way in, to find where a record ends and to reject
 what does not parse, and only their bytes are kept.
@@ -65,11 +65,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
-from . import crypto
 from .crypto import (
     DIGEST_LEN,
     PUBLIC_KEY_LEN,
-    SIGNATURE_LEN,
     ZERO_DIGEST,
     Digest,
     PublicKey,
@@ -79,6 +77,7 @@ from .transactions import (
     Transaction,
     decode_transaction,
     read_transaction,
+    signed_by,
     tx_vehicle,
 )
 from .wire import (
@@ -217,9 +216,7 @@ def validate_block(block: AppendableBlock) -> bool:
             owner = tx_vehicle(tx)
             if owner is not None and owner != block.header.owner_pk:
                 return False
-            # Decoding is canonical, so the wire bytes are the signing bytes
-            # followed by the signature.
-            if not crypto.verify(getattr(tx, tx.SIGNER), payload[:-SIGNATURE_LEN], tx.sig):
+            if not signed_by(tx, payload):
                 return False
             expected += 1
     except Exception:
@@ -227,21 +224,18 @@ def validate_block(block: AppendableBlock) -> bool:
     return True
 
 
-def append_entry(
-    block: AppendableBlock, tx: Transaction, wire: Optional[bytes] = None
-) -> AppendableBlock:
+def append_entry(block: AppendableBlock, tx: Transaction, wire: bytes) -> AppendableBlock:
     """Block with ``tx`` as its newest entry, at the next sequence number;
     rejects entries addressed to a different owner. The entry keeps
-    ``wire``, which must be ``tx``'s wire bytes (``signed_wire`` returns
-    them), or else encodes ``tx`` once. Does not verify the signature:
-    callers pass transactions they have verified (see the module
-    docstring).
+    ``wire``, the bytes ``tx`` was decoded from or that ``signed_wire``
+    made. Does not verify the signature: callers pass transactions they
+    have verified (see the module docstring).
     """
     owner = tx_vehicle(tx)
     if owner is not None and owner != block.header.owner_pk:
         raise LedgerError("ownership")
     seq = block.entries[-1].seq + 1 if block.entries else 0
-    entry = LedgerEntry(seq, tx.to_bytes() if wire is None else wire)
+    entry = LedgerEntry(seq, wire)
     return replace(block, entries=block.entries + (entry,))
 
 
@@ -385,14 +379,13 @@ class Ledger:
     def create_block(
         self,
         owner_pk: PublicKey,
-        genesis: Transaction,
+        genesis: bytes,
         ts: int,
         external_address: str,
     ) -> AppendableBlock:
-        """Open a block for ``owner_pk`` holding ``genesis`` as first entry;
-        ``append_entry`` rejects a genesis addressed to another owner. The
-        caller has verified the genesis signature. Header chains to the most
-        recently created block's header.
+        """Open a block for ``owner_pk`` whose first entry keeps ``genesis``,
+        the wire bytes of a transaction the caller has verified. Header
+        chains to the most recently created block's header.
         """
         if owner_pk in self.blocks:
             raise LedgerError("block exists")
@@ -402,7 +395,7 @@ class Ledger:
             created_ts=ts,
             external_address=external_address,
         )
-        block = append_entry(AppendableBlock(header=header, entries=()), genesis)
+        block = AppendableBlock(header=header, entries=(LedgerEntry(0, genesis),))
         self.blocks[owner_pk] = block
         self._last_header_hash = header_hash(header)
         return block

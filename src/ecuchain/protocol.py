@@ -4,30 +4,30 @@ updates, and the roadside challenge-response round.
 Tier state lives in two containers. The authority tier holds the
 validator keys, the allow-lists, the registered RSUs, the revoked
 vehicles, an audit log (each approved event as one signed
-``Countersignature`` per validator) and an audit-only ledger that the
-first insurer request opens. The roadside tier holds the per-vehicle
-blocks plus the materialized verification profile for each vehicle (the
-``EcuState`` the ledger vouches for, whose root it caches, and the last
-recorded response timestamp); the profile is what a roadside unit
-actually checks a response against, and it survives pruning because
-pruned entries leave the block. Registration sets the profile's state
-from the genesis inventory, and an authorized update is the only way it
-changes: ``apply_upper_update`` applies the update's typed ECU record
-with ``update_ecu`` and requires the signed ``new_root`` to be that
-state's root.
+``Countersignature``'s wire bytes per validator) and an audit-only
+ledger that the first insurer request opens. The roadside tier holds the
+per-vehicle blocks plus the materialized verification profile for each
+vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
+and the last recorded response timestamp); the profile is what a
+roadside unit actually checks a response against, and it survives
+pruning because pruned entries leave the block. Registration sets the
+profile's state from the genesis inventory, and an authorized update is
+the only way it changes: ``apply_upper_update`` applies the update's
+typed ECU record with ``update_ecu`` and requires the signed
+``new_root`` to be that state's root.
 
-Every check on an incoming transaction is made here, and each signature
-is verified once, with ``signed_by`` (which reads the signer from the
-field the type's ``SIGNER`` names), where it enters a tier: a genesis
-by ``initialize_vehicle``, an update by ``apply_upper_update``, a
-response by ``verify_response`` (which ``record_response`` runs,
-recording only a Valid response), an insurer request by
-``submit_request`` and a report by ``AuthorityNode.receive_report``,
-which accepts reports only from an RSU that ``register_rsu`` admitted
-and adds the reported vehicle to the tier's ``revoked`` set. The ledger
-only records what passed, with ``append_entry``, and verifies again only
-when audited. What a tier signs itself, the RSU's challenge record and
-the validators' countersignatures, is not checked again.
+Every check on an incoming message is made here. Each entry point takes
+the wire bytes it received, decodes them once, rejects bytes that do not
+decode like any other bad input, and verifies the signature once, with
+``signed_by`` over those bytes: ``initialize_vehicle`` (a genesis),
+``apply_upper_update`` (an update), ``record_response`` (a response,
+through ``verify_response``; only a Valid one is recorded),
+``submit_request`` (an insurer request) and
+``AuthorityNode.receive_report`` (a report from an RSU that
+``register_rsu`` admitted; it revokes the vehicle). The ledger keeps the
+bytes that passed, with ``append_entry``, and verifies again only when
+audited. What a tier signs itself, the RSU's challenge record and the
+validators' countersignatures, is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -54,13 +54,15 @@ from .transactions import (
     Countersignature,
     GenesisTx,
     RequestTx,
+    S,
     Signable,
     UpdateTx,
     Verdict,
-    signed,
+    decode,
     signed_by,
     signed_wire,
 )
+from .wire import WireError
 
 SUBSET_SIZE = 3
 # Longest a vehicle may take to answer a challenge, in simulated ms.
@@ -69,6 +71,14 @@ MAX_RESPONSE_DELAY_MS = 1_000
 
 class ProtocolError(ValueError):
     """A protocol precondition was violated; the operation was rejected."""
+
+
+def received(cls: type[S], wire: bytes) -> S:
+    """``wire`` decoded as one ``cls``, or else a ``ProtocolError``."""
+    try:
+        return decode(cls, wire)
+    except WireError as exc:
+        raise ProtocolError(f"{cls.__name__} does not decode: {exc}") from None
 
 
 def external_address(vehicle_pk: PublicKey) -> str:
@@ -110,7 +120,7 @@ class AuthorityTier:
     registered_rsus: set[PublicKey] = field(default_factory=set)
     revoked: set[PublicKey] = field(default_factory=set)
     ledger: Ledger = field(default_factory=Ledger)
-    audit_log: list[tuple[Countersignature, ...]] = field(default_factory=list)
+    audit_log: list[tuple[bytes, ...]] = field(default_factory=list)
 
     @property
     def audit_pk(self) -> PublicKey:
@@ -119,10 +129,10 @@ class AuthorityTier:
 
     def countersign(
         self, action: AuditAction, subject_pk: PublicKey, ts: int
-    ) -> tuple[Countersignature, ...]:
-        """Log the event as one signed record per validator, in validator order."""
+    ) -> tuple[bytes, ...]:
+        """Log the event as one signed record's bytes per validator, in order."""
         event = tuple(
-            signed(Countersignature(action, subject_pk, ts, v.public, sig=b""), v)
+            signed_wire(Countersignature(action, subject_pk, ts, v.public, sig=b""), v)
             for v in self.validators
         )
         self.audit_log.append(event)
@@ -153,9 +163,9 @@ def new_authority_tier(
 
 def make_genesis(
     maker_keys: KeyPair, vehicle_pk: PublicKey, ecu_state: EcuState, ts: int
-) -> GenesisTx:
+) -> bytes:
     """Registration transaction: state root plus the full ECU inventory,
-    signed by the maker.
+    signed by the maker, as wire bytes.
     """
     unsigned = GenesisTx(
         state_root=compute_state_root(ecu_state),
@@ -165,7 +175,7 @@ def make_genesis(
         maker_pk=maker_keys.public,
         sig=b"",
     )
-    return signed(unsigned, maker_keys)
+    return signed_wire(unsigned, maker_keys)
 
 
 def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey, ts: int) -> None:
@@ -177,42 +187,48 @@ def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey, ts: int) -> None:
 
 
 def initialize_vehicle(
-    authority: AuthorityTier, roadside: RoadsideTier, genesis: GenesisTx, ts: int
+    authority: AuthorityTier, roadside: RoadsideTier, wire: bytes, ts: int
 ) -> None:
-    """Validate a registration and open the vehicle's block in the roadside
-    tier; all validators countersign the creation event. The maker's
-    signature is verified last, after the allow-list, state root and
-    duplicate checks, and every check runs before anything is mutated, so a
-    rejected genesis leaves both tiers unchanged.
+    """Validate a genesis' wire bytes and open the vehicle's block in the
+    roadside tier; all validators countersign the creation. Each rejection
+    is a ``ProtocolError``, in this order: undecodable bytes, an
+    unauthorized maker, an empty or out-of-order ECU list, a wrong state
+    root, a duplicate, a bad signature. Nothing is mutated before every
+    check passes.
     """
+    genesis = received(GenesisTx, wire)
     if genesis.maker_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maker")
-    state = EcuState(records=genesis.ecu_list)
+    try:
+        state = EcuState(records=genesis.ecu_list)
+    except ValueError as exc:
+        raise ProtocolError(f"genesis ECU list rejected: {exc}") from None
     if compute_state_root(state) != genesis.state_root:
         raise ProtocolError("genesis state root does not match ECU list")
     if roadside.ledger.lookup(genesis.vehicle_pk) is not None:
         raise ProtocolError("vehicle already registered")
-    if not signed_by(genesis):
+    if not signed_by(genesis, wire):
         raise ProtocolError("genesis signature invalid")
     roadside.ledger.create_block(
-        genesis.vehicle_pk, genesis, ts, external_address(genesis.vehicle_pk)
+        genesis.vehicle_pk, wire, ts, external_address(genesis.vehicle_pk)
     )
     roadside.profiles[genesis.vehicle_pk] = VehicleProfile(state=state)
     authority.countersign(AuditAction.REGISTER, genesis.vehicle_pk, ts)
 
 
 def apply_upper_update(
-    authority: AuthorityTier, roadside: RoadsideTier, update: UpdateTx
+    authority: AuthorityTier, roadside: RoadsideTier, wire: bytes
 ) -> None:
-    """Validate an authorized maintenance update, append it to the vehicle's
-    block and move the verification profile to the updated state. Every
-    check runs before anything is mutated, and every rejection is a
-    ``ProtocolError``: a bad signature (fields the wire format cannot encode
-    included), an unauthorized maintainer, an unknown vehicle, an ECU record
+    """Validate an authorized maintenance update's wire bytes, append it to
+    the vehicle's block and move the verification profile to the updated
+    state. Every check runs before anything is mutated, and every rejection
+    is a ``ProtocolError``: undecodable bytes, a bad signature, an
+    unauthorized maintainer, an unknown vehicle, an ECU record
     ``update_ecu`` refuses (unknown ECU id, timestamp regression) and a
     ``new_root`` that is not the updated state's root.
     """
-    if not signed_by(update):
+    update = received(UpdateTx, wire)
+    if not signed_by(update, wire):
         raise ProtocolError("update signature invalid")
     if update.maintainer_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maintainer")
@@ -228,7 +244,7 @@ def apply_upper_update(
         raise ProtocolError(f"update rejected: {exc}") from None
     if compute_state_root(state) != update.new_root:
         raise ProtocolError("update new_root does not match the updated state")
-    appended = append_entry(block, update)
+    appended = append_entry(block, update, wire)
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(update.vehicle_pk, pruned)
     profile.state = state
@@ -261,9 +277,9 @@ def issue_challenge(
 
 def build_response(
     vehicle_keys: KeyPair, state: EcuState, challenge: Challenge, ts: int
-) -> ChallengeResponse:
+) -> bytes:
     """Honest response: current state root plus the requested records,
-    signed by the vehicle.
+    signed by the vehicle, as wire bytes.
     """
     if challenge.vehicle_pk != vehicle_keys.public:
         raise ProtocolError("challenge addressed to a different vehicle")
@@ -274,18 +290,17 @@ def build_response(
         vehicle_pk=vehicle_keys.public,
         sig=b"",
     )
-    return signed(unsigned, vehicle_keys)
+    return signed_wire(unsigned, vehicle_keys)
 
 
 def verify_response(
-    roadside: RoadsideTier, challenge: Challenge, response: ChallengeResponse
+    roadside: RoadsideTier, challenge: Challenge, response: ChallengeResponse, wire: bytes
 ) -> Verdict:
-    """Classify a response. Checks run in a fixed order and the first
-    failure wins: block existence, signature, timestamp freshness (inside
-    the challenge's window and after the last recorded response), state
-    root, then the per-ECU subset comparison. Never raises on a response
-    whose fields fall outside the wire format (an integer past u64, say):
-    such a response is BadSignature.
+    """Classify ``response``, decoded from ``wire``. Checks run in a fixed
+    order and the first failure wins: block existence, signature,
+    timestamp freshness (inside the challenge's window and after the last
+    recorded response), state root, then the per-ECU subset comparison.
+    Never raises.
     """
     pk = response.vehicle_pk
     profile = roadside.profiles.get(pk)
@@ -293,7 +308,7 @@ def verify_response(
         return Verdict.UNKNOWN_VEHICLE
     if pk != challenge.vehicle_pk:
         return Verdict.BAD_SIGNATURE
-    if not signed_by(response):
+    if not signed_by(response, wire):
         return Verdict.BAD_SIGNATURE
     issued = challenge.issued_ts
     if not issued <= response.ts <= issued + MAX_RESPONSE_DELAY_MS:
@@ -312,29 +327,28 @@ def verify_response(
 
 
 def record_response(
-    rsu_keys: KeyPair,
-    roadside: RoadsideTier,
-    challenge: Challenge,
-    response: ChallengeResponse,
+    rsu_keys: KeyPair, roadside: RoadsideTier, challenge: Challenge, wire: bytes
 ) -> Verdict:
-    """Classify the response with ``verify_response``; if it is Valid,
-    append the countersigned response to the vehicle's block and prune it
-    back to two entries. Returns the verdict, and changes nothing on any
-    other. The ledger is only mutated after the archive write succeeds.
-    Raises ``ProtocolError``, before verifying anything, if another RSU
-    issued the challenge: an RSU countersigns only answers to its own.
+    """Decode a response's wire bytes (undecodable ones are BadSignature)
+    and classify it with ``verify_response``; if Valid, append the
+    countersigned response to the vehicle's block and prune it to two
+    entries, only once the archive write succeeds. Changes nothing on any
+    other verdict. Raises ``ProtocolError`` first if another RSU issued
+    the challenge: an RSU countersigns only answers to its own.
     """
     if challenge.rsu_pk != rsu_keys.public:
         raise ProtocolError("challenge issued by another RSU")
-    verdict = verify_response(roadside, challenge, response)
+    try:
+        response = decode(ChallengeResponse, wire)
+    except WireError:
+        return Verdict.BAD_SIGNATURE
+    verdict = verify_response(roadside, challenge, response, wire)
     if verdict is not Verdict.VALID:
         return verdict
-    record, wire = signed_wire(
-        ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b""),
-        rsu_keys,
-    )
+    record = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b"")
     block = roadside.ledger.lookup(response.vehicle_pk)
-    pruned, _ = prune_to_two(append_entry(block, record, wire), roadside.archive)
+    appended = append_entry(block, record, signed_wire(record, rsu_keys))
+    pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(response.vehicle_pk, pruned)
     roadside.profiles[response.vehicle_pk].last_response_ts = response.ts
     return verdict
@@ -361,30 +375,30 @@ class ReportEvent(Signable):
 
 def report_malicious(
     rsu_keys: KeyPair, vehicle_pk: PublicKey, verdict: Verdict, ts: int
-) -> ReportEvent:
-    """Signed report for delivery to the authorities; rejects Valid verdicts."""
+) -> bytes:
+    """Wire bytes of a signed report for the authorities; rejects Valid."""
     if verdict is Verdict.VALID:
         raise ProtocolError("nothing to report")
     unsigned = ReportEvent(
         rsu_pk=rsu_keys.public, vehicle_pk=vehicle_pk, verdict=verdict, ts=ts, sig=b""
     )
-    return signed(unsigned, rsu_keys)
+    return signed_wire(unsigned, rsu_keys)
 
 
-def submit_request(authority: AuthorityTier, request: RequestTx) -> None:
-    """Store an insurer's signed evidence request on the authority audit
-    block, which the first accepted request opens. The insurer's signature
-    is checked first (fields the wire format cannot encode included), then
-    the insurer allow-list; either rejection is a ``ProtocolError`` and
-    leaves the authority ledger unchanged.
+def submit_request(authority: AuthorityTier, wire: bytes) -> None:
+    """Store an insurer's signed evidence request's wire bytes on the
+    authority audit block, which the first accepted request opens. The
+    bytes must decode, then the signature and the insurer allow-list are
+    checked; each rejection is a ``ProtocolError`` and changes nothing.
     """
-    if not signed_by(request):
+    request = received(RequestTx, wire)
+    if not signed_by(request, wire):
         raise ProtocolError("request signature invalid")
     if request.insurer_pk not in authority.authorized_insurers:
         raise ProtocolError("unauthorized insurer")
     owner = authority.audit_pk
     block = authority.ledger.lookup(owner)
     if block is None:
-        authority.ledger.create_block(owner, request, request.ts, "ar://authority-audit")
+        authority.ledger.create_block(owner, wire, request.ts, "ar://authority-audit")
     else:
-        authority.ledger.replace_block(owner, append_entry(block, request))
+        authority.ledger.replace_block(owner, append_entry(block, request, wire))

@@ -274,6 +274,9 @@ class World:
         self.clock = SimClock()
         self.queue = EventQueue(self.clock)
         self.event_log: list[str] = []
+        # Encounter verdicts and refusals, counted as they are logged.
+        self.verdict_counts: Counter[str] = Counter()
+        self.refused = 0
         self.seed64 = config.seed.to_bytes(8, "big")
         self.challenge_rng = random.Random(
             int.from_bytes(derive_seed(b"rng-challenge", self.seed64), "big")
@@ -364,6 +367,7 @@ class World:
         vehicle = self.actors[event.subject]
         now = self.clock.now
         if vehicle.pk in self.authority_tier.revoked:
+            self.refused += 1
             self.log(now, "refused", event.subject)
             return
         rsu = self.rsus[encounter % self.config.n_rsus]
@@ -377,11 +381,12 @@ class World:
         )
         response = vehicle.respond(challenge, ts=now + latency)
         verdict = record_response(rsu, self.roadside, challenge, response)
+        self.verdict_counts[verdict.value] += 1
         self.log(now, "encounter", event.subject, verdict.value)
         if verdict is not Verdict.VALID:
             report = report_malicious(rsu, vehicle.pk, verdict, now + 2 * latency)
             self.queue.schedule(
-                SimEvent(now + 2 * latency, EventKind.REPORT, event.subject, (report,))
+                SimEvent(now + 2 * latency, EventKind.REPORT, event.subject, (verdict, report))
             )
         if encounter + 1 < self.config.encounters_per_vehicle:
             self.queue.schedule(
@@ -417,10 +422,10 @@ class World:
         self.log(self.clock.now, f"attack:{kind.value}", subject)
 
     def _handle_report(self, event: SimEvent) -> None:
-        (report,) = event.data
+        verdict, report = event.data
         for authority in self.authorities:
             authority.receive_report(self.authority_tier, report)
-        self.log(self.clock.now, "report", event.subject, report.verdict.value)
+        self.log(self.clock.now, "report", event.subject, verdict.value)
         self.log(self.clock.now, "revoke", event.subject)
 
 
@@ -474,16 +479,6 @@ def run(world: World) -> RunResult:
     while len(world.queue):
         event = world.queue.pop()
         _HANDLERS[event.kind](world, event)
-    counts = Counter()
-    encounters = 0
-    refused = 0
-    for line in world.event_log:
-        _, kind, _, verdict = line.split("\t")
-        if kind == "encounter":
-            encounters += 1
-            counts[verdict] += 1
-        elif kind == "refused":
-            refused += 1
     revoked = tuple(
         sorted(
             world.subject_by_pk.get(pk, pk.hex()[:12])
@@ -491,10 +486,10 @@ def run(world: World) -> RunResult:
         )
     )
     report = RunReport(
-        encounters=encounters,
-        verdict_counts=dict(counts),
+        encounters=sum(world.verdict_counts.values()),
+        verdict_counts=dict(world.verdict_counts),
         revoked=revoked,
-        refused=refused,
+        refused=world.refused,
         ledgers_valid=world.roadside.ledger.validate()
         and world.authority_tier.ledger.validate(),
         roadside_bytes=world.roadside.ledger.serialized_size(),

@@ -4,23 +4,22 @@ A signed type's wire-format v3 layout is its ``WIRE`` table, and
 ``Signable`` walks that table for ``signing_bytes()`` (a transaction's
 1-byte variant ``TAG``, so a signature cannot be replayed across types,
 then the fields), ``to_bytes()`` (the signing bytes plus the raw 64-byte
-signature) and ``read()``. Digests and public keys are raw. An ECU id and
-an ECU-list count are u16, so a vehicle has at most ``MAX_ECUS`` ECUs; an
-ECU record is one packed ``>H32sQ`` struct. A challenge record embeds its
-response's wire bytes unprefixed (the response's ECU count fixes their
-length); the only length prefix in a transaction is on a request's query.
-Each signed type also names, in ``SIGNER``, the field that holds its
-signer's public key. ``signed`` is the one way to sign any of them
-(``signed_wire`` also returns the wire bytes it encoded, for the ledger to
-keep), and ``signed_by`` the one way to check a signature where it enters a
-tier; a field past its wire width (an ECU id or list past ``MAX_ECUS``, an
-integer past u64) cannot be encoded, so it fails ``signed_by``.
+signature) and ``read()``; ``decode`` reads one value from bytes.
+Digests and public keys are raw. An ECU id and an ECU-list count are
+u16, so a vehicle has at most ``MAX_ECUS`` ECUs; an ECU record is one
+packed ``>H32sQ`` struct. A challenge record embeds its response's wire
+bytes unprefixed (the response's ECU count fixes their length); the only
+length prefix in a transaction is on a request's query. Each signed type
+names its signer's key field in ``SIGNER``. ``signed_wire`` is the one
+way to sign and returns the wire bytes that are sent and kept, and
+``signed_by(tx, wire)`` the one way to check a signature, over the bytes
+``tx`` was decoded from.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, ClassVar, NamedTuple, Optional, TypeVar, Union, get_args
 
@@ -231,13 +230,6 @@ class ChallengeResponse(Signable):
     SIGNER = "vehicle_pk"
 
 
-def decode_challenge_response(data: bytes) -> ChallengeResponse:
-    r = Reader(data)
-    resp = ChallengeResponse.read(r)
-    r.finish()
-    return resp
-
-
 RESPONSE = Codec(lambda v: v.to_bytes(), ChallengeResponse.read)
 
 
@@ -288,33 +280,32 @@ class Challenge:
     issued_ts: int
 
 
-def signed_wire(unsigned: S, keys: KeyPair) -> tuple[S, bytes]:
-    """``unsigned`` with ``sig`` set to ``keys``' signature over its signing
-    bytes, which are encoded once, here, and the signed object's wire bytes
-    (the signing bytes followed by the signature).
+def signed_wire(unsigned: Signable, keys: KeyPair) -> bytes:
+    """The wire bytes of ``unsigned`` signed by ``keys``: its signing bytes,
+    encoded once, here, followed by ``keys``' signature over them.
     """
     message = unsigned.signing_bytes()
-    sig = keys.sign(message)
-    return replace(unsigned, sig=sig), message + encode_fixed(sig, SIGNATURE_LEN)
+    return message + encode_fixed(keys.sign(message), SIGNATURE_LEN)
 
 
-def signed(unsigned: S, keys: KeyPair) -> S:
-    """``unsigned`` signed by ``keys``, as ``signed_wire`` signs it."""
-    return signed_wire(unsigned, keys)[0]
-
-
-def signed_by(obj: Signable) -> bool:
-    """True iff ``obj.sig`` is the signature of the key in ``obj``'s
-    ``SIGNER`` field over ``obj``'s signing bytes. Never raises: fields the
-    wire format cannot encode (a value past its width, or of the wrong
-    Python type, such as a ``str`` key or a ``None`` verdict) cannot carry
-    a valid signature, and malformed key or signature bytes do not verify.
+def signed_by(tx: Signable, wire: bytes) -> bool:
+    """True iff ``tx.sig`` signs ``wire``, the bytes ``tx`` was decoded
+    from (canonically, so its signing bytes then ``tx.sig``), under the key
+    in ``tx``'s ``SIGNER`` field. Malformed key or signature bytes are False.
     """
-    try:
-        message = obj.signing_bytes()
-    except (WireError, TypeError, AttributeError):
-        return False
-    return crypto.verify(getattr(obj, obj.SIGNER), message, obj.sig)
+    return crypto.verify(getattr(tx, tx.SIGNER), wire[:-SIGNATURE_LEN], tx.sig)
+
+
+def decode(cls: type[S], data: bytes) -> S:
+    """``data`` as exactly one ``cls``, behind its ``TAG`` byte if it has
+    one; raises ``WireError`` otherwise.
+    """
+    r = Reader(data)
+    if cls.TAG is not None and r.read_u8() != cls.TAG:
+        raise WireError(f"not a {cls.__name__}")
+    value = cls.read(r)
+    r.finish()
+    return value
 
 
 def tx_vehicle(tx: Transaction) -> PublicKey | None:

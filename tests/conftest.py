@@ -4,7 +4,7 @@ import pytest
 
 from ecuchain.crypto import derive_seed, generate_keypair, sha256
 from ecuchain.ecu import EcuRecord, EcuState
-from ecuchain.ledger import MemoryArchive, decode_block, validate_block
+from ecuchain.ledger import MemoryArchive, append_entry, decode_block, validate_block
 from ecuchain.protocol import (
     RoadsideTier,
     initialize_vehicle,
@@ -25,6 +25,11 @@ def validate_block_bytes(data: bytes) -> bool:
     except WireError:
         return False
     return validate_block(block)
+
+
+def append(block, tx):
+    """``append_entry`` of ``tx``, keeping its encoding as the entry's bytes."""
+    return append_entry(block, tx, tx.to_bytes())
 
 
 def state_of(n_ecus: int, tag: bytes = b"fw", ts: int = 0) -> EcuState:

@@ -37,13 +37,12 @@ from ecuchain.protocol import (
     new_authority_tier,
     record_response,
     submit_request,
-    verify_response,
 )
 from ecuchain.sim import AttackPlanEntry, MaintenancePlanEntry, SimConfig, build_world, run
 from ecuchain.transactions import Verdict
 from ecuchain.entities import perform_maintenance, VehicleNode
 from test_ecu_merkle import oracle_root
-from test_protocol import signed_request
+from test_protocol import signed_request, verdict_of
 
 
 @contextmanager
@@ -84,7 +83,8 @@ def test_criterion_1_merkle_oracle_equivalence():
 
 def _tamper_corpus():
     """Blocks with 1..10 entries covering all transaction kinds."""
-    from ecuchain.ledger import Ledger, append_entry, prune_to_two
+    from conftest import append
+    from ecuchain.ledger import Ledger, prune_to_two
     from test_ledger import record_tx
 
     maker = keys_for("acc2-maker")
@@ -99,7 +99,7 @@ def _tamper_corpus():
             keys.public, make_genesis(maker, keys.public, state, 0), 0, "ar://acc2"
         )
         for i in range(n_records):
-            block = append_entry(block, record_tx(keys, state, rsu, ts=i + 1))
+            block = append(block, record_tx(keys, state, rsu, ts=i + 1))
         if prune:
             block, _ = prune_to_two(block, MemoryArchive())
         return block
@@ -159,7 +159,7 @@ def test_criterion_3_pruning_contract():
         genesis = make_genesis(maker, vehicle.public, state, ts=0)
         initialize_vehicle(authority, roadside, genesis, ts=0)
         rng = random.Random(0xACC3)
-        payloads = [genesis.to_bytes()]
+        payloads = [genesis]
         for k in range(1, 21):
             challenge = issue_challenge(rsu.public, vehicle.public, 8, rng, ts=k * 100)
             response = build_response(vehicle, state, challenge, ts=k * 100)
@@ -231,7 +231,7 @@ def test_criterion_4_attack_detection():
                 rsu.public, vehicle.public, n_ecus, rng, ts=t + 1
             )
             response = build_response(vehicle, reverted, challenge, ts=t + 1)
-            verdict = verify_response(roadside, challenge, response)
+            verdict = verdict_of(roadside, challenge, response)
             assert verdict in (Verdict.VALID, Verdict.SUBSET_MISMATCH)
             detections += verdict is Verdict.SUBSET_MISMATCH
         rate = detections / trials
@@ -255,7 +255,7 @@ def test_criterion_4_attack_detection():
             )[:2]
             challenge = dataclasses.replace(challenge, subset_indices=forced)
             response = build_response(vehicle, reverted, challenge, ts=2000 + seed)
-            assert verify_response(roadside, challenge, response) is Verdict.SUBSET_MISMATCH
+            assert verdict_of(roadside, challenge, response) is Verdict.SUBSET_MISMATCH
 
 
 # -- 5 ---------------------------------------------------------------------------
@@ -398,4 +398,4 @@ def test_criterion_8_honest_end_to_end_flow():
         assert record_response(rsu2, roadside, ch2, resp2) is Verdict.VALID
         # replaying encounter one at the second roadside unit is stale
         ch3 = issue_challenge(rsu2.public, vehicle.pk, 8, rng, ts=400)
-        assert verify_response(roadside, ch3, resp1) is Verdict.STALE_TIMESTAMP
+        assert verdict_of(roadside, ch3, resp1) is Verdict.STALE_TIMESTAMP

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keys_for, state_of
+from conftest import append, keys_for, state_of
 from ecuchain.ledger import (
     ARCHIVE_MAGIC,
     ArchiveError,
@@ -31,7 +31,6 @@ from ecuchain.ledger import (
     Ledger,
     LedgerError,
     MemoryArchive,
-    append_entry,
     decode_block,
     deserialize_ledger,
     prune_to_two,
@@ -54,6 +53,7 @@ from ecuchain.transactions import (
     GenesisTx,
     UpdateTx,
     Verdict,
+    decode,
 )
 from ecuchain.wire import U64_MAX
 from test_ledger import record_tx
@@ -67,7 +67,7 @@ def _payloads():
     """A genesis and ``MAX_APPENDS`` signed challenge records for one vehicle."""
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
     state = state_of(4)
-    genesis = make_genesis(maker, vehicle.public, state, ts=0)
+    genesis = decode(GenesisTx, make_genesis(maker, vehicle.public, state, ts=0))
     records = tuple(record_tx(vehicle, state, rsu, ts=i + 1) for i in range(MAX_APPENDS))
     return genesis, records
 
@@ -97,12 +97,12 @@ def test_interleaved_appends_and_prunes_archive_each_entry_once(runs):
     archive = MemoryArchive()
     pk = genesis.vehicle_pk
     ledger = Ledger()
-    block = ledger.create_block(pk, genesis, 0, "ar://once")
+    block = ledger.create_block(pk, genesis.to_bytes(), 0, "ar://once")
     originals = [block.entries[0]]
     pending = iter(records)
     for appends, restart in runs:
         for tx in itertools.islice(pending, appends):
-            block = append_entry(block, tx)
+            block = append(block, tx)
             originals.append(block.entries[-1])
         if restart:
             ledger.replace_block(pk, block)
@@ -286,9 +286,9 @@ def _pruned_block():
     """A block holding entries 4 and 5 of 6, with 0-3 in its archive."""
     genesis, records = _payloads()
     archive = MemoryArchive()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://stray")
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://stray")
     for tx in records[:5]:
-        block = append_entry(block, tx)
+        block = append(block, tx)
     block, _ = prune_to_two(block, archive)
     return block, archive.read("ar://stray")
 
@@ -339,9 +339,9 @@ def test_reconstruct_rejects_strays_with_ledger_error(corrupt):
 
 def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
     genesis, records = _payloads()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://many")
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://many")
     for tx in records[:5]:
-        block = append_entry(block, tx)
+        block = append(block, tx)
     blobs = [entry.payload for entry in block.entries]
     batch = [(seq, blobs[seq % len(blobs)]) for seq in range(3000)]
     file_archive, memory = FileArchive(tmp_path), MemoryArchive()
@@ -353,7 +353,8 @@ def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
 
 def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
     genesis, _ = _payloads()
-    entry = Ledger().create_block(genesis.vehicle_pk, genesis, 0, "ar://bad").entries[0]
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://bad")
+    entry = block.entries[0]
     archive = FileArchive(tmp_path)
     archive.append_many("ar://bad", [(0, entry.payload)])
     path = archive._path("ar://bad")

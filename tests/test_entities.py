@@ -14,7 +14,8 @@ from ecuchain.protocol import (
     register_rsu,
     report_malicious,
 )
-from ecuchain.transactions import Verdict, signed_by
+from ecuchain.protocol import ReportEvent
+from ecuchain.transactions import UpdateTx, Verdict, decode, signed_by
 from test_ecu_merkle import oracle_root
 
 
@@ -38,7 +39,7 @@ def fresh_vehicle(n_ecus=8) -> VehicleNode:
 def test_maintenance_updates_state_and_signs():
     vehicle = fresh_vehicle()
     technician = keys_for("tech")
-    update = perform_maintenance(technician, vehicle, 0, b"firmware v2", ts=42)
+    update = decode(UpdateTx, perform_maintenance(technician, vehicle, 0, b"firmware v2", ts=42))
     digests = [r.firmware_digest for r in vehicle.ecu_state.records]
     assert update.new_root == oracle_root(digests)
     assert update.new_root == compute_state_root(vehicle.ecu_state)
@@ -91,10 +92,10 @@ def test_authority_rejects_forged_report():
     authority = AuthorityNode(keys=keys_for("auth"))
     rsu = keys_for("reporting-rsu")
     event = report_malicious(rsu, keys_for("v").public, Verdict.STALE_TIMESTAMP, ts=3)
-    forged = dataclasses.replace(event, ts=4)
+    forged = dataclasses.replace(decode(ReportEvent, event), ts=4)
     tier = tier_with_rsu(rsu)
     with pytest.raises(ProtocolError, match="signature"):
-        authority.receive_report(tier, forged)
+        authority.receive_report(tier, forged.to_bytes())
     assert not tier.revoked
 
 
@@ -107,7 +108,8 @@ def test_authority_rejects_report_from_unregistered_rsu():
     stranger = keys_for("stranger")
     victim = keys_for("victim").public
     event = report_malicious(stranger, victim, Verdict.STATE_MISMATCH, ts=1)
-    assert event.rsu_pk == stranger.public and signed_by(event)
+    report = decode(ReportEvent, event)
+    assert report.rsu_pk == stranger.public and signed_by(report, event)
     with pytest.raises(ProtocolError, match="unregistered RSU"):
         authority.receive_report(tier, event)
     assert not tier.revoked

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import keys_for, state_of, validate_block_bytes
+from conftest import append, keys_for, state_of, validate_block_bytes
 from ecuchain import crypto
 from ecuchain import ledger as ledger_module
 from ecuchain.bench import linear_fit
@@ -17,7 +17,6 @@ from ecuchain.ledger import (
     Ledger,
     LedgerError,
     MemoryArchive,
-    append_entry,
     decode_block,
     deserialize_ledger,
     header_hash,
@@ -32,6 +31,7 @@ from ecuchain.transactions import (
     GenesisTx,
     RequestTx,
     UpdateTx,
+    decode,
 )
 
 
@@ -54,7 +54,7 @@ def record_tx(vehicle_keys, state, rsu_keys, ts):
 @pytest.fixture
 def vehicle(maker_keys, vehicle_keys):
     state = state_of(4)
-    genesis = make_genesis(maker_keys, vehicle_keys.public, state, ts=0)
+    genesis = decode(GenesisTx, make_genesis(maker_keys, vehicle_keys.public, state, ts=0))
     return vehicle_keys, state, genesis
 
 
@@ -62,9 +62,9 @@ def grown_block(vehicle, rsu_keys, entries_total):
     """Fresh single-block ledger grown to the requested entry count."""
     vehicle_keys, state, genesis = vehicle
     ledger = Ledger()
-    block = ledger.create_block(vehicle_keys.public, genesis, 0, "ar://test")
+    block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0, "ar://test")
     for i in range(entries_total - 1):
-        block = append_entry(block, record_tx(vehicle_keys, state, rsu_keys, ts=i + 1))
+        block = append(block, record_tx(vehicle_keys, state, rsu_keys, ts=i + 1))
     ledger.replace_block(vehicle_keys.public, block)
     return ledger, block
 
@@ -72,7 +72,7 @@ def grown_block(vehicle, rsu_keys, entries_total):
 def test_first_block_anchors_to_zero(vehicle):
     _, _, genesis = vehicle
     ledger = Ledger()
-    block = ledger.create_block(genesis.vehicle_pk, genesis, 5, "ar://one")
+    block = ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 5, "ar://one")
     assert block.header.prev_header_hash == ZERO_DIGEST
     assert block.entries[0].seq == 0
 
@@ -91,9 +91,9 @@ def test_second_block_chains_to_first(maker_keys):
 def test_duplicate_owner_rejected(vehicle):
     _, _, genesis = vehicle
     ledger = Ledger()
-    ledger.create_block(genesis.vehicle_pk, genesis, 0, "ar://dup")
+    ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://dup")
     with pytest.raises(LedgerError, match="block exists"):
-        ledger.create_block(genesis.vehicle_pk, genesis, 1, "ar://dup")
+        ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 1, "ar://dup")
 
 
 def test_append_numbers_and_validates(vehicle, rsu_keys):
@@ -107,7 +107,7 @@ def test_append_rejects_foreign_vehicle(vehicle, rsu_keys, maker_keys):
     other = keys_for("other-vehicle")
     foreign = record_tx(other, state_of(4), rsu_keys, ts=1)
     with pytest.raises(LedgerError, match="ownership"):
-        append_entry(block, foreign)
+        append(block, foreign)
 
 
 def test_ten_entry_block_numbers_entries_from_zero(vehicle, rsu_keys):
@@ -210,7 +210,7 @@ def test_append_and_prune_hash_nothing(vehicle, rsu_keys, monkeypatch):
     for module in (crypto, ledger_module):
         monkeypatch.setattr(module, "sha256", counting)
     for tx in records:
-        block = append_entry(block, tx)
+        block = append(block, tx)
     block, archived = prune_to_two(block, MemoryArchive())
     assert (archived, len(block.entries), hashed) == (3, 2, [])
 
@@ -224,7 +224,7 @@ def test_prune_serialize_and_replay_encode_no_transaction(vehicle, rsu_keys, mon
     ledger, block = grown_block(vehicle, rsu_keys, 5)
     block, _ = prune_to_two(block, archive)
     for ts in (5, 6):
-        block = append_entry(block, record_tx(vehicle_keys, state, rsu_keys, ts=ts))
+        block = append(block, record_tx(vehicle_keys, state, rsu_keys, ts=ts))
     encodes = []
     for cls in (GenesisTx, UpdateTx, RequestTx, ChallengeResponse, ChallengeRecordTx):
         for name in ("signing_bytes", "to_bytes"):
@@ -247,12 +247,12 @@ def test_repeated_prune_preserves_auditability(vehicle, rsu_keys):
     vehicle_keys, state, genesis = vehicle
     archive = MemoryArchive()
     ledger = Ledger()
-    block = ledger.create_block(vehicle_keys.public, genesis, 0, "ar://re")
+    block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0, "ar://re")
     all_payloads = [genesis]
     for i in range(12):
         tx = record_tx(vehicle_keys, state, rsu_keys, ts=i + 1)
         all_payloads.append(tx)
-        block = append_entry(block, tx)
+        block = append(block, tx)
         block, _ = prune_to_two(block, archive)
         assert validate_block(block)
     history = reconstruct_history(block, archive)
@@ -290,7 +290,7 @@ def test_lookup(vehicle):
     ledger = Ledger()
     pk = genesis.vehicle_pk
     assert ledger.lookup(pk) is None
-    ledger.create_block(pk, genesis, 0, "ar://l")
+    ledger.create_block(pk, genesis.to_bytes(), 0, "ar://l")
     assert ledger.lookup(pk).header.owner_pk == pk
     assert ledger.lookup(keys_for("stranger").public) is None
 
@@ -329,7 +329,7 @@ def test_deserialized_block_without_entries_does_not_validate(vehicle):
     """
     _, _, genesis = vehicle
     ledger = Ledger()
-    block = ledger.create_block(genesis.vehicle_pk, genesis, 0, "ar://empty")
+    block = ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://empty")
     ledger.replace_block(genesis.vehicle_pk, dataclasses.replace(block, entries=()))
     restored = deserialize_ledger(ledger.serialize())
     assert restored.lookup(genesis.vehicle_pk).entries == ()

@@ -13,6 +13,7 @@ from ecuchain.ledger import Archive, ArchiveError
 from ecuchain.protocol import (
     MAX_RESPONSE_DELAY_MS,
     ProtocolError,
+    ReportEvent,
     apply_upper_update,
     build_response,
     initialize_vehicle,
@@ -26,17 +27,23 @@ from ecuchain.protocol import (
 )
 from ecuchain.transactions import (
     ChallengeRecordTx,
+    ChallengeResponse,
+    Countersignature,
+    GenesisTx,
     RequestTx,
     UpdateTx,
     Verdict,
-    signed,
+    decode,
     signed_by,
+    signed_wire,
 )
 from test_ecu_merkle import oracle_root
 
 
 def make_update(maintainer_keys, vehicle_pk, state, ecu_id, firmware, ts):
-    """Signed update transaction over a fresh state (mirrors maintenance)."""
+    """The new state and the wire bytes of the signed update transaction
+    that moves ``state`` to it (mirrors maintenance).
+    """
     digest = sha256(firmware)
     new_state = update_ecu(state, ecu_id, digest, ts)
     unsigned = UpdateTx(
@@ -48,15 +55,21 @@ def make_update(maintainer_keys, vehicle_pk, state, ecu_id, firmware, ts):
         firmware_digest=digest,
         sig=b"",
     )
-    return new_state, dataclasses.replace(
-        unsigned, sig=maintainer_keys.sign(unsigned.signing_bytes())
-    )
+    return new_state, signed_wire(unsigned, maintainer_keys)
 
 
 def signed_request(insurer_keys, query, ts):
-    """Evidence request signed by the insurer."""
+    """Wire bytes of an evidence request signed by the insurer."""
     unsigned = RequestTx(insurer_pk=insurer_keys.public, query=query, ts=ts, sig=b"")
-    return signed(unsigned, insurer_keys)
+    return signed_wire(unsigned, insurer_keys)
+
+
+def verdict_of(roadside, challenge, wire):
+    """``verify_response`` of the response ``wire``, decoded as
+    ``record_response`` decodes it.
+    """
+    return verify_response(roadside, challenge, decode(ChallengeResponse, wire), wire)
+
 
 
 def honest_round(roadside, rsu_keys, vehicle_keys, state, ts, rng=None, indices=None):
@@ -70,11 +83,16 @@ def honest_round(roadside, rsu_keys, vehicle_keys, state, ts, rng=None, indices=
     return challenge, response
 
 
+def genesis_of(maker_keys, vehicle_pk, state, ts):
+    """``make_genesis``'s wire bytes decoded."""
+    return decode(GenesisTx, make_genesis(maker_keys, vehicle_pk, state, ts))
+
+
 # -- genesis and initialization ------------------------------------------------
 
 
 def test_make_genesis_root_matches_oracle(maker_keys, vehicle_keys, ecu_state8):
-    genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=4)
+    genesis = genesis_of(maker_keys, vehicle_keys.public, ecu_state8, ts=4)
     digests = [r.firmware_digest for r in ecu_state8.records]
     assert genesis.state_root == oracle_root(digests)
     assert len(genesis.ecu_list) == 8
@@ -113,20 +131,45 @@ def test_initialize_rejects_duplicate(registered, maker_keys, ecu_state8):
 def test_initialize_rejects_bad_signature(tiers, maker_keys, vehicle_keys, ecu_state8):
     authority, roadside = tiers
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
-    broken = dataclasses.replace(genesis, sig=bytes(64))
+    broken = genesis[:-64] + bytes(64)
     with pytest.raises(ProtocolError, match="signature"):
         initialize_vehicle(authority, roadside, broken, ts=0)
 
 
 def test_initialize_rejects_inconsistent_root(tiers, maker_keys, vehicle_keys, ecu_state8):
     authority, roadside = tiers
-    genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
-    forged = dataclasses.replace(genesis, state_root=sha256(b"lie"))
-    forged = dataclasses.replace(
-        forged, sig=maker_keys.sign(forged.signing_bytes())
-    )
+    genesis = genesis_of(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
+    forged = signed_wire(dataclasses.replace(genesis, state_root=sha256(b"lie")), maker_keys)
     with pytest.raises(ProtocolError, match="state root"):
         initialize_vehicle(authority, roadside, forged, ts=0)
+
+
+@pytest.mark.parametrize(
+    "ecu_list",
+    [(), tuple(reversed(state_of(2).records))],
+    ids=["empty", "out-of-id-order"],
+)
+def test_initialize_rejects_an_unusable_ecu_list_as_protocol_error(
+    tiers, maker_keys, vehicle_keys, ecu_list
+):
+    """An ECU list no ``EcuState`` can hold is a ``ProtocolError`` before
+    the signature is checked, so an unsigned genesis that names an
+    authorized maker cannot raise anything else, and changes nothing.
+    """
+    authority, roadside = tiers
+    unsigned = GenesisTx(
+        state_root=sha256(b"any"),
+        ts=0,
+        ecu_list=ecu_list,
+        vehicle_pk=vehicle_keys.public,
+        maker_pk=maker_keys.public,
+        sig=bytes(64),
+    )
+    with pytest.raises(ProtocolError, match="ECU list"):
+        initialize_vehicle(authority, roadside, unsigned.to_bytes(), ts=0)
+    assert len(roadside.ledger) == 0
+    assert not roadside.profiles
+    assert authority.audit_log == []
 
 
 def poison_root(state, root):
@@ -141,7 +184,7 @@ def test_initialize_ignores_a_root_cached_on_the_vehicle_side(
     authority, roadside = tiers
     state = poison_root(state_of(8), sha256(b"lie"))
     genesis = make_genesis(maker_keys, vehicle_keys.public, state, ts=0)
-    assert genesis.state_root == sha256(b"lie")
+    assert decode(GenesisTx, genesis).state_root == sha256(b"lie")
     with pytest.raises(ProtocolError, match="state root"):
         initialize_vehicle(authority, roadside, genesis, ts=0)
     assert len(roadside.ledger) == 0
@@ -161,9 +204,7 @@ def test_update_ignores_a_root_cached_on_the_vehicle_side(registered, maker_keys
         firmware_digest=sha256(b"fw-v2"),
         sig=b"",
     )
-    update = dataclasses.replace(
-        unsigned, sig=maker_keys.sign(unsigned.signing_bytes())
-    )
+    update = signed_wire(unsigned, maker_keys)
     before = roadside.ledger.lookup(vehicle_keys.public)
     with pytest.raises(ProtocolError, match="new_root"):
         apply_upper_update(authority, roadside, update)
@@ -182,8 +223,9 @@ def test_two_hundred_sequential_initializations(tiers, maker_keys):
     assert len(authority.audit_log) == 200
     validator_pks = {v.public for v in authority.validators}
     for event in authority.audit_log:
-        assert all(signed_by(cs) for cs in event)
-        assert {cs.validator_pk for cs in event} == validator_pks
+        records = [decode(Countersignature, wire) for wire in event]
+        assert all(signed_by(cs, wire) for cs, wire in zip(records, event))
+        assert {cs.validator_pk for cs in records} == validator_pks
 
 
 # -- upper-tier update ----------------------------------------------------------
@@ -195,9 +237,10 @@ def test_update_then_challenge_valid(registered, rsu_keys, maker_keys):
         maker_keys, vehicle_keys.public, state, 3, b"fw-v2", ts=10
     )
     apply_upper_update(authority, roadside, update)
-    assert compute_state_root(roadside.profiles[vehicle_keys.public].state) == update.new_root
+    new_root = decode(UpdateTx, update).new_root
+    assert compute_state_root(roadside.profiles[vehicle_keys.public].state) == new_root
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, new_state, ts=20)
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    assert verdict_of(roadside, challenge, response) is Verdict.VALID
 
 
 def test_update_refreshes_subset_registry(registered, rsu_keys, maker_keys):
@@ -208,7 +251,7 @@ def test_update_refreshes_subset_registry(registered, rsu_keys, maker_keys):
     challenge, response = honest_round(
         roadside, rsu_keys, vehicle_keys, new_state, ts=30, indices=[2, 0, 1]
     )
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    assert verdict_of(roadside, challenge, response) is Verdict.VALID
 
 
 def test_update_unknown_vehicle_rejected(tiers, maker_keys):
@@ -230,9 +273,9 @@ def test_update_unauthorized_maintainer_rejected(registered):
 def test_update_tampered_metadata_rejected(registered, maker_keys):
     authority, roadside, vehicle_keys, state = registered
     _, update = make_update(maker_keys, vehicle_keys.public, state, 1, b"fw", ts=1)
-    tampered = dataclasses.replace(update, firmware_digest=sha256(b"other fw"))
+    tampered = dataclasses.replace(decode(UpdateTx, update), firmware_digest=sha256(b"other fw"))
     with pytest.raises(ProtocolError, match="signature"):
-        apply_upper_update(authority, roadside, tampered)
+        apply_upper_update(authority, roadside, tampered.to_bytes())
 
 
 # -- challenge issue/build ------------------------------------------------------
@@ -280,7 +323,8 @@ def test_responses_from_one_state_compute_its_root_once(
     roots = set()
     for ts in range(1, 7):
         challenge = issue_challenge(rsu_keys.public, vehicle_keys.public, 8, rng, ts)
-        roots.add(build_response(vehicle_keys, state, challenge, ts).state_root)
+        response = build_response(vehicle_keys, state, challenge, ts)
+        roots.add(decode(ChallengeResponse, response).state_root)
     assert calls == [8]
     assert roots == {oracle_root([r.firmware_digest for r in state.records])}
 
@@ -296,7 +340,7 @@ def test_build_response_rejects_foreign_challenge(vehicle_keys, rsu_keys):
 def test_build_response_subset_mirrors_live_records(vehicle_keys, rsu_keys):
     state = state_of(8)
     challenge = issue_challenge(rsu_keys.public, vehicle_keys.public, 8, random.Random(1), ts=5)
-    response = build_response(vehicle_keys, state, challenge, ts=5)
+    response = decode(ChallengeResponse, build_response(vehicle_keys, state, challenge, ts=5))
     assert verify(vehicle_keys.public, response.signing_bytes(), response.sig)
     for rec in response.subset:
         assert rec == state.records[rec.ecu_id]
@@ -315,23 +359,22 @@ def test_build_response_rejects_out_of_range_index(vehicle_keys, rsu_keys):
 def test_verdict_honest_first_encounter(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    assert verdict_of(roadside, challenge, response) is Verdict.VALID
 
 
 def test_verdict_unknown_vehicle(registered, rsu_keys):
     _, roadside, _, _ = registered
     ghost = keys_for("phantom")
     challenge, response = honest_round(roadside, rsu_keys, ghost, state_of(4), ts=7)
-    assert verify_response(roadside, challenge, response) is Verdict.UNKNOWN_VEHICLE
+    assert verdict_of(roadside, challenge, response) is Verdict.UNKNOWN_VEHICLE
 
 
 def test_verdict_bad_signature(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    sig = bytearray(response.sig)
-    sig[10] ^= 0xFF
-    broken = dataclasses.replace(response, sig=bytes(sig))
-    assert verify_response(roadside, challenge, broken) is Verdict.BAD_SIGNATURE
+    broken = bytearray(response)
+    broken[-54] ^= 0xFF  # byte 10 of the signature
+    assert verdict_of(roadside, challenge, bytes(broken)) is Verdict.BAD_SIGNATURE
 
 
 def test_verdict_stale_timestamp_on_replay(registered, rsu_keys):
@@ -341,7 +384,7 @@ def test_verdict_stale_timestamp_on_replay(registered, rsu_keys):
     # replay at the next roadside unit
     rsu2 = keys_for("rsu-2")
     challenge2, _ = honest_round(roadside, rsu2, vehicle_keys, state, ts=20)
-    assert verify_response(roadside, challenge2, response) is Verdict.STALE_TIMESTAMP
+    assert verdict_of(roadside, challenge2, response) is Verdict.STALE_TIMESTAMP
 
 
 def test_response_outside_the_challenge_window_is_stale(registered, rsu_keys):
@@ -354,19 +397,19 @@ def test_response_outside_the_challenge_window_is_stale(registered, rsu_keys):
     latest = challenge.issued_ts + MAX_RESPONSE_DELAY_MS
     for ts in (10**12, latest + 1, challenge.issued_ts - 1):
         response = build_response(vehicle_keys, state, challenge, ts)
-        assert verify_response(roadside, challenge, response) is Verdict.STALE_TIMESTAMP
+        assert verdict_of(roadside, challenge, response) is Verdict.STALE_TIMESTAMP
     assert roadside.profiles[vehicle_keys.public] == profile
     response = build_response(vehicle_keys, state, challenge, latest)
     assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=latest + 1)
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    assert verdict_of(roadside, challenge, response) is Verdict.VALID
 
 
 def test_verdict_state_mismatch_on_silent_tamper(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     tampered = update_ecu(state, 4, sha256(b"malware"), ts=6)
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, tampered, ts=7)
-    assert verify_response(roadside, challenge, response) is Verdict.STATE_MISMATCH
+    assert verdict_of(roadside, challenge, response) is Verdict.STATE_MISMATCH
 
 
 def test_verdict_subset_mismatch_on_reversal(registered, rsu_keys):
@@ -377,7 +420,7 @@ def test_verdict_subset_mismatch_on_reversal(registered, rsu_keys):
     challenge, response = honest_round(
         roadside, rsu_keys, vehicle_keys, reverted, ts=7, indices=[2, 0, 1]
     )
-    assert verify_response(roadside, challenge, response) is Verdict.SUBSET_MISMATCH
+    assert verdict_of(roadside, challenge, response) is Verdict.SUBSET_MISMATCH
 
 
 def test_verdict_subset_mismatch_on_wrong_indices(registered, rsu_keys):
@@ -386,13 +429,13 @@ def test_verdict_subset_mismatch_on_wrong_indices(registered, rsu_keys):
         roadside, rsu_keys, vehicle_keys, state, ts=7, indices=[0, 1, 2]
     )
     challenge = dataclasses.replace(challenge, subset_indices=(0, 1, 3))
-    assert verify_response(roadside, challenge, response) is Verdict.SUBSET_MISMATCH
+    assert verdict_of(roadside, challenge, response) is Verdict.SUBSET_MISMATCH
 
 
 def test_verdict_deterministic(registered, rsu_keys):
     _, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    verdicts = {verify_response(roadside, challenge, response) for _ in range(5)}
+    verdicts = {verdict_of(roadside, challenge, response) for _ in range(5)}
     assert verdicts == {Verdict.VALID}
 
 
@@ -458,7 +501,7 @@ def test_recorded_timestamps_strictly_increase(registered, rsu_keys):
             roadside, rsu_keys, vehicle_keys, state, ts=100 + i * 3
         )
         assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
-        seen.append(response.ts)
+        seen.append(decode(ChallengeResponse, response).ts)
     assert seen == sorted(set(seen))
 
 
@@ -495,10 +538,11 @@ def test_report_requires_non_valid_verdict(rsu_keys, vehicle_keys):
 
 
 def test_report_event_signature(rsu_keys, vehicle_keys):
-    event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=9)
-    assert event.rsu_pk == rsu_keys.public and signed_by(event)
-    forged = dataclasses.replace(event, vehicle_pk=keys_for("scapegoat").public)
-    assert not signed_by(forged)
+    wire = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=9)
+    event = decode(ReportEvent, wire)
+    assert event.rsu_pk == rsu_keys.public and signed_by(event, wire)
+    forged = dataclasses.replace(event, vehicle_pk=keys_for("scapegoat").public).to_bytes()
+    assert not signed_by(decode(ReportEvent, forged), forged)
 
 
 def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
@@ -506,8 +550,8 @@ def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
     request = signed_request(insurer_keys, "incident 4711 evidence", ts=3)
     submit_request(authority, request)
     block = authority.ledger.lookup(authority.audit_pk)
-    assert block.entries[-1].transaction() == request
-    assert verify(insurer_keys.public, request.signing_bytes(), request.sig)
+    assert block.entries[-1].payload == request
+    assert verify(insurer_keys.public, request[:-64], request[-64:])
     assert authority.ledger.validate()
 
 
@@ -536,10 +580,10 @@ def test_authority_tier_starts_empty_and_first_request_opens_audit_block(
     submit_request(authority, first)
     block = authority.ledger.lookup(authority.audit_pk)
     assert block.header.created_ts == 3
-    assert [(e.seq, e.transaction()) for e in block.entries] == [(0, first)]
+    assert [(e.seq, e.payload) for e in block.entries] == [(0, first)]
     submit_request(authority, second)
     block = authority.ledger.lookup(authority.audit_pk)
-    assert [(e.seq, e.transaction()) for e in block.entries] == [(0, first), (1, second)]
+    assert [(e.seq, e.payload) for e in block.entries] == [(0, first), (1, second)]
     assert list(authority.ledger.blocks) == [authority.audit_pk]
     assert authority.ledger.validate()
 

@@ -24,7 +24,14 @@ from ecuchain.sim import (
     run,
 )
 from ecuchain.ledger import reconstruct_history
-from ecuchain.transactions import MAX_ECUS, AuditAction, ChallengeRecordTx, signed_by
+from ecuchain.transactions import (
+    MAX_ECUS,
+    AuditAction,
+    ChallengeRecordTx,
+    Countersignature,
+    decode,
+    signed_by,
+)
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
 # SHA-256 of the event log `ecuchain run --config scenarios/demo.cfg` writes.
@@ -157,11 +164,13 @@ def test_build_world_registers_each_rsu():
     world = build_world(SMALL)
     tier = world.authority_tier
     assert tier.registered_rsus == {rsu.public for rsu in world.rsus}
-    registrations = [e for e in tier.audit_log if e[0].action is AuditAction.REGISTER_RSU]
+    events = [[decode(Countersignature, wire) for wire in e] for e in tier.audit_log]
+    registrations = [e for e in events if e[0].action is AuditAction.REGISTER_RSU]
     assert [e[0].subject_pk for e in registrations] == [rsu.public for rsu in world.rsus]
     validator_pks = {v.public for v in tier.validators}
+    for event, wires in zip(events, tier.audit_log):
+        assert all(signed_by(cs, wire) for cs, wire in zip(event, wires))
     for event in registrations:
-        assert all(signed_by(cs) for cs in event)
         assert {cs.validator_pk for cs in event} == validator_pks
 
 

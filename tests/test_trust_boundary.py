@@ -1,21 +1,22 @@
 """Signatures are verified once, by the protocol, at the point where data
-enters a tier.
+enters a tier, over the wire bytes that arrived.
 
 The boundaries: ``initialize_vehicle`` (the genesis),
-``apply_upper_update`` (the update), ``verify_response`` (vehicle
-signature; only ``record_response`` runs it, and records only a Valid
-response), ``submit_request`` (the insurer request) and
-``AuthorityNode.receive_report`` (the report). Each checks with
-``signed_by``, which reads the signer from the field the type's
-``SIGNER`` names, and they are its only callers; ``validate_block`` is
-the only other place that verifies, and ``signed_wire`` (which
-``signed`` and so ``AuthorityTier.countersign`` call) the only place that
-signs. The ledger verifies nothing on the way in: ``Ledger.create_block``
-and ``append_entry`` add what the protocol passed, and what a tier signed
-itself, such as the RSU countersignature. ``validate_block`` re-verifies
-every retained entry, and on replay every archived one. An update that is
-signed but inconsistent with the state the roadside tier vouches for is
-rejected as well, and no rejection changes either tier.
+``apply_upper_update`` (the update), ``record_response`` (the vehicle's
+response, which it decodes and classifies with ``verify_response``, and
+records only if Valid), ``submit_request`` (the insurer request) and
+``AuthorityNode.receive_report`` (the report). Each takes the sender's
+wire bytes, decodes them once, rejects bytes that do not decode as it
+rejects any other bad input, and checks the signature with
+``signed_by(tx, wire)``, which reads the signer from the field the type's
+``SIGNER`` names. ``validate_block`` calls ``signed_by`` too, so it is the
+only place that verifies, and ``signed_wire`` the only place that signs.
+The ledger verifies nothing on the way in: ``Ledger.create_block`` and
+``append_entry`` keep the bytes the protocol passed, and what a tier
+signed itself, such as the RSU countersignature. ``validate_block``
+re-verifies every retained entry, and on replay every archived one. An
+update that is signed but inconsistent with the state the roadside tier
+vouches for is rejected as well, and no rejection changes either tier.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import inspect
 import random
 import sys
 from pathlib import Path
@@ -51,7 +53,6 @@ from ecuchain.protocol import (
     register_rsu,
     report_malicious,
     submit_request,
-    verify_response,
 )
 from ecuchain.transactions import (
     MAX_ECUS,
@@ -64,12 +65,14 @@ from ecuchain.transactions import (
     RequestTx,
     UpdateTx,
     Verdict,
+    decode,
     decode_transaction,
-    signed,
     signed_by,
+    signed_wire,
 )
 from ecuchain.wire import U64_MAX, WireError
-from test_protocol import honest_round, make_update, signed_request
+from test_protocol import honest_round, make_update, signed_request, verdict_of
+from test_wire_format import hostile
 
 
 @pytest.fixture
@@ -95,8 +98,17 @@ def verify_calls(monkeypatch):
 
 
 def forged_record(rsu_keys, response):
-    record = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b"")
-    return dataclasses.replace(record, sig=bytes(64))
+    """A challenge record of the response ``response`` whose RSU signature
+    is 64 zero bytes.
+    """
+    return ChallengeRecordTx(
+        response=decode(ChallengeResponse, response), rsu_pk=rsu_keys.public, sig=bytes(64)
+    )
+
+
+def signature_of(wire):
+    """The (message, signature) ``signed_by`` checks for ``wire``."""
+    return wire[:-64], wire[-64:]
 
 
 # -- signed_by ----------------------------------------------------------------------
@@ -132,7 +144,11 @@ UNSIGNED = [
     ),
     RequestTx(insurer_pk=SIGNER.public, query="q", ts=3, sig=b""),
     _RESPONSE,
-    ChallengeRecordTx(response=signed(_RESPONSE, SIGNER), rsu_pk=SIGNER.public, sig=b""),
+    ChallengeRecordTx(
+        response=decode(ChallengeResponse, signed_wire(_RESPONSE, SIGNER)),
+        rsu_pk=SIGNER.public,
+        sig=b"",
+    ),
     ReportEvent(
         rsu_pk=SIGNER.public,
         vehicle_pk=keys_for("vehicle").public,
@@ -150,65 +166,46 @@ UNSIGNED = [
 ]
 
 
-def ts_past_u64(obj):
-    if isinstance(obj, ChallengeRecordTx):
-        return dataclasses.replace(obj, response=ts_past_u64(obj.response))
-    return dataclasses.replace(obj, ts=U64_MAX + 1)
-
-
 @pytest.mark.parametrize("unsigned", UNSIGNED, ids=[type(obj).__name__ for obj in UNSIGNED])
 def test_signed_by_accepts_only_the_signers_intact_signature(unsigned):
-    key_field = type(unsigned).SIGNER
-    obj = signed(unsigned, SIGNER)
-    assert getattr(obj, key_field) == SIGNER.public
-    assert signed_by(obj)
-    flipped = bytearray(obj.sig)
-    flipped[17] ^= 0x01
-    changed = [
-        dataclasses.replace(obj, sig=bytes(flipped)),
-        ts_past_u64(obj),
-        *[dataclasses.replace(obj, **{key_field: pk}) for pk in wrong_widths(SIGNER.public)],
-        *[dataclasses.replace(obj, sig=sig) for sig in wrong_widths(obj.sig)],
-        dataclasses.replace(obj, **{key_field: keys_for("other").public}),
-    ]
-    for forged in changed:
-        assert signed_by(forged) is False
-
-
-_REPORT = signed(next(o for o in UNSIGNED if isinstance(o, ReportEvent)), SIGNER)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("verdict", "StateMismatch"),
-        ("verdict", None),
-        ("rsu_pk", SIGNER.public.decode("latin-1")),
-        ("vehicle_pk", None),
-    ],
-    ids=["str-verdict", "none-verdict", "str-signer-key", "none-vehicle-key"],
-)
-def test_signed_by_is_false_for_a_field_of_the_wrong_type(field, value):
-    """An object built in-process may hold a value no decoder would
-    produce; it cannot carry a valid signature, and ``signed_by`` says so
-    instead of raising.
+    """``signed_by`` accepts the bytes ``signed_wire`` made, and nothing
+    that decodes from them with any one byte changed, or with the signer
+    field naming another key.
     """
-    assert signed_by(_REPORT)
-    assert signed_by(dataclasses.replace(_REPORT, **{field: value})) is False
+    cls = type(unsigned)
+    wire = signed_wire(unsigned, SIGNER)
+    obj = decode(cls, wire)
+    assert getattr(obj, cls.SIGNER) == SIGNER.public
+    assert signed_by(obj, wire)
+    changed = [
+        dataclasses.replace(obj, **{cls.SIGNER: keys_for("other").public}).to_bytes()
+    ]
+    for i in range(len(wire)):
+        flipped = bytearray(wire)
+        flipped[i] ^= 0x01
+        changed.append(bytes(flipped))
+    for forged in changed:
+        try:
+            tx = decode(cls, forged)
+        except WireError:
+            continue
+        assert signed_by(tx, forged) is False
 
 
 def test_countersign_makes_one_signed_record_per_validator(tiers, vehicle_keys):
     """Each validator signs its own record of the event, in validator
-    order; a record with any field changed no longer verifies.
+    order, kept as its wire bytes; a record with any field changed no
+    longer verifies.
     """
     authority, _ = tiers
     event = authority.countersign(AuditAction.UPDATE, vehicle_keys.public, ts=4)
     assert authority.audit_log == [event]
-    assert [cs.validator_pk for cs in event] == [v.public for v in authority.validators]
+    records = [decode(Countersignature, wire) for wire in event]
+    assert [cs.validator_pk for cs in records] == [v.public for v in authority.validators]
     other = keys_for("other").public
-    for cs in event:
+    for cs, wire in zip(records, event):
         assert (cs.action, cs.subject_pk, cs.ts) == (AuditAction.UPDATE, vehicle_keys.public, 4)
-        assert signed_by(cs)
+        assert signed_by(cs, wire)
         changed = [
             dataclasses.replace(cs, action=AuditAction.REGISTER),
             dataclasses.replace(cs, subject_pk=other),
@@ -216,7 +213,7 @@ def test_countersign_makes_one_signed_record_per_validator(tiers, vehicle_keys):
             dataclasses.replace(cs, validator_pk=other),
         ]
         for forged in changed:
-            assert signed_by(forged) is False
+            assert signed_by(forged, forged.to_bytes()) is False
 
 
 # -- submit_request and append_entry -----------------------------------------------
@@ -225,10 +222,10 @@ def test_countersign_makes_one_signed_record_per_validator(tiers, vehicle_keys):
 def test_append_rejects_forged_request(tiers, insurer_keys):
     authority, _ = tiers
     before = authority.ledger.lookup(authority.audit_pk)
-    request = signed_request(insurer_keys, "q", ts=3)
+    request = decode(RequestTx, signed_request(insurer_keys, "q", ts=3))
     forged = dataclasses.replace(request, query="another query")
     with pytest.raises(ProtocolError, match="signature"):
-        submit_request(authority, forged)
+        submit_request(authority, forged.to_bytes())
     assert authority.ledger.lookup(authority.audit_pk) == before
 
 
@@ -236,7 +233,8 @@ def test_validate_block_rechecks_entries_append_entry_trusted(registered, rsu_ke
     _, roadside, vehicle_keys, state = registered
     _, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
     block = roadside.ledger.lookup(vehicle_keys.public)
-    appended = append_entry(block, forged_record(rsu_keys, response))
+    record = forged_record(rsu_keys, response)
+    appended = append_entry(block, record, record.to_bytes())
     assert validate_block(block)
     assert not validate_block(appended)
 
@@ -249,10 +247,10 @@ def test_initialize_bad_signature_leaves_tiers_unchanged(
 ):
     authority, roadside = tiers
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
-    forged = dataclasses.replace(genesis, ts=1)
+    forged = dataclasses.replace(decode(GenesisTx, genesis), ts=1)
     audit_before = list(authority.audit_log)
     with pytest.raises(ProtocolError, match="signature"):
-        initialize_vehicle(authority, roadside, forged, ts=0)
+        initialize_vehicle(authority, roadside, forged.to_bytes(), ts=0)
     assert len(roadside.ledger) == 0
     assert not roadside.profiles
     assert authority.audit_log == audit_before
@@ -261,11 +259,30 @@ def test_initialize_bad_signature_leaves_tiers_unchanged(
 def test_update_bad_signature_leaves_block_unchanged(registered, maker_keys):
     authority, roadside, vehicle_keys, state = registered
     _, update = make_update(maker_keys, vehicle_keys.public, state, 1, b"fw", ts=1)
-    forged = dataclasses.replace(update, sig=bytes(64))
+    forged = update[:-64] + bytes(64)
     before = roadside.ledger.lookup(vehicle_keys.public)
     with pytest.raises(ProtocolError, match="signature"):
         apply_upper_update(authority, roadside, forged)
     assert roadside.ledger.lookup(vehicle_keys.public) == before
+
+
+def test_every_entry_point_takes_wire_bytes():
+    """No entry point takes a decoded transaction, response or report: each
+    takes the bytes the sender sent, and names no signed type.
+    """
+    entry_points = [
+        initialize_vehicle,
+        apply_upper_update,
+        record_response,
+        submit_request,
+        AuthorityNode.receive_report,
+    ]
+    signed_types = {type(obj) for obj in UNSIGNED} | {ReportEvent}
+    for fn in entry_points:
+        parameters = inspect.signature(fn, eval_str=True).parameters.values()
+        annotations = [p.annotation for p in parameters]
+        assert annotations.count(bytes) == 1, fn.__name__
+        assert signed_types.isdisjoint(annotations), fn.__name__
 
 
 # -- verify counts -----------------------------------------------------------------
@@ -278,7 +295,7 @@ def test_honest_round_verifies_once(registered, rsu_keys, verify_calls):
         challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7 + i)
         del verify_calls[:]
         assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
-        assert verify_calls == [(vehicle_keys.public, response.signing_bytes(), response.sig)]
+        assert verify_calls == [(vehicle_keys.public, *signature_of(response))]
 
 
 def test_initialize_verifies_once(tiers, maker_keys, vehicle_keys, ecu_state8, verify_calls):
@@ -286,7 +303,7 @@ def test_initialize_verifies_once(tiers, maker_keys, vehicle_keys, ecu_state8, v
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
     del verify_calls[:]
     initialize_vehicle(authority, roadside, genesis, ts=0)
-    assert verify_calls == [(maker_keys.public, genesis.signing_bytes(), genesis.sig)]
+    assert verify_calls == [(maker_keys.public, *signature_of(genesis))]
 
 
 def test_update_verifies_once(registered, maker_keys, verify_calls):
@@ -295,7 +312,7 @@ def test_update_verifies_once(registered, maker_keys, verify_calls):
         state, update = make_update(maker_keys, vehicle_keys.public, state, i, b"fw", ts=i + 1)
         del verify_calls[:]
         apply_upper_update(authority, roadside, update)
-        assert verify_calls == [(maker_keys.public, update.signing_bytes(), update.sig)]
+        assert verify_calls == [(maker_keys.public, *signature_of(update))]
 
 
 def test_request_verifies_once(tiers, insurer_keys, verify_calls):
@@ -303,7 +320,7 @@ def test_request_verifies_once(tiers, insurer_keys, verify_calls):
     request = signed_request(insurer_keys, "incident 12", ts=3)
     del verify_calls[:]
     submit_request(authority, request)
-    assert verify_calls == [(insurer_keys.public, request.signing_bytes(), request.sig)]
+    assert verify_calls == [(insurer_keys.public, *signature_of(request))]
 
 
 def test_report_verified_by_each_receiving_authority(
@@ -316,32 +333,33 @@ def test_report_verified_by_each_receiving_authority(
     assert not verify_calls
     for authority in authorities:
         authority.receive_report(tier, event)
-    assert len(verify_calls) == len(authorities)
+    assert verify_calls == [(rsu_keys.public, *signature_of(event))] * len(authorities)
 
 
 # -- nothing unverified is recorded --------------------------------------------------
 
 
-def hostile(kind, keys, challenge, response, last):
-    """A hostile (challenge, response) made from an honest round and the
-    last response the vehicle had recorded.
+def hostile_round(kind, keys, challenge, response, last):
+    """A hostile (challenge, response wire bytes) made from an honest round
+    and the last response the vehicle had recorded.
     """
+    honest = decode(ChallengeResponse, response)
     if kind == "zeroed-sig":
-        return challenge, dataclasses.replace(response, sig=bytes(64))
+        return challenge, response[:-64] + bytes(64)
     if kind == "made-up-root":
-        return challenge, signed(
-            dataclasses.replace(response, state_root=crypto.sha256(b"made up")), keys
+        return challenge, signed_wire(
+            dataclasses.replace(honest, state_root=crypto.sha256(b"made up")), keys
         )
     if kind == "past-window":
         late = challenge.issued_ts + MAX_RESPONSE_DELAY_MS + 1
-        return challenge, signed(dataclasses.replace(response, ts=late), keys)
+        return challenge, signed_wire(dataclasses.replace(honest, ts=late), keys)
     if kind == "replay":
         return challenge, last
     if kind == "unknown-vehicle":
         stranger = keys_for("stranger")
         return (
             dataclasses.replace(challenge, vehicle_pk=stranger.public),
-            signed(dataclasses.replace(response, vehicle_pk=stranger.public), stranger),
+            signed_wire(dataclasses.replace(honest, vehicle_pk=stranger.public), stranger),
         )
     assert kind == "other-vehicles-challenge"
     return dataclasses.replace(challenge, vehicle_pk=keys_for("other").public), response
@@ -365,9 +383,9 @@ def test_record_response_records_nothing_unverified(registered, rsu_keys, kind, 
         challenge, last = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
         assert record_response(rsu_keys, roadside, challenge, last) is Verdict.VALID
     honest = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
-    challenge, response = hostile(kind, vehicle_keys, *honest, last)
+    challenge, response = hostile_round(kind, vehicle_keys, *honest, last)
     before = tier_snapshot(authority, roadside, vehicle_keys.public)
-    assert verify_response(roadside, challenge, response) is expected
+    assert verdict_of(roadside, challenge, response) is expected
     assert record_response(rsu_keys, roadside, challenge, response) is expected
     assert tier_snapshot(authority, roadside, vehicle_keys.public) == before
 
@@ -381,7 +399,7 @@ def test_record_response_refuses_another_rsus_challenge(registered, rsu_keys, ve
         challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
         assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
+    assert verdict_of(roadside, challenge, response) is Verdict.VALID
     before = tier_snapshot(authority, roadside, vehicle_keys.public)
     del verify_calls[:]
     with pytest.raises(ProtocolError, match="another RSU"):
@@ -395,9 +413,9 @@ def test_record_response_refuses_another_rsus_challenge(registered, rsu_keys, ve
 
 @functools.lru_cache(maxsize=None)
 def _world():
-    """One registered vehicle, a Valid response to a challenge and the
-    record an RSU made of it. Shared by the property examples, which only
-    ever hand the tier rejected objects.
+    """One registered vehicle, the wire bytes of a Valid response to a
+    challenge and the record an RSU made of it. Shared by the property
+    examples, which only ever hand the tier rejected bytes.
     """
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
     authority = new_authority_tier(
@@ -410,10 +428,11 @@ def _world():
     initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
     challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(3), ts=5)
     response = build_response(vehicle, state, challenge, ts=5)
-    assert verify_response(roadside, challenge, response) is Verdict.VALID
-    record = signed(
-        ChallengeRecordTx(response=response, rsu_pk=rsu.public, sig=b""), rsu
+    assert verdict_of(roadside, challenge, response) is Verdict.VALID
+    unsigned = ChallengeRecordTx(
+        response=decode(ChallengeResponse, response), rsu_pk=rsu.public, sig=b""
     )
+    record = decode_transaction(signed_wire(unsigned, rsu))
     return roadside, challenge, response, record
 
 
@@ -468,14 +487,15 @@ def assert_fresh_encoding(tx):
 @given(st.data())
 def test_changed_response_is_rejected(data):
     roadside, challenge, response, _ = _world()
-    name, changed = data.draw(changed_response(response))
-    verdict = verify_response(roadside, challenge, changed)
+    honest = decode(ChallengeResponse, response)
+    name, changed = data.draw(changed_response(honest))
+    verdict = verdict_of(roadside, challenge, changed.to_bytes())
     if name == "vehicle_pk":
         assert verdict in (Verdict.UNKNOWN_VEHICLE, Verdict.BAD_SIGNATURE)
     else:
         assert verdict is Verdict.BAD_SIGNATURE
     if name != "sig":
-        assert changed.signing_bytes() != response.signing_bytes()
+        assert changed.signing_bytes() != honest.signing_bytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,14 +504,15 @@ def test_changed_record_is_rejected_by_append(data):
     """``append_entry`` adds a changed record (unless it names another
     vehicle), and the audit rejects the block it makes.
     """
-    roadside, _, response, record = _world()
+    roadside, _, _, record = _world()
     changed = data.draw(changed_record(record))
-    block = roadside.ledger.lookup(response.vehicle_pk)
-    if changed.response.vehicle_pk == response.vehicle_pk:
-        assert not validate_block(append_entry(block, changed))
+    owner = record.response.vehicle_pk
+    block = roadside.ledger.lookup(owner)
+    if changed.response.vehicle_pk == owner:
+        assert not validate_block(append_entry(block, changed, changed.to_bytes()))
     else:
         with pytest.raises(LedgerError, match="ownership"):
-            append_entry(block, changed)
+            append_entry(block, changed, changed.to_bytes())
     assert_fresh_encoding(changed)
 
 
@@ -501,54 +522,15 @@ def test_signed_record_encodes_its_current_fields():
     assert crypto.verify(record.rsu_pk, record.signing_bytes(), record.sig)
 
 
-# -- out-of-range fields -------------------------------------------------------------
-
-past_u64 = st.integers(min_value=U64_MAX + 1)
-
-
-@st.composite
-def unencodable_response(draw, response):
-    """``response`` with ``ts`` or one subset-record integer outside u64
-    (``EcuRecord`` itself rejects negative integers).
-    """
-    where = draw(st.sampled_from(["ts", "ecu_id", "last_write_ts"]))
-    if where == "ts":
-        ts = draw(st.one_of(past_u64, st.integers(max_value=-1)))
-        return dataclasses.replace(response, ts=ts)
-    value = draw(past_u64)
-    i = draw(st.integers(0, len(response.subset) - 1))
-    subset = list(response.subset)
-    subset[i] = dataclasses.replace(subset[i], **{where: value})
-    return dataclasses.replace(response, subset=tuple(subset))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_unencodable_response_is_bad_signature(data):
-    roadside, challenge, response, _ = _world()
-    profile = dataclasses.replace(roadside.profiles[response.vehicle_pk])
-    changed = data.draw(unencodable_response(response))
-    assert verify_response(roadside, challenge, changed) is Verdict.BAD_SIGNATURE
-    assert roadside.profiles[response.vehicle_pk] == profile
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_unencodable_response_from_unknown_vehicle_is_unknown(data):
-    roadside, challenge, response, _ = _world()
-    stranger = dataclasses.replace(response, vehicle_pk=keys_for("stranger").public)
-    changed = data.draw(unencodable_response(stranger))
-    assert verify_response(roadside, challenge, changed) is Verdict.UNKNOWN_VEHICLE
-
-
 # -- maintenance updates -------------------------------------------------------------
 
 UPDATED_ECU = 3
 
 
 def _fresh_update_world():
-    """One 8-ECU vehicle whose ECUs were all last written at 100, and an
-    authorized update of ECU ``UPDATED_ECU`` at 200, signed but not applied.
+    """One 8-ECU vehicle whose ECUs were all last written at 100, and the
+    wire bytes of an authorized update of ECU ``UPDATED_ECU`` at 200,
+    signed but not applied.
     """
     maker, vehicle = keys_for("maker"), keys_for("vehicle")
     authority = new_authority_tier(
@@ -581,26 +563,27 @@ def tier_snapshot(authority, roadside, vehicle_pk):
 
 def assert_update_rejected(update, match):
     authority, roadside, _, honest, _ = _update_world()
-    before = tier_snapshot(authority, roadside, honest.vehicle_pk)
+    vehicle_pk = decode(UpdateTx, honest).vehicle_pk
+    before = tier_snapshot(authority, roadside, vehicle_pk)
     with pytest.raises(ProtocolError, match=match):
         apply_upper_update(authority, roadside, update)
-    assert tier_snapshot(authority, roadside, honest.vehicle_pk) == before
+    assert tier_snapshot(authority, roadside, vehicle_pk) == before
 
 
 def test_update_world_accepts_its_honest_update():
-    authority, roadside, _, update, updated = _fresh_update_world()
-    apply_upper_update(authority, roadside, update)
+    authority, roadside, _, wire, updated = _fresh_update_world()
+    update = decode(UpdateTx, wire)
+    apply_upper_update(authority, roadside, wire)
     assert roadside.profiles[update.vehicle_pk].state == updated
     assert compute_state_root(roadside.profiles[update.vehicle_pk].state) == update.new_root
 
 
-u64_or_not = st.one_of(st.integers(0, U64_MAX), past_u64, st.integers(max_value=-1))
 UPDATE_FIELDS = {
     "new_root": digests,
-    "ts": u64_or_not,
+    "ts": st.integers(0, U64_MAX),
     "vehicle_pk": digests,
     "maintainer_pk": digests,
-    "ecu_id": st.one_of(st.integers(0, MAX_ECUS), u64_or_not),
+    "ecu_id": st.integers(0, MAX_ECUS),
     "firmware_digest": digests,
     "sig": st.binary(min_size=64, max_size=64),
 }
@@ -610,13 +593,12 @@ UPDATE_FIELDS = {
 @given(st.data())
 def test_changed_update_is_rejected(data):
     *_, update, _ = _update_world()
+    honest = decode(UpdateTx, update)
     name = data.draw(st.sampled_from(sorted(UPDATE_FIELDS)))
-    value = data.draw(UPDATE_FIELDS[name].filter(lambda v: v != getattr(update, name)))
-    changed = dataclasses.replace(update, **{name: value})
-    assert_update_rejected(changed, "signature")
-    limit = MAX_ECUS if name == "ecu_id" else U64_MAX
-    if name not in ("ts", "ecu_id") or 0 <= value <= limit:
-        assert_fresh_encoding(changed)
+    value = data.draw(UPDATE_FIELDS[name].filter(lambda v: v != getattr(honest, name)))
+    changed = dataclasses.replace(honest, **{name: value})
+    assert_update_rejected(changed.to_bytes(), "signature")
+    assert_fresh_encoding(changed)
 
 
 @st.composite
@@ -643,72 +625,73 @@ def inconsistent_update(draw, update):
 @given(st.data())
 def test_resigned_inconsistent_update_is_rejected(data):
     _, _, maker, update, _ = _update_world()
-    match, changed = data.draw(inconsistent_update(update))
-    assert_update_rejected(signed(changed, maker), match)
-
-
-@settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(["ecu_id", "ts"]), value=past_u64)
-def test_update_past_u64_cannot_be_signed_and_is_rejected(name, value):
-    _, _, maker, update, _ = _update_world()
-    changed = dataclasses.replace(update, **{name: value})
-    with pytest.raises(WireError):
-        signed(changed, maker)
-    assert_update_rejected(changed, "signature")
-
-
-@pytest.mark.parametrize("ecu_id", [MAX_ECUS + 1, U64_MAX])
-def test_update_past_the_ecu_limit_cannot_be_signed_and_is_rejected(ecu_id):
-    """An ECU id past the u16 limit does not encode, so the update fails its
-    signature check with ``ProtocolError``, not ``WireError``.
-    """
-    _, _, maker, update, _ = _update_world()
-    changed = dataclasses.replace(update, ecu_id=ecu_id)
-    with pytest.raises(WireError):
-        signed(changed, maker)
-    assert_update_rejected(changed, "update signature invalid")
+    match, changed = data.draw(inconsistent_update(decode(UpdateTx, update)))
+    assert_update_rejected(signed_wire(changed, maker), match)
 
 
 def test_signed_update_encodes_its_current_fields():
-    *_, update, _ = _update_world()
+    *_, wire, _ = _update_world()
+    update = decode(UpdateTx, wire)
     assert_fresh_encoding(update)
+    assert update.to_bytes() == wire
     assert crypto.verify(update.maintainer_pk, update.signing_bytes(), update.sig)
 
 
 # -- fixed-width fields of the wrong width ------------------------------------------
-# Wire format v3 writes digests, keys and signatures raw, so a field of the
-# wrong width cannot be encoded: each boundary rejects it with its own error.
+# Wire format v3 writes digests, keys, integers and signatures raw, so a field
+# sent one byte short or long shifts every byte after it: each boundary
+# rejects such bytes with its own rejection.
 
 
-def wrong_widths(value: bytes) -> list[bytes]:
-    return [value[:-1], value + b"\x00"]
+def field_span(obj, name):
+    """(start, end) of field ``name`` (``sig`` included) in ``obj.to_bytes()``."""
+    start = 0 if obj.TAG is None else 1
+    for field, (encode, _) in obj.WIRE.items():
+        end = start + len(encode(getattr(obj, field)))
+        if field == name:
+            return start, end
+        start = end
+    assert name == "sig"
+    return start, start + 64
+
+
+def wrong_widths(obj, name) -> list[bytes]:
+    """``obj``'s wire bytes with field ``name`` one byte short, then one
+    byte long.
+    """
+    wire = obj.to_bytes()
+    _, end = field_span(obj, name)
+    return [wire[: end - 1] + wire[end:], wire[:end] + b"\x00" + wire[end:]]
 
 
 @pytest.mark.parametrize("name", ["state_root", "sig"])
 def test_response_with_wrong_width_field_is_bad_signature(name):
     roadside, challenge, response, _ = _world()
-    for value in wrong_widths(getattr(response, name)):
-        changed = dataclasses.replace(response, **{name: value})
-        assert verify_response(roadside, challenge, changed) is Verdict.BAD_SIGNATURE
+    rsu = keys_for("rsu")
+    profile = dataclasses.replace(roadside.profiles[challenge.vehicle_pk])
+    for wire in wrong_widths(decode(ChallengeResponse, response), name):
+        assert record_response(rsu, roadside, challenge, wire) is Verdict.BAD_SIGNATURE
+    assert roadside.profiles[challenge.vehicle_pk] == profile
 
 
 @pytest.mark.parametrize("name", ["new_root", "vehicle_pk", "maintainer_pk", "firmware_digest"])
 def test_update_with_wrong_width_field_is_rejected(name):
     *_, update, _ = _update_world()
-    for value in wrong_widths(getattr(update, name)):
-        assert_update_rejected(dataclasses.replace(update, **{name: value}), "signature")
+    for wire in wrong_widths(decode(UpdateTx, update), name):
+        assert_update_rejected(wire, "does not decode")
 
 
 def test_request_with_unencodable_field_is_rejected_by_append(tiers, insurer_keys):
+    """A request whose ts or insurer key is not the width the wire format
+    gives it does not decode, and so is not appended.
+    """
     authority, _ = tiers
     before = authority.ledger.lookup(authority.audit_pk)
-    request = signed_request(insurer_keys, "q", ts=3)
-    changed = [dataclasses.replace(request, ts=U64_MAX + 1)] + [
-        dataclasses.replace(request, insurer_pk=pk) for pk in wrong_widths(request.insurer_pk)
-    ]
-    for forged in changed:
-        with pytest.raises(ProtocolError, match="signature"):
-            submit_request(authority, forged)
+    request = decode(RequestTx, signed_request(insurer_keys, "q", ts=3))
+    for name in ("ts", "insurer_pk"):
+        for forged in wrong_widths(request, name):
+            with pytest.raises(ProtocolError, match="does not decode"):
+                submit_request(authority, forged)
     assert authority.ledger.lookup(authority.audit_pk) == before
 
 
@@ -719,20 +702,21 @@ def test_report_and_audit_event_with_wrong_width_key_do_not_verify(
     register_rsu(authority, rsu_keys.public, ts=0)
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
     receiver = AuthorityNode(keys=keys_for("transport"))
-    for pk in wrong_widths(event.vehicle_pk):
-        changed = dataclasses.replace(event, vehicle_pk=pk)
-        assert not signed_by(changed)
-        with pytest.raises(ProtocolError, match="signature"):
-            receiver.receive_report(authority, changed)
+    for forged in wrong_widths(decode(ReportEvent, event), "vehicle_pk"):
+        with pytest.raises(ProtocolError, match="does not decode"):
+            receiver.receive_report(authority, forged)
     assert not authority.revoked
-    for cs in authority.countersign(AuditAction.REGISTER, vehicle_keys.public, ts=3):
-        assert signed_by(cs)
-        for pk in wrong_widths(cs.subject_pk):
-            assert not signed_by(dataclasses.replace(cs, subject_pk=pk))
+    for wire in authority.countersign(AuditAction.REGISTER, vehicle_keys.public, ts=3):
+        cs = decode(Countersignature, wire)
+        assert signed_by(cs, wire)
+        for forged in wrong_widths(cs, "subject_pk"):
+            with pytest.raises(WireError):
+                decode(Countersignature, forged)
 
 
 def test_update_with_metadata_string_layout_does_not_decode():
-    *_, update, _ = _update_world()
+    *_, wire, _ = _update_world()
+    update = decode(UpdateTx, wire)
     metadata = f"ecu=3;action=firmware-update;digest={update.firmware_digest.hex()};ts=200"
     old = b"".join(
         (
@@ -748,17 +732,98 @@ def test_update_with_metadata_string_layout_does_not_decode():
     )
     with pytest.raises(WireError):
         decode_transaction(old)
+    assert_update_rejected(old, "does not decode")
+
+
+# -- hostile bytes at every entry point ----------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary_world():
+    """Both tiers with a registered RSU and vehicle, the honest wire bytes
+    each entry point takes, and one call per entry point. The honest bytes
+    are only ever handed over mutated, so the world is shared.
+    """
+    maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
+    insurer = keys_for("insurer")
+    authority = new_authority_tier(
+        validators=(keys_for("transport"),),
+        authorized_makers=(maker.public,),
+        authorized_insurers=(insurer.public,),
+    )
+    register_rsu(authority, rsu.public, ts=0)
+    roadside = RoadsideTier()
+    state = state_of(8)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(3), ts=5)
+    receiver = AuthorityNode(keys=keys_for("transport"))
+    entry_points = {
+        "genesis": (
+            make_genesis(maker, keys_for("second").public, state, 0),
+            lambda wire: initialize_vehicle(authority, roadside, wire, ts=1),
+        ),
+        "update": (
+            make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)[1],
+            lambda wire: apply_upper_update(authority, roadside, wire),
+        ),
+        "response": (
+            build_response(vehicle, state, challenge, ts=5),
+            lambda wire: record_response(rsu, roadside, challenge, wire),
+        ),
+        "request": (
+            signed_request(insurer, "incident 12", ts=3),
+            lambda wire: submit_request(authority, wire),
+        ),
+        "report": (
+            report_malicious(rsu, vehicle.public, Verdict.STATE_MISMATCH, ts=5),
+            lambda wire: receiver.receive_report(authority, wire),
+        ),
+    }
+    return authority, roadside, entry_points
+
+
+def both_tiers(authority, roadside):
+    return (
+        roadside.ledger.serialize(),
+        {pk: dataclasses.replace(p) for pk, p in roadside.profiles.items()},
+        set(authority.revoked),
+        set(authority.registered_rsus),
+        len(authority.audit_log),
+        authority.ledger.serialize(),
+    )
+
+
+@pytest.mark.parametrize("target", ["genesis", "update", "response", "request", "report"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_entry_points_reject_hostile_bytes_and_change_nothing(target, data):
+    """Arbitrary bytes, and truncations and single-byte flips of honest
+    wire bytes, at each entry point: the call returns a non-Valid verdict
+    or raises ``ProtocolError``, nothing else, and leaves both tiers as
+    they were.
+    """
+    authority, roadside, entry_points = _boundary_world()
+    honest, call = entry_points[target]
+    wire = data.draw(hostile([honest]))
+    before = both_tiers(authority, roadside)
+    try:
+        verdict = call(wire)
+    except ProtocolError:
+        pass
+    else:
+        assert target == "response"
+        assert isinstance(verdict, Verdict) and verdict is not Verdict.VALID
+    assert both_tiers(authority, roadside) == before
 
 
 # -- where signing and verifying happen ----------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ecuchain"
 # The functions allowed to call crypto.verify and KeyPair.sign; crypto.py,
-# which defines both, is not searched. ``signed`` signs through
-# ``signed_wire``, which also returns the wire bytes it encoded.
+# which defines both, is not searched. ``validate_block`` verifies through
+# ``signed_by``.
 ALLOWED_SITES = {
     ("verify", "signed_by"),
-    ("verify", "validate_block"),
     ("sign", "signed_wire"),
 }
 
@@ -815,10 +880,9 @@ def test_signatures_are_made_and_checked_only_at_the_known_sites():
 # The functions allowed to call append_entry, verify_response and
 # signed_by: an entry joins a block only through the first, a response is
 # classified only by record_response, which records it only if it is Valid,
-# and a signature is checked on the way in only where a transaction enters
-# a tier.
+# and a signature is checked only where a transaction enters a tier (a
+# response's in verify_response, for record_response) and in the audit.
 BOUNDARY_SITES = {
-    ("append_entry", "Ledger.create_block"),
     ("append_entry", "submit_request"),
     ("append_entry", "apply_upper_update"),
     ("append_entry", "record_response"),
@@ -828,6 +892,7 @@ BOUNDARY_SITES = {
     ("signed_by", "verify_response"),
     ("signed_by", "submit_request"),
     ("signed_by", "AuthorityNode.receive_report"),
+    ("signed_by", "validate_block"),
 }
 
 

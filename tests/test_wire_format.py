@@ -77,9 +77,9 @@ from ecuchain.transactions import (
     Signable,
     UpdateTx,
     Verdict,
-    decode_challenge_response,
+    decode,
     decode_transaction,
-    signed,
+    signed_wire,
 )
 from ecuchain.wire import U64_MAX, Reader, WireError
 from test_protocol import make_update
@@ -122,30 +122,41 @@ def _golden():
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
     insurer = keys_for("insurer")
     state = state_of(8)
-    genesis = make_genesis(maker, vehicle.public, state, ts=0)
+    genesis_wire = make_genesis(maker, vehicle.public, state, ts=0)
+    genesis = decode(GenesisTx, genesis_wire)
     challenge = Challenge(
         rsu_pk=rsu.public, vehicle_pk=vehicle.public, subset_indices=(1, 4, 6), issued_ts=5
     )
-    response = build_response(vehicle, state, challenge, ts=5)
-    record = signed(ChallengeRecordTx(response=response, rsu_pk=rsu.public, sig=b""), rsu)
-    _, update = make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)
-    request = signed(
-        RequestTx(insurer_pk=insurer.public, query="vehicle ü, 0–9", ts=7, sig=b""), insurer
+    response = decode(ChallengeResponse, build_response(vehicle, state, challenge, ts=5))
+    record = decode_transaction(
+        signed_wire(ChallengeRecordTx(response=response, rsu_pk=rsu.public, sig=b""), rsu)
     )
-    report = report_malicious(rsu, vehicle.public, Verdict.STATE_MISMATCH, ts=5)
+    update = decode(UpdateTx, make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)[1])
+    request = decode(
+        RequestTx,
+        signed_wire(
+            RequestTx(insurer_pk=insurer.public, query="vehicle ü, 0–9", ts=7, sig=b""), insurer
+        ),
+    )
+    report = decode(
+        ReportEvent, report_malicious(rsu, vehicle.public, Verdict.STATE_MISMATCH, ts=5)
+    )
     transport = keys_for("transport")
-    countersignature = signed(
-        Countersignature(
+    countersignature = decode(
+        Countersignature,
+        signed_wire(
+            Countersignature(
             action=AuditAction.UPDATE,
             subject_pk=vehicle.public,
             ts=9,
-            validator_pk=transport.public,
-            sig=b"",
+                validator_pk=transport.public,
+                sig=b"",
+            ),
+            transport,
         ),
-        transport,
     )
     ledger = Ledger()
-    block = ledger.create_block(vehicle.public, genesis, 0, external_address(vehicle.public))
+    block = ledger.create_block(vehicle.public, genesis_wire, 0, external_address(vehicle.public))
     return {
         "genesis": genesis,
         "response": response,
@@ -437,22 +448,9 @@ countersignatures = st.builds(
 )
 
 
-def strict_decoder(cls):
-    """Decoder of a signed type that is not a transaction: all of ``data``
-    must be one ``cls``.
-    """
-
-    def decode(data: bytes):
-        r = Reader(data)
-        obj = cls.read(r)
-        r.finish()
-        return obj
-
-    return decode
-
-
-decode_report = strict_decoder(ReportEvent)
-decode_countersignature = strict_decoder(Countersignature)
+decode_response = functools.partial(decode, ChallengeResponse)
+decode_report = functools.partial(decode, ReportEvent)
+decode_countersignature = functools.partial(decode, Countersignature)
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,7 +465,7 @@ def test_transaction_round_trip(tx):
 @settings(max_examples=100, deadline=None)
 @given(responses)
 def test_response_round_trip(response):
-    assert decode_challenge_response(response.to_bytes()) == response
+    assert decode_response(response.to_bytes()) == response
 
 
 @settings(max_examples=100, deadline=None)
@@ -506,7 +504,9 @@ def _three_entry_block() -> AppendableBlock:
     """
     g = _golden()
     block = g["ledger"].blocks[g["header"].owner_pk]
-    return append_entry(append_entry(block, g["update"]), g["record"])
+    for tx in (g["update"], g["record"]):
+        block = append_entry(block, tx, tx.to_bytes())
+    return block
 
 
 @functools.lru_cache(maxsize=None)
@@ -520,8 +520,11 @@ def _valid_inputs():
     block = _three_entry_block()
     ledger = Ledger()
     ledger.blocks[pk] = block
-    request = signed(
-        RequestTx(insurer_pk=pk, query="vehicle ü, 0–9", ts=7, sig=b""), keys_for("insurer")
+    request = decode(
+        RequestTx,
+        signed_wire(
+            RequestTx(insurer_pk=pk, query="vehicle ü, 0–9", ts=7, sig=b""), keys_for("insurer")
+        ),
     )
     to_bytes = operator.methodcaller("to_bytes")
     return {
@@ -530,7 +533,7 @@ def _valid_inputs():
             to_bytes,
             [tx.to_bytes() for tx in (g["genesis"], g["record"], g["update"], request)],
         ),
-        "response": (decode_challenge_response, to_bytes, [g["response"].to_bytes()]),
+        "response": (decode_response, to_bytes, [g["response"].to_bytes()]),
         "block": (decode_block, to_bytes, [block.to_bytes()]),
         "ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
         "report": (decode_report, to_bytes, [g["report"].to_bytes()]),
@@ -801,7 +804,7 @@ def test_ecu_id_at_the_limit_round_trips():
     update, response = _update(MAX_ECUS), _response(_records([MAX_ECUS]))
     assert MAX_ECUS == 0xFFFF
     assert decode_transaction(update.to_bytes()) == update
-    assert decode_challenge_response(response.to_bytes()) == response
+    assert decode_response(response.to_bytes()) == response
     assert response.to_bytes()[32:36] == u16(1) + u16(MAX_ECUS)
 
 
