@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .crypto import derive_seed, generate_keypair, sha256
-from .ecu import EcuRecord, EcuState, compute_state_root
+from .ecu import EcuState, compute_state_root, state_from_digests
 from .ledger import Ledger, MemoryArchive
 from .protocol import (
     RoadsideTier,
-    external_address,
     initialize_vehicle,
     issue_challenge,
     make_genesis,
@@ -147,17 +146,10 @@ def _vehicle_material(seed: int, count: int, tag: bytes):
         keys = generate_keypair(
             derive_seed(b"bench-vehicle", seed64, tag, v.to_bytes(8, "big"))
         )
-        records = tuple(
-            EcuRecord(
-                ecu_id=e,
-                firmware_digest=sha256(
-                    derive_seed(b"bench-fw", seed64, tag, v.to_bytes(8, "big"), bytes([e]))
-                ),
-                last_write_ts=0,
-            )
+        state = state_from_digests(
+            sha256(derive_seed(b"bench-fw", seed64, tag, v.to_bytes(8, "big"), bytes([e])))
             for e in range(ECUS_PER_VEHICLE)
         )
-        state = EcuState(records=records)
         out.append((keys, state, make_genesis(maker, keys.public, state, ts=0)))
     return maker, out
 
@@ -252,7 +244,7 @@ def bench_merkle(
             sha256(derive_seed(b"bench-merkle", seed64, i.to_bytes(8, "big")))
             for i in range(n)
         ]
-        records = tuple(EcuRecord(i, d, last_write_ts=0) for i, d in enumerate(digests))
+        records = state_from_digests(digests).records
         reps = max(3, 3_000 // n)
 
         def one_run(run_idx: int) -> float:
@@ -283,15 +275,10 @@ def bench_storage(
     report = MetricsReport(benchmark="ledger-storage", x_label="blocks")
     seed64 = seed.to_bytes(8, "big")
     maker = generate_keypair(derive_seed(b"bench-storage-maker", seed64))
-    records = tuple(
-        EcuRecord(
-            ecu_id=e,
-            firmware_digest=sha256(derive_seed(b"bench-storage-fw", seed64, bytes([e]))),
-            last_write_ts=0,
-        )
+    state = state_from_digests(
+        sha256(derive_seed(b"bench-storage-fw", seed64, bytes([e])))
         for e in range(ECUS_PER_VEHICLE)
     )
-    state = EcuState(records=records)
     ledger = Ledger()
     built = 0
     measured: list[tuple[int, int]] = []
@@ -301,9 +288,9 @@ def bench_storage(
                 derive_seed(b"bench-storage-vehicle", seed64, built.to_bytes(8, "big"))
             )
             genesis = make_genesis(maker, keys.public, state, ts=0)
-            ledger.create_block(keys.public, genesis, 0, external_address(keys.public))
+            ledger.create_block(keys.public, genesis, 0)
             built += 1
-        size = ledger.serialized_size()
+        size = len(ledger.serialize())
         measured.append((target, size))
         report.storage.append(StoragePoint(blocks=target, bytes=size, kind="measured"))
     if len(measured) >= 2:

@@ -93,7 +93,7 @@ def _cmd_init(args) -> int:
         "vehicles": len(world.vehicles),
         "rsus": len(world.rsus),
         "blocks": len(world.roadside.ledger),
-        "roadside_bytes": world.roadside.ledger.serialized_size(),
+        "roadside_bytes": len(world.roadside.ledger.serialize()),
         "ledgers_valid": world.roadside.ledger.validate()
         and world.authority_tier.ledger.validate(),
     }

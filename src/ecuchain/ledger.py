@@ -9,19 +9,25 @@ An entry is the archive's record ``(seq, payload)``: its sequence number
 the archive included), and its transaction's wire bytes. The block, the
 archive and the bytes hold that one record type, so pruning archives the
 removed entries as they are and replay puts the archive's records back in
-front of the retained ones. ``append_entry`` keeps the wire bytes a
-transaction arrived as (or that ``signed_wire`` just made), and pruning,
-archiving and ``Ledger.serialize`` reuse those bytes: the ledger never
-encodes a transaction. ``LedgerEntry.transaction`` decodes on demand.
+front of the retained ones.
 
-The ledger verifies no signature on the way in: ``Ledger.create_block``
-and ``append_entry`` add a transaction whose signature the protocol has
-already verified where it entered the tier, or that the tier has just
-made. Only the audit decodes and verifies: ``validate_block`` decodes each
-retained entry once and checks it with ``signed_by`` over the kept bytes,
-as the protocol checks what enters a tier, and ``reconstruct_history``
-runs it over every archived entry too, so an audit trusts neither the
-append path nor the archive. Bytes from
+The write path takes bytes and works out the rest:
+``Ledger.create_block(owner_pk, genesis, ts)`` chains the new header to
+the newest block's header and addresses the archive with
+``external_address(owner_pk)``; ``append_entry(block, wire)`` gives the
+entry the next sequence number; ``Ledger.replace_block(block)`` stores a
+block under its header's owner. The ledger keeps the wire bytes a
+transaction arrived as (or that ``signed_wire`` just made), and pruning,
+archiving and ``Ledger.serialize`` reuse them: the ledger never encodes
+a transaction, and its write path decodes none.
+
+The ledger verifies nothing on the way in: the protocol has already
+verified each transaction where it entered the tier, or the tier has just
+made it. Only the audit decodes and verifies: ``validate_block`` decodes
+each retained entry once and checks its owner and, with ``signed_by``
+over the kept bytes, its signature, as the protocol checks what enters a
+tier, and ``reconstruct_history`` runs it over every archived entry too,
+so an audit trusts neither the append path nor the archive. Bytes from
 disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
 decoded once on the way in, to find where a record ends and to reject
 what does not parse, and only their bytes are kept.
@@ -74,7 +80,6 @@ from .crypto import (
     sha256,
 )
 from .transactions import (
-    Transaction,
     decode_transaction,
     read_transaction,
     signed_by,
@@ -96,7 +101,7 @@ ARCHIVE_MAGIC = b"ECUA4"
 
 
 class LedgerError(ValueError):
-    """Violation of a ledger precondition (duplicate block, foreign owner...)."""
+    """Violation of a ledger precondition (duplicate block, unknown block...)."""
 
 
 class ArchiveError(RuntimeError):
@@ -125,6 +130,11 @@ def header_hash(header: BlockHeader) -> Digest:
     return sha256(header.to_bytes())
 
 
+def external_address(owner_pk: PublicKey) -> str:
+    """Archive locator written into the header of ``owner_pk``'s block."""
+    return "ar://" + owner_pk.hex()[:16]
+
+
 class LedgerEntry(NamedTuple):
     """One entry, which is also the archive's record: its sequence number
     and its transaction's wire bytes.
@@ -132,10 +142,6 @@ class LedgerEntry(NamedTuple):
 
     seq: int
     payload: bytes
-
-    def transaction(self) -> Transaction:
-        """The payload decoded; raises ``WireError`` if it does not decode."""
-        return decode_transaction(self.payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,19 +230,14 @@ def validate_block(block: AppendableBlock) -> bool:
     return True
 
 
-def append_entry(block: AppendableBlock, tx: Transaction, wire: bytes) -> AppendableBlock:
-    """Block with ``tx`` as its newest entry, at the next sequence number;
-    rejects entries addressed to a different owner. The entry keeps
-    ``wire``, the bytes ``tx`` was decoded from or that ``signed_wire``
-    made. Does not verify the signature: callers pass transactions they
-    have verified (see the module docstring).
+def append_entry(block: AppendableBlock, wire: bytes) -> AppendableBlock:
+    """Block with ``wire`` as its newest entry, at the next sequence
+    number: the bytes a transaction arrived as, or that ``signed_wire``
+    made. Decodes and checks nothing (see the module docstring);
+    ``validate_block`` checks the entry's owner and signature at audit.
     """
-    owner = tx_vehicle(tx)
-    if owner is not None and owner != block.header.owner_pk:
-        raise LedgerError("ownership")
     seq = block.entries[-1].seq + 1 if block.entries else 0
-    entry = LedgerEntry(seq, wire)
-    return replace(block, entries=block.entries + (entry,))
+    return replace(block, entries=block.entries + (LedgerEntry(seq, wire),))
 
 
 class Archive:
@@ -366,7 +367,6 @@ class Ledger:
 
     def __init__(self):
         self.blocks: dict[PublicKey, AppendableBlock] = {}
-        self._last_header_hash: Digest = ZERO_DIGEST
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -376,31 +376,28 @@ class Ledger:
         """Block owners, oldest block first: ``blocks`` keeps insertion order."""
         return tuple(self.blocks)
 
-    def create_block(
-        self,
-        owner_pk: PublicKey,
-        genesis: bytes,
-        ts: int,
-        external_address: str,
-    ) -> AppendableBlock:
+    def create_block(self, owner_pk: PublicKey, genesis: bytes, ts: int) -> AppendableBlock:
         """Open a block for ``owner_pk`` whose first entry keeps ``genesis``,
-        the wire bytes of a transaction the caller has verified. Header
-        chains to the most recently created block's header.
+        the wire bytes of a transaction the caller has verified. Its header
+        chains to the newest block's header and holds the owner's
+        ``external_address``.
         """
         if owner_pk in self.blocks:
             raise LedgerError("block exists")
+        newest = next(reversed(self.blocks.values()), None)
         header = BlockHeader(
             owner_pk=owner_pk,
-            prev_header_hash=self._last_header_hash,
+            prev_header_hash=ZERO_DIGEST if newest is None else header_hash(newest.header),
             created_ts=ts,
-            external_address=external_address,
+            external_address=external_address(owner_pk),
         )
         block = AppendableBlock(header=header, entries=(LedgerEntry(0, genesis),))
         self.blocks[owner_pk] = block
-        self._last_header_hash = header_hash(header)
         return block
 
-    def replace_block(self, owner_pk: PublicKey, block: AppendableBlock) -> None:
+    def replace_block(self, block: AppendableBlock) -> None:
+        """Store ``block`` in place of its owner's block."""
+        owner_pk = block.header.owner_pk
         if owner_pk not in self.blocks:
             raise LedgerError("unknown block")
         self.blocks[owner_pk] = block
@@ -413,9 +410,6 @@ class Ledger:
         for block in self.blocks.values():
             parts.append(encode_bytes(block.to_bytes()))
         return b"".join(parts)
-
-    def serialized_size(self) -> int:
-        return len(self.serialize())
 
     def validate(self) -> bool:
         """Every block validates and the header chain follows creation order."""
@@ -441,6 +435,5 @@ def deserialize_ledger(data: bytes) -> Ledger:
         if pk in ledger.blocks:
             raise WireError("duplicate block owner")
         ledger.blocks[pk] = block
-        ledger._last_header_hash = header_hash(block.header)
     r.finish()
     return ledger

@@ -24,10 +24,14 @@ decode like any other bad input, and verifies the signature once, with
 through ``verify_response``; only a Valid one is recorded),
 ``submit_request`` (an insurer request) and
 ``AuthorityNode.receive_report`` (a report from an RSU that
-``register_rsu`` admitted; it revokes the vehicle). The ledger keeps the
-bytes that passed, with ``append_entry``, and verifies again only when
-audited. What a tier signs itself, the RSU's challenge record and the
-validators' countersignatures, is not checked again.
+``register_rsu`` admitted; it revokes the vehicle). The protocol finds
+the block by the vehicle key the transaction names (the audit block by
+``AuthorityTier.audit_pk``) and hands the ledger only the bytes that
+passed: ``create_block(owner_pk, wire, ts)``, ``append_entry(block,
+wire)`` and ``replace_block(block)``. The ledger works out the sequence
+number, the header chain and the archive address, and verifies again
+only when audited. What a tier signs itself, the RSU's challenge record
+and the validators' countersignatures, is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -79,11 +83,6 @@ def received(cls: type[S], wire: bytes) -> S:
         return decode(cls, wire)
     except WireError as exc:
         raise ProtocolError(f"{cls.__name__} does not decode: {exc}") from None
-
-
-def external_address(vehicle_pk: PublicKey) -> str:
-    """Archive locator written into the vehicle's block header."""
-    return "ar://" + vehicle_pk.hex()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +208,7 @@ def initialize_vehicle(
         raise ProtocolError("vehicle already registered")
     if not signed_by(genesis, wire):
         raise ProtocolError("genesis signature invalid")
-    roadside.ledger.create_block(
-        genesis.vehicle_pk, wire, ts, external_address(genesis.vehicle_pk)
-    )
+    roadside.ledger.create_block(genesis.vehicle_pk, wire, ts)
     roadside.profiles[genesis.vehicle_pk] = VehicleProfile(state=state)
     authority.countersign(AuditAction.REGISTER, genesis.vehicle_pk, ts)
 
@@ -244,9 +241,9 @@ def apply_upper_update(
         raise ProtocolError(f"update rejected: {exc}") from None
     if compute_state_root(state) != update.new_root:
         raise ProtocolError("update new_root does not match the updated state")
-    appended = append_entry(block, update, wire)
+    appended = append_entry(block, wire)
     pruned, _ = prune_to_two(appended, roadside.archive)
-    roadside.ledger.replace_block(update.vehicle_pk, pruned)
+    roadside.ledger.replace_block(pruned)
     profile.state = state
     authority.countersign(AuditAction.UPDATE, update.vehicle_pk, update.ts)
 
@@ -347,9 +344,9 @@ def record_response(
         return verdict
     record = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b"")
     block = roadside.ledger.lookup(response.vehicle_pk)
-    appended = append_entry(block, record, signed_wire(record, rsu_keys))
+    appended = append_entry(block, signed_wire(record, rsu_keys))
     pruned, _ = prune_to_two(appended, roadside.archive)
-    roadside.ledger.replace_block(response.vehicle_pk, pruned)
+    roadside.ledger.replace_block(pruned)
     roadside.profiles[response.vehicle_pk].last_response_ts = response.ts
     return verdict
 
@@ -399,6 +396,6 @@ def submit_request(authority: AuthorityTier, wire: bytes) -> None:
     owner = authority.audit_pk
     block = authority.ledger.lookup(owner)
     if block is None:
-        authority.ledger.create_block(owner, wire, request.ts, "ar://authority-audit")
+        authority.ledger.create_block(owner, wire, request.ts)
     else:
-        authority.ledger.replace_block(owner, append_entry(block, request, wire))
+        authority.ledger.replace_block(append_entry(block, wire))

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import adversary
 from .adversary import AttackKind
 from .crypto import KeyPair, PublicKey, derive_seed, generate_keypair, sha256
-from .ecu import EcuRecord, EcuState
+from .ecu import state_from_digests
 from .entities import AuthorityNode, VehicleNode, perform_maintenance
 from .ledger import MemoryArchive
 from .protocol import (
@@ -322,15 +322,9 @@ class World:
             self._firmware(label + b"-fw", index, e)
             for e in range(self.config.ecus_per_vehicle)
         ]
-        state = EcuState(
-            records=tuple(
-                EcuRecord(ecu_id=e, firmware_digest=sha256(img), last_write_ts=0)
-                for e, img in enumerate(images)
-            )
-        )
         return VehicleNode(
             keys=self._keypair(label, index),
-            ecu_state=state,
+            ecu_state=state_from_digests(sha256(img) for img in images),
             firmware_images=images,
             honest=honest,
         )
@@ -492,7 +486,7 @@ def run(world: World) -> RunResult:
         refused=world.refused,
         ledgers_valid=world.roadside.ledger.validate()
         and world.authority_tier.ledger.validate(),
-        roadside_bytes=world.roadside.ledger.serialized_size(),
+        roadside_bytes=len(world.roadside.ledger.serialize()),
     )
     return RunResult(report=report, event_log=list(world.event_log))
 

@@ -28,8 +28,8 @@ def validate_block_bytes(data: bytes) -> bool:
 
 
 def append(block, tx):
-    """``append_entry`` of ``tx``, keeping its encoding as the entry's bytes."""
-    return append_entry(block, tx, tx.to_bytes())
+    """``append_entry`` of ``tx``'s encoding."""
+    return append_entry(block, tx.to_bytes())
 
 
 def state_of(n_ecus: int, tag: bytes = b"fw", ts: int = 0) -> EcuState:

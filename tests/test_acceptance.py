@@ -95,9 +95,7 @@ def _tamper_corpus():
         keys = keys_for(f"acc2-v{n_records}{prune}")
         state = state_of(4)
         ledger = Ledger()
-        block = ledger.create_block(
-            keys.public, make_genesis(maker, keys.public, state, 0), 0, "ar://acc2"
-        )
+        block = ledger.create_block(keys.public, make_genesis(maker, keys.public, state, 0), 0)
         for i in range(n_records):
             block = append(block, record_tx(keys, state, rsu, ts=i + 1))
         if prune:

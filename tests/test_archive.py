@@ -54,6 +54,7 @@ from ecuchain.transactions import (
     UpdateTx,
     Verdict,
     decode,
+    decode_transaction,
 )
 from ecuchain.wire import U64_MAX
 from test_ledger import record_tx
@@ -97,7 +98,7 @@ def test_interleaved_appends_and_prunes_archive_each_entry_once(runs):
     archive = MemoryArchive()
     pk = genesis.vehicle_pk
     ledger = Ledger()
-    block = ledger.create_block(pk, genesis.to_bytes(), 0, "ar://once")
+    block = ledger.create_block(pk, genesis.to_bytes(), 0)
     originals = [block.entries[0]]
     pending = iter(records)
     for appends, restart in runs:
@@ -105,7 +106,7 @@ def test_interleaved_appends_and_prunes_archive_each_entry_once(runs):
             block = append(block, tx)
             originals.append(block.entries[-1])
         if restart:
-            ledger.replace_block(pk, block)
+            ledger.replace_block(block)
             ledger = deserialize_ledger(ledger.serialize())
             assert ledger.lookup(pk) == block
             block = ledger.lookup(pk)
@@ -228,7 +229,7 @@ def test_tampered_archive_history_fails_replay(ops, data):
     head_seq = block.entries[0].seq
     i = data.draw(st.integers(0, head_seq), label="archived entry or head")
     history[i] = history[i]._replace(
-        payload=data.draw(changed_payload(history[i].transaction())).to_bytes()
+        payload=data.draw(changed_payload(decode_transaction(history[i].payload))).to_bytes()
     )
     block = dataclasses.replace(block, entries=tuple(history[head_seq:]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -286,11 +287,11 @@ def _pruned_block():
     """A block holding entries 4 and 5 of 6, with 0-3 in its archive."""
     genesis, records = _payloads()
     archive = MemoryArchive()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://stray")
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
     for tx in records[:5]:
         block = append(block, tx)
     block, _ = prune_to_two(block, archive)
-    return block, archive.read("ar://stray")
+    return block, archive.read(block.header.external_address)
 
 
 def _repeated_seq(block, records):
@@ -339,7 +340,7 @@ def test_reconstruct_rejects_strays_with_ledger_error(corrupt):
 
 def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
     genesis, records = _payloads()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://many")
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
     for tx in records[:5]:
         block = append(block, tx)
     blobs = [entry.payload for entry in block.entries]
@@ -353,7 +354,7 @@ def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
 
 def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
     genesis, _ = _payloads()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://bad")
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
     entry = block.entries[0]
     archive = FileArchive(tmp_path)
     archive.append_many("ar://bad", [(0, entry.payload)])

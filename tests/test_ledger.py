@@ -32,6 +32,7 @@ from ecuchain.transactions import (
     RequestTx,
     UpdateTx,
     decode,
+    decode_transaction,
 )
 
 
@@ -62,38 +63,79 @@ def grown_block(vehicle, rsu_keys, entries_total):
     """Fresh single-block ledger grown to the requested entry count."""
     vehicle_keys, state, genesis = vehicle
     ledger = Ledger()
-    block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0, "ar://test")
+    block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0)
     for i in range(entries_total - 1):
         block = append(block, record_tx(vehicle_keys, state, rsu_keys, ts=i + 1))
-    ledger.replace_block(vehicle_keys.public, block)
+    ledger.replace_block(block)
     return ledger, block
+
+
+def fresh_blocks(maker_keys, count):
+    """``count`` single-entry blocks of one ledger, oldest first."""
+    ledger = Ledger()
+    for i in range(count):
+        keys = keys_for(f"owner{i}")
+        ledger.create_block(keys.public, make_genesis(maker_keys, keys.public, state_of(2), 0), i)
+    return ledger
 
 
 def test_first_block_anchors_to_zero(vehicle):
     _, _, genesis = vehicle
     ledger = Ledger()
-    block = ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 5, "ar://one")
+    block = ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 5)
     assert block.header.prev_header_hash == ZERO_DIGEST
     assert block.entries[0].seq == 0
 
 
 def test_second_block_chains_to_first(maker_keys):
-    ledger = Ledger()
-    blocks = []
-    for i in range(2):
-        keys = keys_for(f"owner{i}")
-        genesis = make_genesis(maker_keys, keys.public, state_of(2), ts=0)
-        blocks.append(ledger.create_block(keys.public, genesis, i, f"ar://{i}"))
-    assert blocks[1].header.prev_header_hash == header_hash(blocks[0].header)
+    ledger = fresh_blocks(maker_keys, 2)
+    first, second = ledger.blocks.values()
+    assert second.header.prev_header_hash == header_hash(first.header)
     assert ledger.validate()
+
+
+def test_create_block_chains_to_blocks_stored_directly(maker_keys):
+    """The chain tip is the newest block in ``blocks``, however it got there."""
+    source = fresh_blocks(maker_keys, 2)
+    ledger = Ledger()
+    ledger.blocks.update(source.blocks)
+    keys = keys_for("owner2")
+    block = ledger.create_block(
+        keys.public, make_genesis(maker_keys, keys.public, state_of(2), 0), 2
+    )
+    newest = source.blocks[source.creation_order[-1]]
+    assert block.header.prev_header_hash == header_hash(newest.header)
+    assert ledger.validate()
+
+
+def test_create_block_after_restart_chains_to_the_restored_tip(maker_keys):
+    restored = deserialize_ledger(fresh_blocks(maker_keys, 3).serialize())
+    keys = keys_for("owner3")
+    block = restored.create_block(
+        keys.public, make_genesis(maker_keys, keys.public, state_of(2), 0), 3
+    )
+    newest = restored.blocks[restored.creation_order[-2]]
+    assert block.header.prev_header_hash == header_hash(newest.header)
+    assert restored.validate()
+    assert restored.serialize() == fresh_blocks(maker_keys, 4).serialize()
+
+
+def test_replace_block_is_keyed_by_the_header_owner(vehicle, rsu_keys):
+    ledger, block = grown_block(vehicle, rsu_keys, 2)
+    stranger = dataclasses.replace(
+        block, header=dataclasses.replace(block.header, owner_pk=keys_for("stranger").public)
+    )
+    with pytest.raises(LedgerError, match="unknown block"):
+        ledger.replace_block(stranger)
+    assert ledger.blocks == {block.header.owner_pk: block}
 
 
 def test_duplicate_owner_rejected(vehicle):
     _, _, genesis = vehicle
     ledger = Ledger()
-    ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://dup")
+    ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
     with pytest.raises(LedgerError, match="block exists"):
-        ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 1, "ar://dup")
+        ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 1)
 
 
 def test_append_numbers_and_validates(vehicle, rsu_keys):
@@ -102,12 +144,14 @@ def test_append_numbers_and_validates(vehicle, rsu_keys):
     assert validate_block(block)
 
 
-def test_append_rejects_foreign_vehicle(vehicle, rsu_keys, maker_keys):
+def test_append_keeps_a_foreign_vehicle_entry_that_validate_block_rejects(vehicle, rsu_keys):
+    """``append_entry`` checks no owner; the audit does."""
     _, block = grown_block(vehicle, rsu_keys, 1)
-    other = keys_for("other-vehicle")
-    foreign = record_tx(other, state_of(4), rsu_keys, ts=1)
-    with pytest.raises(LedgerError, match="ownership"):
-        append(block, foreign)
+    foreign = record_tx(keys_for("other-vehicle"), state_of(4), rsu_keys, ts=1)
+    appended = append(block, foreign)
+    assert appended.entries[-1] == (1, foreign.to_bytes())
+    assert validate_block(block)
+    assert not validate_block(appended)
 
 
 def test_ten_entry_block_numbers_entries_from_zero(vehicle, rsu_keys):
@@ -116,7 +160,7 @@ def test_ten_entry_block_numbers_entries_from_zero(vehicle, rsu_keys):
     assert validate_block(block)
     expected = [genesis] + [record_tx(vehicle_keys, state, rsu_keys, ts=i) for i in range(1, 10)]
     assert [e.seq for e in block.entries] == list(range(10))
-    assert [e.transaction() for e in block.entries] == expected
+    assert [decode_transaction(e.payload) for e in block.entries] == expected
 
 
 def test_validate_rejects_skipped_seq_and_lone_entry_past_zero(vehicle, rsu_keys):
@@ -137,7 +181,7 @@ def test_validate_detects_payload_tamper(vehicle, rsu_keys):
     _, block = grown_block(vehicle, rsu_keys, 5)
     tampered_entry = block.entries[3]._replace(
         payload=dataclasses.replace(
-            block.entries[3].transaction(), rsu_pk=keys_for("evil").public
+            decode_transaction(block.entries[3].payload), rsu_pk=keys_for("evil").public
         ).to_bytes(),
     )
     tampered = dataclasses.replace(
@@ -215,6 +259,27 @@ def test_append_and_prune_hash_nothing(vehicle, rsu_keys, monkeypatch):
     assert (archived, len(block.entries), hashed) == (3, 2, [])
 
 
+def test_write_path_calls_no_transaction_code(vehicle, rsu_keys, monkeypatch):
+    """The ledger is handed bytes: creating, appending, pruning and
+    replacing decode nothing and read no owner from a transaction.
+    """
+    vehicle_keys, state, genesis = vehicle
+    records = [record_tx(vehicle_keys, state, rsu_keys, ts=ts).to_bytes() for ts in (1, 2, 3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the write path called transaction code")
+
+    for name in ("tx_vehicle", "decode_transaction", "read_transaction"):
+        monkeypatch.setattr(ledger_module, name, refuse)
+    ledger = Ledger()
+    block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0)
+    for wire in records:
+        block = ledger_module.append_entry(block, wire)
+    block, archived = prune_to_two(block, MemoryArchive())
+    ledger.replace_block(block)
+    assert (archived, ledger.lookup(vehicle_keys.public)) == (2, block)
+
+
 def test_prune_serialize_and_replay_encode_no_transaction(vehicle, rsu_keys, monkeypatch):
     """Entries keep their payload's wire bytes: pruning, serializing and
     replaying reuse them and encode no transaction.
@@ -235,7 +300,7 @@ def test_prune_serialize_and_replay_encode_no_transaction(vehicle, rsu_keys, mon
 
             monkeypatch.setattr(cls, name, counting)
     pruned, archived = prune_to_two(block, archive)
-    ledger.replace_block(vehicle_keys.public, pruned)
+    ledger.replace_block(pruned)
     blob = ledger.serialize()
     history = reconstruct_history(pruned, archive)
     assert (archived, len(history)) == (2, 7)
@@ -247,7 +312,7 @@ def test_repeated_prune_preserves_auditability(vehicle, rsu_keys):
     vehicle_keys, state, genesis = vehicle
     archive = MemoryArchive()
     ledger = Ledger()
-    block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0, "ar://re")
+    block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0)
     all_payloads = [genesis]
     for i in range(12):
         tx = record_tx(vehicle_keys, state, rsu_keys, ts=i + 1)
@@ -256,7 +321,7 @@ def test_repeated_prune_preserves_auditability(vehicle, rsu_keys):
         block, _ = prune_to_two(block, archive)
         assert validate_block(block)
     history = reconstruct_history(block, archive)
-    assert [e.transaction() for e in history] == all_payloads
+    assert [decode_transaction(e.payload) for e in history] == all_payloads
 
 
 def test_reconstruct_detects_gaps(vehicle, rsu_keys):
@@ -290,24 +355,24 @@ def test_lookup(vehicle):
     ledger = Ledger()
     pk = genesis.vehicle_pk
     assert ledger.lookup(pk) is None
-    ledger.create_block(pk, genesis.to_bytes(), 0, "ar://l")
+    ledger.create_block(pk, genesis.to_bytes(), 0)
     assert ledger.lookup(pk).header.owner_pk == pk
     assert ledger.lookup(keys_for("stranger").public) is None
 
 
 def test_serialized_size_envelope_stable():
-    assert Ledger().serialized_size() == Ledger().serialized_size()
-    assert Ledger().serialized_size() > 0
+    assert Ledger().serialize() == Ledger().serialize()
+    assert len(Ledger().serialize()) > 0
 
 
 def test_serialized_size_grows_per_block(maker_keys):
     ledger = Ledger()
-    sizes = [ledger.serialized_size()]
+    sizes = [len(ledger.serialize())]
     for i in range(20):
         keys = keys_for(f"grow{i}")
         genesis = make_genesis(maker_keys, keys.public, state_of(4), ts=0)
-        ledger.create_block(keys.public, genesis, 0, f"ar://{i:04d}")
-        sizes.append(ledger.serialized_size())
+        ledger.create_block(keys.public, genesis, 0)
+        sizes.append(len(ledger.serialize()))
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
     slope, intercept, r2 = linear_fit(range(len(sizes)), sizes)
     assert r2 > 0.999  # equally sized blocks: near-perfect linear growth
@@ -329,8 +394,8 @@ def test_deserialized_block_without_entries_does_not_validate(vehicle):
     """
     _, _, genesis = vehicle
     ledger = Ledger()
-    block = ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 0, "ar://empty")
-    ledger.replace_block(genesis.vehicle_pk, dataclasses.replace(block, entries=()))
+    block = ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
+    ledger.replace_block(dataclasses.replace(block, entries=()))
     restored = deserialize_ledger(ledger.serialize())
     assert restored.lookup(genesis.vehicle_pk).entries == ()
     assert not restored.validate()

@@ -9,7 +9,7 @@ from conftest import keys_for, state_of
 from ecuchain import _kernels
 from ecuchain.crypto import KeyPair, sha256, verify
 from ecuchain.ecu import compute_state_root, update_ecu
-from ecuchain.ledger import Archive, ArchiveError
+from ecuchain.ledger import Archive, ArchiveError, external_address
 from ecuchain.protocol import (
     MAX_RESPONSE_DELAY_MS,
     ProtocolError,
@@ -34,6 +34,7 @@ from ecuchain.transactions import (
     UpdateTx,
     Verdict,
     decode,
+    decode_transaction,
     signed_by,
     signed_wire,
 )
@@ -487,7 +488,7 @@ def test_recorded_entry_countersignature_verifies(registered, rsu_keys):
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
     assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
-    record = block.entries[-1].transaction()
+    record = decode_transaction(block.entries[-1].payload)
     assert isinstance(record, ChallengeRecordTx)
     assert record.rsu_pk == rsu_keys.public
     assert verify(rsu_keys.public, record.signing_bytes(), record.sig)
@@ -553,6 +554,16 @@ def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
     assert block.entries[-1].payload == request
     assert verify(insurer_keys.public, request[:-64], request[-64:])
     assert authority.ledger.validate()
+
+
+def test_audit_block_is_addressed_like_any_other_block(tiers, insurer_keys):
+    """The audit block's archive address follows the one addressing rule,
+    ``external_address`` of its owner.
+    """
+    authority, _ = tiers
+    submit_request(authority, signed_request(insurer_keys, "q", ts=3))
+    block = authority.ledger.lookup(authority.audit_pk)
+    assert block.header.external_address == external_address(authority.audit_pk)
 
 
 def test_authority_tier_starts_empty_and_first_request_opens_audit_block(

@@ -30,6 +30,7 @@ from ecuchain.transactions import (
     ChallengeRecordTx,
     Countersignature,
     decode,
+    decode_transaction,
     signed_by,
 )
 
@@ -281,7 +282,9 @@ def test_conservation_records_match_valid_verdicts():
         )
         block = world.roadside.ledger.lookup(vehicle.pk)
         history = reconstruct_history(block, world.roadside.archive)
-        records = sum(1 for e in history if isinstance(e.transaction(), ChallengeRecordTx))
+        records = sum(
+            1 for e in history if isinstance(decode_transaction(e.payload), ChallengeRecordTx)
+        )
         assert records == valid
 
 

@@ -47,6 +47,7 @@ from ecuchain.ledger import (
     append_entry,
     decode_block,
     deserialize_ledger,
+    external_address,
     header_hash,
     read_record,
     validate_block,
@@ -55,7 +56,6 @@ from ecuchain.protocol import (
     ReportEvent,
     RoadsideTier,
     build_response,
-    external_address,
     initialize_vehicle,
     issue_challenge,
     make_genesis,
@@ -156,7 +156,7 @@ def _golden():
         ),
     )
     ledger = Ledger()
-    block = ledger.create_block(vehicle.public, genesis_wire, 0, external_address(vehicle.public))
+    block = ledger.create_block(vehicle.public, genesis_wire, 0)
     return {
         "genesis": genesis,
         "response": response,
@@ -268,7 +268,7 @@ def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
     def v1_u64(n: int) -> bytes:
         return prefixed(u64(n))
 
-    tx = entry.transaction()
+    tx = decode_transaction(entry.payload)
     ecus = b"".join(
         v1_u64(r.ecu_id) + prefixed(r.firmware_digest) + v1_u64(r.last_write_ts)
         for r in tx.ecu_list
@@ -294,7 +294,7 @@ def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
     bytes, each ECU record a packed ``>Q32sQ``, signed again by the maker
     over its v2 signing bytes.
     """
-    tx = entry.transaction()
+    tx = decode_transaction(entry.payload)
     ecus = b"".join(u64(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in tx.ecu_list)
     signing = b"".join(
         (
@@ -505,7 +505,7 @@ def _three_entry_block() -> AppendableBlock:
     g = _golden()
     block = g["ledger"].blocks[g["header"].owner_pk]
     for tx in (g["update"], g["record"]):
-        block = append_entry(block, tx, tx.to_bytes())
+        block = append_entry(block, tx.to_bytes())
     return block
 
 
@@ -701,7 +701,7 @@ def test_resealed_creation_time_edit_fails_the_header_chain():
     for i in range(3):
         vehicle = keys_for(f"chain-{i}")
         genesis = make_genesis(maker, vehicle.public, state_of(2), ts=i)
-        ledger.create_block(vehicle.public, genesis, i, external_address(vehicle.public))
+        ledger.create_block(vehicle.public, genesis, i)
     assert ledger.validate()
     newest = len(ledger) - 1
     for i, pk in enumerate(ledger.creation_order):
@@ -904,14 +904,14 @@ def test_retained_block_follows_the_closed_form(n):
     628 B before its first encounter.
     """
     steps = _encounters(n, 5)
-    envelope = Ledger().serialized_size()
+    envelope = len(Ledger().serialize())
     genesis_only = PREFIX + HEADER_SIZE + U64_WIDTH + ENTRY_FRAMING + genesis_size(n) + CHECKSUM
-    assert next(steps).ledger.serialized_size() - envelope == genesis_only
+    assert len(next(steps).ledger.serialize()) - envelope == genesis_only
     retained = PREFIX + HEADER_SIZE + U64_WIDTH + 2 * (ENTRY_FRAMING + record_size(min(3, n)))
     retained += CHECKSUM
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
-            assert roadside.ledger.serialized_size() - envelope == retained
+            assert len(roadside.ledger.serialize()) - envelope == retained
     assert n != 8 or (retained, genesis_only) == (851, 628)
 
 
