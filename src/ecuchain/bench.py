@@ -160,7 +160,7 @@ def bench_create(
     runs: int = RUNS,
 ) -> MetricsReport:
     """Validator-side block creation: verify each genesis transaction,
-    open the block, countersign. One batch of n registrations per sample.
+    open the block. One batch of n registrations per sample.
     """
 
     def make_run(n: int) -> Callable[[int], float]:

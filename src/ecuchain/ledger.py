@@ -16,10 +16,10 @@ The write path takes bytes and works out the rest:
 the newest block's header and addresses the archive with
 ``external_address(owner_pk)``; ``append_entry(block, wire)`` gives the
 entry the next sequence number; ``Ledger.replace_block(block)`` stores a
-block under its header's owner. The ledger keeps the wire bytes a
-transaction arrived as (or that ``signed_wire`` just made), and pruning,
-archiving and ``Ledger.serialize`` reuse them: the ledger never encodes
-a transaction, and its write path decodes none.
+block under its header's owner and refuses a changed header. The ledger
+keeps the wire bytes a transaction arrived as (or that ``signed_wire``
+just made), and pruning, archiving and ``Ledger.serialize`` reuse them:
+the ledger never encodes a transaction, and its write path decodes none.
 
 The ledger verifies nothing on the way in: the protocol has already
 verified each transaction where it entered the tier, or the tier has just
@@ -396,11 +396,15 @@ class Ledger:
         return block
 
     def replace_block(self, block: AppendableBlock) -> None:
-        """Store ``block`` in place of its owner's block."""
-        owner_pk = block.header.owner_pk
-        if owner_pk not in self.blocks:
+        """Store ``block`` in place of its owner's block, whose header it
+        must keep: only the entries change, so the header chain holds.
+        """
+        stored = self.blocks.get(block.header.owner_pk)
+        if stored is None:
             raise LedgerError("unknown block")
-        self.blocks[owner_pk] = block
+        if block.header != stored.header:
+            raise LedgerError("block header changed")
+        self.blocks[block.header.owner_pk] = block
 
     def lookup(self, pk: PublicKey) -> Optional[AppendableBlock]:
         return self.blocks.get(pk)

@@ -3,18 +3,18 @@ updates, and the roadside challenge-response round.
 
 Tier state lives in two containers. The authority tier holds the
 validator keys, the allow-lists, the registered RSUs, the revoked
-vehicles, an audit log (each approved event as one signed
-``Countersignature``'s wire bytes per validator) and an audit-only
-ledger that the first insurer request opens. The roadside tier holds the
-per-vehicle blocks plus the materialized verification profile for each
-vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
-and the last recorded response timestamp); the profile is what a
-roadside unit actually checks a response against, and it survives
-pruning because pruned entries leave the block. Registration sets the
-profile's state from the genesis inventory, and an authorized update is
-the only way it changes: ``apply_upper_update`` applies the update's
-typed ECU record with ``update_ecu`` and requires the signed
-``new_root`` to be that state's root.
+vehicles and an audit-only ledger that the first insurer request opens;
+it signs nothing when it admits an RSU, registers a vehicle or applies
+an update. The roadside tier holds the per-vehicle blocks plus the
+materialized verification profile for each vehicle (the ``EcuState`` the
+ledger vouches for, whose root it caches, and the last recorded response
+timestamp); the profile is what a roadside unit actually checks a
+response against, and it survives pruning because pruned entries leave
+the block. Registration sets the profile's state from the genesis
+inventory, and an authorized update is the only way it changes:
+``apply_upper_update`` applies the update's typed ECU record with
+``update_ecu`` and requires the signed ``new_root`` to be that state's
+root.
 
 Every check on an incoming message is made here. Each entry point takes
 the wire bytes it received, decodes them once, rejects bytes that do not
@@ -30,8 +30,8 @@ the block by the vehicle key the transaction names (the audit block by
 passed: ``create_block(owner_pk, wire, ts)``, ``append_entry(block,
 wire)`` and ``replace_block(block)``. The ledger works out the sequence
 number, the header chain and the archive address, and verifies again
-only when audited. What a tier signs itself, the RSU's challenge record
-and the validators' countersignatures, is not checked again.
+only when audited. What a tier signs itself, the RSU's challenge record,
+is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -51,11 +51,9 @@ from .transactions import (
     RAW32,
     UINT64,
     VERDICT,
-    AuditAction,
     Challenge,
     ChallengeRecordTx,
     ChallengeResponse,
-    Countersignature,
     GenesisTx,
     RequestTx,
     S,
@@ -119,23 +117,11 @@ class AuthorityTier:
     registered_rsus: set[PublicKey] = field(default_factory=set)
     revoked: set[PublicKey] = field(default_factory=set)
     ledger: Ledger = field(default_factory=Ledger)
-    audit_log: list[tuple[bytes, ...]] = field(default_factory=list)
 
     @property
     def audit_pk(self) -> PublicKey:
         """Owner of the audit block: the first validator."""
         return self.validators[0].public
-
-    def countersign(
-        self, action: AuditAction, subject_pk: PublicKey, ts: int
-    ) -> tuple[bytes, ...]:
-        """Log the event as one signed record's bytes per validator, in order."""
-        event = tuple(
-            signed_wire(Countersignature(action, subject_pk, ts, v.public, sig=b""), v)
-            for v in self.validators
-        )
-        self.audit_log.append(event)
-        return event
 
 
 def new_authority_tier(
@@ -177,23 +163,19 @@ def make_genesis(
     return signed_wire(unsigned, maker_keys)
 
 
-def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey, ts: int) -> None:
-    """Admit a roadside unit: the authorities accept its reports from now
-    on, and all validators countersign the registration.
-    """
+def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey) -> None:
+    """Admit a roadside unit: the authorities accept its reports from now on."""
     authority.registered_rsus.add(rsu_pk)
-    authority.countersign(AuditAction.REGISTER_RSU, rsu_pk, ts)
 
 
 def initialize_vehicle(
     authority: AuthorityTier, roadside: RoadsideTier, wire: bytes, ts: int
 ) -> None:
     """Validate a genesis' wire bytes and open the vehicle's block in the
-    roadside tier; all validators countersign the creation. Each rejection
-    is a ``ProtocolError``, in this order: undecodable bytes, an
-    unauthorized maker, an empty or out-of-order ECU list, a wrong state
-    root, a duplicate, a bad signature. Nothing is mutated before every
-    check passes.
+    roadside tier. Each rejection is a ``ProtocolError``, in this order:
+    undecodable bytes, an unauthorized maker, an empty or out-of-order ECU
+    list, a wrong state root, a duplicate, a bad signature. Nothing is
+    mutated before every check passes.
     """
     genesis = received(GenesisTx, wire)
     if genesis.maker_pk not in authority.authorized_makers:
@@ -210,7 +192,6 @@ def initialize_vehicle(
         raise ProtocolError("genesis signature invalid")
     roadside.ledger.create_block(genesis.vehicle_pk, wire, ts)
     roadside.profiles[genesis.vehicle_pk] = VehicleProfile(state=state)
-    authority.countersign(AuditAction.REGISTER, genesis.vehicle_pk, ts)
 
 
 def apply_upper_update(
@@ -245,7 +226,6 @@ def apply_upper_update(
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(pruned)
     profile.state = state
-    authority.countersign(AuditAction.UPDATE, update.vehicle_pk, update.ts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Deterministic discrete-event traffic simulator.
 
 Vehicles travel a 1-D line of roadside units; every coverage entry runs a
-challenge-response round. Both authorities check each report and revoke
-into the authority tier, whose ``revoked`` set refuses the vehicle at
-its next arrival. No insurer request is made, so the authority ledger
-stays empty. Simulated time drives all protocol timestamps, so identical
-configurations (including the seed) replay to byte-identical event logs
-and ledgers.
+challenge-response round. The transport authority checks each report
+once and revokes into the authority tier, whose ``revoked`` set refuses
+the vehicle at its next arrival. No insurer request is made, so the
+authority ledger stays empty. Simulated time drives all protocol
+timestamps, so identical configurations (including the seed) replay to
+byte-identical event logs and ledgers.
 
 Scenario config files are flat ``key = value`` text, each key given once
 except the repeated ``attack = kind,vehicle,round`` and
@@ -299,7 +299,7 @@ class World:
         # An RSU's index in this list is its place on the 1-D road.
         self.rsus = [self._keypair(b"rsu", i) for i in range(config.n_rsus)]
         for rsu in self.rsus:
-            register_rsu(self.authority_tier, rsu.public, ts=0)
+            register_rsu(self.authority_tier, rsu.public)
         self.vehicles: list[VehicleNode] = []
         self.phantoms: list[VehicleNode] = []
         self.actors: dict[str, VehicleNode] = {}
@@ -417,8 +417,8 @@ class World:
 
     def _handle_report(self, event: SimEvent) -> None:
         verdict, report = event.data
-        for authority in self.authorities:
-            authority.receive_report(self.authority_tier, report)
+        # Revocation is tier state, so one authority's check suffices.
+        self.authorities[0].receive_report(self.authority_tier, report)
         self.log(self.clock.now, "report", event.subject, verdict.value)
         self.log(self.clock.now, "revoke", event.subject)
 

@@ -89,19 +89,10 @@ class Codec(NamedTuple):
 # as stored function objects, so that the e2ebench tracer sees every call.
 # ``RAW32`` is a digest or a public key: both are 32 bytes.
 RAW32 = Codec(lambda v: encode_fixed(v, 32), lambda r: r.read_fixed(32))
-UINT8 = Codec(encode_u8, Reader.read_u8)
 UINT16 = Codec(encode_u16, Reader.read_u16)
 UINT64 = Codec(lambda v: encode_u64(v), Reader.read_u64)
 TEXT = Codec(lambda v: encode_str(v), Reader.read_str)
 ECU_LIST = Codec(_encode_ecu_list, _read_ecu_list)
-
-
-class AuditAction(Enum):
-    """A tier event the validators countersign."""
-
-    REGISTER = 0
-    UPDATE = 1
-    REGISTER_RSU = 2
 
 
 def _enum_codec(cls: type[Enum], codec: Codec, what: str) -> Codec:
@@ -120,7 +111,6 @@ def _enum_codec(cls: type[Enum], codec: Codec, what: str) -> Codec:
 
 
 VERDICT = _enum_codec(Verdict, TEXT, "verdict")
-ACTION = _enum_codec(AuditAction, UINT8, "audit action")
 
 S = TypeVar("S")
 
@@ -249,22 +239,6 @@ class ChallengeRecordTx(Signable):
 
 
 Transaction = Union[GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx]
-
-
-@dataclass(frozen=True, slots=True)
-class Countersignature(Signable):
-    """One validator's approval of an authority-tier event: the action, the
-    vehicle or RSU it concerns and when, signed by that validator.
-    """
-
-    action: AuditAction
-    subject_pk: PublicKey
-    ts: int
-    validator_pk: PublicKey
-    sig: Signature
-
-    WIRE = dict(action=ACTION, subject_pk=RAW32, ts=UINT64, validator_pk=RAW32)
-    SIGNER = "validator_pk"
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,7 +74,7 @@ def tier_with_rsu(rsu):
     tier = new_authority_tier(
         validators=(keys_for("auth"),), authorized_makers=(), authorized_insurers=()
     )
-    register_rsu(tier, rsu.public, ts=0)
+    register_rsu(tier, rsu.public)
     return tier
 
 

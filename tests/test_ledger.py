@@ -130,6 +130,20 @@ def test_replace_block_is_keyed_by_the_header_owner(vehicle, rsu_keys):
     assert ledger.blocks == {block.header.owner_pk: block}
 
 
+def test_replace_block_refuses_a_changed_header(maker_keys):
+    """Only the entries of a stored block change: a header edit, which would
+    break the next block's link, is refused before anything is stored.
+    """
+    ledger = fresh_blocks(maker_keys, 2)
+    before = dict(ledger.blocks)
+    first = next(iter(before.values()))
+    edited = dataclasses.replace(first, header=dataclasses.replace(first.header, created_ts=99))
+    with pytest.raises(LedgerError, match="header changed"):
+        ledger.replace_block(edited)
+    assert ledger.blocks == before
+    assert ledger.validate()
+
+
 def test_duplicate_owner_rejected(vehicle):
     _, _, genesis = vehicle
     ledger = Ledger()

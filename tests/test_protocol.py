@@ -28,7 +28,6 @@ from ecuchain.protocol import (
 from ecuchain.transactions import (
     ChallengeRecordTx,
     ChallengeResponse,
-    Countersignature,
     GenesisTx,
     RequestTx,
     UpdateTx,
@@ -170,7 +169,6 @@ def test_initialize_rejects_an_unusable_ecu_list_as_protocol_error(
         initialize_vehicle(authority, roadside, unsigned.to_bytes(), ts=0)
     assert len(roadside.ledger) == 0
     assert not roadside.profiles
-    assert authority.audit_log == []
 
 
 def poison_root(state, root):
@@ -221,12 +219,6 @@ def test_two_hundred_sequential_initializations(tiers, maker_keys):
         initialize_vehicle(authority, roadside, genesis, ts=i)
     assert len(roadside.ledger) == 200
     assert roadside.ledger.validate()
-    assert len(authority.audit_log) == 200
-    validator_pks = {v.public for v in authority.validators}
-    for event in authority.audit_log:
-        records = [decode(Countersignature, wire) for wire in event]
-        assert all(signed_by(cs, wire) for cs, wire in zip(records, event))
-        assert {cs.validator_pk for cs in records} == validator_pks
 
 
 # -- upper-tier update ----------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from ecuchain.adversary import AttackKind
+from ecuchain.crypto import KeyPair
 from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
+from ecuchain.entities import AuthorityNode, perform_maintenance
 from ecuchain.sim import (
     AttackPlanEntry,
     ConfigError,
@@ -24,14 +27,11 @@ from ecuchain.sim import (
     run,
 )
 from ecuchain.ledger import reconstruct_history
+from ecuchain.protocol import apply_upper_update
 from ecuchain.transactions import (
     MAX_ECUS,
-    AuditAction,
     ChallengeRecordTx,
-    Countersignature,
-    decode,
     decode_transaction,
-    signed_by,
 )
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
@@ -163,16 +163,29 @@ def test_build_world_registers_all_vehicles():
 
 def test_build_world_registers_each_rsu():
     world = build_world(SMALL)
-    tier = world.authority_tier
-    assert tier.registered_rsus == {rsu.public for rsu in world.rsus}
-    events = [[decode(Countersignature, wire) for wire in e] for e in tier.audit_log]
-    registrations = [e for e in events if e[0].action is AuditAction.REGISTER_RSU]
-    assert [e[0].subject_pk for e in registrations] == [rsu.public for rsu in world.rsus]
-    validator_pks = {v.public for v in tier.validators}
-    for event, wires in zip(events, tier.audit_log):
-        assert all(signed_by(cs, wire) for cs, wire in zip(event, wires))
-    for event in registrations:
-        assert {cs.validator_pk for cs in event} == validator_pks
+    assert world.authority_tier.registered_rsus == {rsu.public for rsu in world.rsus}
+
+
+def test_setup_signs_only_the_geneses_and_an_update_signs_nothing(monkeypatch):
+    """The tiers sign nothing when they admit an RSU, register a vehicle or
+    apply an update: set-up signs once per maker-signed genesis.
+    """
+    signers = []
+    original = KeyPair.sign
+
+    def counting(self, message):
+        signers.append(self.public)
+        return original(self, message)
+
+    monkeypatch.setattr(KeyPair, "sign", counting)
+    world = build_world(SimConfig(n_vehicles=3, n_rsus=2, seed=5))
+    assert signers == [world.maker.public] * 3
+    vehicle = world.vehicles[0]
+    update = perform_maintenance(world.technician, vehicle, 1, b"fw-v2", ts=5)
+    del signers[:]
+    apply_upper_update(world.authority_tier, world.roadside, update)
+    assert signers == []
+    assert world.roadside.profiles[vehicle.pk].state == vehicle.ecu_state
 
 
 def test_build_world_deterministic():
@@ -182,8 +195,6 @@ def test_build_world_deterministic():
 
 
 def test_seed_changes_key_material():
-    import dataclasses
-
     a = build_world(SMALL).roadside.ledger.serialize()
     b = build_world(dataclasses.replace(SMALL, seed=SMALL.seed + 1)).roadside.ledger.serialize()
     assert a != b
@@ -344,6 +355,27 @@ def test_revocations_match_reports():
     }
     assert set(result.report.revoked) == reported == {"v0", "v3"}
     assert world.authority_tier.revoked == {world.actors[s].pk for s in reported}
+
+
+def test_each_report_is_checked_once(monkeypatch):
+    """One authority checks each report: ``receive_report`` runs once per
+    ``report`` line, and the report still revokes.
+    """
+    received = []
+    original = AuthorityNode.receive_report
+
+    def counting(self, tier, wire):
+        received.append(wire)
+        return original(self, tier, wire)
+
+    monkeypatch.setattr(AuthorityNode, "receive_report", counting)
+    cfg = dataclasses.replace(SMALL, attacks=(AttackPlanEntry(AttackKind.REPLAY, 1, 2),))
+    world = build_world(cfg)
+    result = run(world)
+    reports = [line for line in result.event_log if line.split("\t")[1] == "report"]
+    assert len(reports) == 1
+    assert len(received) == len(reports)
+    assert result.report.revoked == ("v1",)
 
 
 def test_maintenance_keeps_vehicle_valid():

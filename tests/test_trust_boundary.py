@@ -13,7 +13,7 @@ rejects any other bad input, and checks the signature with
 only place that verifies, and ``signed_wire`` the only place that signs.
 The ledger verifies nothing on the way in: ``Ledger.create_block`` and
 ``append_entry`` keep the bytes the protocol passed, and what a tier
-signed itself, such as the RSU countersignature; they read no owner from
+signed itself, such as the RSU's challenge record; they read no owner from
 a transaction either. ``validate_block`` re-verifies every retained
 entry, and on replay every archived one. An
 update that is signed but inconsistent with the state the roadside tier
@@ -58,10 +58,8 @@ from ecuchain.protocol import (
 from ecuchain.transactions import (
     MAX_ECUS,
     TAG_UPDATE,
-    AuditAction,
     ChallengeRecordTx,
     ChallengeResponse,
-    Countersignature,
     GenesisTx,
     RequestTx,
     UpdateTx,
@@ -157,13 +155,6 @@ UNSIGNED = [
         ts=3,
         sig=b"",
     ),
-    Countersignature(
-        action=AuditAction.REGISTER,
-        subject_pk=keys_for("vehicle").public,
-        ts=3,
-        validator_pk=SIGNER.public,
-        sig=b"",
-    ),
 ]
 
 
@@ -191,30 +182,6 @@ def test_signed_by_accepts_only_the_signers_intact_signature(unsigned):
         except WireError:
             continue
         assert signed_by(tx, forged) is False
-
-
-def test_countersign_makes_one_signed_record_per_validator(tiers, vehicle_keys):
-    """Each validator signs its own record of the event, in validator
-    order, kept as its wire bytes; a record with any field changed no
-    longer verifies.
-    """
-    authority, _ = tiers
-    event = authority.countersign(AuditAction.UPDATE, vehicle_keys.public, ts=4)
-    assert authority.audit_log == [event]
-    records = [decode(Countersignature, wire) for wire in event]
-    assert [cs.validator_pk for cs in records] == [v.public for v in authority.validators]
-    other = keys_for("other").public
-    for cs, wire in zip(records, event):
-        assert (cs.action, cs.subject_pk, cs.ts) == (AuditAction.UPDATE, vehicle_keys.public, 4)
-        assert signed_by(cs, wire)
-        changed = [
-            dataclasses.replace(cs, action=AuditAction.REGISTER),
-            dataclasses.replace(cs, subject_pk=other),
-            dataclasses.replace(cs, ts=5),
-            dataclasses.replace(cs, validator_pk=other),
-        ]
-        for forged in changed:
-            assert signed_by(forged, forged.to_bytes()) is False
 
 
 # -- submit_request and append_entry -----------------------------------------------
@@ -249,12 +216,10 @@ def test_initialize_bad_signature_leaves_tiers_unchanged(
     authority, roadside = tiers
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
     forged = dataclasses.replace(decode(GenesisTx, genesis), ts=1)
-    audit_before = list(authority.audit_log)
     with pytest.raises(ProtocolError, match="signature"):
         initialize_vehicle(authority, roadside, forged.to_bytes(), ts=0)
     assert len(roadside.ledger) == 0
     assert not roadside.profiles
-    assert authority.audit_log == audit_before
 
 
 def test_update_bad_signature_leaves_block_unchanged(registered, maker_keys):
@@ -328,7 +293,7 @@ def test_report_verified_by_each_receiving_authority(
     tiers, rsu_keys, vehicle_keys, verify_calls
 ):
     tier, _ = tiers
-    register_rsu(tier, rsu_keys.public, ts=0)
+    register_rsu(tier, rsu_keys.public)
     authorities = [AuthorityNode(keys=keys_for(r)) for r in ("transport", "legal")]
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
     assert not verify_calls
@@ -378,35 +343,35 @@ HOSTILE = [
 
 @pytest.mark.parametrize("kind, expected", HOSTILE, ids=[kind for kind, _ in HOSTILE])
 def test_record_response_records_nothing_unverified(registered, rsu_keys, kind, expected):
-    authority, roadside, vehicle_keys, state = registered
+    _, roadside, vehicle_keys, state = registered
     # Two recorded rounds: the next record would prune to the archive.
     for ts in (7, 8):
         challenge, last = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
         assert record_response(rsu_keys, roadside, challenge, last) is Verdict.VALID
     honest = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
     challenge, response = hostile_round(kind, vehicle_keys, *honest, last)
-    before = tier_snapshot(authority, roadside, vehicle_keys.public)
+    before = tier_snapshot(roadside, vehicle_keys.public)
     assert verdict_of(roadside, challenge, response) is expected
     assert record_response(rsu_keys, roadside, challenge, response) is expected
-    assert tier_snapshot(authority, roadside, vehicle_keys.public) == before
+    assert tier_snapshot(roadside, vehicle_keys.public) == before
 
 
 def test_record_response_refuses_another_rsus_challenge(registered, rsu_keys, verify_calls):
     """An RSU records only answers to its own challenges: a Valid response
     to another RSU's challenge is refused before anything is verified.
     """
-    authority, roadside, vehicle_keys, state = registered
+    _, roadside, vehicle_keys, state = registered
     for ts in (7, 8):
         challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
         assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
     assert verdict_of(roadside, challenge, response) is Verdict.VALID
-    before = tier_snapshot(authority, roadside, vehicle_keys.public)
+    before = tier_snapshot(roadside, vehicle_keys.public)
     del verify_calls[:]
     with pytest.raises(ProtocolError, match="another RSU"):
         record_response(keys_for("rsu2"), roadside, challenge, response)
     assert verify_calls == []
-    assert tier_snapshot(authority, roadside, vehicle_keys.public) == before
+    assert tier_snapshot(roadside, vehicle_keys.public) == before
 
 
 # -- stale bytes ---------------------------------------------------------------------
@@ -549,23 +514,22 @@ def _fresh_update_world():
 _update_world = functools.lru_cache(maxsize=None)(_fresh_update_world)
 
 
-def tier_snapshot(authority, roadside, vehicle_pk):
+def tier_snapshot(roadside, vehicle_pk):
     block = roadside.ledger.lookup(vehicle_pk)
     return (
         block,
         roadside.archive.read(block.header.external_address),
         dataclasses.replace(roadside.profiles[vehicle_pk]),
-        list(authority.audit_log),
     )
 
 
 def assert_update_rejected(update, match):
     authority, roadside, _, honest, _ = _update_world()
     vehicle_pk = decode(UpdateTx, honest).vehicle_pk
-    before = tier_snapshot(authority, roadside, vehicle_pk)
+    before = tier_snapshot(roadside, vehicle_pk)
     with pytest.raises(ProtocolError, match=match):
         apply_upper_update(authority, roadside, update)
-    assert tier_snapshot(authority, roadside, vehicle_pk) == before
+    assert tier_snapshot(roadside, vehicle_pk) == before
 
 
 def test_update_world_accepts_its_honest_update():
@@ -697,19 +661,13 @@ def test_report_and_audit_event_with_wrong_width_key_do_not_verify(
     tiers, rsu_keys, vehicle_keys
 ):
     authority, _ = tiers
-    register_rsu(authority, rsu_keys.public, ts=0)
+    register_rsu(authority, rsu_keys.public)
     event = report_malicious(rsu_keys, vehicle_keys.public, Verdict.STATE_MISMATCH, ts=3)
     receiver = AuthorityNode(keys=keys_for("transport"))
     for forged in wrong_widths(decode(ReportEvent, event), "vehicle_pk"):
         with pytest.raises(ProtocolError, match="does not decode"):
             receiver.receive_report(authority, forged)
     assert not authority.revoked
-    for wire in authority.countersign(AuditAction.REGISTER, vehicle_keys.public, ts=3):
-        cs = decode(Countersignature, wire)
-        assert signed_by(cs, wire)
-        for forged in wrong_widths(cs, "subject_pk"):
-            with pytest.raises(WireError):
-                decode(Countersignature, forged)
 
 
 def test_update_with_metadata_string_layout_does_not_decode():
@@ -749,7 +707,7 @@ def _boundary_world():
         authorized_makers=(maker.public,),
         authorized_insurers=(insurer.public,),
     )
-    register_rsu(authority, rsu.public, ts=0)
+    register_rsu(authority, rsu.public)
     roadside = RoadsideTier()
     state = state_of(8)
     initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
@@ -786,7 +744,6 @@ def both_tiers(authority, roadside):
         {pk: dataclasses.replace(p) for pk, p in roadside.profiles.items()},
         set(authority.revoked),
         set(authority.registered_rsus),
-        len(authority.audit_log),
         authority.ledger.serialize(),
     )
 

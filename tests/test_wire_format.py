@@ -67,11 +67,9 @@ from ecuchain.transactions import (
     MAX_ECUS,
     RAW32,
     TAG_GENESIS,
-    AuditAction,
     Challenge,
     ChallengeRecordTx,
     ChallengeResponse,
-    Countersignature,
     GenesisTx,
     RequestTx,
     Signable,
@@ -141,20 +139,6 @@ def _golden():
     report = decode(
         ReportEvent, report_malicious(rsu, vehicle.public, Verdict.STATE_MISMATCH, ts=5)
     )
-    transport = keys_for("transport")
-    countersignature = decode(
-        Countersignature,
-        signed_wire(
-            Countersignature(
-            action=AuditAction.UPDATE,
-            subject_pk=vehicle.public,
-            ts=9,
-                validator_pk=transport.public,
-                sig=b"",
-            ),
-            transport,
-        ),
-    )
     ledger = Ledger()
     block = ledger.create_block(vehicle.public, genesis_wire, 0)
     return {
@@ -164,7 +148,6 @@ def _golden():
         "update": update,
         "request": request,
         "report": report,
-        "countersignature": countersignature,
         "header": block.header,
         "entry": block.entries[0],
         "ledger": ledger,
@@ -178,10 +161,6 @@ GOLDEN = {
     "genesis": (507, "b9d08e5bd710054c290c9350e8c37907e24db403189ce974a336a6689107c833"),
     "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
     "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
-    "countersignature": (
-        137,
-        "f97f26c1be5532da574c87c6b1d48749a277473be2a00fe421c7a8718db089ec",
-    ),
     "entry": (8 + 507, "edbf343756a91dbdea63532a23a19c711344d08945d59f451e1159cbe9e9f60e"),
     "header": (97, "9fa721f32f319a71bc8ca3789261f37b36ff3a59537d7458ea82399f79e5cf61"),
     "ledger": (645, "88584570e02e6bddc2d65ee3960289bde3604539bfd8058449cf74dbe9b1441f"),
@@ -194,7 +173,7 @@ def _wire(obj) -> bytes:
     if isinstance(obj, LedgerEntry):
         # An entry's bytes are its record, as a block and the archive keep it.
         return u64(obj.seq) + obj.payload
-    if isinstance(obj, (ReportEvent, Countersignature)):
+    if isinstance(obj, ReportEvent):
         # Spelled out rather than ``to_bytes()``: this pins what is signed and sent.
         return obj.signing_bytes() + obj.sig
     return obj.to_bytes()
@@ -228,14 +207,6 @@ def test_genesis_and_update_layout_by_hand():
     assert update.to_bytes() == (
         u8(1) + update.new_root + u64(9) + update.vehicle_pk + update.maintainer_pk
         + u16(3) + update.firmware_digest + update.sig
-    )
-
-
-def test_countersignature_layout_by_hand():
-    cs = _golden()["countersignature"]
-    assert [a.value for a in AuditAction] == [0, 1, 2]
-    assert cs.to_bytes() == (
-        u8(AuditAction.UPDATE.value) + cs.subject_pk + u64(9) + cs.validator_pk + cs.sig
     )
 
 
@@ -438,27 +409,16 @@ reports = st.builds(
     ts=u64s,
     sig=sigs,
 )
-countersignatures = st.builds(
-    Countersignature,
-    action=st.sampled_from(AuditAction),
-    subject_pk=digests,
-    ts=u64s,
-    validator_pk=digests,
-    sig=sigs,
-)
 
 
 decode_response = functools.partial(decode, ChallengeResponse)
 decode_report = functools.partial(decode, ReportEvent)
-decode_countersignature = functools.partial(decode, Countersignature)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(transactions, reports, countersignatures))
+@given(st.one_of(transactions, reports))
 def test_transaction_round_trip(tx):
-    decode = {ReportEvent: decode_report, Countersignature: decode_countersignature}.get(
-        type(tx), decode_transaction
-    )
+    decode = decode_report if isinstance(tx, ReportEvent) else decode_transaction
     assert decode(tx.to_bytes()) == tx
 
 
@@ -537,14 +497,6 @@ def _valid_inputs():
         "block": (decode_block, to_bytes, [block.to_bytes()]),
         "ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
         "report": (decode_report, to_bytes, [g["report"].to_bytes()]),
-        "countersignature": (
-            decode_countersignature,
-            to_bytes,
-            [
-                dataclasses.replace(g["countersignature"], action=action).to_bytes()
-                for action in AuditAction
-            ],
-        ),
         "sealed block": (decode_block, to_bytes, [block.to_bytes()[:-4]]),
         "sealed ledger": (deserialize_ledger, Ledger.serialize, [ledger.serialize()]),
     }
@@ -597,7 +549,6 @@ def hostile(draw, valid: list[bytes]):
         "block",
         "ledger",
         "report",
-        "countersignature",
         "sealed block",
         "sealed ledger",
     ],
@@ -737,7 +688,6 @@ SIGNED_TYPES = (
     ChallengeResponse,
     ChallengeRecordTx,
     ReportEvent,
-    Countersignature,
 )
 
 
@@ -765,14 +715,6 @@ def test_unknown_verdict_name_raises_wire_error():
     data = report.to_bytes().replace(b"StateMismatch", b"StateMismatcX")
     with pytest.raises(WireError, match="unknown verdict"):
         decode_report(data)
-
-
-def test_unknown_audit_action_byte_raises_wire_error():
-    data = bytearray(_golden()["countersignature"].to_bytes())
-    for byte in (len(AuditAction), 0xFF):
-        data[0] = byte
-        with pytest.raises(WireError, match="unknown audit action"):
-            decode_countersignature(bytes(data))
 
 
 # -- the ECU limit -----------------------------------------------------------------------------
