@@ -13,8 +13,7 @@ front of the retained ones.
 
 The write path takes bytes and works out the rest:
 ``Ledger.create_block(owner_pk, genesis, ts)`` chains the new header to
-the newest block's header and addresses the archive with
-``external_address(owner_pk)``; ``append_entry(block, wire)`` gives the
+the newest block's header; ``append_entry(block, wire)`` gives the
 entry the next sequence number; ``Ledger.replace_block(block)`` stores a
 block under its header's owner and refuses a changed header. The ledger
 keeps the wire bytes a transaction arrived as (or that ``signed_wire``
@@ -45,15 +44,18 @@ payload fails its signature, a changed ``seq`` the consecutive sequence
 check, and a changed ``created_ts`` on any block but the newest the
 header chain in ``Ledger.validate``.
 
-Bytes are wire format v3 (see ``wire``). A header is the owner key and the
-previous header hash (32 raw bytes each), the creation timestamp (8 bytes)
-and the external address (a length-prefixed string). A block is its
-header, an 8-byte entry count, each entry's record (the 8-byte sequence
-number, then the payload, which fixes its own length) and a big-endian
-CRC32 of all that: 8 bytes of framing per entry and 4 per block.
-``Ledger.serialize`` writes the magic ``ECUL5``, an 8-byte block count and
-each block behind a u32 length. There is no reader for older layouts
-(magics ``ECUL1`` to ``ECUL4``): such bytes raise ``WireError``.
+Bytes are wire format v3 (see ``wire``), and a block stores only what the
+ledger cannot derive. A header is the owner key and the previous header
+hash (32 raw bytes each) and the creation timestamp (8 bytes): 72 bytes.
+The archive address is not stored: ``BlockHeader.external_address`` is
+``external_address(owner_pk)``. A block is its header, each entry's record
+(the 8-byte sequence number, then the payload, which fixes its own length)
+and a big-endian CRC32 of all that: 8 bytes of framing per entry and 4 per
+block. No entry count is stored: ``decode_block`` reads records until the
+checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL6``,
+then each block behind a u32 length until the data ends. There is no
+reader for older layouts (magics ``ECUL1`` to ``ECUL5``): such bytes raise
+``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
@@ -91,11 +93,10 @@ from .wire import (
     WireError,
     encode_bytes,
     encode_fixed,
-    encode_str,
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL5"
+LEDGER_MAGIC = b"ECUL6"
 # First bytes of every ``FileArchive`` file.
 ARCHIVE_MAGIC = b"ECUA4"
 
@@ -113,7 +114,11 @@ class BlockHeader:
     owner_pk: PublicKey
     prev_header_hash: Digest
     created_ts: int
-    external_address: str
+
+    @property
+    def external_address(self) -> str:
+        """Where pruning archives this block's entries: derived, not stored."""
+        return external_address(self.owner_pk)
 
     def to_bytes(self) -> bytes:
         return b"".join(
@@ -121,7 +126,6 @@ class BlockHeader:
                 encode_fixed(self.owner_pk, PUBLIC_KEY_LEN),
                 encode_fixed(self.prev_header_hash, DIGEST_LEN),
                 encode_u64(self.created_ts),
-                encode_str(self.external_address),
             )
         )
 
@@ -131,7 +135,7 @@ def header_hash(header: BlockHeader) -> Digest:
 
 
 def external_address(owner_pk: PublicKey) -> str:
-    """Archive locator written into the header of ``owner_pk``'s block."""
+    """Archive locator of ``owner_pk``'s block."""
     return "ar://" + owner_pk.hex()[:16]
 
 
@@ -154,9 +158,7 @@ class AppendableBlock:
     entries: tuple[LedgerEntry, ...]
 
     def to_bytes(self) -> bytes:
-        body = b"".join(
-            (self.header.to_bytes(), encode_u64(len(self.entries)), write_records(self.entries))
-        )
+        body = self.header.to_bytes() + write_records(self.entries)
         return body + U32.pack(zlib.crc32(body))
 
 
@@ -179,7 +181,8 @@ def read_record(r: Reader, data: bytes) -> LedgerEntry:
 
 def decode_block(data: bytes) -> AppendableBlock:
     """Raises ``WireError`` unless the trailing CRC32 matches, checked
-    first, and the bytes before it parse exactly.
+    first, and the bytes before it parse exactly: a header, then whole
+    records up to the end.
     """
     body = data[: -U32.size]
     if len(data) < U32.size or U32.pack(zlib.crc32(body)) != data[-U32.size :]:
@@ -189,14 +192,11 @@ def decode_block(data: bytes) -> AppendableBlock:
         owner_pk=r.read_fixed(PUBLIC_KEY_LEN),
         prev_header_hash=r.read_fixed(DIGEST_LEN),
         created_ts=r.read_u64(),
-        external_address=r.read_str(),
     )
-    count = r.read_u64()
-    if count > 10_000_000:
-        raise WireError(f"implausible entry count {count}")
-    entries = tuple(read_record(r, body) for _ in range(count))
-    r.finish()
-    return AppendableBlock(header=header, entries=entries)
+    entries = []
+    while r.remaining:
+        entries.append(read_record(r, body))
+    return AppendableBlock(header=header, entries=tuple(entries))
 
 
 def validate_block(block: AppendableBlock) -> bool:
@@ -379,8 +379,7 @@ class Ledger:
     def create_block(self, owner_pk: PublicKey, genesis: bytes, ts: int) -> AppendableBlock:
         """Open a block for ``owner_pk`` whose first entry keeps ``genesis``,
         the wire bytes of a transaction the caller has verified. Its header
-        chains to the newest block's header and holds the owner's
-        ``external_address``.
+        chains to the newest block's header.
         """
         if owner_pk in self.blocks:
             raise LedgerError("block exists")
@@ -389,7 +388,6 @@ class Ledger:
             owner_pk=owner_pk,
             prev_header_hash=ZERO_DIGEST if newest is None else header_hash(newest.header),
             created_ts=ts,
-            external_address=external_address(owner_pk),
         )
         block = AppendableBlock(header=header, entries=(LedgerEntry(0, genesis),))
         self.blocks[owner_pk] = block
@@ -410,7 +408,7 @@ class Ledger:
         return self.blocks.get(pk)
 
     def serialize(self) -> bytes:
-        parts = [encode_bytes(LEDGER_MAGIC), encode_u64(len(self.blocks))]
+        parts = [encode_bytes(LEDGER_MAGIC)]
         for block in self.blocks.values():
             parts.append(encode_bytes(block.to_bytes()))
         return b"".join(parts)
@@ -431,13 +429,11 @@ def deserialize_ledger(data: bytes) -> Ledger:
     r = Reader(data)
     if r.read_bytes() != LEDGER_MAGIC:
         raise WireError("bad ledger magic")
-    count = r.read_u64()
     ledger = Ledger()
-    for _ in range(count):
+    while r.remaining:
         block = decode_block(r.read_bytes())
         pk = block.header.owner_pk
         if pk in ledger.blocks:
             raise WireError("duplicate block owner")
         ledger.blocks[pk] = block
-    r.finish()
     return ledger

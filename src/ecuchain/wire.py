@@ -3,7 +3,7 @@
 Rules: fields are encoded in declaration order. An integer is raw
 big-endian bytes, as wide as its domain: a transaction's variant tag is 1
 byte, an ECU id or ECU-list count 2 bytes, and every other integer
-(timestamps, sequence numbers, entry and block counts) 8 bytes. A
+(timestamps, sequence numbers) 8 bytes. A
 fixed-width field (a 32-byte digest or public key, a 64-byte signature) is
 written raw, its width fixed by its type. Only a variable-length field
 carries a 4-byte big-endian length prefix: a UTF-8 string, or nested wire

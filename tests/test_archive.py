@@ -316,7 +316,7 @@ def _shifted_seqs(block, records):
     replay must not.
     """
     body = bytearray(block.to_bytes()[:-4])
-    at = len(block.header.to_bytes()) + 8  # past the header and entry count
+    at = len(block.header.to_bytes())  # past the header
     for entry in block.entries:
         body[at : at + 8] = (entry.seq + 100).to_bytes(8, "big")
         at += 8 + len(entry.payload)

@@ -40,8 +40,8 @@ DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
 # of its archive records (see ``archive_digest``). The demo makes no insurer
 # request, so its authority ledger is empty.
-DEMO_ROADSIDE_LEDGER_SHA256 = "6bc3d2b1403930dd617b0bd90b1fa26d197e54d8ede6751b1fd0610c99eeffe0"
-DEMO_AUTHORITY_LEDGER_SHA256 = "b11c907a07fd39aeae722b9218e0e4a1d43b9785dc19bcacc3b57f82a21484fe"
+DEMO_ROADSIDE_LEDGER_SHA256 = "96aa802b306cf6af5075ec617fc89919295052ac117e967e7400bac920e230b4"
+DEMO_AUTHORITY_LEDGER_SHA256 = "b4c657a259158b63c3c04e30b046505ca4fae1e262d774df8c6f0ac5b6b3b7cc"
 DEMO_ARCHIVE_SHA256 = "46467e9781e8adbaa8f73cee96bfaaa321b3be1192fd045da419fa581688b98c"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)

@@ -8,14 +8,15 @@ integer as 8 raw big-endian bytes, digests, keys and signatures raw, a
 challenge record's response embedded unprefixed, a u32 length prefix
 only on strings and on blocks in the ledger envelope) and the block layout (each entry as its
 ``(seq, payload)`` record, and a CRC32 at the end). Bytes in the v1 layout
-(a length prefix on every field), the v2 layout (every integer 8 bytes)
-and the ``ECUL4`` block layout (a linked, length-prefixed entry) are only
-ever written here, and nothing decodes them. Every decoder and the file
-archive raise only ``WireError`` or ``ArchiveError`` on hostile bytes, also
-behind a re-sealed checksum, and decoding is canonical: hostile bytes that
-decode re-encode to themselves. An entry that keeps hostile payload bytes
-fails ``validate_block``, and so does a block whose bytes were edited and
-re-sealed.
+(a length prefix on every field), the v2 layout (every integer 8 bytes),
+the ``ECUL4`` block layout (a linked, length-prefixed entry) and the
+``ECUL5`` layout (a stored archive address and entry and block counts)
+are only ever written here, and nothing decodes them. Every decoder and
+the file archive raise only ``WireError`` or ``ArchiveError`` on hostile
+bytes, also behind a re-sealed checksum, and decoding is canonical:
+hostile bytes that decode re-encode to themselves. An entry that keeps
+hostile payload bytes fails ``validate_block``, and so does a block whose
+bytes were edited and re-sealed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from ecuchain.ledger import (
     decode_block,
     deserialize_ledger,
     external_address,
-    header_hash,
     read_record,
     validate_block,
 )
@@ -162,8 +162,8 @@ GOLDEN = {
     "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
     "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
     "entry": (8 + 507, "edbf343756a91dbdea63532a23a19c711344d08945d59f451e1159cbe9e9f60e"),
-    "header": (97, "9fa721f32f319a71bc8ca3789261f37b36ff3a59537d7458ea82399f79e5cf61"),
-    "ledger": (645, "88584570e02e6bddc2d65ee3960289bde3604539bfd8058449cf74dbe9b1441f"),
+    "header": (72, "cd0b5590e7820117be6f7441ccea5be7a545a9cfc9692fc303a3ce47cbe74de0"),
+    "ledger": (604, "31098b2a91a2e84195b3fcec042203e5306bd6a96d7ae292f027417b7b0a15a1"),
 }
 
 
@@ -213,22 +213,30 @@ def test_genesis_and_update_layout_by_hand():
 def test_header_entry_and_envelope_layout_by_hand():
     g = _golden()
     header, ledger = g["header"], g["ledger"]
-    address = external_address(header.owner_pk).encode()
-    assert header.to_bytes() == header.owner_pk + ZERO_DIGEST + u64(0) + prefixed(address)
-    block = sealed(header.to_bytes() + u64(1) + u64(0) + g["genesis"].to_bytes())
+    assert header.to_bytes() == header.owner_pk + ZERO_DIGEST + u64(0)
+    assert header.external_address == external_address(header.owner_pk)
+    block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
     assert ledger.blocks[header.owner_pk].to_bytes() == block
-    assert ledger.serialize() == prefixed(b"ECUL5") + u64(1) + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECUL6") + prefixed(block)
 
 
 # -- older layouts are not read -----------------------------------------------------------
 
 
+def _v5_header() -> bytes:
+    """The golden header as layouts before ``ECUL6`` wrote it: the archive
+    address followed it as a length-prefixed string.
+    """
+    header = _golden()["header"]
+    return header.to_bytes() + prefixed(header.external_address.encode())
+
+
 def _old_link() -> bytes:
     """The ``prev_link`` that layouts before ``ECUL5`` stored for the golden
-    genesis entry: the hash of its block's header, as a block's first
-    entry was linked.
+    genesis entry: the hash of its block's header as they wrote it, as a
+    block's first entry was linked.
     """
-    return header_hash(_golden()["header"])
+    return hashlib.sha256(_v5_header()).digest()
 
 
 def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
@@ -304,7 +312,7 @@ def test_v1_ledger_blob_raises_wire_error():
     v1_blob = prefixed(b"ECUL1") + prefixed(u64(1)) + prefixed(v1_block)
     # Wire format v2 wrote this genesis-only ledger under the magic ECUL3 (the
     # bytes its golden vector pinned) and, with the same body, under ECUL2.
-    v2_block = header.to_bytes() + u64(1) + _v2_genesis_entry(g["entry"])
+    v2_block = _v5_header() + u64(1) + _v2_genesis_entry(g["entry"])
     ecul2_blob, ecul3_blob = (
         prefixed(magic) + u64(1) + prefixed(v2_block) for magic in (b"ECUL2", b"ECUL3")
     )
@@ -315,17 +323,25 @@ def test_v1_ledger_blob_raises_wire_error():
     )
     # The same ledger in the ECUL4 layout: wire format v3, linked entries and
     # no checksum.
-    v4_block = header.to_bytes() + u64(1) + _v4_entry(g["entry"])
+    v4_block = _v5_header() + u64(1) + _v4_entry(g["entry"])
     ecul4_blob = prefixed(b"ECUL4") + u64(1) + prefixed(v4_block)
     assert (len(ecul4_blob), sha(ecul4_blob)) == (
         677,
         "55ab1fb23e48b09da4bd993b50745bbdd7ad65d122e02fcf266db00a15a9fcb3",
     )
-    assert LEDGER_MAGIC == b"ECUL5"
-    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob):
+    # The same ledger in the ECUL5 layout: a stored archive address, an entry
+    # count and a block count (the bytes its golden vector pinned).
+    v5_block = sealed(_v5_header() + u64(1) + u64(0) + g["genesis"].to_bytes())
+    ecul5_blob = prefixed(b"ECUL5") + u64(1) + prefixed(v5_block)
+    assert (len(ecul5_blob), sha(ecul5_blob)) == (
+        645,
+        "88584570e02e6bddc2d65ee3960289bde3604539bfd8058449cf74dbe9b1441f",
+    )
+    assert LEDGER_MAGIC == b"ECUL6"
+    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob):
         with pytest.raises(WireError):
             deserialize_ledger(blob)
-    for block in (v1_block, v2_block, v4_block):
+    for block in (v1_block, v2_block, v4_block, v5_block):
         with pytest.raises(WireError):
             decode_block(block)
 
@@ -393,7 +409,6 @@ headers = st.builds(
     owner_pk=digests,
     prev_header_hash=digests,
     created_ts=u64s,
-    external_address=st.text(max_size=30),
 )
 
 
@@ -510,7 +525,7 @@ def reseal_ledger(data: bytes) -> bytes:
     r = Reader(data)
     try:
         r.read_bytes()
-        for _ in range(r.read_u64()):
+        while r.remaining:
             block = r.read_bytes()
             end = len(data) - r.remaining
             if len(block) >= 4:
@@ -615,7 +630,7 @@ def _edited_and_resealed(block: AppendableBlock, offset: int, value: bytes) -> b
 
 def _record_offsets(block: AppendableBlock) -> list[int]:
     """Where each entry's record starts in ``block``'s bytes."""
-    offset, offsets = len(block.header.to_bytes()) + 8, []
+    offset, offsets = len(block.header.to_bytes()), []
     for entry in block.entries:
         offsets.append(offset)
         offset += 8 + len(entry.payload)
@@ -640,6 +655,22 @@ def test_resealed_edits_fail_the_signature_sequence_and_owner_checks():
     for offset, value in edits:
         tampered = decode_block(_edited_and_resealed(block, offset, value))
         assert validate_block(tampered) is False, offset
+
+
+def test_resealed_block_cut_inside_a_record_raises_wire_error():
+    """No entry count is stored, so the end of the checksummed body bounds
+    the entries: a block cut anywhere inside a record and re-sealed raises
+    ``WireError``, and one cut where a record starts decodes to the records
+    before it.
+    """
+    block = _three_entry_block()
+    body = block.to_bytes()[:-4]
+    starts = _record_offsets(block)
+    for i, (start, end) in enumerate(zip(starts, [*starts[1:], len(body)])):
+        assert decode_block(sealed(body[:start])).entries == block.entries[:i]
+        for cut in range(start + 1, end):
+            with pytest.raises(WireError):
+                decode_block(sealed(body[:cut]))
 
 
 def test_resealed_creation_time_edit_fails_the_header_chain():
@@ -769,8 +800,8 @@ def test_ecu_id_or_list_past_the_limit_raises_wire_error():
 TAG, ECU_ID, ECU_COUNT, U64_WIDTH, DIGEST, KEY, SIG, PREFIX = 1, 2, 2, 8, 32, 32, 64, 4
 ECU = ECU_ID + DIGEST + U64_WIDTH  # id, firmware digest, last-write time
 UPDATE_SIZE = TAG + DIGEST + U64_WIDTH + KEY + KEY + ECU_ID + DIGEST + SIG
-# Owner key, previous header hash, creation time, and "ar://" plus 16 hex digits.
-HEADER_SIZE = KEY + DIGEST + U64_WIDTH + PREFIX + 21
+# Owner key, previous header hash and creation time.
+HEADER_SIZE = KEY + DIGEST + U64_WIDTH
 ENTRY_FRAMING = U64_WIDTH  # seq; the payload fixes its own length
 CHECKSUM = 4  # a block's CRC32
 
@@ -842,19 +873,19 @@ def _encounters(n: int, count: int):
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_retained_block_follows_the_closed_form(n):
     """After two or more encounters a vehicle's block holds its header and
-    two challenge records: 851 B in the ledger for an 8-ECU vehicle, and
-    628 B before its first encounter.
+    two challenge records: 818 B in the ledger for an 8-ECU vehicle, and
+    595 B before its first encounter.
     """
     steps = _encounters(n, 5)
     envelope = len(Ledger().serialize())
-    genesis_only = PREFIX + HEADER_SIZE + U64_WIDTH + ENTRY_FRAMING + genesis_size(n) + CHECKSUM
+    genesis_only = PREFIX + HEADER_SIZE + ENTRY_FRAMING + genesis_size(n) + CHECKSUM
     assert len(next(steps).ledger.serialize()) - envelope == genesis_only
-    retained = PREFIX + HEADER_SIZE + U64_WIDTH + 2 * (ENTRY_FRAMING + record_size(min(3, n)))
+    retained = PREFIX + HEADER_SIZE + 2 * (ENTRY_FRAMING + record_size(min(3, n)))
     retained += CHECKSUM
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
             assert len(roadside.ledger.serialize()) - envelope == retained
-    assert n != 8 or (retained, genesis_only) == (851, 628)
+    assert n != 8 or (retained, genesis_only) == (818, 595)
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])
