@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .crypto import derive_seed
+from .crypto import derive_seed, sha256
 from .entities import tamper
 from .protocol import ProtocolError
 from .transactions import Verdict
@@ -70,21 +70,20 @@ def inject(world: "World", kind: AttackKind, target: int, ts: int) -> str:
     subject = f"v{target}"
     if kind in (AttackKind.FAKE_DATA, AttackKind.CODE_INJECTION):
         ecu = world.attack_rng.randrange(len(vehicle.ecu_state))
-        tamper(vehicle, ecu, _malware(kind, target, ts), ts)
+        tamper(vehicle, ecu, sha256(_malware(kind, target, ts)), ts)
         return subject
     if kind is AttackKind.ECU_REVERSAL:
         n = len(vehicle.ecu_state)
         chosen = world.attack_rng.sample(range(n), min(REVERSAL_ECU_COUNT, n))
         for ecu in chosen:
-            original = vehicle.firmware_images[ecu]
-            tamper(vehicle, ecu, _malware(kind, target, ts, salt=ecu), ts)
+            original = vehicle.ecu_state.records[ecu].firmware_digest
+            tamper(vehicle, ecu, sha256(_malware(kind, target, ts, salt=ecu)), ts)
             tamper(vehicle, ecu, original, ts + 1)
         return subject
     if kind is AttackKind.REPLAY:
         if vehicle.last_response is None:
             raise ProtocolError("replay requires a previously sent response")
         vehicle.replay_armed = True
-        vehicle.honest = False
         return subject
     raise ProtocolError(f"unknown attack kind {kind!r}")
 

@@ -1,9 +1,11 @@
-"""Network actors: vehicles (keys, live ECU state, flashed images) and
-authorities (keys; revocation is authority-tier state). Roadside units,
-maintainers and insurers are bare ``KeyPair``s: what they may do is decided
-by the tiers' allow-lists, not by the node. Behaviour lives in the protocol
-module and the simulator wires the nodes together. Nodes send each other
-wire bytes, as ``signed_wire`` made them.
+"""Network actors: vehicles (keys and live ECU state, whose digests are
+the flashed firmware) and authorities (keys; revocation is authority-tier
+state). Roadside units, maintainers and insurers are bare ``KeyPair``s:
+what they may do is decided by the tiers' allow-lists, not by the node.
+Behaviour lives in the protocol module and the simulator wires the nodes
+together. Nodes send each other wire bytes, as ``signed_wire`` made them.
+``perform_maintenance`` flashes a firmware image; ``tamper``, the
+attacker's write, takes the digest it flashes.
 """
 
 from __future__ import annotations
@@ -20,15 +22,12 @@ from .transactions import Challenge, UpdateTx, Verdict, signed_by, signed_wire
 
 @dataclass
 class VehicleNode:
-    """A vehicle: keys, live ECU state and the firmware images currently
-    flashed. ``honest`` drops as soon as any state change bypasses the
-    maintenance procedure.
+    """A vehicle: keys and live ECU state. The ECU records' digests are
+    the firmware currently flashed.
     """
 
     keys: KeyPair
     ecu_state: EcuState
-    firmware_images: list[bytes]
-    honest: bool = True
     replay_armed: bool = False
     last_response: Optional[bytes] = None
 
@@ -83,7 +82,6 @@ def perform_maintenance(
     """
     digest = crypto.sha256(firmware)
     vehicle.ecu_state = update_ecu(vehicle.ecu_state, ecu_id, digest, ts)
-    vehicle.firmware_images[ecu_id] = firmware
     unsigned = UpdateTx(
         new_root=compute_state_root(vehicle.ecu_state),
         ts=ts,
@@ -96,12 +94,10 @@ def perform_maintenance(
     return signed_wire(unsigned, maintainer)
 
 
-def tamper(vehicle: VehicleNode, ecu_id: int, firmware: bytes, ts: int) -> None:
-    """Flash one ECU *without* an update transaction (attacker capability).
-    The write still advances the ECU's last-write timestamp: the write
-    metering is the local trust anchor tampering cannot bypass.
+def tamper(vehicle: VehicleNode, ecu_id: int, digest: bytes, ts: int) -> None:
+    """Flash the firmware whose digest is ``digest`` into one ECU *without*
+    an update transaction (attacker capability). The write still advances
+    the ECU's last-write timestamp: the write metering is the local trust
+    anchor tampering cannot bypass.
     """
-    digest = crypto.sha256(firmware)
     vehicle.ecu_state = update_ecu(vehicle.ecu_state, ecu_id, digest, ts)
-    vehicle.firmware_images[ecu_id] = firmware
-    vehicle.honest = False

@@ -4,9 +4,10 @@ Vehicles travel a 1-D line of roadside units; every coverage entry runs a
 challenge-response round. The transport authority checks each report
 once and revokes into the authority tier, whose ``revoked`` set refuses
 the vehicle at its next arrival. No insurer request is made, so the
-authority ledger stays empty. Simulated time drives all protocol
-timestamps, so identical configurations (including the seed) replay to
-byte-identical event logs and ledgers.
+authority ledger stays empty. Simulated time, ``EventQueue.now`` (the
+fire time of the last event popped), drives all protocol timestamps, so
+identical configurations (including the seed) replay to byte-identical
+event logs and ledgers.
 
 Scenario config files are flat ``key = value`` text, each key given once
 except the repeated ``attack = kind,vehicle,round`` and
@@ -204,21 +205,13 @@ class SimEvent:
     data: tuple = ()
 
 
-@dataclass
-class SimClock:
-    now: int = 0
-
-    def advance(self, ts: int) -> None:
-        if ts < self.now:
-            raise ValueError(f"clock cannot move backwards ({ts} < {self.now})")
-        self.now = ts
-
-
 class EventQueue:
-    """Min-heap ordered by (fire_ts, kind, subject, insertion seq)."""
+    """Min-heap ordered by (fire_ts, kind, subject, insertion seq). ``now``
+    is the simulated time: the fire time of the last popped event.
+    """
 
-    def __init__(self, clock: SimClock):
-        self._clock = clock
+    def __init__(self):
+        self.now = 0
         self._heap: list[tuple[int, int, str, int, SimEvent]] = []
         self._seq = 0
 
@@ -226,10 +219,8 @@ class EventQueue:
         return len(self._heap)
 
     def schedule(self, event: SimEvent) -> None:
-        if event.fire_ts < self._clock.now:
-            raise ValueError(
-                f"scheduling in the past: {event.fire_ts} < {self._clock.now}"
-            )
+        if event.fire_ts < self.now:
+            raise ValueError(f"scheduling in the past: {event.fire_ts} < {self.now}")
         heapq.heappush(
             self._heap,
             (event.fire_ts, int(event.kind), event.subject, self._seq, event),
@@ -240,7 +231,7 @@ class EventQueue:
         if not self._heap:
             raise IndexError("empty event queue")
         _, _, _, _, event = heapq.heappop(self._heap)
-        self._clock.advance(event.fire_ts)
+        self.now = event.fire_ts
         return event
 
 
@@ -271,8 +262,7 @@ class World:
     def __init__(self, config: SimConfig, archive=None):
         config.validate()
         self.config = config
-        self.clock = SimClock()
-        self.queue = EventQueue(self.clock)
+        self.queue = EventQueue()
         self.event_log: list[str] = []
         # Encounter verdicts and refusals, counted as they are logged.
         self.verdict_counts: Counter[str] = Counter()
@@ -317,16 +307,13 @@ class World:
             label, self.seed64, vehicle.to_bytes(8, "big"), ecu.to_bytes(8, "big")
         )
 
-    def _new_vehicle(self, label: bytes, index: int, honest: bool) -> VehicleNode:
-        images = [
-            self._firmware(label + b"-fw", index, e)
-            for e in range(self.config.ecus_per_vehicle)
-        ]
+    def _new_vehicle(self, label: bytes, index: int) -> VehicleNode:
         return VehicleNode(
             keys=self._keypair(label, index),
-            ecu_state=state_from_digests(sha256(img) for img in images),
-            firmware_images=images,
-            honest=honest,
+            ecu_state=state_from_digests(
+                sha256(self._firmware(label + b"-fw", index, e))
+                for e in range(self.config.ecus_per_vehicle)
+            ),
         )
 
     def spawn_phantom(self, kind: AttackKind, target: int, ts: int) -> str:
@@ -334,7 +321,7 @@ class World:
         first arrival is scheduled just after the trigger.
         """
         index = len(self.phantoms)
-        phantom = self._new_vehicle(b"phantom-" + kind.value.encode(), index, honest=False)
+        phantom = self._new_vehicle(b"phantom-" + kind.value.encode(), index)
         self.phantoms.append(phantom)
         subject = f"x{index}"
         self.actors[subject] = phantom
@@ -359,7 +346,7 @@ class World:
     def _handle_arrival(self, event: SimEvent) -> None:
         (encounter,) = event.data
         vehicle = self.actors[event.subject]
-        now = self.clock.now
+        now = self.queue.now
         if vehicle.pk in self.authority_tier.revoked:
             self.refused += 1
             self.log(now, "refused", event.subject)
@@ -399,35 +386,35 @@ class World:
             b"maintenance-fw-r%d" % round_idx, int(event.subject[1:]), ecu_id
         )
         update = perform_maintenance(
-            self.technician, vehicle, ecu_id, firmware, ts=self.clock.now
+            self.technician, vehicle, ecu_id, firmware, ts=self.queue.now
         )
         try:
             apply_upper_update(self.authority_tier, self.roadside, update)
         except ProtocolError:
             # A vehicle tampered with earlier: its new root keeps the
             # tampered ECU, so it is not the root of the vouched-for state.
-            self.log(self.clock.now, "maintenance-rejected", event.subject)
+            self.log(self.queue.now, "maintenance-rejected", event.subject)
             return
-        self.log(self.clock.now, "maintenance", event.subject)
+        self.log(self.queue.now, "maintenance", event.subject)
 
     def _handle_attack(self, event: SimEvent) -> None:
         kind, target = event.data
-        subject = adversary.inject(self, kind, target, self.clock.now)
-        self.log(self.clock.now, f"attack:{kind.value}", subject)
+        subject = adversary.inject(self, kind, target, self.queue.now)
+        self.log(self.queue.now, f"attack:{kind.value}", subject)
 
     def _handle_report(self, event: SimEvent) -> None:
         verdict, report = event.data
         # Revocation is tier state, so one authority's check suffices.
         self.authorities[0].receive_report(self.authority_tier, report)
-        self.log(self.clock.now, "report", event.subject, verdict.value)
-        self.log(self.clock.now, "revoke", event.subject)
+        self.log(self.queue.now, "report", event.subject, verdict.value)
+        self.log(self.queue.now, "revoke", event.subject)
 
 
 def build_world(config: SimConfig, archive=None) -> World:
     """All nodes and both tier ledgers, with every vehicle initialized."""
     world = World(config, archive=archive)
     for i in range(config.n_vehicles):
-        vehicle = world._new_vehicle(b"vehicle", i, honest=True)
+        vehicle = world._new_vehicle(b"vehicle", i)
         subject = f"v{i}"
         world.vehicles.append(vehicle)
         world.actors[subject] = vehicle

@@ -376,7 +376,6 @@ def test_criterion_8_honest_end_to_end_flow():
         vehicle = VehicleNode(
             keys=keys_for("acc8-vehicle"),
             ecu_state=state_from_digests([sha256(img) for img in images]),
-            firmware_images=images,
         )
         # initialization
         genesis = make_genesis(maker, vehicle.pk, vehicle.ecu_state, ts=0)

@@ -46,6 +46,7 @@ from ecuchain.protocol import (
     new_authority_tier,
     record_response,
 )
+from ecuchain.sim import SimConfig, build_world, run
 from ecuchain.transactions import (
     MAX_ECUS,
     ChallengeRecordTx,
@@ -336,6 +337,37 @@ def test_reconstruct_rejects_strays_with_ledger_error(corrupt):
     archive.append_many(block.header.external_address, records)
     with pytest.raises(LedgerError):
         reconstruct_history(block, archive)
+
+
+def _audits(ledger, archive) -> bool:
+    """True iff ``ledger`` validates and every block's history replays."""
+    try:
+        for block in ledger.blocks.values():
+            reconstruct_history(block, archive)
+    except LedgerError:
+        return False
+    return ledger.validate()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: nothing binds a block's newest entry, so a block "
+    "cut after its genesis and re-sealed still audits",
+)
+def test_a_block_cut_after_its_genesis_fails_the_audit():
+    world = build_world(SimConfig(n_vehicles=1, n_rsus=1, n_rounds=1, seed=7))
+    run(world)
+    ledger, archive = world.roadside.ledger, world.roadside.archive
+    (vehicle,) = world.vehicles
+    block = ledger.lookup(vehicle.pk)
+    genesis, _record = block.entries
+    assert _audits(ledger, archive)
+    # The block's bytes cut where its second record starts, re-sealed.
+    body = block.to_bytes()[: len(block.header.to_bytes()) + 8 + len(genesis.payload)]
+    cut = decode_block(body + zlib.crc32(body).to_bytes(4, "big"))
+    assert cut.entries == (genesis,)
+    ledger.replace_block(cut)
+    assert not _audits(ledger, archive)
 
 
 def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):

@@ -20,20 +20,15 @@ from test_ecu_merkle import oracle_root
 
 
 def fresh_vehicle(n_ecus=8) -> VehicleNode:
-    images = [b"image-%d" % e for e in range(n_ecus)]
     state = state_of(n_ecus)
     state = dataclasses.replace(
         state,
         records=tuple(
-            dataclasses.replace(r, firmware_digest=sha256(images[r.ecu_id]))
+            dataclasses.replace(r, firmware_digest=sha256(b"image-%d" % r.ecu_id))
             for r in state.records
         ),
     )
-    return VehicleNode(
-        keys=keys_for("entity-vehicle"),
-        ecu_state=state,
-        firmware_images=images,
-    )
+    return VehicleNode(keys=keys_for("entity-vehicle"), ecu_state=state)
 
 
 def test_maintenance_updates_state_and_signs():
@@ -47,26 +42,22 @@ def test_maintenance_updates_state_and_signs():
     assert update.firmware_digest == sha256(b"firmware v2")
     assert update.ts == 42
     assert vehicle.ecu_state.records[0].last_write_ts == 42
-    assert vehicle.firmware_images[0] == b"firmware v2"
     assert verify(technician.public, update.signing_bytes(), update.sig)
-    assert vehicle.honest
 
 
-def test_tamper_marks_vehicle_dishonest():
+def test_tamper_changes_the_state_root():
     vehicle = fresh_vehicle()
     before = compute_state_root(vehicle.ecu_state)
-    tamper(vehicle, 2, b"malware", ts=5)
-    assert not vehicle.honest
+    tamper(vehicle, 2, sha256(b"malware"), ts=5)
     assert compute_state_root(vehicle.ecu_state) != before
 
 
 def test_tamper_with_identical_bytes_only_moves_timestamp():
     vehicle = fresh_vehicle()
     before = compute_state_root(vehicle.ecu_state)
-    tamper(vehicle, 2, vehicle.firmware_images[2], ts=5)
+    tamper(vehicle, 2, vehicle.ecu_state.records[2].firmware_digest, ts=5)
     assert compute_state_root(vehicle.ecu_state) == before
     assert vehicle.ecu_state.records[2].last_write_ts == 5
-    assert not vehicle.honest
 
 
 def tier_with_rsu(rsu):

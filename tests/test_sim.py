@@ -17,7 +17,6 @@ from ecuchain.sim import (
     EventKind,
     EventQueue,
     MaintenancePlanEntry,
-    SimClock,
     SimConfig,
     SimEvent,
     build_world,
@@ -123,24 +122,23 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_queue_rejects_scheduling_in_past():
-    clock = SimClock()
-    queue = EventQueue(clock)
+    queue = EventQueue()
     queue.schedule(SimEvent(5, EventKind.ARRIVAL, "v0"))
     queue.pop()
-    assert clock.now == 5
+    assert queue.now == 5
     with pytest.raises(ValueError, match="past"):
         queue.schedule(SimEvent(3, EventKind.ARRIVAL, "v0"))
 
 
 def test_queue_pop_order_is_sorted():
-    queue = EventQueue(SimClock())
+    queue = EventQueue()
     for ts in (9, 1, 5, 3, 7):
         queue.schedule(SimEvent(ts, EventKind.ARRIVAL, "v0"))
     assert [queue.pop().fire_ts for _ in range(5)] == [1, 3, 5, 7, 9]
 
 
 def test_queue_breaks_ties_by_kind_then_subject():
-    queue = EventQueue(SimClock())
+    queue = EventQueue()
     queue.schedule(SimEvent(4, EventKind.ARRIVAL, "v1"))
     queue.schedule(SimEvent(4, EventKind.ARRIVAL, "v0"))
     queue.schedule(SimEvent(4, EventKind.ATTACK_TRIGGER, "v9"))
