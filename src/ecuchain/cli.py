@@ -113,7 +113,7 @@ def _cmd_run(args) -> int:
         "revoked": list(result.report.revoked),
         "refused": result.report.refused,
         "ledgers_valid": result.report.ledgers_valid,
-        "roadside_bytes": result.report.roadside_bytes,
+        "roadside_bytes": len(world.roadside.ledger.serialize()),
     }
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return 0

@@ -1,13 +1,15 @@
 """Deterministic discrete-event traffic simulator.
 
 Vehicles travel a 1-D line of roadside units; every coverage entry runs a
-challenge-response round. The transport authority checks each report
-once and revokes into the authority tier, whose ``revoked`` set refuses
-the vehicle at its next arrival. No insurer request is made, so the
-authority ledger stays empty. Simulated time, ``EventQueue.now`` (the
-fire time of the last event popped), drives all protocol timestamps, so
-identical configurations (including the seed) replay to byte-identical
-event logs and ledgers.
+challenge-response round. Every message is delivered at once: a
+response is dated at its challenge's time, and a non-Valid verdict's
+report reaches the transport authority within the encounter that raised
+it. The authority checks the report once and revokes into the authority
+tier, whose ``revoked`` set refuses the vehicle at its next arrival. No
+insurer request is made, so the authority ledger stays empty. Simulated
+time, ``EventQueue.now`` (the fire time of the last event popped), drives
+all protocol timestamps, so identical configurations (including the seed)
+replay to byte-identical event logs and ledgers.
 
 Scenario config files are flat ``key = value`` text, each key given once
 except the repeated ``attack = kind,vehicle,round`` and
@@ -31,7 +33,6 @@ from .ecu import state_from_digests
 from .entities import AuthorityNode, VehicleNode, perform_maintenance
 from .ledger import MemoryArchive
 from .protocol import (
-    MAX_RESPONSE_DELAY_MS,
     AuthorityTier,
     ProtocolError,
     RoadsideTier,
@@ -80,7 +81,6 @@ class SimConfig:
     ecus_per_vehicle: int = 8
     n_rounds: int = 3
     seed: int = 0
-    link_latency_ms: int = 0
     attacks: tuple[AttackPlanEntry, ...] = ()
     maintenance: tuple[MaintenancePlanEntry, ...] = ()
 
@@ -96,11 +96,6 @@ class SimConfig:
             raise ConfigError(f"ecus_per_vehicle must be <= {MAX_ECUS}")
         if not 0 <= self.seed <= U64_MAX:
             raise ConfigError(f"seed must be in [0, {U64_MAX}]")
-        if self.link_latency_ms < 0:
-            raise ConfigError("link_latency_ms must be nonnegative")
-        if self.link_latency_ms > MAX_RESPONSE_DELAY_MS:
-            # Every response would fall outside its challenge's window.
-            raise ConfigError(f"link_latency_ms must be <= {MAX_RESPONSE_DELAY_MS}")
         total = self.encounters_per_vehicle
         for atk in self.attacks:
             if not 0 <= atk.vehicle < self.n_vehicles:
@@ -118,14 +113,7 @@ class SimConfig:
                 raise ConfigError(f"maintenance round {m.round} out of range")
 
 
-_INT_KEYS = {
-    "n_vehicles",
-    "n_rsus",
-    "ecus_per_vehicle",
-    "n_rounds",
-    "seed",
-    "link_latency_ms",
-}
+_INT_KEYS = {"n_vehicles", "n_rsus", "ecus_per_vehicle", "n_rounds", "seed"}
 
 
 def parse_config(text: str) -> SimConfig:
@@ -194,7 +182,6 @@ class EventKind(IntEnum):
     ATTACK_TRIGGER = 0
     MAINTENANCE_VISIT = 1
     ARRIVAL = 2
-    REPORT = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,7 +234,6 @@ class RunReport:
     revoked: tuple[str, ...]
     refused: int
     ledgers_valid: bool
-    roadside_bytes: int
 
 
 @dataclass
@@ -274,14 +260,14 @@ class World:
         self.attack_rng = random.Random(
             int.from_bytes(derive_seed(b"rng-attack", self.seed64), "big")
         )
-        self.authorities = [
-            AuthorityNode(keys=self._keypair(label, 0)) for label in (b"transport", b"legal")
-        ]
+        # Revocation is tier state, so the transport authority alone checks
+        # reports; the legal authority is only the tier's second validator.
+        self.transport = AuthorityNode(keys=self._keypair(b"transport", 0))
         self.maker = self._keypair(b"maker", 0)
         self.technician = self._keypair(b"technician", 0)
         self.insurer = self._keypair(b"insurer", 0)
         self.authority_tier: AuthorityTier = new_authority_tier(
-            validators=tuple(a.keys for a in self.authorities),
+            validators=(self.transport.keys, self._keypair(b"legal", 0)),
             authorized_makers=(self.maker.public, self.technician.public),
             authorized_insurers=(self.insurer.public,),
         )
@@ -291,7 +277,7 @@ class World:
         for rsu in self.rsus:
             register_rsu(self.authority_tier, rsu.public)
         self.vehicles: list[VehicleNode] = []
-        self.phantoms: list[VehicleNode] = []
+        self.phantom_count = 0
         self.actors: dict[str, VehicleNode] = {}
         self.subject_by_pk: dict[PublicKey, str] = {}
 
@@ -320,9 +306,9 @@ class World:
         """Fabricated identity (no ledger block) placed on the road; its
         first arrival is scheduled just after the trigger.
         """
-        index = len(self.phantoms)
+        index = self.phantom_count
+        self.phantom_count += 1
         phantom = self._new_vehicle(b"phantom-" + kind.value.encode(), index)
-        self.phantoms.append(phantom)
         subject = f"x{index}"
         self.actors[subject] = phantom
         self.subject_by_pk[phantom.pk] = subject
@@ -352,7 +338,6 @@ class World:
             self.log(now, "refused", event.subject)
             return
         rsu = self.rsus[encounter % self.config.n_rsus]
-        latency = self.config.link_latency_ms
         # Challenge the ECUs the roadside registered, not the vehicle's own
         # count; a phantom has no profile.
         profile = self.roadside.profiles.get(vehicle.pk)
@@ -360,15 +345,15 @@ class World:
         challenge = issue_challenge(
             rsu.public, vehicle.pk, ecu_count, self.challenge_rng, ts=now
         )
-        response = vehicle.respond(challenge, ts=now + latency)
+        response = vehicle.respond(challenge, ts=now)
         verdict = record_response(rsu, self.roadside, challenge, response)
         self.verdict_counts[verdict.value] += 1
         self.log(now, "encounter", event.subject, verdict.value)
         if verdict is not Verdict.VALID:
-            report = report_malicious(rsu, vehicle.pk, verdict, now + 2 * latency)
-            self.queue.schedule(
-                SimEvent(now + 2 * latency, EventKind.REPORT, event.subject, (verdict, report))
-            )
+            report = report_malicious(rsu, vehicle.pk, verdict, now)
+            self.transport.receive_report(self.authority_tier, report)
+            self.log(now, "report", event.subject, verdict.value)
+            self.log(now, "revoke", event.subject)
         if encounter + 1 < self.config.encounters_per_vehicle:
             self.queue.schedule(
                 SimEvent(
@@ -401,13 +386,6 @@ class World:
         kind, target = event.data
         subject = adversary.inject(self, kind, target, self.queue.now)
         self.log(self.queue.now, f"attack:{kind.value}", subject)
-
-    def _handle_report(self, event: SimEvent) -> None:
-        verdict, report = event.data
-        # Revocation is tier state, so one authority's check suffices.
-        self.authorities[0].receive_report(self.authority_tier, report)
-        self.log(self.queue.now, "report", event.subject, verdict.value)
-        self.log(self.queue.now, "revoke", event.subject)
 
 
 def build_world(config: SimConfig, archive=None) -> World:
@@ -451,7 +429,6 @@ _HANDLERS = {
     EventKind.ARRIVAL: World._handle_arrival,
     EventKind.MAINTENANCE_VISIT: World._handle_maintenance,
     EventKind.ATTACK_TRIGGER: World._handle_attack,
-    EventKind.REPORT: World._handle_report,
 }
 
 
@@ -473,7 +450,6 @@ def run(world: World) -> RunResult:
         refused=world.refused,
         ledgers_valid=world.roadside.ledger.validate()
         and world.authority_tier.ledger.validate(),
-        roadside_bytes=len(world.roadside.ledger.serialize()),
     )
     return RunResult(report=report, event_log=list(world.event_log))
 

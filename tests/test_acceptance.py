@@ -303,9 +303,7 @@ def test_criterion_6_determinism():
                 (AttackKind.FAKE_DATA, AttackKind.SYBIL, AttackKind.ECU_REVERSAL)
             )
         ]
-        configs.append(
-            SimConfig(n_vehicles=4, n_rsus=3, n_rounds=2, seed=424242, link_latency_ms=3)
-        )
+        configs.append(SimConfig(n_vehicles=4, n_rsus=3, n_rounds=2, seed=424242))
         assert len(configs) >= 10
         for cfg in configs:
             world_a = build_world(cfg)

@@ -104,6 +104,16 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["init", "run"])
+def test_config_with_a_latency_key_exits_one(command, tmp_path, capsys):
+    path = tmp_path / "latency.cfg"
+    path.write_text(CONFIG + "link_latency_ms = 0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "unknown key 'link_latency_ms'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_one_with_usage(capsys):
     assert main(["frobnicate"]) == 1
     err = capsys.readouterr().err

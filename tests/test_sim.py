@@ -11,6 +11,7 @@ from ecuchain.adversary import AttackKind
 from ecuchain.crypto import KeyPair
 from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
 from ecuchain.entities import AuthorityNode, perform_maintenance
+from ecuchain import sim
 from ecuchain.sim import (
     AttackPlanEntry,
     ConfigError,
@@ -26,10 +27,12 @@ from ecuchain.sim import (
     run,
 )
 from ecuchain.ledger import reconstruct_history
-from ecuchain.protocol import apply_upper_update
+from ecuchain.protocol import apply_upper_update, record_response
 from ecuchain.transactions import (
     MAX_ECUS,
     ChallengeRecordTx,
+    ChallengeResponse,
+    decode,
     decode_transaction,
 )
 
@@ -58,7 +61,6 @@ def test_parse_config_full():
         ecus_per_vehicle = 8
         n_rounds = 2
         seed = 99
-        link_latency_ms = 5
         attack = replay,2,3
         attack = sybil,0,1
         maintenance = 1,4,2
@@ -75,6 +77,9 @@ def test_parse_config_full():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("n_vehicels = 3")
+    # Every message is delivered at once, so there is no latency key.
+    with pytest.raises(ConfigError, match="line 1: unknown key 'link_latency_ms'"):
+        parse_config("link_latency_ms = 0")
 
 
 def test_parse_config_rejects_unknown_attack():
@@ -91,8 +96,6 @@ def test_parse_config_rejects_bad_values():
         parse_config("n_vehicles = 3\nattack = sybil,7,1")
     with pytest.raises(ConfigError, match="replay"):
         parse_config("attack = replay,0,0")
-    with pytest.raises(ConfigError, match="link_latency_ms"):
-        parse_config("link_latency_ms = 1001")
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(f"seed = {seed}")
@@ -103,7 +106,7 @@ def test_parse_config_rejects_bad_values():
 
 @pytest.mark.parametrize(
     "key",
-    ["n_vehicles", "n_rsus", "ecus_per_vehicle", "n_rounds", "seed", "link_latency_ms"],
+    ["n_vehicles", "n_rsus", "ecus_per_vehicle", "n_rounds", "seed"],
 )
 def test_parse_config_rejects_repeated_scalar_key(key):
     """A repeated scalar key is an error, not a silent override (plan lines
@@ -449,13 +452,20 @@ def test_demo_ledgers_and_archive_are_pinned():
     assert archive_digest(world) == DEMO_ARCHIVE_SHA256
 
 
-def test_link_latency_shifts_response_timestamps():
-    cfg = SimConfig(n_vehicles=1, n_rsus=1, n_rounds=2, seed=2, link_latency_ms=7)
-    world = build_world(cfg)
+def test_recorded_response_is_dated_at_its_challenge(monkeypatch):
+    recorded = []
+
+    def spy(rsu, roadside, challenge, wire):
+        recorded.append((challenge.issued_ts, decode(ChallengeResponse, wire).ts))
+        return record_response(rsu, roadside, challenge, wire)
+
+    monkeypatch.setattr(sim, "record_response", spy)
+    world = build_world(SimConfig(n_vehicles=2, n_rsus=2, n_rounds=2, seed=2))
     run(world)
-    profile = world.roadside.profiles[world.vehicles[0].pk]
-    # last recorded response carries arrival time + latency
-    assert profile.last_response_ts % 10 == 7
+    assert len(recorded) == 8
+    assert all(issued == ts for issued, ts in recorded)
+    profile = world.roadside.profiles[world.vehicles[1].pk]
+    assert profile.last_response_ts == max(issued for issued, _ in recorded)
 
 
 def test_event_log_text_format():
