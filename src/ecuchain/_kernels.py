@@ -1,4 +1,5 @@
-"""Merkle root over an ECU inventory's firmware digests, in pure Python.
+"""Merkle root over 32-byte digests, in pure Python: an ECU inventory's
+firmware digests, or a ledger head's block leaves.
 
 ``ecu.compute_state_root`` calls it as ``_kernels.merkle_root(...)``; the
 per-layer tracer (``e2ebench/tracer.py``) wraps it under that name.
@@ -14,7 +15,8 @@ NODE_PREFIX = b"\x01"
 
 
 def merkle_root(digests: list[bytes]) -> bytes:
-    """Merkle root over 32-byte firmware digests in ECU-index order.
+    """Merkle root over 32-byte digests in index order (ECU order, or a
+    ledger's creation order).
 
     Leaf i hashes ``0x00 || i as u64 big-endian || digest_i``; interior
     nodes hash ``0x01 || left || right``. A level with an odd node count

@@ -89,13 +89,14 @@ def _load(args):
 
 def _cmd_init(args) -> int:
     world = build_world(_load(args))
+    tier = world.authority_tier
     summary = {
         "vehicles": len(world.vehicles),
         "rsus": len(world.rsus),
         "blocks": len(world.roadside.ledger),
         "roadside_bytes": len(world.roadside.ledger.serialize()),
-        "ledgers_valid": world.roadside.ledger.validate()
-        and world.authority_tier.ledger.validate(),
+        "ledgers_valid": world.roadside.ledger.validate(tier.roadside_head, tier.validator_pks)
+        and tier.ledger.validate(),
     }
     _emit(json.dumps(summary, indent=2) + "\n", args.out)
     return 0

@@ -12,10 +12,10 @@ removed entries as they are and replay puts the archive's records back in
 front of the retained ones.
 
 The write path takes bytes and works out the rest:
-``Ledger.create_block(owner_pk, genesis, ts)`` chains the new header to
-the newest block's header; ``append_entry(block, wire)`` gives the
-entry the next sequence number; ``Ledger.replace_block(block)`` stores a
-block under its header's owner and refuses a changed header. The ledger
+``Ledger.create_block(owner_pk, genesis, ts)`` opens a block and hashes
+nothing; ``append_entry(block, wire)`` gives the entry the next sequence
+number; ``Ledger.replace_block(block)`` stores a block under its header's
+owner and refuses a changed header. The ledger
 keeps the wire bytes a transaction arrived as (or that ``signed_wire``
 just made), and pruning, archiving and ``Ledger.serialize`` reuse them:
 the ledger never encodes a transaction, and its write path decodes none.
@@ -31,31 +31,40 @@ disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
 decoded once on the way in, to find where a record ends and to reject
 what does not parse, and only their bytes are kept.
 
-Entries carry no hash link: a link would hash only the record beside it,
-needs no key to compute, and so would bind nothing a signature and the
-consecutive-seq rule do not. The only stored hash is the header chain
-(``prev_header_hash``), which ``Ledger.validate`` checks.
+A block's bytes hold no hash: a link between entries or between headers
+needs no key to compute, so it would bind nothing. What binds a ledger as
+a whole is a signed head, which only the authority tier keeps. The
+authority validators each sign a ``LedgerHead``: the block count, a
+timestamp and a Merkle root with one leaf per block in creation order,
+over its header hash, its tip seq and its tip payload's hash.
+``Ledger.validate(head, validators)`` checks that each of the authority
+tier's validators signed the head and that the blocks are an append-only
+continuation of it (``head_holds``). A ledger checked with no head is
+checked block by block.
 
 In bytes, a checksum detects corruption and signatures detect tampering.
 Each block ends with a CRC32 of its bytes, which catches every single-bit
 flip. An edit that re-seals the CRC still fails the audit: a changed
 payload fails its signature, a changed ``seq`` the consecutive sequence
-(starting at 0 for a lone entry), a changed ``owner_pk`` the ownership
-check, and a changed ``created_ts`` on any block but the newest the
-header chain in ``Ledger.validate``.
+(starting at 0 for a lone entry) and a changed ``owner_pk`` the ownership
+check. Against a head, so does a changed ``created_ts``, a deleted or
+reordered block and a block cut back past its sealed tip, unless the
+cut block's seqs are also shifted past that tip: seqs are not signed,
+and a sealed tip that has left the block looks archived.
 
 Bytes are wire format v3 (see ``wire``), and a block stores only what the
-ledger cannot derive. A header is the owner key and the previous header
-hash (32 raw bytes each) and the creation timestamp (8 bytes): 72 bytes.
+ledger cannot derive. A header is the owner key (32 raw bytes) and the
+creation timestamp (8 bytes): 40 bytes.
 The archive address is not stored: ``BlockHeader.external_address`` is
 ``external_address(owner_pk)``. A block is its header, each entry's record
 (the 8-byte sequence number, then the payload, which fixes its own length)
 and a big-endian CRC32 of all that: 8 bytes of framing per entry and 4 per
 block. No entry count is stored: ``decode_block`` reads records until the
-checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL6``,
-then each block behind a u32 length until the data ends. There is no
-reader for older layouts (magics ``ECUL1`` to ``ECUL5``): such bytes raise
-``WireError``.
+checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL7``,
+then each block behind a u32 length until the data ends, and not the
+head.
+There is no reader for older layouts (magics ``ECUL1`` to ``ECUL6``):
+such bytes raise ``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
@@ -71,17 +80,13 @@ import os
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .crypto import (
-    DIGEST_LEN,
-    PUBLIC_KEY_LEN,
-    ZERO_DIGEST,
-    Digest,
-    PublicKey,
-    sha256,
-)
+from ._kernels import merkle_root
+from .crypto import PUBLIC_KEY_LEN, ZERO_DIGEST, Digest, PublicKey, sha256
 from .transactions import (
+    LedgerHead,
+    decode,
     decode_transaction,
     read_transaction,
     signed_by,
@@ -96,7 +101,7 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL6"
+LEDGER_MAGIC = b"ECUL7"
 # First bytes of every ``FileArchive`` file.
 ARCHIVE_MAGIC = b"ECUA4"
 
@@ -112,7 +117,6 @@ class ArchiveError(RuntimeError):
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
     owner_pk: PublicKey
-    prev_header_hash: Digest
     created_ts: int
 
     @property
@@ -121,13 +125,7 @@ class BlockHeader:
         return external_address(self.owner_pk)
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            (
-                encode_fixed(self.owner_pk, PUBLIC_KEY_LEN),
-                encode_fixed(self.prev_header_hash, DIGEST_LEN),
-                encode_u64(self.created_ts),
-            )
-        )
+        return encode_fixed(self.owner_pk, PUBLIC_KEY_LEN) + encode_u64(self.created_ts)
 
 
 def header_hash(header: BlockHeader) -> Digest:
@@ -169,14 +167,13 @@ def write_records(entries: Iterable[LedgerEntry]) -> bytes:
     return b"".join(encode_u64(seq) + payload for seq, payload in entries)
 
 
-def read_record(r: Reader, data: bytes) -> LedgerEntry:
-    """The next record of ``data``, which ``r`` reads; raises ``WireError``
-    unless the payload decodes.
+def read_record(r: Reader) -> LedgerEntry:
+    """The next record ``r`` reads; raises ``WireError`` unless the payload
+    decodes.
     """
     seq = r.read_u64()
-    start = len(data) - r.remaining
-    read_transaction(r)
-    return LedgerEntry(seq, data[start : len(data) - r.remaining])
+    _, payload = r.read_with_bytes(read_transaction)
+    return LedgerEntry(seq, payload)
 
 
 def decode_block(data: bytes) -> AppendableBlock:
@@ -188,14 +185,10 @@ def decode_block(data: bytes) -> AppendableBlock:
     if len(data) < U32.size or U32.pack(zlib.crc32(body)) != data[-U32.size :]:
         raise WireError("block checksum mismatch")
     r = Reader(body)
-    header = BlockHeader(
-        owner_pk=r.read_fixed(PUBLIC_KEY_LEN),
-        prev_header_hash=r.read_fixed(DIGEST_LEN),
-        created_ts=r.read_u64(),
-    )
+    header = BlockHeader(owner_pk=r.read_fixed(PUBLIC_KEY_LEN), created_ts=r.read_u64())
     entries = []
     while r.remaining:
-        entries.append(read_record(r, body))
+        entries.append(read_record(r))
     return AppendableBlock(header=header, entries=tuple(entries))
 
 
@@ -313,7 +306,7 @@ class FileArchive(Archive):
             if r.remaining < 8:
                 raise ArchiveError("truncated archive record header")
             try:
-                records.append(read_record(r, data))
+                records.append(read_record(r))
             except WireError as exc:
                 raise ArchiveError(f"corrupt archive record: {exc}") from exc
         return records
@@ -360,6 +353,71 @@ def reconstruct_history(
     return history
 
 
+class SealedHead(NamedTuple):
+    """A ledger's signed head as the authority tier keeps it: ``signed``
+    holds the wire bytes of each validator's ``LedgerHead``. ``tips`` holds
+    each covered block's tip ``(seq, sha256(payload))`` in creation order:
+    the head's Merkle root commits to them, and the check needs them to
+    allow later appends.
+    """
+
+    signed: tuple[bytes, ...]
+    tips: tuple[tuple[int, Digest], ...]
+
+
+def block_tip(block: AppendableBlock) -> tuple[int, Digest]:
+    seq, payload = block.entries[-1]
+    return seq, sha256(payload)
+
+
+def head_root(blocks: Iterable[AppendableBlock], tips: Iterable[tuple[int, Digest]]) -> Digest:
+    """Merkle root with one leaf per block, ``sha256(header_hash ‖ u64 tip
+    seq ‖ tip payload hash)``, in order; ``ZERO_DIGEST`` for no blocks.
+    """
+    leaves = [
+        sha256(header_hash(block.header) + encode_u64(seq) + digest)
+        for block, (seq, digest) in zip(blocks, tips)
+    ]
+    return merkle_root(leaves) if leaves else ZERO_DIGEST
+
+
+def head_holds(
+    head: SealedHead, validators: Collection[PublicKey], blocks: Sequence[AppendableBlock]
+) -> bool:
+    """True iff each of ``validators``, once and alone, signed one and the
+    same ``LedgerHead`` in ``head``, and ``blocks``, in creation order, are
+    an append-only continuation of it: every sealed block still exists, in
+    order, with the same header hash; its tip seq is at least the sealed
+    one; and where the sealed tip is still retained, its payload hash
+    matches. ``blocks`` must each pass ``validate_block``. Signed bytes
+    that do not decode, and a signature missing, repeated or by any other
+    key, make it False.
+    """
+    sealed, signers = set(), []
+    try:
+        for wire in head.signed:
+            signed = decode(LedgerHead, wire)
+            if not signed_by(signed, wire):
+                return False
+            signers.append(signed.validator_pk)
+            sealed.add((signed.count, signed.ts, signed.merkle_root))
+    except WireError:
+        return False
+    if sorted(signers) != sorted(set(validators)) or len(sealed) != 1:
+        return False
+    ((count, _, root),) = sealed
+    covered = blocks[:count]
+    if len(covered) != count or len(head.tips) != count:
+        return False
+    if head_root(covered, head.tips) != root:
+        return False
+    for block, (seq, digest) in zip(covered, head.tips):
+        first, last = block.entries[0].seq, block.entries[-1].seq
+        if last < seq or (first <= seq and sha256(block.entries[seq - first].payload) != digest):
+            return False
+    return True
+
+
 class Ledger:
     """All blocks of one tier, keyed by owner public key. Owned and mutated
     by a single node actor; blocks handed out are immutable snapshots.
@@ -377,25 +435,22 @@ class Ledger:
         return tuple(self.blocks)
 
     def create_block(self, owner_pk: PublicKey, genesis: bytes, ts: int) -> AppendableBlock:
-        """Open a block for ``owner_pk`` whose first entry keeps ``genesis``,
-        the wire bytes of a transaction the caller has verified. Its header
-        chains to the newest block's header.
+        """Open a block for ``owner_pk``, created at ``ts``, whose first
+        entry keeps ``genesis``, the wire bytes of a transaction the caller
+        has verified.
         """
         if owner_pk in self.blocks:
             raise LedgerError("block exists")
-        newest = next(reversed(self.blocks.values()), None)
-        header = BlockHeader(
-            owner_pk=owner_pk,
-            prev_header_hash=ZERO_DIGEST if newest is None else header_hash(newest.header),
-            created_ts=ts,
+        block = AppendableBlock(
+            header=BlockHeader(owner_pk=owner_pk, created_ts=ts),
+            entries=(LedgerEntry(0, genesis),),
         )
-        block = AppendableBlock(header=header, entries=(LedgerEntry(0, genesis),))
         self.blocks[owner_pk] = block
         return block
 
     def replace_block(self, block: AppendableBlock) -> None:
         """Store ``block`` in place of its owner's block, whose header it
-        must keep: only the entries change, so the header chain holds.
+        must keep: only the entries change, so a head still covers it.
         """
         stored = self.blocks.get(block.header.owner_pk)
         if stored is None:
@@ -413,16 +468,18 @@ class Ledger:
             parts.append(encode_bytes(block.to_bytes()))
         return b"".join(parts)
 
-    def validate(self) -> bool:
-        """Every block validates and the header chain follows creation order."""
-        prev = ZERO_DIGEST
+    def validate(
+        self, head: Optional[SealedHead] = None, validators: Collection[PublicKey] = ()
+    ) -> bool:
+        """Every block validates under its owner key and, given the head
+        the authority tier keeps and its validator keys, the blocks are
+        consistent with that head (``head_holds``). With no head, the
+        ledger is checked block by block.
+        """
         for pk, block in self.blocks.items():
-            if block.header.owner_pk != pk or block.header.prev_header_hash != prev:
+            if block.header.owner_pk != pk or not validate_block(block):
                 return False
-            if not validate_block(block):
-                return False
-            prev = header_hash(block.header)
-        return True
+        return head is None or head_holds(head, validators, tuple(self.blocks.values()))
 
 
 def deserialize_ledger(data: bytes) -> Ledger:

@@ -3,15 +3,17 @@ updates, and the roadside challenge-response round.
 
 Tier state lives in two containers. The authority tier holds the
 validator keys, the allow-lists, the registered RSUs, the revoked
-vehicles and an audit-only ledger that the first insurer request opens;
-it signs nothing when it admits an RSU, registers a vehicle or applies
-an update. The roadside tier holds the per-vehicle blocks plus the
-materialized verification profile for each vehicle (the ``EcuState`` the
-ledger vouches for, whose root it caches, and the last recorded response
-timestamp); the profile is what a roadside unit actually checks a
-response against, and it survives pruning because pruned entries leave
-the block. Registration sets the profile's state from the genesis
-inventory, and an authorized update is the only way it changes:
+vehicles, an audit-only ledger that the first insurer request opens and
+the newest signed head of the roadside ledger; it signs nothing when it
+admits an RSU, registers a vehicle or applies an update, only when
+``seal_roadside`` seals that head. The roadside tier holds the
+per-vehicle blocks plus the materialized verification profile for each
+vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
+and the last recorded response timestamp); the profile is what a
+roadside unit actually checks a response against, and it survives
+pruning because pruned entries leave the block. Registration sets the
+profile's state from the genesis inventory, and an authorized update is
+the only way it changes:
 ``apply_upper_update`` applies the update's typed ECU record with
 ``update_ecu`` and requires the signed ``new_root`` to be that state's
 root.
@@ -29,13 +31,19 @@ the block by the vehicle key the transaction names (the audit block by
 ``AuthorityTier.audit_pk``) and hands the ledger only the bytes that
 passed: ``create_block(owner_pk, wire, ts)``, ``append_entry(block,
 wire)`` and ``replace_block(block)``. The ledger works out the sequence
-number, the header chain and the archive address, and verifies again
-only when audited. What a tier signs itself, the RSU's challenge record,
-is not checked again.
+number and the archive address, and verifies again only when audited.
+What a tier signs itself, the RSU's challenge record over the response
+bytes it received, is not checked again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
 far-future timestamp from pinning ``last_response_ts``.
+
+``seal_roadside`` has each authority validator sign the roadside
+ledger's head once, and only the authority tier keeps it. The audit
+hands that head and the validator keys to ``Ledger.validate``, so a
+deleted, re-dated or cut-back block fails it; a ledger checked with no
+head is checked block by block.
 """
 
 from __future__ import annotations
@@ -46,7 +54,16 @@ from typing import Optional, Sequence
 
 from .crypto import KeyPair, PublicKey, Signature
 from .ecu import EcuState, compute_state_root, subset_report, update_ecu
-from .ledger import Archive, Ledger, MemoryArchive, append_entry, prune_to_two
+from .ledger import (
+    Archive,
+    Ledger,
+    MemoryArchive,
+    SealedHead,
+    append_entry,
+    block_tip,
+    head_root,
+    prune_to_two,
+)
 from .transactions import (
     RAW32,
     UINT64,
@@ -55,6 +72,8 @@ from .transactions import (
     ChallengeRecordTx,
     ChallengeResponse,
     GenesisTx,
+    LedgerHead,
+    Received,
     RequestTx,
     S,
     Signable,
@@ -117,11 +136,16 @@ class AuthorityTier:
     registered_rsus: set[PublicKey] = field(default_factory=set)
     revoked: set[PublicKey] = field(default_factory=set)
     ledger: Ledger = field(default_factory=Ledger)
+    roadside_head: Optional[SealedHead] = None
 
     @property
     def audit_pk(self) -> PublicKey:
         """Owner of the audit block: the first validator."""
         return self.validators[0].public
+
+    @property
+    def validator_pks(self) -> tuple[PublicKey, ...]:
+        return tuple(keys.public for keys in self.validators)
 
 
 def new_authority_tier(
@@ -307,11 +331,12 @@ def record_response(
     rsu_keys: KeyPair, roadside: RoadsideTier, challenge: Challenge, wire: bytes
 ) -> Verdict:
     """Decode a response's wire bytes (undecodable ones are BadSignature)
-    and classify it with ``verify_response``; if Valid, append the
-    countersigned response to the vehicle's block and prune it to two
-    entries, only once the archive write succeeds. Changes nothing on any
-    other verdict. Raises ``ProtocolError`` first if another RSU issued
-    the challenge: an RSU countersigns only answers to its own.
+    and classify it with ``verify_response``; if Valid, append a record
+    that countersigns those bytes as received to the vehicle's block and
+    prune it to two entries, only once the archive write succeeds.
+    Changes nothing on any other verdict. Raises ``ProtocolError`` first
+    if another RSU issued the challenge: an RSU countersigns only answers
+    to its own.
     """
     if challenge.rsu_pk != rsu_keys.public:
         raise ProtocolError("challenge issued by another RSU")
@@ -322,13 +347,29 @@ def record_response(
     verdict = verify_response(roadside, challenge, response, wire)
     if verdict is not Verdict.VALID:
         return verdict
-    record = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b"")
+    record = ChallengeRecordTx(
+        response=Received(response, wire), rsu_pk=rsu_keys.public, sig=b""
+    )
     block = roadside.ledger.lookup(response.vehicle_pk)
     appended = append_entry(block, signed_wire(record, rsu_keys))
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(pruned)
     roadside.profiles[response.vehicle_pk].last_response_ts = response.ts
     return verdict
+
+
+def seal_roadside(authority: AuthorityTier, roadside: RoadsideTier, ts: int) -> None:
+    """Each authority validator signs the roadside ledger's head once, and
+    the authority tier keeps the sealed head in place of the one before.
+    """
+    blocks = roadside.ledger.blocks.values()
+    tips = tuple(block_tip(block) for block in blocks)
+    root = head_root(blocks, tips)
+    signed = tuple(
+        signed_wire(LedgerHead(len(tips), ts, root, keys.public, b""), keys)
+        for keys in authority.validators
+    )
+    authority.roadside_head = SealedHead(signed, tips)
 
 
 # ---------------------------------------------------------------------------

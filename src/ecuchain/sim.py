@@ -6,10 +6,14 @@ response is dated at its challenge's time, and a non-Valid verdict's
 report reaches the transport authority within the encounter that raised
 it. The authority checks the report once and revokes into the authority
 tier, whose ``revoked`` set refuses the vehicle at its next arrival. No
-insurer request is made, so the authority ledger stays empty. Simulated
-time, ``EventQueue.now`` (the fire time of the last event popped), drives
-all protocol timestamps, so identical configurations (including the seed)
-replay to byte-identical event logs and ledgers.
+insurer request is made, so the authority ledger stays empty. The
+authority validators seal the roadside ledger's head twice, outside the
+event loop: when the world is built, and when the queue has drained,
+after the run-end audit has checked the blocks against the first head,
+so that a run may only append to what was sealed. Simulated time, ``EventQueue.now`` (the fire
+time of the last event popped), drives all protocol timestamps, so
+identical configurations (including the seed) replay to byte-identical
+event logs and ledgers.
 
 Scenario config files are flat ``key = value`` text, each key given once
 except the repeated ``attack = kind,vehicle,round`` and
@@ -44,6 +48,7 @@ from .protocol import (
     record_response,
     register_rsu,
     report_malicious,
+    seal_roadside,
 )
 from .transactions import MAX_ECUS, Verdict
 from .wire import U64_MAX
@@ -389,7 +394,9 @@ class World:
 
 
 def build_world(config: SimConfig, archive=None) -> World:
-    """All nodes and both tier ledgers, with every vehicle initialized."""
+    """All nodes and both tier ledgers, with every vehicle initialized and
+    the roadside ledger's head sealed.
+    """
     world = World(config, archive=archive)
     for i in range(config.n_vehicles):
         vehicle = world._new_vehicle(b"vehicle", i)
@@ -422,6 +429,7 @@ def build_world(config: SimConfig, archive=None) -> World:
                 (atk.kind, atk.vehicle),
             )
         )
+    seal_roadside(world.authority_tier, world.roadside, world.queue.now)
     return world
 
 
@@ -433,14 +441,23 @@ _HANDLERS = {
 
 
 def run(world: World) -> RunResult:
-    """Drain the event queue; every verdict, report and revocation is logged."""
+    """Drain the event queue, audit both ledgers, the roadside one against
+    the head sealed when the world was built, then seal its head again;
+    every verdict, report and revocation is logged.
+    """
     while len(world.queue):
         event = world.queue.pop()
         _HANDLERS[event.kind](world, event)
+    tier = world.authority_tier
+    ledgers_valid = (
+        world.roadside.ledger.validate(tier.roadside_head, tier.validator_pks)
+        and tier.ledger.validate()
+    )
+    seal_roadside(tier, world.roadside, world.queue.now)
     revoked = tuple(
         sorted(
             world.subject_by_pk.get(pk, pk.hex()[:12])
-            for pk in world.authority_tier.revoked
+            for pk in tier.revoked
         )
     )
     report = RunReport(
@@ -448,8 +465,7 @@ def run(world: World) -> RunResult:
         verdict_counts=dict(world.verdict_counts),
         revoked=revoked,
         refused=world.refused,
-        ledgers_valid=world.roadside.ledger.validate()
-        and world.authority_tier.ledger.validate(),
+        ledgers_valid=ledgers_valid,
     )
     return RunResult(report=report, event_log=list(world.event_log))
 

@@ -7,13 +7,16 @@ then the fields), ``to_bytes()`` (the signing bytes plus the raw 64-byte
 signature) and ``read()``; ``decode`` reads one value from bytes.
 Digests and public keys are raw. An ECU id and an ECU-list count are
 u16, so a vehicle has at most ``MAX_ECUS`` ECUs; an ECU record is one
-packed ``>H32sQ`` struct. A challenge record embeds its response's wire
-bytes unprefixed (the response's ECU count fixes their length); the only
-length prefix in a transaction is on a request's query. Each signed type
-names its signer's key field in ``SIGNER``. ``signed_wire`` is the one
-way to sign and returns the wire bytes that are sent and kept, and
-``signed_by(tx, wire)`` the one way to check a signature, over the bytes
-``tx`` was decoded from.
+packed ``>H32sQ`` struct. A challenge record embeds the wire bytes its
+response was received as, unprefixed (the response's ECU count fixes
+their length), so the recording RSU signs them without encoding the
+response again; the only length prefix in a transaction is on a
+request's query. Each signed type names its signer's key field in
+``SIGNER``. ``signed_wire`` is the one way to sign and returns the wire
+bytes that are sent and kept, and ``signed_by(tx, wire)`` the one way to
+check a signature, over the bytes ``tx`` was decoded from. A
+``LedgerHead`` is not a transaction: the authority validators sign it to
+seal a tier ledger (see ``ledger.SealedHead``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ TAG_GENESIS = 0
 TAG_UPDATE = 1
 TAG_REQUEST = 2
 TAG_CHALLENGE_RECORD = 3
+# Not a transaction tag: a head can never be read as a ledger entry.
+TAG_LEDGER_HEAD = 4
 
 
 class Verdict(Enum):
@@ -220,16 +225,26 @@ class ChallengeResponse(Signable):
     SIGNER = "vehicle_pk"
 
 
-RESPONSE = Codec(lambda v: v.to_bytes(), ChallengeResponse.read)
+class Received(NamedTuple):
+    """A response and the wire bytes it was received as, which a challenge
+    record embeds as they are.
+    """
+
+    value: ChallengeResponse
+    wire: bytes
+
+
+RESPONSE = Codec(lambda v: v.wire, lambda r: Received(*r.read_with_bytes(ChallengeResponse.read)))
 
 
 @dataclass(frozen=True, slots=True)
 class ChallengeRecordTx(Signable):
     """A verified challenge response countersigned by the recording RSU.
-    The response's wire bytes are embedded whole, with no length prefix.
+    The response's wire bytes are embedded whole, as received, with no
+    length prefix.
     """
 
-    response: ChallengeResponse
+    response: Received
     rsu_pk: PublicKey
     sig: Signature
 
@@ -239,6 +254,24 @@ class ChallengeRecordTx(Signable):
 
 
 Transaction = Union[GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx]
+
+
+@dataclass(frozen=True, slots=True)
+class LedgerHead(Signable):
+    """A tier ledger as one authority validator sealed it: its block count,
+    the seal time and a Merkle root over one leaf per block, in creation
+    order (``ledger.head_root``).
+    """
+
+    count: int
+    ts: int
+    merkle_root: Digest
+    validator_pk: PublicKey
+    sig: Signature
+
+    TAG = TAG_LEDGER_HEAD
+    WIRE = dict(count=UINT64, ts=UINT64, merkle_root=RAW32, validator_pk=RAW32)
+    SIGNER = "validator_pk"
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,7 +320,7 @@ def tx_vehicle(tx: Transaction) -> PublicKey | None:
     if isinstance(tx, (GenesisTx, UpdateTx)):
         return tx.vehicle_pk
     if isinstance(tx, ChallengeRecordTx):
-        return tx.response.vehicle_pk
+        return tx.response.value.vehicle_pk
     return None
 
 

@@ -16,6 +16,9 @@ to the same bytes.
 from __future__ import annotations
 
 import struct
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 U8 = struct.Struct(">B")
 U16 = struct.Struct(">H")
@@ -101,6 +104,12 @@ class Reader:
             return self.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError("invalid UTF-8 in string field") from exc
+
+    def read_with_bytes(self, read: Callable[["Reader"], T]) -> tuple[T, bytes]:
+        """``read(self)`` and the bytes it read."""
+        start = self._pos
+        value = read(self)
+        return value, self._data[start : self._pos]
 
     def read_fixed(self, n: int) -> bytes:
         """The next ``n`` raw bytes."""

@@ -11,6 +11,7 @@ from ecuchain.protocol import (
     make_genesis,
     new_authority_tier,
 )
+from ecuchain.transactions import Received
 from ecuchain.wire import WireError
 
 
@@ -25,6 +26,11 @@ def validate_block_bytes(data: bytes) -> bool:
     except WireError:
         return False
     return validate_block(block)
+
+
+def embedded(response):
+    """``response`` as a challenge record embeds it: with its wire bytes."""
+    return Received(response, response.to_bytes())
 
 
 def append(block, tx):

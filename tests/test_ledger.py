@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from conftest import append, keys_for, state_of, validate_block_bytes
+from conftest import append, embedded, keys_for, state_of, validate_block_bytes
 from ecuchain import crypto
 from ecuchain import ledger as ledger_module
 from ecuchain.bench import linear_fit
-from ecuchain.crypto import ZERO_DIGEST, sha256
+from ecuchain.crypto import sha256
 from ecuchain.ledger import (
     Archive,
     ArchiveError,
@@ -19,7 +19,6 @@ from ecuchain.ledger import (
     MemoryArchive,
     decode_block,
     deserialize_ledger,
-    header_hash,
     prune_to_two,
     reconstruct_history,
     validate_block,
@@ -48,7 +47,7 @@ def record_tx(vehicle_keys, state, rsu_keys, ts):
     response = dataclasses.replace(
         unsigned, sig=vehicle_keys.sign(unsigned.signing_bytes())
     )
-    rec = ChallengeRecordTx(response=response, rsu_pk=rsu_keys.public, sig=b"")
+    rec = ChallengeRecordTx(response=embedded(response), rsu_pk=rsu_keys.public, sig=b"")
     return dataclasses.replace(rec, sig=rsu_keys.sign(rec.signing_bytes()))
 
 
@@ -83,39 +82,28 @@ def test_first_block_anchors_to_zero(vehicle):
     _, _, genesis = vehicle
     ledger = Ledger()
     block = ledger.create_block(genesis.vehicle_pk, genesis.to_bytes(), 5)
-    assert block.header.prev_header_hash == ZERO_DIGEST
     assert block.entries[0].seq == 0
 
 
 def test_second_block_chains_to_first(maker_keys):
     ledger = fresh_blocks(maker_keys, 2)
-    first, second = ledger.blocks.values()
-    assert second.header.prev_header_hash == header_hash(first.header)
     assert ledger.validate()
 
 
 def test_create_block_chains_to_blocks_stored_directly(maker_keys):
-    """The chain tip is the newest block in ``blocks``, however it got there."""
+    """A block created after blocks stored directly in ``blocks``."""
     source = fresh_blocks(maker_keys, 2)
     ledger = Ledger()
     ledger.blocks.update(source.blocks)
     keys = keys_for("owner2")
-    block = ledger.create_block(
-        keys.public, make_genesis(maker_keys, keys.public, state_of(2), 0), 2
-    )
-    newest = source.blocks[source.creation_order[-1]]
-    assert block.header.prev_header_hash == header_hash(newest.header)
+    ledger.create_block(keys.public, make_genesis(maker_keys, keys.public, state_of(2), 0), 2)
     assert ledger.validate()
 
 
 def test_create_block_after_restart_chains_to_the_restored_tip(maker_keys):
     restored = deserialize_ledger(fresh_blocks(maker_keys, 3).serialize())
     keys = keys_for("owner3")
-    block = restored.create_block(
-        keys.public, make_genesis(maker_keys, keys.public, state_of(2), 0), 3
-    )
-    newest = restored.blocks[restored.creation_order[-2]]
-    assert block.header.prev_header_hash == header_hash(newest.header)
+    restored.create_block(keys.public, make_genesis(maker_keys, keys.public, state_of(2), 0), 3)
     assert restored.validate()
     assert restored.serialize() == fresh_blocks(maker_keys, 4).serialize()
 
@@ -253,12 +241,11 @@ def test_prune_five_entry_block(vehicle, rsu_keys):
 
 
 def test_append_and_prune_hash_nothing(vehicle, rsu_keys, monkeypatch):
-    """An entry carries no hash link, so appending and pruning call no
-    SHA-256; only creating a block hashes, for the header chain.
+    """The ledger stores no hash, so creating a block, appending and pruning
+    call no SHA-256.
     """
-    vehicle_keys, state, _ = vehicle
-    _, block = grown_block(vehicle, rsu_keys, 2)
-    records = [record_tx(vehicle_keys, state, rsu_keys, ts=ts) for ts in (2, 3, 4)]
+    vehicle_keys, state, genesis = vehicle
+    records = [record_tx(vehicle_keys, state, rsu_keys, ts=ts) for ts in (1, 2, 3, 4)]
     hashed = []
 
     def counting(data, _original=crypto.sha256):
@@ -267,6 +254,7 @@ def test_append_and_prune_hash_nothing(vehicle, rsu_keys, monkeypatch):
 
     for module in (crypto, ledger_module):
         monkeypatch.setattr(module, "sha256", counting)
+    block = Ledger().create_block(vehicle_keys.public, genesis.to_bytes(), 0)
     for tx in records:
         block = append(block, tx)
     block, archived = prune_to_two(block, MemoryArchive())

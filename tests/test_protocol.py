@@ -26,6 +26,7 @@ from ecuchain.protocol import (
     verify_response,
 )
 from ecuchain.transactions import (
+    TAG_CHALLENGE_RECORD,
     ChallengeRecordTx,
     ChallengeResponse,
     GenesisTx,
@@ -484,6 +485,30 @@ def test_recorded_entry_countersignature_verifies(registered, rsu_keys):
     assert isinstance(record, ChallengeRecordTx)
     assert record.rsu_pk == rsu_keys.public
     assert verify(rsu_keys.public, record.signing_bytes(), record.sig)
+
+
+def test_record_embeds_the_received_response_bytes_without_encoding_them(
+    registered, rsu_keys, monkeypatch
+):
+    """The RSU signs the response's bytes as it received them: recording
+    encodes no response, and the record is the tag, those bytes, the RSU
+    key and its signature.
+    """
+    _, roadside, vehicle_keys, state = registered
+    challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
+
+    def refuse(self):
+        raise AssertionError("the response was encoded again")
+
+    for method in ("signing_bytes", "to_bytes"):
+        monkeypatch.setattr(ChallengeResponse, method, refuse)
+    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+    payload = roadside.ledger.lookup(vehicle_keys.public).entries[-1].payload
+    message = bytes([TAG_CHALLENGE_RECORD]) + response + rsu_keys.public
+    assert payload[:-64] == message
+    assert verify(rsu_keys.public, message, payload[-64:])
+    monkeypatch.undo()
+    assert decode_transaction(payload).response == (decode(ChallengeResponse, response), response)
 
 
 def test_recorded_timestamps_strictly_increase(registered, rsu_keys):

@@ -42,8 +42,8 @@ DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
 # of its archive records (see ``archive_digest``). The demo makes no insurer
 # request, so its authority ledger is empty.
-DEMO_ROADSIDE_LEDGER_SHA256 = "96aa802b306cf6af5075ec617fc89919295052ac117e967e7400bac920e230b4"
-DEMO_AUTHORITY_LEDGER_SHA256 = "b4c657a259158b63c3c04e30b046505ca4fae1e262d774df8c6f0ac5b6b3b7cc"
+DEMO_ROADSIDE_LEDGER_SHA256 = "6471d95fb21fdf1cd6454ef32e9465d75168928ec2b0941add79c82d5f07f75f"
+DEMO_AUTHORITY_LEDGER_SHA256 = "41ae859880c1a77db454e0ba6d81538159b436a89a940167643f09536e417282"
 DEMO_ARCHIVE_SHA256 = "46467e9781e8adbaa8f73cee96bfaaa321b3be1192fd045da419fa581688b98c"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
@@ -162,6 +162,23 @@ def test_build_world_registers_all_vehicles():
     assert world.roadside.ledger.validate()
 
 
+def test_the_run_end_audit_checks_the_head_sealed_at_build_then_reseals():
+    """A block re-dated between the build-time seal and the run fails the
+    run-end audit, which checks the head sealed when the world was built;
+    the run then seals what its ledger holds.
+    """
+    world = build_world(SMALL)
+    built = world.authority_tier.roadside_head
+    pk = world.roadside.ledger.creation_order[-1]
+    block = world.roadside.ledger.blocks[pk]
+    header = dataclasses.replace(block.header, created_ts=block.header.created_ts + 1)
+    world.roadside.ledger.blocks[pk] = dataclasses.replace(block, header=header)
+    assert world.roadside.ledger.validate()
+    assert run(world).report.ledgers_valid is False
+    assert world.authority_tier.roadside_head != built
+    assert run(build_world(SMALL)).report.ledgers_valid
+
+
 def test_build_world_registers_each_rsu():
     world = build_world(SMALL)
     assert world.authority_tier.registered_rsus == {rsu.public for rsu in world.rsus}
@@ -169,7 +186,8 @@ def test_build_world_registers_each_rsu():
 
 def test_setup_signs_only_the_geneses_and_an_update_signs_nothing(monkeypatch):
     """The tiers sign nothing when they admit an RSU, register a vehicle or
-    apply an update: set-up signs once per maker-signed genesis.
+    apply an update: set-up signs once per maker-signed genesis, then each
+    validator once to seal the roadside ledger's head.
     """
     signers = []
     original = KeyPair.sign
@@ -180,7 +198,8 @@ def test_setup_signs_only_the_geneses_and_an_update_signs_nothing(monkeypatch):
 
     monkeypatch.setattr(KeyPair, "sign", counting)
     world = build_world(SimConfig(n_vehicles=3, n_rsus=2, seed=5))
-    assert signers == [world.maker.public] * 3
+    validators = [keys.public for keys in world.authority_tier.validators]
+    assert signers == [world.maker.public] * 3 + validators
     vehicle = world.vehicles[0]
     update = perform_maintenance(world.technician, vehicle, 1, b"fw-v2", ts=5)
     del signers[:]

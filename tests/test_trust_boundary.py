@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keys_for, state_of
+from conftest import embedded, keys_for, state_of
 from ecuchain import crypto
 from ecuchain.ecu import EcuRecord, compute_state_root
 from ecuchain.entities import AuthorityNode
@@ -61,6 +61,8 @@ from ecuchain.transactions import (
     ChallengeRecordTx,
     ChallengeResponse,
     GenesisTx,
+    LedgerHead,
+    Received,
     RequestTx,
     UpdateTx,
     Verdict,
@@ -101,7 +103,9 @@ def forged_record(rsu_keys, response):
     is 64 zero bytes.
     """
     return ChallengeRecordTx(
-        response=decode(ChallengeResponse, response), rsu_pk=rsu_keys.public, sig=bytes(64)
+        response=Received(decode(ChallengeResponse, response), response),
+        rsu_pk=rsu_keys.public,
+        sig=bytes(64),
     )
 
 
@@ -144,7 +148,7 @@ UNSIGNED = [
     RequestTx(insurer_pk=SIGNER.public, query="q", ts=3, sig=b""),
     _RESPONSE,
     ChallengeRecordTx(
-        response=decode(ChallengeResponse, signed_wire(_RESPONSE, SIGNER)),
+        response=embedded(decode(ChallengeResponse, signed_wire(_RESPONSE, SIGNER))),
         rsu_pk=SIGNER.public,
         sig=b"",
     ),
@@ -154,6 +158,9 @@ UNSIGNED = [
         verdict=Verdict.STATE_MISMATCH,
         ts=3,
         sig=b"",
+    ),
+    LedgerHead(
+        count=1, ts=3, merkle_root=_RESPONSE.state_root, validator_pk=SIGNER.public, sig=b""
     ),
 ]
 
@@ -396,7 +403,9 @@ def _world():
     response = build_response(vehicle, state, challenge, ts=5)
     assert verdict_of(roadside, challenge, response) is Verdict.VALID
     unsigned = ChallengeRecordTx(
-        response=decode(ChallengeResponse, response), rsu_pk=rsu.public, sig=b""
+        response=Received(decode(ChallengeResponse, response), response),
+        rsu_pk=rsu.public,
+        sig=b"",
     )
     record = decode_transaction(signed_wire(unsigned, rsu))
     return roadside, challenge, response, record
@@ -431,7 +440,8 @@ def changed_response(draw, response):
 def changed_record(draw, record):
     name = draw(st.sampled_from(["response", "rsu_pk", "sig"]))
     if name == "response":
-        _, value = draw(changed_response(record.response))
+        _, changed = draw(changed_response(record.response.value))
+        value = embedded(changed)
     elif name == "rsu_pk":
         value = draw(digests.filter(lambda v: v != record.rsu_pk))
     else:
@@ -472,7 +482,7 @@ def test_changed_record_is_rejected_by_append(data):
     """
     roadside, _, _, record = _world()
     changed = data.draw(changed_record(record))
-    block = roadside.ledger.lookup(record.response.vehicle_pk)
+    block = roadside.ledger.lookup(record.response.value.vehicle_pk)
     appended = append_entry(block, changed.to_bytes())
     assert appended.entries[-1].payload == changed.to_bytes()
     assert not validate_block(appended)
@@ -848,6 +858,7 @@ BOUNDARY_SITES = {
     ("signed_by", "submit_request"),
     ("signed_by", "AuthorityNode.receive_report"),
     ("signed_by", "validate_block"),
+    ("signed_by", "head_holds"),
 }
 
 

@@ -9,9 +9,10 @@ challenge record's response embedded unprefixed, a u32 length prefix
 only on strings and on blocks in the ledger envelope) and the block layout (each entry as its
 ``(seq, payload)`` record, and a CRC32 at the end). Bytes in the v1 layout
 (a length prefix on every field), the v2 layout (every integer 8 bytes),
-the ``ECUL4`` block layout (a linked, length-prefixed entry) and the
+the ``ECUL4`` block layout (a linked, length-prefixed entry), the
 ``ECUL5`` layout (a stored archive address and entry and block counts)
-are only ever written here, and nothing decodes them. Every decoder and
+and the ``ECUL6`` layout (a previous header hash in each header) are only
+ever written here, and nothing decodes them. Every decoder and
 the file archive raise only ``WireError`` or ``ArchiveError`` on hostile
 bytes, also behind a re-sealed checksum, and decoding is canonical:
 hostile bytes that decode re-encode to themselves. An entry that keeps
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keys_for, state_of
+from conftest import embedded, keys_for, state_of
 from ecuchain.crypto import ZERO_DIGEST
 from ecuchain.ecu import EcuRecord
 from ecuchain.ledger import (
@@ -46,9 +47,11 @@ from ecuchain.ledger import (
     Ledger,
     LedgerEntry,
     append_entry,
+    block_tip,
     decode_block,
     deserialize_ledger,
     external_address,
+    head_root,
     read_record,
     validate_block,
 )
@@ -62,15 +65,19 @@ from ecuchain.protocol import (
     new_authority_tier,
     record_response,
     report_malicious,
+    seal_roadside,
 )
 from ecuchain.transactions import (
     MAX_ECUS,
     RAW32,
     TAG_GENESIS,
+    TAG_LEDGER_HEAD,
     Challenge,
     ChallengeRecordTx,
     ChallengeResponse,
     GenesisTx,
+    LedgerHead,
+    Received,
     RequestTx,
     Signable,
     UpdateTx,
@@ -125,9 +132,15 @@ def _golden():
     challenge = Challenge(
         rsu_pk=rsu.public, vehicle_pk=vehicle.public, subset_indices=(1, 4, 6), issued_ts=5
     )
-    response = decode(ChallengeResponse, build_response(vehicle, state, challenge, ts=5))
+    response_wire = build_response(vehicle, state, challenge, ts=5)
+    response = decode(ChallengeResponse, response_wire)
     record = decode_transaction(
-        signed_wire(ChallengeRecordTx(response=response, rsu_pk=rsu.public, sig=b""), rsu)
+        signed_wire(
+            ChallengeRecordTx(
+                response=Received(response, response_wire), rsu_pk=rsu.public, sig=b""
+            ),
+            rsu,
+        )
     )
     update = decode(UpdateTx, make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)[1])
     request = decode(
@@ -141,6 +154,14 @@ def _golden():
     )
     ledger = Ledger()
     block = ledger.create_block(vehicle.public, genesis_wire, 0)
+    validator = keys_for("validator")
+    head = decode(
+        LedgerHead,
+        signed_wire(
+            LedgerHead(1, 0, head_root([block], [block_tip(block)]), validator.public, b""),
+            validator,
+        ),
+    )
     return {
         "genesis": genesis,
         "response": response,
@@ -151,6 +172,7 @@ def _golden():
         "header": block.header,
         "entry": block.entries[0],
         "ledger": ledger,
+        "head": head,
     }
 
 
@@ -162,8 +184,9 @@ GOLDEN = {
     "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
     "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
     "entry": (8 + 507, "edbf343756a91dbdea63532a23a19c711344d08945d59f451e1159cbe9e9f60e"),
-    "header": (72, "cd0b5590e7820117be6f7441ccea5be7a545a9cfc9692fc303a3ce47cbe74de0"),
-    "ledger": (604, "31098b2a91a2e84195b3fcec042203e5306bd6a96d7ae292f027417b7b0a15a1"),
+    "header": (40, "a2274119bbf017c0cd71ad8994506e9444c67b1d6955d56b4a32572770673dd4"),
+    "head": (145, "d57ceabf678d98ed91dfb7febe735b68fa8ce7ced908a24007b64e7cbee1304a"),
+    "ledger": (572, "6218a48295ff440d07b4551a135381e99c826590883ce850401490a0c1086a4b"),
 }
 
 
@@ -196,6 +219,21 @@ def test_response_and_record_layout_by_hand():
     assert record.to_bytes() == u8(3) + response.to_bytes() + record.rsu_pk + record.sig
 
 
+def test_ledger_head_layout_by_hand():
+    g = _golden()
+    head, block = g["head"], g["header"]
+    leaf = hashlib.sha256(
+        hashlib.sha256(block.to_bytes()).digest()
+        + u64(0)
+        + hashlib.sha256(g["entry"].payload).digest()
+    ).digest()
+    # One leaf: merkle_root hashes it behind its 0x00 prefix and index 0.
+    assert head.merkle_root == hashlib.sha256(b"\x00" + u64(0) + leaf).digest()
+    assert head.to_bytes() == (
+        u8(TAG_LEDGER_HEAD) + u64(1) + u64(0) + head.merkle_root + head.validator_pk + head.sig
+    )
+
+
 def test_genesis_and_update_layout_by_hand():
     g = _golden()
     genesis, update = g["genesis"], g["update"]
@@ -213,22 +251,30 @@ def test_genesis_and_update_layout_by_hand():
 def test_header_entry_and_envelope_layout_by_hand():
     g = _golden()
     header, ledger = g["header"], g["ledger"]
-    assert header.to_bytes() == header.owner_pk + ZERO_DIGEST + u64(0)
+    assert header.to_bytes() == header.owner_pk + u64(0)
     assert header.external_address == external_address(header.owner_pk)
     block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
     assert ledger.blocks[header.owner_pk].to_bytes() == block
-    assert ledger.serialize() == prefixed(b"ECUL6") + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECUL7") + prefixed(block)
 
 
 # -- older layouts are not read -----------------------------------------------------------
+
+
+def _v6_header() -> bytes:
+    """The golden header as layouts before ``ECUL7`` wrote it: the owner
+    key, the previous header hash (32 zero bytes for a first block) and the
+    creation time.
+    """
+    header = _golden()["header"]
+    return header.owner_pk + ZERO_DIGEST + u64(header.created_ts)
 
 
 def _v5_header() -> bytes:
     """The golden header as layouts before ``ECUL6`` wrote it: the archive
     address followed it as a length-prefixed string.
     """
-    header = _golden()["header"]
-    return header.to_bytes() + prefixed(header.external_address.encode())
+    return _v6_header() + prefixed(_golden()["header"].external_address.encode())
 
 
 def _old_link() -> bytes:
@@ -303,7 +349,7 @@ def test_v1_ledger_blob_raises_wire_error():
     v1_header = b"".join(
         (
             prefixed(header.owner_pk),
-            prefixed(header.prev_header_hash),
+            prefixed(ZERO_DIGEST),
             prefixed(u64(header.created_ts)),
             prefixed(header.external_address.encode()),
         )
@@ -337,11 +383,19 @@ def test_v1_ledger_blob_raises_wire_error():
         645,
         "88584570e02e6bddc2d65ee3960289bde3604539bfd8058449cf74dbe9b1441f",
     )
-    assert LEDGER_MAGIC == b"ECUL6"
-    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob):
+    # The same ledger in the ECUL6 layout: a previous header hash in each
+    # header (the bytes its golden vector pinned).
+    v6_block = sealed(_v6_header() + u64(0) + g["genesis"].to_bytes())
+    ecul6_blob = prefixed(b"ECUL6") + prefixed(v6_block)
+    assert (len(ecul6_blob), sha(ecul6_blob)) == (
+        604,
+        "31098b2a91a2e84195b3fcec042203e5306bd6a96d7ae292f027417b7b0a15a1",
+    )
+    assert LEDGER_MAGIC == b"ECUL7"
+    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob):
         with pytest.raises(WireError):
             deserialize_ledger(blob)
-    for block in (v1_block, v2_block, v4_block, v5_block):
+    for block in (v1_block, v2_block, v4_block, v5_block, v6_block):
         with pytest.raises(WireError):
             decode_block(block)
 
@@ -401,15 +455,10 @@ transactions = st.one_of(
         sig=sigs,
     ),
     st.builds(RequestTx, insurer_pk=digests, query=st.text(max_size=40), ts=u64s, sig=sigs),
-    st.builds(ChallengeRecordTx, response=responses, rsu_pk=digests, sig=sigs),
+    st.builds(ChallengeRecordTx, response=responses.map(embedded), rsu_pk=digests, sig=sigs),
 )
 records = st.builds(LedgerEntry, u64s, transactions.map(lambda tx: tx.to_bytes()))
-headers = st.builds(
-    BlockHeader,
-    owner_pk=digests,
-    prev_header_hash=digests,
-    created_ts=u64s,
-)
+headers = st.builds(BlockHeader, owner_pk=digests, created_ts=u64s)
 
 
 # A block of up to three records with any sequence numbers.
@@ -452,7 +501,7 @@ def test_entry_round_trip(record):
     seq, payload = record
     data = u64(seq) + payload
     r = Reader(data)
-    assert read_record(r, data) == record
+    assert read_record(r) == record
     r.finish()
 
 
@@ -675,23 +724,30 @@ def test_resealed_block_cut_inside_a_record_raises_wire_error():
 
 def test_resealed_creation_time_edit_fails_the_header_chain():
     """An edited ``created_ts`` changes its block's header hash, which the
-    next block's header names, so ``Ledger.validate`` fails for every block
-    but the newest: no later header binds the newest one's.
+    signed head's Merkle root covers, so ``Ledger.validate`` against the
+    authority's head fails for every block, the newest included.
     """
     maker = keys_for("maker")
-    ledger = Ledger()
+    authority = new_authority_tier(
+        validators=(keys_for("transport"), keys_for("legal")),
+        authorized_makers=(maker.public,),
+        authorized_insurers=(),
+    )
+    roadside = RoadsideTier()
     for i in range(3):
         vehicle = keys_for(f"chain-{i}")
         genesis = make_genesis(maker, vehicle.public, state_of(2), ts=i)
-        ledger.create_block(vehicle.public, genesis, i)
-    assert ledger.validate()
-    newest = len(ledger) - 1
-    for i, pk in enumerate(ledger.creation_order):
+        roadside.ledger.create_block(vehicle.public, genesis, i)
+    seal_roadside(authority, roadside, ts=3)
+    ledger, head = roadside.ledger, (authority.roadside_head, authority.validator_pks)
+    assert ledger.validate(*head)
+    for pk in ledger.creation_order:
         block = ledger.blocks[pk]
-        data = _edited_and_resealed(block, 2 * 32, u64(block.header.created_ts + 1))
+        data = _edited_and_resealed(block, 32, u64(block.header.created_ts + 1))
         restored = deserialize_ledger(ledger.serialize())
+        assert restored.validate(*head)
         restored.blocks[pk] = decode_block(data)
-        assert restored.validate() is (i == newest)
+        assert restored.validate(*head) is False
 
 
 def test_every_single_bit_flip_of_a_record_fails_or_changes_it():
@@ -719,6 +775,7 @@ SIGNED_TYPES = (
     ChallengeResponse,
     ChallengeRecordTx,
     ReportEvent,
+    LedgerHead,
 )
 
 
@@ -737,7 +794,7 @@ def test_signer_is_a_public_key_field_of_the_wire_table(cls):
 
 
 def test_transaction_tags_are_distinct():
-    tags = [cls.TAG for cls in (GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx)]
+    tags = [cls.TAG for cls in (GenesisTx, UpdateTx, RequestTx, ChallengeRecordTx, LedgerHead)]
     assert None not in tags and len(set(tags)) == len(tags)
 
 
@@ -784,14 +841,16 @@ def test_ecu_id_at_the_limit_round_trips():
 def test_ecu_id_or_list_past_the_limit_raises_wire_error():
     too_many = _records([0] * (MAX_ECUS + 1))
     assert len(_response(too_many[:-1]).to_bytes()) == response_size(MAX_ECUS)
-    for obj in (
-        _update(MAX_ECUS + 1),
-        _response(_records([MAX_ECUS + 1])),
-        _response(too_many),
-        ChallengeRecordTx(response=_response(too_many), rsu_pk=bytes(32), sig=bytes(64)),
+    for signing_bytes in (
+        _update(MAX_ECUS + 1).signing_bytes,
+        _response(_records([MAX_ECUS + 1])).signing_bytes,
+        _response(too_many).signing_bytes,
+        lambda: ChallengeRecordTx(
+            response=embedded(_response(too_many)), rsu_pk=bytes(32), sig=bytes(64)
+        ).signing_bytes(),
     ):
         with pytest.raises(WireError):
-            obj.signing_bytes()
+            signing_bytes()
 
 
 # -- sizes in closed form ----------------------------------------------------------------------
@@ -800,8 +859,8 @@ def test_ecu_id_or_list_past_the_limit_raises_wire_error():
 TAG, ECU_ID, ECU_COUNT, U64_WIDTH, DIGEST, KEY, SIG, PREFIX = 1, 2, 2, 8, 32, 32, 64, 4
 ECU = ECU_ID + DIGEST + U64_WIDTH  # id, firmware digest, last-write time
 UPDATE_SIZE = TAG + DIGEST + U64_WIDTH + KEY + KEY + ECU_ID + DIGEST + SIG
-# Owner key, previous header hash and creation time.
-HEADER_SIZE = KEY + DIGEST + U64_WIDTH
+# Owner key and creation time.
+HEADER_SIZE = KEY + U64_WIDTH
 ENTRY_FRAMING = U64_WIDTH  # seq; the payload fixes its own length
 CHECKSUM = 4  # a block's CRC32
 
@@ -832,7 +891,7 @@ def test_sizes_follow_the_closed_form(n):
     assert len(genesis.to_bytes()) == genesis_size(n)
     for k in range(1, min(3, n) + 1):
         response = _response(records[n - k :])
-        record = ChallengeRecordTx(response=response, rsu_pk=bytes(32), sig=bytes(64))
+        record = ChallengeRecordTx(response=embedded(response), rsu_pk=bytes(32), sig=bytes(64))
         assert len(response.to_bytes()) == response_size(k)
         assert len(record.to_bytes()) == record_size(k)
     assert len(_update(n).to_bytes()) == UPDATE_SIZE
@@ -873,8 +932,8 @@ def _encounters(n: int, count: int):
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_retained_block_follows_the_closed_form(n):
     """After two or more encounters a vehicle's block holds its header and
-    two challenge records: 818 B in the ledger for an 8-ECU vehicle, and
-    595 B before its first encounter.
+    two challenge records: 786 B in the ledger for an 8-ECU vehicle, and
+    563 B before its first encounter.
     """
     steps = _encounters(n, 5)
     envelope = len(Ledger().serialize())
@@ -885,7 +944,7 @@ def test_retained_block_follows_the_closed_form(n):
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
             assert len(roadside.ledger.serialize()) - envelope == retained
-    assert n != 8 or (retained, genesis_only) == (818, 595)
+    assert n != 8 or (retained, genesis_only) == (786, 563)
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])
