@@ -54,9 +54,9 @@ class EcuState:
         return len(self.records)
 
 
-def state_from_digests(digests: Iterable[Digest], ts: int = 0) -> EcuState:
+def state_from_digests(digests: Iterable[Digest]) -> EcuState:
     records = tuple(
-        EcuRecord(ecu_id=i, firmware_digest=d, last_write_ts=ts)
+        EcuRecord(ecu_id=i, firmware_digest=d, last_write_ts=0)
         for i, d in enumerate(digests)
     )
     return EcuState(records=records)

@@ -60,17 +60,17 @@ The archive address is not stored: ``BlockHeader.external_address`` is
 (the 8-byte sequence number, then the payload, which fixes its own length)
 and a big-endian CRC32 of all that: 8 bytes of framing per entry and 4 per
 block. No entry count is stored: ``decode_block`` reads records until the
-checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL7``,
+checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL8``,
 then each block behind a u32 length until the data ends, and not the
-head.
-There is no reader for older layouts (magics ``ECUL1`` to ``ECUL6``):
+head; it differs from ``ECUL7`` only in its genesis (``GenesisTx``).
+There is no reader for older layouts (magics ``ECUL1`` to ``ECUL7``):
 such bytes raise ``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
-block. A ``FileArchive`` file starts with the marker ``ECUA4``; the three
-earlier archive layouts had none, and a file in any of them raises
-``ArchiveError``. A ledger restored by ``deserialize_ledger`` continues
+block. A ``FileArchive`` file starts with the marker ``ECUA5``; ``ECUA4``
+marked the genesis before it, and the three earlier archive layouts had
+none: a file in any of them raises ``ArchiveError``. A ledger restored by ``deserialize_ledger`` continues
 each block's sequence.
 """
 
@@ -101,9 +101,9 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL7"
+LEDGER_MAGIC = b"ECUL8"
 # First bytes of every ``FileArchive`` file.
-ARCHIVE_MAGIC = b"ECUA4"
+ARCHIVE_MAGIC = b"ECUA5"
 
 
 class LedgerError(ValueError):

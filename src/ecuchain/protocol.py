@@ -12,16 +12,17 @@ vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
 and the last recorded response timestamp); the profile is what a
 roadside unit actually checks a response against, and it survives
 pruning because pruned entries leave the block. Registration sets the
-profile's state from the genesis inventory, and an authorized update is
-the only way it changes:
-``apply_upper_update`` applies the update's typed ECU record with
-``update_ecu`` and requires the signed ``new_root`` to be that state's
-root.
+profile's state from the genesis inventory, which carries no root, and
+an authorized update is the only way it changes: ``apply_upper_update``
+applies the update's typed ECU record with ``update_ecu`` and requires
+the signed ``new_root`` to be that state's root.
 
 Every check on an incoming message is made here. Each entry point takes
 the wire bytes it received, decodes them once, rejects bytes that do not
 decode like any other bad input, and verifies the signature once, with
-``signed_by`` over those bytes: ``initialize_vehicle`` (a genesis),
+``signed_by`` over those bytes, after the sender's allow-list where
+there is one, so input from an unlisted key costs no verify:
+``initialize_vehicle`` (a genesis),
 ``apply_upper_update`` (an update), ``record_response`` (a response,
 through ``verify_response``; only a Valid one is recorded),
 ``submit_request`` (an insurer request) and
@@ -173,11 +174,10 @@ def new_authority_tier(
 def make_genesis(
     maker_keys: KeyPair, vehicle_pk: PublicKey, ecu_state: EcuState, ts: int
 ) -> bytes:
-    """Registration transaction: state root plus the full ECU inventory,
-    signed by the maker, as wire bytes.
+    """Registration transaction: the full ECU inventory, signed by the
+    maker, as wire bytes. It computes no state root.
     """
     unsigned = GenesisTx(
-        state_root=compute_state_root(ecu_state),
         ts=ts,
         ecu_list=ecu_state.records,
         vehicle_pk=vehicle_pk,
@@ -197,9 +197,10 @@ def initialize_vehicle(
 ) -> None:
     """Validate a genesis' wire bytes and open the vehicle's block in the
     roadside tier. Each rejection is a ``ProtocolError``, in this order:
-    undecodable bytes, an unauthorized maker, an empty or out-of-order ECU
-    list, a wrong state root, a duplicate, a bad signature. Nothing is
-    mutated before every check passes.
+    undecodable bytes, an unauthorized maker, an empty ECU inventory, a
+    duplicate, a bad signature. A genesis stores no root to compare: the
+    profile's state computes it when first asked. Nothing is mutated
+    before every check passes.
     """
     genesis = received(GenesisTx, wire)
     if genesis.maker_pk not in authority.authorized_makers:
@@ -208,8 +209,6 @@ def initialize_vehicle(
         state = EcuState(records=genesis.ecu_list)
     except ValueError as exc:
         raise ProtocolError(f"genesis ECU list rejected: {exc}") from None
-    if compute_state_root(state) != genesis.state_root:
-        raise ProtocolError("genesis state root does not match ECU list")
     if roadside.ledger.lookup(genesis.vehicle_pk) is not None:
         raise ProtocolError("vehicle already registered")
     if not signed_by(genesis, wire):
@@ -224,16 +223,16 @@ def apply_upper_update(
     """Validate an authorized maintenance update's wire bytes, append it to
     the vehicle's block and move the verification profile to the updated
     state. Every check runs before anything is mutated, and every rejection
-    is a ``ProtocolError``: undecodable bytes, a bad signature, an
-    unauthorized maintainer, an unknown vehicle, an ECU record
-    ``update_ecu`` refuses (unknown ECU id, timestamp regression) and a
-    ``new_root`` that is not the updated state's root.
+    is a ``ProtocolError``, in this order: undecodable bytes, an
+    unauthorized maintainer, a bad signature, an unknown vehicle, an ECU
+    record ``update_ecu`` refuses (unknown ECU id, timestamp regression)
+    and a ``new_root`` that is not the updated state's root.
     """
     update = received(UpdateTx, wire)
-    if not signed_by(update, wire):
-        raise ProtocolError("update signature invalid")
     if update.maintainer_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maintainer")
+    if not signed_by(update, wire):
+        raise ProtocolError("update signature invalid")
     block = roadside.ledger.lookup(update.vehicle_pk)
     profile = roadside.profiles.get(update.vehicle_pk)
     if block is None or profile is None:
@@ -406,14 +405,14 @@ def report_malicious(
 def submit_request(authority: AuthorityTier, wire: bytes) -> None:
     """Store an insurer's signed evidence request's wire bytes on the
     authority audit block, which the first accepted request opens. The
-    bytes must decode, then the signature and the insurer allow-list are
+    bytes must decode, then the insurer allow-list and the signature are
     checked; each rejection is a ``ProtocolError`` and changes nothing.
     """
     request = received(RequestTx, wire)
-    if not signed_by(request, wire):
-        raise ProtocolError("request signature invalid")
     if request.insurer_pk not in authority.authorized_insurers:
         raise ProtocolError("unauthorized insurer")
+    if not signed_by(request, wire):
+        raise ProtocolError("request signature invalid")
     owner = authority.audit_pk
     block = authority.ledger.lookup(owner)
     if block is None:

@@ -6,9 +6,11 @@ A signed type's wire-format v3 layout is its ``WIRE`` table, and
 then the fields), ``to_bytes()`` (the signing bytes plus the raw 64-byte
 signature) and ``read()``; ``decode`` reads one value from bytes.
 Digests and public keys are raw. An ECU id and an ECU-list count are
-u16, so a vehicle has at most ``MAX_ECUS`` ECUs; an ECU record is one
-packed ``>H32sQ`` struct. A challenge record embeds the wire bytes its
-response was received as, unprefixed (the response's ECU count fixes
+u16, so a vehicle has at most ``MAX_ECUS`` ECUs. A response's ECU record
+is one packed ``>H32sQ`` struct; a genesis inventory lists every ECU in
+id order, so its record is a ``>32sQ`` and reads back with ids 0 to
+n - 1. A challenge record embeds the wire bytes its response was
+received as, unprefixed (the response's ECU count fixes
 their length), so the recording RSU signs them without encoding the
 response again; the only length prefix in a transaction is on a
 request's query. Each signed type names its signer's key field in
@@ -64,6 +66,8 @@ MAX_ECUS = 0xFFFF
 # One ECU record: ecu_id (u16), firmware digest (32 bytes), last-write ts (u64).
 # ``32s`` would pad a short digest, but ``EcuRecord`` only holds 32-byte ones.
 ECU_RECORD = struct.Struct(">H32sQ")
+# One genesis inventory record: the same without the id, which is its position.
+INVENTORY_RECORD = struct.Struct(">32sQ")
 
 
 def _encode_ecu_list(records: tuple[EcuRecord, ...]) -> bytes:
@@ -75,12 +79,32 @@ def _encode_ecu_list(records: tuple[EcuRecord, ...]) -> bytes:
     return encode_u16(len(records)) + b"".join(packed)
 
 
-def _read_ecu_list(r: Reader) -> tuple[EcuRecord, ...]:
+def _encode_inventory(records: tuple[EcuRecord, ...]) -> bytes:
+    if any(r.ecu_id != i for i, r in enumerate(records)):
+        raise WireError("an inventory's ECU ids must be their positions")
+    pack = INVENTORY_RECORD.pack
+    try:
+        packed = [pack(r.firmware_digest, r.last_write_ts) for r in records]
+    except struct.error as exc:
+        raise WireError(f"ECU record not encodable: {exc}") from None
+    return encode_u16(len(records)) + b"".join(packed)
+
+
+def _read_packed(r: Reader, record: struct.Struct):
+    """A u16 count, then that many ``record`` structs, unpacked."""
     count = r.read_u16()
-    if count > r.remaining // ECU_RECORD.size:
+    if count > r.remaining // record.size:
         raise WireError(f"ECU list of {count} records overruns buffer")
-    raw = r.read_fixed(count * ECU_RECORD.size)
-    return tuple(EcuRecord(*fields) for fields in ECU_RECORD.iter_unpack(raw))
+    return record.iter_unpack(r.read_fixed(count * record.size))
+
+
+def _read_ecu_list(r: Reader) -> tuple[EcuRecord, ...]:
+    return tuple(EcuRecord(*fields) for fields in _read_packed(r, ECU_RECORD))
+
+
+def _read_inventory(r: Reader) -> tuple[EcuRecord, ...]:
+    fields = enumerate(_read_packed(r, INVENTORY_RECORD))
+    return tuple(EcuRecord(i, *f) for i, f in fields)
 
 
 class Codec(NamedTuple):
@@ -98,6 +122,7 @@ UINT16 = Codec(encode_u16, Reader.read_u16)
 UINT64 = Codec(lambda v: encode_u64(v), Reader.read_u64)
 TEXT = Codec(lambda v: encode_str(v), Reader.read_str)
 ECU_LIST = Codec(_encode_ecu_list, _read_ecu_list)
+INVENTORY = Codec(_encode_inventory, _read_inventory)
 
 
 def _enum_codec(cls: type[Enum], codec: Codec, what: str) -> Codec:
@@ -153,11 +178,12 @@ class Signable:
 
 @dataclass(frozen=True, slots=True)
 class GenesisTx(Signable):
-    """Vehicle registration: full ECU inventory plus its Merkle state root,
-    signed by the manufacturer that assembled the vehicle.
+    """Vehicle registration: the full ECU inventory, in id order, signed by
+    the manufacturer that assembled the vehicle. It stores no state root:
+    the root is a function of the inventory, and each side computes it when
+    it first needs it.
     """
 
-    state_root: Digest
     ts: int
     ecu_list: tuple[EcuRecord, ...]
     vehicle_pk: PublicKey
@@ -165,9 +191,7 @@ class GenesisTx(Signable):
     sig: Signature
 
     TAG = TAG_GENESIS
-    WIRE = dict(
-        state_root=RAW32, ts=UINT64, ecu_list=ECU_LIST, vehicle_pk=RAW32, maker_pk=RAW32
-    )
+    WIRE = dict(ts=UINT64, ecu_list=INVENTORY, vehicle_pk=RAW32, maker_pk=RAW32)
     SIGNER = "maker_pk"
 
 

@@ -169,8 +169,14 @@ VALUES = {
     "last_write_ts": u64s,
 }
 SIGNER_FIELD = {GenesisTx: "maker_pk", UpdateTx: "maintainer_pk", ChallengeRecordTx: "rsu_pk"}
-ROOT_FIELD = {GenesisTx: "state_root", UpdateTx: "new_root", ChallengeResponse: "state_root"}
-ECU_LIST_FIELD = {GenesisTx: "ecu_list", ChallengeResponse: "subset"}
+# A genesis stores no root.
+ROOT_FIELD = {UpdateTx: "new_root", ChallengeResponse: "state_root"}
+# Each ECU list's field and the record fields it stores: a genesis inventory
+# stores no ECU ids, which are the records' positions.
+ECU_LIST_FIELD = {
+    GenesisTx: ("ecu_list", ["firmware_digest", "last_write_ts"]),
+    ChallengeResponse: ("subset", ["ecu_id", "firmware_digest", "last_write_ts"]),
+}
 
 
 def _changed(draw, obj, name):
@@ -181,7 +187,8 @@ def _changed(draw, obj, name):
 
 def _changed_content(draw, tx, kind):
     """``tx`` (a genesis, an update or a response) with its state root,
-    timestamp, owner key or one ECU record changed.
+    timestamp, owner key or one ECU record changed. A genesis has no state
+    root, and its ECU records no stored id.
     """
     if kind == "state root":
         return _changed(draw, tx, ROOT_FIELD[type(tx)])
@@ -191,31 +198,33 @@ def _changed_content(draw, tx, kind):
         return _changed(draw, tx, "vehicle_pk")
     if isinstance(tx, UpdateTx):
         return _changed(draw, tx, draw(st.sampled_from(["ecu_id", "firmware_digest"])))
-    name = ECU_LIST_FIELD[type(tx)]
+    name, stored = ECU_LIST_FIELD[type(tx)]
     records = list(getattr(tx, name))
     i = draw(st.integers(0, len(records) - 1))
-    attr = draw(st.sampled_from(["ecu_id", "firmware_digest", "last_write_ts"]))
+    attr = draw(st.sampled_from(stored))
     records[i] = _changed(draw, records[i], attr)
     return dataclasses.replace(tx, **{name: tuple(records)})
 
 
 @st.composite
 def changed_payload(draw, tx):
-    """``tx`` with one field changed: its signature, state root, timestamp,
-    owner key, signer key (the RSU's, for a challenge record) or one ECU
-    record.
+    """``tx`` with one field changed: its signature, state root (not for a
+    genesis), timestamp, owner key, signer key (the RSU's, for a challenge
+    record) or one ECU record.
     """
-    kind = draw(
-        st.sampled_from(["sig", "state root", "ts", "owner key", "signer key", "ecu record"])
-    )
+    content = tx.response.value if isinstance(tx, ChallengeRecordTx) else tx
+    kinds = ["sig", "state root", "ts", "owner key", "signer key", "ecu record"]
+    if type(content) not in ROOT_FIELD:
+        kinds.remove("state root")
+    kind = draw(st.sampled_from(kinds))
     if kind == "sig":
         return _changed(draw, tx, "sig")
     if kind == "signer key":
         return _changed(draw, tx, SIGNER_FIELD[type(tx)])
+    changed = _changed_content(draw, content, kind)
     if isinstance(tx, ChallengeRecordTx):
-        changed = _changed_content(draw, tx.response.value, kind)
         return dataclasses.replace(tx, response=embedded(changed))
-    return _changed_content(draw, tx, kind)
+    return changed
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from conftest import keys_for, state_of
 from ecuchain import _kernels
 from ecuchain.crypto import KeyPair, sha256, verify
-from ecuchain.ecu import compute_state_root, update_ecu
+from ecuchain.ecu import EcuState, compute_state_root, update_ecu
 from ecuchain.ledger import Archive, ArchiveError, external_address
 from ecuchain.protocol import (
     MAX_RESPONSE_DELAY_MS,
@@ -93,10 +93,13 @@ def genesis_of(maker_keys, vehicle_pk, state, ts):
 
 
 def test_make_genesis_root_matches_oracle(maker_keys, vehicle_keys, ecu_state8):
+    """A genesis stores its inventory and no root; the root the tier
+    derives from that inventory is the oracle's.
+    """
     genesis = genesis_of(maker_keys, vehicle_keys.public, ecu_state8, ts=4)
     digests = [r.firmware_digest for r in ecu_state8.records]
-    assert genesis.state_root == oracle_root(digests)
-    assert len(genesis.ecu_list) == 8
+    assert genesis.ecu_list == ecu_state8.records
+    assert compute_state_root(EcuState(records=genesis.ecu_list)) == oracle_root(digests)
     assert verify(maker_keys.public, genesis.signing_bytes(), genesis.sig)
 
 
@@ -137,29 +140,18 @@ def test_initialize_rejects_bad_signature(tiers, maker_keys, vehicle_keys, ecu_s
         initialize_vehicle(authority, roadside, broken, ts=0)
 
 
-def test_initialize_rejects_inconsistent_root(tiers, maker_keys, vehicle_keys, ecu_state8):
-    authority, roadside = tiers
-    genesis = genesis_of(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
-    forged = signed_wire(dataclasses.replace(genesis, state_root=sha256(b"lie")), maker_keys)
-    with pytest.raises(ProtocolError, match="state root"):
-        initialize_vehicle(authority, roadside, forged, ts=0)
-
-
-@pytest.mark.parametrize(
-    "ecu_list",
-    [(), tuple(reversed(state_of(2).records))],
-    ids=["empty", "out-of-id-order"],
-)
+@pytest.mark.parametrize("ecu_list", [()], ids=["empty"])
 def test_initialize_rejects_an_unusable_ecu_list_as_protocol_error(
     tiers, maker_keys, vehicle_keys, ecu_list
 ):
     """An ECU list no ``EcuState`` can hold is a ``ProtocolError`` before
     the signature is checked, so an unsigned genesis that names an
-    authorized maker cannot raise anything else, and changes nothing.
+    authorized maker cannot raise anything else, and changes nothing. An
+    inventory reads back with ids 0 to n - 1, so only an empty one is
+    left to refuse.
     """
     authority, roadside = tiers
     unsigned = GenesisTx(
-        state_root=sha256(b"any"),
         ts=0,
         ecu_list=ecu_list,
         vehicle_pk=vehicle_keys.public,
@@ -181,13 +173,15 @@ def poison_root(state, root):
 def test_initialize_ignores_a_root_cached_on_the_vehicle_side(
     tiers, maker_keys, vehicle_keys
 ):
+    """A genesis carries no root, so a wrong one cached on the vehicle's
+    state never reaches the tier: the profile's root is the inventory's.
+    """
     authority, roadside = tiers
     state = poison_root(state_of(8), sha256(b"lie"))
     genesis = make_genesis(maker_keys, vehicle_keys.public, state, ts=0)
-    assert decode(GenesisTx, genesis).state_root == sha256(b"lie")
-    with pytest.raises(ProtocolError, match="state root"):
-        initialize_vehicle(authority, roadside, genesis, ts=0)
-    assert len(roadside.ledger) == 0
+    initialize_vehicle(authority, roadside, genesis, ts=0)
+    profile = roadside.profiles[vehicle_keys.public]
+    assert compute_state_root(profile.state) == compute_state_root(state_of(8))
 
 
 def test_update_ignores_a_root_cached_on_the_vehicle_side(registered, maker_keys):

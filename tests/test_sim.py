@@ -42,9 +42,9 @@ DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
 # of its archive records (see ``archive_digest``). The demo makes no insurer
 # request, so its authority ledger is empty.
-DEMO_ROADSIDE_LEDGER_SHA256 = "6471d95fb21fdf1cd6454ef32e9465d75168928ec2b0941add79c82d5f07f75f"
-DEMO_AUTHORITY_LEDGER_SHA256 = "41ae859880c1a77db454e0ba6d81538159b436a89a940167643f09536e417282"
-DEMO_ARCHIVE_SHA256 = "46467e9781e8adbaa8f73cee96bfaaa321b3be1192fd045da419fa581688b98c"
+DEMO_ROADSIDE_LEDGER_SHA256 = "7aaaaef647c8a0e4140ca9b928a88a90f9190de82b84ee76a7c2251d759822da"
+DEMO_AUTHORITY_LEDGER_SHA256 = "42a63d579117b7fdc0926831c50e8c3016428df7bb466970df6a202bc7590c10"
+DEMO_ARCHIVE_SHA256 = "12f03f79a173cc933d70e430a124f4750a14f8a741c92c681bcf991f8d17e690"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
 

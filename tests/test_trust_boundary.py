@@ -7,10 +7,11 @@ response, which it decodes and classifies with ``verify_response``, and
 records only if Valid), ``submit_request`` (the insurer request) and
 ``AuthorityNode.receive_report`` (the report). Each takes the sender's
 wire bytes, decodes them once, rejects bytes that do not decode as it
-rejects any other bad input, and checks the signature with
-``signed_by(tx, wire)``, which reads the signer from the field the type's
-``SIGNER`` names. ``validate_block`` calls ``signed_by`` too, so it is the
-only place that verifies, and ``signed_wire`` the only place that signs.
+rejects any other bad input, checks the sender's allow-list where there
+is one, and only then checks the signature with ``signed_by(tx, wire)``,
+which reads the signer from the field the type's ``SIGNER`` names.
+``validate_block`` calls ``signed_by`` too, so it is the only place that
+verifies, and ``signed_wire`` the only place that signs.
 The ledger verifies nothing on the way in: ``Ledger.create_block`` and
 ``append_entry`` keep the bytes the protocol passed, and what a tier
 signed itself, such as the RSU's challenge record; they read no owner from
@@ -129,7 +130,6 @@ _RESPONSE = ChallengeResponse(
 # type declares as ``SIGNER`` holds SIGNER's key.
 UNSIGNED = [
     GenesisTx(
-        state_root=_RESPONSE.state_root,
         ts=0,
         ecu_list=_STATE.records,
         vehicle_pk=keys_for("vehicle").public,
@@ -294,6 +294,31 @@ def test_request_verifies_once(tiers, insurer_keys, verify_calls):
     del verify_calls[:]
     submit_request(authority, request)
     assert verify_calls == [(insurer_keys.public, *signature_of(request))]
+
+
+def test_update_from_an_unlisted_maintainer_costs_no_verify(registered, verify_calls):
+    """The maintainer allow-list is checked before the signature, so an
+    update from a key outside it is refused without a verify.
+    """
+    authority, roadside, vehicle_keys, state = registered
+    rogue = keys_for("rogue-tech")
+    _, update = make_update(rogue, vehicle_keys.public, state, 0, b"fw", ts=1)
+    del verify_calls[:]
+    with pytest.raises(ProtocolError, match="unauthorized maintainer"):
+        apply_upper_update(authority, roadside, update)
+    assert verify_calls == []
+
+
+def test_request_from_an_unlisted_insurer_costs_no_verify(tiers, verify_calls):
+    """The insurer allow-list is checked before the signature, so a request
+    from a key outside it is refused without a verify.
+    """
+    authority, _ = tiers
+    request = signed_request(keys_for("rogue-insurer"), "fishing", ts=3)
+    del verify_calls[:]
+    with pytest.raises(ProtocolError, match="unauthorized insurer"):
+        submit_request(authority, request)
+    assert verify_calls == []
 
 
 def test_report_verified_by_each_receiving_authority(
@@ -569,7 +594,9 @@ def test_changed_update_is_rejected(data):
     name = data.draw(st.sampled_from(sorted(UPDATE_FIELDS)))
     value = data.draw(UPDATE_FIELDS[name].filter(lambda v: v != getattr(honest, name)))
     changed = dataclasses.replace(honest, **{name: value})
-    assert_update_rejected(changed.to_bytes(), "signature")
+    # A changed maintainer key is outside the allow-list, which is checked first.
+    match = "unauthorized maintainer" if name == "maintainer_pk" else "signature"
+    assert_update_rejected(changed.to_bytes(), match)
     assert_fresh_encoding(changed)
 
 

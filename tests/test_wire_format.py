@@ -10,8 +10,9 @@ only on strings and on blocks in the ledger envelope) and the block layout (each
 ``(seq, payload)`` record, and a CRC32 at the end). Bytes in the v1 layout
 (a length prefix on every field), the v2 layout (every integer 8 bytes),
 the ``ECUL4`` block layout (a linked, length-prefixed entry), the
-``ECUL5`` layout (a stored archive address and entry and block counts)
-and the ``ECUL6`` layout (a previous header hash in each header) are only
+``ECUL5`` layout (a stored archive address and entry and block counts),
+the ``ECUL6`` layout (a previous header hash in each header) and the
+``ECUL7`` layout (a genesis with a state root and an id per ECU) are only
 ever written here, and nothing decodes them. Every decoder and
 the file archive raise only ``WireError`` or ``ArchiveError`` on hostile
 bytes, also behind a re-sealed checksum, and decoding is canonical:
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 
 from conftest import embedded, keys_for, state_of
 from ecuchain.crypto import ZERO_DIGEST
-from ecuchain.ecu import EcuRecord
+from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
 from ecuchain.ledger import (
     ARCHIVE_MAGIC,
     LEDGER_MAGIC,
@@ -56,6 +57,7 @@ from ecuchain.ledger import (
     validate_block,
 )
 from ecuchain.protocol import (
+    ProtocolError,
     ReportEvent,
     RoadsideTier,
     build_response,
@@ -119,6 +121,10 @@ def packed_records(records) -> bytes:
     return b"".join(u16(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in records)
 
 
+def packed_inventory(records) -> bytes:
+    return b"".join(r.firmware_digest + u64(r.last_write_ts) for r in records)
+
+
 # -- golden vectors --------------------------------------------------------------------
 
 
@@ -180,13 +186,13 @@ GOLDEN = {
     "response": (264, "7911bcbed6939943ca04c30335b8c60848b847062c7baa19ecb4314ac1f113b3"),
     "record": (361, "d386516807df43e28a0b3c6a5492ebfda16ef2dca40d0023149d38c71f608d6b"),
     "update": (203, "51f367aa6b6ec06fe48fe7d507a0e28a607d7ee31f53ae478d0fcd3d57e14a89"),
-    "genesis": (507, "b9d08e5bd710054c290c9350e8c37907e24db403189ce974a336a6689107c833"),
+    "genesis": (459, "0ebf07a262798d9c0703df95a12cdce4ed14e7928572c494a5a611b9e862f651"),
     "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
     "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
-    "entry": (8 + 507, "edbf343756a91dbdea63532a23a19c711344d08945d59f451e1159cbe9e9f60e"),
+    "entry": (8 + 459, "e0ad226ab3012d35cfb4d26aa204a9f40302337f84d6d899a819e4a25e3256f8"),
     "header": (40, "a2274119bbf017c0cd71ad8994506e9444c67b1d6955d56b4a32572770673dd4"),
-    "head": (145, "d57ceabf678d98ed91dfb7febe735b68fa8ce7ced908a24007b64e7cbee1304a"),
-    "ledger": (572, "6218a48295ff440d07b4551a135381e99c826590883ce850401490a0c1086a4b"),
+    "head": (145, "d2a0c57f70e20e15f5b3af3d18b83100b207a9283c69ef1e4ee4c6cfc2d3f7e6"),
+    "ledger": (524, "b6ca7abbb7d8505c1e082f885e9da3a0f3a09f246772dc24d97803c175c7dcc4"),
 }
 
 
@@ -238,10 +244,10 @@ def test_genesis_and_update_layout_by_hand():
     g = _golden()
     genesis, update = g["genesis"], g["update"]
     assert genesis.to_bytes() == (
-        u8(TAG_GENESIS) + genesis.state_root + u64(0) + u16(8)
-        + packed_records(genesis.ecu_list)
+        u8(TAG_GENESIS) + u64(0) + u16(8) + packed_inventory(genesis.ecu_list)
         + genesis.vehicle_pk + genesis.maker_pk + genesis.sig
     )
+    assert [r.ecu_id for r in genesis.ecu_list] == list(range(8))
     assert update.to_bytes() == (
         u8(1) + update.new_root + u64(9) + update.vehicle_pk + update.maintainer_pk
         + u16(3) + update.firmware_digest + update.sig
@@ -255,10 +261,36 @@ def test_header_entry_and_envelope_layout_by_hand():
     assert header.external_address == external_address(header.owner_pk)
     block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
     assert ledger.blocks[header.owner_pk].to_bytes() == block
-    assert ledger.serialize() == prefixed(b"ECUL7") + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECUL8") + prefixed(block)
 
 
 # -- older layouts are not read -----------------------------------------------------------
+
+
+def _v3_root() -> bytes:
+    """The state root that genesis layouts before ``ECUL8`` stored."""
+    return compute_state_root(EcuState(records=_golden()["genesis"].ecu_list))
+
+
+@functools.lru_cache(maxsize=None)
+def _v3_genesis() -> bytes:
+    """The golden genesis as wire format v3 wrote it before ``ECUL8``: the
+    state root after the tag and each ECU behind its u16 id, signed by the
+    maker over those bytes.
+    """
+    genesis = _golden()["genesis"]
+    signing = b"".join(
+        (
+            u8(TAG_GENESIS),
+            _v3_root(),
+            u64(genesis.ts),
+            u16(len(genesis.ecu_list)),
+            packed_records(genesis.ecu_list),
+            genesis.vehicle_pk,
+            genesis.maker_pk,
+        )
+    )
+    return signing + keys_for("maker").sign(signing)
 
 
 def _v6_header() -> bytes:
@@ -285,15 +317,15 @@ def _old_link() -> bytes:
     return hashlib.sha256(_v5_header()).digest()
 
 
-def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
-    """``entry`` (a genesis payload) in wire format v1: every field carries
-    a 4-byte length prefix, integers as ``00000008`` plus 8 bytes.
+def _v1_genesis_entry() -> bytes:
+    """The golden genesis entry in wire format v1: every field carries a
+    4-byte length prefix, integers as ``00000008`` plus 8 bytes.
     """
 
     def v1_u64(n: int) -> bytes:
         return prefixed(u64(n))
 
-    tx = decode_transaction(entry.payload)
+    tx = _golden()["genesis"]
     ecus = b"".join(
         v1_u64(r.ecu_id) + prefixed(r.firmware_digest) + v1_u64(r.last_write_ts)
         for r in tx.ecu_list
@@ -301,7 +333,7 @@ def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
     payload = b"".join(
         (
             v1_u64(TAG_GENESIS),
-            prefixed(tx.state_root),
+            prefixed(_v3_root()),
             v1_u64(tx.ts),
             v1_u64(len(tx.ecu_list)),
             ecus,
@@ -314,17 +346,17 @@ def _v1_genesis_entry(entry: LedgerEntry) -> bytes:
     return prefixed(payload) + prefixed(_old_link()) + v1_u64(tx.ts)
 
 
-def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
-    """``entry`` (a genesis payload) in wire format v2: every integer 8
-    bytes, each ECU record a packed ``>Q32sQ``, signed again by the maker
-    over its v2 signing bytes.
+def _v2_genesis_entry() -> bytes:
+    """The golden genesis entry in wire format v2: every integer 8 bytes,
+    each ECU record a packed ``>Q32sQ``, signed again by the maker over its
+    v2 signing bytes.
     """
-    tx = decode_transaction(entry.payload)
+    tx = _golden()["genesis"]
     ecus = b"".join(u64(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in tx.ecu_list)
     signing = b"".join(
         (
             u64(TAG_GENESIS),
-            tx.state_root,
+            _v3_root(),
             u64(tx.ts),
             u64(len(tx.ecu_list)),
             ecus,
@@ -333,14 +365,14 @@ def _v2_genesis_entry(entry: LedgerEntry) -> bytes:
         )
     )
     payload = signing + keys_for("maker").sign(signing)
-    return prefixed(payload) + _old_link() + u64(entry.seq)
+    return prefixed(payload) + _old_link() + u64(0)
 
 
-def _v4_entry(entry: LedgerEntry) -> bytes:
-    """``entry`` as the ``ECUL4`` layout framed it: its payload behind a u32
-    length, its ``prev_link`` and its sequence number.
+def _v4_entry() -> bytes:
+    """The golden genesis entry as the ``ECUL4`` layout framed it: its v3
+    payload behind a u32 length, its ``prev_link`` and its sequence number.
     """
-    return prefixed(entry.payload) + _old_link() + u64(entry.seq)
+    return prefixed(_v3_genesis()) + _old_link() + u64(0)
 
 
 def test_v1_ledger_blob_raises_wire_error():
@@ -354,11 +386,11 @@ def test_v1_ledger_blob_raises_wire_error():
             prefixed(header.external_address.encode()),
         )
     )
-    v1_block = v1_header + prefixed(u64(1)) + _v1_genesis_entry(g["entry"])
+    v1_block = v1_header + prefixed(u64(1)) + _v1_genesis_entry()
     v1_blob = prefixed(b"ECUL1") + prefixed(u64(1)) + prefixed(v1_block)
     # Wire format v2 wrote this genesis-only ledger under the magic ECUL3 (the
     # bytes its golden vector pinned) and, with the same body, under ECUL2.
-    v2_block = _v5_header() + u64(1) + _v2_genesis_entry(g["entry"])
+    v2_block = _v5_header() + u64(1) + _v2_genesis_entry()
     ecul2_blob, ecul3_blob = (
         prefixed(magic) + u64(1) + prefixed(v2_block) for magic in (b"ECUL2", b"ECUL3")
     )
@@ -369,7 +401,7 @@ def test_v1_ledger_blob_raises_wire_error():
     )
     # The same ledger in the ECUL4 layout: wire format v3, linked entries and
     # no checksum.
-    v4_block = _v5_header() + u64(1) + _v4_entry(g["entry"])
+    v4_block = _v5_header() + u64(1) + _v4_entry()
     ecul4_blob = prefixed(b"ECUL4") + u64(1) + prefixed(v4_block)
     assert (len(ecul4_blob), sha(ecul4_blob)) == (
         677,
@@ -377,7 +409,7 @@ def test_v1_ledger_blob_raises_wire_error():
     )
     # The same ledger in the ECUL5 layout: a stored archive address, an entry
     # count and a block count (the bytes its golden vector pinned).
-    v5_block = sealed(_v5_header() + u64(1) + u64(0) + g["genesis"].to_bytes())
+    v5_block = sealed(_v5_header() + u64(1) + u64(0) + _v3_genesis())
     ecul5_blob = prefixed(b"ECUL5") + u64(1) + prefixed(v5_block)
     assert (len(ecul5_blob), sha(ecul5_blob)) == (
         645,
@@ -385,14 +417,23 @@ def test_v1_ledger_blob_raises_wire_error():
     )
     # The same ledger in the ECUL6 layout: a previous header hash in each
     # header (the bytes its golden vector pinned).
-    v6_block = sealed(_v6_header() + u64(0) + g["genesis"].to_bytes())
+    v6_block = sealed(_v6_header() + u64(0) + _v3_genesis())
     ecul6_blob = prefixed(b"ECUL6") + prefixed(v6_block)
     assert (len(ecul6_blob), sha(ecul6_blob)) == (
         604,
         "31098b2a91a2e84195b3fcec042203e5306bd6a96d7ae292f027417b7b0a15a1",
     )
-    assert LEDGER_MAGIC == b"ECUL7"
-    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob):
+    # The same ledger in the ECUL7 layout: today's block layout around a
+    # genesis with a state root and an id per ECU (the bytes its golden
+    # vector pinned).
+    v7_block = sealed(header.to_bytes() + u64(0) + _v3_genesis())
+    ecul7_blob = prefixed(b"ECUL7") + prefixed(v7_block)
+    assert (len(ecul7_blob), sha(ecul7_blob)) == (
+        572,
+        "6218a48295ff440d07b4551a135381e99c826590883ce850401490a0c1086a4b",
+    )
+    assert LEDGER_MAGIC == b"ECUL8"
+    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob, ecul7_blob):
         with pytest.raises(WireError):
             deserialize_ledger(blob)
     for block in (v1_block, v2_block, v4_block, v5_block, v6_block):
@@ -400,26 +441,48 @@ def test_v1_ledger_blob_raises_wire_error():
             decode_block(block)
 
 
+def test_v3_genesis_raises_protocol_error(tiers):
+    """The golden genesis in the layout before ``ECUL8`` (the bytes its
+    golden vector pinned) does not decode, so ``initialize_vehicle`` refuses
+    it and changes nothing: 8 ECUs take 42 bytes each there and 40 now, so
+    no inventory count fits its length.
+    """
+    authority, roadside = tiers
+    v3 = _v3_genesis()
+    assert (len(v3), sha(v3)) == (
+        507,
+        "b9d08e5bd710054c290c9350e8c37907e24db403189ce974a336a6689107c833",
+    )
+    with pytest.raises(WireError):
+        decode_transaction(v3)
+    with pytest.raises(ProtocolError, match="does not decode"):
+        initialize_vehicle(authority, roadside, v3, ts=0)
+    assert len(roadside.ledger) == 0
+    assert not roadside.profiles
+
+
 def test_v1_archive_file_raises_archive_error(tmp_path):
     """Files in the three unmarked archive layouts (a u64 sequence number,
-    then the whole entry in wire format v1, v2 or v3) raise; a file starts
+    then the whole entry in wire format v1, v2 or v3) and in the ``ECUA4``
+    layout (marked, with the genesis before ``ECUL8``) raise; a file starts
     with ``ARCHIVE_MAGIC`` and keeps each record as its sequence number and
     payload.
     """
     entry = _golden()["entry"]
     archive = FileArchive(tmp_path)
     old_layouts = {
-        "ar://v1": _v1_genesis_entry(entry),
-        "ar://v2": _v2_genesis_entry(entry),
-        "ar://v3": _v4_entry(entry),
+        "ar://v1": u64(0) + _v1_genesis_entry(),
+        "ar://v2": u64(0) + _v2_genesis_entry(),
+        "ar://v3": u64(0) + _v4_entry(),
+        "ar://v4": b"ECUA4" + u64(0) + _v3_genesis(),
     }
-    for address, entry_bytes in old_layouts.items():
-        archive._path(address).write_bytes(u64(0) + entry_bytes)
-        with pytest.raises(ArchiveError, match="no ECUA4 marker"):
+    for address, data in old_layouts.items():
+        archive._path(address).write_bytes(data)
+        with pytest.raises(ArchiveError, match="no ECUA5 marker"):
             archive.read(address)
-    archive.append_many("ar://v4", [(0, entry.payload)])
-    assert archive._path("ar://v4").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
-    assert archive.read("ar://v4") == [(0, entry.payload)]
+    archive.append_many("ar://v5", [(0, entry.payload)])
+    assert archive._path("ar://v5").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
+    assert archive.read("ar://v5") == [(0, entry.payload)]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -430,6 +493,10 @@ u64s = st.integers(0, U64_MAX)
 ecu_ids = st.integers(0, MAX_ECUS)
 ecu_records = st.builds(EcuRecord, ecu_id=ecu_ids, firmware_digest=digests, last_write_ts=u64s)
 ecu_lists = st.lists(ecu_records, max_size=6).map(tuple)
+# A genesis inventory: each ECU's id is its position.
+inventories = st.lists(st.tuples(digests, u64s), max_size=6).map(
+    lambda fields: tuple(EcuRecord(i, *f) for i, f in enumerate(fields))
+)
 
 responses = st.builds(
     ChallengeResponse, state_root=digests, subset=ecu_lists, ts=u64s, vehicle_pk=digests, sig=sigs
@@ -437,9 +504,8 @@ responses = st.builds(
 transactions = st.one_of(
     st.builds(
         GenesisTx,
-        state_root=digests,
         ts=u64s,
-        ecu_list=ecu_lists,
+        ecu_list=inventories,
         vehicle_pk=digests,
         maker_pk=digests,
         sig=sigs,
@@ -689,8 +755,8 @@ def _record_offsets(block: AppendableBlock) -> list[int]:
 def test_resealed_edits_fail_the_signature_sequence_and_owner_checks():
     """The checksum detects corruption and signatures detect tampering: an
     edit that re-seals the CRC32 still decodes, and fails the audit. A
-    flipped payload byte (the state root, just past the tag) fails its
-    signature, one edited sequence number the consecutive-sequence rule and
+    flipped payload byte (just past the tag: a genesis's timestamp, or a
+    state root) fails its signature, one edited sequence number the consecutive-sequence rule and
     an edited owner key the ownership check.
     """
     block = _three_entry_block()
@@ -838,10 +904,17 @@ def test_ecu_id_at_the_limit_round_trips():
     assert response.to_bytes()[32:36] == u16(1) + u16(MAX_ECUS)
 
 
+def _genesis(records) -> GenesisTx:
+    return GenesisTx(
+        ts=0, ecu_list=records, vehicle_pk=bytes(32), maker_pk=bytes(32), sig=bytes(64)
+    )
+
+
 def test_ecu_id_or_list_past_the_limit_raises_wire_error():
     too_many = _records([0] * (MAX_ECUS + 1))
     assert len(_response(too_many[:-1]).to_bytes()) == response_size(MAX_ECUS)
     for signing_bytes in (
+        _genesis(_records(range(MAX_ECUS + 1))).signing_bytes,
         _update(MAX_ECUS + 1).signing_bytes,
         _response(_records([MAX_ECUS + 1])).signing_bytes,
         _response(too_many).signing_bytes,
@@ -853,11 +926,21 @@ def test_ecu_id_or_list_past_the_limit_raises_wire_error():
             signing_bytes()
 
 
+def test_inventory_out_of_id_order_raises_wire_error():
+    """A genesis inventory stores no ECU ids, so one whose ids are not its
+    positions cannot be written.
+    """
+    for ids in ([1, 0], [0, 2]):
+        with pytest.raises(WireError, match="positions"):
+            _genesis(_records(ids)).signing_bytes()
+
+
 # -- sizes in closed form ----------------------------------------------------------------------
 
 # Wire format v3 field widths, in bytes.
 TAG, ECU_ID, ECU_COUNT, U64_WIDTH, DIGEST, KEY, SIG, PREFIX = 1, 2, 2, 8, 32, 32, 64, 4
 ECU = ECU_ID + DIGEST + U64_WIDTH  # id, firmware digest, last-write time
+INVENTORY_ECU = DIGEST + U64_WIDTH  # a genesis ECU: its position is its id
 UPDATE_SIZE = TAG + DIGEST + U64_WIDTH + KEY + KEY + ECU_ID + DIGEST + SIG
 # Owner key and creation time.
 HEADER_SIZE = KEY + U64_WIDTH
@@ -874,28 +957,21 @@ def record_size(k: int) -> int:
 
 
 def genesis_size(n: int) -> int:
-    return TAG + DIGEST + U64_WIDTH + ECU_COUNT + n * ECU + KEY + KEY + SIG
+    return TAG + U64_WIDTH + ECU_COUNT + n * INVENTORY_ECU + KEY + KEY + SIG
 
 
 @pytest.mark.parametrize("n", [1, 8, 30, MAX_ECUS])
 def test_sizes_follow_the_closed_form(n):
     records = _records(range(n))
-    genesis = GenesisTx(
-        state_root=bytes(32),
-        ts=0,
-        ecu_list=records,
-        vehicle_pk=bytes(32),
-        maker_pk=bytes(32),
-        sig=bytes(64),
-    )
-    assert len(genesis.to_bytes()) == genesis_size(n)
+    genesis = _genesis(records)
+    assert len(genesis.to_bytes()) == genesis_size(n) == 139 + 40 * n
     for k in range(1, min(3, n) + 1):
         response = _response(records[n - k :])
         record = ChallengeRecordTx(response=embedded(response), rsu_pk=bytes(32), sig=bytes(64))
         assert len(response.to_bytes()) == response_size(k)
         assert len(record.to_bytes()) == record_size(k)
     assert len(_update(n).to_bytes()) == UPDATE_SIZE
-    assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (507, 264, 361, 203)
+    assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (459, 264, 361, 203)
     assert (ENTRY_FRAMING, CHECKSUM) == (8, 4)
 
 
@@ -933,7 +1009,7 @@ def _encounters(n: int, count: int):
 def test_retained_block_follows_the_closed_form(n):
     """After two or more encounters a vehicle's block holds its header and
     two challenge records: 786 B in the ledger for an 8-ECU vehicle, and
-    563 B before its first encounter.
+    515 B before its first encounter.
     """
     steps = _encounters(n, 5)
     envelope = len(Ledger().serialize())
@@ -944,14 +1020,14 @@ def test_retained_block_follows_the_closed_form(n):
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
             assert len(roadside.ledger.serialize()) - envelope == retained
-    assert n != 8 or (retained, genesis_only) == (786, 563)
+    assert n != 8 or (retained, genesis_only) == (786, 515)
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_archive_follows_the_closed_form(n):
     """After E >= 2 encounters a vehicle's archive takes
-    (8 + 171 + 42n) + (E - 2)(8 + 235 + 42k) bytes, k = min(3, n): 1622 B
-    after 5 encounters for an 8-ECU vehicle, 324.4 B per encounter.
+    (8 + 139 + 40n) + (E - 2)(8 + 235 + 42k) bytes, k = min(3, n): 1574 B
+    after 5 encounters for an 8-ECU vehicle, 314.8 B per encounter.
     """
     address = external_address(keys_for("vehicle").public)
     for encounters, roadside in enumerate(_encounters(n, 5)):
@@ -960,5 +1036,5 @@ def test_archive_follows_the_closed_form(n):
         if encounters >= 2:
             size = sum(U64_WIDTH + len(payload) for _, payload in archived)
             assert size == archive_size(n, encounters)
-    assert archive_size(n, 5) == (8 + 171 + 42 * n) + 3 * (8 + 235 + 42 * min(3, n))
-    assert n != 8 or (archive_size(8, 5), archive_size(8, 5) / 5) == (1622, 324.4)
+    assert archive_size(n, 5) == (8 + 139 + 40 * n) + 3 * (8 + 235 + 42 * min(3, n))
+    assert n != 8 or (archive_size(8, 5), archive_size(8, 5) / 5) == (1574, 314.8)
