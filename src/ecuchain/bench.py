@@ -113,6 +113,11 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, 
     return slope, intercept, r2
 
 
+def _check_counts(counts: Sequence[int]) -> None:
+    if not counts or min(counts) < 1:
+        raise ValueError("counts must be nonempty and each at least 1")
+
+
 def _series(
     counts: Sequence[int], make_run: Callable[[int], Callable[[int], float]], runs: int
 ) -> list[SeriesPoint]:
@@ -122,8 +127,7 @@ def _series(
     taken before run i + 1 of any, so a burst of load on the host spreads
     over all x instead of skewing one.
     """
-    if not counts:
-        raise ValueError("counts must be nonempty")
+    _check_counts(counts)
     one_runs = [make_run(x) for x in counts]
     for one_run in one_runs:
         one_run(-1)
@@ -269,8 +273,7 @@ def bench_storage(
     linear extrapolation to the requested fleet sizes. Blocks hold one
     registration entry each (freshly initialized vehicles).
     """
-    if not counts:
-        raise ValueError("counts must be nonempty")
+    _check_counts(counts)
     targets = sorted(set(counts))
     report = MetricsReport(benchmark="ledger-storage", x_label="blocks")
     seed64 = seed.to_bytes(8, "big")

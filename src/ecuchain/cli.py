@@ -22,15 +22,18 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .bench import (
-    MetricsReport,
-    bench_challenge,
-    bench_create,
-    bench_merkle,
-    bench_storage,
-)
+from .bench import bench_challenge, bench_create, bench_merkle, bench_storage
+from .protocol import audit
 from .sim import ConfigError, build_world, event_log_text, load_config, run
 from .wire import U64_MAX
+
+# Each benchmark subcommand: the function it runs and its help line.
+BENCHES = {
+    "bench-create": (bench_create, "block creation timing"),
+    "bench-challenge": (bench_challenge, "challenge validation timing"),
+    "bench-merkle": (bench_merkle, "state-root timing"),
+    "bench-storage": (bench_storage, "ledger storage measurement"),
+}
 
 
 class CliError(Exception):
@@ -61,10 +64,8 @@ def _build_parser() -> _Parser:
 
     common(sub.add_parser("init", help="build a world and report its state"), True)
     common(sub.add_parser("run", help="run a scenario, write the event log"), True)
-    common(sub.add_parser("bench-create", help="block creation timing"), False)
-    common(sub.add_parser("bench-challenge", help="challenge validation timing"), False)
-    common(sub.add_parser("bench-merkle", help="state-root timing"), False)
-    common(sub.add_parser("bench-storage", help="ledger storage measurement"), False)
+    for name, (_, help_text) in BENCHES.items():
+        common(sub.add_parser(name, help=help_text), False)
     return parser
 
 
@@ -73,10 +74,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _emit_report(report: MetricsReport, args) -> None:
-    _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
 
 
 def _load(args):
@@ -89,14 +86,12 @@ def _load(args):
 
 def _cmd_init(args) -> int:
     world = build_world(_load(args))
-    tier = world.authority_tier
     summary = {
         "vehicles": len(world.vehicles),
         "rsus": len(world.rsus),
         "blocks": len(world.roadside.ledger),
         "roadside_bytes": len(world.roadside.ledger.serialize()),
-        "ledgers_valid": world.roadside.ledger.validate(tier.roadside_head, tier.validator_pks)
-        and tier.ledger.validate(),
+        "ledgers_valid": audit(world.authority_tier, world.roadside),
     }
     _emit(json.dumps(summary, indent=2) + "\n", args.out)
     return 0
@@ -135,19 +130,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_init(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "bench-create":
-            _emit_report(bench_create(seed=seed), args)
-            return 0
-        if args.command == "bench-challenge":
-            _emit_report(bench_challenge(seed=seed), args)
-            return 0
-        if args.command == "bench-merkle":
-            _emit_report(bench_merkle(seed=seed), args)
-            return 0
-        if args.command == "bench-storage":
-            _emit_report(bench_storage(seed=seed), args)
-            return 0
-        raise CliError(f"unknown subcommand {args.command!r}")
+        bench, _ = BENCHES[args.command]
+        report = bench(seed=seed)
+        _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
+        return 0
     except (CliError, ConfigError) as exc:
         print(f"ecuchain: {exc}", file=sys.stderr)
         return 1

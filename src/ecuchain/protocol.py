@@ -11,8 +11,10 @@ per-vehicle blocks plus the materialized verification profile for each
 vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
 and the last recorded response timestamp); the profile is what a
 roadside unit actually checks a response against, and it survives
-pruning because pruned entries leave the block. Registration sets the
-profile's state from the genesis inventory, which carries no root, and
+pruning because pruned entries leave the block. ``initialize_vehicle``
+opens a vehicle's block and its profile together, so the profile is the
+one record of registration that every check reads. Registration sets
+the profile's state from the genesis inventory, which carries no root, and
 an authorized update is the only way it changes: ``apply_upper_update``
 applies the update's typed ECU record with ``update_ecu`` and requires
 the signed ``new_root`` to be that state's root.
@@ -41,7 +43,7 @@ its challenge and after the last recorded one; the window stops a
 far-future timestamp from pinning ``last_response_ts``.
 
 ``seal_roadside`` has each authority validator sign the roadside
-ledger's head once, and only the authority tier keeps it. The audit
+ledger's head once, and only the authority tier keeps it. ``audit``
 hands that head and the validator keys to ``Ledger.validate``, so a
 deleted, re-dated or cut-back block fails it; a ledger checked with no
 head is checked block by block.
@@ -209,7 +211,7 @@ def initialize_vehicle(
         state = EcuState(records=genesis.ecu_list)
     except ValueError as exc:
         raise ProtocolError(f"genesis ECU list rejected: {exc}") from None
-    if roadside.ledger.lookup(genesis.vehicle_pk) is not None:
+    if genesis.vehicle_pk in roadside.profiles:
         raise ProtocolError("vehicle already registered")
     if not signed_by(genesis, wire):
         raise ProtocolError("genesis signature invalid")
@@ -233,9 +235,8 @@ def apply_upper_update(
         raise ProtocolError("unauthorized maintainer")
     if not signed_by(update, wire):
         raise ProtocolError("update signature invalid")
-    block = roadside.ledger.lookup(update.vehicle_pk)
     profile = roadside.profiles.get(update.vehicle_pk)
-    if block is None or profile is None:
+    if profile is None:
         raise ProtocolError("unknown vehicle")
     try:
         state = update_ecu(
@@ -245,7 +246,7 @@ def apply_upper_update(
         raise ProtocolError(f"update rejected: {exc}") from None
     if compute_state_root(state) != update.new_root:
         raise ProtocolError("update new_root does not match the updated state")
-    appended = append_entry(block, wire)
+    appended = append_entry(roadside.ledger.lookup(update.vehicle_pk), wire)
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(pruned)
     profile.state = state
@@ -297,16 +298,15 @@ def verify_response(
     roadside: RoadsideTier, challenge: Challenge, response: ChallengeResponse, wire: bytes
 ) -> Verdict:
     """Classify ``response``, decoded from ``wire``. Checks run in a fixed
-    order and the first failure wins: block existence, signature,
+    order and the first failure wins: registration, signature,
     timestamp freshness (inside the challenge's window and after the last
     recorded response), state root, then the per-ECU subset comparison.
     Never raises.
     """
-    pk = response.vehicle_pk
-    profile = roadside.profiles.get(pk)
-    if roadside.ledger.lookup(pk) is None or profile is None:
+    profile = roadside.profiles.get(response.vehicle_pk)
+    if profile is None:
         return Verdict.UNKNOWN_VEHICLE
-    if pk != challenge.vehicle_pk:
+    if response.vehicle_pk != challenge.vehicle_pk:
         return Verdict.BAD_SIGNATURE
     if not signed_by(response, wire):
         return Verdict.BAD_SIGNATURE
@@ -369,6 +369,15 @@ def seal_roadside(authority: AuthorityTier, roadside: RoadsideTier, ts: int) -> 
         for keys in authority.validators
     )
     authority.roadside_head = SealedHead(signed, tips)
+
+
+def audit(authority: AuthorityTier, roadside: RoadsideTier) -> bool:
+    """True iff the roadside ledger holds against the authority tier's
+    sealed head and validator keys, and the authority ledger validates.
+    """
+    return roadside.ledger.validate(
+        authority.roadside_head, authority.validator_pks
+    ) and authority.ledger.validate()
 
 
 # ---------------------------------------------------------------------------

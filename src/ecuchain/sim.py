@@ -41,6 +41,7 @@ from .protocol import (
     ProtocolError,
     RoadsideTier,
     apply_upper_update,
+    audit,
     initialize_vehicle,
     issue_challenge,
     make_genesis,
@@ -449,10 +450,7 @@ def run(world: World) -> RunResult:
         event = world.queue.pop()
         _HANDLERS[event.kind](world, event)
     tier = world.authority_tier
-    ledgers_valid = (
-        world.roadside.ledger.validate(tier.roadside_head, tier.validator_pks)
-        and tier.ledger.validate()
-    )
+    ledgers_valid = audit(tier, world.roadside)
     seal_roadside(tier, world.roadside, world.queue.now)
     revoked = tuple(
         sorted(

@@ -107,6 +107,14 @@ def _read_inventory(r: Reader) -> tuple[EcuRecord, ...]:
     return tuple(EcuRecord(i, *f) for i, f in fields)
 
 
+def _read_verdict(r: Reader) -> Verdict:
+    value = r.read_str()
+    try:
+        return Verdict(value)
+    except ValueError:
+        raise WireError(f"unknown verdict {value!r}") from None
+
+
 class Codec(NamedTuple):
     """How one field type is written and read."""
 
@@ -123,24 +131,8 @@ UINT64 = Codec(lambda v: encode_u64(v), Reader.read_u64)
 TEXT = Codec(lambda v: encode_str(v), Reader.read_str)
 ECU_LIST = Codec(_encode_ecu_list, _read_ecu_list)
 INVENTORY = Codec(_encode_inventory, _read_inventory)
+VERDICT = Codec(lambda v: encode_str(v.value), _read_verdict)
 
-
-def _enum_codec(cls: type[Enum], codec: Codec, what: str) -> Codec:
-    """A ``cls`` member written as its value with ``codec``; a value that
-    names no member raises ``WireError``.
-    """
-
-    def read(r: Reader) -> Enum:
-        value = codec.read(r)
-        try:
-            return cls(value)
-        except ValueError:
-            raise WireError(f"unknown {what} {value!r}") from None
-
-    return Codec(lambda v: codec.encode(v.value), read)
-
-
-VERDICT = _enum_codec(Verdict, TEXT, "verdict")
 
 S = TypeVar("S")
 

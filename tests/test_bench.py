@@ -46,6 +46,16 @@ def test_bench_create_rejects_empty_counts():
         bench_create(counts=[])
 
 
+@pytest.mark.parametrize("bench", [bench_create, bench_challenge, bench_merkle, bench_storage])
+@pytest.mark.parametrize("counts", [[0], [-2], [5, 0]], ids=["zero", "negative", "then_zero"])
+def test_benches_reject_counts_below_one(bench, counts):
+    """A count below 1 measures nothing: it would divide by zero, report a
+    point at a negative x or extrapolate a negative size.
+    """
+    with pytest.raises(ValueError, match="at least 1"):
+        bench(counts=counts)
+
+
 def test_bench_challenge_positive_and_more_work_per_vehicle():
     report = bench_challenge(counts=[4, 40], runs=3)
     assert all(p.mean_ms > 0 for p in report.series)

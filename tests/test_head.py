@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,3 +196,23 @@ def test_appends_after_the_seal_still_validate():
     assert tier.roadside_head == head
     assert roadside.ledger.validate(head, tier.validator_pks)
     assert deserialize_ledger(roadside.ledger.serialize()).validate(head, tier.validator_pks)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="head_holds skips the payload check when a sealed tip is no longer "
+    "retained, and a block shifted past its tip looks archived",
+)
+def test_shifting_a_blocks_seqs_past_its_sealed_tip_fails_against_the_head():
+    """Block 0 keeps its payloads under seqs moved 100 on, past the tip the
+    head sealed. Only ``reconstruct_history`` against the archive notices
+    today; a head that also fixed each block's archived count would.
+    """
+    blob, head, validators = _sealed()
+    blocks = _blocks(blob)
+    block = decode_block(blocks[0])
+    assert [entry.seq for entry in block.entries] == [3, 4]
+    entries = tuple(entry._replace(seq=entry.seq + 100) for entry in block.entries)
+    blocks[0] = dataclasses.replace(block, entries=entries).to_bytes()
+    assert _audits(blocks)
+    assert not _audits(blocks, head, validators)

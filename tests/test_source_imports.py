@@ -9,6 +9,9 @@ string annotation such as ``"World"``, or in ``__all__``.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +93,23 @@ def f(x: "Quoted", y: Optional[int]) -> "Hidden":
     return os.path.join(Used.name)
 '''
     assert unused_imports(source) == ["Unused (line 5)"]
+
+
+def test_the_package_root_loads_no_module_of_its_own():
+    """``import ecuchain`` alone, in a fresh interpreter, loads none of the
+    package's modules, and with them not libsodium.
+    """
+    code = (
+        "import sys, ecuchain\n"
+        "print(ecuchain.__version__)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('ecuchain.')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1] == "[]"
