@@ -29,6 +29,7 @@ from .protocol import (
     new_authority_tier,
     record_response,
     build_response,
+    register_rsu,
 )
 from .transactions import Verdict
 
@@ -209,6 +210,7 @@ def bench_challenge(
             authorized_makers=(maker.public,),
             authorized_insurers=(),
         )
+        register_rsu(authority, rsu.public)
         roadside = RoadsideTier(archive=MemoryArchive())
         for _, _, genesis in material:
             initialize_vehicle(authority, roadside, genesis, ts=0)
@@ -222,7 +224,7 @@ def bench_challenge(
                 rounds.append((challenge, build_response(keys, state, challenge, ts)))
             start = time.perf_counter_ns()
             for challenge, response in rounds:
-                verdict = record_response(rsu, roadside, challenge, response)
+                verdict = record_response(authority, roadside, rsu, challenge, response)
                 if verdict is not Verdict.VALID:
                     raise RuntimeError(f"benchmark round not valid: {verdict}")
             return (time.perf_counter_ns() - start) / 1e6
@@ -273,7 +275,7 @@ def bench_storage(
     linear extrapolation to the requested fleet sizes. Blocks hold one
     registration entry each (freshly initialized vehicles).
     """
-    _check_counts(counts)
+    _check_counts([*counts, *extrapolate_to])
     targets = sorted(set(counts))
     report = MetricsReport(benchmark="ledger-storage", x_label="blocks")
     seed64 = seed.to_bytes(8, "big")

@@ -25,8 +25,9 @@ verified each transaction where it entered the tier, or the tier has just
 made it. Only the audit decodes and verifies: ``validate_block`` decodes
 each retained entry once and checks its owner and, with ``signed_by``
 over the kept bytes, its signature, as the protocol checks what enters a
-tier, and ``reconstruct_history`` runs it over every archived entry too,
-so an audit trusts neither the append path nor the archive. Bytes from
+tier (a challenge record names no vehicle: its RSU's signature covers
+the block's owner key), and ``reconstruct_history`` runs it over every
+archived entry too, so an audit trusts neither the append path nor the archive. Bytes from
 disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
 decoded once on the way in, to find where a record ends and to reject
 what does not parse, and only their bytes are kept.
@@ -60,18 +61,19 @@ The archive address is not stored: ``BlockHeader.external_address`` is
 (the 8-byte sequence number, then the payload, which fixes its own length)
 and a big-endian CRC32 of all that: 8 bytes of framing per entry and 4 per
 block. No entry count is stored: ``decode_block`` reads records until the
-checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL8``,
+checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL9``,
 then each block behind a u32 length until the data ends, and not the
-head; it differs from ``ECUL7`` only in its genesis (``GenesisTx``).
-There is no reader for older layouts (magics ``ECUL1`` to ``ECUL7``):
-such bytes raise ``WireError``.
+head; it differs from ``ECUL8`` only in its challenge records, whose
+response no longer names the vehicle. There is no reader for older
+layouts (magics ``ECUL1`` to ``ECUL8``): such bytes raise ``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
-block. A ``FileArchive`` file starts with the marker ``ECUA5``; ``ECUA4``
-marked the genesis before it, and the three earlier archive layouts had
-none: a file in any of them raises ``ArchiveError``. A ledger restored by ``deserialize_ledger`` continues
-each block's sequence.
+block. A ``FileArchive`` file starts with the marker ``ECUA6``; ``ECUA5``
+marked the challenge record before it, ``ECUA4`` the genesis before
+that, and the three earlier archive layouts had none: a file in any of
+them raises ``ArchiveError``. A ledger restored by
+``deserialize_ledger`` continues each block's sequence.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 from ._kernels import merkle_root
 from .crypto import PUBLIC_KEY_LEN, ZERO_DIGEST, Digest, PublicKey, sha256
 from .transactions import (
+    ChallengeRecordTx,
     LedgerHead,
     decode,
     decode_transaction,
@@ -101,9 +104,9 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL8"
+LEDGER_MAGIC = b"ECUL9"
 # First bytes of every ``FileArchive`` file.
-ARCHIVE_MAGIC = b"ECUA5"
+ARCHIVE_MAGIC = b"ECUA6"
 
 
 class LedgerError(ValueError):
@@ -206,16 +209,17 @@ def validate_block(block: AppendableBlock) -> bool:
     """
     if not block.entries:
         return False
+    owner = block.header.owner_pk
     try:
         expected = block.entries[0][0] if len(block.entries) > 1 else 0
         for seq, payload in block.entries:
             if seq != expected:
                 return False
             tx = decode_transaction(payload)
-            owner = tx_vehicle(tx)
-            if owner is not None and owner != block.header.owner_pk:
+            named = tx_vehicle(tx)
+            if named is not None and named != owner:
                 return False
-            if not signed_by(tx, payload):
+            if not signed_by(tx, payload, owner if isinstance(tx, ChallengeRecordTx) else b""):
                 return False
             expected += 1
     except Exception:

@@ -25,18 +25,22 @@ decode like any other bad input, and verifies the signature once, with
 ``signed_by`` over those bytes, after the sender's allow-list where
 there is one, so input from an unlisted key costs no verify:
 ``initialize_vehicle`` (a genesis),
-``apply_upper_update`` (an update), ``record_response`` (a response,
-through ``verify_response``; only a Valid one is recorded),
+``apply_upper_update`` (an update), ``record_response`` (a response to
+a challenge of an RSU that ``register_rsu`` admitted, through
+``verify_response``; only a Valid one is recorded),
 ``submit_request`` (an insurer request) and
 ``AuthorityNode.receive_report`` (a report from an RSU that
-``register_rsu`` admitted; it revokes the vehicle). The protocol finds
-the block by the vehicle key the transaction names (the audit block by
+``register_rsu`` admitted; it revokes the vehicle). A response names
+no vehicle: it is checked under the key of the vehicle its challenge was
+issued to, which also signs it. The protocol finds the block by the
+vehicle key the transaction or challenge names (the audit block by
 ``AuthorityTier.audit_pk``) and hands the ledger only the bytes that
 passed: ``create_block(owner_pk, wire, ts)``, ``append_entry(block,
 wire)`` and ``replace_block(block)``. The ledger works out the sequence
 number and the archive address, and verifies again only when audited.
 What a tier signs itself, the RSU's challenge record over the response
-bytes it received, is not checked again.
+bytes it received and the challenged vehicle's key, is not checked
+again.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -288,7 +292,6 @@ def build_response(
         state_root=compute_state_root(state),
         subset=tuple(subset_report(state, challenge.subset_indices)),
         ts=ts,
-        vehicle_pk=vehicle_keys.public,
         sig=b"",
     )
     return signed_wire(unsigned, vehicle_keys)
@@ -297,18 +300,17 @@ def build_response(
 def verify_response(
     roadside: RoadsideTier, challenge: Challenge, response: ChallengeResponse, wire: bytes
 ) -> Verdict:
-    """Classify ``response``, decoded from ``wire``. Checks run in a fixed
-    order and the first failure wins: registration, signature,
-    timestamp freshness (inside the challenge's window and after the last
-    recorded response), state root, then the per-ECU subset comparison.
-    Never raises.
+    """Classify ``response``, decoded from ``wire``, as the answer of the
+    challenged vehicle, which it does not name. Checks run in a fixed
+    order and the first failure wins: the vehicle's registration, its
+    signature, timestamp freshness (inside the challenge's window and
+    after the last recorded response), state root, then the per-ECU subset
+    comparison. Never raises.
     """
-    profile = roadside.profiles.get(response.vehicle_pk)
+    profile = roadside.profiles.get(challenge.vehicle_pk)
     if profile is None:
         return Verdict.UNKNOWN_VEHICLE
-    if response.vehicle_pk != challenge.vehicle_pk:
-        return Verdict.BAD_SIGNATURE
-    if not signed_by(response, wire):
+    if not signed_by(response, wire, challenge.vehicle_pk):
         return Verdict.BAD_SIGNATURE
     issued = challenge.issued_ts
     if not issued <= response.ts <= issued + MAX_RESPONSE_DELAY_MS:
@@ -327,16 +329,20 @@ def verify_response(
 
 
 def record_response(
-    rsu_keys: KeyPair, roadside: RoadsideTier, challenge: Challenge, wire: bytes
+    authority: AuthorityTier, roadside: RoadsideTier, rsu_keys: KeyPair,
+    challenge: Challenge, wire: bytes,
 ) -> Verdict:
     """Decode a response's wire bytes (undecodable ones are BadSignature)
     and classify it with ``verify_response``; if Valid, append a record
-    that countersigns those bytes as received to the vehicle's block and
-    prune it to two entries, only once the archive write succeeds.
-    Changes nothing on any other verdict. Raises ``ProtocolError`` first
-    if another RSU issued the challenge: an RSU countersigns only answers
-    to its own.
+    that countersigns those bytes as received, and the challenged
+    vehicle's key, to the vehicle's block and prune it to two entries,
+    only once the archive write succeeds. Changes nothing on any other
+    verdict. Raises ``ProtocolError`` first, before any decode or verify,
+    if ``register_rsu`` never admitted the RSU or another RSU issued the
+    challenge: an RSU countersigns only answers to its own.
     """
+    if rsu_keys.public not in authority.registered_rsus:
+        raise ProtocolError("unregistered RSU")
     if challenge.rsu_pk != rsu_keys.public:
         raise ProtocolError("challenge issued by another RSU")
     try:
@@ -349,11 +355,11 @@ def record_response(
     record = ChallengeRecordTx(
         response=Received(response, wire), rsu_pk=rsu_keys.public, sig=b""
     )
-    block = roadside.ledger.lookup(response.vehicle_pk)
-    appended = append_entry(block, signed_wire(record, rsu_keys))
+    block = roadside.ledger.lookup(challenge.vehicle_pk)
+    appended = append_entry(block, signed_wire(record, rsu_keys, challenge.vehicle_pk))
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(pruned)
-    roadside.profiles[response.vehicle_pk].last_response_ts = response.ts
+    roadside.profiles[challenge.vehicle_pk].last_response_ts = response.ts
     return verdict
 
 

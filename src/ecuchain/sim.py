@@ -352,7 +352,7 @@ class World:
             rsu.public, vehicle.pk, ecu_count, self.challenge_rng, ts=now
         )
         response = vehicle.respond(challenge, ts=now)
-        verdict = record_response(rsu, self.roadside, challenge, response)
+        verdict = record_response(self.authority_tier, self.roadside, rsu, challenge, response)
         self.verdict_counts[verdict.value] += 1
         self.log(now, "encounter", event.subject, verdict.value)
         if verdict is not Verdict.VALID:

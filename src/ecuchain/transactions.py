@@ -13,10 +13,15 @@ n - 1. A challenge record embeds the wire bytes its response was
 received as, unprefixed (the response's ECU count fixes
 their length), so the recording RSU signs them without encoding the
 response again; the only length prefix in a transaction is on a
-request's query. Each signed type names its signer's key field in
-``SIGNER``. ``signed_wire`` is the one way to sign and returns the wire
-bytes that are sent and kept, and ``signed_by(tx, wire)`` the one way to
-check a signature, over the bytes ``tx`` was decoded from. A
+request's query. A response (106 + 42k B for k ECUs) names no vehicle,
+and a record (203 + 42k B) stores none: the key a record is about, its
+owner, is its block's owner key, and the RSU's signature covers it
+after the tag without storing it. Each signed type names its signer's
+key field in ``SIGNER``; a response, signed by its owner, has none.
+``signed_wire(unsigned, keys, owner)`` is the one way to sign and
+returns the wire bytes that are sent and kept, and
+``signed_by(tx, wire, owner)`` the one way to check a signature, over
+the bytes ``tx`` was decoded from. A
 ``LedgerHead`` is not a transaction: the authority validators sign it to
 seal a tier ledger (see ``ledger.SealedHead``).
 """
@@ -142,13 +147,13 @@ class Signable:
     ``sig``. On the wire, one is its ``TAG`` byte if set, then the fields
     ``WIRE`` names (field name -> codec, in declaration order, ``sig`` left
     out), then ``sig``. ``SIGNER`` names the field holding the key that
-    signs it.
+    signs it, or is None where its owner signs it.
     """
 
     __slots__ = ()
     TAG: ClassVar[Optional[int]] = None
     WIRE: ClassVar[dict[str, Codec]]
-    SIGNER: ClassVar[str]
+    SIGNER: ClassVar[Optional[str]]
 
     # Loops, not comprehensions: a Python 3.11 comprehension costs a frame.
     def signing_bytes(self) -> bytes:
@@ -228,17 +233,17 @@ class RequestTx(Signable):
 @dataclass(frozen=True, slots=True)
 class ChallengeResponse(Signable):
     """Vehicle's answer to a challenge: current state root plus the raw
-    records of the requested ECU subset, signed by the vehicle.
+    records of the requested ECU subset, signed by the challenged vehicle,
+    which it does not name (its ``SIGNER`` is None).
     """
 
     state_root: Digest
     subset: tuple[EcuRecord, ...]
     ts: int
-    vehicle_pk: PublicKey
     sig: Signature
 
-    WIRE = dict(state_root=RAW32, subset=ECU_LIST, ts=UINT64, vehicle_pk=RAW32)
-    SIGNER = "vehicle_pk"
+    WIRE = dict(state_root=RAW32, subset=ECU_LIST, ts=UINT64)
+    SIGNER = None
 
 
 class Received(NamedTuple):
@@ -257,7 +262,8 @@ RESPONSE = Codec(lambda v: v.wire, lambda r: Received(*r.read_with_bytes(Challen
 class ChallengeRecordTx(Signable):
     """A verified challenge response countersigned by the recording RSU.
     The response's wire bytes are embedded whole, as received, with no
-    length prefix.
+    length prefix. The RSU's signature also covers the challenged
+    vehicle's key, which the record does not store: its block's owner.
     """
 
     response: Received
@@ -303,20 +309,32 @@ class Challenge:
     issued_ts: int
 
 
-def signed_wire(unsigned: Signable, keys: KeyPair) -> bytes:
+def _message(signed: Signable, body: bytes, owner: PublicKey) -> bytes:
+    """What signs ``signed``'s signing bytes ``body``: the tag, ``owner``,
+    then the rest; just ``body`` if ``owner`` signs (no ``SIGNER``), as
+    Ed25519 hashes the signer's key into the signature.
+    """
+    return body[:1] + owner + body[1:] if owner and signed.SIGNER else body
+
+
+def signed_wire(unsigned: Signable, keys: KeyPair, owner: PublicKey = b"") -> bytes:
     """The wire bytes of ``unsigned`` signed by ``keys``: its signing bytes,
-    encoded once, here, followed by ``keys``' signature over them.
+    encoded once, here, followed by ``keys``' signature over them and
+    ``owner`` (see ``_message``).
     """
-    message = unsigned.signing_bytes()
-    return message + encode_fixed(keys.sign(message), SIGNATURE_LEN)
+    body = unsigned.signing_bytes()
+    return body + encode_fixed(keys.sign(_message(unsigned, body, owner)), SIGNATURE_LEN)
 
 
-def signed_by(tx: Signable, wire: bytes) -> bool:
+def signed_by(tx: Signable, wire: bytes, owner: PublicKey = b"") -> bool:
     """True iff ``tx.sig`` signs ``wire``, the bytes ``tx`` was decoded
-    from (canonically, so its signing bytes then ``tx.sig``), under the key
-    in ``tx``'s ``SIGNER`` field. Malformed key or signature bytes are False.
+    from (canonically, so its signing bytes then ``tx.sig``), and ``owner``
+    as ``signed_wire`` signed them, under the key in ``tx``'s ``SIGNER``
+    field, or under ``owner`` for a type with none (a response). Malformed
+    key or signature bytes are False.
     """
-    return crypto.verify(getattr(tx, tx.SIGNER), wire[:-SIGNATURE_LEN], tx.sig)
+    key = getattr(tx, tx.SIGNER) if tx.SIGNER else owner
+    return crypto.verify(key, _message(tx, wire[:-SIGNATURE_LEN], owner), tx.sig)
 
 
 def decode(cls: type[S], data: bytes) -> S:
@@ -332,11 +350,11 @@ def decode(cls: type[S], data: bytes) -> S:
 
 
 def tx_vehicle(tx: Transaction) -> PublicKey | None:
-    """The vehicle a transaction is addressed to; None for audit-only txs."""
+    """The vehicle a genesis or an update names; None for the other txs. A
+    challenge record names none: its signature covers its block's owner.
+    """
     if isinstance(tx, (GenesisTx, UpdateTx)):
         return tx.vehicle_pk
-    if isinstance(tx, ChallengeRecordTx):
-        return tx.response.value.vehicle_pk
     return None
 
 

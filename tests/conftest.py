@@ -10,6 +10,7 @@ from ecuchain.protocol import (
     initialize_vehicle,
     make_genesis,
     new_authority_tier,
+    register_rsu,
 )
 from ecuchain.transactions import Received
 from ecuchain.wire import WireError
@@ -77,13 +78,15 @@ def ecu_state8():
 
 
 @pytest.fixture
-def tiers(maker_keys, insurer_keys):
-    """(authority, roadside) pair with the maker and insurer authorized."""
+def tiers(maker_keys, insurer_keys, rsu_keys):
+    """(authority, roadside) pair with the maker and insurer authorized and
+    the ``rsu_keys`` RSU registered."""
     authority = new_authority_tier(
         validators=(keys_for("transport"), keys_for("legal")),
         authorized_makers=(maker_keys.public,),
         authorized_insurers=(insurer_keys.public,),
     )
+    register_rsu(authority, rsu_keys.public)
     roadside = RoadsideTier(archive=MemoryArchive())
     return authority, roadside
 

@@ -36,6 +36,7 @@ from ecuchain.protocol import (
     make_genesis,
     new_authority_tier,
     record_response,
+    register_rsu,
     submit_request,
 )
 from ecuchain.sim import AttackPlanEntry, MaintenancePlanEntry, SimConfig, build_world, run
@@ -153,6 +154,7 @@ def test_criterion_3_pruning_contract():
             authorized_makers=(maker.public,),
             authorized_insurers=(),
         )
+        register_rsu(authority, rsu.public)
         roadside = RoadsideTier(archive=MemoryArchive())
         genesis = make_genesis(maker, vehicle.public, state, ts=0)
         initialize_vehicle(authority, roadside, genesis, ts=0)
@@ -161,7 +163,8 @@ def test_criterion_3_pruning_contract():
         for k in range(1, 21):
             challenge = issue_challenge(rsu.public, vehicle.public, 8, rng, ts=k * 100)
             response = build_response(vehicle, state, challenge, ts=k * 100)
-            assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
+            verdict = record_response(authority, roadside, rsu, challenge, response)
+            assert verdict is Verdict.VALID
             block = roadside.ledger.lookup(vehicle.public)
             payloads.append(block.entries[-1].payload)
             assert len(block.entries) == min(k + 1, 2), f"k={k}"
@@ -369,6 +372,8 @@ def test_criterion_8_honest_end_to_end_flow():
             authorized_makers=(maker.public, technician.public),
             authorized_insurers=(),
         )
+        register_rsu(authority, rsu1.public)
+        register_rsu(authority, rsu2.public)
         roadside = RoadsideTier(archive=MemoryArchive())
         images = [b"factory-image-%d" % e for e in range(8)]
         vehicle = VehicleNode(
@@ -385,12 +390,12 @@ def test_criterion_8_honest_end_to_end_flow():
         # first roadside encounter
         ch1 = issue_challenge(rsu1.public, vehicle.pk, 8, rng, ts=200)
         resp1 = vehicle.respond(ch1, ts=200)
-        assert record_response(rsu1, roadside, ch1, resp1) is Verdict.VALID
+        assert record_response(authority, roadside, rsu1, ch1, resp1) is Verdict.VALID
         # second encounter: the freshness check is now armed and passes
         assert roadside.profiles[vehicle.pk].last_response_ts == 200
         ch2 = issue_challenge(rsu2.public, vehicle.pk, 8, rng, ts=300)
         resp2 = vehicle.respond(ch2, ts=300)
-        assert record_response(rsu2, roadside, ch2, resp2) is Verdict.VALID
+        assert record_response(authority, roadside, rsu2, ch2, resp2) is Verdict.VALID
         # replaying encounter one at the second roadside unit is stale
         ch3 = issue_challenge(rsu2.public, vehicle.pk, 8, rng, ts=400)
         assert verdict_of(roadside, ch3, resp1) is Verdict.STALE_TIMESTAMP

@@ -35,6 +35,7 @@ from ecuchain.ledger import (
     deserialize_ledger,
     prune_to_two,
     reconstruct_history,
+    validate_block,
 )
 from ecuchain.protocol import (
     RoadsideTier,
@@ -45,6 +46,7 @@ from ecuchain.protocol import (
     make_genesis,
     new_authority_tier,
     record_response,
+    register_rsu,
 )
 from ecuchain.sim import SimConfig, build_world, run
 from ecuchain.transactions import (
@@ -56,6 +58,7 @@ from ecuchain.transactions import (
     Verdict,
     decode,
     decode_transaction,
+    signed_wire,
 )
 from ecuchain.wire import U64_MAX
 from test_ledger import record_tx
@@ -126,6 +129,7 @@ def _roadside_ops(ops, archive):
         authorized_makers=(maker.public,),
         authorized_insurers=(),
     )
+    register_rsu(authority, rsu.public)
     roadside = RoadsideTier(archive=archive)
     state = state_of(8)
     initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
@@ -133,7 +137,7 @@ def _roadside_ops(ops, archive):
     for i, is_record in enumerate(ops):
         ts = 10 + i
         if is_record:
-            _encounter(rsu, roadside, vehicle, state, ts)
+            _encounter(authority, rsu, roadside, vehicle, state, ts)
         else:
             state, update = make_update(maker, vehicle.public, state, i % 8, b"fw%d" % i, ts)
             apply_upper_update(authority, roadside, update)
@@ -152,10 +156,10 @@ def test_records_and_updates_archive_each_entry_once(ops):
         assert_archived_once(block, roadside.archive, originals)
 
 
-def _encounter(rsu, roadside, vehicle, state, ts):
+def _encounter(authority, rsu, roadside, vehicle, state, ts):
     challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(ts), ts)
     response = build_response(vehicle, state, challenge, ts)
-    assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
+    assert record_response(authority, roadside, rsu, challenge, response) is Verdict.VALID
 
 
 # -- tampered archive ------------------------------------------------------------------
@@ -209,13 +213,15 @@ def _changed_content(draw, tx, kind):
 @st.composite
 def changed_payload(draw, tx):
     """``tx`` with one field changed: its signature, state root (not for a
-    genesis), timestamp, owner key, signer key (the RSU's, for a challenge
-    record) or one ECU record.
+    genesis), timestamp, owner key (not for a challenge record, which names
+    none), signer key (the RSU's, for a challenge record) or one ECU record.
     """
     content = tx.response.value if isinstance(tx, ChallengeRecordTx) else tx
     kinds = ["sig", "state root", "ts", "owner key", "signer key", "ecu record"]
     if type(content) not in ROOT_FIELD:
         kinds.remove("state root")
+    if isinstance(tx, ChallengeRecordTx):
+        kinds.remove("owner key")
     kind = draw(st.sampled_from(kinds))
     if kind == "sig":
         return _changed(draw, tx, "sig")
@@ -258,13 +264,14 @@ def test_restarted_roadside_continues_the_archive_sequence(tmp_path, file_backed
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
     state = state_of(8)
     genesis = make_genesis(maker, vehicle.public, state, 0)
+    authority = new_authority_tier(
+        validators=(keys_for("transport"),),
+        authorized_makers=(maker.public,),
+        authorized_insurers=(),
+    )
+    register_rsu(authority, rsu.public)
 
     def registered(archive):
-        authority = new_authority_tier(
-            validators=(keys_for("transport"),),
-            authorized_makers=(maker.public,),
-            authorized_insurers=(),
-        )
         roadside = RoadsideTier(archive=archive)
         initialize_vehicle(authority, roadside, genesis, 0)
         return roadside
@@ -272,15 +279,15 @@ def test_restarted_roadside_continues_the_archive_sequence(tmp_path, file_backed
     uninterrupted = registered(MemoryArchive())
     roadside = registered(FileArchive(tmp_path) if file_backed else MemoryArchive())
     for ts in range(10, 15):
-        _encounter(rsu, uninterrupted, vehicle, state, ts)
-        _encounter(rsu, roadside, vehicle, state, ts)
+        _encounter(authority, rsu, uninterrupted, vehicle, state, ts)
+        _encounter(authority, rsu, roadside, vehicle, state, ts)
     restarted = RoadsideTier(
         ledger=deserialize_ledger(roadside.ledger.serialize()),
         archive=FileArchive(tmp_path) if file_backed else roadside.archive,
         profiles=roadside.profiles,
     )
-    _encounter(rsu, uninterrupted, vehicle, state, 15)
-    _encounter(rsu, restarted, vehicle, state, 15)
+    _encounter(authority, rsu, uninterrupted, vehicle, state, 15)
+    _encounter(authority, rsu, restarted, vehicle, state, 15)
 
     block = restarted.ledger.lookup(vehicle.public)
     assert restarted.ledger.validate()
@@ -428,3 +435,107 @@ def test_first_append_to_an_address_also_syncs_the_directory(tmp_path, monkeypat
     archive.append_many("ar://sync", [(1, genesis.to_bytes())])
     assert synced == ["file", "dir", "file"]
     assert [seq for seq, _ in archive.read("ar://sync")] == [0, 1]
+
+
+
+# -- a record moved to another vehicle's block -------------------------------------------
+# A challenge record names no vehicle: its RSU's signature covers the key of
+# the vehicle it was made for, and the audit checks it under the key of the
+# block that keeps it.
+
+RELOCATION = SimConfig(n_vehicles=3, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=11)
+# A history is the genesis at seq 0, then one record per encounter; a block
+# retains the last two, and the archive keeps the rest.
+RECORD_SEQS = range(1, RELOCATION.encounters_per_vehicle + 1)
+RETAINED_FROM = RELOCATION.encounters_per_vehicle - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _relocation_run():
+    """A run's RSU keys, its serialized roadside ledger and each block's
+    full history, verified, in creation order.
+    """
+    world = build_world(RELOCATION)
+    run(world)
+    ledger, archive = world.roadside.ledger, world.roadside.archive
+    histories = [reconstruct_history(ledger.blocks[pk], archive) for pk in ledger.creation_order]
+    return world.rsus, ledger.serialize(), histories
+
+
+def _relocated(target, t, payload):
+    """The run's roadside ledger, restored, and an archive, with ``payload``
+    in place of the entry at seq ``t`` of the ``target``-th block's history,
+    and that block. Every entry stays retained or archived as in the run.
+    """
+    _, blob, histories = _relocation_run()
+    ledger, archive = deserialize_ledger(blob), MemoryArchive()
+    for i, (pk, history) in enumerate(zip(ledger.creation_order, histories)):
+        history = list(history)
+        if i == target:
+            history[t] = history[t]._replace(payload=payload)
+        block = ledger.blocks[pk]
+        head_seq = block.entries[0].seq
+        archive.append_many(block.header.external_address, history[:head_seq])
+        ledger.blocks[pk] = dataclasses.replace(block, entries=tuple(history[head_seq:]))
+    return ledger, archive, ledger.blocks[ledger.creation_order[target]]
+
+
+def assert_moved_record_fails_the_audit(source, s, target, t):
+    """The record at seq ``s`` of the ``source``-th block's history, put at
+    seq ``t`` of the ``target``-th block's, fails its replay and, where that
+    block retains it, ``validate_block`` and ``Ledger.validate``.
+    """
+    _, _, histories = _relocation_run()
+    payload = histories[source][s].payload
+    assert isinstance(decode_transaction(payload), ChallengeRecordTx)
+    ledger, archive, block = _relocated(target, t, payload)
+    with pytest.raises(LedgerError, match="does not validate"):
+        reconstruct_history(block, archive)
+    if t >= block.entries[0].seq:
+        assert validate_block(block) is False
+        assert ledger.validate() is False
+
+
+def test_the_relocation_run_audits_before_any_move():
+    _, _, histories = _relocation_run()
+    ledger, archive, block = _relocated(1, 2, histories[1][2].payload)
+    assert block.entries[0].seq == RETAINED_FROM
+    assert ledger.validate()
+    for block in ledger.blocks.values():
+        reconstruct_history(block, archive)
+
+
+@pytest.mark.parametrize(
+    "s, t",
+    [(4, 4), (1, 4), (4, 1), (1, 2)],
+    ids=["retained-to-block", "archived-to-block", "retained-to-archive", "archived-to-archive"],
+)
+def test_a_record_moved_to_another_vehicles_block_fails_the_audit(s, t):
+    assert RETAINED_FROM == 3
+    assert_moved_record_fails_the_audit(0, s, 1, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.permutations(range(RELOCATION.n_vehicles)),
+    st.sampled_from(RECORD_SEQS),
+    st.sampled_from(RECORD_SEQS),
+)
+def test_any_record_moved_to_any_other_block_fails_the_audit(owners, s, t):
+    source, target, *_ = owners
+    assert_moved_record_fails_the_audit(source, s, target, t)
+
+
+def test_a_moved_record_signed_again_for_its_new_block_passes():
+    """The move fails on the RSU's signature alone: the same record, signed
+    by the same RSU for the vehicle whose block now keeps it, audits.
+    """
+    rsus, _, histories = _relocation_run()
+    record = decode_transaction(histories[0][4].payload)
+    (rsu,) = [keys for keys in rsus if keys.public == record.rsu_pk]
+    target = decode_transaction(histories[1][0].payload).vehicle_pk
+    resigned = signed_wire(dataclasses.replace(record, sig=b""), rsu, target)
+    assert resigned[:-64] == histories[0][4].payload[:-64]
+    ledger, archive, block = _relocated(1, 4, resigned)
+    assert validate_block(block) and ledger.validate()
+    assert len(reconstruct_history(block, archive)) == len(histories[1])

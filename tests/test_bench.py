@@ -56,6 +56,15 @@ def test_benches_reject_counts_below_one(bench, counts):
         bench(counts=counts)
 
 
+@pytest.mark.parametrize("targets", [[-5], [0], [100, 0]], ids=["negative", "zero", "then_zero"])
+def test_bench_storage_rejects_extrapolation_targets_below_one(targets):
+    """An extrapolation to fewer than one block reports a size for a fleet
+    that cannot exist (at -5 blocks, a negative one).
+    """
+    with pytest.raises(ValueError, match="at least 1"):
+        bench_storage(counts=[1, 2], extrapolate_to=targets)
+
+
 def test_bench_challenge_positive_and_more_work_per_vehicle():
     report = bench_challenge(counts=[4, 40], runs=3)
     assert all(p.mean_ms > 0 for p in report.series)

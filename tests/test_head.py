@@ -189,7 +189,7 @@ def test_appends_after_the_seal_still_validate():
     for ts in (now + 1, now + 2, now + 3):
         challenge = issue_challenge(rsu.public, vehicle.pk, 4, random.Random(ts), ts)
         response = vehicle.respond(challenge, ts)
-        assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
+        assert record_response(tier, roadside, rsu, challenge, response) is Verdict.VALID
     newcomer = world._new_vehicle(b"vehicle", SMALL.n_vehicles)
     genesis = make_genesis(world.maker, newcomer.pk, newcomer.ecu_state, ts=now)
     initialize_vehicle(world.authority_tier, roadside, genesis, ts=now)

@@ -36,19 +36,22 @@ from ecuchain.transactions import (
 
 
 def record_tx(vehicle_keys, state, rsu_keys, ts):
-    """Challenge-record transaction carrying a minimal signed response."""
+    """Challenge-record transaction carrying a minimal signed response; the
+    RSU signs the tag, the vehicle's key, then the rest of the record.
+    """
     unsigned = ChallengeResponse(
         state_root=sha256(b"root"),
         subset=(state.records[0],),
         ts=ts,
-        vehicle_pk=vehicle_keys.public,
         sig=b"",
     )
     response = dataclasses.replace(
         unsigned, sig=vehicle_keys.sign(unsigned.signing_bytes())
     )
     rec = ChallengeRecordTx(response=embedded(response), rsu_pk=rsu_keys.public, sig=b"")
-    return dataclasses.replace(rec, sig=rsu_keys.sign(rec.signing_bytes()))
+    signing = rec.signing_bytes()
+    message = signing[:1] + vehicle_keys.public + signing[1:]
+    return dataclasses.replace(rec, sig=rsu_keys.sign(message))
 
 
 @pytest.fixture

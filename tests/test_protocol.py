@@ -366,9 +366,9 @@ def test_verdict_bad_signature(registered, rsu_keys):
 
 
 def test_verdict_stale_timestamp_on_replay(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+    assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     # replay at the next roadside unit
     rsu2 = keys_for("rsu-2")
     challenge2, _ = honest_round(roadside, rsu2, vehicle_keys, state, ts=20)
@@ -379,7 +379,7 @@ def test_response_outside_the_challenge_window_is_stale(registered, rsu_keys):
     """Recording a far-future response would pin ``last_response_ts`` and
     make the honest vehicle's next response stale, which revokes it.
     """
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     profile = dataclasses.replace(roadside.profiles[vehicle_keys.public])
     challenge, _ = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
     latest = challenge.issued_ts + MAX_RESPONSE_DELAY_MS
@@ -388,7 +388,7 @@ def test_response_outside_the_challenge_window_is_stale(registered, rsu_keys):
         assert verdict_of(roadside, challenge, response) is Verdict.STALE_TIMESTAMP
     assert roadside.profiles[vehicle_keys.public] == profile
     response = build_response(vehicle_keys, state, challenge, latest)
-    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+    assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=latest + 1)
     assert verdict_of(roadside, challenge, response) is Verdict.VALID
 
@@ -431,20 +431,20 @@ def test_verdict_deterministic(registered, rsu_keys):
 
 
 def test_record_keeps_two_entries(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+    assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     assert len(block.entries) == 2  # genesis + record
 
 
 def test_five_encounters_prune_to_two(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     for i in range(5):
         challenge, response = honest_round(
             roadside, rsu_keys, vehicle_keys, state, ts=10 + i
         )
-        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+        assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     assert len(block.entries) == 2
     assert block.entries[0].seq == 4  # genesis + first three records moved out
@@ -457,12 +457,12 @@ def test_five_encounters_prune_to_two(registered, rsu_keys):
 
 
 def test_five_encounters_archive_one_record_per_entry(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     for i in range(5):
         challenge, response = honest_round(
             roadside, rsu_keys, vehicle_keys, state, ts=10 + i
         )
-        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+        assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     archived = roadside.archive.read(block.header.external_address)
     # genesis and the first three records, each once; the head stays in the block
@@ -471,14 +471,16 @@ def test_five_encounters_archive_one_record_per_entry(registered, rsu_keys):
 
 
 def test_recorded_entry_countersignature_verifies(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
-    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+    assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     block = roadside.ledger.lookup(vehicle_keys.public)
     record = decode_transaction(block.entries[-1].payload)
     assert isinstance(record, ChallengeRecordTx)
     assert record.rsu_pk == rsu_keys.public
-    assert verify(rsu_keys.public, record.signing_bytes(), record.sig)
+    signing = record.signing_bytes()
+    message = signing[:1] + vehicle_keys.public + signing[1:]
+    assert verify(rsu_keys.public, message, record.sig)
 
 
 def test_record_embeds_the_received_response_bytes_without_encoding_them(
@@ -486,9 +488,9 @@ def test_record_embeds_the_received_response_bytes_without_encoding_them(
 ):
     """The RSU signs the response's bytes as it received them: recording
     encodes no response, and the record is the tag, those bytes, the RSU
-    key and its signature.
+    key and its signature over them with the vehicle's key after the tag.
     """
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
 
     def refuse(self):
@@ -496,23 +498,24 @@ def test_record_embeds_the_received_response_bytes_without_encoding_them(
 
     for method in ("signing_bytes", "to_bytes"):
         monkeypatch.setattr(ChallengeResponse, method, refuse)
-    assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+    assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     payload = roadside.ledger.lookup(vehicle_keys.public).entries[-1].payload
-    message = bytes([TAG_CHALLENGE_RECORD]) + response + rsu_keys.public
-    assert payload[:-64] == message
+    tag = bytes([TAG_CHALLENGE_RECORD])
+    assert payload[:-64] == tag + response + rsu_keys.public
+    message = tag + vehicle_keys.public + response + rsu_keys.public
     assert verify(rsu_keys.public, message, payload[-64:])
     monkeypatch.undo()
     assert decode_transaction(payload).response == (decode(ChallengeResponse, response), response)
 
 
 def test_recorded_timestamps_strictly_increase(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     seen = []
     for i in range(6):
         challenge, response = honest_round(
             roadside, rsu_keys, vehicle_keys, state, ts=100 + i * 3
         )
-        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+        assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
         seen.append(decode(ChallengeResponse, response).ts)
     assert seen == sorted(set(seen))
 
@@ -526,17 +529,17 @@ class FailingArchive(Archive):
 
 
 def test_record_archive_failure_leaves_ledger_unchanged(registered, rsu_keys):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     # two successful rounds so the next record triggers a prune
     for i in range(2):
         challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=5 + i)
-        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+        assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     before = roadside.ledger.lookup(vehicle_keys.public)
     before_ts = roadside.profiles[vehicle_keys.public].last_response_ts
     roadside.archive = FailingArchive()
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=50)
     with pytest.raises(ArchiveError):
-        record_response(rsu_keys, roadside, challenge, response)
+        record_response(authority, roadside, rsu_keys, challenge, response)
     assert roadside.ledger.lookup(vehicle_keys.public) == before
     assert roadside.profiles[vehicle_keys.public].last_response_ts == before_ts
 

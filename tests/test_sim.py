@@ -42,9 +42,9 @@ DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
 # of its archive records (see ``archive_digest``). The demo makes no insurer
 # request, so its authority ledger is empty.
-DEMO_ROADSIDE_LEDGER_SHA256 = "7aaaaef647c8a0e4140ca9b928a88a90f9190de82b84ee76a7c2251d759822da"
-DEMO_AUTHORITY_LEDGER_SHA256 = "42a63d579117b7fdc0926831c50e8c3016428df7bb466970df6a202bc7590c10"
-DEMO_ARCHIVE_SHA256 = "12f03f79a173cc933d70e430a124f4750a14f8a741c92c681bcf991f8d17e690"
+DEMO_ROADSIDE_LEDGER_SHA256 = "7f37e113a1aa52d1c226c77240840cade792ec7050e5f7105da8ebc88ae91a04"
+DEMO_AUTHORITY_LEDGER_SHA256 = "86d3b85ac32e2c4bdeeeb66ae5f083ab879c2660a07f040bce17fc9b61c5370b"
+DEMO_ARCHIVE_SHA256 = "db3235f29c917cd316d30cc69ae9020930f08665399a51fb8500122991755270"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
 
@@ -474,9 +474,9 @@ def test_demo_ledgers_and_archive_are_pinned():
 def test_recorded_response_is_dated_at_its_challenge(monkeypatch):
     recorded = []
 
-    def spy(rsu, roadside, challenge, wire):
+    def spy(authority, roadside, rsu, challenge, wire):
         recorded.append((challenge.issued_ts, decode(ChallengeResponse, wire).ts))
-        return record_response(rsu, roadside, challenge, wire)
+        return record_response(authority, roadside, rsu, challenge, wire)
 
     monkeypatch.setattr(sim, "record_response", spy)
     world = build_world(SimConfig(n_vehicles=2, n_rsus=2, n_rounds=2, seed=2))

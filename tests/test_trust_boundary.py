@@ -9,7 +9,8 @@ records only if Valid), ``submit_request`` (the insurer request) and
 wire bytes, decodes them once, rejects bytes that do not decode as it
 rejects any other bad input, checks the sender's allow-list where there
 is one, and only then checks the signature with ``signed_by(tx, wire)``,
-which reads the signer from the field the type's ``SIGNER`` names.
+which reads the signer from the field the type's ``SIGNER`` names (a
+response's signer is its challenge's vehicle, which it does not name).
 ``validate_block`` calls ``signed_by`` too, so it is the only place that
 verifies, and ``signed_wire`` the only place that signs.
 The ledger verifies nothing on the way in: ``Ledger.create_block`` and
@@ -36,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embedded, keys_for, state_of
-from ecuchain import crypto
+from ecuchain import crypto, protocol
 from ecuchain.ecu import EcuRecord, compute_state_root
 from ecuchain.entities import AuthorityNode
 from ecuchain.ledger import append_entry, validate_block
@@ -119,15 +120,16 @@ def signature_of(wire):
 
 SIGNER = keys_for("signer")
 _STATE = state_of(4)
+_VEHICLE = keys_for("vehicle").public
 _RESPONSE = ChallengeResponse(
     state_root=compute_state_root(_STATE),
     subset=_STATE.records[:3],
     ts=5,
-    vehicle_pk=SIGNER.public,
     sig=b"",
 )
 # One unsigned object of each signed type for SIGNER to sign; the field its
-# type declares as ``SIGNER`` holds SIGNER's key.
+# type declares as ``SIGNER`` holds SIGNER's key. A response has no such
+# field: it is signed by its owner, the challenged vehicle.
 UNSIGNED = [
     GenesisTx(
         ts=0,
@@ -148,7 +150,7 @@ UNSIGNED = [
     RequestTx(insurer_pk=SIGNER.public, query="q", ts=3, sig=b""),
     _RESPONSE,
     ChallengeRecordTx(
-        response=embedded(decode(ChallengeResponse, signed_wire(_RESPONSE, SIGNER))),
+        response=embedded(decode(ChallengeResponse, signed_wire(_RESPONSE, keys_for("vehicle")))),
         rsu_pk=SIGNER.public,
         sig=b"",
     ),
@@ -163,22 +165,27 @@ UNSIGNED = [
         count=1, ts=3, merkle_root=_RESPONSE.state_root, validator_pk=SIGNER.public, sig=b""
     ),
 ]
+# The owner each type's signature covers: a response's is its signer, a
+# record's the vehicle whose block keeps it; the others name no owner.
+OWNERS = {ChallengeResponse: SIGNER.public, ChallengeRecordTx: _VEHICLE}
 
 
 @pytest.mark.parametrize("unsigned", UNSIGNED, ids=[type(obj).__name__ for obj in UNSIGNED])
 def test_signed_by_accepts_only_the_signers_intact_signature(unsigned):
     """``signed_by`` accepts the bytes ``signed_wire`` made, and nothing
-    that decodes from them with any one byte changed, or with the signer
-    field naming another key.
+    that decodes from them with any one byte changed, with the signer
+    field naming another key, or checked for another owner.
     """
     cls = type(unsigned)
-    wire = signed_wire(unsigned, SIGNER)
+    owner = OWNERS.get(cls, b"")
+    wire = signed_wire(unsigned, SIGNER, owner)
     obj = decode(cls, wire)
-    assert getattr(obj, cls.SIGNER) == SIGNER.public
-    assert signed_by(obj, wire)
-    changed = [
-        dataclasses.replace(obj, **{cls.SIGNER: keys_for("other").public}).to_bytes()
-    ]
+    assert (getattr(obj, cls.SIGNER) if cls.SIGNER else owner) == SIGNER.public
+    assert signed_by(obj, wire, owner)
+    changed = []
+    if cls.SIGNER:
+        other = dataclasses.replace(obj, **{cls.SIGNER: keys_for("other").public})
+        changed.append(other.to_bytes())
     for i in range(len(wire)):
         flipped = bytearray(wire)
         flipped[i] ^= 0x01
@@ -188,7 +195,10 @@ def test_signed_by_accepts_only_the_signers_intact_signature(unsigned):
             tx = decode(cls, forged)
         except WireError:
             continue
-        assert signed_by(tx, forged) is False
+        assert signed_by(tx, forged, owner) is False
+    if owner:
+        assert signed_by(obj, wire, keys_for("other").public) is False
+        assert signed_by(obj, wire) is False
 
 
 # -- submit_request and append_entry -----------------------------------------------
@@ -262,12 +272,12 @@ def test_every_entry_point_takes_wire_bytes():
 
 
 def test_honest_round_verifies_once(registered, rsu_keys, verify_calls):
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     # Four rounds: the later ones prune, which must not verify either.
     for i in range(4):
         challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7 + i)
         del verify_calls[:]
-        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+        assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
         assert verify_calls == [(vehicle_keys.public, *signature_of(response))]
 
 
@@ -339,7 +349,8 @@ def test_report_verified_by_each_receiving_authority(
 
 def hostile_round(kind, keys, challenge, response, last):
     """A hostile (challenge, response wire bytes) made from an honest round
-    and the last response the vehicle had recorded.
+    and the last response the vehicle had recorded. The vehicle "other" is
+    registered; "stranger" and "unregistered" are not.
     """
     honest = decode(ChallengeResponse, response)
     if kind == "zeroed-sig":
@@ -357,8 +368,10 @@ def hostile_round(kind, keys, challenge, response, last):
         stranger = keys_for("stranger")
         return (
             dataclasses.replace(challenge, vehicle_pk=stranger.public),
-            signed_wire(dataclasses.replace(honest, vehicle_pk=stranger.public), stranger),
+            signed_wire(honest, stranger),
         )
+    if kind == "unregistered-vehicles-challenge":
+        return dataclasses.replace(challenge, vehicle_pk=keys_for("unregistered").public), response
     assert kind == "other-vehicles-challenge"
     return dataclasses.replace(challenge, vehicle_pk=keys_for("other").public), response
 
@@ -370,21 +383,26 @@ HOSTILE = [
     ("replay", Verdict.STALE_TIMESTAMP),
     ("unknown-vehicle", Verdict.UNKNOWN_VEHICLE),
     ("other-vehicles-challenge", Verdict.BAD_SIGNATURE),
+    ("unregistered-vehicles-challenge", Verdict.UNKNOWN_VEHICLE),
 ]
 
 
 @pytest.mark.parametrize("kind, expected", HOSTILE, ids=[kind for kind, _ in HOSTILE])
-def test_record_response_records_nothing_unverified(registered, rsu_keys, kind, expected):
-    _, roadside, vehicle_keys, state = registered
+def test_record_response_records_nothing_unverified(
+    registered, maker_keys, rsu_keys, kind, expected
+):
+    authority, roadside, vehicle_keys, state = registered
+    other = make_genesis(maker_keys, keys_for("other").public, state_of(8, b"other"), ts=0)
+    initialize_vehicle(authority, roadside, other, ts=0)
     # Two recorded rounds: the next record would prune to the archive.
     for ts in (7, 8):
         challenge, last = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
-        assert record_response(rsu_keys, roadside, challenge, last) is Verdict.VALID
+        assert record_response(authority, roadside, rsu_keys, challenge, last) is Verdict.VALID
     honest = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
     challenge, response = hostile_round(kind, vehicle_keys, *honest, last)
     before = tier_snapshot(roadside, vehicle_keys.public)
     assert verdict_of(roadside, challenge, response) is expected
-    assert record_response(rsu_keys, roadside, challenge, response) is expected
+    assert record_response(authority, roadside, rsu_keys, challenge, response) is expected
     assert tier_snapshot(roadside, vehicle_keys.public) == before
 
 
@@ -392,17 +410,36 @@ def test_record_response_refuses_another_rsus_challenge(registered, rsu_keys, ve
     """An RSU records only answers to its own challenges: a Valid response
     to another RSU's challenge is refused before anything is verified.
     """
-    _, roadside, vehicle_keys, state = registered
+    authority, roadside, vehicle_keys, state = registered
     for ts in (7, 8):
         challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
-        assert record_response(rsu_keys, roadside, challenge, response) is Verdict.VALID
+        assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=20)
     assert verdict_of(roadside, challenge, response) is Verdict.VALID
     before = tier_snapshot(roadside, vehicle_keys.public)
+    register_rsu(authority, keys_for("rsu2").public)
     del verify_calls[:]
     with pytest.raises(ProtocolError, match="another RSU"):
-        record_response(keys_for("rsu2"), roadside, challenge, response)
+        record_response(authority, roadside, keys_for("rsu2"), challenge, response)
     assert verify_calls == []
+    assert tier_snapshot(roadside, vehicle_keys.public) == before
+
+
+def test_record_response_refuses_an_unregistered_rsu(registered, verify_calls, monkeypatch):
+    """An RSU that ``register_rsu`` never admitted records nothing: its
+    Valid response is refused before the bytes are decoded or verified.
+    """
+    authority, roadside, vehicle_keys, state = registered
+    rogue = keys_for("rogue-rsu")
+    challenge, response = honest_round(roadside, rogue, vehicle_keys, state, ts=7)
+    assert verdict_of(roadside, challenge, response) is Verdict.VALID
+    before = tier_snapshot(roadside, vehicle_keys.public)
+    decodes = []
+    monkeypatch.setattr(protocol, "decode", lambda *args: decodes.append(args))
+    del verify_calls[:]
+    with pytest.raises(ProtocolError, match="unregistered RSU"):
+        record_response(authority, roadside, rogue, challenge, response)
+    assert verify_calls == [] and decodes == []
     assert tier_snapshot(roadside, vehicle_keys.public) == before
 
 
@@ -411,9 +448,10 @@ def test_record_response_refuses_another_rsus_challenge(registered, rsu_keys, ve
 
 @functools.lru_cache(maxsize=None)
 def _world():
-    """One registered vehicle, the wire bytes of a Valid response to a
-    challenge and the record an RSU made of it. Shared by the property
-    examples, which only ever hand the tier rejected bytes.
+    """Both tiers with one registered vehicle and RSU, the wire bytes of a
+    Valid response to a challenge and the record the RSU made of it.
+    Shared by the property examples, which only ever hand the tier
+    rejected bytes.
     """
     maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
     authority = new_authority_tier(
@@ -421,6 +459,7 @@ def _world():
         authorized_makers=(maker.public,),
         authorized_insurers=(),
     )
+    register_rsu(authority, rsu.public)
     roadside = RoadsideTier()
     state = state_of(8)
     initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
@@ -432,8 +471,8 @@ def _world():
         rsu_pk=rsu.public,
         sig=b"",
     )
-    record = decode_transaction(signed_wire(unsigned, rsu))
-    return roadside, challenge, response, record
+    record = decode_transaction(signed_wire(unsigned, rsu, vehicle.public))
+    return authority, roadside, challenge, response, record
 
 
 digests = st.binary(min_size=32, max_size=32)
@@ -449,7 +488,6 @@ RESPONSE_FIELDS = {
         max_size=4,
     ).map(tuple),
     "ts": st.integers(0, U64_MAX),
-    "vehicle_pk": digests,
     "sig": st.binary(min_size=64, max_size=64),
 }
 
@@ -487,14 +525,10 @@ def assert_fresh_encoding(tx):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_changed_response_is_rejected(data):
-    roadside, challenge, response, _ = _world()
+    _, roadside, challenge, response, _ = _world()
     honest = decode(ChallengeResponse, response)
     name, changed = data.draw(changed_response(honest))
-    verdict = verdict_of(roadside, challenge, changed.to_bytes())
-    if name == "vehicle_pk":
-        assert verdict in (Verdict.UNKNOWN_VEHICLE, Verdict.BAD_SIGNATURE)
-    else:
-        assert verdict is Verdict.BAD_SIGNATURE
+    assert verdict_of(roadside, challenge, changed.to_bytes()) is Verdict.BAD_SIGNATURE
     if name != "sig":
         assert changed.signing_bytes() != honest.signing_bytes()
 
@@ -502,12 +536,12 @@ def test_changed_response_is_rejected(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_changed_record_is_rejected_by_append(data):
-    """``append_entry`` adds a changed record, even one that names another
-    vehicle, and the audit rejects the block it makes.
+    """``append_entry`` adds a changed record, and the audit rejects the
+    block it makes.
     """
-    roadside, _, _, record = _world()
+    _, roadside, challenge, _, record = _world()
     changed = data.draw(changed_record(record))
-    block = roadside.ledger.lookup(record.response.value.vehicle_pk)
+    block = roadside.ledger.lookup(challenge.vehicle_pk)
     appended = append_entry(block, changed.to_bytes())
     assert appended.entries[-1].payload == changed.to_bytes()
     assert not validate_block(appended)
@@ -515,9 +549,15 @@ def test_changed_record_is_rejected_by_append(data):
 
 
 def test_signed_record_encodes_its_current_fields():
-    _, _, _, record = _world()
+    """A record's signature covers its tag, then the challenged vehicle's
+    key, which the record does not store, then the rest of its bytes.
+    """
+    _, _, challenge, _, record = _world()
     assert_fresh_encoding(record)
-    assert crypto.verify(record.rsu_pk, record.signing_bytes(), record.sig)
+    signing = record.signing_bytes()
+    message = signing[:1] + challenge.vehicle_pk + signing[1:]
+    assert crypto.verify(record.rsu_pk, message, record.sig)
+    assert not crypto.verify(record.rsu_pk, signing, record.sig)
 
 
 # -- maintenance updates -------------------------------------------------------------
@@ -665,11 +705,12 @@ def wrong_widths(obj, name) -> list[bytes]:
 
 @pytest.mark.parametrize("name", ["state_root", "sig"])
 def test_response_with_wrong_width_field_is_bad_signature(name):
-    roadside, challenge, response, _ = _world()
+    authority, roadside, challenge, response, _ = _world()
     rsu = keys_for("rsu")
     profile = dataclasses.replace(roadside.profiles[challenge.vehicle_pk])
     for wire in wrong_widths(decode(ChallengeResponse, response), name):
-        assert record_response(rsu, roadside, challenge, wire) is Verdict.BAD_SIGNATURE
+        verdict = record_response(authority, roadside, rsu, challenge, wire)
+        assert verdict is Verdict.BAD_SIGNATURE
     assert roadside.profiles[challenge.vehicle_pk] == profile
 
 
@@ -761,7 +802,7 @@ def _boundary_world():
         ),
         "response": (
             build_response(vehicle, state, challenge, ts=5),
-            lambda wire: record_response(rsu, roadside, challenge, wire),
+            lambda wire: record_response(authority, roadside, rsu, challenge, wire),
         ),
         "request": (
             signed_request(insurer, "incident 12", ts=3),

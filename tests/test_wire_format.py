@@ -11,9 +11,10 @@ only on strings and on blocks in the ledger envelope) and the block layout (each
 (a length prefix on every field), the v2 layout (every integer 8 bytes),
 the ``ECUL4`` block layout (a linked, length-prefixed entry), the
 ``ECUL5`` layout (a stored archive address and entry and block counts),
-the ``ECUL6`` layout (a previous header hash in each header) and the
-``ECUL7`` layout (a genesis with a state root and an id per ECU) are only
-ever written here, and nothing decodes them. Every decoder and
+the ``ECUL6`` layout (a previous header hash in each header), the
+``ECUL7`` layout (a genesis with a state root and an id per ECU) and the
+``ECUL8`` layout (a response that names its vehicle) are only ever
+written here, and nothing decodes them. Every decoder and
 the file archive raise only ``WireError`` or ``ArchiveError`` on hostile
 bytes, also behind a re-sealed checksum, and decoding is canonical:
 hostile bytes that decode re-encode to themselves. An entry that keeps
@@ -36,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embedded, keys_for, state_of
+from ecuchain import crypto
 from ecuchain.crypto import ZERO_DIGEST
 from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
 from ecuchain.ledger import (
@@ -66,6 +68,7 @@ from ecuchain.protocol import (
     make_genesis,
     new_authority_tier,
     record_response,
+    register_rsu,
     report_malicious,
     seal_roadside,
 )
@@ -86,6 +89,7 @@ from ecuchain.transactions import (
     Verdict,
     decode,
     decode_transaction,
+    signed_by,
     signed_wire,
 )
 from ecuchain.wire import U64_MAX, Reader, WireError
@@ -146,6 +150,7 @@ def _golden():
                 response=Received(response, response_wire), rsu_pk=rsu.public, sig=b""
             ),
             rsu,
+            vehicle.public,
         )
     )
     update = decode(UpdateTx, make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)[1])
@@ -183,8 +188,8 @@ def _golden():
 
 
 GOLDEN = {
-    "response": (264, "7911bcbed6939943ca04c30335b8c60848b847062c7baa19ecb4314ac1f113b3"),
-    "record": (361, "d386516807df43e28a0b3c6a5492ebfda16ef2dca40d0023149d38c71f608d6b"),
+    "response": (232, "5becf92057a0c1f4347b54432ae3e3e12a62030a2ee6e26761a79444bdbbe526"),
+    "record": (329, "2953c4092fb93664f1edf45a95272b9507be261b990a6f4399b16d95e57fcffc"),
     "update": (203, "51f367aa6b6ec06fe48fe7d507a0e28a607d7ee31f53ae478d0fcd3d57e14a89"),
     "genesis": (459, "0ebf07a262798d9c0703df95a12cdce4ed14e7928572c494a5a611b9e862f651"),
     "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
@@ -192,7 +197,7 @@ GOLDEN = {
     "entry": (8 + 459, "e0ad226ab3012d35cfb4d26aa204a9f40302337f84d6d899a819e4a25e3256f8"),
     "header": (40, "a2274119bbf017c0cd71ad8994506e9444c67b1d6955d56b4a32572770673dd4"),
     "head": (145, "d2a0c57f70e20e15f5b3af3d18b83100b207a9283c69ef1e4ee4c6cfc2d3f7e6"),
-    "ledger": (524, "b6ca7abbb7d8505c1e082f885e9da3a0f3a09f246772dc24d97803c175c7dcc4"),
+    "ledger": (524, "19632d48ce53d463f75d661fb1e855f072d223cd28df6f3eb34356c9ed0420e9"),
 }
 
 
@@ -216,13 +221,20 @@ def test_golden_vector(name):
 
 
 def test_response_and_record_layout_by_hand():
+    """A response names no vehicle, and its vehicle signs its bytes; a
+    record stores the response and the RSU key, and the RSU signs its tag,
+    then the vehicle's key, then the rest.
+    """
     g = _golden()
     response, record = g["response"], g["record"]
-    expected = response.state_root + u16(3) + packed_records(response.subset)
-    expected += u64(5) + response.vehicle_pk
+    vehicle = keys_for("vehicle").public
+    expected = response.state_root + u16(3) + packed_records(response.subset) + u64(5)
     assert response.signing_bytes() == expected
     assert response.to_bytes() == expected + response.sig
+    assert crypto.verify(vehicle, expected, response.sig)
     assert record.to_bytes() == u8(3) + response.to_bytes() + record.rsu_pk + record.sig
+    message = u8(3) + vehicle + response.to_bytes() + record.rsu_pk
+    assert crypto.verify(record.rsu_pk, message, record.sig)
 
 
 def test_ledger_head_layout_by_hand():
@@ -261,7 +273,7 @@ def test_header_entry_and_envelope_layout_by_hand():
     assert header.external_address == external_address(header.owner_pk)
     block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
     assert ledger.blocks[header.owner_pk].to_bytes() == block
-    assert ledger.serialize() == prefixed(b"ECUL8") + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECUL9") + prefixed(block)
 
 
 # -- older layouts are not read -----------------------------------------------------------
@@ -432,13 +444,67 @@ def test_v1_ledger_blob_raises_wire_error():
         572,
         "6218a48295ff440d07b4551a135381e99c826590883ce850401490a0c1086a4b",
     )
-    assert LEDGER_MAGIC == b"ECUL8"
-    for blob in (v1_blob, ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob, ecul7_blob):
+    # The same ledger in the ECUL8 layout: today's blocks, whose challenge
+    # records embedded a response that named its vehicle (the bytes its
+    # golden vector pinned).
+    v8_block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
+    ecul8_blob = prefixed(b"ECUL8") + prefixed(v8_block)
+    assert (len(ecul8_blob), sha(ecul8_blob)) == (
+        524,
+        "b6ca7abbb7d8505c1e082f885e9da3a0f3a09f246772dc24d97803c175c7dcc4",
+    )
+    assert LEDGER_MAGIC == b"ECUL9"
+    old_blobs = (ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob, ecul7_blob, ecul8_blob)
+    for blob in (v1_blob, *old_blobs):
         with pytest.raises(WireError):
             deserialize_ledger(blob)
     for block in (v1_block, v2_block, v4_block, v5_block, v6_block):
         with pytest.raises(WireError):
             decode_block(block)
+
+
+@functools.lru_cache(maxsize=None)
+def _v8_response() -> bytes:
+    """The golden response as the ``ECUL8`` layout wrote it: the vehicle's
+    key after the timestamp, signed by the vehicle over those bytes.
+    """
+    response = _golden()["response"]
+    signing = response.signing_bytes() + keys_for("vehicle").public
+    return signing + keys_for("vehicle").sign(signing)
+
+
+def test_v8_response_and_record_raise_wire_error(registered, rsu_keys):
+    """The golden response and record as the ``ECUL8`` layout wrote them
+    (the bytes their golden vectors pinned) do not decode: each is 32 bytes
+    longer than today's. ``record_response`` classifies such a response as
+    BadSignature and records nothing.
+    """
+    authority, roadside, vehicle_keys, _ = registered
+    v8 = _v8_response()
+    signing = u8(3) + v8 + rsu_keys.public
+    v8_record = signing + rsu_keys.sign(signing)
+    assert (len(v8), sha(v8)) == (
+        264,
+        "7911bcbed6939943ca04c30335b8c60848b847062c7baa19ecb4314ac1f113b3",
+    )
+    assert (len(v8_record), sha(v8_record)) == (
+        361,
+        "d386516807df43e28a0b3c6a5492ebfda16ef2dca40d0023149d38c71f608d6b",
+    )
+    with pytest.raises(WireError):
+        decode_response(v8)
+    with pytest.raises(WireError):
+        decode_transaction(v8_record)
+    challenge = Challenge(
+        rsu_pk=rsu_keys.public,
+        vehicle_pk=vehicle_keys.public,
+        subset_indices=(1, 4, 6),
+        issued_ts=5,
+    )
+    before = roadside.ledger.lookup(vehicle_keys.public)
+    verdict = record_response(authority, roadside, rsu_keys, challenge, v8)
+    assert verdict is Verdict.BAD_SIGNATURE
+    assert roadside.ledger.lookup(vehicle_keys.public) == before
 
 
 def test_v3_genesis_raises_protocol_error(tiers):
@@ -463,10 +529,11 @@ def test_v3_genesis_raises_protocol_error(tiers):
 
 def test_v1_archive_file_raises_archive_error(tmp_path):
     """Files in the three unmarked archive layouts (a u64 sequence number,
-    then the whole entry in wire format v1, v2 or v3) and in the ``ECUA4``
-    layout (marked, with the genesis before ``ECUL8``) raise; a file starts
-    with ``ARCHIVE_MAGIC`` and keeps each record as its sequence number and
-    payload.
+    then the whole entry in wire format v1, v2 or v3), in the ``ECUA4``
+    layout (marked, with the genesis before ``ECUL8``) and in the ``ECUA5``
+    layout (marked, with the challenge records before ``ECUL9``) raise; a
+    file starts with ``ARCHIVE_MAGIC`` and keeps each record as its
+    sequence number and payload.
     """
     entry = _golden()["entry"]
     archive = FileArchive(tmp_path)
@@ -475,14 +542,15 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
         "ar://v2": u64(0) + _v2_genesis_entry(),
         "ar://v3": u64(0) + _v4_entry(),
         "ar://v4": b"ECUA4" + u64(0) + _v3_genesis(),
+        "ar://v5": b"ECUA5" + u64(0) + entry.payload,
     }
     for address, data in old_layouts.items():
         archive._path(address).write_bytes(data)
-        with pytest.raises(ArchiveError, match="no ECUA5 marker"):
+        with pytest.raises(ArchiveError, match="no ECUA6 marker"):
             archive.read(address)
-    archive.append_many("ar://v5", [(0, entry.payload)])
-    assert archive._path("ar://v5").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
-    assert archive.read("ar://v5") == [(0, entry.payload)]
+    archive.append_many("ar://v6", [(0, entry.payload)])
+    assert archive._path("ar://v6").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
+    assert archive.read("ar://v6") == [(0, entry.payload)]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -498,9 +566,7 @@ inventories = st.lists(st.tuples(digests, u64s), max_size=6).map(
     lambda fields: tuple(EcuRecord(i, *f) for i, f in enumerate(fields))
 )
 
-responses = st.builds(
-    ChallengeResponse, state_root=digests, subset=ecu_lists, ts=u64s, vehicle_pk=digests, sig=sigs
-)
+responses = st.builds(ChallengeResponse, state_root=digests, subset=ecu_lists, ts=u64s, sig=sigs)
 transactions = st.one_of(
     st.builds(
         GenesisTx,
@@ -854,9 +920,27 @@ def test_wire_table_lists_the_fields_in_declaration_order(cls):
     assert [*cls.WIRE, "sig"] == [f.name for f in dataclasses.fields(cls)]
 
 
-@pytest.mark.parametrize("cls", SIGNED_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "cls",
+    [cls for cls in SIGNED_TYPES if cls is not ChallengeResponse],
+    ids=lambda cls: cls.__name__,
+)
 def test_signer_is_a_public_key_field_of_the_wire_table(cls):
     assert cls.WIRE[cls.SIGNER] is RAW32
+
+
+def test_a_responses_signer_is_its_challenges_vehicle():
+    """A response names no key (its ``SIGNER`` is None): ``signed_by``
+    checks it under the owner it is given, the challenged vehicle's key,
+    and no other key verifies it.
+    """
+    response = _golden()["response"]
+    wire = response.to_bytes()
+    assert ChallengeResponse.SIGNER is None
+    assert list(ChallengeResponse.WIRE) == ["state_root", "subset", "ts"]
+    assert signed_by(response, wire, keys_for("vehicle").public)
+    for other in (keys_for("rsu").public, keys_for("other").public, b""):
+        assert not signed_by(response, wire, other)
 
 
 def test_transaction_tags_are_distinct():
@@ -891,9 +975,7 @@ def _update(ecu_id: int) -> UpdateTx:
 
 
 def _response(subset) -> ChallengeResponse:
-    return ChallengeResponse(
-        state_root=bytes(32), subset=subset, ts=1, vehicle_pk=bytes(32), sig=bytes(64)
-    )
+    return ChallengeResponse(state_root=bytes(32), subset=subset, ts=1, sig=bytes(64))
 
 
 def test_ecu_id_at_the_limit_round_trips():
@@ -949,7 +1031,7 @@ CHECKSUM = 4  # a block's CRC32
 
 
 def response_size(k: int) -> int:
-    return DIGEST + ECU_COUNT + k * ECU + U64_WIDTH + KEY + SIG
+    return DIGEST + ECU_COUNT + k * ECU + U64_WIDTH + SIG
 
 
 def record_size(k: int) -> int:
@@ -971,7 +1053,8 @@ def test_sizes_follow_the_closed_form(n):
         assert len(response.to_bytes()) == response_size(k)
         assert len(record.to_bytes()) == record_size(k)
     assert len(_update(n).to_bytes()) == UPDATE_SIZE
-    assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (459, 264, 361, 203)
+    assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (459, 232, 329, 203)
+    assert (response_size(k), record_size(k)) == (106 + 42 * k, 203 + 42 * k)
     assert (ENTRY_FRAMING, CHECKSUM) == (8, 4)
 
 
@@ -994,6 +1077,7 @@ def _encounters(n: int, count: int):
         authorized_makers=(maker.public,),
         authorized_insurers=(),
     )
+    register_rsu(authority, rsu.public)
     roadside = RoadsideTier()
     state = state_of(n)
     initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
@@ -1001,14 +1085,14 @@ def _encounters(n: int, count: int):
     for ts in range(1, count + 1):
         challenge = issue_challenge(rsu.public, vehicle.public, n, random.Random(ts), ts)
         response = build_response(vehicle, state, challenge, ts)
-        assert record_response(rsu, roadside, challenge, response) is Verdict.VALID
+        assert record_response(authority, roadside, rsu, challenge, response) is Verdict.VALID
         yield roadside
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_retained_block_follows_the_closed_form(n):
     """After two or more encounters a vehicle's block holds its header and
-    two challenge records: 786 B in the ledger for an 8-ECU vehicle, and
+    two challenge records: 722 B in the ledger for an 8-ECU vehicle, and
     515 B before its first encounter.
     """
     steps = _encounters(n, 5)
@@ -1020,14 +1104,14 @@ def test_retained_block_follows_the_closed_form(n):
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
             assert len(roadside.ledger.serialize()) - envelope == retained
-    assert n != 8 or (retained, genesis_only) == (786, 515)
+    assert n != 8 or (retained, genesis_only) == (722, 515)
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_archive_follows_the_closed_form(n):
     """After E >= 2 encounters a vehicle's archive takes
-    (8 + 139 + 40n) + (E - 2)(8 + 235 + 42k) bytes, k = min(3, n): 1574 B
-    after 5 encounters for an 8-ECU vehicle, 314.8 B per encounter.
+    (8 + 139 + 40n) + (E - 2)(8 + 203 + 42k) bytes, k = min(3, n): 1478 B
+    after 5 encounters for an 8-ECU vehicle, 295.6 B per encounter.
     """
     address = external_address(keys_for("vehicle").public)
     for encounters, roadside in enumerate(_encounters(n, 5)):
@@ -1036,5 +1120,5 @@ def test_archive_follows_the_closed_form(n):
         if encounters >= 2:
             size = sum(U64_WIDTH + len(payload) for _, payload in archived)
             assert size == archive_size(n, encounters)
-    assert archive_size(n, 5) == (8 + 139 + 40 * n) + 3 * (8 + 235 + 42 * min(3, n))
-    assert n != 8 or (archive_size(8, 5), archive_size(8, 5) / 5) == (1574, 314.8)
+    assert archive_size(n, 5) == (8 + 139 + 40 * n) + 3 * (8 + 203 + 42 * min(3, n))
+    assert n != 8 or (archive_size(8, 5), archive_size(8, 5) / 5) == (1478, 295.6)
