@@ -129,6 +129,8 @@ def _series(
     over all x instead of skewing one.
     """
     _check_counts(counts)
+    if runs < 2:
+        raise ValueError("runs must be at least 2: a stddev needs two samples")
     one_runs = [make_run(x) for x in counts]
     for one_run in one_runs:
         one_run(-1)

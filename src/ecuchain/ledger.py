@@ -21,13 +21,14 @@ just made), and pruning, archiving and ``Ledger.serialize`` reuse them:
 the ledger never encodes a transaction, and its write path decodes none.
 
 The ledger verifies nothing on the way in: the protocol has already
-verified each transaction where it entered the tier, or the tier has just
-made it. Only the audit decodes and verifies: ``validate_block`` decodes
-each retained entry once and checks its owner and, with ``signed_by``
-over the kept bytes, its signature, as the protocol checks what enters a
-tier (a challenge record names no vehicle: its RSU's signature covers
-the block's owner key), and ``reconstruct_history`` runs it over every
-archived entry too, so an audit trusts neither the append path nor the archive. Bytes from
+verified each transaction where it entered the tier, or the tier has
+just made it. Only the audit decodes and verifies: ``validate_block``
+decodes each retained entry once and checks its owner and, with
+``signed_by`` over the kept bytes, its signature (a challenge record
+names no vehicle: its RSU's signature covers the block's owner key).
+``reconstruct_history`` runs it over every archived entry too, then
+folds ``apply_entry`` over what it decoded, so an audit trusts neither
+the append path, the archive nor the place an entry was put. Bytes from
 disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
 decoded once on the way in, to find where a record ends and to reject
 what does not parse, and only their bytes are kept.
@@ -86,9 +87,15 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from ._kernels import merkle_root
 from .crypto import PUBLIC_KEY_LEN, ZERO_DIGEST, Digest, PublicKey, sha256
+from .ecu import EcuState, compute_state_root, update_ecu
 from .transactions import (
     ChallengeRecordTx,
+    ChallengeResponse,
+    GenesisTx,
     LedgerHead,
+    Transaction,
+    UpdateTx,
+    Verdict,
     decode,
     decode_transaction,
     read_transaction,
@@ -207,24 +214,78 @@ def validate_block(block: AppendableBlock) -> bool:
     passes, and only the archive replay in ``reconstruct_history`` rejects
     it.
     """
+    return _verified_transactions(block) is not None
+
+
+def _verified_transactions(block: AppendableBlock) -> Optional[list[Transaction]]:
+    """Each entry's transaction if ``validate_block``'s checks pass, else None."""
     if not block.entries:
-        return False
+        return None
     owner = block.header.owner_pk
+    txs = []
     try:
-        expected = block.entries[0][0] if len(block.entries) > 1 else 0
-        for seq, payload in block.entries:
-            if seq != expected:
-                return False
+        first = block.entries[0][0] if len(block.entries) > 1 else 0
+        for i, (seq, payload) in enumerate(block.entries):
+            if seq != first + i:
+                return None
             tx = decode_transaction(payload)
             named = tx_vehicle(tx)
             if named is not None and named != owner:
-                return False
+                return None
             if not signed_by(tx, payload, owner if isinstance(tx, ChallengeRecordTx) else b""):
-                return False
-            expected += 1
+                return None
+            txs.append(tx)
     except Exception:
-        return False
-    return True
+        return None
+    return txs
+
+
+@dataclass
+class VehicleProfile:
+    """A vehicle's ECU state and last recorded response ts: the fold of ``apply_entry``."""
+
+    state: EcuState
+    last_response_ts: Optional[int] = None
+
+
+def response_verdict(profile: VehicleProfile, response: ChallengeResponse) -> Verdict:
+    """Valid, or the first rule ``response`` breaks: dated after the last
+    recorded one (StaleTimestamp), with the profile's state root
+    (StateMismatch) and records (SubsetMismatch).
+    """
+    if profile.last_response_ts is not None and response.ts <= profile.last_response_ts:
+        return Verdict.STALE_TIMESTAMP
+    if response.state_root != compute_state_root(profile.state):
+        return Verdict.STATE_MISMATCH
+    known = profile.state.records
+    for rec in response.subset:
+        if rec.ecu_id >= len(known) or rec != known[rec.ecu_id]:
+            return Verdict.SUBSET_MISMATCH
+    return Verdict.VALID
+
+
+def apply_entry(profile: Optional[VehicleProfile], tx: Transaction) -> VehicleProfile:
+    """The profile after ``tx``, the next entry of a vehicle's history
+    (None before its genesis). Raises ``ValueError`` naming the rule ``tx``
+    breaks: a genesis opens a history, and nothing else does; an update is
+    one ``update_ecu`` accepts, and its ``new_root`` the updated state's
+    root; a record's response is Valid by ``response_verdict``.
+    """
+    if (profile is None) != isinstance(tx, GenesisTx):
+        raise ValueError("a genesis opens a history, and nothing else does")
+    if profile is None:
+        return VehicleProfile(EcuState(records=tx.ecu_list))
+    if isinstance(tx, UpdateTx):
+        state = update_ecu(profile.state, tx.ecu_id, tx.firmware_digest, tx.ts)
+        if compute_state_root(state) != tx.new_root:
+            raise ValueError("update new_root does not match the updated state")
+        return VehicleProfile(state, profile.last_response_ts)
+    if isinstance(tx, ChallengeRecordTx):
+        verdict = response_verdict(profile, tx.response.value)
+        if verdict is not Verdict.VALID:
+            raise ValueError(f"recorded response is {verdict.value}")
+        return VehicleProfile(profile.state, tx.response.value.ts)
+    raise ValueError(f"a {type(tx).__name__} is no vehicle entry")
 
 
 def append_entry(block: AppendableBlock, wire: bytes) -> AppendableBlock:
@@ -342,18 +403,25 @@ def reconstruct_history(
 
     Pruning archives each removed entry once, in sequence order, since
     every prune appends past the last. Raises LedgerError if the block has
-    no entries, if the sequence numbers of the records and the retained
-    entries are not 0, 1, 2, ... in order (a gap, a repeat or a stray), or
-    if the history fails ``validate_block``, which decodes each payload
-    once.
+    no entries, if the seqs are not 0, 1, 2, ... in order (a gap, a repeat
+    or a stray), if the history fails ``validate_block``, which decodes
+    each payload once, or if folding ``apply_entry`` over those
+    transactions breaks a rule; that error names the seq and the rule.
     """
     if not block.entries:
         raise LedgerError("block has no entries")
     history = archive.read(block.header.external_address) + list(block.entries)
     if [seq for seq, _ in history] != list(range(len(history))):
         raise LedgerError("archive sequence has gaps or strays")
-    if not validate_block(replace(block, entries=tuple(history))):
+    txs = _verified_transactions(replace(block, entries=tuple(history)))
+    if txs is None:
         raise LedgerError("archived history does not validate")
+    profile = None
+    for seq, tx in enumerate(txs):
+        try:
+            profile = apply_entry(profile, tx)
+        except ValueError as exc:
+            raise LedgerError(f"seq {seq}: {exc}") from None
     return history
 
 

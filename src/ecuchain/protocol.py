@@ -7,31 +7,25 @@ vehicles, an audit-only ledger that the first insurer request opens and
 the newest signed head of the roadside ledger; it signs nothing when it
 admits an RSU, registers a vehicle or applies an update, only when
 ``seal_roadside`` seals that head. The roadside tier holds the
-per-vehicle blocks plus the materialized verification profile for each
-vehicle (the ``EcuState`` the ledger vouches for, whose root it caches,
-and the last recorded response timestamp); the profile is what a
-roadside unit actually checks a response against, and it survives
-pruning because pruned entries leave the block. ``initialize_vehicle``
-opens a vehicle's block and its profile together, so the profile is the
-one record of registration that every check reads. Registration sets
-the profile's state from the genesis inventory, which carries no root, and
-an authorized update is the only way it changes: ``apply_upper_update``
-applies the update's typed ECU record with ``update_ecu`` and requires
-the signed ``new_root`` to be that state's root.
+per-vehicle blocks and each vehicle's ``VehicleProfile``, the cache of
+``ledger.apply_entry`` folded over its history: the one record of
+registration that every check reads, and what a response is checked
+against, kept when pruning moves entries out of the block. The entry
+points apply that transition (and its record rule ``response_verdict``)
+to the live profile; ``reconstruct_history`` replays it at audit.
 
-Every check on an incoming message is made here. Each entry point takes
-the wire bytes it received, decodes them once, rejects bytes that do not
-decode like any other bad input, and verifies the signature once, with
-``signed_by`` over those bytes, after the sender's allow-list where
-there is one, so input from an unlisted key costs no verify:
-``initialize_vehicle`` (a genesis),
-``apply_upper_update`` (an update), ``record_response`` (a response to
-a challenge of an RSU that ``register_rsu`` admitted, through
-``verify_response``; only a Valid one is recorded),
+Every message enters a tier here. Each entry point takes the wire bytes
+it received, decodes them once, rejects bytes that do not decode like
+any other bad input, and verifies the signature once, with ``signed_by``
+over those bytes, after the sender's allow-list where there is one, so
+input from an unlisted key costs no verify: ``initialize_vehicle`` (a
+genesis), ``apply_upper_update`` (an update), ``record_response`` (a
+response to a challenge of an RSU that ``register_rsu`` admitted,
+through ``verify_response``; only a Valid one is recorded),
 ``submit_request`` (an insurer request) and
 ``AuthorityNode.receive_report`` (a report from an RSU that
-``register_rsu`` admitted; it revokes the vehicle). A response names
-no vehicle: it is checked under the key of the vehicle its challenge was
+``register_rsu`` admitted; it revokes the vehicle). A response names no
+vehicle: it is checked under the key of the vehicle its challenge was
 issued to, which also signs it. The protocol finds the block by the
 vehicle key the transaction or challenge names (the audit block by
 ``AuthorityTier.audit_pk``) and hands the ledger only the bytes that
@@ -50,7 +44,7 @@ far-future timestamp from pinning ``last_response_ts``.
 ledger's head once, and only the authority tier keeps it. ``audit``
 hands that head and the validator keys to ``Ledger.validate``, so a
 deleted, re-dated or cut-back block fails it; a ledger checked with no
-head is checked block by block.
+head is checked block by block. It replays no entry rule.
 """
 
 from __future__ import annotations
@@ -60,16 +54,19 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .crypto import KeyPair, PublicKey, Signature
-from .ecu import EcuState, compute_state_root, subset_report, update_ecu
+from .ecu import EcuState, compute_state_root, subset_report
 from .ledger import (
     Archive,
     Ledger,
     MemoryArchive,
     SealedHead,
+    VehicleProfile,
     append_entry,
+    apply_entry,
     block_tip,
     head_root,
     prune_to_two,
+    response_verdict,
 )
 from .transactions import (
     RAW32,
@@ -112,16 +109,6 @@ def received(cls: type[S], wire: bytes) -> S:
 # ---------------------------------------------------------------------------
 # Tier state
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class VehicleProfile:
-    """What the roadside tier currently vouches for about one vehicle: its
-    ECU state and the last recorded response timestamp.
-    """
-
-    state: EcuState
-    last_response_ts: Optional[int] = None
 
 
 @dataclass
@@ -203,16 +190,15 @@ def initialize_vehicle(
 ) -> None:
     """Validate a genesis' wire bytes and open the vehicle's block in the
     roadside tier. Each rejection is a ``ProtocolError``, in this order:
-    undecodable bytes, an unauthorized maker, an empty ECU inventory, a
-    duplicate, a bad signature. A genesis stores no root to compare: the
-    profile's state computes it when first asked. Nothing is mutated
-    before every check passes.
+    undecodable bytes, an unauthorized maker, an inventory ``apply_entry``
+    refuses (an empty one), a duplicate, a bad signature. Nothing is
+    mutated before every check passes.
     """
     genesis = received(GenesisTx, wire)
     if genesis.maker_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maker")
     try:
-        state = EcuState(records=genesis.ecu_list)
+        profile = apply_entry(None, genesis)
     except ValueError as exc:
         raise ProtocolError(f"genesis ECU list rejected: {exc}") from None
     if genesis.vehicle_pk in roadside.profiles:
@@ -220,7 +206,7 @@ def initialize_vehicle(
     if not signed_by(genesis, wire):
         raise ProtocolError("genesis signature invalid")
     roadside.ledger.create_block(genesis.vehicle_pk, wire, ts)
-    roadside.profiles[genesis.vehicle_pk] = VehicleProfile(state=state)
+    roadside.profiles[genesis.vehicle_pk] = profile
 
 
 def apply_upper_update(
@@ -230,9 +216,9 @@ def apply_upper_update(
     the vehicle's block and move the verification profile to the updated
     state. Every check runs before anything is mutated, and every rejection
     is a ``ProtocolError``, in this order: undecodable bytes, an
-    unauthorized maintainer, a bad signature, an unknown vehicle, an ECU
-    record ``update_ecu`` refuses (unknown ECU id, timestamp regression)
-    and a ``new_root`` that is not the updated state's root.
+    unauthorized maintainer, a bad signature, an unknown vehicle, and an
+    update ``apply_entry`` refuses (unknown ECU id, timestamp regression, a
+    ``new_root`` that is not the updated state's root).
     """
     update = received(UpdateTx, wire)
     if update.maintainer_pk not in authority.authorized_makers:
@@ -243,17 +229,13 @@ def apply_upper_update(
     if profile is None:
         raise ProtocolError("unknown vehicle")
     try:
-        state = update_ecu(
-            profile.state, update.ecu_id, update.firmware_digest, update.ts
-        )
+        profile = apply_entry(profile, update)
     except ValueError as exc:
         raise ProtocolError(f"update rejected: {exc}") from None
-    if compute_state_root(state) != update.new_root:
-        raise ProtocolError("update new_root does not match the updated state")
     appended = append_entry(roadside.ledger.lookup(update.vehicle_pk), wire)
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(pruned)
-    profile.state = state
+    roadside.profiles[update.vehicle_pk] = profile
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +285,8 @@ def verify_response(
     """Classify ``response``, decoded from ``wire``, as the answer of the
     challenged vehicle, which it does not name. Checks run in a fixed
     order and the first failure wins: the vehicle's registration, its
-    signature, timestamp freshness (inside the challenge's window and
-    after the last recorded response), state root, then the per-ECU subset
-    comparison. Never raises.
+    signature, the challenge's window, ``response_verdict`` against the
+    profile, then the subset's ids against the challenge's. Never raises.
     """
     profile = roadside.profiles.get(challenge.vehicle_pk)
     if profile is None:
@@ -315,17 +296,11 @@ def verify_response(
     issued = challenge.issued_ts
     if not issued <= response.ts <= issued + MAX_RESPONSE_DELAY_MS:
         return Verdict.STALE_TIMESTAMP
-    if profile.last_response_ts is not None and response.ts <= profile.last_response_ts:
-        return Verdict.STALE_TIMESTAMP
-    if response.state_root != compute_state_root(profile.state):
-        return Verdict.STATE_MISMATCH
-    if tuple(rec.ecu_id for rec in response.subset) != challenge.subset_indices:
+    verdict = response_verdict(profile, response)
+    ids = tuple(rec.ecu_id for rec in response.subset)
+    if verdict is Verdict.VALID and ids != challenge.subset_indices:
         return Verdict.SUBSET_MISMATCH
-    known = profile.state.records
-    for rec in response.subset:
-        if rec.ecu_id >= len(known) or rec != known[rec.ecu_id]:
-            return Verdict.SUBSET_MISMATCH
-    return Verdict.VALID
+    return verdict
 
 
 def record_response(

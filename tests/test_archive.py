@@ -526,9 +526,10 @@ def test_any_record_moved_to_any_other_block_fails_the_audit(owners, s, t):
     assert_moved_record_fails_the_audit(source, s, target, t)
 
 
-def test_a_moved_record_signed_again_for_its_new_block_passes():
-    """The move fails on the RSU's signature alone: the same record, signed
-    by the same RSU for the vehicle whose block now keeps it, audits.
+def test_a_moved_record_signed_again_for_its_new_block_fails_only_the_replay():
+    """The same record, signed by the same RSU for the vehicle whose block
+    now keeps it, passes every signature and owner check, but its response
+    contradicts that vehicle's history: the replay's fold rejects it.
     """
     rsus, _, histories = _relocation_run()
     record = decode_transaction(histories[0][4].payload)
@@ -538,4 +539,5 @@ def test_a_moved_record_signed_again_for_its_new_block_passes():
     assert resigned[:-64] == histories[0][4].payload[:-64]
     ledger, archive, block = _relocated(1, 4, resigned)
     assert validate_block(block) and ledger.validate()
-    assert len(reconstruct_history(block, archive)) == len(histories[1])
+    with pytest.raises(LedgerError, match="seq 4: recorded response is"):
+        reconstruct_history(block, archive)

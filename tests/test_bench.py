@@ -56,6 +56,16 @@ def test_benches_reject_counts_below_one(bench, counts):
         bench(counts=counts)
 
 
+@pytest.mark.parametrize("bench", [bench_create, bench_challenge, bench_merkle])
+@pytest.mark.parametrize("runs", [1, 0, -1])
+def test_timing_benches_reject_runs_below_two(bench, runs):
+    """A standard deviation needs two runs: one or none would raise
+    ``statistics.StatisticsError`` after every run was timed.
+    """
+    with pytest.raises(ValueError, match="at least 2"):
+        bench(counts=[1], runs=runs)
+
+
 @pytest.mark.parametrize("targets", [[-5], [0], [100, 0]], ids=["negative", "zero", "then_zero"])
 def test_bench_storage_rejects_extrapolation_targets_below_one(targets):
     """An extrapolation to fewer than one block reports a size for a fleet

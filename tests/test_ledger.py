@@ -9,7 +9,7 @@ from conftest import append, embedded, keys_for, state_of, validate_block_bytes
 from ecuchain import crypto
 from ecuchain import ledger as ledger_module
 from ecuchain.bench import linear_fit
-from ecuchain.crypto import sha256
+from ecuchain.ecu import compute_state_root
 from ecuchain.ledger import (
     Archive,
     ArchiveError,
@@ -36,11 +36,12 @@ from ecuchain.transactions import (
 
 
 def record_tx(vehicle_keys, state, rsu_keys, ts):
-    """Challenge-record transaction carrying a minimal signed response; the
-    RSU signs the tag, the vehicle's key, then the rest of the record.
+    """Challenge-record transaction carrying a minimal signed response to
+    ``state``, which a replay of the block accepts; the RSU signs the tag,
+    the vehicle's key, then the rest of the record.
     """
     unsigned = ChallengeResponse(
-        state_root=sha256(b"root"),
+        state_root=compute_state_root(state),
         subset=(state.records[0],),
         ts=ts,
         sig=b"",
@@ -266,7 +267,8 @@ def test_append_and_prune_hash_nothing(vehicle, rsu_keys, monkeypatch):
 
 def test_write_path_calls_no_transaction_code(vehicle, rsu_keys, monkeypatch):
     """The ledger is handed bytes: creating, appending, pruning and
-    replacing decode nothing and read no owner from a transaction.
+    replacing decode nothing, read no owner from a transaction and apply
+    no entry rule.
     """
     vehicle_keys, state, genesis = vehicle
     records = [record_tx(vehicle_keys, state, rsu_keys, ts=ts).to_bytes() for ts in (1, 2, 3)]
@@ -274,7 +276,7 @@ def test_write_path_calls_no_transaction_code(vehicle, rsu_keys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the write path called transaction code")
 
-    for name in ("tx_vehicle", "decode_transaction", "read_transaction"):
+    for name in ("tx_vehicle", "decode_transaction", "read_transaction", "apply_entry"):
         monkeypatch.setattr(ledger_module, name, refuse)
     ledger = Ledger()
     block = ledger.create_block(vehicle_keys.public, genesis.to_bytes(), 0)

@@ -925,7 +925,7 @@ BOUNDARY_SITES = {
     ("signed_by", "verify_response"),
     ("signed_by", "submit_request"),
     ("signed_by", "AuthorityNode.receive_report"),
-    ("signed_by", "validate_block"),
+    ("signed_by", "_verified_transactions"),
     ("signed_by", "head_holds"),
 }
 
