@@ -185,7 +185,7 @@ def bench_create(
             roadside = RoadsideTier(archive=MemoryArchive())
             start = time.perf_counter_ns()
             for _, _, genesis in material:
-                initialize_vehicle(authority, roadside, genesis, ts=0)
+                initialize_vehicle(authority, roadside, genesis)
             return (time.perf_counter_ns() - start) / 1e6
 
         return one_run
@@ -215,7 +215,7 @@ def bench_challenge(
         register_rsu(authority, rsu.public)
         roadside = RoadsideTier(archive=MemoryArchive())
         for _, _, genesis in material:
-            initialize_vehicle(authority, roadside, genesis, ts=0)
+            initialize_vehicle(authority, roadside, genesis)
         rng = random.Random(seed ^ 0xC4A11E)
 
         def one_run(run_idx: int) -> float:
@@ -295,7 +295,7 @@ def bench_storage(
                 derive_seed(b"bench-storage-vehicle", seed64, built.to_bytes(8, "big"))
             )
             genesis = make_genesis(maker, keys.public, state, ts=0)
-            ledger.create_block(keys.public, genesis, 0)
+            ledger.create_block(keys.public, genesis)
             built += 1
         size = len(ledger.serialize())
         measured.append((target, size))

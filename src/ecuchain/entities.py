@@ -76,9 +76,9 @@ def perform_maintenance(
     ts: int,
 ) -> bytes:
     """Flash one ECU and return the wire bytes of the update the maintainer
-    signs: the ECU's new record (``ecu_id``, firmware digest, last-write
-    time ``ts``) and the vehicle's new state root. Whether the maintainer
-    is authorized is checked by ``apply_upper_update``.
+    signs over the vehicle's key: the ECU's new record (``ecu_id``,
+    firmware digest, last-write time ``ts``) and the vehicle's new state
+    root. ``apply_upper_update`` checks whether the maintainer may sign.
     """
     digest = crypto.sha256(firmware)
     vehicle.ecu_state = update_ecu(vehicle.ecu_state, ecu_id, digest, ts)
@@ -91,7 +91,7 @@ def perform_maintenance(
         firmware_digest=digest,
         sig=b"",
     )
-    return signed_wire(unsigned, maintainer)
+    return signed_wire(unsigned, maintainer, vehicle.pk)
 
 
 def tamper(vehicle: VehicleNode, ecu_id: int, digest: bytes, ts: int) -> None:

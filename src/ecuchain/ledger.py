@@ -12,20 +12,20 @@ removed entries as they are and replay puts the archive's records back in
 front of the retained ones.
 
 The write path takes bytes and works out the rest:
-``Ledger.create_block(owner_pk, genesis, ts)`` opens a block and hashes
+``Ledger.create_block(owner_pk, genesis)`` opens a block and hashes
 nothing; ``append_entry(block, wire)`` gives the entry the next sequence
 number; ``Ledger.replace_block(block)`` stores a block under its header's
-owner and refuses a changed header. The ledger
-keeps the wire bytes a transaction arrived as (or that ``signed_wire``
-just made), and pruning, archiving and ``Ledger.serialize`` reuse them:
-the ledger never encodes a transaction, and its write path decodes none.
+owner. The ledger keeps the wire bytes a transaction arrived as (or that
+``signed_wire`` just made), and pruning, archiving and
+``Ledger.serialize`` reuse them: the ledger never encodes a transaction,
+and its write path decodes none.
 
 The ledger verifies nothing on the way in: the protocol has already
 verified each transaction where it entered the tier, or the tier has
 just made it. Only the audit decodes and verifies: ``validate_block``
-decodes each retained entry once and checks its owner and, with
-``signed_by`` over the kept bytes, its signature (a challenge record
-names no vehicle: its RSU's signature covers the block's owner key).
+decodes each retained entry once and checks, with ``signed_by`` over
+the kept bytes, that its signature covers the block's owner key, so an
+entry verifies in the block it was signed for only, whatever its type.
 ``reconstruct_history`` runs it over every archived entry too, then
 folds ``apply_entry`` over what it decoded, so an audit trusts neither
 the append path, the archive nor the place an entry was put. Bytes from
@@ -38,7 +38,7 @@ needs no key to compute, so it would bind nothing. What binds a ledger as
 a whole is a signed head, which only the authority tier keeps. The
 authority validators each sign a ``LedgerHead``: the block count, a
 timestamp and a Merkle root with one leaf per block in creation order,
-over its header hash, its tip seq and its tip payload's hash.
+over its owner key, its tip seq and its tip payload's hash.
 ``Ledger.validate(head, validators)`` checks that each of the authority
 tier's validators signed the head and that the blocks are an append-only
 continuation of it (``head_holds``). A ledger checked with no head is
@@ -47,33 +47,35 @@ checked block by block.
 In bytes, a checksum detects corruption and signatures detect tampering.
 Each block ends with a CRC32 of its bytes, which catches every single-bit
 flip. An edit that re-seals the CRC still fails the audit: a changed
-payload fails its signature, a changed ``seq`` the consecutive sequence
-(starting at 0 for a lone entry) and a changed ``owner_pk`` the ownership
-check. Against a head, so does a changed ``created_ts``, a deleted or
-reordered block and a block cut back past its sealed tip, unless the
-cut block's seqs are also shifted past that tip: seqs are not signed,
-and a sealed tip that has left the block looks archived.
+payload or ``owner_pk`` fails its signatures and a changed ``seq`` the
+consecutive sequence (starting at 0 for a lone entry). Against a head,
+so does a deleted or reordered block and a block cut back past its
+sealed tip, unless the cut block's seqs are also shifted past that tip:
+seqs are not signed, and a sealed tip that has left the block looks
+archived.
 
 Bytes are wire format v3 (see ``wire``), and a block stores only what the
-ledger cannot derive. A header is the owner key (32 raw bytes) and the
-creation timestamp (8 bytes): 40 bytes.
-The archive address is not stored: ``BlockHeader.external_address`` is
+ledger cannot derive. A header is the owner key (32 raw bytes): a
+genesis's signed ``ts`` already dates the registration. The archive
+address is not stored: ``BlockHeader.external_address`` is
 ``external_address(owner_pk)``. A block is its header, each entry's record
 (the 8-byte sequence number, then the payload, which fixes its own length)
 and a big-endian CRC32 of all that: 8 bytes of framing per entry and 4 per
 block. No entry count is stored: ``decode_block`` reads records until the
-checksummed body ends. ``Ledger.serialize`` writes the magic ``ECUL9``,
+checksummed body ends. ``Ledger.serialize`` writes the magic ``ECULA``,
 then each block behind a u32 length until the data ends, and not the
-head; it differs from ``ECUL8`` only in its challenge records, whose
-response no longer names the vehicle. There is no reader for older
-layouts (magics ``ECUL1`` to ``ECUL8``): such bytes raise ``WireError``.
+head; it differs from ``ECUL9`` in its headers, which no longer hold a
+creation time, and in its genesis and update signatures, which now cover
+the owner key. There is no reader for older layouts (magics ``ECUL1`` to
+``ECUL9``): such bytes raise ``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
-block. A ``FileArchive`` file starts with the marker ``ECUA6``; ``ECUA5``
-marked the challenge record before it, ``ECUA4`` the genesis before
-that, and the three earlier archive layouts had none: a file in any of
-them raises ``ArchiveError``. A ledger restored by
+block. A ``FileArchive`` file starts with the marker ``ECUA7``; ``ECUA6``
+marked the genesis and update signatures before it, ``ECUA5`` the
+challenge record before that, ``ECUA4`` the genesis before that, and the
+three earlier archive layouts had none: a file in any of them raises
+``ArchiveError``. A ledger restored by
 ``deserialize_ledger`` continues each block's sequence.
 """
 
@@ -100,7 +102,6 @@ from .transactions import (
     decode_transaction,
     read_transaction,
     signed_by,
-    tx_vehicle,
 )
 from .wire import (
     U32,
@@ -111,9 +112,9 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECUL9"
+LEDGER_MAGIC = b"ECULA"
 # First bytes of every ``FileArchive`` file.
-ARCHIVE_MAGIC = b"ECUA6"
+ARCHIVE_MAGIC = b"ECUA7"
 
 
 class LedgerError(ValueError):
@@ -127,7 +128,6 @@ class ArchiveError(RuntimeError):
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
     owner_pk: PublicKey
-    created_ts: int
 
     @property
     def external_address(self) -> str:
@@ -135,11 +135,7 @@ class BlockHeader:
         return external_address(self.owner_pk)
 
     def to_bytes(self) -> bytes:
-        return encode_fixed(self.owner_pk, PUBLIC_KEY_LEN) + encode_u64(self.created_ts)
-
-
-def header_hash(header: BlockHeader) -> Digest:
-    return sha256(header.to_bytes())
+        return encode_fixed(self.owner_pk, PUBLIC_KEY_LEN)
 
 
 def external_address(owner_pk: PublicKey) -> str:
@@ -195,7 +191,7 @@ def decode_block(data: bytes) -> AppendableBlock:
     if len(data) < U32.size or U32.pack(zlib.crc32(body)) != data[-U32.size :]:
         raise WireError("block checksum mismatch")
     r = Reader(body)
-    header = BlockHeader(owner_pk=r.read_fixed(PUBLIC_KEY_LEN), created_ts=r.read_u64())
+    header = BlockHeader(owner_pk=r.read_fixed(PUBLIC_KEY_LEN))
     entries = []
     while r.remaining:
         entries.append(read_record(r))
@@ -205,9 +201,9 @@ def decode_block(data: bytes) -> AppendableBlock:
 def validate_block(block: AppendableBlock) -> bool:
     """True iff the block has entries, their sequence numbers are
     consecutive (a lone entry's is 0), and every payload decodes and its
-    owner and signature verify. Reads each entry as a ``(seq, payload)``
-    pair, so archive records given as plain tuples replay too. Decodes
-    each payload once. Never raises.
+    signature verifies over the block's owner key. Reads each entry as a
+    ``(seq, payload)`` pair, so archive records given as plain tuples
+    replay too. Decodes each payload once. Never raises.
 
     Nothing here binds a retained block's first seq: a pruned block starts
     past 0, so a block whose seqs were all shifted by the same amount
@@ -229,10 +225,7 @@ def _verified_transactions(block: AppendableBlock) -> Optional[list[Transaction]
             if seq != first + i:
                 return None
             tx = decode_transaction(payload)
-            named = tx_vehicle(tx)
-            if named is not None and named != owner:
-                return None
-            if not signed_by(tx, payload, owner if isinstance(tx, ChallengeRecordTx) else b""):
+            if not signed_by(tx, payload, owner):
                 return None
             txs.append(tx)
     except Exception:
@@ -268,8 +261,9 @@ def apply_entry(profile: Optional[VehicleProfile], tx: Transaction) -> VehiclePr
     """The profile after ``tx``, the next entry of a vehicle's history
     (None before its genesis). Raises ``ValueError`` naming the rule ``tx``
     breaks: a genesis opens a history, and nothing else does; an update is
-    one ``update_ecu`` accepts, and its ``new_root`` the updated state's
-    root; a record's response is Valid by ``response_verdict``.
+    one ``update_ecu`` accepts, dated after its ECU's last write, and its
+    ``new_root`` the updated state's root; a record's response is Valid by
+    ``response_verdict``.
     """
     if (profile is None) != isinstance(tx, GenesisTx):
         raise ValueError("a genesis opens a history, and nothing else does")
@@ -277,6 +271,8 @@ def apply_entry(profile: Optional[VehicleProfile], tx: Transaction) -> VehiclePr
         return VehicleProfile(EcuState(records=tx.ecu_list))
     if isinstance(tx, UpdateTx):
         state = update_ecu(profile.state, tx.ecu_id, tx.firmware_digest, tx.ts)
+        if tx.ts == profile.state.records[tx.ecu_id].last_write_ts:
+            raise ValueError("update not dated after its ECU's last write")
         if compute_state_root(state) != tx.new_root:
             raise ValueError("update new_root does not match the updated state")
         return VehicleProfile(state, profile.last_response_ts)
@@ -292,7 +288,7 @@ def append_entry(block: AppendableBlock, wire: bytes) -> AppendableBlock:
     """Block with ``wire`` as its newest entry, at the next sequence
     number: the bytes a transaction arrived as, or that ``signed_wire``
     made. Decodes and checks nothing (see the module docstring);
-    ``validate_block`` checks the entry's owner and signature at audit.
+    ``validate_block`` checks the entry's signature at audit.
     """
     seq = block.entries[-1].seq + 1 if block.entries else 0
     return replace(block, entries=block.entries + (LedgerEntry(seq, wire),))
@@ -443,11 +439,11 @@ def block_tip(block: AppendableBlock) -> tuple[int, Digest]:
 
 
 def head_root(blocks: Iterable[AppendableBlock], tips: Iterable[tuple[int, Digest]]) -> Digest:
-    """Merkle root with one leaf per block, ``sha256(header_hash ‖ u64 tip
+    """Merkle root with one leaf per block, ``sha256(owner_pk ‖ u64 tip
     seq ‖ tip payload hash)``, in order; ``ZERO_DIGEST`` for no blocks.
     """
     leaves = [
-        sha256(header_hash(block.header) + encode_u64(seq) + digest)
+        sha256(block.header.owner_pk + encode_u64(seq) + digest)
         for block, (seq, digest) in zip(blocks, tips)
     ]
     return merkle_root(leaves) if leaves else ZERO_DIGEST
@@ -459,7 +455,7 @@ def head_holds(
     """True iff each of ``validators``, once and alone, signed one and the
     same ``LedgerHead`` in ``head``, and ``blocks``, in creation order, are
     an append-only continuation of it: every sealed block still exists, in
-    order, with the same header hash; its tip seq is at least the sealed
+    order, with the same owner; its tip seq is at least the sealed
     one; and where the sealed tip is still retained, its payload hash
     matches. ``blocks`` must each pass ``validate_block``. Signed bytes
     that do not decode, and a signature missing, repeated or by any other
@@ -506,29 +502,24 @@ class Ledger:
         """Block owners, oldest block first: ``blocks`` keeps insertion order."""
         return tuple(self.blocks)
 
-    def create_block(self, owner_pk: PublicKey, genesis: bytes, ts: int) -> AppendableBlock:
-        """Open a block for ``owner_pk``, created at ``ts``, whose first
-        entry keeps ``genesis``, the wire bytes of a transaction the caller
-        has verified.
+    def create_block(self, owner_pk: PublicKey, genesis: bytes) -> AppendableBlock:
+        """Open a block for ``owner_pk`` whose first entry keeps
+        ``genesis``, the wire bytes of a transaction the caller has
+        verified.
         """
         if owner_pk in self.blocks:
             raise LedgerError("block exists")
         block = AppendableBlock(
-            header=BlockHeader(owner_pk=owner_pk, created_ts=ts),
+            header=BlockHeader(owner_pk=owner_pk),
             entries=(LedgerEntry(0, genesis),),
         )
         self.blocks[owner_pk] = block
         return block
 
     def replace_block(self, block: AppendableBlock) -> None:
-        """Store ``block`` in place of its owner's block, whose header it
-        must keep: only the entries change, so a head still covers it.
-        """
-        stored = self.blocks.get(block.header.owner_pk)
-        if stored is None:
+        """Store ``block`` in place of its owner's block."""
+        if block.header.owner_pk not in self.blocks:
             raise LedgerError("unknown block")
-        if block.header != stored.header:
-            raise LedgerError("block header changed")
         self.blocks[block.header.owner_pk] = block
 
     def lookup(self, pk: PublicKey) -> Optional[AppendableBlock]:

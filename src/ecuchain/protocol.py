@@ -29,12 +29,13 @@ vehicle: it is checked under the key of the vehicle its challenge was
 issued to, which also signs it. The protocol finds the block by the
 vehicle key the transaction or challenge names (the audit block by
 ``AuthorityTier.audit_pk``) and hands the ledger only the bytes that
-passed: ``create_block(owner_pk, wire, ts)``, ``append_entry(block,
-wire)`` and ``replace_block(block)``. The ledger works out the sequence
+passed: ``create_block(owner_pk, wire)``, ``append_entry(block, wire)``
+and ``replace_block(block)``. The ledger works out the sequence
 number and the archive address, and verifies again only when audited.
-What a tier signs itself, the RSU's challenge record over the response
-bytes it received and the challenged vehicle's key, is not checked
-again.
+An entry's signature covers the key of the block that keeps it:
+``make_genesis`` and ``perform_maintenance`` sign over the vehicle's
+key, an insurer over ``audit_pk``, and the RSU, whose challenge record
+is not checked again, over the challenged vehicle's.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -43,7 +44,7 @@ far-future timestamp from pinning ``last_response_ts``.
 ``seal_roadside`` has each authority validator sign the roadside
 ledger's head once, and only the authority tier keeps it. ``audit``
 hands that head and the validator keys to ``Ledger.validate``, so a
-deleted, re-dated or cut-back block fails it; a ledger checked with no
+deleted, reordered or cut-back block fails it; a ledger checked with no
 head is checked block by block. It replays no entry rule.
 """
 
@@ -168,7 +169,7 @@ def make_genesis(
     maker_keys: KeyPair, vehicle_pk: PublicKey, ecu_state: EcuState, ts: int
 ) -> bytes:
     """Registration transaction: the full ECU inventory, signed by the
-    maker, as wire bytes. It computes no state root.
+    maker over the vehicle's key, as wire bytes. It computes no state root.
     """
     unsigned = GenesisTx(
         ts=ts,
@@ -177,7 +178,7 @@ def make_genesis(
         maker_pk=maker_keys.public,
         sig=b"",
     )
-    return signed_wire(unsigned, maker_keys)
+    return signed_wire(unsigned, maker_keys, vehicle_pk)
 
 
 def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey) -> None:
@@ -185,9 +186,7 @@ def register_rsu(authority: AuthorityTier, rsu_pk: PublicKey) -> None:
     authority.registered_rsus.add(rsu_pk)
 
 
-def initialize_vehicle(
-    authority: AuthorityTier, roadside: RoadsideTier, wire: bytes, ts: int
-) -> None:
+def initialize_vehicle(authority: AuthorityTier, roadside: RoadsideTier, wire: bytes) -> None:
     """Validate a genesis' wire bytes and open the vehicle's block in the
     roadside tier. Each rejection is a ``ProtocolError``, in this order:
     undecodable bytes, an unauthorized maker, an inventory ``apply_entry``
@@ -203,9 +202,9 @@ def initialize_vehicle(
         raise ProtocolError(f"genesis ECU list rejected: {exc}") from None
     if genesis.vehicle_pk in roadside.profiles:
         raise ProtocolError("vehicle already registered")
-    if not signed_by(genesis, wire):
+    if not signed_by(genesis, wire, genesis.vehicle_pk):
         raise ProtocolError("genesis signature invalid")
-    roadside.ledger.create_block(genesis.vehicle_pk, wire, ts)
+    roadside.ledger.create_block(genesis.vehicle_pk, wire)
     roadside.profiles[genesis.vehicle_pk] = profile
 
 
@@ -217,13 +216,14 @@ def apply_upper_update(
     state. Every check runs before anything is mutated, and every rejection
     is a ``ProtocolError``, in this order: undecodable bytes, an
     unauthorized maintainer, a bad signature, an unknown vehicle, and an
-    update ``apply_entry`` refuses (unknown ECU id, timestamp regression, a
-    ``new_root`` that is not the updated state's root).
+    update ``apply_entry`` refuses (unknown ECU id, a timestamp not after
+    the ECU's last write, a ``new_root`` that is not the updated state's
+    root).
     """
     update = received(UpdateTx, wire)
     if update.maintainer_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maintainer")
-    if not signed_by(update, wire):
+    if not signed_by(update, wire, update.vehicle_pk):
         raise ProtocolError("update signature invalid")
     profile = roadside.profiles.get(update.vehicle_pk)
     if profile is None:
@@ -395,17 +395,18 @@ def report_malicious(
 def submit_request(authority: AuthorityTier, wire: bytes) -> None:
     """Store an insurer's signed evidence request's wire bytes on the
     authority audit block, which the first accepted request opens. The
-    bytes must decode, then the insurer allow-list and the signature are
-    checked; each rejection is a ``ProtocolError`` and changes nothing.
+    bytes must decode, then the insurer allow-list and the signature, over
+    ``audit_pk``, are checked; each rejection is a ``ProtocolError`` and
+    changes nothing.
     """
     request = received(RequestTx, wire)
     if request.insurer_pk not in authority.authorized_insurers:
         raise ProtocolError("unauthorized insurer")
-    if not signed_by(request, wire):
-        raise ProtocolError("request signature invalid")
     owner = authority.audit_pk
+    if not signed_by(request, wire, owner):
+        raise ProtocolError("request signature invalid")
     block = authority.ledger.lookup(owner)
     if block is None:
-        authority.ledger.create_block(owner, wire, request.ts)
+        authority.ledger.create_block(owner, wire)
     else:
         authority.ledger.replace_block(append_entry(block, wire))

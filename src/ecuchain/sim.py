@@ -406,7 +406,7 @@ def build_world(config: SimConfig, archive=None) -> World:
         world.actors[subject] = vehicle
         world.subject_by_pk[vehicle.pk] = subject
         genesis = make_genesis(world.maker, vehicle.pk, vehicle.ecu_state, ts=0)
-        initialize_vehicle(world.authority_tier, world.roadside, genesis, ts=0)
+        initialize_vehicle(world.authority_tier, world.roadside, genesis)
         world.log(0, "init", subject)
     for i in range(config.n_vehicles):
         world.queue.schedule(

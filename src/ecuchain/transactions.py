@@ -14,16 +14,17 @@ received as, unprefixed (the response's ECU count fixes
 their length), so the recording RSU signs them without encoding the
 response again; the only length prefix in a transaction is on a
 request's query. A response (106 + 42k B for k ECUs) names no vehicle,
-and a record (203 + 42k B) stores none: the key a record is about, its
-owner, is its block's owner key, and the RSU's signature covers it
-after the tag without storing it. Each signed type names its signer's
-key field in ``SIGNER``; a response, signed by its owner, has none.
+and a record (203 + 42k B) stores none. A transaction's owner is the
+key of the block that keeps it (the audit block's, for a request), and
+its signer's signature covers that key after the tag without storing
+it. Each signed type names its signer's key field in ``SIGNER``; a
+response, signed by its owner, has none.
 ``signed_wire(unsigned, keys, owner)`` is the one way to sign and
 returns the wire bytes that are sent and kept, and
 ``signed_by(tx, wire, owner)`` the one way to check a signature, over
 the bytes ``tx`` was decoded from. A
-``LedgerHead`` is not a transaction: the authority validators sign it to
-seal a tier ledger (see ``ledger.SealedHead``).
+``LedgerHead`` is not a transaction: the authority validators sign it,
+with no owner, to seal a tier ledger (see ``ledger.SealedHead``).
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ RESPONSE = Codec(lambda v: v.wire, lambda r: Received(*r.read_with_bytes(Challen
 class ChallengeRecordTx(Signable):
     """A verified challenge response countersigned by the recording RSU.
     The response's wire bytes are embedded whole, as received, with no
-    length prefix. The RSU's signature also covers the challenged
-    vehicle's key, which the record does not store: its block's owner.
+    length prefix. It does not store the challenged vehicle's key, its
+    owner, which the RSU's signature covers.
     """
 
     response: Received
@@ -347,15 +348,6 @@ def decode(cls: type[S], data: bytes) -> S:
     value = cls.read(r)
     r.finish()
     return value
-
-
-def tx_vehicle(tx: Transaction) -> PublicKey | None:
-    """The vehicle a genesis or an update names; None for the other txs. A
-    challenge record names none: its signature covers its block's owner.
-    """
-    if isinstance(tx, (GenesisTx, UpdateTx)):
-        return tx.vehicle_pk
-    return None
 
 
 _BY_TAG = {cls.TAG: cls for cls in get_args(Transaction)}

@@ -97,5 +97,5 @@ def registered(tiers, maker_keys, vehicle_keys, ecu_state8):
     vehicle keys, state)."""
     authority, roadside = tiers
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
-    initialize_vehicle(authority, roadside, genesis, ts=0)
+    initialize_vehicle(authority, roadside, genesis)
     return authority, roadside, vehicle_keys, ecu_state8

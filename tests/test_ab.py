@@ -66,3 +66,13 @@ def test_fewer_than_ten_pairs_never_hold():
 def test_unpaired_times_are_refused():
     with pytest.raises(ValueError):
         ab.summarize(BASE, BASE[:9])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_u64_is_a_usage_error(seed):
+    """Refused before both commits are exported, not in the child."""
+    with pytest.raises(SystemExit) as exc:
+        ab.parse_args(["HEAD", "--workload", "fleet_honest", "--seed", str(seed)])
+    assert exc.value.code == 2
+    args = ab.parse_args(["HEAD", "--workload", "fleet_honest", "--seed", str(2**64 - 1)])
+    assert args.seed == 2**64 - 1

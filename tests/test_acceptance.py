@@ -96,7 +96,7 @@ def _tamper_corpus():
         keys = keys_for(f"acc2-v{n_records}{prune}")
         state = state_of(4)
         ledger = Ledger()
-        block = ledger.create_block(keys.public, make_genesis(maker, keys.public, state, 0), 0)
+        block = ledger.create_block(keys.public, make_genesis(maker, keys.public, state, 0))
         for i in range(n_records):
             block = append(block, record_tx(keys, state, rsu, ts=i + 1))
         if prune:
@@ -113,8 +113,8 @@ def _tamper_corpus():
         authorized_makers=(maker.public,),
         authorized_insurers=(insurer.public,),
     )
-    submit_request(authority, signed_request(insurer, "claims evidence", ts=1))
-    submit_request(authority, signed_request(insurer, "second request", ts=2))
+    for ts, query in enumerate(("claims evidence", "second request"), 1):
+        submit_request(authority, signed_request(insurer, query, ts, authority.audit_pk))
     blocks.append(authority.ledger.lookup(authority.audit_pk))  # 2 entries
     return blocks
 
@@ -157,7 +157,7 @@ def test_criterion_3_pruning_contract():
         register_rsu(authority, rsu.public)
         roadside = RoadsideTier(archive=MemoryArchive())
         genesis = make_genesis(maker, vehicle.public, state, ts=0)
-        initialize_vehicle(authority, roadside, genesis, ts=0)
+        initialize_vehicle(authority, roadside, genesis)
         rng = random.Random(0xACC3)
         payloads = [genesis]
         for k in range(1, 21):
@@ -217,7 +217,7 @@ def test_criterion_4_attack_detection():
         )
         roadside = RoadsideTier(archive=MemoryArchive())
         initialize_vehicle(
-            authority, roadside, make_genesis(maker, vehicle.public, base_state, 0), 0
+            authority, roadside, make_genesis(maker, vehicle.public, base_state, 0)
         )
         rng = random.Random(0xACC4)
         trials = 1000
@@ -382,7 +382,7 @@ def test_criterion_8_honest_end_to_end_flow():
         )
         # initialization
         genesis = make_genesis(maker, vehicle.pk, vehicle.ecu_state, ts=0)
-        initialize_vehicle(authority, roadside, genesis, ts=0)
+        initialize_vehicle(authority, roadside, genesis)
         # authorized maintenance update
         update = perform_maintenance(technician, vehicle, 2, b"patched-image", ts=100)
         apply_upper_update(authority, roadside, update)

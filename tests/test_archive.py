@@ -40,6 +40,7 @@ from ecuchain.ledger import (
 from ecuchain.protocol import (
     RoadsideTier,
     apply_upper_update,
+    audit,
     build_response,
     initialize_vehicle,
     issue_challenge,
@@ -47,13 +48,15 @@ from ecuchain.protocol import (
     new_authority_tier,
     record_response,
     register_rsu,
+    submit_request,
 )
-from ecuchain.sim import SimConfig, build_world, run
+from ecuchain.sim import MaintenancePlanEntry, SimConfig, build_world, run
 from ecuchain.transactions import (
     MAX_ECUS,
     ChallengeRecordTx,
     ChallengeResponse,
     GenesisTx,
+    RequestTx,
     UpdateTx,
     Verdict,
     decode,
@@ -102,7 +105,7 @@ def test_interleaved_appends_and_prunes_archive_each_entry_once(runs):
     archive = MemoryArchive()
     pk = genesis.vehicle_pk
     ledger = Ledger()
-    block = ledger.create_block(pk, genesis.to_bytes(), 0)
+    block = ledger.create_block(pk, genesis.to_bytes())
     originals = [block.entries[0]]
     pending = iter(records)
     for appends, restart in runs:
@@ -132,7 +135,7 @@ def _roadside_ops(ops, archive):
     register_rsu(authority, rsu.public)
     roadside = RoadsideTier(archive=archive)
     state = state_of(8)
-    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0))
     yield roadside
     for i, is_record in enumerate(ops):
         ts = 10 + i
@@ -273,7 +276,7 @@ def test_restarted_roadside_continues_the_archive_sequence(tmp_path, file_backed
 
     def registered(archive):
         roadside = RoadsideTier(archive=archive)
-        initialize_vehicle(authority, roadside, genesis, 0)
+        initialize_vehicle(authority, roadside, genesis)
         return roadside
 
     uninterrupted = registered(MemoryArchive())
@@ -305,7 +308,7 @@ def _pruned_block():
     """A block holding entries 4 and 5 of 6, with 0-3 in its archive."""
     genesis, records = _payloads()
     archive = MemoryArchive()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes())
     for tx in records[:5]:
         block = append(block, tx)
     block, _ = prune_to_two(block, archive)
@@ -386,7 +389,7 @@ def test_a_block_cut_after_its_genesis_fails_the_audit():
 
 def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
     genesis, records = _payloads()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes())
     for tx in records[:5]:
         block = append(block, tx)
     blobs = [entry.payload for entry in block.entries]
@@ -400,7 +403,7 @@ def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
 
 def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
     genesis, _ = _payloads()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes(), 0)
+    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes())
     entry = block.entries[0]
     archive = FileArchive(tmp_path)
     archive.append_many("ar://bad", [(0, entry.payload)])
@@ -438,91 +441,124 @@ def test_first_append_to_an_address_also_syncs_the_directory(tmp_path, monkeypat
 
 
 
-# -- a record moved to another vehicle's block -------------------------------------------
-# A challenge record names no vehicle: its RSU's signature covers the key of
-# the vehicle it was made for, and the audit checks it under the key of the
-# block that keeps it.
+# -- an entry moved to another block ---------------------------------------------------
+# Every entry's signature covers the key of the block it was made for (a
+# vehicle's, or the audit block's for a request), and the audit checks it
+# under the key of the block that keeps it.
 
-RELOCATION = SimConfig(n_vehicles=3, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=11)
-# A history is the genesis at seq 0, then one record per encounter; a block
-# retains the last two, and the archive keeps the rest.
-RECORD_SEQS = range(1, RELOCATION.encounters_per_vehicle + 1)
+RELOCATION = SimConfig(
+    n_vehicles=3, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=11,
+    maintenance=(MaintenancePlanEntry(vehicle=2, ecu=0, round=1),),
+)
+# A history is the genesis at seq 0, then one record per encounter (and the
+# third vehicle's update at seq 2); a block retains the last two, and the
+# archive keeps the rest. The audit block, after the vehicles' blocks, keeps
+# two requests and prunes nothing.
 RETAINED_FROM = RELOCATION.encounters_per_vehicle - 1
+AUDIT = RELOCATION.n_vehicles
 
 
 @functools.lru_cache(maxsize=None)
 def _relocation_run():
-    """A run's RSU keys, its serialized roadside ledger and each block's
-    full history, verified, in creation order.
+    """A run's world, after two insurer requests, and each block's full
+    history, verified, in creation order: the vehicles' blocks, then the
+    audit block.
     """
     world = build_world(RELOCATION)
     run(world)
+    tier, insurer = world.authority_tier, world.insurer
+    for ts, query in enumerate(("claim 1", "claim 2"), 1):
+        request = RequestTx(insurer_pk=insurer.public, query=query, ts=ts, sig=b"")
+        submit_request(tier, signed_wire(request, insurer, tier.audit_pk))
     ledger, archive = world.roadside.ledger, world.roadside.archive
     histories = [reconstruct_history(ledger.blocks[pk], archive) for pk in ledger.creation_order]
-    return world.rsus, ledger.serialize(), histories
+    histories.append(list(tier.ledger.blocks[tier.audit_pk].entries))
+    return world, tuple(histories)
 
 
 def _relocated(target, t, payload):
-    """The run's roadside ledger, restored, and an archive, with ``payload``
-    in place of the entry at seq ``t`` of the ``target``-th block's history,
-    and that block. Every entry stays retained or archived as in the run.
+    """Both tiers of the run, restored, with ``payload`` in place of the
+    entry at seq ``t`` of the ``target``-th block's history, and that
+    block. Every entry stays retained or archived as in the run.
     """
-    _, blob, histories = _relocation_run()
-    ledger, archive = deserialize_ledger(blob), MemoryArchive()
-    for i, (pk, history) in enumerate(zip(ledger.creation_order, histories)):
+    world, histories = _relocation_run()
+    tier = world.authority_tier
+    roadside = RoadsideTier(ledger=deserialize_ledger(world.roadside.ledger.serialize()))
+    authority = dataclasses.replace(tier, ledger=deserialize_ledger(tier.ledger.serialize()))
+    owners = [*roadside.ledger.creation_order, tier.audit_pk]
+    for i, (pk, history) in enumerate(zip(owners, histories)):
+        ledger = authority.ledger if i == AUDIT else roadside.ledger
         history = list(history)
         if i == target:
             history[t] = history[t]._replace(payload=payload)
         block = ledger.blocks[pk]
         head_seq = block.entries[0].seq
-        archive.append_many(block.header.external_address, history[:head_seq])
+        roadside.archive.append_many(block.header.external_address, history[:head_seq])
         ledger.blocks[pk] = dataclasses.replace(block, entries=tuple(history[head_seq:]))
-    return ledger, archive, ledger.blocks[ledger.creation_order[target]]
+    target_ledger = authority.ledger if target == AUDIT else roadside.ledger
+    return authority, roadside, target_ledger.blocks[owners[target]]
 
 
 def assert_moved_record_fails_the_audit(source, s, target, t):
-    """The record at seq ``s`` of the ``source``-th block's history, put at
-    seq ``t`` of the ``target``-th block's, fails its replay and, where that
-    block retains it, ``validate_block`` and ``Ledger.validate``.
+    """The entry at seq ``s`` of the ``source``-th block's history, put at
+    seq ``t`` of the ``target``-th block's, fails a vehicle block's replay
+    and, where the block retains it, ``validate_block``, ``Ledger.validate``
+    and ``protocol.audit``.
     """
-    _, _, histories = _relocation_run()
-    payload = histories[source][s].payload
-    assert isinstance(decode_transaction(payload), ChallengeRecordTx)
-    ledger, archive, block = _relocated(target, t, payload)
-    with pytest.raises(LedgerError, match="does not validate"):
-        reconstruct_history(block, archive)
+    _, histories = _relocation_run()
+    assert source != target
+    authority, roadside, block = _relocated(target, t, histories[source][s].payload)
+    if target != AUDIT:
+        with pytest.raises(LedgerError, match="does not validate"):
+            reconstruct_history(block, roadside.archive)
     if t >= block.entries[0].seq:
         assert validate_block(block) is False
-        assert ledger.validate() is False
+        assert (authority.ledger if target == AUDIT else roadside.ledger).validate() is False
+        assert audit(authority, roadside) is False
 
 
 def test_the_relocation_run_audits_before_any_move():
-    _, _, histories = _relocation_run()
-    ledger, archive, block = _relocated(1, 2, histories[1][2].payload)
+    _, histories = _relocation_run()
+    authority, roadside, block = _relocated(1, 2, histories[1][2].payload)
     assert block.entries[0].seq == RETAINED_FROM
-    assert ledger.validate()
-    for block in ledger.blocks.values():
-        reconstruct_history(block, archive)
+    assert audit(authority, roadside)
+    for block in roadside.ledger.blocks.values():
+        reconstruct_history(block, roadside.archive)
+    kinds = [type(decode_transaction(entry.payload)) for entry in histories[2]]
+    assert kinds[:3] == [GenesisTx, ChallengeRecordTx, UpdateTx]
+    assert [len(history) for history in histories] == [5, 5, 6, 2]
 
 
 @pytest.mark.parametrize(
-    "s, t",
-    [(4, 4), (1, 4), (4, 1), (1, 2)],
-    ids=["retained-to-block", "archived-to-block", "retained-to-archive", "archived-to-archive"],
+    "source, s, t",
+    [
+        pytest.param(0, 4, 4, id="retained-to-block"),
+        pytest.param(0, 1, 4, id="archived-to-block"),
+        pytest.param(0, 4, 1, id="retained-to-archive"),
+        pytest.param(0, 1, 2, id="archived-to-archive"),
+        pytest.param(AUDIT, 0, 4, id="request-to-block"),
+        pytest.param(AUDIT, 1, 1, id="request-to-archive"),
+        pytest.param(2, 0, 4, id="genesis-to-block"),
+        pytest.param(2, 2, 4, id="update-to-block"),
+    ],
 )
-def test_a_record_moved_to_another_vehicles_block_fails_the_audit(s, t):
+def test_a_record_moved_to_another_vehicles_block_fails_the_audit(source, s, t):
     assert RETAINED_FROM == 3
-    assert_moved_record_fails_the_audit(0, s, 1, t)
+    assert_moved_record_fails_the_audit(source, s, 1, t)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.permutations(range(RELOCATION.n_vehicles)),
-    st.sampled_from(RECORD_SEQS),
-    st.sampled_from(RECORD_SEQS),
-)
-def test_any_record_moved_to_any_other_block_fails_the_audit(owners, s, t):
-    source, target, *_ = owners
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_any_record_moved_to_any_other_block_fails_the_audit(data):
+    """Any entry, a genesis, an update, a challenge record or a request,
+    moved to any seq of any other block of either tier.
+    """
+    _, histories = _relocation_run()
+    blocks = st.integers(0, AUDIT)
+    source = data.draw(blocks, label="source")
+    s = data.draw(st.integers(0, len(histories[source]) - 1), label="s")
+    target = data.draw(blocks.filter(lambda i: i != source), label="target")
+    t = data.draw(st.integers(0, len(histories[target]) - 1), label="t")
     assert_moved_record_fails_the_audit(source, s, target, t)
 
 
@@ -531,13 +567,13 @@ def test_a_moved_record_signed_again_for_its_new_block_fails_only_the_replay():
     now keeps it, passes every signature and owner check, but its response
     contradicts that vehicle's history: the replay's fold rejects it.
     """
-    rsus, _, histories = _relocation_run()
+    world, histories = _relocation_run()
     record = decode_transaction(histories[0][4].payload)
-    (rsu,) = [keys for keys in rsus if keys.public == record.rsu_pk]
+    (rsu,) = [keys for keys in world.rsus if keys.public == record.rsu_pk]
     target = decode_transaction(histories[1][0].payload).vehicle_pk
     resigned = signed_wire(dataclasses.replace(record, sig=b""), rsu, target)
     assert resigned[:-64] == histories[0][4].payload[:-64]
-    ledger, archive, block = _relocated(1, 4, resigned)
-    assert validate_block(block) and ledger.validate()
+    _, roadside, block = _relocated(1, 4, resigned)
+    assert validate_block(block) and roadside.ledger.validate()
     with pytest.raises(LedgerError, match="seq 4: recorded response is"):
-        reconstruct_history(block, archive)
+        reconstruct_history(block, roadside.archive)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from conftest import keys_for, state_of
-from ecuchain.crypto import sha256, verify
+from ecuchain.crypto import sha256
 from ecuchain.ecu import compute_state_root
 from ecuchain.entities import AuthorityNode, VehicleNode, perform_maintenance, tamper
 from ecuchain.protocol import (
@@ -42,7 +42,7 @@ def test_maintenance_updates_state_and_signs():
     assert update.firmware_digest == sha256(b"firmware v2")
     assert update.ts == 42
     assert vehicle.ecu_state.records[0].last_write_ts == 42
-    assert verify(technician.public, update.signing_bytes(), update.sig)
+    assert signed_by(update, update.to_bytes(), vehicle.pk)
 
 
 def test_tamper_changes_the_state_root():

@@ -1,6 +1,6 @@
 """The signed ledger head: the authority validators seal the roadside
 ledger, and an audit against that head notices a rollback of the stored
-bytes (a block deleted, reordered or re-dated, a tip cut back or replaced
+bytes (a block deleted or reordered, a tip cut back or replaced
 by an older record), each edit re-sealed with its CRC32, while appends
 after the seal still pass.
 """
@@ -28,7 +28,7 @@ from ecuchain.protocol import (
 )
 from ecuchain.sim import SimConfig, build_world, run
 from ecuchain.transactions import LedgerHead, Verdict, decode, signed_wire
-from ecuchain.wire import U64_MAX, Reader, encode_bytes
+from ecuchain.wire import Reader, encode_bytes
 
 SMALL = SimConfig(n_vehicles=3, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=7)
 
@@ -61,12 +61,6 @@ def _audits(blocks: list[bytes], head=None, validators=()) -> bool:
     return deserialize_ledger(_joined(blocks)).validate(head, validators)
 
 
-def _redated(block_bytes: bytes, ts: int) -> bytes:
-    block = decode_block(block_bytes)
-    header = dataclasses.replace(block.header, created_ts=ts)
-    return dataclasses.replace(block, header=header).to_bytes()
-
-
 def test_the_sealed_ledger_round_trips_and_validates_against_its_head():
     blob, head, validators = _sealed()
     restored = deserialize_ledger(blob)
@@ -77,14 +71,6 @@ def test_the_sealed_ledger_round_trips_and_validates_against_its_head():
 def test_deleting_the_newest_block_fails_against_the_head():
     blob, head, validators = _sealed()
     blocks = _blocks(blob)[:-1]
-    assert _audits(blocks)
-    assert not _audits(blocks, head, validators)
-
-
-def test_redating_the_newest_block_fails_against_the_head():
-    blob, head, validators = _sealed()
-    blocks = _blocks(blob)
-    blocks[-1] = _redated(blocks[-1], decode_block(blocks[-1]).header.created_ts + 1)
     assert _audits(blocks)
     assert not _audits(blocks, head, validators)
 
@@ -133,22 +119,18 @@ def test_validators_that_signed_different_heads_fail():
 
 @st.composite
 def rollbacks(draw, blocks):
-    """``blocks`` with one block deleted, two swapped, one re-dated, one
-    cut where a record starts or one whose newest record's payload is an
-    older one's, each edited block re-sealed.
+    """``blocks`` with one block deleted, two swapped, one cut where a
+    record starts or one whose newest record's payload is an older one's,
+    each edited block re-sealed.
     """
     blocks = list(blocks)
     indices = st.integers(0, len(blocks) - 1)
-    kind = draw(st.sampled_from(["delete", "swap", "redate", "cut", "retip"]))
+    kind = draw(st.sampled_from(["delete", "swap", "cut", "retip"]))
     if kind == "delete":
         del blocks[draw(indices)]
     elif kind == "swap":
         i, j = draw(st.lists(indices, min_size=2, max_size=2, unique=True))
         blocks[i], blocks[j] = blocks[j], blocks[i]
-    elif kind == "redate":
-        i = draw(indices)
-        ts = decode_block(blocks[i]).header.created_ts
-        blocks[i] = _redated(blocks[i], draw(st.integers(0, U64_MAX).filter(lambda t: t != ts)))
     elif kind == "cut":
         i = draw(indices)
         block = decode_block(blocks[i])
@@ -192,7 +174,7 @@ def test_appends_after_the_seal_still_validate():
         assert record_response(tier, roadside, rsu, challenge, response) is Verdict.VALID
     newcomer = world._new_vehicle(b"vehicle", SMALL.n_vehicles)
     genesis = make_genesis(world.maker, newcomer.pk, newcomer.ecu_state, ts=now)
-    initialize_vehicle(world.authority_tier, roadside, genesis, ts=now)
+    initialize_vehicle(world.authority_tier, roadside, genesis)
     assert tier.roadside_head == head
     assert roadside.ledger.validate(head, tier.validator_pks)
     assert deserialize_ledger(roadside.ledger.serialize()).validate(head, tier.validator_pks)

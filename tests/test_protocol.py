@@ -56,13 +56,15 @@ def make_update(maintainer_keys, vehicle_pk, state, ecu_id, firmware, ts):
         firmware_digest=digest,
         sig=b"",
     )
-    return new_state, signed_wire(unsigned, maintainer_keys)
+    return new_state, signed_wire(unsigned, maintainer_keys, vehicle_pk)
 
 
-def signed_request(insurer_keys, query, ts):
-    """Wire bytes of an evidence request signed by the insurer."""
+def signed_request(insurer_keys, query, ts, owner):
+    """Wire bytes of an evidence request signed by the insurer over
+    ``owner``, the audit block's key.
+    """
     unsigned = RequestTx(insurer_pk=insurer_keys.public, query=query, ts=ts, sig=b"")
-    return signed_wire(unsigned, insurer_keys)
+    return signed_wire(unsigned, insurer_keys, owner)
 
 
 def verdict_of(roadside, challenge, wire):
@@ -100,7 +102,7 @@ def test_make_genesis_root_matches_oracle(maker_keys, vehicle_keys, ecu_state8):
     digests = [r.firmware_digest for r in ecu_state8.records]
     assert genesis.ecu_list == ecu_state8.records
     assert compute_state_root(EcuState(records=genesis.ecu_list)) == oracle_root(digests)
-    assert verify(maker_keys.public, genesis.signing_bytes(), genesis.sig)
+    assert signed_by(genesis, genesis.to_bytes(), vehicle_keys.public)
 
 
 def test_make_genesis_rejects_empty_state(maker_keys, vehicle_keys):
@@ -121,7 +123,7 @@ def test_initialize_rejects_unauthorized_maker(tiers, vehicle_keys, ecu_state8):
     rogue = keys_for("rogue-maker")
     genesis = make_genesis(rogue, vehicle_keys.public, ecu_state8, ts=0)
     with pytest.raises(ProtocolError, match="unauthorized"):
-        initialize_vehicle(authority, roadside, genesis, ts=0)
+        initialize_vehicle(authority, roadside, genesis)
     assert len(roadside.ledger) == 0
 
 
@@ -129,7 +131,7 @@ def test_initialize_rejects_duplicate(registered, maker_keys, ecu_state8):
     authority, roadside, vehicle_keys, _ = registered
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=1)
     with pytest.raises(ProtocolError, match="already registered"):
-        initialize_vehicle(authority, roadside, genesis, ts=1)
+        initialize_vehicle(authority, roadside, genesis)
 
 
 def test_initialize_rejects_bad_signature(tiers, maker_keys, vehicle_keys, ecu_state8):
@@ -137,7 +139,7 @@ def test_initialize_rejects_bad_signature(tiers, maker_keys, vehicle_keys, ecu_s
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
     broken = genesis[:-64] + bytes(64)
     with pytest.raises(ProtocolError, match="signature"):
-        initialize_vehicle(authority, roadside, broken, ts=0)
+        initialize_vehicle(authority, roadside, broken)
 
 
 @pytest.mark.parametrize("ecu_list", [()], ids=["empty"])
@@ -159,7 +161,7 @@ def test_initialize_rejects_an_unusable_ecu_list_as_protocol_error(
         sig=bytes(64),
     )
     with pytest.raises(ProtocolError, match="ECU list"):
-        initialize_vehicle(authority, roadside, unsigned.to_bytes(), ts=0)
+        initialize_vehicle(authority, roadside, unsigned.to_bytes())
     assert len(roadside.ledger) == 0
     assert not roadside.profiles
 
@@ -179,7 +181,7 @@ def test_initialize_ignores_a_root_cached_on_the_vehicle_side(
     authority, roadside = tiers
     state = poison_root(state_of(8), sha256(b"lie"))
     genesis = make_genesis(maker_keys, vehicle_keys.public, state, ts=0)
-    initialize_vehicle(authority, roadside, genesis, ts=0)
+    initialize_vehicle(authority, roadside, genesis)
     profile = roadside.profiles[vehicle_keys.public]
     assert compute_state_root(profile.state) == compute_state_root(state_of(8))
 
@@ -198,7 +200,7 @@ def test_update_ignores_a_root_cached_on_the_vehicle_side(registered, maker_keys
         firmware_digest=sha256(b"fw-v2"),
         sig=b"",
     )
-    update = signed_wire(unsigned, maker_keys)
+    update = signed_wire(unsigned, maker_keys, vehicle_keys.public)
     before = roadside.ledger.lookup(vehicle_keys.public)
     with pytest.raises(ProtocolError, match="new_root"):
         apply_upper_update(authority, roadside, update)
@@ -211,7 +213,7 @@ def test_two_hundred_sequential_initializations(tiers, maker_keys):
     for i in range(200):
         keys = keys_for(f"fleet{i}")
         genesis = make_genesis(maker_keys, keys.public, state_of(4), ts=0)
-        initialize_vehicle(authority, roadside, genesis, ts=i)
+        initialize_vehicle(authority, roadside, genesis)
     assert len(roadside.ledger) == 200
     assert roadside.ledger.validate()
 
@@ -240,6 +242,23 @@ def test_update_refreshes_subset_registry(registered, rsu_keys, maker_keys):
         roadside, rsu_keys, vehicle_keys, new_state, ts=30, indices=[2, 0, 1]
     )
     assert verdict_of(roadside, challenge, response) is Verdict.VALID
+
+
+def test_the_same_update_applied_twice_is_rejected_and_changes_nothing(registered, maker_keys):
+    """An update must be dated after its ECU's last write, so its bytes,
+    replayed by anyone who saw them, are refused the second time.
+    """
+    authority, roadside, vehicle_keys, state = registered
+    _, update = make_update(maker_keys, vehicle_keys.public, state, 3, b"fw-v2", ts=10)
+    apply_upper_update(authority, roadside, update)
+    block = roadside.ledger.lookup(vehicle_keys.public)
+    before = (block, roadside.archive.read(block.header.external_address))
+    profile = dataclasses.replace(roadside.profiles[vehicle_keys.public])
+    with pytest.raises(ProtocolError, match="not dated after its ECU's last write"):
+        apply_upper_update(authority, roadside, update)
+    assert (block, roadside.archive.read(block.header.external_address)) == before
+    assert roadside.ledger.lookup(vehicle_keys.public) == block
+    assert roadside.profiles[vehicle_keys.public] == profile
 
 
 def test_update_unknown_vehicle_rejected(tiers, maker_keys):
@@ -562,11 +581,11 @@ def test_report_event_signature(rsu_keys, vehicle_keys):
 
 def test_submit_request_stores_on_audit_block(tiers, insurer_keys):
     authority, _ = tiers
-    request = signed_request(insurer_keys, "incident 4711 evidence", ts=3)
+    request = signed_request(insurer_keys, "incident 4711 evidence", ts=3, owner=authority.audit_pk)
     submit_request(authority, request)
     block = authority.ledger.lookup(authority.audit_pk)
     assert block.entries[-1].payload == request
-    assert verify(insurer_keys.public, request[:-64], request[-64:])
+    assert signed_by(decode(RequestTx, request), request, authority.audit_pk)
     assert authority.ledger.validate()
 
 
@@ -575,7 +594,7 @@ def test_audit_block_is_addressed_like_any_other_block(tiers, insurer_keys):
     ``external_address`` of its owner.
     """
     authority, _ = tiers
-    submit_request(authority, signed_request(insurer_keys, "q", ts=3))
+    submit_request(authority, signed_request(insurer_keys, "q", ts=3, owner=authority.audit_pk))
     block = authority.ledger.lookup(authority.audit_pk)
     assert block.header.external_address == external_address(authority.audit_pk)
 
@@ -600,11 +619,10 @@ def test_authority_tier_starts_empty_and_first_request_opens_audit_block(
     assert signs == []
     assert len(authority.ledger) == 0
     assert authority.audit_pk == validators[0].public
-    first = signed_request(insurer_keys, "first", ts=3)
-    second = signed_request(insurer_keys, "second", ts=5)
+    first = signed_request(insurer_keys, "first", ts=3, owner=authority.audit_pk)
+    second = signed_request(insurer_keys, "second", ts=5, owner=authority.audit_pk)
     submit_request(authority, first)
     block = authority.ledger.lookup(authority.audit_pk)
-    assert block.header.created_ts == 3
     assert [(e.seq, e.payload) for e in block.entries] == [(0, first)]
     submit_request(authority, second)
     block = authority.ledger.lookup(authority.audit_pk)
@@ -616,7 +634,7 @@ def test_authority_tier_starts_empty_and_first_request_opens_audit_block(
 def test_submit_request_rejects_unauthorized(tiers):
     authority, _ = tiers
     rogue = keys_for("rogue-insurer")
-    request = signed_request(rogue, "fishing", ts=3)
+    request = signed_request(rogue, "fishing", ts=3, owner=authority.audit_pk)
     before = authority.ledger.lookup(authority.audit_pk)
     with pytest.raises(ProtocolError, match="unauthorized"):
         submit_request(authority, request)

@@ -34,6 +34,7 @@ from ecuchain.transactions import (
     decode_transaction,
     signed_wire,
 )
+from test_protocol import make_update
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
 SMALL = SimConfig(n_vehicles=3, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=7)
@@ -149,6 +150,19 @@ def test_a_registered_rsus_record_of_a_contradicting_response_fails_the_replay()
     assert validate_block(dataclasses.replace(block, entries=tip))
     with pytest.raises(LedgerError, match="seq 5: recorded response is StateMismatch"):
         _replay(0, _payloads(0) + [record])
+
+
+def test_a_duplicated_update_fails_the_replay():
+    """The same signed update twice in a row: the copy is not dated after
+    its ECU's last write, which the first one set.
+    """
+    world, _, _ = _run()
+    vehicle = world.vehicles[0]
+    state = world.roadside.profiles[vehicle.pk].state
+    _, update = make_update(world.maker, vehicle.pk, state, 1, b"fw-v2", ts=1)
+    assert len(_replay(0, _payloads(0) + [update])) == 6
+    with pytest.raises(LedgerError, match="seq 6: update not dated after its ECU's last write"):
+        _replay(0, _payloads(0) + [update, update])
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

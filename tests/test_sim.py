@@ -42,9 +42,9 @@ DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
 # of its archive records (see ``archive_digest``). The demo makes no insurer
 # request, so its authority ledger is empty.
-DEMO_ROADSIDE_LEDGER_SHA256 = "7f37e113a1aa52d1c226c77240840cade792ec7050e5f7105da8ebc88ae91a04"
-DEMO_AUTHORITY_LEDGER_SHA256 = "86d3b85ac32e2c4bdeeeb66ae5f083ab879c2660a07f040bce17fc9b61c5370b"
-DEMO_ARCHIVE_SHA256 = "db3235f29c917cd316d30cc69ae9020930f08665399a51fb8500122991755270"
+DEMO_ROADSIDE_LEDGER_SHA256 = "c5d086c6d13d8b73cc2d17c247ecae139ff10a731789e7a071bf427ef88090ef"
+DEMO_AUTHORITY_LEDGER_SHA256 = "477c056ce7e36c4df5d1a689975335ae8dd53bc17dc04d96e9f354f009cd2955"
+DEMO_ARCHIVE_SHA256 = "887b18b2f6c71e7dbd0f8cb336bdb19773c7a644eba7b4ad58a130aa1ef10e3b"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
 
@@ -163,16 +163,16 @@ def test_build_world_registers_all_vehicles():
 
 
 def test_the_run_end_audit_checks_the_head_sealed_at_build_then_reseals():
-    """A block re-dated between the build-time seal and the run fails the
-    run-end audit, which checks the head sealed when the world was built;
-    the run then seals what its ledger holds.
+    """A block moved to the end of the creation order between the
+    build-time seal and the run fails the run-end audit, which checks the
+    head sealed when the world was built; the run then seals what its
+    ledger holds.
     """
     world = build_world(SMALL)
     built = world.authority_tier.roadside_head
-    pk = world.roadside.ledger.creation_order[-1]
-    block = world.roadside.ledger.blocks[pk]
-    header = dataclasses.replace(block.header, created_ts=block.header.created_ts + 1)
-    world.roadside.ledger.blocks[pk] = dataclasses.replace(block, header=header)
+    blocks = world.roadside.ledger.blocks
+    pk = world.roadside.ledger.creation_order[0]
+    blocks[pk] = blocks.pop(pk)
     assert world.roadside.ledger.validate()
     assert run(world).report.ledgers_valid is False
     assert world.authority_tier.roadside_head != built

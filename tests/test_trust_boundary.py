@@ -8,15 +8,16 @@ records only if Valid), ``submit_request`` (the insurer request) and
 ``AuthorityNode.receive_report`` (the report). Each takes the sender's
 wire bytes, decodes them once, rejects bytes that do not decode as it
 rejects any other bad input, checks the sender's allow-list where there
-is one, and only then checks the signature with ``signed_by(tx, wire)``,
-which reads the signer from the field the type's ``SIGNER`` names (a
-response's signer is its challenge's vehicle, which it does not name).
+is one, and only then checks the signature with ``signed_by(tx, wire,
+owner)``, which reads the signer from the field the type's ``SIGNER``
+names (a response's signer is its challenge's vehicle, which it does not
+name) and checks that the signature covers ``owner``, the key of the
+block the entry goes to (none for a report).
 ``validate_block`` calls ``signed_by`` too, so it is the only place that
 verifies, and ``signed_wire`` the only place that signs.
 The ledger verifies nothing on the way in: ``Ledger.create_block`` and
 ``append_entry`` keep the bytes the protocol passed, and what a tier
-signed itself, such as the RSU's challenge record; they read no owner from
-a transaction either. ``validate_block`` re-verifies every retained
+signed itself, such as the RSU's challenge record. ``validate_block`` re-verifies every retained
 entry, and on replay every archived one. An
 update that is signed but inconsistent with the state the roadside tier
 vouches for is rejected as well, and no rejection changes either tier.
@@ -111,9 +112,11 @@ def forged_record(rsu_keys, response):
     )
 
 
-def signature_of(wire):
-    """The (message, signature) ``signed_by`` checks for ``wire``."""
-    return wire[:-64], wire[-64:]
+def signature_of(wire, owner=b""):
+    """The (message, signature) ``signed_by`` checks for ``wire`` signed
+    over ``owner``: the owner key follows the tag.
+    """
+    return wire[:1] + owner + wire[1:-64], wire[-64:]
 
 
 # -- signed_by ----------------------------------------------------------------------
@@ -166,8 +169,15 @@ UNSIGNED = [
     ),
 ]
 # The owner each type's signature covers: a response's is its signer, a
-# record's the vehicle whose block keeps it; the others name no owner.
-OWNERS = {ChallengeResponse: SIGNER.public, ChallengeRecordTx: _VEHICLE}
+# genesis', an update's and a record's the vehicle whose block keeps it, a
+# request's the audit block's; a report and a head have none.
+OWNERS = {
+    ChallengeResponse: SIGNER.public,
+    GenesisTx: _VEHICLE,
+    UpdateTx: _VEHICLE,
+    ChallengeRecordTx: _VEHICLE,
+    RequestTx: keys_for("transport").public,
+}
 
 
 @pytest.mark.parametrize("unsigned", UNSIGNED, ids=[type(obj).__name__ for obj in UNSIGNED])
@@ -207,7 +217,7 @@ def test_signed_by_accepts_only_the_signers_intact_signature(unsigned):
 def test_append_rejects_forged_request(tiers, insurer_keys):
     authority, _ = tiers
     before = authority.ledger.lookup(authority.audit_pk)
-    request = decode(RequestTx, signed_request(insurer_keys, "q", ts=3))
+    request = decode(RequestTx, signed_request(insurer_keys, "q", ts=3, owner=authority.audit_pk))
     forged = dataclasses.replace(request, query="another query")
     with pytest.raises(ProtocolError, match="signature"):
         submit_request(authority, forged.to_bytes())
@@ -234,7 +244,7 @@ def test_initialize_bad_signature_leaves_tiers_unchanged(
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
     forged = dataclasses.replace(decode(GenesisTx, genesis), ts=1)
     with pytest.raises(ProtocolError, match="signature"):
-        initialize_vehicle(authority, roadside, forged.to_bytes(), ts=0)
+        initialize_vehicle(authority, roadside, forged.to_bytes())
     assert len(roadside.ledger) == 0
     assert not roadside.profiles
 
@@ -285,8 +295,8 @@ def test_initialize_verifies_once(tiers, maker_keys, vehicle_keys, ecu_state8, v
     authority, roadside = tiers
     genesis = make_genesis(maker_keys, vehicle_keys.public, ecu_state8, ts=0)
     del verify_calls[:]
-    initialize_vehicle(authority, roadside, genesis, ts=0)
-    assert verify_calls == [(maker_keys.public, *signature_of(genesis))]
+    initialize_vehicle(authority, roadside, genesis)
+    assert verify_calls == [(maker_keys.public, *signature_of(genesis, vehicle_keys.public))]
 
 
 def test_update_verifies_once(registered, maker_keys, verify_calls):
@@ -295,15 +305,15 @@ def test_update_verifies_once(registered, maker_keys, verify_calls):
         state, update = make_update(maker_keys, vehicle_keys.public, state, i, b"fw", ts=i + 1)
         del verify_calls[:]
         apply_upper_update(authority, roadside, update)
-        assert verify_calls == [(maker_keys.public, *signature_of(update))]
+        assert verify_calls == [(maker_keys.public, *signature_of(update, vehicle_keys.public))]
 
 
 def test_request_verifies_once(tiers, insurer_keys, verify_calls):
     authority, _ = tiers
-    request = signed_request(insurer_keys, "incident 12", ts=3)
+    request = signed_request(insurer_keys, "incident 12", ts=3, owner=authority.audit_pk)
     del verify_calls[:]
     submit_request(authority, request)
-    assert verify_calls == [(insurer_keys.public, *signature_of(request))]
+    assert verify_calls == [(insurer_keys.public, *signature_of(request, authority.audit_pk))]
 
 
 def test_update_from_an_unlisted_maintainer_costs_no_verify(registered, verify_calls):
@@ -324,7 +334,7 @@ def test_request_from_an_unlisted_insurer_costs_no_verify(tiers, verify_calls):
     from a key outside it is refused without a verify.
     """
     authority, _ = tiers
-    request = signed_request(keys_for("rogue-insurer"), "fishing", ts=3)
+    request = signed_request(keys_for("rogue-insurer"), "fishing", ts=3, owner=authority.audit_pk)
     del verify_calls[:]
     with pytest.raises(ProtocolError, match="unauthorized insurer"):
         submit_request(authority, request)
@@ -393,7 +403,7 @@ def test_record_response_records_nothing_unverified(
 ):
     authority, roadside, vehicle_keys, state = registered
     other = make_genesis(maker_keys, keys_for("other").public, state_of(8, b"other"), ts=0)
-    initialize_vehicle(authority, roadside, other, ts=0)
+    initialize_vehicle(authority, roadside, other)
     # Two recorded rounds: the next record would prune to the archive.
     for ts in (7, 8):
         challenge, last = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=ts)
@@ -462,7 +472,7 @@ def _world():
     register_rsu(authority, rsu.public)
     roadside = RoadsideTier()
     state = state_of(8)
-    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0))
     challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(3), ts=5)
     response = build_response(vehicle, state, challenge, ts=5)
     assert verdict_of(roadside, challenge, response) is Verdict.VALID
@@ -578,7 +588,7 @@ def _fresh_update_world():
     )
     roadside = RoadsideTier()
     state = state_of(8, ts=100)
-    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0))
     updated, update = make_update(
         maker, vehicle.public, state, UPDATED_ECU, b"fw-new", ts=200
     )
@@ -646,7 +656,7 @@ def inconsistent_update(draw, update):
     longer describes an update of the registered state), unsigned.
     """
     kind = draw(
-        st.sampled_from(["new_root", "firmware_digest", "other_ecu", "unknown_ecu", "regression"])
+        st.sampled_from(["new_root", "firmware_digest", "other_ecu", "unknown_ecu", "stale"])
     )
     if kind in ("new_root", "firmware_digest"):
         value = draw(digests.filter(lambda v: v != getattr(update, kind)))
@@ -657,7 +667,9 @@ def inconsistent_update(draw, update):
     if kind == "unknown_ecu":
         ecu = draw(st.integers(8, MAX_ECUS))
         return "unknown ecu_id", dataclasses.replace(update, ecu_id=ecu)
-    return "regression", dataclasses.replace(update, ts=draw(st.integers(0, 99)))
+    return "regression|after its ECU's last write", dataclasses.replace(
+        update, ts=draw(st.integers(0, 100))
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -665,7 +677,7 @@ def inconsistent_update(draw, update):
 def test_resigned_inconsistent_update_is_rejected(data):
     _, _, maker, update, _ = _update_world()
     match, changed = data.draw(inconsistent_update(decode(UpdateTx, update)))
-    assert_update_rejected(signed_wire(changed, maker), match)
+    assert_update_rejected(signed_wire(changed, maker, changed.vehicle_pk), match)
 
 
 def test_signed_update_encodes_its_current_fields():
@@ -673,7 +685,7 @@ def test_signed_update_encodes_its_current_fields():
     update = decode(UpdateTx, wire)
     assert_fresh_encoding(update)
     assert update.to_bytes() == wire
-    assert crypto.verify(update.maintainer_pk, update.signing_bytes(), update.sig)
+    assert signed_by(update, wire, update.vehicle_pk)
 
 
 # -- fixed-width fields of the wrong width ------------------------------------------
@@ -727,7 +739,7 @@ def test_request_with_unencodable_field_is_rejected_by_append(tiers, insurer_key
     """
     authority, _ = tiers
     before = authority.ledger.lookup(authority.audit_pk)
-    request = decode(RequestTx, signed_request(insurer_keys, "q", ts=3))
+    request = decode(RequestTx, signed_request(insurer_keys, "q", ts=3, owner=authority.audit_pk))
     for name in ("ts", "insurer_pk"):
         for forged in wrong_widths(request, name):
             with pytest.raises(ProtocolError, match="does not decode"):
@@ -788,13 +800,13 @@ def _boundary_world():
     register_rsu(authority, rsu.public)
     roadside = RoadsideTier()
     state = state_of(8)
-    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0))
     challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(3), ts=5)
     receiver = AuthorityNode(keys=keys_for("transport"))
     entry_points = {
         "genesis": (
             make_genesis(maker, keys_for("second").public, state, 0),
-            lambda wire: initialize_vehicle(authority, roadside, wire, ts=1),
+            lambda wire: initialize_vehicle(authority, roadside, wire),
         ),
         "update": (
             make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)[1],
@@ -805,7 +817,7 @@ def _boundary_world():
             lambda wire: record_response(authority, roadside, rsu, challenge, wire),
         ),
         "request": (
-            signed_request(insurer, "incident 12", ts=3),
+            signed_request(insurer, "incident 12", ts=3, owner=authority.audit_pk),
             lambda wire: submit_request(authority, wire),
         ),
         "report": (

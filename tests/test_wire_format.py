@@ -12,9 +12,10 @@ only on strings and on blocks in the ledger envelope) and the block layout (each
 the ``ECUL4`` block layout (a linked, length-prefixed entry), the
 ``ECUL5`` layout (a stored archive address and entry and block counts),
 the ``ECUL6`` layout (a previous header hash in each header), the
-``ECUL7`` layout (a genesis with a state root and an id per ECU) and the
-``ECUL8`` layout (a response that names its vehicle) are only ever
-written here, and nothing decodes them. Every decoder and
+``ECUL7`` layout (a genesis with a state root and an id per ECU), the
+``ECUL8`` layout (a response that names its vehicle) and the ``ECUL9``
+layout (a creation time in each header, and a genesis signed without
+its owner key) are only ever written here, and nothing decodes them. Every decoder and
 the file archive raise only ``WireError`` or ``ArchiveError`` on hostile
 bytes, also behind a re-sealed checksum, and decoding is canonical:
 hostile bytes that decode re-encode to themselves. An entry that keeps
@@ -36,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedded, keys_for, state_of
+from conftest import embedded, keys_for, state_of, validate_block_bytes
 from ecuchain import crypto
 from ecuchain.crypto import ZERO_DIGEST
 from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
@@ -70,13 +71,13 @@ from ecuchain.protocol import (
     record_response,
     register_rsu,
     report_malicious,
-    seal_roadside,
 )
 from ecuchain.transactions import (
     MAX_ECUS,
     RAW32,
     TAG_GENESIS,
     TAG_LEDGER_HEAD,
+    TAG_UPDATE,
     Challenge,
     ChallengeRecordTx,
     ChallengeResponse,
@@ -157,14 +158,16 @@ def _golden():
     request = decode(
         RequestTx,
         signed_wire(
-            RequestTx(insurer_pk=insurer.public, query="vehicle ü, 0–9", ts=7, sig=b""), insurer
+            RequestTx(insurer_pk=insurer.public, query="vehicle ü, 0–9", ts=7, sig=b""),
+            insurer,
+            keys_for("transport").public,
         ),
     )
     report = decode(
         ReportEvent, report_malicious(rsu, vehicle.public, Verdict.STATE_MISMATCH, ts=5)
     )
     ledger = Ledger()
-    block = ledger.create_block(vehicle.public, genesis_wire, 0)
+    block = ledger.create_block(vehicle.public, genesis_wire)
     validator = keys_for("validator")
     head = decode(
         LedgerHead,
@@ -190,14 +193,14 @@ def _golden():
 GOLDEN = {
     "response": (232, "5becf92057a0c1f4347b54432ae3e3e12a62030a2ee6e26761a79444bdbbe526"),
     "record": (329, "2953c4092fb93664f1edf45a95272b9507be261b990a6f4399b16d95e57fcffc"),
-    "update": (203, "51f367aa6b6ec06fe48fe7d507a0e28a607d7ee31f53ae478d0fcd3d57e14a89"),
-    "genesis": (459, "0ebf07a262798d9c0703df95a12cdce4ed14e7928572c494a5a611b9e862f651"),
-    "request": (126, "023ccde130da1f7611b3f673485027fb7e67716b82520eaee90455018e6667fe"),
+    "update": (203, "14347709c44d68d79a6ce6dd57580efadf165b880e1427dd82fba7f889721c43"),
+    "genesis": (459, "9810a2ca5b2c53a712b430176fa4efc1f57f84c6961708cadefb39a2f5dcc8f7"),
+    "request": (126, "885ba6fd7daefc86a26b86a09791aef2b0b6a8f06c659ef59260ae7f24fbf9e1"),
     "report": (153, "93c0fc2d7da6b6e5a02cefd56eb89998606cdc82211e27f87601422f9b8a14a1"),
-    "entry": (8 + 459, "e0ad226ab3012d35cfb4d26aa204a9f40302337f84d6d899a819e4a25e3256f8"),
-    "header": (40, "a2274119bbf017c0cd71ad8994506e9444c67b1d6955d56b4a32572770673dd4"),
-    "head": (145, "d2a0c57f70e20e15f5b3af3d18b83100b207a9283c69ef1e4ee4c6cfc2d3f7e6"),
-    "ledger": (524, "19632d48ce53d463f75d661fb1e855f072d223cd28df6f3eb34356c9ed0420e9"),
+    "entry": (8 + 459, "8c07dc5f79abfae4ab4b5fb8a429dc46c6291616e09fe2af206ffeb1f58110ce"),
+    "header": (32, "f4c41063100b8dace865a00269e6a65200157c4c369ab714f4acb7fe460bb39a"),
+    "head": (145, "f1dd9fd43085046a367e2116ad1379990fc7afa6f6d5917d6ae0cee719ede554"),
+    "ledger": (516, "628c706b94b8cc051510ca1266b96f1a19d567511cfbda5f876775f9a70d54da"),
 }
 
 
@@ -239,9 +242,9 @@ def test_response_and_record_layout_by_hand():
 
 def test_ledger_head_layout_by_hand():
     g = _golden()
-    head, block = g["head"], g["header"]
+    head, header = g["head"], g["header"]
     leaf = hashlib.sha256(
-        hashlib.sha256(block.to_bytes()).digest()
+        header.owner_pk
         + u64(0)
         + hashlib.sha256(g["entry"].payload).digest()
     ).digest()
@@ -253,27 +256,32 @@ def test_ledger_head_layout_by_hand():
 
 
 def test_genesis_and_update_layout_by_hand():
+    """A genesis and an update name their vehicle, and their signer signs
+    the tag, then the vehicle's key, then the rest.
+    """
     g = _golden()
     genesis, update = g["genesis"], g["update"]
-    assert genesis.to_bytes() == (
-        u8(TAG_GENESIS) + u64(0) + u16(8) + packed_inventory(genesis.ecu_list)
-        + genesis.vehicle_pk + genesis.maker_pk + genesis.sig
-    )
+    vehicle = keys_for("vehicle").public
+    body = u64(0) + u16(8) + packed_inventory(genesis.ecu_list) + vehicle + genesis.maker_pk
+    assert genesis.to_bytes() == u8(TAG_GENESIS) + body + genesis.sig
+    assert crypto.verify(genesis.maker_pk, u8(TAG_GENESIS) + vehicle + body, genesis.sig)
     assert [r.ecu_id for r in genesis.ecu_list] == list(range(8))
-    assert update.to_bytes() == (
-        u8(1) + update.new_root + u64(9) + update.vehicle_pk + update.maintainer_pk
-        + u16(3) + update.firmware_digest + update.sig
+    body = (
+        update.new_root + u64(9) + vehicle + update.maintainer_pk
+        + u16(3) + update.firmware_digest
     )
+    assert update.to_bytes() == u8(TAG_UPDATE) + body + update.sig
+    assert crypto.verify(update.maintainer_pk, u8(TAG_UPDATE) + vehicle + body, update.sig)
 
 
 def test_header_entry_and_envelope_layout_by_hand():
     g = _golden()
     header, ledger = g["header"], g["ledger"]
-    assert header.to_bytes() == header.owner_pk + u64(0)
+    assert header.to_bytes() == header.owner_pk
     assert header.external_address == external_address(header.owner_pk)
     block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
     assert ledger.blocks[header.owner_pk].to_bytes() == block
-    assert ledger.serialize() == prefixed(b"ECUL9") + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECULA") + prefixed(block)
 
 
 # -- older layouts are not read -----------------------------------------------------------
@@ -305,13 +313,28 @@ def _v3_genesis() -> bytes:
     return signing + keys_for("maker").sign(signing)
 
 
+@functools.lru_cache(maxsize=None)
+def _v9_genesis() -> bytes:
+    """The golden genesis as layouts before ``ECULA`` wrote it: signed by
+    the maker over its signing bytes alone, without the owner key.
+    """
+    signing = _golden()["genesis"].signing_bytes()
+    return signing + keys_for("maker").sign(signing)
+
+
+def _v9_header() -> bytes:
+    """The golden header as the ``ECUL7`` to ``ECUL9`` layouts wrote it:
+    the owner key and the creation time, 0 for the golden block.
+    """
+    return _golden()["header"].owner_pk + u64(0)
+
+
 def _v6_header() -> bytes:
     """The golden header as layouts before ``ECUL7`` wrote it: the owner
     key, the previous header hash (32 zero bytes for a first block) and the
     creation time.
     """
-    header = _golden()["header"]
-    return header.owner_pk + ZERO_DIGEST + u64(header.created_ts)
+    return _golden()["header"].owner_pk + ZERO_DIGEST + u64(0)
 
 
 def _v5_header() -> bytes:
@@ -394,7 +417,7 @@ def test_v1_ledger_blob_raises_wire_error():
         (
             prefixed(header.owner_pk),
             prefixed(ZERO_DIGEST),
-            prefixed(u64(header.created_ts)),
+            prefixed(u64(0)),
             prefixed(header.external_address.encode()),
         )
     )
@@ -438,7 +461,7 @@ def test_v1_ledger_blob_raises_wire_error():
     # The same ledger in the ECUL7 layout: today's block layout around a
     # genesis with a state root and an id per ECU (the bytes its golden
     # vector pinned).
-    v7_block = sealed(header.to_bytes() + u64(0) + _v3_genesis())
+    v7_block = sealed(_v9_header() + u64(0) + _v3_genesis())
     ecul7_blob = prefixed(b"ECUL7") + prefixed(v7_block)
     assert (len(ecul7_blob), sha(ecul7_blob)) == (
         572,
@@ -447,20 +470,35 @@ def test_v1_ledger_blob_raises_wire_error():
     # The same ledger in the ECUL8 layout: today's blocks, whose challenge
     # records embedded a response that named its vehicle (the bytes its
     # golden vector pinned).
-    v8_block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
+    v8_block = sealed(_v9_header() + u64(0) + _v9_genesis())
     ecul8_blob = prefixed(b"ECUL8") + prefixed(v8_block)
     assert (len(ecul8_blob), sha(ecul8_blob)) == (
         524,
         "b6ca7abbb7d8505c1e082f885e9da3a0f3a09f246772dc24d97803c175c7dcc4",
     )
-    assert LEDGER_MAGIC == b"ECUL9"
-    old_blobs = (ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob, ecul7_blob, ecul8_blob)
+    # The same ledger in the ECUL9 layout: the ECUL8 block, whose header held
+    # a creation time and whose genesis was signed without its owner key (the
+    # bytes its golden vector pinned).
+    ecul9_blob = prefixed(b"ECUL9") + prefixed(v8_block)
+    assert (len(ecul9_blob), sha(ecul9_blob)) == (
+        524,
+        "19632d48ce53d463f75d661fb1e855f072d223cd28df6f3eb34356c9ed0420e9",
+    )
+    assert LEDGER_MAGIC == b"ECULA"
+    old_blobs = (
+        ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob, ecul7_blob, ecul8_blob,
+        ecul9_blob,
+    )
     for blob in (v1_blob, *old_blobs):
         with pytest.raises(WireError):
             deserialize_ledger(blob)
     for block in (v1_block, v2_block, v4_block, v5_block, v6_block):
         with pytest.raises(WireError):
             decode_block(block)
+    # An ECUL7 to ECUL9 block, its creation time read as a sequence number,
+    # fails validation whether or not its bytes decode.
+    for block in (v7_block, v8_block):
+        assert not validate_block_bytes(block)
 
 
 @functools.lru_cache(maxsize=None)
@@ -522,7 +560,7 @@ def test_v3_genesis_raises_protocol_error(tiers):
     with pytest.raises(WireError):
         decode_transaction(v3)
     with pytest.raises(ProtocolError, match="does not decode"):
-        initialize_vehicle(authority, roadside, v3, ts=0)
+        initialize_vehicle(authority, roadside, v3)
     assert len(roadside.ledger) == 0
     assert not roadside.profiles
 
@@ -530,10 +568,12 @@ def test_v3_genesis_raises_protocol_error(tiers):
 def test_v1_archive_file_raises_archive_error(tmp_path):
     """Files in the three unmarked archive layouts (a u64 sequence number,
     then the whole entry in wire format v1, v2 or v3), in the ``ECUA4``
-    layout (marked, with the genesis before ``ECUL8``) and in the ``ECUA5``
-    layout (marked, with the challenge records before ``ECUL9``) raise; a
-    file starts with ``ARCHIVE_MAGIC`` and keeps each record as its
-    sequence number and payload.
+    layout (marked, with the genesis before ``ECUL8``), in the ``ECUA5``
+    layout (marked, with the challenge records before ``ECUL9``) and in
+    the ``ECUA6`` layout (marked, with the genesis signed without its
+    owner key before ``ECULA``) raise; a file starts with
+    ``ARCHIVE_MAGIC`` and keeps each record as its sequence number and
+    payload.
     """
     entry = _golden()["entry"]
     archive = FileArchive(tmp_path)
@@ -542,15 +582,16 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
         "ar://v2": u64(0) + _v2_genesis_entry(),
         "ar://v3": u64(0) + _v4_entry(),
         "ar://v4": b"ECUA4" + u64(0) + _v3_genesis(),
-        "ar://v5": b"ECUA5" + u64(0) + entry.payload,
+        "ar://v5": b"ECUA5" + u64(0) + _v9_genesis(),
+        "ar://v6": b"ECUA6" + u64(0) + _v9_genesis(),
     }
     for address, data in old_layouts.items():
         archive._path(address).write_bytes(data)
-        with pytest.raises(ArchiveError, match="no ECUA6 marker"):
+        with pytest.raises(ArchiveError, match="no ECUA7 marker"):
             archive.read(address)
-    archive.append_many("ar://v6", [(0, entry.payload)])
-    assert archive._path("ar://v6").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
-    assert archive.read("ar://v6") == [(0, entry.payload)]
+    archive.append_many("ar://v7", [(0, entry.payload)])
+    assert archive._path("ar://v7").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
+    assert archive.read("ar://v7") == [(0, entry.payload)]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -590,7 +631,7 @@ transactions = st.one_of(
     st.builds(ChallengeRecordTx, response=responses.map(embedded), rsu_pk=digests, sig=sigs),
 )
 records = st.builds(LedgerEntry, u64s, transactions.map(lambda tx: tx.to_bytes()))
-headers = st.builds(BlockHeader, owner_pk=digests, created_ts=u64s)
+headers = st.builds(BlockHeader, owner_pk=digests)
 
 
 # A block of up to three records with any sequence numbers.
@@ -822,8 +863,8 @@ def test_resealed_edits_fail_the_signature_sequence_and_owner_checks():
     """The checksum detects corruption and signatures detect tampering: an
     edit that re-seals the CRC32 still decodes, and fails the audit. A
     flipped payload byte (just past the tag: a genesis's timestamp, or a
-    state root) fails its signature, one edited sequence number the consecutive-sequence rule and
-    an edited owner key the ownership check.
+    state root) fails its signature, one edited sequence number the
+    consecutive-sequence rule and an edited owner key every signature.
     """
     block = _three_entry_block()
     assert validate_block(decode_block(block.to_bytes()))
@@ -852,34 +893,6 @@ def test_resealed_block_cut_inside_a_record_raises_wire_error():
         for cut in range(start + 1, end):
             with pytest.raises(WireError):
                 decode_block(sealed(body[:cut]))
-
-
-def test_resealed_creation_time_edit_fails_the_header_chain():
-    """An edited ``created_ts`` changes its block's header hash, which the
-    signed head's Merkle root covers, so ``Ledger.validate`` against the
-    authority's head fails for every block, the newest included.
-    """
-    maker = keys_for("maker")
-    authority = new_authority_tier(
-        validators=(keys_for("transport"), keys_for("legal")),
-        authorized_makers=(maker.public,),
-        authorized_insurers=(),
-    )
-    roadside = RoadsideTier()
-    for i in range(3):
-        vehicle = keys_for(f"chain-{i}")
-        genesis = make_genesis(maker, vehicle.public, state_of(2), ts=i)
-        roadside.ledger.create_block(vehicle.public, genesis, i)
-    seal_roadside(authority, roadside, ts=3)
-    ledger, head = roadside.ledger, (authority.roadside_head, authority.validator_pks)
-    assert ledger.validate(*head)
-    for pk in ledger.creation_order:
-        block = ledger.blocks[pk]
-        data = _edited_and_resealed(block, 32, u64(block.header.created_ts + 1))
-        restored = deserialize_ledger(ledger.serialize())
-        assert restored.validate(*head)
-        restored.blocks[pk] = decode_block(data)
-        assert restored.validate(*head) is False
 
 
 def test_every_single_bit_flip_of_a_record_fails_or_changes_it():
@@ -1024,8 +1037,7 @@ TAG, ECU_ID, ECU_COUNT, U64_WIDTH, DIGEST, KEY, SIG, PREFIX = 1, 2, 2, 8, 32, 32
 ECU = ECU_ID + DIGEST + U64_WIDTH  # id, firmware digest, last-write time
 INVENTORY_ECU = DIGEST + U64_WIDTH  # a genesis ECU: its position is its id
 UPDATE_SIZE = TAG + DIGEST + U64_WIDTH + KEY + KEY + ECU_ID + DIGEST + SIG
-# Owner key and creation time.
-HEADER_SIZE = KEY + U64_WIDTH
+HEADER_SIZE = KEY  # the owner key
 ENTRY_FRAMING = U64_WIDTH  # seq; the payload fixes its own length
 CHECKSUM = 4  # a block's CRC32
 
@@ -1080,7 +1092,7 @@ def _encounters(n: int, count: int):
     register_rsu(authority, rsu.public)
     roadside = RoadsideTier()
     state = state_of(n)
-    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0), 0)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0))
     yield roadside
     for ts in range(1, count + 1):
         challenge = issue_challenge(rsu.public, vehicle.public, n, random.Random(ts), ts)
@@ -1092,8 +1104,8 @@ def _encounters(n: int, count: int):
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_retained_block_follows_the_closed_form(n):
     """After two or more encounters a vehicle's block holds its header and
-    two challenge records: 722 B in the ledger for an 8-ECU vehicle, and
-    515 B before its first encounter.
+    two challenge records: 714 B in the ledger for an 8-ECU vehicle, and
+    507 B before its first encounter.
     """
     steps = _encounters(n, 5)
     envelope = len(Ledger().serialize())
@@ -1104,7 +1116,7 @@ def test_retained_block_follows_the_closed_form(n):
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
             assert len(roadside.ledger.serialize()) - envelope == retained
-    assert n != 8 or (retained, genesis_only) == (722, 515)
+    assert n != 8 or (retained, genesis_only) == (714, 507)
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])

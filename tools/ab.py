@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+U64_MAX = (1 << 64) - 1
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -170,8 +171,10 @@ def parse_args(argv=None) -> argparse.Namespace:
         p.error("BASE is required")
     if args.pairs < 1 or args.reps < 1:
         p.error("--pairs and --reps must be at least 1")
-    if args.seed < 0:
-        p.error("--seed must be nonnegative")
+    # A seed is a u64 (``SimConfig`` refuses any other): refuse it here,
+    # before both commits are exported.
+    if not 0 <= args.seed <= U64_MAX:
+        p.error(f"--seed must be in [0, {U64_MAX}]")
     return args
 
 
