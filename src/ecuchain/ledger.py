@@ -30,8 +30,8 @@ entry verifies in the block it was signed for only, whatever its type.
 folds ``apply_entry`` over what it decoded, so an audit trusts neither
 the append path, the archive nor the place an entry was put. Bytes from
 disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
-decoded once on the way in, to find where a record ends and to reject
-what does not parse, and only their bytes are kept.
+decoded once on the way in, to reject what does not parse (and, in a
+block, to find where a record ends), and only their bytes are kept.
 
 A block's bytes hold no hash: a link between entries or between headers
 needs no key to compute, so it would bind nothing. What binds a ledger as
@@ -71,18 +71,27 @@ the owner key. There is no reader for older layouts (magics ``ECUL1`` to
 
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
-block. A ``FileArchive`` file starts with the marker ``ECUA7``; ``ECUA6``
-marked the genesis and update signatures before it, ``ECUA5`` the
-challenge record before that, ``ECUA4`` the genesis before that, and the
-three earlier archive layouts had none: a file in any of them raises
-``ArchiveError``. A ledger restored by
+block. A ``FileArchive`` keeps one log per root, grown in pre-zeroed
+1 MiB chunks: the marker ``ECUA8``, then one frame per append (u32 body
+length, u32 CRC32 of the body, then the body: the address field and the
+appended records, each its 8-byte seq and its payload), then zeros. Each
+append writes its frame into the zeros and fsyncs the log once; a torn
+last append, one frame, is cut back when the log is reopened, and a bad
+frame in the middle raises ``ArchiveError``. ``ECUA7`` marked one file per address with its records
+back to back, ``ECUA6`` the genesis and update signatures before that,
+``ECUA5`` the challenge record before that, ``ECUA4`` the genesis before
+that, and the three earlier archive layouts had no marker: a log in any
+of them raises ``ArchiveError``. A ledger restored by
 ``deserialize_ledger`` continues each block's sequence.
 """
 
 from __future__ import annotations
 
 import os
+import struct
+import weakref
 import zlib
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
@@ -109,12 +118,18 @@ from .wire import (
     WireError,
     encode_bytes,
     encode_fixed,
+    encode_str,
     encode_u64,
 )
 
 LEDGER_MAGIC = b"ECULA"
-# First bytes of every ``FileArchive`` file.
-ARCHIVE_MAGIC = b"ECUA7"
+# First bytes of every ``FileArchive`` log.
+ARCHIVE_MAGIC = b"ECUA8"
+# A log frame's header: the body's length and its CRC32.
+FRAME_HEADER = struct.Struct(">II")
+# What a ``FileArchive`` log grows by, in zeros written and fsynced.
+ARCHIVE_CHUNK = 1 << 20
+_ZEROS = bytes(1 << 16)
 
 
 class LedgerError(ValueError):
@@ -320,54 +335,235 @@ class MemoryArchive(Archive):
         return list(self._store.get(address, []))
 
 
+def _frame(address: str, records: Iterable[LedgerEntry]) -> bytes:
+    """One log frame, one per ``append_many`` call: u32 body length, u32
+    CRC32 of the body, then the body, which is the address field and the
+    batch's records as ``write_records`` writes them.
+    """
+    body = encode_str(address) + write_records(records)
+    return FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def _frame_at(data, pos: int) -> Optional[tuple[str, int, int]]:
+    """The address, the offset where the records start and the end of the
+    frame that starts at ``pos`` in ``data`` (bytes or ``_LogBytes``); None
+    unless one does: it fits, its body starts with an address field and
+    its CRC32 matches. The CRC32 is taken a chunk at a
+    time, so a length read from stray bytes costs no more memory.
+    """
+    header = data[pos : pos + FRAME_HEADER.size]
+    if len(header) < FRAME_HEADER.size:
+        return None
+    length, crc = FRAME_HEADER.unpack(header)
+    start, end = pos + FRAME_HEADER.size, pos + FRAME_HEADER.size + length
+    if length < U32.size or end > len(data):
+        return None
+    field = U32.size + U32.unpack(data[start : start + U32.size])[0]
+    if field > length:
+        return None
+    check = 0
+    for at in range(start, end, ARCHIVE_CHUNK):
+        check = zlib.crc32(data[at : min(at + ARCHIVE_CHUNK, end)], check)
+    if check != crc:
+        return None
+    try:
+        address = Reader(data[start : start + field]).read_str()
+    except WireError:
+        return None
+    return address, start + field, end
+
+
+class _LogBytes:
+    """A log's bytes, sliced as ``log[start:stop]`` and read on demand: a
+    slice that the last piece read does not hold preads a new piece, the
+    slice or ``ARCHIVE_CHUNK`` bytes if more, so a scan holds no more.
+    """
+
+    def __init__(self, fd: int, size: int):
+        self._fd, self._size = fd, size
+        self._base, self._piece = 0, b""
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, span: slice) -> bytes:
+        start, stop = span.start, min(span.stop, self._size)
+        if start >= stop:
+            return b""
+        if start < self._base or stop > self._base + len(self._piece):
+            want = min(max(stop - start, ARCHIVE_CHUNK), self._size - start)
+            self._base, self._piece = start, _pread(self._fd, want, start)
+        return self._piece[start - self._base : stop - self._base]
+
+
+def _pread(fd: int, size: int, pos: int) -> bytes:
+    """``size`` bytes of ``fd`` from ``pos``, in as many reads of at most
+    ``ARCHIVE_CHUNK`` as it takes (one ``os.pread`` may return fewer
+    bytes than asked); ``ArchiveError`` if the file ends first.
+    """
+    parts = []
+    while size:
+        part = os.pread(fd, min(size, ARCHIVE_CHUNK), pos)
+        if not part:
+            raise ArchiveError(f"archive log ends before offset {pos + size}")
+        parts.append(part)
+        size -= len(part)
+        pos += len(part)
+    return b"".join(parts)
+
+
+def _pwrite(fd: int, data, pos: int) -> None:
+    """All of ``data`` to ``fd`` at ``pos``, in as many writes as it takes."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, pos)
+        if not written:
+            raise OSError(f"no bytes written at offset {pos}")
+        view, pos = view[written:], pos + written
+
+
+def _write_zeros(fd: int, start: int, stop: int) -> None:
+    """Zeros over ``[start, stop)`` of ``fd``, then an fsync."""
+    zeros = memoryview(_ZEROS)
+    for pos in range(start, stop, len(zeros)):
+        _pwrite(fd, zeros[: stop - pos], pos)
+    os.fsync(fd)
+
+
 class FileArchive(Archive):
-    """One append-only file per address under ``root``: the marker
-    ``ARCHIVE_MAGIC``, then each record as ``read_record`` reads it.
+    """One append-only log per ``root``, ``archive.log``: the marker
+    ``ARCHIVE_MAGIC``, then one frame per ``append_many`` call
+    (``_frame``), then zeros. A zero length field ends the frames.
+
+    The log grows by ``ARCHIVE_CHUNK`` zeros at a time, fsynced before a
+    frame lands in them, so an append overwrites blocks the file already
+    has: each ``append_many`` is one write of its frame at the end of the
+    data, then one ``os.fsync`` of the log. The first append
+    creates the log whole: its first chunk is written and fsynced under a
+    temporary name, renamed into place, and the directory fsynced. The
+    constructor only makes ``root``.
+
+    An in-memory index maps each address to its frames' offsets and sizes,
+    never their payloads; ``read`` preads each frame and checks its CRC32,
+    its address, and that its records decode. A log that was already there
+    is scanned once, on first use, a piece at a time. The scan stops where
+    no valid frame starts. Since an append is one frame, a crash before its
+    fsync returned leaves one bad frame there (cut short, failing its
+    CRC32, any of its bytes lost), and the next append overwrites it
+    with its frame and zeros. A valid frame after it is corruption in the
+    middle and raises ``ArchiveError``, and so does a log without the
+    marker. That frame is looked for where the bad frame's length says it
+    ends, or, if that length is 0 or runs past the log, at every offset up
+    to the last non-zero byte: a torn frame whose header was lost, and
+    whose kept bytes hold a valid frame, raises too. One writer per root.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._log = self.root / "archive.log"
+        self._fd: Optional[int] = None
+        # Per address, each frame's offset and size in turn.
+        self._index: dict[str, array] = {}
+        # End of the frames, end of the bytes that may be non-zero, file size.
+        self._end = self._dirty = self._size = 0
 
-    def _path(self, address: str) -> Path:
-        return self.root / (sha256(address.encode("utf-8")).hex()[:24] + ".arc")
+    def _opened(self) -> bool:
+        """Whether the log exists; scans it at the first call that finds it."""
+        if self._fd is not None:
+            return True
+        try:
+            fd = os.open(self._log, os.O_RDWR)
+        except FileNotFoundError:
+            return False
+        try:
+            size = os.fstat(fd).st_size
+            log = _LogBytes(fd, size)
+            if log[0 : len(ARCHIVE_MAGIC)] != ARCHIVE_MAGIC:
+                raise ArchiveError(f"not an archive log: no {ARCHIVE_MAGIC.decode()} marker")
+            index, pos = {}, len(ARCHIVE_MAGIC)
+            while (frame := _frame_at(log, pos)) is not None:
+                address, _, end = frame
+                index.setdefault(address, array("Q")).extend((pos, end - pos))
+                pos = end
+            dirty = pos
+            for at in range(pos, size, len(_ZEROS)):
+                piece = log[at : at + len(_ZEROS)]
+                if piece != _ZEROS[: len(piece)]:
+                    dirty = at + len(piece.rstrip(b"\0"))
+            if dirty > pos:
+                header = log[pos : pos + FRAME_HEADER.size].ljust(FRAME_HEADER.size, b"\0")
+                length = FRAME_HEADER.unpack(header)[0]
+                claimed = pos + FRAME_HEADER.size + length
+                # A torn frame ends where its length says, if that survived.
+                after = claimed if length and claimed <= size else pos + 1
+                if any(_frame_at(log, q) for q in range(after, dirty)):
+                    raise ArchiveError(f"corrupt archive frame at offset {pos}")
+        except BaseException:
+            os.close(fd)
+            raise
+        weakref.finalize(self, os.close, fd)
+        self._fd, self._index = fd, index
+        self._size, self._end, self._dirty = size, pos, dirty
+        return True
+
+    def _create(self) -> None:
+        tmp = self.root / "archive.log.new"
+        fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            _pwrite(fd, ARCHIVE_MAGIC, 0)
+            _write_zeros(fd, len(ARCHIVE_MAGIC), ARCHIVE_CHUNK)
+            os.rename(tmp, self._log)
+            dir_fd = os.open(self.root, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        weakref.finalize(self, os.close, fd)
+        self._fd, self._size = fd, ARCHIVE_CHUNK
+        self._end = self._dirty = len(ARCHIVE_MAGIC)
 
     def append_many(self, address, records):
-        blob = write_records(records)
+        frame = _frame(address, records)
         try:
-            with open(self._path(address), "ab") as fh:
-                created = fh.tell() == 0
-                if created:
-                    blob = ARCHIVE_MAGIC + blob
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            if created:  # the new name survives a crash once the directory is synced
-                fd = os.open(self.root, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
+            if not self._opened():
+                self._create()
+            # Zeros past the frame clear what a failed or torn append left.
+            data = frame.ljust(self._dirty - self._end, b"\0")
+            stop = self._end + len(data)
+            if stop > self._size:
+                size = self._size + -(-(stop - self._size) // ARCHIVE_CHUNK) * ARCHIVE_CHUNK
+                _write_zeros(self._fd, self._size, size)
+                self._size = size
+            self._dirty = stop
+            _pwrite(self._fd, data, self._end)
+            os.fsync(self._fd)
         except OSError as exc:
             raise ArchiveError(f"archive write failed: {exc}") from exc
+        self._index.setdefault(address, array("Q")).extend((self._end, len(frame)))
+        self._end += len(frame)
+        self._dirty = self._end
 
     def read(self, address):
-        path = self._path(address)
-        if not path.exists():
-            return []
         try:
-            data = path.read_bytes()
+            if not self._opened():
+                return []
+            spans = self._index.get(address, array("Q"))
+            frames = [_pread(self._fd, size, pos) for pos, size in zip(spans[::2], spans[1::2])]
         except OSError as exc:
             raise ArchiveError(f"archive read failed: {exc}") from exc
-        if not data.startswith(ARCHIVE_MAGIC):
-            raise ArchiveError(f"not an archive file: no {ARCHIVE_MAGIC.decode()} marker")
         records = []
-        r = Reader(data, len(ARCHIVE_MAGIC))
-        while r.remaining:
-            if r.remaining < 8:
-                raise ArchiveError("truncated archive record header")
+        for data in frames:
+            frame = _frame_at(data, 0)
+            if frame is None or frame[0] != address or frame[2] != len(data):
+                raise ArchiveError("corrupt archive frame")
+            r = Reader(data, frame[1])
             try:
-                records.append(read_record(r))
+                while r.remaining:
+                    records.append(read_record(r))
             except WireError as exc:
                 raise ArchiveError(f"corrupt archive record: {exc}") from exc
         return records

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from conftest import append, embedded, keys_for, state_of
 from ecuchain.ledger import (
+    ARCHIVE_CHUNK,
     ARCHIVE_MAGIC,
     ArchiveError,
     FileArchive,
@@ -401,44 +402,286 @@ def test_file_archive_reads_thousands_of_records_like_memory(tmp_path):
     assert file_archive.read("ar://many") == memory.read("ar://many") == batch
 
 
-def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
-    genesis, _ = _payloads()
-    block = Ledger().create_block(genesis.vehicle_pk, genesis.to_bytes())
-    entry = block.entries[0]
-    archive = FileArchive(tmp_path)
-    archive.append_many("ar://bad", [(0, entry.payload)])
-    path = archive._path("ar://bad")
-    whole = path.read_bytes()
-    record = whole[len(ARCHIVE_MAGIC) :]
-    assert record == bytes(8) + entry.payload  # sequence number 0, then the payload
-    path.write_bytes(whole + b"\x00" * 5)
-    with pytest.raises(ArchiveError, match="truncated archive record header"):
-        archive.read("ar://bad")
-    path.write_bytes(whole + record[:-3])
-    with pytest.raises(ArchiveError, match="corrupt archive record"):
-        archive.read("ar://bad")
+def _log(root) -> bytes:
+    return (root / "archive.log").read_bytes()
 
 
-def test_first_append_to_an_address_also_syncs_the_directory(tmp_path, monkeypatch):
-    """A new archive file's name is durable only once its directory is
-    synced: the first append to an address syncs the file and the
-    directory, and each later append syncs only the file.
+def _frame_offsets(data: bytes) -> list[int]:
+    """Where each frame of a log starts, and where the frames end: each
+    frame's u32 length says where the next one starts, up to a zero
+    length.
     """
-    genesis, _ = _payloads()
+    offsets = [len(ARCHIVE_MAGIC)]
+    while length := int.from_bytes(data[offsets[-1] : offsets[-1] + 4], "big"):
+        offsets.append(offsets[-1] + 8 + length)
+    return offsets
+
+
+def _resealed(data: bytes, start: int, body: bytes) -> bytes:
+    """``data`` with the frame at ``start`` replaced by one holding ``body``
+    under a matching length and CRC32.
+    """
+    end = start + 8 + int.from_bytes(data[start : start + 4], "big")
+    frame = len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
+    return data[:start] + frame + data[end:]
+
+
+def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
+    """A frame in the middle of the log that fails its CRC32, or whose
+    length was zeroed, raises on reopen, and a frame whose bytes changed
+    under the open archive raises at the next read. A frame re-sealed
+    around a record cut short or followed by a stray byte raises at
+    ``read``. A last frame cut short or failing its CRC32, with only zeros
+    after it, is an append whose fsync never returned: the reopened
+    archive reads the records before it.
+    """
+    genesis, records = _payloads()
+    payloads = [genesis.to_bytes(), records[0].to_bytes(), records[1].to_bytes()]
+    archive = FileArchive(tmp_path)
+    for seq, payload in enumerate(payloads):
+        archive.append_many("ar://bad", [(seq, payload)])
+    whole = _log(tmp_path)
+    _, middle, last, end = _frame_offsets(whole)
+    # The middle frame's body starts with its address field and seq 1.
+    assert whole[middle + 8 :][:20] == (8).to_bytes(4, "big") + b"ar://bad" + (1).to_bytes(8, "big")
+    assert whole[end:] == bytes(ARCHIVE_CHUNK - end) and len(whole) == ARCHIVE_CHUNK
+    expected = list(enumerate(payloads))
+
+    def reopened(data):
+        (tmp_path / "archive.log").write_bytes(data)
+        return FileArchive(tmp_path).read("ar://bad")
+
+    flipped = bytearray(whole)
+    flipped[middle + 100] ^= 0x01
+    (tmp_path / "archive.log").write_bytes(flipped)
+    with pytest.raises(ArchiveError, match="corrupt archive frame"):
+        archive.read("ar://bad")
+    for corrupt in (flipped, whole[:middle] + bytes(4) + whole[middle + 4 :]):
+        with pytest.raises(ArchiveError, match=f"corrupt archive frame at offset {middle}"):
+            reopened(bytes(corrupt))
+    body = whole[middle + 8 : last]
+    for resealed in (body[:-3], body + b"\x00"):
+        with pytest.raises(ArchiveError, match="corrupt archive record"):
+            reopened(_resealed(whole, middle, resealed))
+    flipped = bytearray(whole)
+    flipped[end - 1] ^= 0x01
+    for torn in (whole[: end - 3], bytes(flipped)):
+        assert reopened(torn) == expected[:2]
+    assert reopened(whole) == expected
+
+
+def _fsyncs(monkeypatch, root):
+    """A list that each ``os.fsync`` appends to: ``"dir"`` for ``root``,
+    else the log's size and where its frames end (see ``_frame_offsets``).
+    """
     fsync, synced = os.fsync, []
 
     def recording_fsync(fd):
-        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            synced.append("dir" if os.path.samestat(st, os.stat(root)) else "other dir")
+        else:
+            synced.append((st.st_size, _frame_offsets(os.pread(fd, st.st_size, 0))[-1]))
         fsync(fd)
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
-    archive = FileArchive(tmp_path)
-    archive.append_many("ar://sync", [(0, genesis.to_bytes())])
-    assert synced == ["file", "dir"]
-    archive.append_many("ar://sync", [(1, genesis.to_bytes())])
-    assert synced == ["file", "dir", "file"]
-    assert [seq for seq, _ in archive.read("ar://sync")] == [0, 1]
+    return synced
 
+
+def test_each_append_ends_with_one_fsync_of_the_log(tmp_path, monkeypatch):
+    """The first append to a fresh root fsyncs the zeroed chunk, the
+    directory that now names the log, then the frame; each later append
+    fsyncs the log once, after its frame is written, and one that crosses
+    a chunk fsyncs the new zeroed chunk first.
+    """
+    genesis, _ = _payloads()
+    payload = genesis.to_bytes()
+    # A frame's header and address field, then 8 bytes of seq per record.
+    head, record = 8 + 4 + len("ar://sync"), 8 + len(payload)
+    synced = _fsyncs(monkeypatch, tmp_path)
+    archive = FileArchive(tmp_path)
+    assert synced == [] and not os.listdir(tmp_path)
+    archive.append_many("ar://sync", [(0, payload)])
+    end = len(ARCHIVE_MAGIC) + head + record
+    assert synced == [(ARCHIVE_CHUNK, len(ARCHIVE_MAGIC)), "dir", (ARCHIVE_CHUNK, end)]
+    assert os.listdir(tmp_path) == ["archive.log"]
+    del synced[:]
+    archive.append_many("ar://sync", [(1, payload)])
+    end += head + record
+    assert synced == [(ARCHIVE_CHUNK, end)]
+    del synced[:]
+    fill = (ARCHIVE_CHUNK - end - head) // record
+    archive.append_many("ar://sync", [(2 + i, payload) for i in range(fill)])
+    end += head + fill * record
+    assert synced == [(ARCHIVE_CHUNK, end)]
+    del synced[:]
+    archive.append_many("ar://sync", [(2 + fill, payload)])
+    assert synced == [(2 * ARCHIVE_CHUNK, end), (2 * ARCHIVE_CHUNK, end + head + record)]
+    assert [seq for seq, _ in FileArchive(tmp_path).read("ar://sync")] == list(range(3 + fill))
+
+
+ADDRESSES = ["ar://a", "ar://bb", "ar://ccc", "ar://dddd"]
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=10),
+    st.data(),
+)
+def test_file_archive_reads_like_memory_across_a_reopen(batches, data):
+    """Any interleaving of ``append_many`` calls on 1-4 addresses, with
+    batches of 1-4 records and one batch larger than a chunk, reads the
+    same from a ``FileArchive`` as from a ``MemoryArchive``, before and
+    after the root is reopened at a drawn point.
+    """
+    genesis, records = _payloads()
+    payloads = [genesis.to_bytes()] + [tx.to_bytes() for tx in records]
+    big = data.draw(st.integers(0, len(batches)), label="big batch before")
+    reopen = data.draw(st.integers(0, len(batches) + 1), label="reopen before")
+    big_size = ARCHIVE_CHUNK // min(map(len, payloads)) + 1
+    batches.insert(big, (data.draw(st.integers(0, 3), label="big batch address"), big_size))
+    memory, seqs = MemoryArchive(), itertools.count()
+    with tempfile.TemporaryDirectory() as root:
+        archive = FileArchive(root)
+        for i, (address, size) in enumerate(batches):
+            if i == reopen:
+                archive = FileArchive(root)
+            batch = [(seq, payloads[seq % len(payloads)]) for seq in itertools.islice(seqs, size)]
+            for each in (archive, memory):
+                each.append_many(ADDRESSES[address], batch)
+        for each in (archive, FileArchive(root)):
+            for address in ADDRESSES:
+                assert each.read(address) == memory.read(address)
+
+
+def test_a_reopened_archive_reads_every_acknowledged_record_after_a_torn_append(tmp_path):
+    """The last append is one frame of two records. The log cut at every
+    byte of that frame, and, separately, with each of its bytes zeroed,
+    with its bytes zeroed from its start up to each byte (its header and
+    first record lost, its second record kept) and from each byte on, as
+    a crash before the append's fsync returned can leave it: a reopened
+    archive reads every earlier record (and the last two, where zeroing
+    changed nothing), and its next append lands after them and reads back,
+    also after another reopen.
+    """
+    genesis, records = _payloads()
+    payloads = [tx.to_bytes() for tx in records[:3]] + [genesis.to_bytes()]
+    archive = FileArchive(tmp_path / "source")
+    archive.append_many("ar://a", [(0, payloads[0]), (1, payloads[1])])
+    archive.append_many("ar://b", [(0, payloads[2])])
+    archive.append_many("ar://a", [(2, payloads[3]), (3, payloads[2])])
+    del archive
+    whole = _log(tmp_path / "source")
+    acknowledged = _frame_offsets(whole)
+    *_, last, end = acknowledged
+    before = {"ar://a": [(0, payloads[0]), (1, payloads[1])], "ar://b": [(0, payloads[2])]}
+    after = {**before, "ar://a": before["ar://a"] + [(2, payloads[3]), (3, payloads[2])]}
+    # Shorter than the last frame, so zeros must clear what is left of it.
+    assert len(payloads[0]) < len(payloads[3]) + len(payloads[2])
+    root = tmp_path / "crashed"
+    root.mkdir()
+
+    def recovers(data, appends=True):
+        expected, frames = (after, acknowledged) if data == whole else (before, acknowledged[:-1])
+        (root / "archive.log").write_bytes(data)
+        archive = FileArchive(root)
+        assert {a: archive.read(a) for a in expected} == expected
+        if not appends:
+            return
+        added = [(len(expected["ar://a"]), payloads[0])]
+        archive.append_many("ar://a", added)
+        log = _log(root)
+        offsets = _frame_offsets(log)
+        assert offsets[:-1] == frames
+        assert not any(log[offsets[-1] :])
+        for reader in (archive, FileArchive(root)):
+            assert reader.read("ar://a") == expected["ar://a"] + added
+            assert reader.read("ar://b") == expected["ar://b"]
+
+    # The zeros past the frames are cut to a few, so each case is quick.
+    whole = whole[: end + 64]
+    for at in range(last, end):
+        recovers(whole[:at])
+        recovers(whole[:at] + b"\x00" + whole[at + 1 :])
+        recovers(whole[:last] + bytes(at - last) + whole[at:], appends=False)
+        recovers(whole[:at] + bytes(end - at) + whole[end:], appends=False)
+
+
+def test_a_torn_append_whose_kept_bytes_hold_a_frame_is_cut_back(tmp_path):
+    """A payload may hold the bytes of a valid frame. Where a torn append
+    kept its frame's header, the scan looks for a valid frame only past
+    the end that header gives, so a frame inside the torn one is not
+    mistaken for a record written after it.
+    """
+    genesis, _ = _payloads()
+    archive = FileArchive(tmp_path)
+    archive.append_many("ar://a", [(0, genesis.to_bytes())])
+    inner = _resealed(_log(tmp_path), len(ARCHIVE_MAGIC), b"\x00\x00\x00\x06ar://b" + bytes(8))
+    inner = inner[len(ARCHIVE_MAGIC) : _frame_offsets(inner)[1]]
+    archive.append_many("ar://a", [(1, b"\x01" * 40 + inner + b"\x01" * 40)])
+    whole = _log(tmp_path)
+    _, last, end = _frame_offsets(whole)
+    for at in range(last + 8, end):
+        (tmp_path / "archive.log").write_bytes(whole[:at] + bytes(end - at) + whole[end:])
+        assert FileArchive(tmp_path).read("ar://a") == [(0, genesis.to_bytes())]
+        assert FileArchive(tmp_path).read("ar://b") == []
+
+
+def test_short_reads_neither_lose_nor_overwrite_acknowledged_frames(tmp_path, monkeypatch):
+    """``os.pread`` may return fewer bytes than asked. A reopen that gets
+    a few bytes per call still reads every record and appends after them;
+    a read that finds the log ending before its size raises, and is never
+    taken for a torn tail.
+    """
+    genesis, records = _payloads()
+    payloads = [genesis.to_bytes()] + [tx.to_bytes() for tx in records[:3]]
+    archive = FileArchive(tmp_path)
+    for seq, payload in enumerate(payloads):
+        archive.append_many("ar://short", [(seq, payload)])
+    whole = _log(tmp_path)
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, pos: pread(fd, min(n, 7), pos))
+    reopened = FileArchive(tmp_path)
+    assert reopened.read("ar://short") == list(enumerate(payloads))
+    reopened.append_many("ar://short", [(4, payloads[0])])
+    assert _frame_offsets(_log(tmp_path))[:-1] == _frame_offsets(whole)
+    monkeypatch.setattr(os, "pread", lambda fd, n, pos: pread(fd, n, pos) if pos < 600 else b"")
+    with pytest.raises(ArchiveError, match="archive log ends before"):
+        FileArchive(tmp_path).read("ar://short")
+    monkeypatch.undo()
+    assert FileArchive(tmp_path).read("ar://short") == list(enumerate(payloads + payloads[:1]))
+
+
+def test_a_sims_log_holds_one_frame_per_append(tmp_path):
+    """After a small run on a ``FileArchive``, the log's frames end at the
+    marker plus, per ``append_many`` call, 8 bytes of frame header and the
+    address field (u32 length and UTF-8), and per archived record its
+    8-byte seq and its payload; zeros fill the rest of its whole chunks.
+    """
+    config = SimConfig(n_vehicles=3, n_rsus=2, n_rounds=3, ecus_per_vehicle=4, seed=5)
+    archive = FileArchive(tmp_path)
+    appends, append_many = [], archive.append_many
+
+    def counting(address, records):
+        records = list(records)
+        appends.append((address, len(records)))
+        append_many(address, records)
+
+    archive.append_many = counting
+    world = build_world(config, archive=archive)
+    run(world)
+    size = len(ARCHIVE_MAGIC) + sum(8 + 4 + len(address.encode()) for address, _ in appends)
+    records = 0
+    for block in world.roadside.ledger.blocks.values():
+        for _, payload in archive.read(block.header.external_address):
+            records += 1
+            size += 8 + len(payload)
+    log = _log(tmp_path)
+    # A vehicle's history is its genesis and one record per encounter, and
+    # its block retains the last two.
+    assert records == sum(n for _, n in appends) == config.n_vehicles * (config.encounters_per_vehicle - 1) == 15
+    assert _frame_offsets(log)[-1] == size
+    assert log[size:] == bytes(ARCHIVE_CHUNK - size) and len(log) == ARCHIVE_CHUNK
 
 
 # -- an entry moved to another block ---------------------------------------------------

@@ -42,6 +42,7 @@ from ecuchain import crypto
 from ecuchain.crypto import ZERO_DIGEST
 from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
 from ecuchain.ledger import (
+    ARCHIVE_CHUNK,
     ARCHIVE_MAGIC,
     LEDGER_MAGIC,
     AppendableBlock,
@@ -565,33 +566,51 @@ def test_v3_genesis_raises_protocol_error(tiers):
     assert not roadside.profiles
 
 
+def _frame(address: bytes, seq: int, payload: bytes) -> bytes:
+    """An archive log frame of one record, by hand: u32 body length, u32
+    CRC32 of the body, then the body: the address behind its u32 length,
+    the u64 seq and the payload.
+    """
+    body = len(address).to_bytes(4, "big") + address + u64(seq) + payload
+    return len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
+
+
 def test_v1_archive_file_raises_archive_error(tmp_path):
-    """Files in the three unmarked archive layouts (a u64 sequence number,
+    """Logs in the three unmarked archive layouts (a u64 sequence number,
     then the whole entry in wire format v1, v2 or v3), in the ``ECUA4``
     layout (marked, with the genesis before ``ECUL8``), in the ``ECUA5``
-    layout (marked, with the challenge records before ``ECUL9``) and in
-    the ``ECUA6`` layout (marked, with the genesis signed without its
-    owner key before ``ECULA``) raise; a file starts with
-    ``ARCHIVE_MAGIC`` and keeps each record as its sequence number and
-    payload.
+    layout (marked, with the challenge records before ``ECUL9``), in the
+    ``ECUA6`` layout (marked, with the genesis signed without its owner key
+    before ``ECULA``) and in the ``ECUA7`` layout (marked, one file per
+    address, each record its sequence number and payload, no frame) raise,
+    and so does a log in the current layout behind any of those markers.
+    A log starts with ``ARCHIVE_MAGIC``, then one frame per append, then
+    zeros up to a whole chunk.
     """
     entry = _golden()["entry"]
-    archive = FileArchive(tmp_path)
+    frame = _frame(b"ar://old", 0, entry.payload)
     old_layouts = {
-        "ar://v1": u64(0) + _v1_genesis_entry(),
-        "ar://v2": u64(0) + _v2_genesis_entry(),
-        "ar://v3": u64(0) + _v4_entry(),
-        "ar://v4": b"ECUA4" + u64(0) + _v3_genesis(),
-        "ar://v5": b"ECUA5" + u64(0) + _v9_genesis(),
-        "ar://v6": b"ECUA6" + u64(0) + _v9_genesis(),
+        "v1": u64(0) + _v1_genesis_entry(),
+        "v2": u64(0) + _v2_genesis_entry(),
+        "v3": u64(0) + _v4_entry(),
+        "v4": b"ECUA4" + u64(0) + _v3_genesis(),
+        "v5": b"ECUA5" + u64(0) + _v9_genesis(),
+        "v6": b"ECUA6" + u64(0) + _v9_genesis(),
+        "v7": b"ECUA7" + u64(0) + entry.payload,
+        **{f"framed {m}": m + frame for m in (b"ECUA4", b"ECUA5", b"ECUA6", b"ECUA7")},
     }
-    for address, data in old_layouts.items():
-        archive._path(address).write_bytes(data)
-        with pytest.raises(ArchiveError, match="no ECUA7 marker"):
-            archive.read(address)
-    archive.append_many("ar://v7", [(0, entry.payload)])
-    assert archive._path("ar://v7").read_bytes() == ARCHIVE_MAGIC + u64(0) + entry.payload
-    assert archive.read("ar://v7") == [(0, entry.payload)]
+    for name, data in old_layouts.items():
+        root = tmp_path / name
+        root.mkdir()
+        (root / "archive.log").write_bytes(data)
+        for address in ("ar://old", "ar://other"):
+            with pytest.raises(ArchiveError, match="no ECUA8 marker"):
+                FileArchive(root).read(address)
+    archive = FileArchive(tmp_path / "v8")
+    archive.append_many("ar://v8", [(0, entry.payload)])
+    written = ARCHIVE_MAGIC + _frame(b"ar://v8", 0, entry.payload)
+    assert (tmp_path / "v8" / "archive.log").read_bytes() == written.ljust(ARCHIVE_CHUNK, b"\0")
+    assert archive.read("ar://v8") == [(0, entry.payload)]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -824,17 +843,27 @@ def test_validate_block_rejects_hostile_kept_bytes(data):
     assert validate_block(dataclasses.replace(block, entries=tuple(entries))) is False
 
 
+FUZZ_ADDRESSES = ("ar://fuzz", "ar://other", "ar://never")
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_file_archive_read_raises_only_archive_error(data):
+    """A log's bytes (two frames for one address and one for another, then
+    zeros), truncated, with one byte flipped, or random: reading any
+    address raises only ``ArchiveError``, and every payload it returns
+    decodes.
+    """
     entry = _golden()["entry"]
-    valid = ARCHIVE_MAGIC + (u64(0) + entry.payload) * 2
-    blob = data.draw(hostile([valid]))
+    frames = [_frame(b"ar://fuzz", 0, entry.payload), _frame(b"ar://other", 0, entry.payload)]
+    valid = ARCHIVE_MAGIC + frames[0] + frames[1] + _frame(b"ar://fuzz", 1, entry.payload)
+    blob = data.draw(hostile([valid + bytes(16)]))
+    address = data.draw(st.sampled_from(FUZZ_ADDRESSES), label="address")
     with tempfile.TemporaryDirectory() as root:
-        archive = FileArchive(root)
-        archive._path("ar://fuzz").write_bytes(blob)
+        with open(f"{root}/archive.log", "wb") as fh:
+            fh.write(blob)
         try:
-            records = archive.read("ar://fuzz")
+            records = FileArchive(root).read(address)
         except ArchiveError:
             return
     for seq, payload in records:
