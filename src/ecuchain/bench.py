@@ -274,8 +274,9 @@ def bench_storage(
     seed: int = 0,
 ) -> MetricsReport:
     """Exact serialized ledger size at each materialized block count, plus a
-    linear extrapolation to the requested fleet sizes. Blocks hold one
-    registration entry each (freshly initialized vehicles).
+    linear extrapolation to the requested fleet sizes, fit through those
+    points and the empty ledger, so one count extrapolates exactly. Blocks
+    hold one registration entry each (freshly initialized vehicles).
     """
     _check_counts([*counts, *extrapolate_to])
     targets = sorted(set(counts))
@@ -288,7 +289,7 @@ def bench_storage(
     )
     ledger = Ledger()
     built = 0
-    measured: list[tuple[int, int]] = []
+    measured = [(0, len(ledger.serialize()))]
     for target in targets:
         while built < target:
             keys = generate_keypair(
@@ -300,12 +301,7 @@ def bench_storage(
         size = len(ledger.serialize())
         measured.append((target, size))
         report.storage.append(StoragePoint(blocks=target, bytes=size, kind="measured"))
-    if len(measured) >= 2:
-        slope, intercept, _ = linear_fit(
-            [m[0] for m in measured], [m[1] for m in measured]
-        )
-    else:
-        slope, intercept = measured[0][1] / measured[0][0], 0.0
+    slope, intercept, _ = linear_fit([m[0] for m in measured], [m[1] for m in measured])
     report.per_block_bytes = slope
     for target in extrapolate_to:
         report.storage.append(

@@ -72,17 +72,16 @@ the owner key. There is no reader for older layouts (magics ``ECUL1`` to
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
 block. A ``FileArchive`` keeps one log per root, grown in pre-zeroed
-1 MiB chunks: the marker ``ECUA8``, then one frame per append (u32 body
-length, u32 CRC32 of the body, then the body: the address field and the
-appended records, each its 8-byte seq and its payload), then zeros. Each
-append writes its frame into the zeros and fsyncs the log once; a torn
-last append, one frame, is cut back when the log is reopened, and a bad
-frame in the middle raises ``ArchiveError``. ``ECUA7`` marked one file per address with its records
-back to back, ``ECUA6`` the genesis and update signatures before that,
-``ECUA5`` the challenge record before that, ``ECUA4`` the genesis before
-that, and the three earlier archive layouts had no marker: a log in any
-of them raises ``ArchiveError``. A ledger restored by
-``deserialize_ledger`` continues each block's sequence.
+1 MiB chunks: the marker ``ECUA9``, then one frame per append (u32 body
+length, u32 CRC32 of the body seeded with the frame's log offset, then the
+body: the address field and the appended records, each its 8-byte seq and
+its payload), then zeros. Each append writes its frame into the zeros and
+fsyncs the log once. A frame is valid only at the offset it was written
+at, so reopening needs one rule: the first bad frame is a torn last
+append, cut back, unless a frame valid where it sits follows it, which
+raises ``ArchiveError``. A log behind any other marker, or none, raises
+``ArchiveError``. A ledger restored by ``deserialize_ledger`` continues
+each block's sequence.
 """
 
 from __future__ import annotations
@@ -124,8 +123,8 @@ from .wire import (
 
 LEDGER_MAGIC = b"ECULA"
 # First bytes of every ``FileArchive`` log.
-ARCHIVE_MAGIC = b"ECUA8"
-# A log frame's header: the body's length and its CRC32.
+ARCHIVE_MAGIC = b"ECUA9"
+# A log frame's header: the body's length and its CRC32, seeded with the frame's offset.
 FRAME_HEADER = struct.Struct(">II")
 # What a ``FileArchive`` log grows by, in zeros written and fsynced.
 ARCHIVE_CHUNK = 1 << 20
@@ -335,21 +334,24 @@ class MemoryArchive(Archive):
         return list(self._store.get(address, []))
 
 
-def _frame(address: str, records: Iterable[LedgerEntry]) -> bytes:
-    """One log frame, one per ``append_many`` call: u32 body length, u32
-    CRC32 of the body, then the body, which is the address field and the
-    batch's records as ``write_records`` writes them.
+def _frame(address: str, records: Iterable[LedgerEntry], pos: int) -> bytes:
+    """One log frame, one per ``append_many`` call, to be written at log
+    offset ``pos``: u32 body length, u32 CRC32 of the body seeded with
+    ``pos`` (modulo 2**32), then the body, which is the address field and
+    the batch's records as ``write_records`` writes them. The seed makes
+    the frame valid at ``pos`` only.
     """
     body = encode_str(address) + write_records(records)
-    return FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
+    return FRAME_HEADER.pack(len(body), zlib.crc32(body, pos)) + body
 
 
-def _frame_at(data, pos: int) -> Optional[tuple[str, int, int]]:
+def _frame_at(data, pos: int, base: int = 0) -> Optional[tuple[str, int, int]]:
     """The address, the offset where the records start and the end of the
-    frame that starts at ``pos`` in ``data`` (bytes or ``_LogBytes``); None
-    unless one does: it fits, its body starts with an address field and
-    its CRC32 matches. The CRC32 is taken a chunk at a
-    time, so a length read from stray bytes costs no more memory.
+    frame that starts at ``pos`` in ``data`` (bytes or ``_LogBytes``
+    whose first byte is at log offset ``base``); None unless one does: it
+    fits, its body starts with an address field and its CRC32, seeded
+    with its log offset ``base + pos``, matches. The CRC32 is taken a chunk at a time, so
+    a length read from stray bytes costs no more memory.
     """
     header = data[pos : pos + FRAME_HEADER.size]
     if len(header) < FRAME_HEADER.size:
@@ -361,7 +363,7 @@ def _frame_at(data, pos: int) -> Optional[tuple[str, int, int]]:
     field = U32.size + U32.unpack(data[start : start + U32.size])[0]
     if field > length:
         return None
-    check = 0
+    check = base + pos
     for at in range(start, end, ARCHIVE_CHUNK):
         check = zlib.crc32(data[at : min(at + ARCHIVE_CHUNK, end)], check)
     if check != crc:
@@ -447,15 +449,15 @@ class FileArchive(Archive):
     never their payloads; ``read`` preads each frame and checks its CRC32,
     its address, and that its records decode. A log that was already there
     is scanned once, on first use, a piece at a time. The scan stops where
-    no valid frame starts. Since an append is one frame, a crash before its
-    fsync returned leaves one bad frame there (cut short, failing its
-    CRC32, any of its bytes lost), and the next append overwrites it
-    with its frame and zeros. A valid frame after it is corruption in the
-    middle and raises ``ArchiveError``, and so does a log without the
-    marker. That frame is looked for where the bad frame's length says it
-    ends, or, if that length is 0 or runs past the log, at every offset up
-    to the last non-zero byte: a torn frame whose header was lost, and
-    whose kept bytes hold a valid frame, raises too. One writer per root.
+    no valid frame starts. Each frame's CRC32 is seeded with its offset,
+    so a frame is valid only where it was written, and one rule follows:
+    the bad frame is a torn tail unless some offset up to the last
+    non-zero byte holds a frame valid there, which is corruption in the
+    middle and raises ``ArchiveError``. Since an append is one frame, a
+    crash before its fsync returned leaves one bad frame (cut short,
+    failing its CRC32, any of its bytes lost, its header too), and the
+    next append overwrites it with its frame and zeros. A log behind any
+    other marker, or none, raises ``ArchiveError``. One writer per root.
     """
 
     def __init__(self, root: str | Path):
@@ -491,14 +493,8 @@ class FileArchive(Archive):
                 piece = log[at : at + len(_ZEROS)]
                 if piece != _ZEROS[: len(piece)]:
                     dirty = at + len(piece.rstrip(b"\0"))
-            if dirty > pos:
-                header = log[pos : pos + FRAME_HEADER.size].ljust(FRAME_HEADER.size, b"\0")
-                length = FRAME_HEADER.unpack(header)[0]
-                claimed = pos + FRAME_HEADER.size + length
-                # A torn frame ends where its length says, if that survived.
-                after = claimed if length and claimed <= size else pos + 1
-                if any(_frame_at(log, q) for q in range(after, dirty)):
-                    raise ArchiveError(f"corrupt archive frame at offset {pos}")
+            if any(_frame_at(log, q) for q in range(pos + 1, dirty)):
+                raise ArchiveError(f"corrupt archive frame at offset {pos}")
         except BaseException:
             os.close(fd)
             raise
@@ -527,10 +523,10 @@ class FileArchive(Archive):
         self._end = self._dirty = len(ARCHIVE_MAGIC)
 
     def append_many(self, address, records):
-        frame = _frame(address, records)
         try:
             if not self._opened():
                 self._create()
+            frame = _frame(address, records, self._end)
             # Zeros past the frame clear what a failed or torn append left.
             data = frame.ljust(self._dirty - self._end, b"\0")
             stop = self._end + len(data)
@@ -552,12 +548,12 @@ class FileArchive(Archive):
             if not self._opened():
                 return []
             spans = self._index.get(address, array("Q"))
-            frames = [_pread(self._fd, size, pos) for pos, size in zip(spans[::2], spans[1::2])]
+            frames = [(pos, _pread(self._fd, n, pos)) for pos, n in zip(spans[::2], spans[1::2])]
         except OSError as exc:
             raise ArchiveError(f"archive read failed: {exc}") from exc
         records = []
-        for data in frames:
-            frame = _frame_at(data, 0)
+        for pos, data in frames:
+            frame = _frame_at(data, 0, pos)
             if frame is None or frame[0] != address or frame[2] != len(data):
                 raise ArchiveError("corrupt archive frame")
             r = Reader(data, frame[1])

@@ -419,10 +419,10 @@ def _frame_offsets(data: bytes) -> list[int]:
 
 def _resealed(data: bytes, start: int, body: bytes) -> bytes:
     """``data`` with the frame at ``start`` replaced by one holding ``body``
-    under a matching length and CRC32.
+    under a matching length and a CRC32 seeded with ``start``.
     """
     end = start + 8 + int.from_bytes(data[start : start + 4], "big")
-    frame = len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
+    frame = len(body).to_bytes(4, "big") + zlib.crc32(body, start).to_bytes(4, "big") + body
     return data[:start] + frame + data[end:]
 
 
@@ -470,6 +470,26 @@ def test_file_archive_read_rejects_truncated_and_corrupt_records(tmp_path):
     assert reopened(whole) == expected
 
 
+def test_a_flipped_length_bit_in_the_middle_raises_on_reopen(tmp_path):
+    """A log of four one-record frames with any one of the 32 bits of the
+    third frame's length flipped: the fourth frame is still valid where it
+    was written, so a reopen raises, and never reads the first two records
+    as if a torn tail followed them.
+    """
+    genesis, records = _payloads()
+    archive = FileArchive(tmp_path)
+    for seq, tx in enumerate((genesis, *records[:3])):
+        archive.append_many("ar://len", [(seq, tx.to_bytes())])
+    whole = _log(tmp_path)
+    third = _frame_offsets(whole)[2]
+    for bit in range(32):
+        flipped = bytearray(whole)
+        flipped[third + bit // 8] ^= 0x80 >> bit % 8
+        (tmp_path / "archive.log").write_bytes(flipped)
+        with pytest.raises(ArchiveError, match=f"corrupt archive frame at offset {third}$"):
+            FileArchive(tmp_path).read("ar://len")
+
+
 def _fsyncs(monkeypatch, root):
     """A list that each ``os.fsync`` appends to: ``"dir"`` for ``root``,
     else the log's size and where its frames end (see ``_frame_offsets``).
@@ -508,6 +528,36 @@ def test_each_append_ends_with_one_fsync_of_the_log(tmp_path, monkeypatch):
     del synced[:]
     archive.append_many("ar://sync", [(1, payload)])
     end += head + record
+    assert synced == [(ARCHIVE_CHUNK, end)]
+    del synced[:]
+    fill = (ARCHIVE_CHUNK - end - head) // record
+    archive.append_many("ar://sync", [(2 + i, payload) for i in range(fill)])
+    end += head + fill * record
+    assert synced == [(ARCHIVE_CHUNK, end)]
+    del synced[:]
+    archive.append_many("ar://sync", [(2 + fill, payload)])
+    assert synced == [(2 * ARCHIVE_CHUNK, end), (2 * ARCHIVE_CHUNK, end + head + record)]
+    assert [seq for seq, _ in FileArchive(tmp_path).read("ar://sync")] == list(range(3 + fill))
+
+
+def test_each_append_after_a_reopen_ends_with_one_fsync_of_the_log(tmp_path, monkeypatch):
+    """Reopened over a log whose last append was torn, the first append
+    overwrites the torn frame and fsyncs the log once, and so does each
+    later one; one that crosses a chunk fsyncs the new zeroed chunk first.
+    """
+    genesis, _ = _payloads()
+    payload = genesis.to_bytes()
+    head, record = 8 + 4 + len("ar://sync"), 8 + len(payload)
+    archive = FileArchive(tmp_path)
+    archive.append_many("ar://sync", [(0, payload)])
+    archive.append_many("ar://sync", [(1, payload)])
+    whole = _log(tmp_path)
+    end = _frame_offsets(whole)[-1]
+    (tmp_path / "archive.log").write_bytes(whole[: end - 40] + bytes(40) + whole[end:])
+    synced = _fsyncs(monkeypatch, tmp_path)
+    archive = FileArchive(tmp_path)
+    assert archive.read("ar://sync") == [(0, payload)] and synced == []
+    archive.append_many("ar://sync", [(1, payload)])
     assert synced == [(ARCHIVE_CHUNK, end)]
     del synced[:]
     fill = (ARCHIVE_CHUNK - end - head) // record
@@ -607,22 +657,46 @@ def test_a_reopened_archive_reads_every_acknowledged_record_after_a_torn_append(
         recovers(whole[:at] + bytes(end - at) + whole[end:], appends=False)
 
 
-def test_a_torn_append_whose_kept_bytes_hold_a_frame_is_cut_back(tmp_path):
-    """A payload may hold the bytes of a valid frame. Where a torn append
-    kept its frame's header, the scan looks for a valid frame only past
-    the end that header gives, so a frame inside the torn one is not
-    mistaken for a record written after it.
+def _log_with_a_frame_in_its_last(root):
+    """A log of two appends to ``ar://a``, whose second record's payload
+    holds a frame for ``ar://b``, valid at the offset of the log's first
+    frame; the log's bytes, where its last frame starts, where the frame
+    inside it starts and where the frames end.
     """
-    genesis, _ = _payloads()
-    archive = FileArchive(tmp_path)
-    archive.append_many("ar://a", [(0, genesis.to_bytes())])
-    inner = _resealed(_log(tmp_path), len(ARCHIVE_MAGIC), b"\x00\x00\x00\x06ar://b" + bytes(8))
+    archive = FileArchive(root)
+    archive.append_many("ar://a", [(0, _payloads()[0].to_bytes())])
+    inner = _resealed(_log(root), len(ARCHIVE_MAGIC), b"\x00\x00\x00\x06ar://b" + bytes(8))
     inner = inner[len(ARCHIVE_MAGIC) : _frame_offsets(inner)[1]]
     archive.append_many("ar://a", [(1, b"\x01" * 40 + inner + b"\x01" * 40)])
-    whole = _log(tmp_path)
+    whole = _log(root)
     _, last, end = _frame_offsets(whole)
+    return whole, last, whole.index(inner, last), end
+
+
+def test_a_torn_append_whose_kept_bytes_hold_a_frame_is_cut_back(tmp_path):
+    """A payload may hold the bytes of a valid frame, but a frame is valid
+    only at the offset it was written at. Where a torn append kept its
+    frame's header, and lost bytes from any later one on, the frame inside
+    it is not mistaken for a record written after it.
+    """
+    genesis, _ = _payloads()
+    whole, last, _, end = _log_with_a_frame_in_its_last(tmp_path)
     for at in range(last + 8, end):
         (tmp_path / "archive.log").write_bytes(whole[:at] + bytes(end - at) + whole[end:])
+        assert FileArchive(tmp_path).read("ar://a") == [(0, genesis.to_bytes())]
+        assert FileArchive(tmp_path).read("ar://b") == []
+
+
+def test_a_torn_append_that_lost_its_header_and_kept_a_frame_is_cut_back(tmp_path):
+    """A torn append that lost its length field, its bytes zeroed from its
+    start through each byte up to the frame its payload holds, and kept
+    that frame: the frame is valid only where it was made, so the reopen
+    reads the record before the torn append, and none for ``ar://b``.
+    """
+    genesis, _ = _payloads()
+    whole, last, inner, _ = _log_with_a_frame_in_its_last(tmp_path)
+    for at in range(last + 4, inner + 1):
+        (tmp_path / "archive.log").write_bytes(whole[:last] + bytes(at - last) + whole[at:])
         assert FileArchive(tmp_path).read("ar://a") == [(0, genesis.to_bytes())]
         assert FileArchive(tmp_path).read("ar://b") == []
 

@@ -99,6 +99,18 @@ def test_bench_storage_linearity_and_footprint():
     )
 
 
+def test_bench_storage_extrapolates_one_count_exactly():
+    """The line runs through the empty ledger as well as the measured
+    points, so one measured count extrapolates to the size that many
+    blocks take, and the empty ledger is not reported as a point.
+    """
+    report = bench_storage(counts=[10], extrapolate_to=[20])
+    twenty = bench_storage(counts=[20], extrapolate_to=[1])
+    assert [(p.blocks, p.kind) for p in report.storage] == [(10, "measured"), (20, "extrapolated")]
+    assert report.storage[1].bytes == twenty.storage[0].bytes
+    assert report.per_block_bytes == twenty.per_block_bytes
+
+
 def test_csv_format_timing():
     report = MetricsReport(
         benchmark="merkle-root",

@@ -566,13 +566,13 @@ def test_v3_genesis_raises_protocol_error(tiers):
     assert not roadside.profiles
 
 
-def _frame(address: bytes, seq: int, payload: bytes) -> bytes:
-    """An archive log frame of one record, by hand: u32 body length, u32
-    CRC32 of the body, then the body: the address behind its u32 length,
-    the u64 seq and the payload.
+def _frame(address: bytes, seq: int, payload: bytes, pos: int) -> bytes:
+    """An archive log frame of one record at log offset ``pos``, by hand:
+    u32 body length, u32 CRC32 of the body seeded with ``pos``, then the
+    body: the address behind its u32 length, the u64 seq and the payload.
     """
     body = len(address).to_bytes(4, "big") + address + u64(seq) + payload
-    return len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
+    return len(body).to_bytes(4, "big") + zlib.crc32(body, pos).to_bytes(4, "big") + body
 
 
 def test_v1_archive_file_raises_archive_error(tmp_path):
@@ -581,14 +581,16 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
     layout (marked, with the genesis before ``ECUL8``), in the ``ECUA5``
     layout (marked, with the challenge records before ``ECUL9``), in the
     ``ECUA6`` layout (marked, with the genesis signed without its owner key
-    before ``ECULA``) and in the ``ECUA7`` layout (marked, one file per
-    address, each record its sequence number and payload, no frame) raise,
-    and so does a log in the current layout behind any of those markers.
-    A log starts with ``ARCHIVE_MAGIC``, then one frame per append, then
-    zeros up to a whole chunk.
+    before ``ECULA``), in the ``ECUA7`` layout (marked, one file per
+    address, each record its sequence number and payload, no frame) and in
+    the ``ECUA8`` layout (marked, each frame's CRC32 unseeded) raise, and
+    so does a log in the current layout behind any of those markers. A log
+    starts with ``ARCHIVE_MAGIC``, then one frame per append, then zeros
+    up to a whole chunk.
     """
     entry = _golden()["entry"]
-    frame = _frame(b"ar://old", 0, entry.payload)
+    at = len(ARCHIVE_MAGIC)
+    frame = _frame(b"ar://old", 0, entry.payload, at)
     old_layouts = {
         "v1": u64(0) + _v1_genesis_entry(),
         "v2": u64(0) + _v2_genesis_entry(),
@@ -597,20 +599,22 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
         "v5": b"ECUA5" + u64(0) + _v9_genesis(),
         "v6": b"ECUA6" + u64(0) + _v9_genesis(),
         "v7": b"ECUA7" + u64(0) + entry.payload,
-        **{f"framed {m}": m + frame for m in (b"ECUA4", b"ECUA5", b"ECUA6", b"ECUA7")},
+        # A CRC32 seeded with 0 is the unseeded one.
+        "v8": b"ECUA8" + _frame(b"ar://old", 0, entry.payload, 0),
+        **{f"framed {m}": m + frame for m in (b"ECUA4", b"ECUA5", b"ECUA6", b"ECUA7", b"ECUA8")},
     }
     for name, data in old_layouts.items():
         root = tmp_path / name
         root.mkdir()
         (root / "archive.log").write_bytes(data)
         for address in ("ar://old", "ar://other"):
-            with pytest.raises(ArchiveError, match="no ECUA8 marker"):
+            with pytest.raises(ArchiveError, match="no ECUA9 marker"):
                 FileArchive(root).read(address)
-    archive = FileArchive(tmp_path / "v8")
-    archive.append_many("ar://v8", [(0, entry.payload)])
-    written = ARCHIVE_MAGIC + _frame(b"ar://v8", 0, entry.payload)
-    assert (tmp_path / "v8" / "archive.log").read_bytes() == written.ljust(ARCHIVE_CHUNK, b"\0")
-    assert archive.read("ar://v8") == [(0, entry.payload)]
+    archive = FileArchive(tmp_path / "v9")
+    archive.append_many("ar://v9", [(0, entry.payload)])
+    written = ARCHIVE_MAGIC + _frame(b"ar://v9", 0, entry.payload, at)
+    assert (tmp_path / "v9" / "archive.log").read_bytes() == written.ljust(ARCHIVE_CHUNK, b"\0")
+    assert archive.read("ar://v9") == [(0, entry.payload)]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -852,22 +856,32 @@ def test_file_archive_read_raises_only_archive_error(data):
     """A log's bytes (two frames for one address and one for another, then
     zeros), truncated, with one byte flipped, or random: reading any
     address raises only ``ArchiveError``, and every payload it returns
-    decodes.
+    decodes. Unchanged, the log reads back whole.
     """
     entry = _golden()["entry"]
-    frames = [_frame(b"ar://fuzz", 0, entry.payload), _frame(b"ar://other", 0, entry.payload)]
-    valid = ARCHIVE_MAGIC + frames[0] + frames[1] + _frame(b"ar://fuzz", 1, entry.payload)
-    blob = data.draw(hostile([valid + bytes(16)]))
+    valid = ARCHIVE_MAGIC
+    for address, seq in ((b"ar://fuzz", 0), (b"ar://other", 0), (b"ar://fuzz", 1)):
+        valid += _frame(address, seq, entry.payload, len(valid))
+    valid += bytes(16)
+    expected = {"ar://fuzz": [0, 1], "ar://other": [0], "ar://never": []}
+    for address, seqs in expected.items():
+        assert _read_log(valid, address) == [(seq, entry.payload) for seq in seqs]
+    blob = data.draw(hostile([valid]))
     address = data.draw(st.sampled_from(FUZZ_ADDRESSES), label="address")
+    try:
+        records = _read_log(blob, address)
+    except ArchiveError:
+        return
+    for seq, payload in records:
+        decode_transaction(payload)
+
+
+def _read_log(blob: bytes, address: str) -> list:
+    """What a ``FileArchive`` whose log holds ``blob`` reads for ``address``."""
     with tempfile.TemporaryDirectory() as root:
         with open(f"{root}/archive.log", "wb") as fh:
             fh.write(blob)
-        try:
-            records = FileArchive(root).read(address)
-        except ArchiveError:
-            return
-    for seq, payload in records:
-        decode_transaction(payload)
+        return FileArchive(root).read(address)
 
 
 def _edited_and_resealed(block: AppendableBlock, offset: int, value: bytes) -> bytes:
