@@ -28,7 +28,11 @@ the kept bytes, that its signature covers the block's owner key, so an
 entry verifies in the block it was signed for only, whatever its type.
 ``reconstruct_history`` runs it over every archived entry too, then
 folds ``apply_entry`` over what it decoded, so an audit trusts neither
-the append path, the archive nor the place an entry was put. Bytes from
+the append path, the archive nor the place an entry was put. Of a
+challenge record's two signatures, ``validate_block`` checks only the
+RSU's: the vehicle's covers a response whose root and ECU records are
+the vehicle's state, which only the fold holds, so the fold rebuilds
+that response (``recorded_response``) and checks it. Bytes from
 disk or the wire (``FileArchive.read``, ``deserialize_ledger``) are
 decoded once on the way in, to reject what does not parse (and, in a
 block, to find where a record ends), and only their bytes are kept.
@@ -62,17 +66,17 @@ address is not stored: ``BlockHeader.external_address`` is
 (the 8-byte sequence number, then the payload, which fixes its own length)
 and a big-endian CRC32 of all that: 8 bytes of framing per entry and 4 per
 block. No entry count is stored: ``decode_block`` reads records until the
-checksummed body ends. ``Ledger.serialize`` writes the magic ``ECULA``,
+checksummed body ends. ``Ledger.serialize`` writes the magic ``ECULB``,
 then each block behind a u32 length until the data ends, and not the
-head; it differs from ``ECUL9`` in its headers, which no longer hold a
-creation time, and in its genesis and update signatures, which now cover
-the owner key. There is no reader for older layouts (magics ``ECUL1`` to
-``ECUL9``): such bytes raise ``WireError``.
+head; it differs from ``ECULA`` in its challenge records, which no
+longer embed their response: they keep its ECU ids, its ``ts`` and the
+vehicle's signature. There is no reader for older layouts (magics
+``ECUL1`` to ``ECULA``): such bytes raise ``WireError``.
 
 Pruning keeps the last two entries (previous and current state) and
 archives each removed entry exactly once, as it is, when it leaves the
 block. A ``FileArchive`` keeps one log per root, grown in pre-zeroed
-1 MiB chunks: the marker ``ECUA9``, then one frame per append (u32 body
+1 MiB chunks: the marker ``ECUAA``, then one frame per append (u32 body
 length, u32 CRC32 of the body seeded with the frame's log offset, then the
 body: the address field and the appended records, each its 8-byte seq and
 its payload), then zeros. Each append writes its frame into the zeros and
@@ -121,9 +125,9 @@ from .wire import (
     encode_u64,
 )
 
-LEDGER_MAGIC = b"ECULA"
+LEDGER_MAGIC = b"ECULB"
 # First bytes of every ``FileArchive`` log.
-ARCHIVE_MAGIC = b"ECUA9"
+ARCHIVE_MAGIC = b"ECUAA"
 # A log frame's header: the body's length and its CRC32, seeded with the frame's offset.
 FRAME_HEADER = struct.Struct(">II")
 # What a ``FileArchive`` log grows by, in zeros written and fsynced.
@@ -271,13 +275,34 @@ def response_verdict(profile: VehicleProfile, response: ChallengeResponse) -> Ve
     return Verdict.VALID
 
 
-def apply_entry(profile: Optional[VehicleProfile], tx: Transaction) -> VehicleProfile:
-    """The profile after ``tx``, the next entry of a vehicle's history
-    (None before its genesis). Raises ``ValueError`` naming the rule ``tx``
-    breaks: a genesis opens a history, and nothing else does; an update is
-    one ``update_ecu`` accepts, dated after its ECU's last write, and its
-    ``new_root`` the updated state's root; a record's response is Valid by
-    ``response_verdict``.
+def recorded_response(state: EcuState, record: ChallengeRecordTx) -> ChallengeResponse:
+    """The response ``record`` stands for, against ``state``: the state's
+    root, its records of the ECUs ``record`` names, in that order, then
+    ``record``'s ``ts`` and the vehicle's signature. A Valid response's
+    root and records are the state's, and wire bytes re-encode
+    canonically, so if ``state`` is the one the response was checked
+    against, ``to_bytes()`` is the wire the vehicle sent. Raises
+    ``ValueError`` if ``record`` names an ECU that ``state`` lacks.
+    """
+    known = state.records
+    try:
+        subset = tuple(known[i] for i in record.ecu_ids)
+    except IndexError:
+        raise ValueError("recorded ECU id out of range") from None
+    return ChallengeResponse(compute_state_root(state), subset, record.ts, record.vehicle_sig)
+
+
+def apply_entry(
+    profile: Optional[VehicleProfile], tx: Transaction, owner: PublicKey
+) -> VehicleProfile:
+    """The profile after ``tx``, the next entry of the history of
+    ``owner``'s block (None before its genesis). Raises ``ValueError``
+    naming the rule ``tx`` breaks: a genesis opens a history, and nothing
+    else does; an update is one ``update_ecu`` accepts, dated after its
+    ECU's last write, and its ``new_root`` the updated state's root; a
+    record names ECUs the state has, and the response it stands for
+    (``recorded_response``) is Valid by ``response_verdict`` and signed
+    by ``owner``, its vehicle.
     """
     if (profile is None) != isinstance(tx, GenesisTx):
         raise ValueError("a genesis opens a history, and nothing else does")
@@ -291,10 +316,14 @@ def apply_entry(profile: Optional[VehicleProfile], tx: Transaction) -> VehiclePr
             raise ValueError("update new_root does not match the updated state")
         return VehicleProfile(state, profile.last_response_ts)
     if isinstance(tx, ChallengeRecordTx):
-        verdict = response_verdict(profile, tx.response.value)
+        response = recorded_response(profile.state, tx)
+        # Its root and records are the state's, so only its ts can fail here.
+        verdict = response_verdict(profile, response)
+        if verdict is Verdict.VALID and not signed_by(response, response.to_bytes(), owner):
+            verdict = Verdict.BAD_SIGNATURE
         if verdict is not Verdict.VALID:
             raise ValueError(f"recorded response is {verdict.value}")
-        return VehicleProfile(profile.state, tx.response.value.ts)
+        return VehicleProfile(profile.state, tx.ts)
     raise ValueError(f"a {type(tx).__name__} is no vehicle entry")
 
 
@@ -604,10 +633,10 @@ def reconstruct_history(
     txs = _verified_transactions(replace(block, entries=tuple(history)))
     if txs is None:
         raise LedgerError("archived history does not validate")
-    profile = None
+    profile, owner = None, block.header.owner_pk
     for seq, tx in enumerate(txs):
         try:
-            profile = apply_entry(profile, tx)
+            profile = apply_entry(profile, tx, owner)
         except ValueError as exc:
             raise LedgerError(f"seq {seq}: {exc}") from None
     return history

@@ -11,8 +11,9 @@ per-vehicle blocks and each vehicle's ``VehicleProfile``, the cache of
 ``ledger.apply_entry`` folded over its history: the one record of
 registration that every check reads, and what a response is checked
 against, kept when pruning moves entries out of the block. The entry
-points apply that transition (and its record rule ``response_verdict``)
-to the live profile; ``reconstruct_history`` replays it at audit.
+points apply that transition to the live profile, and
+``verify_response`` its record rule ``response_verdict``;
+``reconstruct_history`` replays it at audit.
 
 Every message enters a tier here. Each entry point takes the wire bytes
 it received, decodes them once, rejects bytes that do not decode like
@@ -35,7 +36,9 @@ number and the archive address, and verifies again only when audited.
 An entry's signature covers the key of the block that keeps it:
 ``make_genesis`` and ``perform_maintenance`` sign over the vehicle's
 key, an insurer over ``audit_pk``, and the RSU, whose challenge record
-is not checked again, over the challenged vehicle's.
+is not checked again, over the challenged vehicle's. A record keeps, of
+the response, only its ECU ids, ``ts`` and the vehicle's signature: the
+rest is the vehicle's state, from which the audit's fold rebuilds it.
 
 A response is fresh when it is dated within ``MAX_RESPONSE_DELAY_MS`` of
 its challenge and after the last recorded one; the window stops a
@@ -78,7 +81,6 @@ from .transactions import (
     ChallengeResponse,
     GenesisTx,
     LedgerHead,
-    Received,
     RequestTx,
     S,
     Signable,
@@ -197,7 +199,7 @@ def initialize_vehicle(authority: AuthorityTier, roadside: RoadsideTier, wire: b
     if genesis.maker_pk not in authority.authorized_makers:
         raise ProtocolError("unauthorized maker")
     try:
-        profile = apply_entry(None, genesis)
+        profile = apply_entry(None, genesis, genesis.vehicle_pk)
     except ValueError as exc:
         raise ProtocolError(f"genesis ECU list rejected: {exc}") from None
     if genesis.vehicle_pk in roadside.profiles:
@@ -229,7 +231,7 @@ def apply_upper_update(
     if profile is None:
         raise ProtocolError("unknown vehicle")
     try:
-        profile = apply_entry(profile, update)
+        profile = apply_entry(profile, update, update.vehicle_pk)
     except ValueError as exc:
         raise ProtocolError(f"update rejected: {exc}") from None
     appended = append_entry(roadside.ledger.lookup(update.vehicle_pk), wire)
@@ -309,11 +311,12 @@ def record_response(
 ) -> Verdict:
     """Decode a response's wire bytes (undecodable ones are BadSignature)
     and classify it with ``verify_response``; if Valid, append a record
-    that countersigns those bytes as received, and the challenged
-    vehicle's key, to the vehicle's block and prune it to two entries,
-    only once the archive write succeeds. Changes nothing on any other
-    verdict. Raises ``ProtocolError`` first, before any decode or verify,
-    if ``register_rsu`` never admitted the RSU or another RSU issued the
+    of it (its ECU ids, ``ts`` and the vehicle's signature, which the RSU
+    countersigns over the challenged vehicle's key) to the vehicle's
+    block and prune it to two entries, only once the archive write
+    succeeds. Changes nothing on any other verdict. Raises
+    ``ProtocolError`` first, before any decode or verify, if
+    ``register_rsu`` never admitted the RSU or another RSU issued the
     challenge: an RSU countersigns only answers to its own.
     """
     if rsu_keys.public not in authority.registered_rsus:
@@ -327,8 +330,10 @@ def record_response(
     verdict = verify_response(roadside, challenge, response, wire)
     if verdict is not Verdict.VALID:
         return verdict
+    # A Valid response names exactly the challenge's ECUs.
     record = ChallengeRecordTx(
-        response=Received(response, wire), rsu_pk=rsu_keys.public, sig=b""
+        ecu_ids=challenge.subset_indices, ts=response.ts, vehicle_sig=response.sig,
+        rsu_pk=rsu_keys.public, sig=b"",
     )
     block = roadside.ledger.lookup(challenge.vehicle_pk)
     appended = append_entry(block, signed_wire(record, rsu_keys, challenge.vehicle_pk))

@@ -9,16 +9,17 @@ Digests and public keys are raw. An ECU id and an ECU-list count are
 u16, so a vehicle has at most ``MAX_ECUS`` ECUs. A response's ECU record
 is one packed ``>H32sQ`` struct; a genesis inventory lists every ECU in
 id order, so its record is a ``>32sQ`` and reads back with ids 0 to
-n - 1. A challenge record embeds the wire bytes its response was
-received as, unprefixed (the response's ECU count fixes
-their length), so the recording RSU signs them without encoding the
-response again; the only length prefix in a transaction is on a
-request's query. A response (106 + 42k B for k ECUs) names no vehicle,
-and a record (203 + 42k B) stores none. A transaction's owner is the
-key of the block that keeps it (the audit block's, for a request), and
-its signer's signature covers that key after the tag without storing
-it. Each signed type names its signer's key field in ``SIGNER``; a
-response, signed by its owner, has none.
+n - 1. A challenge record keeps, of the Valid response it records, only
+what the fold over its block (``ledger.apply_entry``) cannot derive:
+the u16 ids of its k ECUs, its ``ts`` and the vehicle's signature. The
+state root and the ECU records are the state's, which the fold holds, so
+it rebuilds the response and checks that signature. The only length
+prefix in a transaction is on a request's query. A response (106 + 42k
+B) names no vehicle, and a record (171 + 2k B) stores none. A
+transaction's owner is the key of the block that keeps it (the audit
+block's, for a request), and its signer's signature covers that key
+after the tag without storing it. Each signed type names its signer's
+key field in ``SIGNER``; a response, signed by its owner, has none.
 ``signed_wire(unsigned, keys, owner)`` is the one way to sign and
 returns the wire bytes that are sent and kept, and
 ``signed_by(tx, wire, owner)`` the one way to check a signature, over
@@ -38,6 +39,7 @@ from . import crypto
 from .crypto import SIGNATURE_LEN, Digest, KeyPair, PublicKey, Signature
 from .ecu import EcuRecord
 from .wire import (
+    U16,
     Reader,
     WireError,
     encode_fixed,
@@ -113,6 +115,17 @@ def _read_inventory(r: Reader) -> tuple[EcuRecord, ...]:
     return tuple(EcuRecord(i, *f) for i, f in fields)
 
 
+def _encode_ids(ids: tuple[int, ...]) -> bytes:
+    try:
+        return struct.pack(f">H{len(ids)}H", len(ids), *ids)
+    except struct.error as exc:
+        raise WireError(f"ECU ids not encodable: {exc}") from None
+
+
+def _read_ids(r: Reader) -> tuple[int, ...]:
+    return tuple(i for (i,) in _read_packed(r, U16))
+
+
 def _read_verdict(r: Reader) -> Verdict:
     value = r.read_str()
     try:
@@ -137,6 +150,8 @@ UINT64 = Codec(lambda v: encode_u64(v), Reader.read_u64)
 TEXT = Codec(lambda v: encode_str(v), Reader.read_str)
 ECU_LIST = Codec(_encode_ecu_list, _read_ecu_list)
 INVENTORY = Codec(_encode_inventory, _read_inventory)
+ECU_IDS = Codec(_encode_ids, _read_ids)
+SIG64 = Codec(lambda v: encode_fixed(v, SIGNATURE_LEN), lambda r: r.read_fixed(SIGNATURE_LEN))
 VERDICT = Codec(lambda v: encode_str(v.value), _read_verdict)
 
 
@@ -247,32 +262,23 @@ class ChallengeResponse(Signable):
     SIGNER = None
 
 
-class Received(NamedTuple):
-    """A response and the wire bytes it was received as, which a challenge
-    record embeds as they are.
-    """
-
-    value: ChallengeResponse
-    wire: bytes
-
-
-RESPONSE = Codec(lambda v: v.wire, lambda r: Received(*r.read_with_bytes(ChallengeResponse.read)))
-
-
 @dataclass(frozen=True, slots=True)
 class ChallengeRecordTx(Signable):
-    """A verified challenge response countersigned by the recording RSU.
-    The response's wire bytes are embedded whole, as received, with no
-    length prefix. It does not store the challenged vehicle's key, its
-    owner, which the RSU's signature covers.
+    """A Valid challenge response as the recording RSU countersigns it:
+    the ids of the ECUs it reported, in its order, its ``ts`` and the
+    vehicle's signature. It does not store the challenged vehicle's key,
+    its owner, which the RSU's signature covers, nor the response's root
+    and records, which are its owner's state (see ``ledger.apply_entry``).
     """
 
-    response: Received
+    ecu_ids: tuple[int, ...]
+    ts: int
+    vehicle_sig: Signature
     rsu_pk: PublicKey
     sig: Signature
 
     TAG = TAG_CHALLENGE_RECORD
-    WIRE = dict(response=RESPONSE, rsu_pk=RAW32)
+    WIRE = dict(ecu_ids=ECU_IDS, ts=UINT64, vehicle_sig=SIG64, rsu_pk=RAW32)
     SIGNER = "rsu_pk"
 
 

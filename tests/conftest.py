@@ -12,7 +12,7 @@ from ecuchain.protocol import (
     new_authority_tier,
     register_rsu,
 )
-from ecuchain.transactions import Received
+from ecuchain.transactions import ChallengeRecordTx
 from ecuchain.wire import WireError
 
 
@@ -29,9 +29,17 @@ def validate_block_bytes(data: bytes) -> bool:
     return validate_block(block)
 
 
-def embedded(response):
-    """``response`` as a challenge record embeds it: with its wire bytes."""
-    return Received(response, response.to_bytes())
+def record_of(response, rsu_pk, sig=b""):
+    """The challenge record of ``response`` by the RSU ``rsu_pk``: its ECU
+    ids, its ts and its signature.
+    """
+    return ChallengeRecordTx(
+        ecu_ids=tuple(rec.ecu_id for rec in response.subset),
+        ts=response.ts,
+        vehicle_sig=response.sig,
+        rsu_pk=rsu_pk,
+        sig=sig,
+    )
 
 
 def append(block, tx):

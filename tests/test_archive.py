@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import append, embedded, keys_for, state_of
+from conftest import append, keys_for, state_of
 from ecuchain.ledger import (
     ARCHIVE_CHUNK,
     ARCHIVE_MAGIC,
@@ -55,7 +55,6 @@ from ecuchain.sim import MaintenancePlanEntry, SimConfig, build_world, run
 from ecuchain.transactions import (
     MAX_ECUS,
     ChallengeRecordTx,
-    ChallengeResponse,
     GenesisTx,
     RequestTx,
     UpdateTx,
@@ -172,19 +171,12 @@ digests = st.binary(min_size=32, max_size=32)
 u64s = st.integers(0, U64_MAX)
 VALUES = {
     "sig": st.binary(min_size=64, max_size=64),
+    "vehicle_sig": st.binary(min_size=64, max_size=64),
     "ts": u64s,
     "ecu_id": st.integers(0, MAX_ECUS),
     "last_write_ts": u64s,
 }
 SIGNER_FIELD = {GenesisTx: "maker_pk", UpdateTx: "maintainer_pk", ChallengeRecordTx: "rsu_pk"}
-# A genesis stores no root.
-ROOT_FIELD = {UpdateTx: "new_root", ChallengeResponse: "state_root"}
-# Each ECU list's field and the record fields it stores: a genesis inventory
-# stores no ECU ids, which are the records' positions.
-ECU_LIST_FIELD = {
-    GenesisTx: ("ecu_list", ["firmware_digest", "last_write_ts"]),
-    ChallengeResponse: ("subset", ["ecu_id", "firmware_digest", "last_write_ts"]),
-}
 
 
 def _changed(draw, obj, name):
@@ -194,47 +186,52 @@ def _changed(draw, obj, name):
 
 
 def _changed_content(draw, tx, kind):
-    """``tx`` (a genesis, an update or a response) with its state root,
-    timestamp, owner key or one ECU record changed. A genesis has no state
-    root, and its ECU records no stored id.
+    """``tx`` (a genesis, an update or a challenge record) with its state
+    root, owner key or one of its ECUs changed. Only an update stores a
+    state root, and only a genesis and an update name their owner; a
+    genesis stores its ECU records without ids, and a record stores only
+    its ECUs' ids.
     """
     if kind == "state root":
-        return _changed(draw, tx, ROOT_FIELD[type(tx)])
-    if kind == "ts":
-        return _changed(draw, tx, "ts")
+        return _changed(draw, tx, "new_root")
     if kind == "owner key":
         return _changed(draw, tx, "vehicle_pk")
     if isinstance(tx, UpdateTx):
         return _changed(draw, tx, draw(st.sampled_from(["ecu_id", "firmware_digest"])))
-    name, stored = ECU_LIST_FIELD[type(tx)]
-    records = list(getattr(tx, name))
+    if isinstance(tx, ChallengeRecordTx):
+        ids = list(tx.ecu_ids)
+        i = draw(st.integers(0, len(ids) - 1))
+        ids[i] = draw(VALUES["ecu_id"].filter(lambda v: v != ids[i]))
+        return dataclasses.replace(tx, ecu_ids=tuple(ids))
+    records = list(tx.ecu_list)
     i = draw(st.integers(0, len(records) - 1))
-    attr = draw(st.sampled_from(stored))
+    attr = draw(st.sampled_from(["firmware_digest", "last_write_ts"]))
     records[i] = _changed(draw, records[i], attr)
-    return dataclasses.replace(tx, **{name: tuple(records)})
+    return dataclasses.replace(tx, ecu_list=tuple(records))
 
 
 @st.composite
 def changed_payload(draw, tx):
-    """``tx`` with one field changed: its signature, state root (not for a
-    genesis), timestamp, owner key (not for a challenge record, which names
-    none), signer key (the RSU's, for a challenge record) or one ECU record.
+    """``tx`` with one field changed: its signature, timestamp, signer key
+    (the RSU's, for a challenge record), one ECU, its state root (an
+    update's), its owner key (not for a challenge record, which names
+    none) or a challenge record's vehicle signature.
     """
-    content = tx.response.value if isinstance(tx, ChallengeRecordTx) else tx
-    kinds = ["sig", "state root", "ts", "owner key", "signer key", "ecu record"]
-    if type(content) not in ROOT_FIELD:
-        kinds.remove("state root")
+    kinds = ["sig", "ts", "signer key", "ecu"]
+    if isinstance(tx, UpdateTx):
+        kinds.append("state root")
     if isinstance(tx, ChallengeRecordTx):
-        kinds.remove("owner key")
+        kinds.append("vehicle sig")
+    else:
+        kinds.append("owner key")
     kind = draw(st.sampled_from(kinds))
-    if kind == "sig":
-        return _changed(draw, tx, "sig")
+    if kind in ("sig", "ts"):
+        return _changed(draw, tx, kind)
     if kind == "signer key":
         return _changed(draw, tx, SIGNER_FIELD[type(tx)])
-    changed = _changed_content(draw, content, kind)
-    if isinstance(tx, ChallengeRecordTx):
-        return dataclasses.replace(tx, response=embedded(changed))
-    return changed
+    if kind == "vehicle sig":
+        return _changed(draw, tx, "vehicle_sig")
+    return _changed_content(draw, tx, kind)
 
 
 @settings(max_examples=40, deadline=None)

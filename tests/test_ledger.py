@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import append, embedded, keys_for, state_of, validate_block_bytes
+from conftest import append, keys_for, record_of, state_of, validate_block_bytes
 from ecuchain import crypto
 from ecuchain import ledger as ledger_module
 from ecuchain.bench import linear_fit
@@ -49,7 +49,7 @@ def record_tx(vehicle_keys, state, rsu_keys, ts):
     response = dataclasses.replace(
         unsigned, sig=vehicle_keys.sign(unsigned.signing_bytes())
     )
-    rec = ChallengeRecordTx(response=embedded(response), rsu_pk=rsu_keys.public, sig=b"")
+    rec = record_of(response, rsu_keys.public)
     signing = rec.signing_bytes()
     message = signing[:1] + vehicle_keys.public + signing[1:]
     return dataclasses.replace(rec, sig=rsu_keys.sign(message))
@@ -274,7 +274,9 @@ def test_write_path_calls_no_transaction_code(vehicle, rsu_keys, monkeypatch):
 
 def test_prune_serialize_and_replay_encode_no_transaction(vehicle, rsu_keys, monkeypatch):
     """Entries keep their payload's wire bytes: pruning, serializing and
-    replaying reuse them and encode no transaction.
+    replaying reuse them and encode no transaction. The replay encodes one
+    response per challenge record, the one it rebuilds to check the
+    vehicle's signature.
     """
     vehicle_keys, state, _ = vehicle
     archive = MemoryArchive()
@@ -294,10 +296,12 @@ def test_prune_serialize_and_replay_encode_no_transaction(vehicle, rsu_keys, mon
     pruned, archived = prune_to_two(block, archive)
     ledger.replace_block(pruned)
     blob = ledger.serialize()
-    history = reconstruct_history(pruned, archive)
-    assert (archived, len(history)) == (2, 7)
     assert deserialize_ledger(blob).serialize() == blob
     assert encodes == []
+    history = reconstruct_history(pruned, archive)
+    assert (archived, len(history)) == (2, 7)
+    # ``to_bytes`` calls ``signing_bytes``: one rebuilt response per record.
+    assert encodes == ["ChallengeResponse.to_bytes", "ChallengeResponse.signing_bytes"] * 6
 
 
 def test_repeated_prune_preserves_auditability(vehicle, rsu_keys):

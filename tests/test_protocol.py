@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import keys_for, state_of
+from conftest import keys_for, record_of, state_of
 from ecuchain import _kernels
 from ecuchain.crypto import KeyPair, sha256, verify
 from ecuchain.ecu import EcuState, compute_state_root, update_ecu
@@ -502,12 +502,14 @@ def test_recorded_entry_countersignature_verifies(registered, rsu_keys):
     assert verify(rsu_keys.public, message, record.sig)
 
 
-def test_record_embeds_the_received_response_bytes_without_encoding_them(
+def test_record_keeps_the_responses_ids_ts_and_signature_without_encoding_it(
     registered, rsu_keys, monkeypatch
 ):
-    """The RSU signs the response's bytes as it received them: recording
-    encodes no response, and the record is the tag, those bytes, the RSU
-    key and its signature over them with the vehicle's key after the tag.
+    """A record keeps, of the response it records, only what the vehicle's
+    state cannot give back: recording encodes no response, and the record
+    is the tag, the ECU count and ids, the response's ts and signature,
+    the RSU key and its signature over them with the vehicle's key after
+    the tag.
     """
     authority, roadside, vehicle_keys, state = registered
     challenge, response = honest_round(roadside, rsu_keys, vehicle_keys, state, ts=7)
@@ -520,11 +522,16 @@ def test_record_embeds_the_received_response_bytes_without_encoding_them(
     assert record_response(authority, roadside, rsu_keys, challenge, response) is Verdict.VALID
     payload = roadside.ledger.lookup(vehicle_keys.public).entries[-1].payload
     tag = bytes([TAG_CHALLENGE_RECORD])
-    assert payload[:-64] == tag + response + rsu_keys.public
-    message = tag + vehicle_keys.public + response + rsu_keys.public
+    ids = b"".join(i.to_bytes(2, "big") for i in challenge.subset_indices)
+    kept = (3).to_bytes(2, "big") + ids + (7).to_bytes(8, "big") + response[-64:]
+    assert payload[:-64] == tag + kept + rsu_keys.public
+    assert len(payload) == 171 + 2 * 3
+    message = tag + vehicle_keys.public + kept + rsu_keys.public
     assert verify(rsu_keys.public, message, payload[-64:])
     monkeypatch.undo()
-    assert decode_transaction(payload).response == (decode(ChallengeResponse, response), response)
+    assert decode_transaction(payload) == record_of(
+        decode(ChallengeResponse, response), rsu_keys.public, payload[-64:]
+    )
 
 
 def test_recorded_timestamps_strictly_increase(registered, rsu_keys):

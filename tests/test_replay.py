@@ -1,7 +1,9 @@
 """The audit replays the entry rules: ``reconstruct_history`` folds
 ``apply_entry`` over a vehicle's history, so a validly signed entry in a
 place where the protocol would never have put it fails the replay, and
-the roadside tier's profiles are that fold's cache.
+the roadside tier's profiles are that fold's cache. A challenge record
+keeps only the response's ECU ids, ts and signature: the fold rebuilds
+the response from the vehicle's state and checks that signature.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import keys_for, record_of, state_of
 from ecuchain import ledger as ledger_module
 from ecuchain.ledger import (
     LedgerEntry,
@@ -22,18 +25,30 @@ from ecuchain.ledger import (
     apply_entry,
     deserialize_ledger,
     reconstruct_history,
+    recorded_response,
     validate_block,
+)
+from ecuchain.protocol import (
+    MAX_RESPONSE_DELAY_MS,
+    RoadsideTier,
+    build_response,
+    initialize_vehicle,
+    make_genesis,
+    new_authority_tier,
+    record_response,
+    register_rsu,
 )
 from ecuchain.sim import SimConfig, build_world, load_config, parse_config, run
 from ecuchain.transactions import (
-    ChallengeRecordTx,
+    Challenge,
     ChallengeResponse,
-    Received,
     UpdateTx,
+    Verdict,
     decode,
     decode_transaction,
     signed_wire,
 )
+from ecuchain.wire import U64_MAX
 from test_protocol import make_update
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "scenarios" / "demo.cfg"
@@ -140,16 +155,38 @@ def test_a_registered_rsus_record_of_a_contradicting_response_fails_the_replay()
     """
     world, blob, _ = _run()
     vehicle, rsu = world.vehicles[0], world.rsus[0]
-    last = decode_transaction(_payloads(0)[-1]).response.value
+    state = world.roadside.profiles[vehicle.pk].state
+    last = recorded_response(state, decode_transaction(_payloads(0)[-1]))
     contradicting = dataclasses.replace(last, state_root=bytes(32), ts=last.ts + 1, sig=b"")
     response = signed_wire(contradicting, vehicle.keys)
-    received = Received(decode(ChallengeResponse, response), response)
-    record = signed_wire(ChallengeRecordTx(received, rsu.public, b""), rsu, vehicle.pk)
+    record = signed_wire(record_of(decode(ChallengeResponse, response), rsu.public), rsu, vehicle.pk)
     block = deserialize_ledger(blob).blocks[vehicle.pk]
     tip = (block.entries[-1], LedgerEntry(block.entries[-1].seq + 1, record))
     assert validate_block(dataclasses.replace(block, entries=tip))
-    with pytest.raises(LedgerError, match="seq 5: recorded response is StateMismatch"):
+    with pytest.raises(LedgerError, match="seq 5: recorded response is BadSignature"):
         _replay(0, _payloads(0) + [record])
+
+
+def test_a_registered_rsus_record_of_a_forged_vehicle_signature_fails_the_replay():
+    """A registered RSU signs, for the vehicle's block, a record whose
+    vehicle signature is forged: the RSU's signature and the owner check
+    pass, and the ledger validates, but the response the record stands
+    for is not the vehicle's.
+    """
+    world, blob, _ = _run()
+    vehicle, payloads = world.vehicles[0], _payloads(0)
+    tip = decode_transaction(payloads[-1])
+    (rsu,) = [rsu for rsu in world.rsus if rsu.public == tip.rsu_pk]
+    forged = dataclasses.replace(tip, vehicle_sig=bytes(64), sig=b"")
+    payloads[-1] = signed_wire(forged, rsu, vehicle.pk)
+    ledger = deserialize_ledger(blob)
+    block = ledger.blocks[vehicle.pk]
+    ledger.blocks[vehicle.pk] = dataclasses.replace(
+        block, entries=(block.entries[0], block.entries[1]._replace(payload=payloads[-1]))
+    )
+    assert ledger.validate()
+    with pytest.raises(LedgerError, match="seq 4: recorded response is BadSignature"):
+        _replay(0, payloads)
 
 
 def test_a_duplicated_update_fails_the_replay():
@@ -184,13 +221,46 @@ def test_any_swap_or_substitution_within_a_history_fails_the_replay(data):
         _replay(i, payloads)
 
 
+# -- a record stands for the response the vehicle sent ----------------------------------
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_the_fold_rebuilds_a_recorded_response_byte_for_byte(data):
+    """From 1 to 30 ECUs, any subset and any timestamps: the response
+    that the fold rebuilds from the vehicle's state and the record that
+    ``record_response`` kept is the wire the vehicle sent, byte for byte,
+    and the history replays.
+    """
+    maker, vehicle, rsu = keys_for("maker"), keys_for("vehicle"), keys_for("rsu")
+    n = data.draw(st.integers(1, 30), label="ECUs")
+    written = data.draw(st.integers(0, U64_MAX), label="last write")
+    ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    subset = tuple(data.draw(ids, label="subset"))
+    issued = data.draw(st.integers(0, U64_MAX - MAX_RESPONSE_DELAY_MS), label="issued")
+    ts = data.draw(st.integers(issued, issued + MAX_RESPONSE_DELAY_MS), label="ts")
+    authority = new_authority_tier((keys_for("transport"),), (maker.public,), ())
+    register_rsu(authority, rsu.public)
+    roadside = RoadsideTier()
+    state = state_of(n, ts=written)
+    initialize_vehicle(authority, roadside, make_genesis(maker, vehicle.public, state, 0))
+    challenge = Challenge(rsu.public, vehicle.public, subset, issued)
+    wire = build_response(vehicle, state, challenge, ts)
+    assert record_response(authority, roadside, rsu, challenge, wire) is Verdict.VALID
+    block = roadside.ledger.lookup(vehicle.public)
+    record = decode_transaction(block.entries[-1].payload)
+    assert len(block.entries[-1].payload) == 171 + 2 * len(subset)
+    assert recorded_response(state, record).to_bytes() == wire
+    assert len(reconstruct_history(block, roadside.archive)) == 2
+
+
 # -- the profiles are the fold's cache, and the fold reuses the audit's decode -----------
 
 
-def _fold(history):
+def _fold(history, owner):
     profile = None
     for _, payload in history:
-        profile = apply_entry(profile, decode_transaction(payload))
+        profile = apply_entry(profile, decode_transaction(payload), owner)
     return profile
 
 
@@ -206,7 +276,7 @@ def test_each_roadside_profile_is_the_fold_of_its_history(config):
     updated = 0
     for pk, block in roadside.ledger.blocks.items():
         history = reconstruct_history(block, roadside.archive)
-        assert _fold(history) == roadside.profiles[pk]
+        assert _fold(history, pk) == roadside.profiles[pk]
         updated += sum(isinstance(decode_transaction(p), UpdateTx) for _, p in history)
     assert updated == len(config.maintenance)
 

@@ -42,9 +42,9 @@ DEMO_LOG_SHA256 = "8fc8c3bece77eaacb6e81684eee69b14a2673bbe4f050a394a488cc710671
 # SHA-256 of the demo run's serialized roadside and authority ledgers, and
 # of its archive records (see ``archive_digest``). The demo makes no insurer
 # request, so its authority ledger is empty.
-DEMO_ROADSIDE_LEDGER_SHA256 = "c5d086c6d13d8b73cc2d17c247ecae139ff10a731789e7a071bf427ef88090ef"
-DEMO_AUTHORITY_LEDGER_SHA256 = "477c056ce7e36c4df5d1a689975335ae8dd53bc17dc04d96e9f354f009cd2955"
-DEMO_ARCHIVE_SHA256 = "887b18b2f6c71e7dbd0f8cb336bdb19773c7a644eba7b4ad58a130aa1ef10e3b"
+DEMO_ROADSIDE_LEDGER_SHA256 = "6d20fd1785afed9dad42e32decf5a3362b1b2e9bcd7d3c7dc0e392f07368870b"
+DEMO_AUTHORITY_LEDGER_SHA256 = "872777b568d614f5d38a9a7463382eaf635e1713bc36193bc12cd3265c0a393a"
+DEMO_ARCHIVE_SHA256 = "57c56c070ae694ef1267eb487406bdc58608fe73b4480ded46237dc16819e95b"
 
 SMALL = SimConfig(n_vehicles=4, n_rsus=2, n_rounds=2, ecus_per_vehicle=4, seed=21)
 

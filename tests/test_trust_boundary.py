@@ -13,8 +13,10 @@ owner)``, which reads the signer from the field the type's ``SIGNER``
 names (a response's signer is its challenge's vehicle, which it does not
 name) and checks that the signature covers ``owner``, the key of the
 block the entry goes to (none for a report).
-``validate_block`` calls ``signed_by`` too, so it is the only place that
-verifies, and ``signed_wire`` the only place that signs.
+At audit, ``validate_block`` calls ``signed_by`` too, and so does the
+fold's record rule (``apply_entry``), over the response it rebuilds for
+a challenge record, so it is the only place that verifies, and
+``signed_wire`` the only place that signs.
 The ledger verifies nothing on the way in: ``Ledger.create_block`` and
 ``append_entry`` keep the bytes the protocol passed, and what a tier
 signed itself, such as the RSU's challenge record. ``validate_block`` re-verifies every retained
@@ -37,7 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedded, keys_for, state_of
+from conftest import keys_for, record_of, state_of
 from ecuchain import crypto, protocol
 from ecuchain.ecu import EcuRecord, compute_state_root
 from ecuchain.entities import AuthorityNode
@@ -65,7 +67,6 @@ from ecuchain.transactions import (
     ChallengeResponse,
     GenesisTx,
     LedgerHead,
-    Received,
     RequestTx,
     UpdateTx,
     Verdict,
@@ -105,11 +106,7 @@ def forged_record(rsu_keys, response):
     """A challenge record of the response ``response`` whose RSU signature
     is 64 zero bytes.
     """
-    return ChallengeRecordTx(
-        response=Received(decode(ChallengeResponse, response), response),
-        rsu_pk=rsu_keys.public,
-        sig=bytes(64),
-    )
+    return record_of(decode(ChallengeResponse, response), rsu_keys.public, bytes(64))
 
 
 def signature_of(wire, owner=b""):
@@ -152,11 +149,7 @@ UNSIGNED = [
     ),
     RequestTx(insurer_pk=SIGNER.public, query="q", ts=3, sig=b""),
     _RESPONSE,
-    ChallengeRecordTx(
-        response=embedded(decode(ChallengeResponse, signed_wire(_RESPONSE, keys_for("vehicle")))),
-        rsu_pk=SIGNER.public,
-        sig=b"",
-    ),
+    record_of(decode(ChallengeResponse, signed_wire(_RESPONSE, keys_for("vehicle"))), SIGNER.public),
     ReportEvent(
         rsu_pk=SIGNER.public,
         vehicle_pk=keys_for("vehicle").public,
@@ -476,11 +469,7 @@ def _world():
     challenge = issue_challenge(rsu.public, vehicle.public, len(state), random.Random(3), ts=5)
     response = build_response(vehicle, state, challenge, ts=5)
     assert verdict_of(roadside, challenge, response) is Verdict.VALID
-    unsigned = ChallengeRecordTx(
-        response=Received(decode(ChallengeResponse, response), response),
-        rsu_pk=rsu.public,
-        sig=b"",
-    )
+    unsigned = record_of(decode(ChallengeResponse, response), rsu.public)
     record = decode_transaction(signed_wire(unsigned, rsu, vehicle.public))
     return authority, roadside, challenge, response, record
 
@@ -509,16 +498,19 @@ def changed_response(draw, response):
     return name, dataclasses.replace(response, **{name: value})
 
 
+RECORD_FIELDS = {
+    "ecu_ids": st.lists(st.integers(0, 9), max_size=4).map(tuple),
+    "ts": st.integers(0, U64_MAX),
+    "vehicle_sig": st.binary(min_size=64, max_size=64),
+    "rsu_pk": digests,
+    "sig": st.binary(min_size=64, max_size=64),
+}
+
+
 @st.composite
 def changed_record(draw, record):
-    name = draw(st.sampled_from(["response", "rsu_pk", "sig"]))
-    if name == "response":
-        _, changed = draw(changed_response(record.response.value))
-        value = embedded(changed)
-    elif name == "rsu_pk":
-        value = draw(digests.filter(lambda v: v != record.rsu_pk))
-    else:
-        value = draw(st.binary(min_size=64, max_size=64).filter(lambda v: v != record.sig))
+    name = draw(st.sampled_from(sorted(RECORD_FIELDS)))
+    value = draw(RECORD_FIELDS[name].filter(lambda v: v != getattr(record, name)))
     return dataclasses.replace(record, **{name: value})
 
 
@@ -926,7 +918,8 @@ def test_signatures_are_made_and_checked_only_at_the_known_sites():
 # signed_by: an entry joins a block only through the first, a response is
 # classified only by record_response, which records it only if it is Valid,
 # and a signature is checked only where a transaction enters a tier (a
-# response's in verify_response, for record_response) and in the audit.
+# response's in verify_response, for record_response) and in the audit
+# (a recorded response's in the fold's record rule, apply_entry).
 BOUNDARY_SITES = {
     ("append_entry", "submit_request"),
     ("append_entry", "apply_upper_update"),
@@ -938,6 +931,7 @@ BOUNDARY_SITES = {
     ("signed_by", "submit_request"),
     ("signed_by", "AuthorityNode.receive_report"),
     ("signed_by", "_verified_transactions"),
+    ("signed_by", "apply_entry"),
     ("signed_by", "head_holds"),
 }
 

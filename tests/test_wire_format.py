@@ -5,17 +5,19 @@ The golden vectors pin one object of each type by length and SHA-256; the
 main ones are also rebuilt by hand from the v3 rules (a 1-byte variant
 tag or audit action, ECU ids and ECU-list counts as u16, every other
 integer as 8 raw big-endian bytes, digests, keys and signatures raw, a
-challenge record's response embedded unprefixed, a u32 length prefix
-only on strings and on blocks in the ledger envelope) and the block layout (each entry as its
-``(seq, payload)`` record, and a CRC32 at the end). Bytes in the v1 layout
+challenge record's ECU ids, ts and vehicle signature in place of its
+response, a u32 length prefix only on strings and on blocks in the
+ledger envelope) and the block layout (each entry as its ``(seq,
+payload)`` record, and a CRC32 at the end). Bytes in the v1 layout
 (a length prefix on every field), the v2 layout (every integer 8 bytes),
 the ``ECUL4`` block layout (a linked, length-prefixed entry), the
 ``ECUL5`` layout (a stored archive address and entry and block counts),
 the ``ECUL6`` layout (a previous header hash in each header), the
 ``ECUL7`` layout (a genesis with a state root and an id per ECU), the
-``ECUL8`` layout (a response that names its vehicle) and the ``ECUL9``
+``ECUL8`` layout (a response that names its vehicle), the ``ECUL9``
 layout (a creation time in each header, and a genesis signed without
-its owner key) are only ever written here, and nothing decodes them. Every decoder and
+its owner key) and the ``ECULA`` layout (a challenge record that embeds
+its response) are only ever written here, and nothing decodes them. Every decoder and
 the file archive raise only ``WireError`` or ``ArchiveError`` on hostile
 bytes, also behind a re-sealed checksum, and decoding is canonical:
 hostile bytes that decode re-encode to themselves. An entry that keeps
@@ -37,7 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedded, keys_for, state_of, validate_block_bytes
+from conftest import keys_for, record_of, state_of, validate_block_bytes
 from ecuchain import crypto
 from ecuchain.crypto import ZERO_DIGEST
 from ecuchain.ecu import EcuRecord, EcuState, compute_state_root
@@ -84,7 +86,6 @@ from ecuchain.transactions import (
     ChallengeResponse,
     GenesisTx,
     LedgerHead,
-    Received,
     RequestTx,
     Signable,
     UpdateTx,
@@ -146,15 +147,7 @@ def _golden():
     )
     response_wire = build_response(vehicle, state, challenge, ts=5)
     response = decode(ChallengeResponse, response_wire)
-    record = decode_transaction(
-        signed_wire(
-            ChallengeRecordTx(
-                response=Received(response, response_wire), rsu_pk=rsu.public, sig=b""
-            ),
-            rsu,
-            vehicle.public,
-        )
-    )
+    record = decode_transaction(signed_wire(record_of(response, rsu.public), rsu, vehicle.public))
     update = decode(UpdateTx, make_update(maker, vehicle.public, state, 3, b"fw-v2", ts=9)[1])
     request = decode(
         RequestTx,
@@ -193,7 +186,7 @@ def _golden():
 
 GOLDEN = {
     "response": (232, "5becf92057a0c1f4347b54432ae3e3e12a62030a2ee6e26761a79444bdbbe526"),
-    "record": (329, "2953c4092fb93664f1edf45a95272b9507be261b990a6f4399b16d95e57fcffc"),
+    "record": (177, "55198a88d9538a8688cc04655a86f4ba4b9ccc2a37215f3770e10016d70a7db7"),
     "update": (203, "14347709c44d68d79a6ce6dd57580efadf165b880e1427dd82fba7f889721c43"),
     "genesis": (459, "9810a2ca5b2c53a712b430176fa4efc1f57f84c6961708cadefb39a2f5dcc8f7"),
     "request": (126, "885ba6fd7daefc86a26b86a09791aef2b0b6a8f06c659ef59260ae7f24fbf9e1"),
@@ -201,7 +194,7 @@ GOLDEN = {
     "entry": (8 + 459, "8c07dc5f79abfae4ab4b5fb8a429dc46c6291616e09fe2af206ffeb1f58110ce"),
     "header": (32, "f4c41063100b8dace865a00269e6a65200157c4c369ab714f4acb7fe460bb39a"),
     "head": (145, "f1dd9fd43085046a367e2116ad1379990fc7afa6f6d5917d6ae0cee719ede554"),
-    "ledger": (516, "628c706b94b8cc051510ca1266b96f1a19d567511cfbda5f876775f9a70d54da"),
+    "ledger": (516, "a333f3a75ae7b2e6bc05168d13596cc35e5138bd2e001a9e77491f28ca6b6b22"),
 }
 
 
@@ -226,8 +219,8 @@ def test_golden_vector(name):
 
 def test_response_and_record_layout_by_hand():
     """A response names no vehicle, and its vehicle signs its bytes; a
-    record stores the response and the RSU key, and the RSU signs its tag,
-    then the vehicle's key, then the rest.
+    record stores the response's ECU ids, ts and signature and the RSU
+    key, and the RSU signs its tag, then the vehicle's key, then the rest.
     """
     g = _golden()
     response, record = g["response"], g["record"]
@@ -236,8 +229,9 @@ def test_response_and_record_layout_by_hand():
     assert response.signing_bytes() == expected
     assert response.to_bytes() == expected + response.sig
     assert crypto.verify(vehicle, expected, response.sig)
-    assert record.to_bytes() == u8(3) + response.to_bytes() + record.rsu_pk + record.sig
-    message = u8(3) + vehicle + response.to_bytes() + record.rsu_pk
+    kept = u16(3) + u16(1) + u16(4) + u16(6) + u64(5) + response.sig
+    assert record.to_bytes() == u8(3) + kept + record.rsu_pk + record.sig
+    message = u8(3) + vehicle + kept + record.rsu_pk
     assert crypto.verify(record.rsu_pk, message, record.sig)
 
 
@@ -282,7 +276,7 @@ def test_header_entry_and_envelope_layout_by_hand():
     assert header.external_address == external_address(header.owner_pk)
     block = sealed(header.to_bytes() + u64(0) + g["genesis"].to_bytes())
     assert ledger.blocks[header.owner_pk].to_bytes() == block
-    assert ledger.serialize() == prefixed(b"ECULA") + prefixed(block)
+    assert ledger.serialize() == prefixed(b"ECULB") + prefixed(block)
 
 
 # -- older layouts are not read -----------------------------------------------------------
@@ -485,10 +479,19 @@ def test_v1_ledger_blob_raises_wire_error():
         524,
         "19632d48ce53d463f75d661fb1e855f072d223cd28df6f3eb34356c9ed0420e9",
     )
-    assert LEDGER_MAGIC == b"ECULA"
+    # The same ledger in the ECULA layout: today's block, in a ledger whose
+    # challenge records embedded their response (the bytes its golden
+    # vector pinned).
+    v10_block = sealed(_golden()["header"].to_bytes() + u64(0) + _golden()["genesis"].to_bytes())
+    ecula_blob = prefixed(b"ECULA") + prefixed(v10_block)
+    assert (len(ecula_blob), sha(ecula_blob)) == (
+        516,
+        "628c706b94b8cc051510ca1266b96f1a19d567511cfbda5f876775f9a70d54da",
+    )
+    assert LEDGER_MAGIC == b"ECULB"
     old_blobs = (
         ecul2_blob, ecul3_blob, ecul4_blob, ecul5_blob, ecul6_blob, ecul7_blob, ecul8_blob,
-        ecul9_blob,
+        ecul9_blob, ecula_blob,
     )
     for blob in (v1_blob, *old_blobs):
         with pytest.raises(WireError):
@@ -514,9 +517,10 @@ def _v8_response() -> bytes:
 
 def test_v8_response_and_record_raise_wire_error(registered, rsu_keys):
     """The golden response and record as the ``ECUL8`` layout wrote them
-    (the bytes their golden vectors pinned) do not decode: each is 32 bytes
-    longer than today's. ``record_response`` classifies such a response as
-    BadSignature and records nothing.
+    (the bytes their golden vectors pinned) do not decode: the response is
+    32 bytes longer than today's, and the record embeds it.
+    ``record_response`` classifies such a response as BadSignature and
+    records nothing.
     """
     authority, roadside, vehicle_keys, _ = registered
     v8 = _v8_response()
@@ -544,6 +548,22 @@ def test_v8_response_and_record_raise_wire_error(registered, rsu_keys):
     verdict = record_response(authority, roadside, rsu_keys, challenge, v8)
     assert verdict is Verdict.BAD_SIGNATURE
     assert roadside.ledger.lookup(vehicle_keys.public) == before
+
+
+def test_v10_record_raises_wire_error():
+    """The golden record as the ``ECULA`` layout wrote it, the response's
+    wire bytes embedded whole and countersigned (the bytes its golden
+    vector pinned), does not decode.
+    """
+    rsu, vehicle = keys_for("rsu"), keys_for("vehicle")
+    embedded = _golden()["response"].to_bytes() + rsu.public
+    v10_record = u8(3) + embedded + rsu.sign(u8(3) + vehicle.public + embedded)
+    assert (len(v10_record), sha(v10_record)) == (
+        329,
+        "2953c4092fb93664f1edf45a95272b9507be261b990a6f4399b16d95e57fcffc",
+    )
+    with pytest.raises(WireError):
+        decode_transaction(v10_record)
 
 
 def test_v3_genesis_raises_protocol_error(tiers):
@@ -582,9 +602,11 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
     layout (marked, with the challenge records before ``ECUL9``), in the
     ``ECUA6`` layout (marked, with the genesis signed without its owner key
     before ``ECULA``), in the ``ECUA7`` layout (marked, one file per
-    address, each record its sequence number and payload, no frame) and in
-    the ``ECUA8`` layout (marked, each frame's CRC32 unseeded) raise, and
-    so does a log in the current layout behind any of those markers. A log
+    address, each record its sequence number and payload, no frame), in
+    the ``ECUA8`` layout (marked, each frame's CRC32 unseeded) and in the
+    ``ECUA9`` layout (today's frames, with the challenge records before
+    ``ECULB``) raise, and so does a log in the current layout behind any
+    of those markers. A log
     starts with ``ARCHIVE_MAGIC``, then one frame per append, then zeros
     up to a whole chunk.
     """
@@ -601,20 +623,23 @@ def test_v1_archive_file_raises_archive_error(tmp_path):
         "v7": b"ECUA7" + u64(0) + entry.payload,
         # A CRC32 seeded with 0 is the unseeded one.
         "v8": b"ECUA8" + _frame(b"ar://old", 0, entry.payload, 0),
-        **{f"framed {m}": m + frame for m in (b"ECUA4", b"ECUA5", b"ECUA6", b"ECUA7", b"ECUA8")},
+        **{
+            f"framed {m}": m + frame
+            for m in (b"ECUA4", b"ECUA5", b"ECUA6", b"ECUA7", b"ECUA8", b"ECUA9")
+        },
     }
     for name, data in old_layouts.items():
         root = tmp_path / name
         root.mkdir()
         (root / "archive.log").write_bytes(data)
         for address in ("ar://old", "ar://other"):
-            with pytest.raises(ArchiveError, match="no ECUA9 marker"):
+            with pytest.raises(ArchiveError, match="no ECUAA marker"):
                 FileArchive(root).read(address)
-    archive = FileArchive(tmp_path / "v9")
-    archive.append_many("ar://v9", [(0, entry.payload)])
-    written = ARCHIVE_MAGIC + _frame(b"ar://v9", 0, entry.payload, at)
-    assert (tmp_path / "v9" / "archive.log").read_bytes() == written.ljust(ARCHIVE_CHUNK, b"\0")
-    assert archive.read("ar://v9") == [(0, entry.payload)]
+    archive = FileArchive(tmp_path / "v10")
+    archive.append_many("ar://v10", [(0, entry.payload)])
+    written = ARCHIVE_MAGIC + _frame(b"ar://v10", 0, entry.payload, at)
+    assert (tmp_path / "v10" / "archive.log").read_bytes() == written.ljust(ARCHIVE_CHUNK, b"\0")
+    assert archive.read("ar://v10") == [(0, entry.payload)]
 
 
 # -- round trips -------------------------------------------------------------------------------
@@ -651,7 +676,14 @@ transactions = st.one_of(
         sig=sigs,
     ),
     st.builds(RequestTx, insurer_pk=digests, query=st.text(max_size=40), ts=u64s, sig=sigs),
-    st.builds(ChallengeRecordTx, response=responses.map(embedded), rsu_pk=digests, sig=sigs),
+    st.builds(
+        ChallengeRecordTx,
+        ecu_ids=st.lists(ecu_ids, max_size=6).map(tuple),
+        ts=u64s,
+        vehicle_sig=sigs,
+        rsu_pk=digests,
+        sig=sigs,
+    ),
 )
 records = st.builds(LedgerEntry, u64s, transactions.map(lambda tx: tx.to_bytes()))
 headers = st.builds(BlockHeader, owner_pk=digests)
@@ -905,16 +937,17 @@ def _record_offsets(block: AppendableBlock) -> list[int]:
 def test_resealed_edits_fail_the_signature_sequence_and_owner_checks():
     """The checksum detects corruption and signatures detect tampering: an
     edit that re-seals the CRC32 still decodes, and fails the audit. A
-    flipped payload byte (just past the tag: a genesis's timestamp, or a
-    state root) fails its signature, one edited sequence number the
-    consecutive-sequence rule and an edited owner key every signature.
+    flipped payload byte (the third past the tag: a genesis's timestamp,
+    an update's state root or a record's first ECU id) fails its
+    signature, one edited sequence number the consecutive-sequence rule
+    and an edited owner key every signature.
     """
     block = _three_entry_block()
     assert validate_block(decode_block(block.to_bytes()))
     edits = []
     for entry, offset in zip(block.entries, _record_offsets(block)):
-        flipped = bytes([entry.payload[1] ^ 0x01])
-        edits.append((offset + 8 + 1, flipped))
+        flipped = bytes([entry.payload[3] ^ 0x01])
+        edits.append((offset + 8 + 3, flipped))
         edits.append((offset, u64(entry.seq + 1)))
     edits.append((0, keys_for("stranger").public))
     for offset, value in edits:
@@ -1056,9 +1089,8 @@ def test_ecu_id_or_list_past_the_limit_raises_wire_error():
         _update(MAX_ECUS + 1).signing_bytes,
         _response(_records([MAX_ECUS + 1])).signing_bytes,
         _response(too_many).signing_bytes,
-        lambda: ChallengeRecordTx(
-            response=embedded(_response(too_many)), rsu_pk=bytes(32), sig=bytes(64)
-        ).signing_bytes(),
+        record_of(_response(_records([MAX_ECUS + 1])), bytes(32), bytes(64)).signing_bytes,
+        record_of(_response(too_many), bytes(32), bytes(64)).signing_bytes,
     ):
         with pytest.raises(WireError):
             signing_bytes()
@@ -1090,7 +1122,8 @@ def response_size(k: int) -> int:
 
 
 def record_size(k: int) -> int:
-    return TAG + response_size(k) + KEY + SIG
+    """The ECU count and k ids, the response's ts and signature, the RSU's key and signature."""
+    return TAG + ECU_COUNT + k * ECU_ID + U64_WIDTH + SIG + KEY + SIG
 
 
 def genesis_size(n: int) -> int:
@@ -1104,12 +1137,12 @@ def test_sizes_follow_the_closed_form(n):
     assert len(genesis.to_bytes()) == genesis_size(n) == 139 + 40 * n
     for k in range(1, min(3, n) + 1):
         response = _response(records[n - k :])
-        record = ChallengeRecordTx(response=embedded(response), rsu_pk=bytes(32), sig=bytes(64))
+        record = record_of(response, bytes(32), bytes(64))
         assert len(response.to_bytes()) == response_size(k)
         assert len(record.to_bytes()) == record_size(k)
     assert len(_update(n).to_bytes()) == UPDATE_SIZE
-    assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (459, 232, 329, 203)
-    assert (response_size(k), record_size(k)) == (106 + 42 * k, 203 + 42 * k)
+    assert (genesis_size(8), response_size(3), record_size(3), UPDATE_SIZE) == (459, 232, 177, 203)
+    assert (response_size(k), record_size(k)) == (106 + 42 * k, 171 + 2 * k)
     assert (ENTRY_FRAMING, CHECKSUM) == (8, 4)
 
 
@@ -1147,7 +1180,7 @@ def _encounters(n: int, count: int):
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_retained_block_follows_the_closed_form(n):
     """After two or more encounters a vehicle's block holds its header and
-    two challenge records: 714 B in the ledger for an 8-ECU vehicle, and
+    two challenge records: 410 B in the ledger for an 8-ECU vehicle, and
     507 B before its first encounter.
     """
     steps = _encounters(n, 5)
@@ -1159,14 +1192,14 @@ def test_retained_block_follows_the_closed_form(n):
     for encounters, roadside in enumerate(steps, start=1):
         if encounters >= 2:
             assert len(roadside.ledger.serialize()) - envelope == retained
-    assert n != 8 or (retained, genesis_only) == (714, 507)
+    assert n != 8 or (retained, genesis_only) == (410, 507)
 
 
 @pytest.mark.parametrize("n", [1, 8, 30])
 def test_archive_follows_the_closed_form(n):
     """After E >= 2 encounters a vehicle's archive takes
-    (8 + 139 + 40n) + (E - 2)(8 + 203 + 42k) bytes, k = min(3, n): 1478 B
-    after 5 encounters for an 8-ECU vehicle, 295.6 B per encounter.
+    (8 + 139 + 40n) + (E - 2)(8 + 171 + 2k) bytes, k = min(3, n): 1022 B
+    after 5 encounters for an 8-ECU vehicle, 204.4 B per encounter.
     """
     address = external_address(keys_for("vehicle").public)
     for encounters, roadside in enumerate(_encounters(n, 5)):
@@ -1175,5 +1208,5 @@ def test_archive_follows_the_closed_form(n):
         if encounters >= 2:
             size = sum(U64_WIDTH + len(payload) for _, payload in archived)
             assert size == archive_size(n, encounters)
-    assert archive_size(n, 5) == (8 + 139 + 40 * n) + 3 * (8 + 203 + 42 * min(3, n))
-    assert n != 8 or (archive_size(8, 5), archive_size(8, 5) / 5) == (1478, 295.6)
+    assert archive_size(n, 5) == (8 + 139 + 40 * n) + 3 * (8 + 171 + 2 * min(3, n))
+    assert n != 8 or (archive_size(8, 5), archive_size(8, 5) / 5) == (1022, 204.4)
