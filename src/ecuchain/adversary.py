@@ -1,8 +1,8 @@
 """Threat-model attack injectors and their detection oracles.
 
 Each attack kind maps to exactly one injector (how the world is mutated)
-and one expected-verdict oracle (what the next challenge-response round
-must report). Injectors run inside the single-threaded event loop.
+and one ``_DETECTION`` row (the verdict a later round must report, and by
+which encounter). Injectors run inside the single-threaded event loop.
 """
 
 from __future__ import annotations
@@ -35,17 +35,25 @@ class AttackKind(Enum):
 REVERSAL_ECU_COUNT = 3
 
 
+# Per attack kind (None: no attack): the verdicts that count as detecting
+# it, and the number of encounters after the trigger by which one must
+# come. Reversal keeps the state root intact, so detection waits for the
+# random subset to sample a flipped ECU; its bound covers a miss chain of
+# probability < 1e-4 at the 0.28 per-encounter rate.
+_DETECTION = {
+    None: ((), 0),
+    AttackKind.FAKE_DATA: ((Verdict.STATE_MISMATCH,), 1),
+    AttackKind.CODE_INJECTION: ((Verdict.STATE_MISMATCH,), 1),
+    AttackKind.SYBIL: ((Verdict.UNKNOWN_VEHICLE,), 1),
+    AttackKind.MASQUERADE: ((Verdict.UNKNOWN_VEHICLE,), 1),
+    AttackKind.ECU_REVERSAL: ((Verdict.SUBSET_MISMATCH,), 32),
+    AttackKind.REPLAY: ((Verdict.STALE_TIMESTAMP,), 1),
+}
+
+
 def expected_verdict(kind: AttackKind) -> frozenset[Verdict]:
     """Verdicts that count as detecting the attack."""
-    if kind in (AttackKind.FAKE_DATA, AttackKind.CODE_INJECTION):
-        return frozenset({Verdict.STATE_MISMATCH})
-    if kind in (AttackKind.SYBIL, AttackKind.MASQUERADE):
-        return frozenset({Verdict.UNKNOWN_VEHICLE})
-    if kind is AttackKind.ECU_REVERSAL:
-        return frozenset({Verdict.SUBSET_MISMATCH})
-    if kind is AttackKind.REPLAY:
-        return frozenset({Verdict.STALE_TIMESTAMP})
-    raise ProtocolError(f"unknown attack kind {kind!r}")
+    return default_oracle(kind).expected
 
 
 def _malware(kind: AttackKind, target: int, ts: int, salt: int = 0) -> bytes:
@@ -105,13 +113,10 @@ class DetectionOracle:
 
 
 def default_oracle(kind: Optional[AttackKind]) -> DetectionOracle:
-    if kind is None:
-        return DetectionOracle(kind=None, expected=frozenset(), bound=0)
-    # Reversal keeps the state root intact, so detection waits for the random
-    # subset to sample a flipped ECU; the bound covers a miss chain of
-    # probability < 1e-4 at the 0.28 per-encounter rate.
-    bound = 32 if kind is AttackKind.ECU_REVERSAL else 1
-    return DetectionOracle(kind=kind, expected=expected_verdict(kind), bound=bound)
+    if kind not in _DETECTION:
+        raise ProtocolError(f"unknown attack kind {kind!r}")
+    expected, bound = _DETECTION[kind]
+    return DetectionOracle(kind=kind, expected=frozenset(expected), bound=bound)
 
 
 @dataclass(frozen=True)

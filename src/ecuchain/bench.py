@@ -18,10 +18,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .crypto import derive_seed, generate_keypair, sha256
+from .crypto import KeyPair, derive_seed, generate_keypair, sha256
 from .ecu import EcuState, compute_state_root, state_from_digests
-from .ledger import Ledger, MemoryArchive
+from .ledger import Ledger
 from .protocol import (
+    AuthorityTier,
     RoadsideTier,
     initialize_vehicle,
     issue_challenge,
@@ -161,6 +162,18 @@ def _vehicle_material(seed: int, count: int, tag: bytes):
     return maker, out
 
 
+def _tiers(maker: KeyPair, *validators: int) -> tuple[AuthorityTier, RoadsideTier]:
+    """New authority and roadside tiers: the bench validator keys numbered
+    ``validators``, and ``maker`` as the one maker.
+    """
+    authority = new_authority_tier(
+        validators=[generate_keypair(derive_seed(b"bench-val", bytes([v]))) for v in validators],
+        authorized_makers=(maker.public,),
+        authorized_insurers=(),
+    )
+    return authority, RoadsideTier()
+
+
 def bench_create(
     counts: Sequence[int] = DEFAULT_VEHICLE_COUNTS,
     seed: int = 0,
@@ -174,15 +187,7 @@ def bench_create(
         maker, material = _vehicle_material(seed, n, b"create%d" % n)
 
         def one_run(run_idx: int) -> float:
-            authority = new_authority_tier(
-                validators=(
-                    generate_keypair(derive_seed(b"bench-val", bytes([1]))),
-                    generate_keypair(derive_seed(b"bench-val", bytes([2]))),
-                ),
-                authorized_makers=(maker.public,),
-                authorized_insurers=(),
-            )
-            roadside = RoadsideTier(archive=MemoryArchive())
+            authority, roadside = _tiers(maker, 1, 2)
             start = time.perf_counter_ns()
             for _, _, genesis in material:
                 initialize_vehicle(authority, roadside, genesis)
@@ -207,13 +212,8 @@ def bench_challenge(
     def make_run(n: int) -> Callable[[int], float]:
         maker, material = _vehicle_material(seed, n, b"challenge%d" % n)
         rsu = generate_keypair(derive_seed(b"bench-rsu", seed.to_bytes(8, "big")))
-        authority = new_authority_tier(
-            validators=(generate_keypair(derive_seed(b"bench-val", bytes([3]))),),
-            authorized_makers=(maker.public,),
-            authorized_insurers=(),
-        )
+        authority, roadside = _tiers(maker, 3)
         register_rsu(authority, rsu.public)
-        roadside = RoadsideTier(archive=MemoryArchive())
         for _, _, genesis in material:
             initialize_vehicle(authority, roadside, genesis)
         rng = random.Random(seed ^ 0xC4A11E)

@@ -101,7 +101,7 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from ._kernels import merkle_root
 from .crypto import PUBLIC_KEY_LEN, ZERO_DIGEST, Digest, PublicKey, sha256
-from .ecu import EcuState, compute_state_root, update_ecu
+from .ecu import EcuState, compute_state_root, subset_report, update_ecu
 from .transactions import (
     ChallengeRecordTx,
     ChallengeResponse,
@@ -251,7 +251,7 @@ def _verified_transactions(block: AppendableBlock) -> Optional[list[Transaction]
     return txs
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class VehicleProfile:
     """A vehicle's ECU state and last recorded response ts: the fold of ``apply_entry``."""
 
@@ -277,18 +277,15 @@ def response_verdict(profile: VehicleProfile, response: ChallengeResponse) -> Ve
 
 def recorded_response(state: EcuState, record: ChallengeRecordTx) -> ChallengeResponse:
     """The response ``record`` stands for, against ``state``: the state's
-    root, its records of the ECUs ``record`` names, in that order, then
-    ``record``'s ``ts`` and the vehicle's signature. A Valid response's
-    root and records are the state's, and wire bytes re-encode
-    canonically, so if ``state`` is the one the response was checked
-    against, ``to_bytes()`` is the wire the vehicle sent. Raises
-    ``ValueError`` if ``record`` names an ECU that ``state`` lacks.
+    root, its records of the ECUs ``record`` names, selected by
+    ``subset_report`` as the vehicle selects them, then ``record``'s
+    ``ts`` and the vehicle's signature. A Valid response's root and
+    records are the state's, and wire bytes re-encode canonically, so if
+    ``state`` is the one the response was checked against, ``to_bytes()``
+    is the wire the vehicle sent. Raises ``subset_report``'s
+    ``ValueError`` if ``record`` names an ECU twice or one ``state`` lacks.
     """
-    known = state.records
-    try:
-        subset = tuple(known[i] for i in record.ecu_ids)
-    except IndexError:
-        raise ValueError("recorded ECU id out of range") from None
+    subset = tuple(subset_report(state, record.ecu_ids))
     return ChallengeResponse(compute_state_root(state), subset, record.ts, record.vehicle_sig)
 
 
@@ -300,9 +297,9 @@ def apply_entry(
     naming the rule ``tx`` breaks: a genesis opens a history, and nothing
     else does; an update is one ``update_ecu`` accepts, dated after its
     ECU's last write, and its ``new_root`` the updated state's root; a
-    record names ECUs the state has, and the response it stands for
-    (``recorded_response``) is Valid by ``response_verdict`` and signed
-    by ``owner``, its vehicle.
+    record names distinct ECUs the state has, and the response it stands
+    for (``recorded_response``) is Valid by ``response_verdict`` and
+    signed by ``owner``, its vehicle.
     """
     if (profile is None) != isinstance(tx, GenesisTx):
         raise ValueError("a genesis opens a history, and nothing else does")

@@ -10,10 +10,10 @@ admits an RSU, registers a vehicle or applies an update, only when
 per-vehicle blocks and each vehicle's ``VehicleProfile``, the cache of
 ``ledger.apply_entry`` folded over its history: the one record of
 registration that every check reads, and what a response is checked
-against, kept when pruning moves entries out of the block. The entry
-points apply that transition to the live profile, and
-``verify_response`` its record rule ``response_verdict``;
-``reconstruct_history`` replays it at audit.
+against, kept when pruning moves entries out of the block. A profile is
+a value: the entry points store the one that transition returns (or, for
+a record, the one it would), and ``verify_response`` applies its record
+rule ``response_verdict``; ``reconstruct_history`` replays it at audit.
 
 Every message enters a tier here. Each entry point takes the wire bytes
 it received, decodes them once, rejects bytes that do not decode like
@@ -339,7 +339,8 @@ def record_response(
     appended = append_entry(block, signed_wire(record, rsu_keys, challenge.vehicle_pk))
     pruned, _ = prune_to_two(appended, roadside.archive)
     roadside.ledger.replace_block(pruned)
-    roadside.profiles[challenge.vehicle_pk].last_response_ts = response.ts
+    profile = roadside.profiles[challenge.vehicle_pk]
+    roadside.profiles[challenge.vehicle_pk] = VehicleProfile(profile.state, response.ts)
     return verdict
 
 

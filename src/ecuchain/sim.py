@@ -17,8 +17,9 @@ event logs and ledgers.
 
 Scenario config files are flat ``key = value`` text, each key given once
 except the repeated ``attack = kind,vehicle,round`` and
-``maintenance = vehicle,ecu,round`` plan lines. The event log is one line
-per event: tab-separated ``ts kind subject verdict``.
+``maintenance = vehicle,ecu,round`` plan lines, which one table,
+``_PLANS``, reads; a planned event carries its entry to its handler. The
+event log is one line per event: tab-separated ``ts kind subject verdict``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -102,30 +103,50 @@ class SimConfig:
             raise ConfigError(f"ecus_per_vehicle must be <= {MAX_ECUS}")
         if not 0 <= self.seed <= U64_MAX:
             raise ConfigError(f"seed must be in [0, {U64_MAX}]")
-        total = self.encounters_per_vehicle
-        for atk in self.attacks:
-            if not 0 <= atk.vehicle < self.n_vehicles:
-                raise ConfigError(f"attack target {atk.vehicle} out of range")
-            if not 0 <= atk.round < total:
-                raise ConfigError(f"attack round {atk.round} out of range")
-            if atk.kind is AttackKind.REPLAY and atk.round < 1:
-                raise ConfigError("replay needs a prior encounter (round >= 1)")
+        for key, (name, _, _) in _PLANS.items():
+            for entry in getattr(self, name):
+                if not 0 <= entry.vehicle < self.n_vehicles:
+                    raise ConfigError(f"{key} vehicle {entry.vehicle} out of range")
+                if not 0 <= entry.round < self.encounters_per_vehicle:
+                    raise ConfigError(f"{key} round {entry.round} out of range")
+        if any(a.kind is AttackKind.REPLAY and a.round < 1 for a in self.attacks):
+            raise ConfigError("replay needs a prior encounter (round >= 1)")
         for m in self.maintenance:
-            if not 0 <= m.vehicle < self.n_vehicles:
-                raise ConfigError(f"maintenance vehicle {m.vehicle} out of range")
             if not 0 <= m.ecu < self.ecus_per_vehicle:
                 raise ConfigError(f"maintenance ecu {m.ecu} out of range")
-            if not 0 <= m.round < total:
-                raise ConfigError(f"maintenance round {m.round} out of range")
 
 
 _INT_KEYS = {"n_vehicles", "n_rsus", "ecus_per_vehicle", "n_rounds", "seed"}
+# Each plan key: the ``SimConfig`` field that holds its entries, their type,
+# whose fields name a line's comma-separated values in order, and a reader
+# per value.
+_PLANS = {
+    "attack": ("attacks", AttackPlanEntry, (AttackKind, int, int)),
+    "maintenance": ("maintenance", MaintenancePlanEntry, (int, int, int)),
+}
+
+
+def _plan_entry(lineno: int, key: str, value: str):
+    """The entry that plan line ``lineno``, ``key = value``, names."""
+    _, entry_type, readers = _PLANS[key]
+    names = [f.name for f in fields(entry_type)]
+    parts = [p.strip() for p in value.split(",")]
+    if len(parts) != len(names):
+        raise ConfigError(f"line {lineno}: {key} = {','.join(names)}")
+    values = []
+    for name, read, part in zip(names, readers, parts):
+        try:
+            values.append(read(part))
+        except ValueError:
+            if read is int:
+                raise ConfigError(f"line {lineno}: {key} {name} must be an integer") from None
+            raise ConfigError(f"line {lineno}: unknown {key} {name} {part!r}") from None
+    return entry_type(*values)
 
 
 def parse_config(text: str) -> SimConfig:
     values: dict[str, int] = {}
-    attacks: list[AttackPlanEntry] = []
-    maintenance: list[MaintenancePlanEntry] = []
+    plans: dict[str, list] = {key: [] for key in _PLANS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -141,31 +162,13 @@ def parse_config(text: str) -> SimConfig:
                 values[key] = int(value)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} must be an integer") from None
-        elif key == "attack":
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: attack = kind,vehicle,round")
-            try:
-                kind = AttackKind(parts[0])
-            except ValueError:
-                raise ConfigError(f"line {lineno}: unknown attack kind {parts[0]!r}") from None
-            try:
-                attacks.append(AttackPlanEntry(kind, int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: vehicle and round must be integers") from None
-        elif key == "maintenance":
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: maintenance = vehicle,ecu,round")
-            try:
-                maintenance.append(
-                    MaintenancePlanEntry(int(parts[0]), int(parts[1]), int(parts[2]))
-                )
-            except ValueError:
-                raise ConfigError(f"line {lineno}: maintenance fields must be integers") from None
+        elif key in _PLANS:
+            plans[key].append(_plan_entry(lineno, key, value))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    config = SimConfig(attacks=tuple(attacks), maintenance=tuple(maintenance), **values)
+    config = SimConfig(
+        **values, **{_PLANS[key][0]: tuple(entries) for key, entries in plans.items()}
+    )
     config.validate()
     return config
 
@@ -195,7 +198,8 @@ class SimEvent:
     fire_ts: int
     kind: EventKind
     subject: str
-    data: tuple = ()
+    # An arrival's (encounter,), or the plan entry a planned event carries.
+    data: object = ()
 
 
 class EventQueue:
@@ -371,13 +375,10 @@ class World:
             )
 
     def _handle_maintenance(self, event: SimEvent) -> None:
-        ecu_id, round_idx = event.data
-        vehicle = self.actors[event.subject]
-        firmware = self._firmware(
-            b"maintenance-fw-r%d" % round_idx, int(event.subject[1:]), ecu_id
-        )
+        visit: MaintenancePlanEntry = event.data
+        firmware = self._firmware(b"maintenance-fw-r%d" % visit.round, visit.vehicle, visit.ecu)
         update = perform_maintenance(
-            self.technician, vehicle, ecu_id, firmware, ts=self.queue.now
+            self.technician, self.vehicles[visit.vehicle], visit.ecu, firmware, ts=self.queue.now
         )
         try:
             apply_upper_update(self.authority_tier, self.roadside, update)
@@ -389,9 +390,9 @@ class World:
         self.log(self.queue.now, "maintenance", event.subject)
 
     def _handle_attack(self, event: SimEvent) -> None:
-        kind, target = event.data
-        subject = adversary.inject(self, kind, target, self.queue.now)
-        self.log(self.queue.now, f"attack:{kind.value}", subject)
+        attack: AttackPlanEntry = event.data
+        subject = adversary.inject(self, attack.kind, attack.vehicle, self.queue.now)
+        self.log(self.queue.now, f"attack:{attack.kind.value}", subject)
 
 
 def build_world(config: SimConfig, archive=None) -> World:
@@ -408,28 +409,20 @@ def build_world(config: SimConfig, archive=None) -> World:
         genesis = make_genesis(world.maker, vehicle.pk, vehicle.ecu_state, ts=0)
         initialize_vehicle(world.authority_tier, world.roadside, genesis)
         world.log(0, "init", subject)
-    for i in range(config.n_vehicles):
-        world.queue.schedule(
-            SimEvent(world._arrival_ts(i, 0), EventKind.ARRIVAL, f"v{i}", (0,))
-        )
-    for m in config.maintenance:
-        world.queue.schedule(
-            SimEvent(
-                world._arrival_ts(m.vehicle, m.round) - MAINTENANCE_LEAD_MS,
-                EventKind.MAINTENANCE_VISIT,
-                f"v{m.vehicle}",
-                (m.ecu, m.round),
-            )
-        )
-    for atk in config.attacks:
-        world.queue.schedule(
-            SimEvent(
-                world._arrival_ts(atk.vehicle, atk.round) - ATTACK_LEAD_MS,
-                EventKind.ATTACK_TRIGGER,
-                f"v{atk.vehicle}",
-                (atk.kind, atk.vehicle),
-            )
-        )
+    # Each vehicle's first arrival, then each maintenance visit and attack,
+    # its lead before the arrival it precedes. The queue breaks full ties in
+    # this insertion order.
+    scheduled = [
+        *((EventKind.ARRIVAL, 0, i, 0, (0,)) for i in range(config.n_vehicles)),
+        *(
+            (EventKind.MAINTENANCE_VISIT, MAINTENANCE_LEAD_MS, m.vehicle, m.round, m)
+            for m in config.maintenance
+        ),
+        *((EventKind.ATTACK_TRIGGER, ATTACK_LEAD_MS, a.vehicle, a.round, a) for a in config.attacks),
+    ]
+    for kind, lead, vehicle, round_idx, data in scheduled:
+        fire_ts = world._arrival_ts(vehicle, round_idx) - lead
+        world.queue.schedule(SimEvent(fire_ts, kind, f"v{vehicle}", data))
     seal_roadside(world.authority_tier, world.roadside, world.queue.now)
     return world
 

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import keys_for, record_of, state_of
 from ecuchain import ledger as ledger_module
+from ecuchain import transactions as transactions_module
 from ecuchain.ledger import (
+    FileArchive,
     LedgerEntry,
     LedgerError,
     MemoryArchive,
@@ -167,25 +169,44 @@ def test_a_registered_rsus_record_of_a_contradicting_response_fails_the_replay()
         _replay(0, _payloads(0) + [record])
 
 
-def test_a_registered_rsus_record_of_a_forged_vehicle_signature_fails_the_replay():
-    """A registered RSU signs, for the vehicle's block, a record whose
-    vehicle signature is forged: the RSU's signature and the owner check
-    pass, and the ledger validates, but the response the record stands
-    for is not the vehicle's.
+def _tip_signed_again(**changes):
+    """Vehicle 0's history with ``changes`` made to its tip record, which
+    the registered RSU that signed it signs again for the vehicle's block.
+    The run's ledger with that tip in its place validates.
     """
     world, blob, _ = _run()
     vehicle, payloads = world.vehicles[0], _payloads(0)
     tip = decode_transaction(payloads[-1])
     (rsu,) = [rsu for rsu in world.rsus if rsu.public == tip.rsu_pk]
-    forged = dataclasses.replace(tip, vehicle_sig=bytes(64), sig=b"")
-    payloads[-1] = signed_wire(forged, rsu, vehicle.pk)
+    payloads[-1] = signed_wire(dataclasses.replace(tip, sig=b"", **changes), rsu, vehicle.pk)
     ledger = deserialize_ledger(blob)
     block = ledger.blocks[vehicle.pk]
     ledger.blocks[vehicle.pk] = dataclasses.replace(
         block, entries=(block.entries[0], block.entries[1]._replace(payload=payloads[-1]))
     )
     assert ledger.validate()
+    return payloads
+
+
+def test_a_registered_rsus_record_of_a_forged_vehicle_signature_fails_the_replay():
+    """A registered RSU signs, for the vehicle's block, a record whose
+    vehicle signature is forged: the RSU's signature and the owner check
+    pass, and the ledger validates, but the response the record stands
+    for is not the vehicle's.
+    """
     with pytest.raises(LedgerError, match="seq 4: recorded response is BadSignature"):
+        _replay(0, _tip_signed_again(vehicle_sig=bytes(64)))
+
+
+def test_a_registered_rsus_record_that_names_an_ecu_twice_fails_the_replay():
+    """A registered RSU signs, for the vehicle's block, a record that
+    names one ECU twice. The fold selects the records a record names as
+    the vehicle selects them, with ``subset_report``, so it refuses the
+    repeat by name instead of rebuilding a response no vehicle would sign.
+    """
+    ids = decode_transaction(_payloads(0)[-1]).ecu_ids
+    payloads = _tip_signed_again(ecu_ids=(ids[0], *ids[:-1]))
+    with pytest.raises(LedgerError, match="seq 4: duplicate ECU index"):
         _replay(0, payloads)
 
 
@@ -281,16 +302,45 @@ def test_each_roadside_profile_is_the_fold_of_its_history(config):
     assert updated == len(config.maintenance)
 
 
-def test_the_replay_decodes_each_entry_once(monkeypatch):
-    world, _, histories = _run()
-    decoded = []
+@pytest.mark.parametrize(
+    "archive",
+    [
+        "memory",
+        pytest.param(
+            "file",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="FileArchive.read parses each payload to find where it ends, "
+                "and the replay parses it again (ROADMAP item 23)",
+            ),
+        ),
+    ],
+)
+def test_the_replay_decodes_each_entry_once(monkeypatch, tmp_path, archive):
+    """The replay decodes each entry of each history once, and parses each
+    once in all: every parse goes through ``read_transaction``, the
+    archive's own included.
+    """
+    world = build_world(SMALL, archive=FileArchive(tmp_path) if archive == "file" else None)
+    run(world)
+    roadside = world.roadside
+    blocks = [roadside.ledger.blocks[pk] for pk in roadside.ledger.creation_order]
+    histories = [reconstruct_history(block, roadside.archive) for block in blocks]
+    decoded, parsed = [], []
 
-    def counting(data, _original=ledger_module.decode_transaction):
+    def decoding(data, _original=ledger_module.decode_transaction):
         decoded.append(data)
         return _original(data)
 
-    monkeypatch.setattr(ledger_module, "decode_transaction", counting)
-    roadside = world.roadside
-    for pk in roadside.ledger.creation_order:
-        reconstruct_history(roadside.ledger.blocks[pk], roadside.archive)
+    def parsing(r, _original=transactions_module.read_transaction):
+        parsed.append(r)
+        return _original(r)
+
+    monkeypatch.setattr(ledger_module, "decode_transaction", decoding)
+    monkeypatch.setattr(ledger_module, "read_transaction", parsing)
+    monkeypatch.setattr(transactions_module, "read_transaction", parsing)
+    for block in blocks:
+        reconstruct_history(block, roadside.archive)
     assert decoded == [entry.payload for history in histories for entry in history]
+    assert len(parsed) == len(decoded)

@@ -116,6 +116,55 @@ def test_parse_config_rejects_repeated_scalar_key(key):
         parse_config(f"{key} = 1\n\n{key} = 2")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("attack = sybil,0", "line 2: attack = kind,vehicle,round"),
+        ("attack = downgrade,0,1", "line 2: unknown attack kind 'downgrade'"),
+        ("attack = sybil,x,1", "line 2: attack vehicle must be an integer"),
+        ("attack = sybil,0,1.5", "line 2: attack round must be an integer"),
+        ("maintenance = 0,1,1,1", "line 2: maintenance = vehicle,ecu,round"),
+        ("maintenance = 0,one,1", "line 2: maintenance ecu must be an integer"),
+    ],
+)
+def test_a_malformed_plan_line_is_named_by_its_line(line, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(f"n_vehicles = 3\n{line}")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("attack = sybil,3,1", "attack vehicle 3 out of range"),
+        ("attack = sybil,0,6", "attack round 6 out of range"),
+        ("maintenance = -1,0,1", "maintenance vehicle -1 out of range"),
+        ("maintenance = 0,4,1", "maintenance ecu 4 out of range"),
+        ("maintenance = 0,0,6", "maintenance round 6 out of range"),
+    ],
+)
+def test_a_plan_entry_out_of_range_is_named_by_its_field(line, message):
+    config = "n_vehicles = 3\nn_rsus = 2\nn_rounds = 3\necus_per_vehicle = 4\n"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(config + line)
+
+
+def test_each_planned_event_carries_its_plan_entry():
+    """A maintenance visit and an attack fire their lead before the arrival
+    they precede, and each carries the entry it was planned by.
+    """
+    config = parse_config("n_vehicles = 2\nmaintenance = 1,0,1\nattack = sybil,0,2")
+    world = build_world(config)
+    events = [world.queue.pop() for _ in range(len(world.queue))]
+    planned = {e.kind: e for e in events if e.kind is not EventKind.ARRIVAL}
+    (visit,), (attack,) = config.maintenance, config.attacks
+    assert planned[EventKind.MAINTENANCE_VISIT] == SimEvent(
+        world._arrival_ts(1, 1) - sim.MAINTENANCE_LEAD_MS, EventKind.MAINTENANCE_VISIT, "v1", visit
+    )
+    assert planned[EventKind.ATTACK_TRIGGER] == SimEvent(
+        world._arrival_ts(0, 2) - sim.ATTACK_LEAD_MS, EventKind.ATTACK_TRIGGER, "v0", attack
+    )
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")

@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and so is
+every private name its top level defines.
 
-No linter runs on the package, and a deletion leaves stray imports behind,
-so this test walks each module's syntax tree with ``ast``. A name counts as
-used when it occurs as a name (an attribute's root is one), inside a
-string annotation such as ``"World"``, or in ``__all__``.
+No linter runs on the package, and a deletion leaves stray imports and
+helpers behind, so these tests walk each module's syntax tree with
+``ast``. A name counts as used when it is read as a name (an attribute's
+root is one), inside a string annotation such as ``"World"``, or in
+``__all__``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,11 @@ def annotations(tree: ast.AST):
 
 def names_in(tree: ast.AST) -> set[str]:
     """The names ``tree`` reads, those in its string annotations included."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -61,19 +67,46 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def unused_imports(source: str) -> list[str]:
+def unused(source: str, bound) -> list[str]:
+    """Each name that ``bound(tree)`` finds in ``source`` and nothing
+    there reads, with its line.
+    """
     tree = ast.parse(source)
     used = used_names(tree)
     return sorted(
         f"{name} (line {line})"
-        for name, line in imported_names(tree).items()
+        for name, line in bound(tree).items()
         if name not in used
     )
 
 
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Each private name (one leading underscore, no dunder) that a
+    top-level ``def``, ``class`` or assignment binds, with its line.
+    """
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_imports_only_names_it_uses(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused(path.read_text(), imported_names) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_uses_every_private_name_it_defines(path):
+    assert unused(path.read_text(), private_names) == []
 
 
 def test_an_unused_import_is_found():
@@ -92,7 +125,33 @@ __all__ = ["Exported"]
 def f(x: "Quoted", y: Optional[int]) -> "Hidden":
     return os.path.join(Used.name)
 '''
-    assert unused_imports(source) == ["Unused (line 5)"]
+    assert unused(source, imported_names) == ["Unused (line 5)"]
+
+
+def test_an_unused_private_name_is_found():
+    source = '''
+from typing import Optional
+
+_TABLE = {"a": 1}
+_Pair = tuple[int, int]
+_stored = None
+__version__ = "1"
+
+
+def _helper():
+    return _TABLE
+
+
+class _Unread:
+    pass
+
+
+def public(x: "_Pair") -> Optional[int]:
+    global _stored
+    _stored = x
+    return _helper()["a"]
+'''
+    assert unused(source, private_names) == ["_Unread (line 14)", "_stored (line 6)"]
 
 
 def test_the_package_root_loads_no_module_of_its_own():
