@@ -51,11 +51,6 @@ _DETECTION = {
 }
 
 
-def expected_verdict(kind: AttackKind) -> frozenset[Verdict]:
-    """Verdicts that count as detecting the attack."""
-    return default_oracle(kind).expected
-
-
 def _malware(kind: AttackKind, target: int, ts: int, salt: int = 0) -> bytes:
     return derive_seed(
         b"malware",

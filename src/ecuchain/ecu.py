@@ -3,7 +3,9 @@
 The ordered list of firmware digests rolls up into a single root value
 (the vehicle's attestable state root); any firmware write also advances
 the ECU's last-write timestamp, which the challenge spot-check compares
-independently of the root.
+independently of the root. An ECU's id is its position in the list: a
+record holds only its digest and write time, and ``subset_report`` pairs
+each record it reveals with its id.
 """
 
 from __future__ import annotations
@@ -17,22 +19,23 @@ from .crypto import DIGEST_LEN, Digest
 
 @dataclass(frozen=True, slots=True)
 class EcuRecord:
-    """One ECU: stable 0-based id, firmware digest, last firmware-write time."""
+    """One ECU: firmware digest and last firmware-write time. Its id is its
+    index in ``EcuState.records``.
+    """
 
-    ecu_id: int
     firmware_digest: Digest
     last_write_ts: int
 
     def __post_init__(self):
         if len(self.firmware_digest) != DIGEST_LEN:
             raise ValueError("firmware digest must be 32 bytes")
-        if self.ecu_id < 0 or self.last_write_ts < 0:
-            raise ValueError("ecu_id and last_write_ts must be nonnegative")
+        if self.last_write_ts < 0:
+            raise ValueError("last_write_ts must be nonnegative")
 
 
 @dataclass(frozen=True, slots=True)
 class EcuState:
-    """Immutable ECU list; ids are exactly 0..N-1 in list order.
+    """Immutable ECU list; an ECU's id is its index in ``records``.
 
     ``compute_state_root`` caches the state's Merkle root on the object the
     first time it is asked for; the cache takes no part in equality, and a
@@ -46,20 +49,13 @@ class EcuState:
     def __post_init__(self):
         if not self.records:
             raise ValueError("empty ECU state")
-        for i, rec in enumerate(self.records):
-            if rec.ecu_id != i:
-                raise ValueError(f"ecu_id {rec.ecu_id} at position {i}")
 
     def __len__(self) -> int:
         return len(self.records)
 
 
 def state_from_digests(digests: Iterable[Digest]) -> EcuState:
-    records = tuple(
-        EcuRecord(ecu_id=i, firmware_digest=d, last_write_ts=0)
-        for i, d in enumerate(digests)
-    )
-    return EcuState(records=records)
+    return EcuState(records=tuple(EcuRecord(d, 0) for d in digests))
 
 
 def compute_state_root(state: EcuState) -> Digest:
@@ -83,14 +79,16 @@ def update_ecu(state: EcuState, ecu_id: int, new_digest: Digest, ts: int) -> Ecu
         raise ValueError(
             f"timestamp regression on ECU {ecu_id}: {ts} < {current.last_write_ts}"
         )
-    replaced = EcuRecord(ecu_id=ecu_id, firmware_digest=new_digest, last_write_ts=ts)
+    replaced = EcuRecord(firmware_digest=new_digest, last_write_ts=ts)
     records = state.records[:ecu_id] + (replaced,) + state.records[ecu_id + 1 :]
     return EcuState(records=records)
 
 
-def subset_report(state: EcuState, indices: Sequence[int]) -> list[EcuRecord]:
-    """The named records verbatim, in request order; indices must be distinct
-    and in range.
+def subset_report(
+    state: EcuState, indices: Sequence[int]
+) -> tuple[tuple[int, EcuRecord], ...]:
+    """The named records verbatim, each paired with its id, in request
+    order; indices must be distinct and in range.
     """
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate ECU index in subset request")
@@ -98,5 +96,5 @@ def subset_report(state: EcuState, indices: Sequence[int]) -> list[EcuRecord]:
     for idx in indices:
         if not 0 <= idx < len(state.records):
             raise ValueError(f"ECU index {idx} out of range")
-        report.append(state.records[idx])
-    return report
+        report.append((idx, state.records[idx]))
+    return tuple(report)

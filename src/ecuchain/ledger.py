@@ -269,8 +269,8 @@ def response_verdict(profile: VehicleProfile, response: ChallengeResponse) -> Ve
     if response.state_root != compute_state_root(profile.state):
         return Verdict.STATE_MISMATCH
     known = profile.state.records
-    for rec in response.subset:
-        if rec.ecu_id >= len(known) or rec != known[rec.ecu_id]:
+    for ecu_id, rec in response.subset:
+        if ecu_id >= len(known) or rec != known[ecu_id]:
             return Verdict.SUBSET_MISMATCH
     return Verdict.VALID
 
@@ -285,7 +285,7 @@ def recorded_response(state: EcuState, record: ChallengeRecordTx) -> ChallengeRe
     is the wire the vehicle sent. Raises ``subset_report``'s
     ``ValueError`` if ``record`` names an ECU twice or one ``state`` lacks.
     """
-    subset = tuple(subset_report(state, record.ecu_ids))
+    subset = subset_report(state, record.ecu_ids)
     return ChallengeResponse(compute_state_root(state), subset, record.ts, record.vehicle_sig)
 
 

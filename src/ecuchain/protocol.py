@@ -274,7 +274,7 @@ def build_response(
         raise ProtocolError("challenge addressed to a different vehicle")
     unsigned = ChallengeResponse(
         state_root=compute_state_root(state),
-        subset=tuple(subset_report(state, challenge.subset_indices)),
+        subset=subset_report(state, challenge.subset_indices),
         ts=ts,
         sig=b"",
     )
@@ -299,7 +299,7 @@ def verify_response(
     if not issued <= response.ts <= issued + MAX_RESPONSE_DELAY_MS:
         return Verdict.STALE_TIMESTAMP
     verdict = response_verdict(profile, response)
-    ids = tuple(rec.ecu_id for rec in response.subset)
+    ids = tuple(ecu_id for ecu_id, _ in response.subset)
     if verdict is Verdict.VALID and ids != challenge.subset_indices:
         return Verdict.SUBSET_MISMATCH
     return verdict

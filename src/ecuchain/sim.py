@@ -176,7 +176,7 @@ def parse_config(text: str) -> SimConfig:
 def load_config(path: str | Path) -> SimConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

@@ -6,14 +6,17 @@ A signed type's wire-format v3 layout is its ``WIRE`` table, and
 then the fields), ``to_bytes()`` (the signing bytes plus the raw 64-byte
 signature) and ``read()``; ``decode`` reads one value from bytes.
 Digests and public keys are raw. An ECU id and an ECU-list count are
-u16, so a vehicle has at most ``MAX_ECUS`` ECUs. A response's ECU record
-is one packed ``>H32sQ`` struct; a genesis inventory lists every ECU in
-id order, so its record is a ``>32sQ`` and reads back with ids 0 to
-n - 1. A challenge record keeps, of the Valid response it records, only
-what the fold over its block (``ledger.apply_entry``) cannot derive:
-the u16 ids of its k ECUs, its ``ts`` and the vehicle's signature. The
-state root and the ECU records are the state's, which the fold holds, so
-it rebuilds the response and checks that signature. The only length
+u16, so a vehicle has at most ``MAX_ECUS`` ECUs. Every ECU list is a
+u16 count, then one packed struct per item (``_packed``). An ECU record
+(``ecu.EcuRecord``) is a ``>32sQ`` row, its digest and write time, and
+its id is its position: a genesis inventory lists every ECU in id order,
+so it stores rows alone, and a response pairs each record it reveals
+with its id, one ``>H32sQ`` struct. A challenge record keeps, of the
+Valid response it records, only what the fold over its block
+(``ledger.apply_entry``) cannot derive: the u16 ids of its k ECUs, its
+``ts`` and the vehicle's signature. The state root and the ECU records
+are the state's, which the fold holds, so it rebuilds the response and
+checks that signature. The only length
 prefix in a transaction is on a request's query. A response (106 + 42k
 B) names no vehicle, and a record (171 + 2k B) stores none. A
 transaction's owner is the key of the block that keeps it (the audit
@@ -71,59 +74,12 @@ class Verdict(Enum):
 # The largest ECU id and the longest ECU list: both are a u16 on the wire.
 MAX_ECUS = 0xFFFF
 
-# One ECU record: ecu_id (u16), firmware digest (32 bytes), last-write ts (u64).
-# ``32s`` would pad a short digest, but ``EcuRecord`` only holds 32-byte ones.
+# One response entry: ECU id (u16), firmware digest (32 bytes), last-write
+# ts (u64). ``32s`` would pad a short digest, but ``EcuRecord`` only holds
+# 32-byte ones.
 ECU_RECORD = struct.Struct(">H32sQ")
-# One genesis inventory record: the same without the id, which is its position.
+# One genesis inventory row: the same without the id, which is its position.
 INVENTORY_RECORD = struct.Struct(">32sQ")
-
-
-def _encode_ecu_list(records: tuple[EcuRecord, ...]) -> bytes:
-    pack = ECU_RECORD.pack
-    try:
-        packed = [pack(r.ecu_id, r.firmware_digest, r.last_write_ts) for r in records]
-    except struct.error as exc:
-        raise WireError(f"ECU record not encodable: {exc}") from None
-    return encode_u16(len(records)) + b"".join(packed)
-
-
-def _encode_inventory(records: tuple[EcuRecord, ...]) -> bytes:
-    if any(r.ecu_id != i for i, r in enumerate(records)):
-        raise WireError("an inventory's ECU ids must be their positions")
-    pack = INVENTORY_RECORD.pack
-    try:
-        packed = [pack(r.firmware_digest, r.last_write_ts) for r in records]
-    except struct.error as exc:
-        raise WireError(f"ECU record not encodable: {exc}") from None
-    return encode_u16(len(records)) + b"".join(packed)
-
-
-def _read_packed(r: Reader, record: struct.Struct):
-    """A u16 count, then that many ``record`` structs, unpacked."""
-    count = r.read_u16()
-    if count > r.remaining // record.size:
-        raise WireError(f"ECU list of {count} records overruns buffer")
-    return record.iter_unpack(r.read_fixed(count * record.size))
-
-
-def _read_ecu_list(r: Reader) -> tuple[EcuRecord, ...]:
-    return tuple(EcuRecord(*fields) for fields in _read_packed(r, ECU_RECORD))
-
-
-def _read_inventory(r: Reader) -> tuple[EcuRecord, ...]:
-    fields = enumerate(_read_packed(r, INVENTORY_RECORD))
-    return tuple(EcuRecord(i, *f) for i, f in fields)
-
-
-def _encode_ids(ids: tuple[int, ...]) -> bytes:
-    try:
-        return struct.pack(f">H{len(ids)}H", len(ids), *ids)
-    except struct.error as exc:
-        raise WireError(f"ECU ids not encodable: {exc}") from None
-
-
-def _read_ids(r: Reader) -> tuple[int, ...]:
-    return tuple(i for (i,) in _read_packed(r, U16))
 
 
 def _read_verdict(r: Reader) -> Verdict:
@@ -141,6 +97,30 @@ class Codec(NamedTuple):
     read: Callable[[Reader], Any]
 
 
+def _packed(
+    record: struct.Struct, row: Callable[[Any], tuple], item: Callable[[tuple], Any]
+) -> Codec:
+    """A u16 count, then one ``record`` struct per item: ``row`` gives an
+    item's struct fields and ``item`` builds one back from them.
+    """
+
+    def encode(items) -> bytes:
+        pack = record.pack
+        try:
+            packed = [pack(*row(x)) for x in items]
+        except struct.error as exc:
+            raise WireError(f"list item not encodable: {exc}") from None
+        return encode_u16(len(items)) + b"".join(packed)
+
+    def read(r: Reader) -> tuple:
+        count = r.read_u16()
+        if count > r.remaining // record.size:
+            raise WireError(f"list of {count} items overruns buffer")
+        return tuple(map(item, record.iter_unpack(r.read_fixed(count * record.size))))
+
+    return Codec(encode, read)
+
+
 # Codecs call ``encode_u64``, ``encode_str`` and ``to_bytes`` by name, not
 # as stored function objects, so that the e2ebench tracer sees every call.
 # ``RAW32`` is a digest or a public key: both are 32 bytes.
@@ -148,9 +128,15 @@ RAW32 = Codec(lambda v: encode_fixed(v, 32), lambda r: r.read_fixed(32))
 UINT16 = Codec(encode_u16, Reader.read_u16)
 UINT64 = Codec(lambda v: encode_u64(v), Reader.read_u64)
 TEXT = Codec(lambda v: encode_str(v), Reader.read_str)
-ECU_LIST = Codec(_encode_ecu_list, _read_ecu_list)
-INVENTORY = Codec(_encode_inventory, _read_inventory)
-ECU_IDS = Codec(_encode_ids, _read_ids)
+ECU_LIST = _packed(
+    ECU_RECORD,
+    lambda p: (p[0], p[1].firmware_digest, p[1].last_write_ts),
+    lambda f: (f[0], EcuRecord(f[1], f[2])),
+)
+INVENTORY = _packed(
+    INVENTORY_RECORD, lambda r: (r.firmware_digest, r.last_write_ts), lambda f: EcuRecord(*f)
+)
+ECU_IDS = _packed(U16, lambda i: (i,), lambda f: f[0])
 SIG64 = Codec(lambda v: encode_fixed(v, SIGNATURE_LEN), lambda r: r.read_fixed(SIGNATURE_LEN))
 VERDICT = Codec(lambda v: encode_str(v.value), _read_verdict)
 
@@ -249,12 +235,13 @@ class RequestTx(Signable):
 @dataclass(frozen=True, slots=True)
 class ChallengeResponse(Signable):
     """Vehicle's answer to a challenge: current state root plus the raw
-    records of the requested ECU subset, signed by the challenged vehicle,
-    which it does not name (its ``SIGNER`` is None).
+    records of the requested ECU subset, each paired with its id, signed
+    by the challenged vehicle, which it does not name (its ``SIGNER`` is
+    None).
     """
 
     state_root: Digest
-    subset: tuple[EcuRecord, ...]
+    subset: tuple[tuple[int, EcuRecord], ...]
     ts: int
     sig: Signature
 

@@ -34,7 +34,7 @@ def record_of(response, rsu_pk, sig=b""):
     ids, its ts and its signature.
     """
     return ChallengeRecordTx(
-        ecu_ids=tuple(rec.ecu_id for rec in response.subset),
+        ecu_ids=tuple(ecu_id for ecu_id, _ in response.subset),
         ts=response.ts,
         vehicle_sig=response.sig,
         rsu_pk=rsu_pk,
@@ -50,11 +50,7 @@ def append(block, tx):
 def state_of(n_ecus: int, tag: bytes = b"fw", ts: int = 0) -> EcuState:
     return EcuState(
         records=tuple(
-            EcuRecord(
-                ecu_id=e,
-                firmware_digest=sha256(tag + e.to_bytes(4, "big")),
-                last_write_ts=ts,
-            )
+            EcuRecord(firmware_digest=sha256(tag + e.to_bytes(4, "big")), last_write_ts=ts)
             for e in range(n_ecus)
         )
     )

@@ -11,12 +11,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import keys_for, state_of, validate_block_bytes
-from ecuchain.adversary import (
-    AttackKind,
-    assert_detected,
-    default_oracle,
-    expected_verdict,
-)
+from ecuchain.adversary import AttackKind, assert_detected, default_oracle
 from ecuchain.bench import (
     bench_challenge,
     bench_create,
@@ -201,7 +196,7 @@ def test_criterion_4_attack_detection():
                 res = assert_detected(result.event_log, default_oracle(kind))
                 assert res.passed, f"{kind.value} seed={seed}: {res.reason}"
                 assert res.encounter_index == 1, f"{kind.value} seed={seed}"
-                assert res.verdict in expected_verdict(kind)
+                assert res.verdict in default_oracle(kind).expected
 
         # reversal, uniform subsets: empirical per-encounter detection rate
         n_ecus, flipped = 30, 3

@@ -11,7 +11,6 @@ from ecuchain.adversary import (
     DetectionOracle,
     assert_detected,
     default_oracle,
-    expected_verdict,
     inject,
 )
 from ecuchain.ecu import compute_state_root
@@ -20,12 +19,12 @@ from ecuchain.transactions import Verdict
 
 
 def test_expected_verdict_map():
-    assert expected_verdict(AttackKind.FAKE_DATA) == {Verdict.STATE_MISMATCH}
-    assert expected_verdict(AttackKind.CODE_INJECTION) == {Verdict.STATE_MISMATCH}
-    assert expected_verdict(AttackKind.SYBIL) == {Verdict.UNKNOWN_VEHICLE}
-    assert expected_verdict(AttackKind.MASQUERADE) == {Verdict.UNKNOWN_VEHICLE}
-    assert expected_verdict(AttackKind.ECU_REVERSAL) == {Verdict.SUBSET_MISMATCH}
-    assert expected_verdict(AttackKind.REPLAY) == {Verdict.STALE_TIMESTAMP}
+    assert default_oracle(AttackKind.FAKE_DATA).expected == {Verdict.STATE_MISMATCH}
+    assert default_oracle(AttackKind.CODE_INJECTION).expected == {Verdict.STATE_MISMATCH}
+    assert default_oracle(AttackKind.SYBIL).expected == {Verdict.UNKNOWN_VEHICLE}
+    assert default_oracle(AttackKind.MASQUERADE).expected == {Verdict.UNKNOWN_VEHICLE}
+    assert default_oracle(AttackKind.ECU_REVERSAL).expected == {Verdict.SUBSET_MISMATCH}
+    assert default_oracle(AttackKind.REPLAY).expected == {Verdict.STALE_TIMESTAMP}
 
 
 def test_oracle_rejects_valid_in_expected_set():
@@ -101,7 +100,7 @@ def test_attacks_detected_at_next_encounter(kind):
     res = assert_detected(result.event_log, default_oracle(kind))
     assert res.passed, res.reason
     assert res.encounter_index == 1
-    assert res.verdict in expected_verdict(kind)
+    assert res.verdict in default_oracle(kind).expected
 
 
 def test_reversal_detected_within_bound_in_simulation():

@@ -104,6 +104,13 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
+def test_config_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"n_vehicles = 2\n\xff\xfe\n")
+    assert main(["run", "--config", str(bad)]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["init", "run"])
 def test_config_with_a_latency_key_exits_one(command, tmp_path, capsys):
     path = tmp_path / "latency.cfg"

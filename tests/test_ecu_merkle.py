@@ -83,10 +83,11 @@ def test_empty_state_rejected():
         _kernels.merkle_root([])
 
 
-def test_state_requires_contiguous_ids():
-    d = sha256(b"x")
-    with pytest.raises(ValueError):
-        EcuState(records=(EcuRecord(1, d, 0),))
+def test_a_record_holds_a_32_byte_digest_and_a_nonnegative_ts():
+    with pytest.raises(ValueError, match="32 bytes"):
+        EcuRecord(bytes(31), 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        EcuRecord(bytes(32), -1)
 
 
 def test_determinism():
@@ -181,24 +182,24 @@ def test_update_rejects_timestamp_regression():
 
 
 def test_subset_report_empty():
-    assert subset_report(state_of(4), []) == []
+    assert subset_report(state_of(4), []) == ()
 
 
 def test_subset_report_projection():
     state = state_of(4)
     report = subset_report(state, [0, 2])
-    assert report == [state.records[0], state.records[2]]
+    assert report == ((0, state.records[0]), (2, state.records[2]))
 
 
 def test_subset_report_preserves_request_order():
     state = state_of(5)
     report = subset_report(state, [4, 0, 2])
-    assert [r.ecu_id for r in report] == [4, 0, 2]
+    assert [ecu_id for ecu_id, _ in report] == [4, 0, 2]
 
 
 def test_subset_report_full_set_equals_state():
     state = state_of(6)
-    assert tuple(subset_report(state, range(6))) == state.records
+    assert tuple(rec for _, rec in subset_report(state, range(6))) == state.records
 
 
 def test_subset_report_rejects_bad_indices():

@@ -24,8 +24,8 @@ def fresh_vehicle(n_ecus=8) -> VehicleNode:
     state = dataclasses.replace(
         state,
         records=tuple(
-            dataclasses.replace(r, firmware_digest=sha256(b"image-%d" % r.ecu_id))
-            for r in state.records
+            dataclasses.replace(r, firmware_digest=sha256(b"image-%d" % e))
+            for e, r in enumerate(state.records)
         ),
     )
     return VehicleNode(keys=keys_for("entity-vehicle"), ecu_state=state)

@@ -42,7 +42,7 @@ def record_tx(vehicle_keys, state, rsu_keys, ts):
     """
     unsigned = ChallengeResponse(
         state_root=compute_state_root(state),
-        subset=(state.records[0],),
+        subset=((0, state.records[0]),),
         ts=ts,
         sig=b"",
     )

@@ -349,8 +349,8 @@ def test_build_response_subset_mirrors_live_records(vehicle_keys, rsu_keys):
     challenge = issue_challenge(rsu_keys.public, vehicle_keys.public, 8, random.Random(1), ts=5)
     response = decode(ChallengeResponse, build_response(vehicle_keys, state, challenge, ts=5))
     assert verify(vehicle_keys.public, response.signing_bytes(), response.sig)
-    for rec in response.subset:
-        assert rec == state.records[rec.ecu_id]
+    for ecu_id, rec in response.subset:
+        assert rec == state.records[ecu_id]
 
 
 def test_build_response_rejects_out_of_range_index(vehicle_keys, rsu_keys):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,14 @@ from ecuchain.protocol import (
     record_response,
     register_rsu,
 )
-from ecuchain.sim import SimConfig, build_world, load_config, parse_config, run
+from ecuchain.sim import (
+    MaintenancePlanEntry,
+    SimConfig,
+    build_world,
+    load_config,
+    parse_config,
+    run,
+)
 from ecuchain.transactions import (
     Challenge,
     ChallengeResponse,
@@ -344,3 +353,74 @@ def test_the_replay_decodes_each_entry_once(monkeypatch, tmp_path, archive):
         reconstruct_history(block, roadside.archive)
     assert decoded == [entry.payload for history in histories for entry in history]
     assert len(parsed) == len(decoded)
+
+
+# -- the whole run, attack-free ----------------------------------------------------------------
+
+
+@st.composite
+def attack_free_configs(draw):
+    """1-8 vehicles, 1-4 RSUs, 1-3 rounds, 1-30 ECUs, up to 4 maintenance
+    visits and any seed: a config ``validate`` accepts, with no attack.
+    """
+    n_vehicles, n_rsus = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    n_rounds, n_ecus = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    visits = st.builds(
+        MaintenancePlanEntry,
+        st.integers(0, n_vehicles - 1),
+        st.integers(0, n_ecus - 1),
+        st.integers(0, n_rsus * n_rounds - 1),
+    )
+    return SimConfig(
+        n_vehicles=n_vehicles,
+        n_rsus=n_rsus,
+        ecus_per_vehicle=n_ecus,
+        n_rounds=n_rounds,
+        seed=draw(st.integers(0, U64_MAX)),
+        maintenance=tuple(draw(st.lists(visits, max_size=4))),
+    )
+
+
+def _whole_run(config, archive):
+    """The run of ``config`` on ``archive``: its world, its result, the
+    serialized roadside ledger and the archive's records of each block.
+    """
+    world = build_world(config, archive=archive)
+    result = run(world)
+    ledger = world.roadside.ledger
+    reads = [
+        world.roadside.archive.read(ledger.blocks[pk].header.external_address)
+        for pk in ledger.creation_order
+    ]
+    return world, result, ledger.serialize(), reads
+
+
+@pytest.mark.parametrize("archive", ["memory", "file"])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(config=attack_free_configs())
+def test_an_attack_free_run_replays_byte_identical_and_all_valid(archive, config):
+    """Two runs of one attack-free config log, store and archive the same
+    bytes; every encounter is Valid and the ledgers hold; each block
+    replays to one entry per ``init``, ``maintenance`` and ``encounter``
+    line of its vehicle; and the ledger survives a serialize round trip.
+    """
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        archives = (FileArchive(first), FileArchive(second)) if archive == "file" else (None, None)
+        world, result, blob, reads = _whole_run(config, archives[0])
+        _, again, blob_again, reads_again = _whole_run(config, archives[1])
+        assert again.event_log == result.event_log
+        assert (blob_again, reads_again) == (blob, reads)
+        report = result.report
+        assert report.verdict_counts == {"Valid": report.encounters}
+        assert report.encounters == config.n_vehicles * config.encounters_per_vehicle
+        assert report.ledgers_valid
+        entries = Counter(
+            subject
+            for _, kind, subject, _ in (line.split("\t") for line in result.event_log)
+            if kind in ("init", "maintenance", "encounter")
+        )
+        ledger = world.roadside.ledger
+        for pk in ledger.creation_order:
+            history = reconstruct_history(ledger.blocks[pk], world.roadside.archive)
+            assert len(history) == entries[world.subject_by_pk[pk]]
+    assert deserialize_ledger(blob).serialize() == blob

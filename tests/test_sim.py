@@ -170,6 +170,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.cfg")
 
 
+def test_load_config_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"n_vehicles = 2\n\xff\xfe\n")
+    with pytest.raises(ConfigError, match="bad.cfg"):
+        load_config(path)
+
+
 # -- event queue ------------------------------------------------------------------
 
 
@@ -386,10 +393,7 @@ def test_challenge_covers_registered_ecus_not_the_vehicles_own():
     registered = len(world.roadside.profiles[vehicle.pk].state)
     vehicle.ecu_state = EcuState(
         records=vehicle.ecu_state.records
-        + tuple(
-            EcuRecord(ecu_id=e, firmware_digest=bytes(32), last_write_ts=0)
-            for e in range(registered, 1000)
-        )
+        + (EcuRecord(firmware_digest=bytes(32), last_write_ts=0),) * (1000 - registered)
     )
     challenges = []
     respond = vehicle.respond

@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in it, and so is
-every private name its top level defines.
+"""Every name a module of the package, a test module or a tool imports
+is used in it, and so is every private name its top level defines.
 
-No linter runs on the package, and a deletion leaves stray imports and
+No linter runs on the repo, and a deletion leaves stray imports and
 helpers behind, so these tests walk each module's syntax tree with
 ``ast``. A name counts as used when it is read as a name (an attribute's
 root is one), inside a string annotation such as ``"World"``, or in
@@ -18,8 +18,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ecuchain"
-MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ecuchain"
+# The package's modules, then the tests and the tools that drive them.
+MODULES = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted(ROOT.glob("tests/*.py")),
+    *sorted(ROOT.glob("tools/*.py")),
+]
+
+
+def module_id(path: Path) -> str:
+    """A package module's file name; any other file's path from the repo root."""
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -99,12 +110,12 @@ def private_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_imports_only_names_it_uses(path):
     assert unused(path.read_text(), imported_names) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_uses_every_private_name_it_defines(path):
     assert unused(path.read_text(), private_names) == []
 

@@ -123,7 +123,7 @@ _STATE = state_of(4)
 _VEHICLE = keys_for("vehicle").public
 _RESPONSE = ChallengeResponse(
     state_root=compute_state_root(_STATE),
-    subset=_STATE.records[:3],
+    subset=tuple(enumerate(_STATE.records[:3])),
     ts=5,
     sig=b"",
 )
@@ -478,11 +478,9 @@ digests = st.binary(min_size=32, max_size=32)
 RESPONSE_FIELDS = {
     "state_root": digests,
     "subset": st.lists(
-        st.builds(
-            EcuRecord,
-            ecu_id=st.integers(0, 9),
-            firmware_digest=digests,
-            last_write_ts=st.integers(0, U64_MAX),
+        st.tuples(
+            st.integers(0, 9),
+            st.builds(EcuRecord, firmware_digest=digests, last_write_ts=st.integers(0, U64_MAX)),
         ),
         max_size=4,
     ).map(tuple),

@@ -124,8 +124,9 @@ def sealed(body: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "big")
 
 
-def packed_records(records) -> bytes:
-    return b"".join(u16(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in records)
+def packed_records(pairs) -> bytes:
+    """``(ecu_id, EcuRecord)`` pairs, each a ``>H32sQ``."""
+    return b"".join(u16(i) + r.firmware_digest + u64(r.last_write_ts) for i, r in pairs)
 
 
 def packed_inventory(records) -> bytes:
@@ -260,7 +261,6 @@ def test_genesis_and_update_layout_by_hand():
     body = u64(0) + u16(8) + packed_inventory(genesis.ecu_list) + vehicle + genesis.maker_pk
     assert genesis.to_bytes() == u8(TAG_GENESIS) + body + genesis.sig
     assert crypto.verify(genesis.maker_pk, u8(TAG_GENESIS) + vehicle + body, genesis.sig)
-    assert [r.ecu_id for r in genesis.ecu_list] == list(range(8))
     body = (
         update.new_root + u64(9) + vehicle + update.maintainer_pk
         + u16(3) + update.firmware_digest
@@ -300,7 +300,7 @@ def _v3_genesis() -> bytes:
             _v3_root(),
             u64(genesis.ts),
             u16(len(genesis.ecu_list)),
-            packed_records(genesis.ecu_list),
+            packed_records(enumerate(genesis.ecu_list)),
             genesis.vehicle_pk,
             genesis.maker_pk,
         )
@@ -357,8 +357,8 @@ def _v1_genesis_entry() -> bytes:
 
     tx = _golden()["genesis"]
     ecus = b"".join(
-        v1_u64(r.ecu_id) + prefixed(r.firmware_digest) + v1_u64(r.last_write_ts)
-        for r in tx.ecu_list
+        v1_u64(i) + prefixed(r.firmware_digest) + v1_u64(r.last_write_ts)
+        for i, r in enumerate(tx.ecu_list)
     )
     payload = b"".join(
         (
@@ -382,7 +382,9 @@ def _v2_genesis_entry() -> bytes:
     v2 signing bytes.
     """
     tx = _golden()["genesis"]
-    ecus = b"".join(u64(r.ecu_id) + r.firmware_digest + u64(r.last_write_ts) for r in tx.ecu_list)
+    ecus = b"".join(
+        u64(i) + r.firmware_digest + u64(r.last_write_ts) for i, r in enumerate(tx.ecu_list)
+    )
     signing = b"".join(
         (
             u64(TAG_GENESIS),
@@ -648,12 +650,10 @@ digests = st.binary(min_size=32, max_size=32)
 sigs = st.binary(min_size=64, max_size=64)
 u64s = st.integers(0, U64_MAX)
 ecu_ids = st.integers(0, MAX_ECUS)
-ecu_records = st.builds(EcuRecord, ecu_id=ecu_ids, firmware_digest=digests, last_write_ts=u64s)
-ecu_lists = st.lists(ecu_records, max_size=6).map(tuple)
-# A genesis inventory: each ECU's id is its position.
-inventories = st.lists(st.tuples(digests, u64s), max_size=6).map(
-    lambda fields: tuple(EcuRecord(i, *f) for i, f in enumerate(fields))
-)
+ecu_records = st.builds(EcuRecord, firmware_digest=digests, last_write_ts=u64s)
+# A response's subset pairs each record with its id; an inventory's ids are its positions.
+ecu_lists = st.lists(st.tuples(ecu_ids, ecu_records), max_size=6).map(tuple)
+inventories = st.lists(ecu_records, max_size=6).map(tuple)
 
 responses = st.builds(ChallengeResponse, state_root=digests, subset=ecu_lists, ts=u64s, sig=sigs)
 transactions = st.one_of(
@@ -1047,8 +1047,11 @@ def test_unknown_verdict_name_raises_wire_error():
 # -- the ECU limit -----------------------------------------------------------------------------
 
 
-def _records(ids) -> tuple[EcuRecord, ...]:
-    return tuple(EcuRecord(ecu_id=i, firmware_digest=bytes(32), last_write_ts=7) for i in ids)
+_RECORD = EcuRecord(firmware_digest=bytes(32), last_write_ts=7)
+
+
+def _subset(ids) -> tuple[tuple[int, EcuRecord], ...]:
+    return tuple((i, _RECORD) for i in ids)
 
 
 def _update(ecu_id: int) -> UpdateTx:
@@ -1068,7 +1071,7 @@ def _response(subset) -> ChallengeResponse:
 
 
 def test_ecu_id_at_the_limit_round_trips():
-    update, response = _update(MAX_ECUS), _response(_records([MAX_ECUS]))
+    update, response = _update(MAX_ECUS), _response(_subset([MAX_ECUS]))
     assert MAX_ECUS == 0xFFFF
     assert decode_transaction(update.to_bytes()) == update
     assert decode_response(response.to_bytes()) == response
@@ -1082,27 +1085,18 @@ def _genesis(records) -> GenesisTx:
 
 
 def test_ecu_id_or_list_past_the_limit_raises_wire_error():
-    too_many = _records([0] * (MAX_ECUS + 1))
+    too_many = _subset([0] * (MAX_ECUS + 1))
     assert len(_response(too_many[:-1]).to_bytes()) == response_size(MAX_ECUS)
     for signing_bytes in (
-        _genesis(_records(range(MAX_ECUS + 1))).signing_bytes,
+        _genesis((_RECORD,) * (MAX_ECUS + 1)).signing_bytes,
         _update(MAX_ECUS + 1).signing_bytes,
-        _response(_records([MAX_ECUS + 1])).signing_bytes,
+        _response(_subset([MAX_ECUS + 1])).signing_bytes,
         _response(too_many).signing_bytes,
-        record_of(_response(_records([MAX_ECUS + 1])), bytes(32), bytes(64)).signing_bytes,
+        record_of(_response(_subset([MAX_ECUS + 1])), bytes(32), bytes(64)).signing_bytes,
         record_of(_response(too_many), bytes(32), bytes(64)).signing_bytes,
     ):
         with pytest.raises(WireError):
             signing_bytes()
-
-
-def test_inventory_out_of_id_order_raises_wire_error():
-    """A genesis inventory stores no ECU ids, so one whose ids are not its
-    positions cannot be written.
-    """
-    for ids in ([1, 0], [0, 2]):
-        with pytest.raises(WireError, match="positions"):
-            _genesis(_records(ids)).signing_bytes()
 
 
 # -- sizes in closed form ----------------------------------------------------------------------
@@ -1132,11 +1126,10 @@ def genesis_size(n: int) -> int:
 
 @pytest.mark.parametrize("n", [1, 8, 30, MAX_ECUS])
 def test_sizes_follow_the_closed_form(n):
-    records = _records(range(n))
-    genesis = _genesis(records)
+    genesis = _genesis((_RECORD,) * n)
     assert len(genesis.to_bytes()) == genesis_size(n) == 139 + 40 * n
     for k in range(1, min(3, n) + 1):
-        response = _response(records[n - k :])
+        response = _response(_subset(range(n - k, n)))
         record = record_of(response, bytes(32), bytes(64))
         assert len(response.to_bytes()) == response_size(k)
         assert len(record.to_bytes()) == record_size(k)
